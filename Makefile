@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke streamsmoke scalesmoke servesmoke figures bench benchgate clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke streamsmoke scalesmoke servesmoke benchsmoke figures bench benchgate clean
 
 all: build
 
@@ -74,13 +74,13 @@ bench: build
 
 # The gate measures the wall headline (one 1x pass) plus the zero-alloc
 # hot-path benchmarks (enough iterations to amortize warm-up), the
-# streamed issue path included: wall time gates unconditionally against
+# streamed issue path and the warp pick included: wall time gates unconditionally against
 # this host class's ledger entry when one is committed, else only when
 # the flat baseline's fingerprint matches; allocs/op (deterministic per
 # binary) gate everywhere.
 benchgate: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSuitePaperWall' -benchtime 1x -timeout 30m . > /tmp/bench_fresh.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkPickWarp|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchjson -o /tmp/bench_fresh.json < /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
 
@@ -115,6 +115,15 @@ servesmoke: build
 	/tmp/dlpload -addr-file /tmp/dlpserved.addr -shutdown && \
 	wait $$pid
 	$(GO) test -race -short -run 'TestServeSoak|TestDedupStormSingleSimulation' ./internal/serve/
+
+# Benchmark-module smoke: bench/ is a module of its own that the root
+# `go build ./...` cannot see, so an engine change can break its imports
+# without any other target noticing. Run the harness unit tests, then
+# one short real run (a single round of suite_batch) whose result line
+# must report every result digest correct.
+benchsmoke:
+	cd bench && $(GO) test -short ./...
+	bash bench/run.sh --workload suite_batch --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 
 # Regenerate the committed reference outputs.
 figures:

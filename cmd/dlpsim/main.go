@@ -85,6 +85,12 @@ func main() {
 		log.Fatal(err)
 	}
 	*cores = resolvedCores
+	// Catch Ctrl-C from here on, not only once the kernel exists: trace
+	// generation can take seconds, and an interrupt that lands inside
+	// it must still exit 130 (the run below starts cancelled) instead of
+	// killing the process by signal.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	if *scale < 1 {
 		log.Fatalf("-scale %d: must be >= 1", *scale)
 	}
@@ -190,8 +196,6 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	obs, err := cli.OpenObservability(*metricsPath, *tracePath, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -26,7 +26,10 @@ import (
 //
 // A job whose kernel cannot be serialized has no content address; Key
 // returns "" and the runner treats the job as uncacheable rather than
-// inventing an identity-based key that could collide across processes.
+// inventing an identity-based key (a pointer address, say) that a later
+// allocation or another process could reuse for a different kernel. The
+// digest is memoized on the kernel itself (trace.Kernel.Digest), so a
+// suite serializes each kernel once and nothing outlives the kernel.
 //
 // Stream jobs are addressed by the stream's SpecKey — a stable
 // description of the generator spec (or the trace file's content hash)
@@ -42,7 +45,7 @@ func (j Job) Key() string {
 		return ""
 	case j.Stream != nil:
 		if ks, ok := j.Stream.(*trace.KernelStream); ok {
-			kd, ok := kernelDigest(ks.Kernel())
+			kd, ok := ks.Kernel().Digest()
 			if !ok {
 				return ""
 			}
@@ -55,7 +58,7 @@ func (j Job) Key() string {
 			kernelLine = "stream:" + sk
 		}
 	default:
-		kd, ok := kernelDigest(j.Kernel)
+		kd, ok := j.Kernel.Digest()
 		if !ok {
 			return ""
 		}
@@ -69,40 +72,6 @@ func (j Job) Key() string {
 	fmt.Fprintf(h, "opts|%d|%g|%d\n", o.MaxCycles, *o.BackgroundFlitsPerKInsn, o.InjectionRate)
 	fmt.Fprintf(h, "kernel|%s\n", kernelLine)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// kernelDigests memoizes trace digests per kernel pointer: a suite
-// reuses one generated kernel across every scheme, so without the memo
-// each scheme would re-serialize the same trace. Serialization failures
-// are memoized too (as digestEntry{ok: false}), so an unserializable
-// kernel is probed exactly once instead of re-attempting — and
-// re-failing — the full trace walk on every job.
-var kernelDigests sync.Map // *trace.Kernel -> digestEntry
-
-type digestEntry struct {
-	digest string
-	ok     bool
-}
-
-func kernelDigest(k *trace.Kernel) (string, bool) {
-	if d, loaded := kernelDigests.Load(k); loaded {
-		e := d.(digestEntry)
-		return e.digest, e.ok
-	}
-	h := sha256.New()
-	if _, err := k.WriteTo(h); err != nil {
-		// An unserializable kernel cannot be content-addressed. The old
-		// fallback ("unserializable-%p") reused the pointer address,
-		// which a different process — or a later allocation in this one
-		// — can legitimately recycle for a different kernel, silently
-		// serving a wrong cached result. No key at all is the only
-		// sound answer: such jobs always simulate.
-		kernelDigests.Store(k, digestEntry{})
-		return "", false
-	}
-	e := digestEntry{digest: hex.EncodeToString(h.Sum(nil)), ok: true}
-	kernelDigests.Store(k, e)
-	return e.digest, true
 }
 
 // diskSchemaVersion identifies the on-disk entry layout. Bump it when

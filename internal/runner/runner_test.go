@@ -3,9 +3,11 @@ package runner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -291,5 +293,33 @@ func TestZeroJobs(t *testing.T) {
 	res, err := (&Runner{}).Run(context.Background(), nil)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: res=%v err=%v", res, err)
+	}
+}
+
+// TestKeyDoesNotRetainKernel: the digest memo lives on the kernel, not
+// in a process-wide table, so a kernel that has been keyed (directly and
+// through a KernelStream) is garbage once its last reference drops. With
+// the old global memo every kernel a process ever keyed stayed reachable.
+func TestKeyDoesNotRetainKernel(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		k := streamKernel("transient", 2, 2, 6, 2)
+		runtime.SetFinalizer(k, func(*trace.Kernel) { close(collected) })
+		eager := Job{Config: config.Baseline(), Policy: config.PolicyDLP, Kernel: k}
+		streamed := Job{Config: config.Baseline(), Policy: config.PolicyDLP, Stream: trace.NewKernelStream(k)}
+		if key := eager.Key(); key == "" || key != streamed.Key() {
+			t.Fatalf("eager key %q, streamed key %q: want equal and non-empty", key, streamed.Key())
+		}
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("kernel still reachable after Job.Key: something retains it")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

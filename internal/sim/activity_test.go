@@ -57,9 +57,10 @@ func activityConfigs() map[string]*config.Config {
 
 // TestActivityAccountingEveryCycle re-derives the engine's O(1) activity
 // accounting from first principles at every stepped cycle of a mixed
-// workload: liveWarps/finishedWarps counters vs slot sweeps, scheduler
-// sleep bounds vs actual issuability, and counter-form quiescence vs the
-// deep sweep. This is the per-cycle (unsampled) version of what
+// workload: the liveWarps counter and the SMs' slot-indexed scheduling
+// arrays (blocked/finished bits, ages) vs slot sweeps, scheduler sleep
+// bounds vs actual issuability, and counter-form quiescence vs the deep
+// sweep. This is the per-cycle (unsampled) version of what
 // SelfCheck verifies every 2048 cycles in production runs — including
 // the fault-injection suites, which run with SelfCheck enabled.
 func TestActivityAccountingEveryCycle(t *testing.T) {

@@ -7,6 +7,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -19,27 +20,23 @@ import (
 // warp is one resident warp's execution state. Its position in the
 // instruction stream is a trace.Cursor: plain slice arithmetic over a
 // precomputed WarpTrace on the compat path, a chunk-refilling window
-// over a trace.Stream on the streaming path.
+// over a trace.Stream on the streaming path. What the warp schedulers
+// read every cycle — issue latency, dispatch age, whether the warp can
+// be picked at all — is not here but in the SM's slot-indexed arrays.
 type warp struct {
 	cur         trace.Cursor
-	busyUntil   uint64
 	outstanding int  // memory requests in flight
 	inLDST      bool // a memory instruction of this warp occupies the LD/ST queue
 	slot        int
-	age         uint64 // dispatch order; smaller is older (GTO tie-break)
 	block       *residentBlock
 }
 
-func (w *warp) done(now uint64) bool {
-	return w.cur.Exhausted() && w.outstanding == 0 && !w.inLDST &&
-		w.busyUntil <= now
-}
-
-// ready reports whether the warp can issue at cycle now.
-func (w *warp) ready(now uint64) bool {
-	return !w.cur.Exhausted() && w.busyUntil <= now &&
-		w.outstanding == 0 && !w.inLDST
-}
+// never is the "no time-based wake" bound; noAge marks an empty slot in
+// the age array, so an empty slot is never older than a resident warp.
+const (
+	never = ^uint64(0)
+	noAge = ^uint64(0)
+)
 
 type residentBlock struct {
 	liveWarps int
@@ -69,6 +66,36 @@ type SM struct {
 	st    *stats.Stats
 	slots []*warp
 
+	// Slot-indexed scheduling state: everything a pick scan reads, laid
+	// out so the scan follows no pointer. busyUntil and age are plain
+	// arrays (0 and noAge while the slot is empty); blocked and finished
+	// are bitsets, bit slot&63 of word slot>>6.
+	//
+	//   blocked   the slot is empty, or its warp has outstanding != 0,
+	//             is inLDST, or is exhausted: only an event, never the
+	//             clock alone, can make it issuable. Bits past the last
+	//             slot are permanently set.
+	//   finished  the slot's warp has exhausted its trace (a subset of
+	//             blocked); retirement looks only here.
+	//
+	// owned[k] is scheduler k's slots (slot % SchedulersPerSM == k) as
+	// a mask over the same words. The bits are rewritten by noteCursor
+	// wherever a cursor moves (admission, issue) and by setBlocked
+	// wherever outstanding or inLDST changes (LD/ST drain, last memory
+	// response); retirement clears the slot. CheckActivity re-derives
+	// all of it from the warps.
+	//
+	// Whether a warp's next instruction is a load or store is
+	// deliberately not mirrored here: recording it when the cursor
+	// advances means touching the next Instr — another cache line, one
+	// miss per issued instruction — for a fact that is only consulted
+	// while the LD/ST queue is full (ldstHazard).
+	busyUntil []uint64
+	age       []uint64
+	blocked   []uint64
+	finished  []uint64
+	owned     [][]uint64
+
 	pendingBlocks []pendingBlock
 	ageCounter    uint64
 	nextReqID     uint64
@@ -86,11 +113,6 @@ type SM struct {
 	// liveWarps counts occupied warp slots — maintained at admit/retire
 	// so Done() is a counter comparison, not a slot sweep.
 	liveWarps int
-
-	// finishedWarps counts resident warps whose trace is exhausted
-	// (pc past the end). retireWarps sweeps the slots only while this is
-	// nonzero; trace exhaustion is a necessary condition for done().
-	finishedWarps int
 
 	// schedSleepUntil[k] is a proven lower bound on the next cycle at
 	// which scheduler k's pick scan can succeed. It is set when a scan
@@ -119,6 +141,7 @@ type SM struct {
 // New builds an SM with its own L1D under the given policy. pool, which
 // may be nil, recycles completed memory requests.
 func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
+	words := (cfg.MaxWarpsPerSM + 63) / 64
 	s := &SM{
 		cfg:     cfg,
 		id:      id,
@@ -128,10 +151,25 @@ func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
 		greedy:  make([]int, cfg.SchedulersPerSM),
 		pool:    pool,
 
+		busyUntil: make([]uint64, cfg.MaxWarpsPerSM),
+		age:       make([]uint64, cfg.MaxWarpsPerSM),
+		blocked:   make([]uint64, words),
+		finished:  make([]uint64, words),
+		owned:     make([][]uint64, cfg.SchedulersPerSM),
+
 		schedSleepUntil: make([]uint64, cfg.SchedulersPerSM),
 	}
 	for i := range s.greedy {
 		s.greedy[i] = -1
+		s.owned[i] = make([]uint64, words)
+	}
+	for i := range s.blocked {
+		s.blocked[i] = ^uint64(0) // every slot starts empty
+	}
+	for slot := range s.slots {
+		s.age[slot] = noAge
+		wi, bit := slotBit(slot)
+		s.owned[slot%cfg.SchedulersPerSM][wi] |= bit
 	}
 	s.l1d = core.NewL1D(cfg, policy, s.onMemResponse)
 	return s
@@ -158,6 +196,35 @@ func (s *SM) AssignStream(src trace.Stream, idx int) {
 	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
 
+// slotBit locates slot in the blocked/finished/owned bitsets.
+func slotBit(slot int) (word int, bit uint64) {
+	return slot >> 6, 1 << (slot & 63)
+}
+
+// noteCursor records whether w's cursor has run off the end of its trace
+// in the finished bit, then re-derives the blocked bit. Called wherever
+// a cursor is initialised or moved.
+func (s *SM) noteCursor(w *warp) {
+	wi, bit := slotBit(w.slot)
+	if w.cur.Exhausted() {
+		s.finished[wi] |= bit
+	} else {
+		s.finished[wi] &^= bit
+	}
+	s.setBlocked(w)
+}
+
+// setBlocked re-derives w's blocked bit after outstanding, inLDST or the
+// finished bit changed.
+func (s *SM) setBlocked(w *warp) {
+	wi, bit := slotBit(w.slot)
+	if w.outstanding != 0 || w.inLDST || s.finished[wi]&bit != 0 {
+		s.blocked[wi] |= bit
+	} else {
+		s.blocked[wi] &^= bit
+	}
+}
+
 // onMemResponse is the L1D delivery callback: one completed load
 // request. Delivery is the load's last stop, so the request goes back
 // to the pool here.
@@ -171,6 +238,7 @@ func (s *SM) onMemResponse(req *mem.Request) {
 	if w.outstanding == 0 {
 		// Only the last response unblocks the warp; earlier ones leave
 		// it waiting and cannot make any scheduler's scan succeed.
+		s.setBlocked(w)
 		s.schedSleepUntil[req.Warp%len(s.schedSleepUntil)] = 0
 	}
 }
@@ -214,13 +282,11 @@ func (s *SM) admitBlocks() bool {
 				w.cur.InitStream(pb.src, s.chunks, s.cfg.L1D.LineSize, pb.idx, wi)
 			}
 			w.slot = slot
-			w.age = s.ageCounter
 			w.block = rb
 			s.slots[slot] = w
+			s.age[slot] = s.ageCounter // busyUntil[slot] is 0 while empty
+			s.noteCursor(w)
 			s.liveWarps++
-			if w.cur.Exhausted() {
-				s.finishedWarps++
-			}
 			wi++
 		}
 		s.pendingBlocks = s.pendingBlocks[1:]
@@ -232,30 +298,41 @@ func (s *SM) admitBlocks() bool {
 	return admitted
 }
 
-// retireWarps frees slots of completed warps and their blocks. Returns
-// whether any warp retired.
+// warpDone reports whether w has fully executed: trace exhausted, no
+// memory in flight, final issue latency elapsed.
+func (s *SM) warpDone(w *warp) bool {
+	return w.cur.Exhausted() && w.outstanding == 0 && !w.inLDST &&
+		s.busyUntil[w.slot] <= s.now
+}
+
+// retireWarps frees slots of completed warps and their blocks. Trace
+// exhaustion is necessary for completion, so only slots in the finished
+// set are visited. Returns whether any warp retired.
 func (s *SM) retireWarps() bool {
-	// Trace exhaustion is necessary for done(), so with no finished
-	// warps resident the sweep cannot retire anything.
-	if s.finishedWarps == 0 {
-		return false
-	}
 	retired := false
-	for slot, w := range s.slots {
-		if w == nil || !w.done(s.now) {
-			continue
+	for wi, fin := range s.finished {
+		for ; fin != 0; fin &= fin - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(fin)
+			w := s.slots[slot]
+			if !s.warpDone(w) {
+				continue
+			}
+			w.block.liveWarps--
+			if w.block.liveWarps == 0 {
+				s.freeBlocks = append(s.freeBlocks, w.block)
+			}
+			bit := fin & -fin
+			s.slots[slot] = nil
+			s.busyUntil[slot] = 0
+			s.age[slot] = noAge
+			s.blocked[wi] |= bit
+			s.finished[wi] &^= bit
+			s.liveWarps--
+			w.cur.Release() // return the stream chunk before wiping the warp
+			*w = warp{}
+			s.freeWarps = append(s.freeWarps, w)
+			retired = true
 		}
-		w.block.liveWarps--
-		if w.block.liveWarps == 0 {
-			s.freeBlocks = append(s.freeBlocks, w.block)
-		}
-		s.slots[slot] = nil
-		s.liveWarps--
-		s.finishedWarps--
-		w.cur.Release() // return the stream chunk before wiping the warp
-		*w = warp{}
-		s.freeWarps = append(s.freeWarps, w)
-		retired = true
 	}
 	if retired {
 		s.wakeSchedulers()
@@ -328,6 +405,7 @@ func (s *SM) tickLDST() {
 	mi.next++
 	if mi.next == len(mi.reqs) {
 		mi.w.inLDST = false
+		s.setBlocked(mi.w)
 		copy(s.ldst, s.ldst[1:])
 		s.ldst[len(s.ldst)-1] = nil
 		s.ldst = s.ldst[:len(s.ldst)-1]
@@ -362,79 +440,86 @@ func (s *SM) issue() bool {
 	return issued
 }
 
-// issuable reports whether the warp can issue right now, including the
-// structural LD/ST-queue hazard for memory instructions and the optional
-// active-warp throttle.
-func (s *SM) issuable(w *warp) bool {
-	if w == nil || !w.ready(s.now) {
-		return false
-	}
-	if !s.warpActive(w) {
-		return false
-	}
-	if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
-		return false
-	}
-	return true
+// issuable reports whether the slot's warp can issue right now: not
+// blocked, issue latency elapsed, inside the optional active-warp
+// throttle, and — for a memory instruction — room in the LD/ST queue
+// (ldstFull is len(s.ldst) >= s.ldstCap, hoisted by the caller).
+func (s *SM) issuable(slot int, ldstFull bool) bool {
+	wi, bit := slotBit(slot)
+	return s.blocked[wi]&bit == 0 && s.busyUntil[slot] <= s.now &&
+		!(ldstFull && s.ldstHazard(slot)) && s.warpActive(slot)
+}
+
+// ldstHazard reports whether the unblocked warp in slot is about to
+// issue a load or store, which a full LD/ST queue cannot take. This is
+// the one question the issue stage answers by following the slot to its
+// warp and instruction, so callers ask it only while the queue is full:
+// a queue holds one instruction per warp, so at the paper's 48 warps
+// and 48 entries a full queue leaves no unblocked warp to ask about.
+func (s *SM) ldstHazard(slot int) bool {
+	return s.slots[slot].cur.Cur().Kind != trace.Compute
 }
 
 // warpActive implements static CCWS-style throttling: with MaxActiveWarps
 // set, only the N oldest unfinished warps may issue; the rest wait until
 // an older warp retires. Zero disables the throttle.
-func (s *SM) warpActive(w *warp) bool {
+func (s *SM) warpActive(slot int) bool {
 	limit := s.cfg.MaxActiveWarps
 	if limit <= 0 {
 		return true
 	}
-	older := 0
-	for _, other := range s.slots {
-		if other != nil && other != w && other.age < w.age {
+	older, mine := 0, s.age[slot]
+	for _, a := range s.age { // empty slots hold noAge: never older
+		if a < mine {
 			older++
 		}
 	}
 	return older < limit
 }
 
+// pickWarp chooses the slot scheduler sched issues from this cycle, or
+// -1. The scan reads only the slot-indexed arrays: candidates are the
+// set bits of owned[sched] &^ blocked, and each costs one busyUntil
+// load (plus age for the survivors) — no warp or instruction is touched
+// unless the LD/ST queue is full.
 func (s *SM) pickWarp(sched int) int {
 	if s.now < s.schedSleepUntil[sched] {
 		return -1 // proven empty until then; skip the scan
 	}
+	ldstFull := len(s.ldst) >= s.ldstCap
 	if s.cfg.Scheduler == config.SchedLRR {
-		return s.pickWarpLRR(sched)
+		return s.pickWarpLRR(sched, ldstFull)
 	}
-	if g := s.greedy[sched]; g >= 0 && s.issuable(s.slots[g]) {
+	if g := s.greedy[sched]; g >= 0 && s.issuable(g, ldstFull) {
 		return g
 	}
 	best := -1
 	var bestAge uint64
-	nextReady := ^uint64(0)
-	for slot := sched; slot < len(s.slots); slot += s.cfg.SchedulersPerSM {
-		w := s.slots[slot]
-		if w == nil || w.outstanding != 0 || w.inLDST || w.cur.Exhausted() {
-			// Empty, waiting on an unblocking event, or exhausted: none
-			// contribute a time-based wake (events reset the sleep bound).
-			continue
-		}
-		if w.busyUntil > s.now {
-			// Blocked only by its issue latency: it becomes a candidate
-			// at busyUntil with no triggering event, so a failed scan
-			// must re-run by then.
-			if w.busyUntil < nextReady {
-				nextReady = w.busyUntil
+	nextReady := never
+	for wi, own := range s.owned[sched] {
+		// Blocked slots — empty, waiting on an unblocking event, or
+		// exhausted — contribute no time-based wake (events reset the
+		// sleep bound), so they are masked out before the loop.
+		for cand := own &^ s.blocked[wi]; cand != 0; cand &= cand - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(cand)
+			if bu := s.busyUntil[slot]; bu > s.now {
+				// Blocked only by its issue latency: it becomes a candidate
+				// at busyUntil with no triggering event, so a failed scan
+				// must re-run by then.
+				if bu < nextReady {
+					nextReady = bu
+				}
+				continue
 			}
-			continue
-		}
-		// Ready; only the throttle or the LD/ST structural hazard can
-		// still block it, and both clear via sleep-resetting events.
-		if !s.warpActive(w) {
-			continue
-		}
-		if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
-			continue
-		}
-		if best < 0 || w.age < bestAge {
-			best = slot
-			bestAge = w.age
+			// Ready; only the LD/ST structural hazard or the throttle can
+			// still block it, and both clear via sleep-resetting events.
+			if ldstFull && s.ldstHazard(slot) {
+				continue
+			}
+			if a := s.age[slot]; (best < 0 || a < bestAge) && s.warpActive(slot) {
+				best = slot
+				bestAge = a
+			}
 		}
 	}
 	if best < 0 {
@@ -443,45 +528,36 @@ func (s *SM) pickWarp(sched int) int {
 	return best
 }
 
-// pickWarpLRR rotates through the scheduler's slot sequence (slots
-// congruent to sched modulo the scheduler count), starting just after
-// the slot it issued from last.
-func (s *SM) pickWarpLRR(sched int) int {
-	n := s.cfg.SchedulersPerSM
-	count := 0
-	for slot := sched; slot < len(s.slots); slot += n {
-		count++
-	}
-	if count == 0 {
-		return -1
-	}
-	last := -1 // position of the last-issued slot within the sequence
-	if g := s.greedy[sched]; g >= 0 {
-		last = (g - sched) / n
-	}
-	nextReady := ^uint64(0)
-	for i := 1; i <= count; i++ {
-		slot := sched + ((last+i)%count)*n
-		w := s.slots[slot]
-		if w == nil || w.outstanding != 0 || w.inLDST || w.cur.Exhausted() {
-			continue
-		}
-		if w.busyUntil > s.now {
-			if w.busyUntil < nextReady {
-				nextReady = w.busyUntil
+// pickWarpLRR rotates through the scheduler's slots in ascending order,
+// starting just after the slot it issued from last and wrapping around.
+func (s *SM) pickWarpLRR(sched int, ldstFull bool) int {
+	last := s.greedy[sched]
+	wrapped := -1 // first issuable slot at or before last
+	nextReady := never
+	for wi, own := range s.owned[sched] {
+		for cand := own &^ s.blocked[wi]; cand != 0; cand &= cand - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(cand)
+			if bu := s.busyUntil[slot]; bu > s.now {
+				if bu < nextReady {
+					nextReady = bu
+				}
+				continue
 			}
-			continue
+			if ldstFull && s.ldstHazard(slot) || !s.warpActive(slot) {
+				continue
+			}
+			if slot > last {
+				return slot // ascending scan: the first one past last wins
+			}
+			if wrapped < 0 {
+				wrapped = slot
+			}
 		}
-		if !s.warpActive(w) {
-			continue
-		}
-		if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
-			continue
-		}
-		return slot
 	}
-	s.schedSleepUntil[sched] = nextReady
-	return -1
+	if wrapped < 0 {
+		s.schedSleepUntil[sched] = nextReady
+	}
+	return wrapped
 }
 
 func (s *SM) issueFrom(w *warp) {
@@ -494,7 +570,7 @@ func (s *SM) issueFrom(w *warp) {
 
 	switch in.Kind {
 	case trace.Compute:
-		w.busyUntil = s.now + uint64(in.Latency)
+		s.busyUntil[w.slot] = s.now + uint64(in.Latency)
 	case trace.Load, trace.Store:
 		s.lineBuf = in.AppendCoalescedLines(s.lineBuf[:0], s.cfg.L1D.LineSize)
 		mi := s.getMemInstr()
@@ -513,12 +589,10 @@ func (s *SM) issueFrom(w *warp) {
 		}
 		w.inLDST = true
 		s.ldst = append(s.ldst, mi)
-		w.busyUntil = s.now + 1
+		s.busyUntil[w.slot] = s.now + 1
 	}
 	w.cur.Advance()
-	if w.cur.Exhausted() {
-		s.finishedWarps++
-	}
+	s.noteCursor(w)
 }
 
 func (s *SM) getMemInstr() *memInstr {
@@ -536,7 +610,7 @@ func (s *SM) getMemInstr() *memInstr {
 // admit/retire instead of swept.
 //
 // The counter form is exactly equivalent to sweeping the slots for
-// !w.done(now) at the points the engine evaluates it (after a full
+// !warpDone(w) at the points the engine evaluates it (after a full
 // step). A live slot then holds either a warp that is not done — both
 // forms say "not done" — or a warp that completed mid-tick after
 // retireWarps ran. The latter can only be the store-drain path in
@@ -560,35 +634,61 @@ func (s *SM) DoneSweep() bool {
 		return false
 	}
 	for _, w := range s.slots {
-		if w != nil && !w.done(s.now) {
+		if w != nil && !s.warpDone(w) {
 			return false
 		}
 	}
 	return true
 }
 
+// finishedWarps counts resident warps whose trace is exhausted.
+func (s *SM) finishedWarps() int {
+	n := 0
+	for _, fin := range s.finished {
+		n += bits.OnesCount64(fin)
+	}
+	return n
+}
+
 // CheckActivity validates the SM's O(1) activity accounting against a
-// full sweep: the liveWarps counter must equal the occupied-slot count,
-// and when the counter form of Done disagrees with the sweep form the
-// difference must be explained by in-flight work (a done-but-unretired
-// warp whose final store still sits in an outgoing queue). Returns a
-// descriptive error on violation.
+// full sweep. The liveWarps counter must equal the occupied-slot count.
+// Every slot's scheduling state must be what its warp implies: an empty
+// slot is blocked with busyUntil 0, no age and no finished bit; an
+// occupied one has blocked == (outstanding != 0 || inLDST || exhausted),
+// finished == exhausted, a real age, and a warp that knows its slot;
+// bits past the last slot stay blocked. When the counter form of Done
+// disagrees with the sweep form the difference must be explained by
+// in-flight work (a done-but-unretired warp whose final store still
+// sits in an outgoing queue). Returns a descriptive error on violation.
 func (s *SM) CheckActivity() error {
-	occupied, finished := 0, 0
-	for _, w := range s.slots {
-		if w != nil {
-			occupied++
-			if w.cur.Exhausted() {
-				finished++
+	occupied := 0
+	for slot, w := range s.slots {
+		wi, bit := slotBit(slot)
+		blocked, finished := s.blocked[wi]&bit != 0, s.finished[wi]&bit != 0
+		if w == nil {
+			if !blocked || finished || s.busyUntil[slot] != 0 || s.age[slot] != noAge {
+				return fmt.Errorf("sm%d: empty slot %d has blocked=%v finished=%v busyUntil=%d age=%d",
+					s.id, slot, blocked, finished, s.busyUntil[slot], s.age[slot])
 			}
+			continue
+		}
+		occupied++
+		exhausted := w.cur.Exhausted()
+		wantBlocked := w.outstanding != 0 || w.inLDST || exhausted
+		if w.slot != slot || s.age[slot] == noAge || blocked != wantBlocked || finished != exhausted {
+			return fmt.Errorf("sm%d: slot %d (warp.slot=%d age=%d) has blocked=%v finished=%v, warp implies %v/%v",
+				s.id, slot, w.slot, s.age[slot], blocked, finished, wantBlocked, exhausted)
+		}
+	}
+	if tail := len(s.slots) & 63; tail != 0 {
+		last := len(s.blocked) - 1
+		past := ^uint64(0) << tail
+		if s.blocked[last]&past != past || s.finished[last]&past != 0 {
+			return fmt.Errorf("sm%d: scheduling bits past slot %d corrupted", s.id, len(s.slots)-1)
 		}
 	}
 	if occupied != s.liveWarps {
 		return fmt.Errorf("sm%d: liveWarps=%d but %d slots occupied", s.id, s.liveWarps, occupied)
-	}
-	if finished != s.finishedWarps {
-		return fmt.Errorf("sm%d: finishedWarps=%d but %d resident warps exhausted",
-			s.id, s.finishedWarps, finished)
 	}
 	if s.Done() && !s.DoneSweep() {
 		return fmt.Errorf("sm%d: counter Done()=true but slot sweep disagrees", s.id)
@@ -596,12 +696,13 @@ func (s *SM) CheckActivity() error {
 	// A sleeping scheduler claims no owned warp can issue before its
 	// bound; an issuable warp under that claim would mean the scan skip
 	// changed behavior.
+	ldstFull := len(s.ldst) >= s.ldstCap
 	for sched, until := range s.schedSleepUntil {
 		if s.now >= until {
 			continue
 		}
 		for slot := sched; slot < len(s.slots); slot += s.cfg.SchedulersPerSM {
-			if s.issuable(s.slots[slot]) {
+			if s.issuable(slot, ldstFull) {
 				return fmt.Errorf("sm%d: scheduler %d asleep until %d but slot %d issuable at %d",
 					s.id, sched, until, slot, s.now)
 			}
@@ -631,24 +732,32 @@ func (s *SM) NextWake(now uint64) (at uint64, ok bool) {
 	if len(s.ldst) > 0 || s.l1d.HasOutgoing() {
 		return 0, false
 	}
-	at = ^uint64(0)
+	at = never
 	if h, hok := s.l1d.NextDelivery(); hok {
 		at = h
 	}
-	for _, w := range s.slots {
-		if w == nil || w.inLDST || w.outstanding > 0 {
-			continue
-		}
-		if w.busyUntil > now {
-			// Waiting out an issue latency: nothing observable happens
-			// until busyUntil (issue readiness or retirement).
-			if w.busyUntil < at {
-				at = w.busyUntil
+	for wi, blocked := range s.blocked {
+		// Unblocked warps wait at most on their issue latency. A finished
+		// warp is blocked for the schedulers but still wakes the SM for
+		// its retirement, unless memory is what it waits on.
+		for cand := ^blocked | s.finished[wi]; cand != 0; cand &= cand - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(cand)
+			if finished := blocked&cand&-cand != 0; finished {
+				if w := s.slots[slot]; w.inLDST || w.outstanding > 0 {
+					continue
+				}
 			}
-			continue
+			if bu := s.busyUntil[slot]; bu > now {
+				// Waiting out an issue latency: nothing observable happens
+				// until busyUntil (issue readiness or retirement).
+				if bu < at {
+					at = bu
+				}
+				continue
+			}
+			// Ready to issue (or done and awaiting retirement) right now.
+			return 0, false
 		}
-		// Ready to issue (or done and awaiting retirement) right now.
-		return 0, false
 	}
 	return at, true
 }

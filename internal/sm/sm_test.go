@@ -1,11 +1,14 @@
 package sm
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/prng"
 	"repro/internal/trace"
 )
 
@@ -291,5 +294,281 @@ func TestSchedPolicyString(t *testing.T) {
 	}
 	if config.SchedPolicy(9).String() != "SchedPolicy(9)" {
 		t.Error("unknown SchedPolicy string wrong")
+	}
+}
+
+// The reference pick: the slot-sweep scan the SM used before its
+// scheduling state moved into slot-indexed arrays, kept here as the
+// specification the bitmask scan is tested against. Everything that has
+// a first-principles source is read from it — blocked-ness from the
+// warp's cursor, outstanding count and inLDST flag, the instruction
+// kind from the cursor, occupancy and the throttle from sweeping
+// s.slots — and never from the blocked/finished bits or the
+// owned masks. busyUntil and age have no other home than the arrays.
+// Each function returns the pick and the sleep bound the scan leaves
+// behind, and mutates nothing.
+
+func refWarpActive(s *SM, w *warp) bool {
+	limit := s.cfg.MaxActiveWarps
+	if limit <= 0 {
+		return true
+	}
+	older := 0
+	for _, other := range s.slots {
+		if other != nil && other != w && s.age[other.slot] < s.age[w.slot] {
+			older++
+		}
+	}
+	return older < limit
+}
+
+func refIssuable(s *SM, w *warp) bool {
+	if w == nil || w.cur.Exhausted() || s.busyUntil[w.slot] > s.now ||
+		w.outstanding != 0 || w.inLDST {
+		return false
+	}
+	if !refWarpActive(s, w) {
+		return false
+	}
+	return w.cur.Cur().Kind == trace.Compute || len(s.ldst) < s.ldstCap
+}
+
+func refPick(s *SM, sched int) (slot int, sleep uint64) {
+	sleep = s.schedSleepUntil[sched]
+	if s.now < sleep {
+		return -1, sleep
+	}
+	n := s.cfg.SchedulersPerSM
+	if s.cfg.Scheduler == config.SchedLRR {
+		count := 0
+		for slot := sched; slot < len(s.slots); slot += n {
+			count++
+		}
+		if count == 0 {
+			// A scheduler that owns no slot. The sweep used to return
+			// without touching the bound; "never" says the same thing
+			// (nothing will ever wake it) and is what a scan over an
+			// empty mask derives.
+			return -1, never
+		}
+		last := -1
+		if g := s.greedy[sched]; g >= 0 {
+			last = (g - sched) / n
+		}
+		nextReady := never
+		for i := 1; i <= count; i++ {
+			slot := sched + ((last+i)%count)*n
+			w := s.slots[slot]
+			if w == nil || w.outstanding != 0 || w.inLDST || w.cur.Exhausted() {
+				continue
+			}
+			if bu := s.busyUntil[slot]; bu > s.now {
+				if bu < nextReady {
+					nextReady = bu
+				}
+				continue
+			}
+			if !refWarpActive(s, w) {
+				continue
+			}
+			if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
+				continue
+			}
+			return slot, sleep
+		}
+		return -1, nextReady
+	}
+	if g := s.greedy[sched]; g >= 0 && refIssuable(s, s.slots[g]) {
+		return g, sleep
+	}
+	best := -1
+	var bestAge uint64
+	nextReady := never
+	for slot := sched; slot < len(s.slots); slot += n {
+		w := s.slots[slot]
+		if w == nil || w.outstanding != 0 || w.inLDST || w.cur.Exhausted() {
+			continue
+		}
+		if bu := s.busyUntil[slot]; bu > s.now {
+			if bu < nextReady {
+				nextReady = bu
+			}
+			continue
+		}
+		if !refWarpActive(s, w) {
+			continue
+		}
+		if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
+			continue
+		}
+		if best < 0 || s.age[slot] < bestAge {
+			best = slot
+			bestAge = s.age[slot]
+		}
+	}
+	if best < 0 {
+		return -1, nextReady
+	}
+	return best, sleep
+}
+
+// pickKernel builds random blocks sized for an SM with maxWarps slots:
+// short and long compute latencies, one- to three-line loads over a
+// footprint small enough to hit and large enough to miss, and stores.
+func pickKernel(rng *prng.Source, maxWarps int) *trace.Kernel {
+	k := &trace.Kernel{Name: "pick"}
+	lines := func() []addr.Addr {
+		out := make([]addr.Addr, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = addr.Addr(rng.Intn(96) * 128)
+		}
+		return out
+	}
+	for b := 0; b < 14; b++ {
+		blk := &trace.Block{}
+		for w := 1 + rng.Intn(min(maxWarps, 12)); w > 0; w-- {
+			wt := &trace.WarpTrace{}
+			for i := 3 + rng.Intn(30); i > 0; i-- {
+				pc := uint32(rng.Intn(16))
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					wt.Instrs = append(wt.Instrs, trace.NewCompute(pc, 1+rng.Intn(3), 32))
+				case 3:
+					wt.Instrs = append(wt.Instrs, trace.NewCompute(pc, 8+rng.Intn(40), 32))
+				case 4:
+					wt.Instrs = append(wt.Instrs, trace.NewStore(pc, lines()))
+				default:
+					wt.Instrs = append(wt.Instrs, trace.NewLoad(pc, lines()))
+				}
+			}
+			blk.Warps = append(blk.Warps, wt)
+		}
+		k.Blocks = append(k.Blocks, blk)
+	}
+	return k
+}
+
+// TestPickMatchesReferenceScan drives random kernels through an SM
+// whose memory answers after a random delay, re-running Tick's stages
+// by hand so that every scheduler's every pick can be compared with the
+// reference scan on exactly the state the pick saw: same slot, same
+// resulting sleep bound. CheckActivity runs every cycle on top, so the
+// arrays are also re-derived from the warps throughout.
+func TestPickMatchesReferenceScan(t *testing.T) {
+	for _, sched := range []config.SchedPolicy{config.SchedGTO, config.SchedLRR} {
+		for _, active := range []int{0, 3} {
+			for _, nsched := range []int{1, 2, 3} {
+				for _, maxWarps := range []int{1, 48, 70} { // 70: a second bitset word
+					for _, ldstCap := range []int{48, 2} {
+						for _, streamed := range []bool{false, true} {
+							name := fmt.Sprintf("%v/active%d/sched%d/warps%d/ldst%d/streamed=%v",
+								sched, active, nsched, maxWarps, ldstCap, streamed)
+							t.Run(name, func(t *testing.T) {
+								cfg := config.Baseline()
+								cfg.Scheduler = sched
+								cfg.MaxActiveWarps = active
+								cfg.SchedulersPerSM = nsched
+								cfg.MaxWarpsPerSM = maxWarps
+								checkPicks(t, cfg, ldstCap, streamed)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
+	rng := prng.New(uint64(cfg.MaxWarpsPerSM*1000 + cfg.SchedulersPerSM*100 + ldstCap))
+	k := pickKernel(rng, cfg.MaxWarpsPerSM)
+	want := uint64(0)
+	for _, b := range k.Blocks {
+		for _, w := range b.Warps {
+			want += uint64(len(w.Instrs))
+		}
+	}
+	s := New(cfg, 0, config.PolicyBaseline, nil)
+	s.ldstCap = ldstCap
+	if streamed {
+		// A real chunked stream: 4-instruction windows, so cursors
+		// refill mid-warp.
+		path := filepath.Join(t.TempDir(), "pick.dlpstrm")
+		if err := trace.WriteFile(path, trace.NewKernelStream(k), 4); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := trace.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		for b := range k.Blocks {
+			s.AssignStream(fs, b)
+		}
+	} else {
+		for _, b := range k.Blocks {
+			s.AssignBlock(b)
+		}
+	}
+
+	type flight struct {
+		due uint64
+		req *mem.Request
+	}
+	var inFlight []flight
+	picks := 0
+	for now := uint64(1); ; now++ {
+		if now > 200000 {
+			t.Fatalf("not done after %d cycles (%d of %d warp instructions)", now, s.st.WarpInsns, want)
+		}
+		// Memory responses due this cycle, oldest first.
+		rest := inFlight[:0]
+		for _, f := range inFlight {
+			if f.due <= now {
+				s.l1d.OnResponse(f.req)
+			} else {
+				rest = append(rest, f)
+			}
+		}
+		inFlight = rest
+
+		// Tick, stage by stage, with the issue stage opened up.
+		s.now = now
+		s.l1d.Tick(now)
+		s.retireWarps()
+		if len(s.pendingBlocks) > 0 {
+			s.admitBlocks()
+		}
+		if len(s.ldst) > 0 {
+			s.tickLDST()
+		}
+		for sched := 0; s.liveWarps > 0 && sched < cfg.SchedulersPerSM; sched++ {
+			wantSlot, wantSleep := refPick(s, sched)
+			got := s.pickWarp(sched)
+			if got != wantSlot || s.schedSleepUntil[sched] != wantSleep {
+				t.Fatalf("cycle %d scheduler %d: picked slot %d, sleep until %d; reference slot %d, sleep until %d",
+					now, sched, got, s.schedSleepUntil[sched], wantSlot, wantSleep)
+			}
+			if got >= 0 {
+				s.issueFrom(s.slots[got])
+				s.greedy[sched] = got
+				picks++
+			}
+		}
+		if err := s.CheckActivity(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+
+		for out := s.l1d.PopOutgoing(); out != nil; out = s.l1d.PopOutgoing() {
+			if !out.Store {
+				inFlight = append(inFlight, flight{due: now + 1 + uint64(rng.Intn(60)), req: out})
+			}
+		}
+		if s.Done() && len(inFlight) == 0 {
+			break
+		}
+	}
+	if s.st.WarpInsns != want || uint64(picks) != want {
+		t.Errorf("issued %d warp instructions over %d picks, kernel has %d", s.st.WarpInsns, picks, want)
 	}
 }

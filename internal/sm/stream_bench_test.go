@@ -53,7 +53,7 @@ func storeBenchStream(t testing.TB) (s *SM, step func()) {
 	tick() // drain; primes the memInstr/request free lists
 	step = func() {
 		s.slots[0].cur.Rewind()
-		s.finishedWarps--
+		s.noteCursor(s.slots[0])
 		s.wakeSchedulers()
 		tick() // issue
 		tick() // drain

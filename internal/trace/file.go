@@ -374,7 +374,6 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	h := sha256.New()
 	bw := bufio.NewWriter(f)
 	cw := &countWriter{w: io.MultiWriter(bw, h)}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
 
 	// Header.
 	name := src.Name()
@@ -385,20 +384,12 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	if nBlocks <= 0 || nBlocks > maxBlocks {
 		return formatErrf(path, "block count %d out of range", nBlocks)
 	}
-	if _, err := cw.Write(streamMagic[:]); err != nil {
-		return err
-	}
-	for _, v := range []uint32{streamVersion, uint32(chunkInstrs), uint32(len(name))} {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
-	if _, err := cw.Write([]byte(name)); err != nil {
-		return err
-	}
-	if err := write(uint32(nBlocks)); err != nil {
-		return err
-	}
+	hdr := append(cw.buf[:0], streamMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, streamVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunkInstrs))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(name)))
+	hdr = append(hdr, name...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nBlocks))
 	totalWarps := 0
 	for bi := 0; bi < nBlocks; bi++ {
 		nw := src.Warps(bi)
@@ -406,9 +397,10 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 			return formatErrf(path, "block %d warp count %d out of range", bi, nw)
 		}
 		totalWarps += nw
-		if err := write(uint32(nw)); err != nil {
-			return err
-		}
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nw))
+	}
+	if err := cw.flush(hdr); err != nil {
+		return err
 	}
 
 	// Chunk data. Source windows are rewindowed instruction by
@@ -439,7 +431,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 						ref = chunkRef{off: cw.n}
 						inChunk = 0
 					}
-					if err := writeInstr(cw, &win[i]); err != nil {
+					if err := cw.writeInstr(&win[i]); err != nil {
 						return err
 					}
 					inChunk++
@@ -459,16 +451,13 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	// Index.
 	indexOff := cw.n
 	for _, fw := range index {
-		if err := write(uint32(fw.instrs)); err != nil {
-			return err
-		}
+		ent := binary.LittleEndian.AppendUint32(cw.buf[:0], uint32(fw.instrs))
 		for _, ref := range fw.chunks {
-			if err := write(uint64(ref.off)); err != nil {
-				return err
-			}
-			if err := write(uint32(ref.size)); err != nil {
-				return err
-			}
+			ent = binary.LittleEndian.AppendUint64(ent, uint64(ref.off))
+			ent = binary.LittleEndian.AppendUint32(ent, ref.size)
+		}
+		if err := cw.flush(ent); err != nil {
+			return err
 		}
 	}
 

@@ -41,72 +41,54 @@ const (
 
 // WriteTo serializes the kernel. It returns the byte count written.
 func (k *Kernel) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	write := func(v interface{}) error {
-		return binary.Write(cw, binary.LittleEndian, v)
-	}
-	if _, err := cw.Write(traceMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(traceVersion)); err != nil {
-		return cw.n, err
-	}
+	bw := bufio.NewWriter(w)
+	cw := &countWriter{w: bw}
 	if len(k.Name) > maxNameLen {
 		return cw.n, fmt.Errorf("trace: kernel name longer than %d bytes", maxNameLen)
 	}
-	if err := write(uint32(len(k.Name))); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write([]byte(k.Name)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(k.Blocks))); err != nil {
+	hdr := append(cw.buf[:0], traceMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, traceVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k.Name)))
+	hdr = append(hdr, k.Name...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k.Blocks)))
+	if err := cw.flush(hdr); err != nil {
 		return cw.n, err
 	}
 	for _, b := range k.Blocks {
-		if err := write(uint32(len(b.Warps))); err != nil {
+		if err := cw.writeUint32(uint32(len(b.Warps))); err != nil {
 			return cw.n, err
 		}
 		for _, wt := range b.Warps {
-			if err := write(uint32(len(wt.Instrs))); err != nil {
+			if err := cw.writeUint32(uint32(len(wt.Instrs))); err != nil {
 				return cw.n, err
 			}
 			for i := range wt.Instrs {
-				if err := writeInstr(cw, &wt.Instrs[i]); err != nil {
+				if err := cw.writeInstr(&wt.Instrs[i]); err != nil {
 					return cw.n, err
 				}
 			}
 		}
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	return cw.n, bw.Flush()
 }
 
-func writeInstr(w io.Writer, in *Instr) error {
-	write := func(v interface{}) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := write(uint8(in.Kind)); err != nil {
-		return err
-	}
-	if err := write(in.PC); err != nil {
-		return err
-	}
+// appendInstr appends one instruction's wire encoding (the format
+// comment above; shared by DLPTRACE and DLPSTRM1) to dst.
+func appendInstr(dst []byte, in *Instr) ([]byte, error) {
+	dst = append(dst, uint8(in.Kind))
+	dst = binary.LittleEndian.AppendUint32(dst, in.PC)
 	if in.Kind == Compute {
-		if err := write(uint32(in.Latency)); err != nil {
-			return err
-		}
-		return write(uint8(in.ActiveLanes))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(in.Latency))
+		return append(dst, uint8(in.ActiveLanes)), nil
 	}
 	if len(in.Addrs) > maxLanes {
-		return fmt.Errorf("trace: %d lanes exceeds format limit", len(in.Addrs))
+		return dst, fmt.Errorf("trace: %d lanes exceeds format limit", len(in.Addrs))
 	}
-	if err := write(uint8(len(in.Addrs))); err != nil {
-		return err
-	}
+	dst = append(dst, uint8(len(in.Addrs)))
 	for _, a := range in.Addrs {
-		if err := write(uint64(a)); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(a))
 	}
-	return nil
+	return dst, nil
 }
 
 // ReadKernel deserializes a kernel written by WriteTo.
@@ -225,14 +207,38 @@ func readInstr(r io.Reader) (Instr, error) {
 	return in, nil
 }
 
-// countWriter tracks bytes written for WriteTo's return value.
+// countWriter tracks bytes written (WriteTo's return value, WriteFile's
+// chunk offsets) and owns the scratch buffer the encoders append into:
+// a header, a count or a whole instruction is built there and handed to
+// the underlying writer in one Write, with no per-field allocation.
 type countWriter struct {
-	w io.Writer
-	n int64
+	w   io.Writer
+	n   int64
+	buf []byte
 }
 
 func (c *countWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
+}
+
+// flush writes b, which was appended to c.buf[:0], and keeps its
+// storage as the next scratch buffer.
+func (c *countWriter) flush(b []byte) error {
+	c.buf = b
+	_, err := c.Write(b)
+	return err
+}
+
+func (c *countWriter) writeUint32(v uint32) error {
+	return c.flush(binary.LittleEndian.AppendUint32(c.buf[:0], v))
+}
+
+func (c *countWriter) writeInstr(in *Instr) error {
+	b, err := appendInstr(c.buf[:0], in)
+	if err != nil {
+		return err
+	}
+	return c.flush(b)
 }

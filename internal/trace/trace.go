@@ -10,7 +10,10 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"repro/internal/addr"
 )
@@ -139,10 +142,31 @@ type Block struct {
 	Warps []*WarpTrace
 }
 
-// Kernel is a launched grid.
+// Kernel is a launched grid. It holds a sync.Once, so pass kernels by
+// pointer, never by value.
 type Kernel struct {
 	Name   string
 	Blocks []*Block
+
+	digestOnce sync.Once
+	digest     string // hex SHA-256 of the serialized kernel; "" if unserializable
+}
+
+// Digest returns the hex SHA-256 of the kernel's WriteTo serialization —
+// its content address in the runner's result cache. ok is false for a
+// kernel that cannot be serialized. The first call walks the whole
+// trace; the result, success or failure, is then kept on the kernel, so
+// a suite that runs one kernel under every scheme serializes it once
+// and the memo is reclaimed with the kernel. A kernel must not be
+// modified after its first Digest call. Safe for concurrent use.
+func (k *Kernel) Digest() (digest string, ok bool) {
+	k.digestOnce.Do(func() {
+		h := sha256.New()
+		if _, err := k.WriteTo(h); err == nil {
+			k.digest = hex.EncodeToString(h.Sum(nil))
+		}
+	})
+	return k.digest, k.digest != ""
 }
 
 // Validate checks structural sanity: non-empty grid, every memory
@@ -159,7 +183,8 @@ func (k *Kernel) Validate(warpSize int) error {
 			if len(w.Instrs) == 0 {
 				return fmt.Errorf("kernel %q block %d warp %d is empty", k.Name, bi, wi)
 			}
-			for ii, in := range w.Instrs {
+			for ii := range w.Instrs {
+				in := &w.Instrs[ii] // by index: an Instr is 88 bytes
 				if in.ActiveLanes <= 0 || in.ActiveLanes > warpSize {
 					return fmt.Errorf("kernel %q block %d warp %d insn %d: %d active lanes",
 						k.Name, bi, wi, ii, in.ActiveLanes)
