@@ -77,12 +77,17 @@ bench: build
 # streamed issue path and the warp pick included: wall time gates unconditionally against
 # this host class's ledger entry when one is committed, else only when
 # the flat baseline's fingerprint matches; allocs/op (deterministic per
-# binary) gate everywhere.
+# binary) gate everywhere. The last line printed is the streamed/eager
+# issue-path ratio of the fresh run — ROADMAP item 2 wants it <= 1.1
+# before the eager frontend goes; it is reported, not gated.
 benchgate: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSuitePaperWall' -benchtime 1x -timeout 30m . > /tmp/bench_fresh.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkPickWarp|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchjson -o /tmp/bench_fresh.json < /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
+	@awk '$$1 ~ /^BenchmarkIssueStorePathStream(-[0-9]+)?$$/ { s = $$3 } \
+		$$1 ~ /^BenchmarkIssueStorePath(-[0-9]+)?$$/ { e = $$3 } \
+		END { if (e > 0) printf "benchgate: streamed/eager issue path %.2fx (%s / %s ns/op; target <= 1.10x, not gated)\n", s / e, s, e }' /tmp/bench_fresh.txt
 
 # Multi-core determinism smoke under the race detector: the same
 # dlpsim run serially and at -cores 0 (auto: all host CPUs) with the
@@ -119,11 +124,13 @@ servesmoke: build
 # Benchmark-module smoke: bench/ is a module of its own that the root
 # `go build ./...` cannot see, so an engine change can break its imports
 # without any other target noticing. Run the harness unit tests, then
-# one short real run (a single round of suite_batch) whose result line
-# must report every result digest correct.
+# two short real runs — a single round of suite_batch (the eager
+# frontend) and of big_stream (generator- and file-backed refills) —
+# whose result lines must report every result digest correct.
 benchsmoke:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh --workload suite_batch --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
+	bash bench/run.sh --workload big_stream --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 
 # Regenerate the committed reference outputs.
 figures:

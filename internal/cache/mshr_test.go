@@ -141,3 +141,46 @@ func TestFIFOUnbounded(t *testing.T) {
 		}
 	}
 }
+
+// TestFIFODrainedRetainsNothing runs the ring through wrap-around and
+// growth-while-wrapped, checks order throughout, and then that a drained
+// queue holds no request pointer anywhere in its buffer: the simulator
+// recycles requests through pools, and a stale slot would keep one (and
+// everything it references) reachable for the life of the cache.
+func TestFIFODrainedRetainsNothing(t *testing.T) {
+	q := NewFIFO(0)
+	next, want := uint64(0), uint64(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(req(next, 0))
+			next++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got := q.Pop(); got == nil || got.ID != want {
+				t.Fatalf("pop = %v, want ID %d", got, want)
+			}
+			want++
+		}
+	}
+	push(6)
+	pop(5)   // head sits at 5 of 8
+	push(7)  // wraps
+	push(20) // grows while wrapped, twice
+	pop(3)
+	push(40)
+	if q.Len() != int(next-want) || q.Peek().ID != want {
+		t.Fatalf("Len = %d, Peek = %v; want %d queued from ID %d", q.Len(), q.Peek(), next-want, want)
+	}
+	pop(q.Len())
+	if !q.Empty() || q.Pop() != nil {
+		t.Fatal("queue not empty after draining")
+	}
+	for i, r := range q.items {
+		if r != nil {
+			t.Errorf("drained queue still holds request %d in slot %d", r.ID, i)
+		}
+	}
+}

@@ -32,11 +32,11 @@ type L1D struct {
 	missQ  *cache.FIFO // fetches for misses that reserved a line
 	bypsQ  *cache.FIFO // bypassed fetches and write-through stores (never stalls)
 
-	pol      policy.Policy           // the decision maker
-	eligible func(*cache.Line) bool  // victim filter, bound once at construction
+	pol      policy.Policy          // the decision maker
+	eligible func(*cache.Line) bool // victim filter, bound once at construction
 
 	st   *stats.Stats
-	seen map[uint64]bool // line IDs ever requested, for compulsory-miss accounting
+	seen lineSet // line IDs ever requested, for compulsory-miss accounting
 
 	deliver func(*mem.Request)
 	hitQ    []hitResponse
@@ -67,7 +67,6 @@ func NewL1D(cfg *config.Config, pol config.Policy, deliver func(*mem.Request)) *
 		missQ:   cache.NewFIFO(cfg.L1DMissQueue),
 		bypsQ:   cache.NewFIFO(0),
 		st:      &stats.Stats{},
-		seen:    make(map[uint64]bool),
 		deliver: deliver,
 	}
 	host := &policy.Host{
@@ -140,17 +139,22 @@ func (c *L1D) NoteInstructions(n uint64) {
 	c.pol.NoteInstructions(n)
 }
 
-// acceptAccess counts an accepted (non-stalled) access, records
-// first-ever line touches, and runs the policy's per-access hook
-// (sampling clock, protection aging).
+// acceptAccess counts an accepted (non-stalled) access and runs the
+// policy's per-access hook (sampling clock, protection aging).
 func (c *L1D) acceptAccess(req *mem.Request, set int) {
 	c.st.L1DAccesses++
-	id := c.mapper.LineID(req.Addr)
-	if !c.seen[id] {
-		c.seen[id] = true
+	c.pol.OnAccess(req, set)
+}
+
+// acceptUncached is acceptAccess for an access that found its line
+// neither valid nor reserved in the TDA, or that bypasses: the only
+// accesses that can be a line's first-ever touch, since a line gets into
+// the TDA through a serviced miss that was counted here.
+func (c *L1D) acceptUncached(req *mem.Request, set int) {
+	if c.seen.add(c.mapper.LineID(req.Addr)) {
 		c.st.L1DCompulsory++
 	}
-	c.pol.OnAccess(req, set)
+	c.acceptAccess(req, set)
 }
 
 // blocked resolves a non-serviceable access through the policy: either
@@ -219,7 +223,7 @@ func (c *L1D) accessMiss(req *mem.Request, set int) mem.AccessOutcome {
 		return c.doBypass(req, set)
 	}
 
-	c.acceptAccess(req, set)
+	c.acceptUncached(req, set)
 	c.pol.OnAllocate(req, set)
 
 	evicted := c.ta.Reserve(set, victim, req.Addr)
@@ -242,7 +246,7 @@ func (c *L1D) accessMiss(req *mem.Request, set int) mem.AccessOutcome {
 // doBypass sends req around the cache. The bypass path never stalls
 // (it has its own queue sharing only the ICNT injection port).
 func (c *L1D) doBypass(req *mem.Request, set int) mem.AccessOutcome {
-	c.acceptAccess(req, set)
+	c.acceptUncached(req, set)
 	c.pol.OnBypass(req, set)
 	req.Bypass = true
 	c.bypsQ.Push(req)

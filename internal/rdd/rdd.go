@@ -222,8 +222,8 @@ func ReuseMissRateCores(k *trace.Kernel, numSMs int, geom config.CacheGeom, core
 // what keeps the replay's allocation count proportional to the cache
 // state (SMs, sets, distinct lines) instead of the stream length.
 type replayScratch struct {
-	ptrs    []int
-	lineBuf []addr.Addr
+	ptrs  []int
+	lines []addr.Addr
 }
 
 // shardSMs distributes the kernel's blocks round-robin over numSMs SMs
@@ -297,8 +297,8 @@ func replaySM(blocks []*trace.Block, access func(addr.Addr, uint32), sc *replayS
 					continue
 				}
 				in := &w.Instrs[p]
-				sc.lineBuf = in.AppendCoalescedLines(sc.lineBuf[:0], lineSize)
-				for _, line := range sc.lineBuf {
+				sc.lines = in.AppendCoalescedLines(sc.lines[:0], lineSize)
+				for _, line := range sc.lines {
 					access(line, in.PC)
 				}
 				ptrs[wi] = nextMem(w, p+1)

@@ -600,12 +600,28 @@ func (s *Server) Shutdown(ctx context.Context) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		s.wg.Wait()
+		s.releaseKernels()
 		if stopOnCtx != nil {
 			stopOnCtx()
 		}
 		close(s.done)
 	})
 	<-s.done
+}
+
+// releaseKernels drops what the recorded jobs needed only to run. The
+// workers have exited, so nothing reads a job's runner.Job again; its
+// status, events and stats stay readable. Without this, whatever keeps a
+// stopped server reachable a moment longer — a connection goroutine of
+// the http.Server that has yet to notice the close — pins every kernel
+// in the job history, and whether a collection right after the stop
+// frees them is a race.
+func (s *Server) releaseKernels() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, js := range s.jobs {
+		js.rjob = runner.Job{}
+	}
 }
 
 // abort hard-stops execution: the server context dies (cancelling every

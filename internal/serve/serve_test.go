@@ -525,6 +525,42 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesKernels: a drained server keeps no job's kernel —
+// only a run needed it — while the job's stats stay readable.
+func TestShutdownReleasesKernels(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 2})
+	var ids []string
+	for seed := uint64(60); seed < 63; seed++ {
+		_, body := postJob(t, ts, testSpec(t, seed), "", false)
+		ids = append(ids, decodeView(t, body).ID)
+	}
+	s.mu.Lock()
+	for _, id := range ids {
+		if s.jobs[id].rjob.Kernel == nil {
+			t.Errorf("job %s has no kernel before it ran", id)
+		}
+	}
+	s.mu.Unlock()
+
+	s.Shutdown(nil)
+	for _, id := range ids {
+		s.mu.Lock()
+		js := s.jobs[id]
+		s.mu.Unlock()
+		if js.rjob.Kernel != nil {
+			t.Errorf("job %s still holds its kernel after the drain", id)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + id + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("stats of job %s after the drain: status %d", id, resp.StatusCode)
+		}
+	}
+}
+
 // TestDrainDeadlineCancelsStragglers: a job that refuses to finish is
 // cancelled when the drain budget expires, and shutdown still
 // completes.

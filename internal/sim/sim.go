@@ -268,6 +268,11 @@ func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error)
 	if err := k.Validate(e.cfg.WarpSize); err != nil {
 		return nil, err
 	}
+	// A kernel precomputed for this line size is left as it is; any other
+	// is packed here, once, rather than warp by warp at admission.
+	if err := k.Pack(e.cfg.L1D.LineSize); err != nil {
+		return nil, err
+	}
 	for i, b := range k.Blocks {
 		if len(b.Warps) > e.cfg.MaxWarpsPerSM {
 			return nil, &LaunchError{Kernel: k.Name, Detail: fmt.Sprintf(
@@ -337,6 +342,9 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 					name, cycle, ctx.Err())
 			default:
 			}
+			if err := e.frontendErr(); err != nil {
+				return nil, err
+			}
 		}
 		active := e.step(cycle)
 		if active {
@@ -397,6 +405,11 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 			}
 		}
 	}
+	// A warp whose window could not be packed ended early, so the run
+	// drained — but not the run that was asked for.
+	if err := e.frontendErr(); err != nil {
+		return nil, err
+	}
 	if cycle > e.opts.MaxCycles {
 		if !e.quiescent() {
 			return nil, &CycleLimitError{Kernel: name, MaxCycles: e.opts.MaxCycles}
@@ -425,6 +438,17 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 		return nil, err
 	}
 	return total, nil
+}
+
+// frontendErr is the first instruction-packing failure any SM's warps
+// ran into (a wrapped *trace.PackError), nil when there is none.
+func (e *Engine) frontendErr() error {
+	for _, s := range e.sms {
+		if err := s.FrontendErr(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CycleLimitError reports a kernel that was still making progress when

@@ -18,11 +18,11 @@ import (
 )
 
 // warp is one resident warp's execution state. Its position in the
-// instruction stream is a trace.Cursor: plain slice arithmetic over a
-// precomputed WarpTrace on the compat path, a chunk-refilling window
-// over a trace.Stream on the streaming path. What the warp schedulers
-// read every cycle — issue latency, dispatch age, whether the warp can
-// be picked at all — is not here but in the SM's slot-indexed arrays.
+// instruction stream is a trace.Cursor over packed ops: a precomputed
+// WarpTrace's whole program, or a chunk-refilling window over a
+// trace.Stream. What the warp schedulers read every cycle — issue
+// latency, dispatch age, whether the warp can be picked at all — is not
+// here but in the SM's slot-indexed arrays.
 type warp struct {
 	cur         trace.Cursor
 	outstanding int  // memory requests in flight
@@ -86,10 +86,8 @@ type SM struct {
 	// all of it from the warps.
 	//
 	// Whether a warp's next instruction is a load or store is
-	// deliberately not mirrored here: recording it when the cursor
-	// advances means touching the next Instr — another cache line, one
-	// miss per issued instruction — for a fact that is only consulted
-	// while the LD/ST queue is full (ldstHazard).
+	// deliberately not mirrored here: it is one byte of the next packed
+	// op, and only consulted while the LD/ST queue is full (ldstHazard).
 	busyUntil []uint64
 	age       []uint64
 	blocked   []uint64
@@ -126,16 +124,19 @@ type SM struct {
 
 	// Free lists for the steady-state issue path: completed load
 	// requests return via pool, drained memInstrs via freeMI, retired
-	// warps/blocks via freeWarps/freeBlocks. lineBuf is the coalescer's
-	// scratch buffer. The pool is owned by this SM alone — the engine
-	// gives every SM its own, so Tick can Get/Put on it while other
-	// shards tick concurrently; stores consumed by L2 partitions come
-	// home through the engine's serial recycler drain, never directly.
+	// warps/blocks via freeWarps/freeBlocks. The pool is owned by this
+	// SM alone — the engine gives every SM its own, so Tick can Get/Put
+	// on it while other shards tick concurrently; stores consumed by L2
+	// partitions come home through the engine's serial recycler drain,
+	// never directly.
 	pool       *mem.Pool
 	freeMI     []*memInstr
 	freeWarps  []*warp
 	freeBlocks []*residentBlock
-	lineBuf    []addr.Addr
+
+	// frontendErr is the first trace.PackError a warp's cursor ran into;
+	// the warp ends there and the engine fails the run with it.
+	frontendErr error
 }
 
 // New builds an SM with its own L1D under the given policy. pool, which
@@ -208,6 +209,9 @@ func (s *SM) noteCursor(w *warp) {
 	wi, bit := slotBit(w.slot)
 	if w.cur.Exhausted() {
 		s.finished[wi] |= bit
+		if err := w.cur.Err(); err != nil && s.frontendErr == nil {
+			s.frontendErr = err
+		}
 	} else {
 		s.finished[wi] &^= bit
 	}
@@ -277,7 +281,7 @@ func (s *SM) admitBlocks() bool {
 			s.ageCounter++
 			w := s.getWarp()
 			if pb.b != nil {
-				w.cur.InitPrecomputed(pb.b.Warps[wi])
+				w.cur.InitPacked(pb.b.Warps[wi], s.cfg.L1D.LineSize)
 			} else {
 				w.cur.InitStream(pb.src, s.chunks, s.cfg.L1D.LineSize, pb.idx, wi)
 			}
@@ -457,7 +461,7 @@ func (s *SM) issuable(slot int, ldstFull bool) bool {
 // a queue holds one instruction per warp, so at the paper's 48 warps
 // and 48 entries a full queue leaves no unblocked warp to ask about.
 func (s *SM) ldstHazard(slot int) bool {
-	return s.slots[slot].cur.Cur().Kind != trace.Compute
+	return s.slots[slot].cur.Op().Kind != trace.Compute
 }
 
 // warpActive implements static CCWS-style throttling: with MaxActiveWarps
@@ -561,30 +565,31 @@ func (s *SM) pickWarpLRR(sched int, ldstFull bool) int {
 }
 
 func (s *SM) issueFrom(w *warp) {
-	// The instruction must be fully consumed before Advance(): a chunk
-	// refill reuses the cursor's backing storage, invalidating in.
-	in := w.cur.Cur()
+	// The op and its lines must be fully consumed before Advance(): a
+	// chunk refill reuses the cursor's backing storage.
+	op := w.cur.Op()
+	lanes := uint64(op.ActiveLanes())
 	s.st.WarpInsns++
-	s.st.Instructions += uint64(in.ActiveLanes)
-	s.l1d.NoteInstructions(uint64(in.ActiveLanes))
+	s.st.Instructions += lanes
+	s.l1d.NoteInstructions(lanes)
 
-	switch in.Kind {
+	switch op.Kind {
 	case trace.Compute:
-		s.busyUntil[w.slot] = s.now + uint64(in.Latency)
+		s.busyUntil[w.slot] = s.now + op.Latency()
 	case trace.Load, trace.Store:
-		s.lineBuf = in.AppendCoalescedLines(s.lineBuf[:0], s.cfg.L1D.LineSize)
 		mi := s.getMemInstr()
 		mi.w = w
-		for _, line := range s.lineBuf {
+		insnID, store := addr.HashPC(op.PC), op.Kind == trace.Store
+		for _, line := range w.cur.OpLines() {
 			s.nextReqID++
 			r := s.pool.Get()
 			r.ID = s.nextReqID
 			r.Addr = line
-			r.PC = in.PC
-			r.InsnID = addr.HashPC(in.PC)
+			r.PC = op.PC
+			r.InsnID = insnID
 			r.SM = s.id
 			r.Warp = w.slot
-			r.Store = in.Kind == trace.Store
+			r.Store = store
 			mi.reqs = append(mi.reqs, r)
 		}
 		w.inLDST = true
@@ -594,6 +599,12 @@ func (s *SM) issueFrom(w *warp) {
 	w.cur.Advance()
 	s.noteCursor(w)
 }
+
+// FrontendErr is the first error a warp's instruction cursor reported
+// (a *trace.PackError: an instruction no packed op can hold). The warp
+// stops at the offending window, so the run drains; the engine polls
+// this and fails the run.
+func (s *SM) FrontendErr() error { return s.frontendErr }
 
 func (s *SM) getMemInstr() *memInstr {
 	if n := len(s.freeMI); n > 0 {
@@ -655,10 +666,11 @@ func (s *SM) finishedWarps() int {
 // Every slot's scheduling state must be what its warp implies: an empty
 // slot is blocked with busyUntil 0, no age and no finished bit; an
 // occupied one has blocked == (outstanding != 0 || inLDST || exhausted),
-// finished == exhausted, a real age, and a warp that knows its slot;
-// bits past the last slot stay blocked. When the counter form of Done
-// disagrees with the sweep form the difference must be explained by
-// in-flight work (a done-but-unretired warp whose final store still
+// finished == exhausted, a real age, a warp that knows its slot, and a
+// next packed op that says what the instruction it was packed from
+// says; bits past the last slot stay blocked. When the counter form of
+// Done disagrees with the sweep form the difference must be explained
+// by in-flight work (a done-but-unretired warp whose final store still
 // sits in an outgoing queue). Returns a descriptive error on violation.
 func (s *SM) CheckActivity() error {
 	occupied := 0
@@ -678,6 +690,11 @@ func (s *SM) CheckActivity() error {
 		if w.slot != slot || s.age[slot] == noAge || blocked != wantBlocked || finished != exhausted {
 			return fmt.Errorf("sm%d: slot %d (warp.slot=%d age=%d) has blocked=%v finished=%v, warp implies %v/%v",
 				s.id, slot, w.slot, s.age[slot], blocked, finished, wantBlocked, exhausted)
+		}
+		if !exhausted {
+			if err := w.cur.CheckOp(s.cfg.L1D.LineSize); err != nil {
+				return fmt.Errorf("sm%d: slot %d: %w", s.id, slot, err)
+			}
 		}
 	}
 	if tail := len(s.slots) & 63; tail != 0 {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"repro/internal/addr"
 )
 
@@ -25,13 +27,14 @@ type Stream interface {
 
 	// Fill produces the instruction window of warp (block, warp)
 	// beginning at in-warp instruction index start. The window is
-	// either written into c's backing storage (owned=true: the caller
-	// may memoize coalesced-line results into the chunk) or aliases
-	// storage shared with other consumers (owned=false: the window is
-	// read-only). eof reports that the window reaches the end of the
-	// warp's trace; a non-eof window is never empty. start is always
-	// either 0 or the exact end of the previously returned window, so
-	// sequential backends can keep a cheap continuation in c.Resume.
+	// either written into c's backing storage (owned=true) or aliases
+	// storage shared with other consumers (owned=false); callers treat
+	// it as read-only either way. eof reports that the window reaches
+	// the end of the warp's trace; a non-eof window is never empty.
+	// start is always either 0 or the exact end of the previously
+	// returned window, so sequential backends can keep a cheap
+	// continuation in c.Resume. Backends size their windows to
+	// cap(c.Instrs) (DefaultChunkInstrs when that is zero).
 	Fill(block, warp, start int, c *Chunk) (win []Instr, eof, owned bool)
 
 	// SpecKey is a stable content identity for the whole stream —
@@ -43,20 +46,23 @@ type Stream interface {
 
 // DefaultChunkInstrs is the instruction-window size streaming cursors
 // request per refill. At 64 instructions a fully diverged chunk tops
-// out around 36 KB (64 instrs x 32 lanes x 8-byte addresses plus line
-// memos), so even a fully resident machine — 16 SMs x 48 warps — is
-// bounded near 28 MB of chunk storage regardless of trace footprint.
+// out around 37 KB (64 instrs x 32 lanes x 8-byte addresses, as much
+// again for their coalesced lines, 1 KB of ops), so even a fully
+// resident machine — 16 SMs x 48 warps — is bounded near 28 MB of
+// chunk storage regardless of trace footprint.
 const DefaultChunkInstrs = 64
 
 // A Chunk is one warp's reusable refill buffer. Streams that own their
 // windows build instructions in Instrs with per-lane addresses in
-// Addrs; the cursor memoizes coalesced lines into Lines. Buf is
-// scratch for byte-level backends (trace files). Resume carries a
-// backend-private continuation across refills of the same warp; Reset
-// preserves it, and backends must validate it before trusting it.
+// Addrs; the cursor packs the window into Ops, with the coalesced
+// lines of multi-line memory ops in Lines. Buf is scratch for
+// byte-level backends (trace files). Resume carries a backend-private
+// continuation across refills of the same warp; Reset preserves it,
+// and backends must validate it before trusting it.
 type Chunk struct {
 	Instrs []Instr
 	Addrs  []addr.Addr
+	Ops    []Op
 	Lines  []addr.Addr
 	Buf    []byte
 	Resume any
@@ -68,6 +74,7 @@ type Chunk struct {
 func (c *Chunk) Reset() {
 	c.Instrs = c.Instrs[:0]
 	c.Addrs = c.Addrs[:0]
+	c.Ops = c.Ops[:0]
 	c.Lines = c.Lines[:0]
 }
 
@@ -104,6 +111,7 @@ func (p *ChunkPool) Get() *Chunk {
 	return &Chunk{
 		Instrs: make([]Instr, 0, p.chunkInstrs),
 		Addrs:  make([]addr.Addr, 0, p.chunkInstrs*lanes),
+		Ops:    make([]Op, 0, p.chunkInstrs),
 		Lines:  make([]addr.Addr, 0, p.chunkInstrs*4),
 	}
 }
@@ -115,16 +123,19 @@ func (p *ChunkPool) Put(c *Chunk) {
 	}
 }
 
-// A Cursor walks one warp's instruction stream in order. It has two
-// modes behind one zero-branch-on-the-hot-path API: precomputed mode
-// is plain slice arithmetic over a WarpTrace (the compat path, cost
-// identical to the old pc-integer scheme), and stream mode refills a
-// pooled chunk window on demand.
+// A Cursor walks one warp's instruction stream in order, over either a
+// whole precomputed WarpTrace or a pooled chunk window that it refills
+// from a trace.Stream on demand. Either way the issue stage reads the
+// same thing — the current packed Op and its lines — and never asks
+// which; the Instr the op was packed from stays reachable through Cur
+// for trace-level consumers and self-checks.
 type Cursor struct {
-	win  []Instr
-	off  int
-	base int // in-warp index of win[0]
-	eof  bool
+	ops   []Op        // packed window; nil when no line size was given
+	lines []addr.Addr // arena ops index into
+	win   []Instr
+	off   int
+	base  int // in-warp index of win[0]
+	eof   bool
 
 	src      Stream
 	pool     *ChunkPool
@@ -132,17 +143,31 @@ type Cursor struct {
 	lineSize int
 	block    int
 	warp     int
+	err      error
 }
 
-// InitPrecomputed points the cursor at a fully materialized warp
-// trace. No pool or refills are involved.
+// InitPrecomputed points the cursor at a fully materialized warp trace
+// for walking its Instrs; Op and OpLines need InitPacked.
 func (c *Cursor) InitPrecomputed(wt *WarpTrace) {
 	*c = Cursor{win: wt.Instrs, eof: true}
 }
 
+// InitPacked points the cursor at a fully materialized warp trace and
+// its packed program for lineSize, building the program if the warp
+// was not packed for that line size. A warp that cannot be packed
+// leaves the cursor exhausted with Err set.
+func (c *Cursor) InitPacked(wt *WarpTrace, lineSize int) {
+	p, _, err := wt.packed(lineSize, nil)
+	if err != nil {
+		*c = Cursor{eof: true, err: err}
+		return
+	}
+	*c = Cursor{ops: p.ops, lines: p.lines, win: wt.Instrs, eof: true}
+}
+
 // InitStream points the cursor at warp (block, warp) of src and loads
-// the first window. lineSize > 0 enables per-chunk coalesced-line
-// memoization on owned windows.
+// the first window. lineSize > 0 has every window packed for the issue
+// stage (Op, OpLines); 0 serves Cur alone.
 func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp int) {
 	*c = Cursor{src: src, pool: pool, lineSize: lineSize, block: block, warp: warp}
 	c.refill(0)
@@ -150,6 +175,19 @@ func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp i
 
 // Exhausted reports that the warp has no further instructions.
 func (c *Cursor) Exhausted() bool { return c.eof && c.off >= len(c.win) }
+
+// Err is the *PackError that cut the warp short, if one did: a window
+// with a value no Op can hold ends the cursor there and then.
+func (c *Cursor) Err() error { return c.err }
+
+// Op returns the current instruction in packed form. Valid only when
+// !Exhausted(); the pointer is invalidated by the next Advance.
+func (c *Cursor) Op() *Op { return &c.ops[c.off] }
+
+// OpLines returns the coalesced lines of the current instruction,
+// which must be a load or store. The slice aliases the cursor's
+// window: read-only, and invalidated by the next Advance.
+func (c *Cursor) OpLines() []addr.Addr { return c.ops[c.off].lines(c.lines) }
 
 // Cur returns the current instruction. Valid only when !Exhausted();
 // the pointer is invalidated by the next Advance.
@@ -159,7 +197,8 @@ func (c *Cursor) Cur() *Instr { return &c.win[c.off] }
 func (c *Cursor) Index() int { return c.base + c.off }
 
 // Advance steps past the current instruction, refilling the window in
-// place when it runs dry. Any pointer from Cur is invalid afterwards.
+// place when it runs dry. Any pointer from Op, OpLines or Cur is
+// invalid afterwards.
 func (c *Cursor) Advance() {
 	c.off++
 	if c.off >= len(c.win) && !c.eof {
@@ -186,38 +225,29 @@ func (c *Cursor) Release() {
 	*c = Cursor{}
 }
 
+// refill loads the window starting at start and packs it into the
+// chunk — the per-window counterpart of Kernel.Pack, through the same
+// packInstrs. Ops never go into the window itself, so windows that
+// alias shared storage are packed like owned ones.
 func (c *Cursor) refill(start int) {
 	if c.chunk == nil {
 		c.chunk = c.pool.Get()
 	}
-	c.chunk.Reset()
-	win, eof, owned := c.src.Fill(c.block, c.warp, start, c.chunk)
-	if owned && c.lineSize > 0 {
-		memoizeChunkLines(c.chunk, win, c.lineSize)
-	}
+	ch := c.chunk
+	ch.Reset()
+	win, eof, _ := c.src.Fill(c.block, c.warp, start, ch)
 	c.win, c.eof, c.base, c.off = win, eof, start, 0
-}
-
-// memoizeChunkLines is the per-chunk analogue of
-// Kernel.PrecomputeCoalesced: each memory instruction's coalesced
-// line list is computed once into the chunk's Lines arena, so the
-// LD/ST issue path takes the memoized fast path without touching the
-// shared-kernel memo machinery.
-func memoizeChunkLines(ch *Chunk, win []Instr, lineSize int) {
-	for i := range win {
-		in := &win[i]
-		if in.Kind == Compute || in.linesSize == lineSize {
-			continue
-		}
-		in.linesSize = 0 // force a fresh computation
-		start := len(ch.Lines)
-		ch.Lines = in.AppendCoalescedLines(ch.Lines, lineSize)
-		// Full slice expression: appends to ch.Lines for later
-		// instructions must reallocate rather than scribble over this
-		// instruction's memo.
-		in.lines = ch.Lines[start:len(ch.Lines):len(ch.Lines)]
-		in.linesSize = lineSize
+	if c.lineSize == 0 {
+		return
 	}
+	var err error
+	if ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize); err != nil {
+		// End the warp here: the SM sees an exhausted cursor, reads Err.
+		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
+		c.win, c.ops, c.eof = nil, nil, true
+		return
+	}
+	c.ops, c.lines = ch.Ops, ch.Lines
 }
 
 // KernelStream adapts a fully precomputed Kernel to the Stream
@@ -240,8 +270,15 @@ func (s *KernelStream) Warps(block int) int { return len(s.k.Blocks[block].Warps
 func (s *KernelStream) SpecKey() string     { return "" }
 
 func (s *KernelStream) Fill(block, warp, start int, c *Chunk) (win []Instr, eof, owned bool) {
-	wt := s.k.Blocks[block].Warps[warp]
-	return wt.Instrs[start:], true, false
+	rest := s.k.Blocks[block].Warps[warp].Instrs[start:]
+	window := cap(c.Instrs)
+	if window == 0 {
+		window = DefaultChunkInstrs
+	}
+	if len(rest) > window {
+		return rest[:window], false, false
+	}
+	return rest, true, false
 }
 
 // MultiStream concatenates sub-streams into one grid — the
@@ -320,7 +357,6 @@ func Materialize(s Stream) *Kernel {
 				if len(in.Addrs) > 0 {
 					in.Addrs = append([]addr.Addr(nil), in.Addrs...)
 				}
-				in.lines, in.linesSize = nil, 0
 				wt.Instrs = append(wt.Instrs, in)
 				cur.Advance()
 			}

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/addr"
 )
@@ -50,12 +51,6 @@ type Instr struct {
 	Latency     int         // compute: cycles until the warp may issue again
 	ActiveLanes int         // threads executing this instruction (<= warp size)
 	Addrs       []addr.Addr // memory: per-active-lane byte addresses
-
-	// lines memoizes the coalesced result for linesSize, filled by
-	// Kernel.PrecomputeCoalesced. Read-only once set, so a precomputed
-	// kernel stays safe to share across concurrent simulations.
-	lines     []addr.Addr
-	linesSize int
 }
 
 // NewCompute returns a compute instruction covering lanes active lanes.
@@ -84,13 +79,10 @@ func (in *Instr) CoalescedLines(lineSize int) []addr.Addr {
 }
 
 // AppendCoalescedLines appends the coalesced lines to dst and returns
-// the extended slice. Hot callers (the SM LD/ST unit) pass a reusable
-// scratch buffer (`buf[:0]`) so the steady-state issue path allocates
-// nothing; semantics are otherwise identical to CoalescedLines.
+// the extended slice, so callers that coalesce in a loop (op packing,
+// rdd) reuse one buffer; semantics are otherwise identical to
+// CoalescedLines.
 func (in *Instr) AppendCoalescedLines(dst []addr.Addr, lineSize int) []addr.Addr {
-	if in.linesSize == lineSize {
-		return append(dst, in.lines...)
-	}
 	mask := ^addr.Addr(lineSize - 1)
 	base := len(dst)
 	for _, a := range in.Addrs {
@@ -111,30 +103,13 @@ func (in *Instr) AppendCoalescedLines(dst []addr.Addr, lineSize int) []addr.Addr
 	return dst
 }
 
-// PrecomputeCoalesced memoizes every memory instruction's coalesced
-// line list for the given line size, so simulations served from a
-// shared kernel skip the per-issue coalescing scan. Call it once after
-// generation, before the kernel is shared: the memo fields are written
-// here and only read afterwards.
-func (k *Kernel) PrecomputeCoalesced(lineSize int) {
-	for _, b := range k.Blocks {
-		for _, w := range b.Warps {
-			for i := range w.Instrs {
-				in := &w.Instrs[i]
-				if in.Kind == Compute || in.linesSize == lineSize {
-					continue
-				}
-				in.linesSize = 0 // force a fresh computation
-				in.lines = in.AppendCoalescedLines(in.lines[:0], lineSize)
-				in.linesSize = lineSize
-			}
-		}
-	}
-}
-
 // WarpTrace is the in-order instruction stream of one warp.
 type WarpTrace struct {
 	Instrs []Instr
+
+	// prog is the packed issue program (see Op), built by Kernel.Pack or
+	// on the warp's first admission to an SM.
+	prog atomic.Pointer[program]
 }
 
 // Block is a thread block: the unit of work dispatched to an SM.
@@ -184,7 +159,7 @@ func (k *Kernel) Validate(warpSize int) error {
 				return fmt.Errorf("kernel %q block %d warp %d is empty", k.Name, bi, wi)
 			}
 			for ii := range w.Instrs {
-				in := &w.Instrs[ii] // by index: an Instr is 88 bytes
+				in := &w.Instrs[ii] // by index: an Instr is 48 bytes
 				if in.ActiveLanes <= 0 || in.ActiveLanes > warpSize {
 					return fmt.Errorf("kernel %q block %d warp %d insn %d: %d active lanes",
 						k.Name, bi, wi, ii, in.ActiveLanes)
