@@ -63,28 +63,29 @@ streamsmoke: build
 # Regenerate the tracked performance baseline: every benchmark (with
 # allocation reporting baked into the benchmarks themselves) plus one
 # serial RunSuite(PaperSchemes()) wall-clock pass and the
-# BenchmarkEngineScaling cores=1/2/4/8 curve, distilled into
-# BENCH_PR9.json by cmd/benchjson — and, via -ledger, into the per-host
-# baseline BENCH_<fingerprint>.json so this machine class hard-gates
-# wall time and the scaling curve from now on. `make benchgate`
-# re-measures just the suite wall pass and fails when it regressed >15%
-# against the committed baseline — the same gate CI runs.
+# BenchmarkEngineScaling cores=1/2/4/8 curve, distilled by cmd/benchjson
+# into this host class's entry of the per-host ledger,
+# BENCH_<fingerprint>.json, so the class hard-gates wall time and the
+# scaling curve from now on. `make benchgate` re-measures just the suite
+# wall pass and fails when it regressed >15% against the committed
+# baseline — the same gate CI runs.
 bench: build
-	$(GO) test -run '^$$' -bench . -timeout 60m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ | $(GO) run ./cmd/benchjson -o BENCH_PR9.json -ledger .
+	$(GO) test -run '^$$' -bench . -timeout 60m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ | $(GO) run ./cmd/benchjson
 
 # The gate measures the wall headline (one 1x pass) plus the zero-alloc
 # hot-path benchmarks (enough iterations to amortize warm-up), the
 # streamed issue path and the warp pick included: wall time gates unconditionally against
-# this host class's ledger entry when one is committed, else only when
-# the flat baseline's fingerprint matches; allocs/op (deterministic per
-# binary) gate everywhere. The last line printed is the streamed/eager
+# this host class's ledger entry when one is committed; on any other
+# host the one committed entry (BENCH_amd64-1c1p.json) still supplies the
+# allocs/op baselines, which are deterministic per binary and gate
+# everywhere. The last line printed is the streamed/eager
 # issue-path ratio of the fresh run — ROADMAP item 2 wants it <= 1.1
 # before the eager frontend goes; it is reported, not gated.
 benchgate: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSuitePaperWall' -benchtime 1x -timeout 30m . > /tmp/bench_fresh.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkPickWarp|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchjson -o /tmp/bench_fresh.json < /tmp/bench_fresh.txt
-	$(GO) run ./cmd/benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
+	$(GO) run ./cmd/benchgate -baselines . -fresh /tmp/bench_fresh.json -max-regress-pct 15
 	@awk '$$1 ~ /^BenchmarkIssueStorePathStream(-[0-9]+)?$$/ { s = $$3 } \
 		$$1 ~ /^BenchmarkIssueStorePath(-[0-9]+)?$$/ { e = $$3 } \
 		END { if (e > 0) printf "benchgate: streamed/eager issue path %.2fx (%s / %s ns/op; target <= 1.10x, not gated)\n", s / e, s, e }' /tmp/bench_fresh.txt

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 )
 
 // Each evaluation table/figure has a benchmark that regenerates it. The
@@ -376,7 +377,7 @@ func BenchmarkL1DAccessRegisteredRegistry(b *testing.B) {
 
 // BenchmarkSuitePaperWall runs the full RunSuite(PaperSchemes()) pass on
 // one worker: ns/op is the serial suite wall time the performance
-// baseline tracks (BENCH_PR3.json). The first result also seeds the
+// baseline tracks (BENCH_<fingerprint>.json). The first result also seeds the
 // shared suite cache used by the table benchmarks.
 func BenchmarkSuitePaperWall(b *testing.B) {
 	b.ReportAllocs()
@@ -420,7 +421,7 @@ func BenchmarkDlpsimCoresMM(b *testing.B) {
 // BenchmarkPDPTSample measures the Fig. 9 PD-computation cycle.
 func BenchmarkPDPTSample(b *testing.B) {
 	b.ReportAllocs()
-	p := core.NewPDPT(128, 4, 15)
+	p := policy.NewPDPT(128, 4, 15)
 	for i := 0; i < b.N; i++ {
 		p.CreditVTA(uint8(i % 128))
 		p.CreditTDA(uint8((i + 7) % 128))

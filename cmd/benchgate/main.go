@@ -8,7 +8,7 @@
 // Wall time only compares meaningfully within one machine class, so
 // the preferred mode is the per-host baseline ledger: -baselines DIR
 // names a directory of BENCH_<fingerprint>.json documents (recorded by
-// `make bench` via benchjson -ledger), benchgate picks the entry whose
+// `make bench` via benchjson), benchgate picks the entry whose
 // fingerprint ({num_cpu, gomaxprocs, goarch}) matches the gating host,
 // and the wall gate is then enforced unconditionally — same machine
 // class by construction, nothing to warn-skip. Only when the ledger
@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
+//	benchgate -baselines . -fresh /tmp/bench_fresh.json -max-regress-pct 15
 package main
 
 import (
@@ -50,7 +50,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
-	basePath := flag.String("baseline", "BENCH_PR9.json", "committed baseline document (fallback when -baselines has no entry for this host)")
+	basePath := flag.String("baseline", "BENCH_amd64-1c1p.json", "committed baseline document (fallback when -baselines has no entry for this host)")
 	ledgerDir := flag.String("baselines", "", "per-host baseline ledger directory (BENCH_<fingerprint>.json files)")
 	freshPath := flag.String("fresh", "", "fresh measurement to gate (required)")
 	maxPct := flag.Float64("max-regress-pct", 15, "maximum allowed suite-wall regression in percent")

@@ -1,6 +1,7 @@
 // Command benchjson converts `go test -bench` text output into the
-// machine-readable performance baseline the repo tracks
-// (BENCH_PR8.json). It reads bench output on stdin and writes a JSON
+// machine-readable performance baseline the repo tracks: one
+// BENCH_<fingerprint>.json per machine class, the per-host baseline
+// ledger. It reads bench output on stdin and writes a JSON
 // document containing one record per benchmark — name, iterations,
 // ns/op, and the B/op and allocs/op columns when present — plus the
 // wall-clock seconds of one serial RunSuite(PaperSchemes()) pass, taken
@@ -9,15 +10,15 @@
 // are only ever gated within one machine class. The document format
 // lives in internal/benchfmt, shared with cmd/benchgate.
 //
-// With -ledger DIR the same document is additionally recorded under
-// DIR/BENCH_<fingerprint>.json — the per-host baseline ledger. Each
-// machine class keeps exactly one committed entry there, and benchgate
-// -baselines hard-gates wall time against the entry whose fingerprint
-// matches the gating host.
+// By default the document becomes this host class's ledger entry in
+// the current directory; -o writes it elsewhere (the gate's fresh
+// measurement). Each machine class keeps exactly one committed entry,
+// and benchgate -baselines hard-gates wall time against the entry whose
+// fingerprint matches the gating host.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . . ./internal/sm/ | benchjson -o BENCH_PR8.json -ledger .
+//	go test -run '^$' -bench . . ./internal/sm/ | benchjson
 package main
 
 import (
@@ -32,8 +33,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("o", "BENCH_PR8.json", "output file; - writes to stdout only")
-	ledger := flag.String("ledger", "", "also record the document in this per-host baseline directory as BENCH_<fingerprint>.json")
+	out := flag.String("o", benchfmt.BaselineFile(".", benchfmt.CurrentHost()), "output file, by default this host's ledger entry; - writes to stdout only")
 	flag.Parse()
 
 	doc, err := benchfmt.Parse(os.Stdin)
@@ -51,13 +51,6 @@ func main() {
 		if err := os.WriteFile(*out, b, 0o644); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *ledger != "" {
-		path := benchfmt.BaselineFile(*ledger, doc.Host)
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: ledger entry %s\n", path)
 	}
 	fmt.Printf("%s", b)
 }

@@ -168,6 +168,9 @@ func verify(args []string) {
 				cur.Advance()
 				instrs++
 			}
+			if err := cur.Err(); err != nil {
+				log.Fatalf("verify: %s: %v", args[0], err)
+			}
 			cur.Release()
 			warps++
 		}

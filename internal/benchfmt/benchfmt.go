@@ -1,7 +1,7 @@
 // Package benchfmt defines the repository's machine-readable
-// performance baseline (the BENCH_PR*.json documents): parsing `go test
-// -bench` text output into one, serializing it, and gating a fresh
-// measurement against a committed baseline. cmd/benchjson produces the
+// performance baseline (the BENCH_<fingerprint>.json documents): parsing
+// `go test -bench` text output into one, serializing it, and gating a
+// fresh measurement against a committed baseline. cmd/benchjson produces the
 // documents; cmd/benchgate (and CI's benchmark-regression step) consume
 // them.
 package benchfmt

@@ -111,19 +111,16 @@ func TestCampaignCleanOnHealthyRegistry(t *testing.T) {
 	}
 }
 
-// buggyPolicy is Baseline with an injected accounting off-by-one: every
-// third hit double-counts L1DHits, violating the conservation identity
-// the engine's self-check sweeps. It is the acceptance fault for the
-// fuzzer: deterministic, policy-local, invisible to the policy's own
-// CheckInvariants.
+// buggyPolicy is Baseline (its Spec leaves Blocked at the all-Stall
+// zero table and Eligible nil) with an injected accounting off-by-one:
+// every third hit double-counts L1DHits, violating the conservation
+// identity the engine's self-check sweeps. It is the acceptance fault
+// for the fuzzer: deterministic, policy-local, invisible to the
+// policy's own CheckInvariants.
 type buggyPolicy struct {
 	policy.Base
 	h    *policy.Host
 	hits int
-}
-
-func (p *buggyPolicy) OnBlocked(*mem.Request, int, policy.Block) policy.Decision {
-	return policy.Stall
 }
 
 func (p *buggyPolicy) CheckInvariants() error { return nil }

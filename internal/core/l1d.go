@@ -2,10 +2,9 @@
 // tag array mechanism (probe, reserve, fill), MSHRs, miss and bypass
 // queues, hit-latency modelling and statistics. Every management
 // decision — stall vs bypass, victim eligibility, admission, protection
-// state — is delegated to a scheme from internal/policy, where the
-// paper's DLP hardware (VTA, PDPT, Figure 9 computation) now lives as
-// one registry entry among several. The §4.3 hardware-overhead model is
-// also here.
+// state — comes from a registry entry of internal/policy, where the
+// paper's DLP hardware (VTA, PDPT, Figure 9 computation) lives as one
+// scheme among several. The §4.3 hardware-overhead model is also here.
 package core
 
 import (
@@ -32,8 +31,11 @@ type L1D struct {
 	missQ  *cache.FIFO // fetches for misses that reserved a line
 	bypsQ  *cache.FIFO // bypassed fetches and write-through stores (never stalls)
 
-	pol      policy.Policy          // the decision maker
-	eligible func(*cache.Line) bool // victim filter, bound once at construction
+	// The scheme: pol decides per access; the victim filter (nil for
+	// plain LRU) and onBlocked — stall or bypass per Block reason — are
+	// copied out of its registry entry when the cache is built.
+	pol      policy.Policy
+	eligible func(*cache.Line) bool
 
 	st   *stats.Stats
 	seen lineSet // line IDs ever requested, for compulsory-miss accounting
@@ -41,6 +43,8 @@ type L1D struct {
 	deliver func(*mem.Request)
 	hitQ    []hitResponse
 	now     uint64
+
+	onBlocked [3]policy.Decision
 }
 
 type hitResponse struct {
@@ -76,12 +80,15 @@ func NewL1D(cfg *config.Config, pol config.Policy, deliver func(*mem.Request)) *
 		Stats:  c.st,
 		Now:    func() uint64 { return c.now },
 	}
-	p, err := policy.New(pol, host)
-	if err != nil {
-		panic("core: " + err.Error())
+	sp, ok := policy.Lookup(pol)
+	if !ok {
+		panic(fmt.Sprintf("core: %q is not a registered policy (want %s)", pol, policy.Usage()))
 	}
-	c.pol = p
-	c.eligible = p.VictimFilter()
+	c.pol = sp.New(host)
+	c.onBlocked = sp.Blocked
+	if sp.Eligible != nil {
+		c.eligible = sp.Eligible(host)
+	}
 	return c
 }
 
@@ -91,7 +98,7 @@ func (c *L1D) Stats() *stats.Stats { return c.st }
 // PDPT exposes the prediction table for tests and introspection; nil for
 // policies that don't carry one (everything but Global-Protection and
 // DLP).
-func (c *L1D) PDPT() *PDPT {
+func (c *L1D) PDPT() *policy.PDPT {
 	if p, ok := c.pol.(policy.PDPTCarrier); ok {
 		return p.PDPT()
 	}
@@ -157,11 +164,11 @@ func (c *L1D) acceptUncached(req *mem.Request, set int) {
 	c.acceptAccess(req, set)
 }
 
-// blocked resolves a non-serviceable access through the policy: either
-// the request bypasses, or it stalls and the LD/ST pipeline register
-// retries next cycle.
+// blocked resolves a non-serviceable access from the scheme's table:
+// either the request bypasses, or it stalls and the LD/ST pipeline
+// register retries next cycle.
 func (c *L1D) blocked(req *mem.Request, set int, why policy.Block) mem.AccessOutcome {
-	if c.pol.OnBlocked(req, set, why) == policy.Bypass {
+	if c.onBlocked[why] == policy.Bypass {
 		return c.doBypass(req, set)
 	}
 	c.st.L1DStalls++
@@ -224,16 +231,14 @@ func (c *L1D) accessMiss(req *mem.Request, set int) mem.AccessOutcome {
 	}
 
 	c.acceptUncached(req, set)
-	c.pol.OnAllocate(req, set)
 
 	evicted := c.ta.Reserve(set, victim, req.Addr)
 	if evicted.Valid {
 		c.st.L1DEvictions++
-		c.pol.OnEvict(set, evicted)
 	}
 	ln := &c.ta.Set(set)[victim]
 	ln.InsnID = req.InsnID
-	c.pol.OnReserved(req, set, ln)
+	c.pol.OnMiss(req, set, ln, evicted)
 	c.mshr.Allocate(req, set, victim)
 	if !c.missQ.Push(req) {
 		panic("core: miss queue full after capacity check")

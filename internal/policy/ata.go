@@ -31,8 +31,6 @@ func newATA(h *Host) *ata {
 	return &ata{h: h, tags: NewVTA(h.Cfg.L1D.Sets, h.Cfg.ATAWays)}
 }
 
-func (p *ata) OnBlocked(*mem.Request, int, Block) Decision { return Bypass }
-
 // Admit consults and trains the aggregated array: a miss whose tag is
 // already tracked allocates; an untracked tag is recorded and bypassed,
 // so its next miss within the array's reach is admitted.
@@ -54,8 +52,8 @@ func (p *ata) OnHit(req *mem.Request, set int, _ *cache.Line) {
 	p.tags.Insert(set, p.h.Mapper.Tag(req.Addr), req.InsnID)
 }
 
-func (p *ata) OnEvict(set int, evicted cache.Line) {
-	p.tags.Insert(set, evicted.Tag, evicted.InsnID)
+func (p *ata) OnMiss(_ *mem.Request, set int, _ *cache.Line, evicted cache.Line) {
+	p.tags.InsertVictim(set, evicted)
 }
 
 func (p *ata) CheckInvariants() error {

@@ -53,26 +53,22 @@ func (p *ccws) OnAccess(_ *mem.Request, set int) {
 	}
 }
 
-func (p *ccws) OnBlocked(_ *mem.Request, _ int, why Block) Decision {
-	if why == BlockNoVictim {
-		return Bypass
-	}
-	return Stall
-}
-
-func (p *ccws) VictimFilter() func(*cache.Line) bool {
-	if p.byCycles {
-		now := p.h.Now
+// ccwsEligible shields a line until its countdown reaches zero
+// (accesses mode) or the core clock reaches its deadline (cycles mode).
+func ccwsEligible(h *Host) func(*cache.Line) bool {
+	if h.Cfg.CCWSByCycles {
+		now := h.Now
 		return func(l *cache.Line) bool { return l.PL == 0 || uint64(l.PL) <= now() }
 	}
-	return func(l *cache.Line) bool { return l.PL == 0 }
+	return plExpired(h)
 }
 
-// OnReserved grants protection when the incoming line's tag is found in
-// the VTA: the line was evicted with locality outstanding, so its
-// second residency is shielded. The VTA entry is consumed — the line is
-// back in the cache.
-func (p *ccws) OnReserved(req *mem.Request, set int, ln *cache.Line) {
+// OnMiss records the displaced tag, then grants protection when the
+// incoming line's tag is found in the VTA: the line was evicted with
+// locality outstanding, so its second residency is shielded. The VTA
+// entry is consumed — the line is back in the cache.
+func (p *ccws) OnMiss(req *mem.Request, set int, ln *cache.Line, evicted cache.Line) {
+	p.vta.InsertVictim(set, evicted)
 	if _, ok := p.vta.Lookup(set, p.h.Mapper.Tag(req.Addr)); !ok {
 		return
 	}
@@ -84,10 +80,6 @@ func (p *ccws) OnReserved(req *mem.Request, set int, ln *cache.Line) {
 	} else {
 		ln.PL = p.lifetime
 	}
-}
-
-func (p *ccws) OnEvict(set int, evicted cache.Line) {
-	p.vta.Insert(set, evicted.Tag, evicted.InsnID)
 }
 
 func (p *ccws) OnBypass(req *mem.Request, set int) {

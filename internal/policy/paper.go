@@ -25,20 +25,17 @@ type baseline struct {
 	h *Host
 }
 
-func (p *baseline) OnBlocked(*mem.Request, int, Block) Decision { return Stall }
-
 func (p *baseline) CheckInvariants() error {
 	return checkNoProtectionTDA(p.h, config.PolicyBaseline)
 }
 
 // stallBypass bypasses the L1D whenever the access would stall —
-// whatever the reason — and is otherwise the baseline.
+// whatever the reason (its Spec's table) — and is otherwise the
+// baseline.
 type stallBypass struct {
 	Base
 	h *Host
 }
-
-func (p *stallBypass) OnBlocked(*mem.Request, int, Block) Decision { return Bypass }
 
 func (p *stallBypass) CheckInvariants() error {
 	return checkNoProtectionTDA(p.h, config.PolicyStallBypass)
@@ -48,7 +45,7 @@ func (p *stallBypass) CheckInvariants() error {
 // VTA + PDPT + sampler hardware: Global-Protection (one PD for every
 // instruction, global=true) and DLP (per-instruction PDs). Misses into
 // a fully protected set bypass rather than wait (§4.1.1); structural
-// and merge-capacity blocks stall like the baseline.
+// and merge-capacity blocks stall like the baseline (bypassNoVictim).
 type protect struct {
 	Base
 	h       *Host
@@ -87,18 +84,8 @@ func (p *protect) NoteInstructions(n uint64) {
 	}
 }
 
-func (p *protect) OnBlocked(_ *mem.Request, _ int, why Block) Decision {
-	// A fully reserved-or-protected set bypasses the redundant miss
-	// rather than waiting for protection to expire; resource hazards
-	// stall as on the baseline.
-	if why == BlockNoVictim {
-		return Bypass
-	}
-	return Stall
-}
-
-// VictimFilter restricts victims to lines whose protected life expired.
-func (p *protect) VictimFilter() func(*cache.Line) bool {
+// plExpired restricts victims to lines whose protected life expired.
+func plExpired(*Host) func(*cache.Line) bool {
 	return func(l *cache.Line) bool { return l.PL == 0 }
 }
 
@@ -111,17 +98,15 @@ func (p *protect) OnHit(req *mem.Request, _ int, ln *cache.Line) {
 	ln.PL = p.pdpt.PD(req.InsnID)
 }
 
-func (p *protect) OnAllocate(req *mem.Request, set int) {
+func (p *protect) OnMiss(req *mem.Request, set int, _ *cache.Line, evicted cache.Line) {
 	// The allocating miss refetches the line, so a VTA hit retires the
-	// entry while crediting the stored instruction.
+	// entry while crediting the stored instruction — looked up before the
+	// victim's tag goes in, which may push that very entry out.
 	if id, ok := p.vta.Lookup(set, p.h.Mapper.Tag(req.Addr)); ok {
 		p.pdpt.CreditVTA(id)
 		p.h.Stats.VTAHits++
 	}
-}
-
-func (p *protect) OnEvict(set int, evicted cache.Line) {
-	p.vta.Insert(set, evicted.Tag, evicted.InsnID)
+	p.vta.InsertVictim(set, evicted)
 }
 
 func (p *protect) OnBypass(req *mem.Request, set int) {

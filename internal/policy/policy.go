@@ -2,10 +2,11 @@
 // and the registry of compiled-in schemes.
 //
 // The L1D controller in internal/core owns the mechanism — tag array,
-// MSHRs, queues, hit/miss/bypass accounting — and delegates every
-// decision to a Policy: whether a blocked access stalls or bypasses,
-// which lines are eligible victims, whether a miss is admitted, and what
-// protection state rides along on hits, reservations, evictions and
+// MSHRs, queues, hit/miss/bypass accounting — and takes every decision
+// from a registry entry: the Spec says whether a blocked access stalls
+// or bypasses and which lines are eligible victims, both bound when the
+// cache is built, and the Policy it constructs says whether a miss is
+// admitted and what protection state rides along on hits, misses and
 // fills. The four schemes evaluated by the paper (Baseline,
 // Stall-Bypass, Global-Protection, DLP) are registry entries like any
 // other, so a new scheme is data — one file and one Spec — rather than
@@ -62,10 +63,22 @@ const (
 	Bypass
 )
 
+// The stall-vs-bypass tables the registered schemes use, indexed by
+// Block. The zero table stalls on everything: the unmodified L1D.
+var (
+	// alwaysBypass never stalls: whatever blocks the access, it goes
+	// around the cache.
+	alwaysBypass = [3]Decision{Bypass, Bypass, Bypass}
+	// bypassNoVictim sends a miss into a fully reserved-or-protected set
+	// around the cache rather than waiting for protection to expire
+	// (§4.1.1); resource hazards stall as on the baseline.
+	bypassNoVictim = [3]Decision{BlockNoVictim: Bypass}
+)
+
 // Policy is the per-L1D decision maker. One instance is built per cache
 // (never shared across SMs), so implementations need no locking. All
-// methods are on the simulation hot path: implementations must not
-// allocate in steady state.
+// methods but the last two are on the simulation hot path:
+// implementations must not allocate in steady state.
 type Policy interface {
 	// OnAccess runs once for every accepted (non-stalled) access — hit,
 	// serviced miss, merged miss, or bypass — before the outcome-specific
@@ -77,34 +90,23 @@ type Policy interface {
 	// with an instruction-driven sampling clock (§4.1.4).
 	NoteInstructions(n uint64)
 
-	// OnBlocked picks stall-vs-bypass for an access the mechanism cannot
-	// service, given the reason.
-	OnBlocked(req *mem.Request, set int, why Block) Decision
-
 	// Admit reports whether a serviceable miss should allocate a line;
 	// false sends the request down the bypass path. Called after victim
 	// selection succeeds, so an admitted request always has resources.
 	Admit(req *mem.Request, set int) bool
 
-	// VictimFilter returns the replacement-eligibility predicate, or nil
-	// for plain LRU. Called once at construction; the filter must stay
-	// valid for the cache's lifetime.
-	VictimFilter() func(*cache.Line) bool
-
 	// OnHit runs on a tag hit, before LRU update. The policy may
 	// re-attribute and re-protect the line.
 	OnHit(req *mem.Request, set int, ln *cache.Line)
 
-	// OnAllocate runs when a miss has been accepted and a victim chosen,
-	// before the line is reserved.
-	OnAllocate(req *mem.Request, set int)
-
-	// OnEvict runs when reserving the line displaced a valid one.
-	OnEvict(set int, evicted cache.Line)
-
-	// OnReserved runs after the line is reserved and attributed to the
-	// requesting instruction (insertion-time protection goes here).
-	OnReserved(req *mem.Request, set int, ln *cache.Line)
+	// OnMiss runs once per serviced miss, after the line is reserved and
+	// attributed to the requesting instruction: ln is the reserved line,
+	// evicted the one it displaced (Valid false when the way was empty).
+	// Victim-tag bookkeeping and insertion-time protection go here; a
+	// scheme that both looks the incoming tag up in a victim array and
+	// inserts the displaced one chooses the order, and the order is
+	// behaviour — the insert can push out the entry the lookup wants.
+	OnMiss(req *mem.Request, set int, ln *cache.Line, evicted cache.Line)
 
 	// OnBypass runs when a request is sent around the cache.
 	OnBypass(req *mem.Request, set int)
@@ -133,13 +135,25 @@ type PDPTCarrier interface {
 }
 
 // Spec is one registry entry: a compiled-in scheme with its display
-// name, CLI aliases, paper membership, provenance and constructor.
+// name, CLI aliases, paper membership, provenance, the two decisions the
+// cache binds when it is built, and the constructor of the rest.
 type Spec struct {
 	Name    config.Policy // display name; also the canonical CLI spelling
 	Aliases []string      // extra accepted CLI spellings (lower-case)
 	Paper   bool          // one of the four schemes the paper evaluates
 	Cite    string        // one-line provenance
-	New     func(h *Host) Policy
+
+	// Blocked says, per Block reason, whether an access the mechanism
+	// cannot service stalls or bypasses. It is data, not a hook: the
+	// cache copies the table and a stalled access calls nothing.
+	Blocked [3]Decision
+
+	// Eligible builds the replacement-eligibility predicate over the
+	// cache's host; nil means plain LRU. Called once per cache — the
+	// predicate must stay valid for the cache's lifetime.
+	Eligible func(h *Host) func(*cache.Line) bool
+
+	New func(h *Host) Policy
 }
 
 // specs is the registry, in plotting order: the paper's four schemes
@@ -157,37 +171,46 @@ var specs = []Spec{
 		Aliases: []string{"sb"},
 		Paper:   true,
 		Cite:    "bypass-on-stall comparator (paper §5.3)",
+		Blocked: alwaysBypass,
 		New:     func(h *Host) Policy { return &stallBypass{h: h} },
 	},
 	{
-		Name:    config.PolicyGlobalProtection,
-		Aliases: []string{"gp"},
-		Paper:   true,
-		Cite:    "single global protection distance, after Duong et al. PDP (paper §5.3)",
-		New:     func(h *Host) Policy { return newProtect(h, true) },
+		Name:     config.PolicyGlobalProtection,
+		Aliases:  []string{"gp"},
+		Paper:    true,
+		Cite:     "single global protection distance, after Duong et al. PDP (paper §5.3)",
+		Blocked:  bypassNoVictim,
+		Eligible: plExpired,
+		New:      func(h *Host) Policy { return newProtect(h, true) },
 	},
 	{
-		Name:  config.PolicyDLP,
-		Paper: true,
-		Cite:  "per-instruction dynamic line protection, the paper's contribution (§4)",
-		New:   func(h *Host) Policy { return newProtect(h, false) },
+		Name:     config.PolicyDLP,
+		Paper:    true,
+		Cite:     "per-instruction dynamic line protection, the paper's contribution (§4)",
+		Blocked:  bypassNoVictim,
+		Eligible: plExpired,
+		New:      func(h *Host) Policy { return newProtect(h, false) },
 	},
 	{
 		Name:    config.PolicyATA,
 		Aliases: []string{"ata-cache"},
 		Cite:    "aggregated-tag-array admission, after ATA-Cache (arXiv:2302.10638)",
+		Blocked: alwaysBypass,
 		New:     func(h *Host) Policy { return newATA(h) },
 	},
 	{
-		Name:    config.PolicyCCWS,
-		Aliases: []string{"ccws"},
-		Cite:    "VTA-driven lost-locality protection, after Rogers et al. CCWS (MICRO 2012)",
-		New:     func(h *Host) Policy { return newCCWS(h) },
+		Name:     config.PolicyCCWS,
+		Aliases:  []string{"ccws"},
+		Cite:     "VTA-driven lost-locality protection, after Rogers et al. CCWS (MICRO 2012)",
+		Blocked:  bypassNoVictim,
+		Eligible: ccwsEligible,
+		New:      func(h *Host) Policy { return newCCWS(h) },
 	},
 	{
 		Name:    config.PolicyReusePredictor,
 		Aliases: []string{"reuse-predictor", "pred"},
 		Cite:    "online per-PC dead-block bypass, in the spirit of learned GPU caching (arXiv:2509.20979)",
+		Blocked: bypassNoVictim,
 		New:     func(h *Host) Policy { return newReusePredictor(h) },
 	},
 }
@@ -313,30 +336,15 @@ func spellings() []string {
 // Usage returns the "a|b|c" spelling list for CLI flag help.
 func Usage() string { return strings.Join(spellings(), " | ") }
 
-// New builds the named policy over the host, or an error naming the
-// valid spellings when the name is not registered.
-func New(name config.Policy, h *Host) (Policy, error) {
-	sp, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)",
-			string(name), strings.Join(spellings(), ", "))
-	}
-	return sp.New(h), nil
-}
-
 // Base provides no-op implementations of every optional hook; schemes
-// embed it and override what they need. OnBlocked is deliberately
-// absent: every scheme must state its stall-vs-bypass behavior.
+// embed it and override what they need.
 type Base struct{}
 
-func (Base) OnAccess(*mem.Request, int)                {}
-func (Base) NoteInstructions(uint64)                   {}
-func (Base) Admit(*mem.Request, int) bool              { return true }
-func (Base) VictimFilter() func(*cache.Line) bool      { return nil }
-func (Base) OnHit(*mem.Request, int, *cache.Line)      {}
-func (Base) OnAllocate(*mem.Request, int)              {}
-func (Base) OnEvict(int, cache.Line)                   {}
-func (Base) OnReserved(*mem.Request, int, *cache.Line) {}
-func (Base) OnBypass(*mem.Request, int)                {}
-func (Base) OnFill(*mem.Request, *cache.Line)          {}
-func (Base) RegisterMetrics(*metrics.Registry, string) {}
+func (Base) OnAccess(*mem.Request, int)                        {}
+func (Base) NoteInstructions(uint64)                           {}
+func (Base) Admit(*mem.Request, int) bool                      { return true }
+func (Base) OnHit(*mem.Request, int, *cache.Line)              {}
+func (Base) OnMiss(*mem.Request, int, *cache.Line, cache.Line) {}
+func (Base) OnBypass(*mem.Request, int)                        {}
+func (Base) OnFill(*mem.Request, *cache.Line)                  {}
+func (Base) RegisterMetrics(*metrics.Registry, string)         {}

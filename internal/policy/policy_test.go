@@ -100,23 +100,85 @@ func TestParseSpellings(t *testing.T) {
 	if _, err := Parse("mru"); err == nil {
 		t.Error("Parse accepted an unregistered policy")
 	}
-	if _, err := New("nope", nil); err == nil {
-		t.Error("New accepted an unregistered policy")
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup found an unregistered policy")
 	}
 }
 
-// TestNewBuildsEveryPolicy constructs each registered scheme over a live
-// host and runs its invariant check on the pristine state.
+// TestNewBuildsEveryPolicy constructs each registered scheme — policy
+// and, where it has one, victim filter — over a live host and runs its
+// invariant check on the pristine state, where every line is an
+// eligible victim.
 func TestNewBuildsEveryPolicy(t *testing.T) {
 	now := uint64(0)
-	for _, name := range All() {
+	for _, sp := range Specs() {
 		h := testHost(t, &now, nil)
-		p, err := New(name, h)
-		if err != nil {
-			t.Fatalf("New(%v): %v", name, err)
+		if err := sp.New(h).CheckInvariants(); err != nil {
+			t.Errorf("%v: pristine invariants: %v", sp.Name, err)
 		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Errorf("%v: pristine invariants: %v", name, err)
+		if sp.Eligible != nil && !sp.Eligible(h)(&h.Tags.Set(0)[0]) {
+			t.Errorf("%v: pristine line is not victim-eligible", sp.Name)
+		}
+	}
+}
+
+// TestBlockedTable pins the stall-vs-bypass decision of every registered
+// scheme for every reason an access can be blocked: 7 x 3 cells.
+func TestBlockedTable(t *testing.T) {
+	const S, B = Stall, Bypass
+	want := map[config.Policy][3]Decision{ // BlockNoMerge, BlockStructural, BlockNoVictim
+		config.PolicyBaseline:         {S, S, S},
+		config.PolicyStallBypass:      {B, B, B},
+		config.PolicyGlobalProtection: {S, S, B},
+		config.PolicyDLP:              {S, S, B},
+		config.PolicyATA:              {B, B, B},
+		config.PolicyCCWS:             {S, S, B},
+		config.PolicyReusePredictor:   {S, S, B},
+	}
+	if len(want) != len(Specs()) {
+		t.Fatalf("table covers %d schemes, registry has %d", len(want), len(Specs()))
+	}
+	for _, sp := range Specs() {
+		for _, why := range []Block{BlockNoMerge, BlockStructural, BlockNoVictim} {
+			if got := sp.Blocked[why]; got != want[sp.Name][why] {
+				t.Errorf("%v blocked for reason %d: decision %d, want %d", sp.Name, why, got, want[sp.Name][why])
+			}
+		}
+	}
+}
+
+// TestMissHookOrder pins the order each VTA scheme keeps inside its one
+// miss hook. The set's VTA is full and the incoming tag is its LRU
+// entry, so inserting the victim's tag first pushes that entry out:
+// protect and ReusePredictor look up before they insert and see the
+// reuse, CCWS-lite inserts first and does not.
+func TestMissHookOrder(t *testing.T) {
+	now := uint64(0)
+	cases := []struct {
+		name     string
+		new      func(h *Host) (Policy, *VTA)
+		wantHits uint64
+	}{
+		{"DLP", func(h *Host) (Policy, *VTA) { p := newProtect(h, false); return p, p.vta }, 1},
+		{"ReusePredictor", func(h *Host) (Policy, *VTA) { p := newReusePredictor(h); return p, p.vta }, 1},
+		{"CCWS-lite", func(h *Host) (Policy, *VTA) { p := newCCWS(h); return p, p.vta }, 0},
+	}
+	for _, tc := range cases {
+		h := testHost(t, &now, nil)
+		p, vta := tc.new(h)
+		req := &mem.Request{Addr: 0x8000, InsnID: 5}
+		set, tag := h.Mapper.Set(req.Addr), h.Mapper.Tag(req.Addr)
+		vta.Insert(set, tag, 5) // oldest entry: the line about to be refetched
+		for i := 1; i < h.Cfg.VTAWays; i++ {
+			vta.Insert(set, tag+uint64(i), 5)
+		}
+		victim := cache.Line{Tag: tag + 100, InsnID: 6, Valid: true}
+		p.OnMiss(req, set, &h.Tags.Set(set)[0], victim)
+		if h.Stats.VTAHits != tc.wantHits {
+			t.Errorf("%s: %d VTA hits, want %d", tc.name, h.Stats.VTAHits, tc.wantHits)
+		}
+		if _, ok := vta.Peek(set, victim.Tag); !ok {
+			t.Errorf("%s: the displaced line's tag is not in the VTA", tc.name)
 		}
 	}
 }
@@ -153,11 +215,18 @@ func TestATAAdmission(t *testing.T) {
 		t.Fatal("unseen tag was admitted")
 	}
 
-	// Every blocked access bypasses, whatever the reason.
-	for _, why := range []Block{BlockNoMerge, BlockStructural, BlockNoVictim} {
-		if p.OnBlocked(req, set, why) != Bypass {
-			t.Errorf("OnBlocked(%v) != Bypass", why)
-		}
+	// A displaced line's tag is tracked too, so its refetch is admitted;
+	// an empty way displaces nothing. (That every blocked access
+	// bypasses is TestBlockedTable's ATA row.)
+	tracked := p.tags.Len()
+	p.OnMiss(req, set, &h.Tags.Set(set)[0], cache.Line{})
+	if p.tags.Len() != tracked {
+		t.Fatal("an invalid victim was recorded in the aggregated array")
+	}
+	displaced := cache.Line{Tag: h.Mapper.Tag(other.Addr) + 1, Valid: true}
+	p.OnMiss(req, set, &h.Tags.Set(set)[0], displaced)
+	if _, ok := p.tags.Peek(set, displaced.Tag); !ok {
+		t.Fatal("the displaced line's tag is missing from the aggregated array")
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -174,14 +243,16 @@ func TestCCWSAccessesMode(t *testing.T) {
 	ln := &h.Tags.Set(set)[0]
 
 	// Without VTA evidence, insertion grants nothing.
-	p.OnReserved(req, set, ln)
+	p.OnMiss(req, set, ln, cache.Line{})
 	if ln.PL != 0 || p.protected != 0 {
 		t.Fatalf("unevicted line protected: PL=%d", ln.PL)
 	}
 
-	// Evict the line, refetch it: lost locality, protection granted.
-	p.OnEvict(set, cache.Line{Tag: tag, InsnID: 5, Valid: true})
-	p.OnReserved(req, set, ln)
+	// Evict the line (a miss on another displaces it), refetch it: lost
+	// locality, protection granted.
+	other := &mem.Request{Addr: 0x8000 + 1<<20, InsnID: 6}
+	p.OnMiss(other, set, &cache.Line{}, cache.Line{Tag: tag, InsnID: 5, Valid: true})
+	p.OnMiss(req, set, ln, cache.Line{})
 	if ln.PL != h.Cfg.CCWSProtectAccesses {
 		t.Fatalf("refetched line PL=%d, want %d", ln.PL, h.Cfg.CCWSProtectAccesses)
 	}
@@ -191,13 +262,13 @@ func TestCCWSAccessesMode(t *testing.T) {
 
 	// The VTA entry was consumed: a second refetch gets no protection.
 	probe := &cache.Line{}
-	p.OnReserved(req, set, probe)
+	p.OnMiss(req, set, probe, cache.Line{})
 	if probe.PL != 0 {
 		t.Fatal("consumed VTA entry granted protection twice")
 	}
 
 	// The filter shields the line until OnAccess ages PL to zero.
-	filter := p.VictimFilter()
+	filter := ccwsEligible(h)
 	if filter(ln) {
 		t.Fatal("protected line is victim-eligible")
 	}
@@ -222,15 +293,16 @@ func TestCCWSCyclesMode(t *testing.T) {
 	tag := h.Mapper.Tag(req.Addr)
 	ln := &h.Tags.Set(set)[0]
 
-	p.OnEvict(set, cache.Line{Tag: tag, InsnID: 5, Valid: true})
-	p.OnReserved(req, set, ln)
+	other := &mem.Request{Addr: 0x8000 + 1<<20, InsnID: 6}
+	p.OnMiss(other, set, &cache.Line{}, cache.Line{Tag: tag, InsnID: 5, Valid: true})
+	p.OnMiss(req, set, ln, cache.Line{})
 	want := int(now) + h.Cfg.CCWSProtectCycles
 	if ln.PL != want {
 		t.Fatalf("cycles-mode PL=%d, want expiry cycle %d", ln.PL, want)
 	}
 
 	// The deadline holds against the clock, not against set queries.
-	filter := p.VictimFilter()
+	filter := ccwsEligible(h)
 	for i := 0; i < 10*h.Cfg.CCWSProtectCycles; i++ {
 		p.OnAccess(req, set)
 	}
@@ -255,8 +327,9 @@ func TestReusePredictorDeadAndResurrect(t *testing.T) {
 	tag := h.Mapper.Tag(req.Addr)
 
 	// Two sampling periods of allocations with zero reuse: dead.
+	ln := &cache.Line{}
 	for period := 0; period < 2; period++ {
-		p.OnAllocate(req, set)
+		p.OnMiss(req, set, ln, cache.Line{})
 		p.endPeriod()
 	}
 	e := &p.table[p.idx(req.InsnID)]
@@ -284,7 +357,7 @@ func TestReusePredictorDeadAndResurrect(t *testing.T) {
 	if !e.dead {
 		t.Fatal("entry resurrected without reuse evidence")
 	}
-	p.OnAllocate(req, set)
+	p.OnMiss(req, set, ln, cache.Line{})
 	if e.dead {
 		t.Fatal("VTA-evidenced allocation did not resurrect the entry")
 	}
@@ -300,9 +373,9 @@ func TestReusePredictorDeadAndResurrect(t *testing.T) {
 
 	// TDA reuse inside a period also keeps an instruction alive.
 	alive := &mem.Request{Addr: 0xD000, InsnID: 9}
-	ln := &cache.Line{InsnID: 9}
+	ln = &cache.Line{InsnID: 9}
 	for period := 0; period < 4; period++ {
-		p.OnAllocate(alive, h.Mapper.Set(alive.Addr))
+		p.OnMiss(alive, h.Mapper.Set(alive.Addr), ln, cache.Line{})
 		p.OnHit(alive, h.Mapper.Set(alive.Addr), ln)
 		p.endPeriod()
 	}

@@ -92,13 +92,6 @@ func (p *reusePred) endPeriod() {
 	}
 }
 
-func (p *reusePred) OnBlocked(_ *mem.Request, _ int, why Block) Decision {
-	if why == BlockNoVictim {
-		return Bypass
-	}
-	return Stall
-}
-
 // Admit bypasses misses of instructions predicted dead.
 func (p *reusePred) Admit(req *mem.Request, _ int) bool {
 	if p.table[p.idx(req.InsnID)].dead {
@@ -115,12 +108,15 @@ func (p *reusePred) OnHit(req *mem.Request, _ int, ln *cache.Line) {
 	ln.InsnID = req.InsnID
 }
 
-func (p *reusePred) OnAllocate(req *mem.Request, set int) {
+// OnMiss counts the allocation and credits post-eviction reuse before
+// the displaced tag goes into the VTA (the same order DLP uses).
+func (p *reusePred) OnMiss(req *mem.Request, set int, _ *cache.Line, evicted cache.Line) {
 	p.table[p.idx(req.InsnID)].allocs++
 	if id, ok := p.vta.Lookup(set, p.h.Mapper.Tag(req.Addr)); ok {
 		p.h.Stats.VTAHits++
 		p.creditVTA(id)
 	}
+	p.vta.InsertVictim(set, evicted)
 }
 
 // creditVTA records post-eviction reuse for owner and resurrects it if
@@ -134,10 +130,6 @@ func (p *reusePred) creditVTA(owner uint8) {
 		p.flips++
 		p.mispredicts++
 	}
-}
-
-func (p *reusePred) OnEvict(set int, evicted cache.Line) {
-	p.vta.Insert(set, evicted.Tag, evicted.InsnID)
 }
 
 func (p *reusePred) OnBypass(req *mem.Request, set int) {

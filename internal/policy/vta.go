@@ -1,8 +1,6 @@
 package policy
 
-import (
-	"repro/internal/addr"
-)
+import "repro/internal/cache"
 
 // vtaEntry is one victim tag: an address tag plus the instruction ID of
 // the load that brought in or last hit the line before it was evicted
@@ -58,6 +56,14 @@ func (v *VTA) Insert(set int, tag uint64, insnID uint8) {
 	entries[victim] = vtaEntry{valid: true, tag: tag, insnID: insnID, lastUse: v.clock}
 }
 
+// InsertVictim records the line a serviced miss displaced; an empty way
+// (Valid false) displaced nothing.
+func (v *VTA) InsertVictim(set int, evicted cache.Line) {
+	if evicted.Valid {
+		v.Insert(set, evicted.Tag, evicted.InsnID)
+	}
+}
+
 // Lookup searches set for tag. On a hit it removes the entry (the line is
 // about to be refetched into the TDA) and returns the instruction ID the
 // hit is credited to.
@@ -98,7 +104,3 @@ func (v *VTA) Len() int {
 	}
 	return n
 }
-
-// SetOf is a convenience passthrough so callers with only a mapper can
-// address the VTA consistently with the TDA.
-func SetOf(m *addr.Mapper, a addr.Addr) int { return m.Set(a) }

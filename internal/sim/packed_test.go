@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -47,6 +48,65 @@ func TestRunSurfacesPackError(t *testing.T) {
 		check("Run", st, err)
 		st, err = RunStreamOnce(context.Background(), cfg, config.PolicyDLP, trace.NewKernelStream(k), Options{Cores: cores})
 		check("RunStream", st, err)
+	}
+}
+
+// TestFrontendsRefuseTheSameInstructions: an instruction that breaks one
+// of Kernel.Validate's per-instruction rules fails the run with the same
+// *trace.InstrError whichever frontend meets it — the eager one up
+// front, the streamed one (an in-memory stream, or a DLPSTRM1 file that
+// carries the instruction under a correct checksum) at the refill that
+// reaches it — and never runs to completion or panics in the LD/ST unit.
+func TestFrontendsRefuseTheSameInstructions(t *testing.T) {
+	cfg := config.Baseline()
+	wide := make([]addr.Addr, 99)
+	cases := []struct {
+		name string
+		in   trace.Instr
+		file bool // the instruction survives a round trip through the file format
+	}{
+		{"zero-lane load", trace.NewLoad(4, nil), true},
+		{"latency 0", trace.NewCompute(4, 0, 32), true},
+		{"compute wider than the warp", trace.NewCompute(4, 4, 99), true},
+		{"load wider than the warp", trace.NewLoad(4, wide), true},
+		// The file decoder cannot size an instruction of unknown kind, so
+		// such a file is a *trace.FormatError before any op is built.
+		{"unknown kind", trace.Instr{Kind: trace.Kind(9), PC: 4, ActiveLanes: 32}, false},
+	}
+	for _, tc := range cases {
+		k := &trace.Kernel{Name: "crafted", Blocks: []*trace.Block{{Warps: []*trace.WarpTrace{{Instrs: []trace.Instr{
+			trace.NewCompute(1, 4, 32), trace.NewLoad(2, []addr.Addr{0x1000}), tc.in, trace.NewCompute(5, 4, 32),
+		}}}}}}
+		if err := k.Validate(cfg.WarpSize); err == nil {
+			t.Fatalf("%s: Kernel.Validate accepts the kernel", tc.name)
+		}
+		var want *trace.InstrError
+		_, err := RunOnce(context.Background(), cfg, config.PolicyDLP, k, Options{})
+		if !errors.As(err, &want) || want.Insn != 2 {
+			t.Fatalf("%s: eager run returned %v; want a *trace.InstrError at insn 2", tc.name, err)
+		}
+		srcs := map[string]trace.Stream{"stream": trace.NewKernelStream(k)}
+		if tc.file {
+			path := filepath.Join(t.TempDir(), "crafted.dlpstrm")
+			if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
+				t.Fatal(err)
+			}
+			f, err := trace.Open(path) // the checksum is right: Open has no complaint
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			srcs["file"] = f
+		}
+		for how, src := range srcs {
+			st, err := RunStreamOnce(context.Background(), cfg, config.PolicyDLP, src, Options{})
+			var got *trace.InstrError
+			if !errors.As(err, &got) {
+				t.Errorf("%s/%s: stats %v, error %v; want a *trace.InstrError", tc.name, how, st, err)
+			} else if *got != *want {
+				t.Errorf("%s/%s: %v, eager frontend said %v", tc.name, how, got, want)
+			}
+		}
 	}
 }
 

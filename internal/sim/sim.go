@@ -265,12 +265,12 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 // cancelled sweep stops within a few thousand simulated cycles instead
 // of running its kernels to completion.
 func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error) {
-	if err := k.Validate(e.cfg.WarpSize); err != nil {
-		return nil, err
-	}
 	// A kernel precomputed for this line size is left as it is; any other
-	// is packed here, once, rather than warp by warp at admission.
-	if err := k.Pack(e.cfg.L1D.LineSize); err != nil {
+	// is packed here, once, rather than warp by warp at admission. Packing
+	// is also where Kernel.Validate's rules are enforced — the streamed
+	// frontend's windows go through the same op builder — so a shared
+	// kernel is not walked again for every job.
+	if err := k.Pack(e.cfg.L1D.LineSize, e.cfg.WarpSize); err != nil {
 		return nil, err
 	}
 	for i, b := range k.Blocks {
@@ -441,7 +441,8 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 }
 
 // frontendErr is the first instruction-packing failure any SM's warps
-// ran into (a wrapped *trace.PackError), nil when there is none.
+// ran into (a wrapped *trace.PackError or *trace.InstrError), nil when
+// there is none.
 func (e *Engine) frontendErr() error {
 	for _, s := range e.sms {
 		if err := s.FrontendErr(); err != nil {

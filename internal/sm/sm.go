@@ -134,8 +134,9 @@ type SM struct {
 	freeWarps  []*warp
 	freeBlocks []*residentBlock
 
-	// frontendErr is the first trace.PackError a warp's cursor ran into;
-	// the warp ends there and the engine fails the run with it.
+	// frontendErr is the first trace.PackError or trace.InstrError a
+	// warp's cursor ran into; the warp ends there and the engine fails
+	// the run with it.
 	frontendErr error
 }
 
@@ -193,6 +194,7 @@ func (s *SM) AssignBlock(b *trace.Block) {
 func (s *SM) AssignStream(src trace.Stream, idx int) {
 	if s.chunks == nil {
 		s.chunks = trace.NewChunkPool(trace.DefaultChunkInstrs)
+		s.chunks.WarpSize = s.cfg.WarpSize
 	}
 	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
@@ -601,7 +603,8 @@ func (s *SM) issueFrom(w *warp) {
 }
 
 // FrontendErr is the first error a warp's instruction cursor reported
-// (a *trace.PackError: an instruction no packed op can hold). The warp
+// (a *trace.PackError: an instruction no packed op can hold, or a
+// *trace.InstrError: one that breaks a per-instruction rule). The warp
 // stops at the offending window, so the run drains; the engine polls
 // this and fails the run.
 func (s *SM) FrontendErr() error { return s.frontendErr }

@@ -69,21 +69,26 @@ func (e *PackError) Error() string {
 
 // packInstrs appends one Op per instruction of win to ops and the lines
 // of every multi-line memory op to arena, returning both extended
-// slices. It is the only place ops are built: PrecomputeCoalesced runs
-// it over whole warps, a streaming cursor over each refilled window.
-// Offsets count from the start of arena, so callers pass an empty one
-// per unit they later index; base is the in-warp index of win[0], for
-// error reports.
-func packInstrs(ops []Op, arena []addr.Addr, win []Instr, base, lineSize int) ([]Op, []addr.Addr, error) {
+// slices. It is the only place ops are built — PrecomputeCoalesced runs
+// it over whole warps, a streaming cursor over each refilled window —
+// and so the one place both frontends enforce the per-instruction rules
+// (Instr.check, for warps of up to maxLanes): the issue stage never sees
+// an op that breaks one. Offsets count from the start of arena, so
+// callers pass an empty one per unit they later index; base is the
+// in-warp index of win[0], for error reports.
+func packInstrs(ops []Op, arena []addr.Addr, win []Instr, base, lineSize, maxLanes int) ([]Op, []addr.Addr, error) {
 	for i := range win {
 		in := &win[i]
-		if in.ActiveLanes < 0 || in.ActiveLanes > MaxOpLanes {
+		if in.ActiveLanes > MaxOpLanes {
 			return ops, arena, &PackError{Insn: base + i, Field: "lanes", Value: int64(in.ActiveLanes), Max: MaxOpLanes}
+		}
+		if detail := in.check(maxLanes); detail != "" {
+			return ops, arena, &InstrError{Insn: base + i, Detail: detail}
 		}
 		op := Op{PC: in.PC, lanes: uint16(in.ActiveLanes), Kind: in.Kind}
 		switch in.Kind {
 		case Compute:
-			if in.Latency < 0 || int64(in.Latency) > MaxOpLatency {
+			if int64(in.Latency) > MaxOpLatency {
 				return ops, arena, &PackError{Insn: base + i, Field: "latency", Value: int64(in.Latency), Max: MaxOpLatency}
 			}
 			op.word[0] = addr.Addr(in.Latency)
@@ -109,6 +114,7 @@ func packInstrs(ops []Op, arena []addr.Addr, win []Instr, base, lineSize int) ([
 // shared kernel's programs concurrently.
 type program struct {
 	lineSize int
+	maxLanes int // widest op: what a machine's warp size is checked against
 	ops      []Op
 	lines    []addr.Addr
 }
@@ -118,17 +124,23 @@ type program struct {
 // Publication is atomic so that engines with different line sizes can
 // run one shared kernel at once: each packs its own program, the warp
 // keeps the latest, and every cursor holds on to the one it was
-// initialised with. scratch is the arena the build coalesces into,
-// returned (possibly grown) for the next warp; nil is fine.
+// initialised with. A program is packed for any warp size an Op can
+// hold and remembers its widest op, so one shared program serves
+// machines of every width: the caller compares maxLanes with its own.
+// scratch is the arena the build coalesces into, returned (possibly
+// grown) for the next warp; nil is fine.
 func (w *WarpTrace) packed(lineSize int, scratch []addr.Addr) (*program, []addr.Addr, error) {
 	if p := w.prog.Load(); p != nil && p.lineSize == lineSize {
 		return p, scratch, nil
 	}
-	ops, scratch, err := packInstrs(make([]Op, 0, len(w.Instrs)), scratch[:0], w.Instrs, 0, lineSize)
+	ops, scratch, err := packInstrs(make([]Op, 0, len(w.Instrs)), scratch[:0], w.Instrs, 0, lineSize, MaxOpLanes)
 	if err != nil {
 		return nil, scratch, err
 	}
 	p := &program{lineSize: lineSize, ops: ops}
+	for i := range ops {
+		p.maxLanes = max(p.maxLanes, ops[i].ActiveLanes())
+	}
 	if len(scratch) > 0 {
 		p.lines = append(make([]addr.Addr, 0, len(scratch)), scratch...)
 	}
@@ -138,20 +150,23 @@ func (w *WarpTrace) packed(lineSize int, scratch []addr.Addr) (*program, []addr.
 
 // Pack builds the packed issue program of every warp for the given line
 // size, so simulations of the kernel issue from shared, read-only ops
-// and skip the per-admission packing. Warps already packed for lineSize
-// are left alone. The error, if any, is a *PackError wrapped with the
-// warp's position; warps before it stay packed.
-func (k *Kernel) Pack(lineSize int) error {
+// and skip the per-admission packing, and refuses a kernel that breaks
+// Validate's rules for warpSize-wide warps. Warps already packed for
+// lineSize are left alone but for the width of their widest op, so
+// launching a precomputed kernel costs one comparison per warp, not a
+// walk over its instructions. The error, if any, is a *PackError or
+// *InstrError wrapped with the warp's position; warps before it stay
+// packed.
+func (k *Kernel) Pack(lineSize, warpSize int) error {
 	var scratch []addr.Addr
-	for bi, b := range k.Blocks {
-		for wi, w := range b.Warps {
-			var err error
-			if _, scratch, err = w.packed(lineSize, scratch); err != nil {
-				return fmt.Errorf("kernel %q block %d warp %d: %w", k.Name, bi, wi, err)
-			}
+	return k.eachWarp(func(w *WarpTrace) error {
+		p, s, err := w.packed(lineSize, scratch)
+		scratch = s
+		if err == nil && p.maxLanes > warpSize {
+			err = w.check(warpSize)
 		}
-	}
-	return nil
+		return err
+	})
 }
 
 // PrecomputeCoalesced packs the kernel for lineSize (see Pack). Call it
@@ -159,7 +174,7 @@ func (k *Kernel) Pack(lineSize int) error {
 // cannot be packed is left as it is: Engine.Run packs again and returns
 // the error.
 func (k *Kernel) PrecomputeCoalesced(lineSize int) {
-	_ = k.Pack(lineSize)
+	_ = k.Pack(lineSize, MaxOpLanes)
 }
 
 // CheckOp compares the cursor's current packed op, field by field and

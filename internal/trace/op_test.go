@@ -45,7 +45,7 @@ func TestPackWideWarps(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lineSize := range []int{32, 128} {
-			if err := k.Pack(lineSize); err != nil {
+			if err := k.Pack(lineSize, lanes); err != nil {
 				t.Fatalf("lanes=%d lineSize=%d: %v", lanes, lineSize, err)
 			}
 			var cur Cursor
@@ -96,7 +96,7 @@ func TestPackRefusesWhatDoesNotFit(t *testing.T) {
 				t.Errorf("%s/%s: PackError %+v, want insn 1 field %s value %d", tc.name, how, *pe, tc.field, tc.value)
 			}
 		}
-		check("Kernel.Pack", k.Pack(128))
+		check("Kernel.Pack", k.Pack(128, MaxOpLanes))
 		k.PrecomputeCoalesced(128) // must neither panic nor publish a program
 		if wt.prog.Load() != nil {
 			t.Errorf("%s: a program was published for an unpackable warp", tc.name)

@@ -83,6 +83,12 @@ func (c *Chunk) Reset() {
 // refills happen on that SM's tick, which the engine already keeps
 // single-threaded.
 type ChunkPool struct {
+	// WarpSize is the machine's warp width: an instruction with more
+	// active lanes ends its cursor with an *InstrError. The SM sets it;
+	// trace tools, which know no machine, keep NewChunkPool's
+	// MaxOpLanes — the most an Op can hold.
+	WarpSize int
+
 	chunkInstrs int
 	free        []*Chunk
 }
@@ -93,7 +99,7 @@ func NewChunkPool(chunkInstrs int) *ChunkPool {
 	if chunkInstrs <= 0 {
 		chunkInstrs = DefaultChunkInstrs
 	}
-	return &ChunkPool{chunkInstrs: chunkInstrs}
+	return &ChunkPool{WarpSize: MaxOpLanes, chunkInstrs: chunkInstrs}
 }
 
 // ChunkInstrs is the window size this pool's chunks are sized for.
@@ -176,8 +182,9 @@ func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp i
 // Exhausted reports that the warp has no further instructions.
 func (c *Cursor) Exhausted() bool { return c.eof && c.off >= len(c.win) }
 
-// Err is the *PackError that cut the warp short, if one did: a window
-// with a value no Op can hold ends the cursor there and then.
+// Err is the *PackError or *InstrError that cut the warp short, if one
+// did: a window with a value no Op can hold, or an instruction that
+// breaks a per-instruction rule, ends the cursor there and then.
 func (c *Cursor) Err() error { return c.err }
 
 // Op returns the current instruction in packed form. Valid only when
@@ -241,7 +248,7 @@ func (c *Cursor) refill(start int) {
 		return
 	}
 	var err error
-	if ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize); err != nil {
+	if ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize, c.pool.WarpSize); err != nil {
 		// End the warp here: the SM sees an exhausted cursor, reads Err.
 		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
 		c.win, c.ops, c.eof = nil, nil, true

@@ -144,9 +144,47 @@ func (k *Kernel) Digest() (digest string, ok bool) {
 	return k.digest, k.digest != ""
 }
 
-// Validate checks structural sanity: non-empty grid, every memory
-// instruction has addresses, lane counts within warpSize.
-func (k *Kernel) Validate(warpSize int) error {
+// InstrError reports an instruction that breaks a per-instruction rule:
+// no active lanes or more than the warp holds, a compute with no
+// latency, a memory instruction whose addresses do not match its lanes,
+// an unknown kind. Both frontends refuse such an instruction where its
+// op is built, so Kernel.Validate, Engine.Run and Engine.RunStream all
+// return this error for it.
+type InstrError struct {
+	Insn   int // in-warp instruction index
+	Detail string
+}
+
+func (e *InstrError) Error() string { return fmt.Sprintf("trace: insn %d: %s", e.Insn, e.Detail) }
+
+// check applies the per-instruction rules for a machine whose warps are
+// maxLanes wide and returns what is wrong, "" when nothing is.
+func (in *Instr) check(maxLanes int) string {
+	if in.ActiveLanes <= 0 {
+		return fmt.Sprintf("%d active lanes", in.ActiveLanes)
+	}
+	if in.ActiveLanes > maxLanes {
+		return fmt.Sprintf("%d active lanes on %d-wide warps", in.ActiveLanes, maxLanes)
+	}
+	switch in.Kind {
+	case Compute:
+		if in.Latency <= 0 {
+			return fmt.Sprintf("compute latency %d", in.Latency)
+		}
+	case Load, Store:
+		if len(in.Addrs) != in.ActiveLanes {
+			return fmt.Sprintf("memory insn with %d addrs for %d lanes", len(in.Addrs), in.ActiveLanes)
+		}
+	default:
+		return fmt.Sprintf("unknown kind %d", in.Kind)
+	}
+	return ""
+}
+
+// eachWarp calls fn on every warp in launch order and returns its first
+// error wrapped with the warp's position. It refuses an empty grid, block
+// or warp itself: the shape rules Validate and Pack share.
+func (k *Kernel) eachWarp(fn func(w *WarpTrace) error) error {
 	if len(k.Blocks) == 0 {
 		return fmt.Errorf("kernel %q has no blocks", k.Name)
 	}
@@ -158,32 +196,27 @@ func (k *Kernel) Validate(warpSize int) error {
 			if len(w.Instrs) == 0 {
 				return fmt.Errorf("kernel %q block %d warp %d is empty", k.Name, bi, wi)
 			}
-			for ii := range w.Instrs {
-				in := &w.Instrs[ii] // by index: an Instr is 48 bytes
-				if in.ActiveLanes <= 0 || in.ActiveLanes > warpSize {
-					return fmt.Errorf("kernel %q block %d warp %d insn %d: %d active lanes",
-						k.Name, bi, wi, ii, in.ActiveLanes)
-				}
-				switch in.Kind {
-				case Compute:
-					if in.Latency <= 0 {
-						return fmt.Errorf("kernel %q block %d warp %d insn %d: compute latency %d",
-							k.Name, bi, wi, ii, in.Latency)
-					}
-				case Load, Store:
-					if len(in.Addrs) == 0 {
-						return fmt.Errorf("kernel %q block %d warp %d insn %d: memory insn with no addresses",
-							k.Name, bi, wi, ii)
-					}
-					if len(in.Addrs) != in.ActiveLanes {
-						return fmt.Errorf("kernel %q block %d warp %d insn %d: %d addrs vs %d lanes",
-							k.Name, bi, wi, ii, len(in.Addrs), in.ActiveLanes)
-					}
-				default:
-					return fmt.Errorf("kernel %q block %d warp %d insn %d: unknown kind %d",
-						k.Name, bi, wi, ii, in.Kind)
-				}
+			if err := fn(w); err != nil {
+				return fmt.Errorf("kernel %q block %d warp %d: %w", k.Name, bi, wi, err)
 			}
+		}
+	}
+	return nil
+}
+
+// Validate checks structural sanity: non-empty grid, every memory
+// instruction has an address per lane, lane counts within warpSize. An
+// instruction-level failure is a wrapped *InstrError. Engine.Run does
+// not need it called first — packing enforces the same rules.
+func (k *Kernel) Validate(warpSize int) error {
+	return k.eachWarp(func(w *WarpTrace) error { return w.check(warpSize) })
+}
+
+// check finds the warp's first instruction that breaks a rule.
+func (w *WarpTrace) check(warpSize int) error {
+	for i := range w.Instrs { // by index: an Instr is 48 bytes
+		if detail := w.Instrs[i].check(warpSize); detail != "" {
+			return &InstrError{Insn: i, Detail: detail}
 		}
 	}
 	return nil

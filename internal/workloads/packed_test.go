@@ -59,7 +59,7 @@ func checkPacked(t *testing.T, k *trace.Kernel, src trace.Stream, sample func(bl
 		// -short leaves unsampled warps unpacked: InitPacked packs the
 		// sampled ones on demand, through the same WarpTrace.packed.
 		if !testing.Short() {
-			if err := k.Pack(lineSize); err != nil {
+			if err := k.Pack(lineSize, 32); err != nil {
 				t.Fatalf("%s lineSize=%d: %v", k.Name, lineSize, err)
 			}
 		}
