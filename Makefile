@@ -1,15 +1,17 @@
 # Build/test entry points. `make check` is the PR gate: it builds and
-# vets every package (vet runs over ./..., so new packages such as
-# internal/faultinject and internal/metrics are covered automatically),
-# then runs the short test suite under the race detector, which
-# exercises the internal/runner worker pool, the concurrent metrics
-# sinks, and the suite-level order-independence tests concurrently. `make faultcheck` runs just the fault-injection
-# suite — panic isolation, retries, deadlines, cache quarantine,
-# KeepGoing determinism — under the race detector.
+# vets every package (vet runs over ./..., so new packages are covered
+# automatically), then runs the short test suite under the race
+# detector, which exercises the internal/runner worker pool, the
+# concurrent metrics sinks, and the suite-level order-independence
+# tests concurrently.
+#
+# `make faultcheck` runs just the fault-injection suite — panic
+# isolation, retries, deadlines, cache quarantine, KeepGoing
+# determinism — under the race detector.
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke streamsmoke scalesmoke servesmoke benchsmoke figures bench benchgate clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke streamsmoke scalesmoke servesmoke benchsmoke figures clean
 
 all: build
 
@@ -59,36 +61,6 @@ streamsmoke: build
 		-metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
 	$(GO) run ./cmd/metriclint -metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
 	$(GO) run ./cmd/conform -run 'stream-*'
-
-# Regenerate the tracked performance baseline: every benchmark (with
-# allocation reporting baked into the benchmarks themselves) plus one
-# serial RunSuite(PaperSchemes()) wall-clock pass and the
-# BenchmarkEngineScaling cores=1/2/4/8 curve, distilled by cmd/benchjson
-# into this host class's entry of the per-host ledger,
-# BENCH_<fingerprint>.json, so the class hard-gates wall time and the
-# scaling curve from now on. `make benchgate` re-measures just the suite
-# wall pass and fails when it regressed >15% against the committed
-# baseline — the same gate CI runs.
-bench: build
-	$(GO) test -run '^$$' -bench . -timeout 60m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ | $(GO) run ./cmd/benchjson
-
-# The gate measures the wall headline (one 1x pass) plus the zero-alloc
-# hot-path benchmarks (enough iterations to amortize warm-up), the
-# streamed issue path and the warp pick included: wall time gates unconditionally against
-# this host class's ledger entry when one is committed; on any other
-# host the one committed entry (BENCH_amd64-1c1p.json) still supplies the
-# allocs/op baselines, which are deterministic per binary and gate
-# everywhere. The last line printed is the streamed/eager
-# issue-path ratio of the fresh run — ROADMAP item 2 wants it <= 1.1
-# before the eager frontend goes; it is reported, not gated.
-benchgate: build
-	$(GO) test -run '^$$' -bench 'BenchmarkSuitePaperWall' -benchtime 1x -timeout 30m . > /tmp/bench_fresh.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkPickWarp|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
-	$(GO) run ./cmd/benchjson -o /tmp/bench_fresh.json < /tmp/bench_fresh.txt
-	$(GO) run ./cmd/benchgate -baselines . -fresh /tmp/bench_fresh.json -max-regress-pct 15
-	@awk '$$1 ~ /^BenchmarkIssueStorePathStream(-[0-9]+)?$$/ { s = $$3 } \
-		$$1 ~ /^BenchmarkIssueStorePath(-[0-9]+)?$$/ { e = $$3 } \
-		END { if (e > 0) printf "benchgate: streamed/eager issue path %.2fx (%s / %s ns/op; target <= 1.10x, not gated)\n", s / e, s, e }' /tmp/bench_fresh.txt
 
 # Multi-core determinism smoke under the race detector: the same
 # dlpsim run serially and at -cores 0 (auto: all host CPUs) with the

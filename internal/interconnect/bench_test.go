@@ -7,13 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchmarkLanePushBatch measures the steady-state lane merge: one
+// lanePushBench builds the engine's per-cycle crossbar pattern: one
 // per-span lane batch handed to PushBatch (ownership transfer, no
 // copying), the network ticked until the batch arrives and is popped,
-// and the recycled segment reused as the next cycle's lane. This is the
-// engine's per-cycle crossbar pattern; it must stay allocation-free
-// once the segment free list is warm.
-func BenchmarkLanePushBatch(b *testing.B) {
+// and the recycled segment reused as the next cycle's lane. It returns
+// warm: the first cycle seeds the segment free list, the second starts
+// the lane-reuse steady state (PushBatch returns the first cycle's
+// recycled segment).
+func lanePushBench() (cycle func()) {
 	const batchSize = 8
 	n := New(2, 64, 32, 128, &stats.Stats{})
 	reqs := make([]*mem.Request, batchSize)
@@ -22,8 +23,7 @@ func BenchmarkLanePushBatch(b *testing.B) {
 	}
 	lane := make([]*mem.Request, 0, batchSize)
 	now := uint64(0)
-
-	cycle := func() {
+	cycle = func() {
 		lane = append(lane[:0], reqs...)
 		lane = n.PushBatch(ToMem, lane)
 		for {
@@ -38,14 +38,26 @@ func BenchmarkLanePushBatch(b *testing.B) {
 			}
 		}
 	}
-	// Two warm cycles: the first seeds the segment free list, the
-	// second starts the lane-reuse steady state (PushBatch returns the
-	// first cycle's recycled segment).
 	cycle()
 	cycle()
+	return cycle
+}
+
+// BenchmarkLanePushBatch measures the steady-state lane merge.
+func BenchmarkLanePushBatch(b *testing.B) {
+	cycle := lanePushBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// TestLanePushBatchAllocs pins the lane merge allocation-free once the
+// segment free list is warm: a nil or fresh segment out of PushBatch
+// would make the next cycle's lane fill allocate.
+func TestLanePushBatchAllocs(t *testing.T) {
+	if avg := testing.AllocsPerRun(200, lanePushBench()); avg != 0 {
+		t.Errorf("lane PushBatch cycle allocates %.2f per cycle, want 0", avg)
 	}
 }

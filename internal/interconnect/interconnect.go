@@ -28,61 +28,49 @@ const (
 type packet struct {
 	req      *mem.Request
 	arriveAt uint64
-	seq      uint64 // tie-break for deterministic ordering
 }
 
-// packetHeap is a hand-rolled min-heap ordered by (arriveAt, seq). It
-// replaces container/heap to keep the per-packet push/pop free of
-// interface boxing; seq makes the order total, so pop order — and thus
-// simulation behavior — is independent of internal heap layout.
-type packetHeap []packet
-
-func (h packetHeap) less(i, j int) bool {
-	if h[i].arriveAt != h[j].arriveAt {
-		return h[i].arriveAt < h[j].arriveAt
-	}
-	return h[i].seq < h[j].seq
+// flightQueue holds the packets on the wire, oldest first. Tick stamps
+// arriveAt = now + latency with a constant latency and a non-decreasing
+// now, so injection order is arrival order and a FIFO needs no sorting:
+// the head is always the earliest arrival. It is a ring over a
+// power-of-two buffer that doubles when full, so the steady state
+// allocates nothing.
+type flightQueue struct {
+	buf  []packet // len is zero or a power of two
+	head int      // index of the oldest packet
+	n    int      // packets in flight
 }
 
-func (h *packetHeap) push(p packet) {
-	*h = append(*h, p)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+func (q *flightQueue) push(p packet) {
+	if q.n == len(q.buf) {
+		buf := make([]packet, max(8, 2*len(q.buf)))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
 	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
 }
 
-func (h *packetHeap) pop() packet {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = packet{} // drop the stale request reference
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+// next returns the arrival cycle of the oldest packet in flight.
+func (q *flightQueue) next() (at uint64, ok bool) {
+	if q.n == 0 {
+		return 0, false
 	}
-	return top
+	return q.buf[q.head].arriveAt, true
+}
+
+// arrived pops the head if its flight is over by cycle now, else nil.
+func (q *flightQueue) arrived(now uint64) *mem.Request {
+	if at, ok := q.next(); !ok || at > now {
+		return nil
+	}
+	req := q.buf[q.head].req
+	q.buf[q.head].req = nil // the ring must not pin delivered requests alive
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return req
 }
 
 type direction struct {
@@ -101,7 +89,7 @@ type direction struct {
 	count    int
 	openTail bool
 	free     [][]*mem.Request
-	inFlight packetHeap
+	inFlight flightQueue
 	budget   int // flits remaining this cycle
 	sent     int // flits of the head waiting packet already on the wire
 }
@@ -148,7 +136,6 @@ type Network struct {
 	lineSize  int
 	dirs      [2]direction
 	now       uint64
-	seq       uint64
 	st        *stats.Stats
 }
 
@@ -210,18 +197,16 @@ func (n *Network) Tick(now uint64) {
 			}
 			dir.budget -= remaining
 			dir.sent = 0
-			n.countFlits(req, flits)
-			n.seq++
-			dir.inFlight.push(packet{req: req, arriveAt: now + n.latency, seq: n.seq})
+			n.countFlits(flits)
+			dir.inFlight.push(packet{req: req, arriveAt: now + n.latency})
 			dir.popHead()
 		}
 	}
 }
 
-func (n *Network) countFlits(req *mem.Request, flits int) {
+func (n *Network) countFlits(flits int) {
 	n.st.ICNTFlits += uint64(flits)
 	n.st.ICNTDataFlits += uint64(flits)
-	_ = req
 }
 
 // Push enqueues a packet for injection in the given direction. Packets
@@ -258,11 +243,7 @@ func (n *Network) PushBatch(dir Direction, batch []*mem.Request) []*mem.Request 
 // PopArrived returns the next packet that has completed its flight in the
 // given direction, or nil.
 func (n *Network) PopArrived(dir Direction) *mem.Request {
-	d := &n.dirs[dir]
-	if len(d.inFlight) == 0 || d.inFlight[0].arriveAt > n.now {
-		return nil
-	}
-	return d.inFlight.pop().req
+	return n.dirs[dir].inFlight.arrived(n.now)
 }
 
 // HasWaiting reports whether any packet sits in an injection queue. A
@@ -278,8 +259,8 @@ func (n *Network) HasWaiting() bool {
 // now and that cycle every Tick is a pure no-op.
 func (n *Network) NextArrival() (at uint64, ok bool) {
 	for d := range n.dirs {
-		if f := n.dirs[d].inFlight; len(f) > 0 && (!ok || f[0].arriveAt < at) {
-			at, ok = f[0].arriveAt, true
+		if a, flying := n.dirs[d].inFlight.next(); flying && (!ok || a < at) {
+			at, ok = a, true
 		}
 	}
 	return at, ok
@@ -294,7 +275,7 @@ func (n *Network) AddBackgroundFlits(flits uint64) {
 // Pending reports whether any packet is waiting or in flight.
 func (n *Network) Pending() bool {
 	for d := range n.dirs {
-		if n.dirs[d].count > 0 || len(n.dirs[d].inFlight) > 0 {
+		if n.dirs[d].count > 0 || n.dirs[d].inFlight.n > 0 {
 			return true
 		}
 	}

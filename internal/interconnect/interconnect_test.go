@@ -218,3 +218,84 @@ func TestPending(t *testing.T) {
 		t.Error("drained network still pending")
 	}
 }
+
+// TestArrivalExactlyLatencyAfterInjection drives mixed one-flit and
+// data packets in both directions the way the engine does — every
+// cycle while a packet waits, otherwise jumping irregular gaps capped
+// at NextArrival, as fast-forward does — and checks that each packet
+// pops exactly latency cycles after the Tick that injected it, in
+// injection order. Bandwidths 1 and 2 stream the 5-flit packets across
+// cycles; 64 keeps enough packets on the wire to grow and wrap the
+// in-flight ring.
+func TestArrivalExactlyLatencyAfterInjection(t *testing.T) {
+	const latency, steps = 7, 300
+	type sent struct {
+		req *mem.Request
+		at  uint64 // cycle of the injecting Tick
+	}
+	for _, bw := range []int{1, 2, 5, 64} {
+		n, _ := newNet(latency, bw)
+		var waiting [2][]*mem.Request
+		var flying [2][]sent
+		pushed, delivered := 0, 0
+		now := uint64(0)
+		for i := 0; i < steps || n.Pending(); i++ {
+			if i < steps {
+				for d, k := range [2]int{ToMem: i * 7 % 4, ToCore: i * 5 % 3} {
+					for j := 0; j < k; j++ {
+						r := &mem.Request{ID: uint64(pushed), Store: (i+j+d)%3 == 0}
+						pushed++
+						waiting[d] = append(waiting[d], r)
+						n.Push(Direction(d), r)
+					}
+				}
+			}
+			n.Tick(now)
+			for d := range waiting {
+				k := len(waiting[d]) - n.dirs[d].count // injected by this Tick
+				for _, r := range waiting[d][:k] {
+					flying[d] = append(flying[d], sent{req: r, at: now})
+				}
+				waiting[d] = waiting[d][k:]
+			}
+			wantNext, wantOK := uint64(0), false
+			for d := range flying {
+				for r := n.PopArrived(Direction(d)); r != nil; r = n.PopArrived(Direction(d)) {
+					if len(flying[d]) == 0 || flying[d][0].req != r {
+						t.Fatalf("bw %d dir %d cycle %d: popped request %d out of injection order", bw, d, now, r.ID)
+					}
+					if got := now - flying[d][0].at; got != latency {
+						t.Fatalf("bw %d dir %d: request %d injected at %d popped at %d, want %d cycles of flight",
+							bw, d, r.ID, flying[d][0].at, now, latency)
+					}
+					flying[d] = flying[d][1:]
+					delivered++
+				}
+				if got := n.dirs[d].inFlight.n; got != len(flying[d]) {
+					t.Fatalf("bw %d dir %d cycle %d: %d in flight, want %d", bw, d, now, got, len(flying[d]))
+				}
+				if len(flying[d]) > 0 {
+					if at := flying[d][0].at + latency; at <= now {
+						t.Fatalf("bw %d dir %d cycle %d: arrival due at %d was not popped", bw, d, now, at)
+					} else if !wantOK || at < wantNext {
+						wantNext, wantOK = at, true
+					}
+				}
+			}
+			next, ok := n.NextArrival()
+			if ok != wantOK || next != wantNext {
+				t.Fatalf("bw %d cycle %d: NextArrival = %d, %v, want %d, %v", bw, now, next, ok, wantNext, wantOK)
+			}
+			if n.HasWaiting() {
+				now++
+			} else if gap := 1 + uint64(i*11%9); ok && next < now+gap {
+				now = next
+			} else {
+				now += gap
+			}
+		}
+		if delivered != pushed {
+			t.Errorf("bw %d: delivered %d of %d packets", bw, delivered, pushed)
+		}
+	}
+}

@@ -10,7 +10,7 @@ func (n *Network) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	for d, name := range [2]string{ToMem: "to_mem", ToCore: "to_core"} {
 		dir := &n.dirs[d]
 		reg.IntGauge(prefix+"."+name+".waiting", func() int { return dir.count })
-		reg.IntGauge(prefix+"."+name+".in_flight", func() int { return len(dir.inFlight) })
+		reg.IntGauge(prefix+"."+name+".in_flight", func() int { return dir.inFlight.n })
 	}
 }
 

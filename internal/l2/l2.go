@@ -184,7 +184,7 @@ func (p *Partition) service(req *mem.Request) bool {
 		p.st.L2Misses++
 		evicted := p.ta.Reserve(set, victim, req.Addr)
 		if evicted.Valid && evicted.Dirty {
-			p.writeback(evicted, set)
+			p.writeback(evicted)
 		}
 		p.mshr[req.Addr] = append(p.getWaiters(), req)
 		done := p.dram.Access(req.Addr, p.mapper.LineSize(), p.now)
@@ -250,12 +250,11 @@ func (p *Partition) putWaiters(w []*mem.Request) {
 }
 
 // writeback sends a dirty victim to DRAM.
-func (p *Partition) writeback(evicted cache.Line, set int) {
+func (p *Partition) writeback(evicted cache.Line) {
 	// Reconstruct the line address from the tag (tag == full line number).
 	lineAddr := addr.Addr(evicted.Tag * uint64(p.mapper.LineSize()))
 	p.dram.Access(lineAddr, p.mapper.LineSize(), p.now)
 	p.st.DRAMWrites++
-	_ = set
 }
 
 // completeFill lands a DRAM read: fill the reserved line and release all

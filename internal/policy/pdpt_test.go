@@ -138,6 +138,30 @@ func TestEndSampleResetsCounters(t *testing.T) {
 	}
 }
 
+// TestPDPTSampleAllocs pins the Fig. 9 PD-computation cycle at zero
+// allocations: it runs inside every L1D access of GP and DLP. One run
+// is one whole sampling period (200 credited accesses, then EndSample)
+// because AllocsPerRun rounds down — a per-sample allocation averaged
+// over per-access runs would read as 0. The TDA share changes from
+// period to period so the increase, decrease and hold branches all run.
+func TestPDPTSampleAllocs(t *testing.T) {
+	p := NewPDPT(128, 4, 15)
+	period := 0
+	avg := testing.AllocsPerRun(30, func() {
+		period++
+		for i := 0; i < 200; i++ {
+			p.CreditVTA(uint8(i % 128))
+			for k := 0; k < period%3*2; k++ { // 0, 2 or 4 TDA hits per VTA hit
+				p.CreditTDA(uint8((i + 7) % 128))
+			}
+		}
+		p.EndSample()
+	})
+	if avg != 0 {
+		t.Errorf("PDPT sampling period allocates %.2f times, want 0", avg)
+	}
+}
+
 // TestPDBoundsProperty: no sequence of credits and samples can push any
 // PD outside [0, maxPD].
 func TestPDBoundsProperty(t *testing.T) {

@@ -6,32 +6,48 @@ import (
 	"repro/internal/config"
 )
 
-// BenchmarkStealScheduleStep measures the fixed per-cycle cost of the
-// restructured exchange on an idle machine: the serial arrival binning
-// (nothing to bin), one steal phase over every span (workers claim from
-// the shared cursor, tick idle components, drain empty lanes), and the
-// serial O(spans) merge. This is exactly the overhead the tentpole
-// shrank — the old coordinator walked every SM, partition and packet
-// serially — and it must stay allocation-free at steady state.
-func BenchmarkStealScheduleStep(b *testing.B) {
+// stealStepBench builds a four-shard engine on an idle machine and
+// returns one exchange step: the serial arrival binning (nothing to
+// bin), one steal phase over every span (workers claim from the shared
+// cursor, tick idle components, drain empty lanes), and the serial
+// O(spans) merge — the fixed per-cycle cost of the phase-parallel
+// engine. The first step, which warms span lanes and per-worker state,
+// has already run.
+func stealStepBench(tb testing.TB) (step func()) {
 	e, err := New(config.Baseline(), config.PolicyDLP, Options{Cores: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pp := newPhasePool(e)
 	e.pp = pp
-	defer func() {
+	tb.Cleanup(func() {
 		pp.stop()
 		e.pp = nil
-	}()
+	})
+	now := uint64(0)
+	step = func() {
+		now++
+		e.step(now)
+	}
+	step()
+	return step
+}
 
-	now := uint64(1)
-	e.step(now) // warm span lanes and per-worker state
-	now++
+// BenchmarkStealScheduleStep measures the idle exchange step.
+func BenchmarkStealScheduleStep(b *testing.B) {
+	step := stealStepBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.step(now)
-		now++
+		step()
+	}
+}
+
+// TestStealScheduleStepAllocs pins the exchange step allocation-free at
+// steady state: span lanes and per-worker scratch are reused, never
+// rebuilt per cycle.
+func TestStealScheduleStepAllocs(t *testing.T) {
+	if avg := testing.AllocsPerRun(200, stealStepBench(t)); avg != 0 {
+		t.Errorf("idle steal-schedule step allocates %.2f per cycle, want 0", avg)
 	}
 }

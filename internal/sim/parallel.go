@@ -145,8 +145,8 @@ func (e *Engine) tickSpan(si int, now uint64) {
 	st.inPut = st.inPut[:0]
 	// Batched delivery: the serial pre-phase only binned the arrived
 	// packets; the MSHR/L2 work of applying them happens here, span-
-	// locally. Bin order preserves the per-direction (arriveAt, seq)
-	// heap order, so each component sees deliveries exactly as the
+	// locally. Bin order preserves the crossbar's per-direction
+	// arrival order, so each component sees deliveries exactly as the
 	// serial engine ordered them.
 	for j, r := range st.inMem {
 		st.inMem[j] = nil

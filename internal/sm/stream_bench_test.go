@@ -16,7 +16,7 @@ import (
 // the pooled chunk, and per-chunk coalesced-line memoization — so the
 // measured round covers the streamed frontend's whole refill + issue
 // path, not just the issue tail.
-func storeBenchStream(t testing.TB) (s *SM, step func()) {
+func storeBenchStream(t *testing.T) (s *SM, step func()) {
 	cfg := config.Baseline()
 	pool := mem.NewPool()
 	s = New(cfg, 0, config.PolicyBaseline, pool)
@@ -59,17 +59,6 @@ func storeBenchStream(t testing.TB) (s *SM, step func()) {
 		tick() // drain
 	}
 	return s, step
-}
-
-// BenchmarkIssueStorePathStream is BenchmarkIssueStorePath over the
-// streamed frontend, chunk refill included.
-func BenchmarkIssueStorePathStream(b *testing.B) {
-	b.ReportAllocs()
-	_, step := storeBenchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
 }
 
 // TestIssueStorePathStreamAllocs pins the stream-backed LD/ST issue
