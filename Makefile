@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke streamsmoke scalesmoke servesmoke benchsmoke figures clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke figures clean
 
 all: build
 
@@ -44,6 +44,22 @@ conform: build
 # written to /tmp/conffuzz-findings as ready-to-commit corpus cases.
 fuzzsmoke: build
 	$(GO) run -race ./cmd/conffuzz -seed 1 -n 200 -out /tmp/conffuzz-findings
+
+# Observability smoke, the end-to-end fence of the shared run harness
+# (internal/cli): one tiny suite with -metrics and -trace enabled, then
+# prove both exported files re-parse — the JSONL stream with the schema
+# and arity checks, the Chrome trace with the phase validation Perfetto
+# relies on. BFS keeps a cache-insufficient app in the subset so the
+# headline geomeans are defined. A second point runs a
+# registry-extension policy through dlpsim so the non-paper schemes'
+# metric namespaces stay linted too.
+obssmoke: build
+	$(GO) run ./cmd/paperfigs -exp fig10 -apps BP,HS,BFS -quiet \
+		-metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
+	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
+	$(GO) run ./cmd/dlpsim -app HS -policy ata \
+		-metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
+	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
 
 # Full suite, including the ~2 min headline reproduction tests.
 test: build vet

@@ -125,6 +125,29 @@ func runAblation(ctx context.Context, name string, pol Policy, apps []string, va
 	return ab, err
 }
 
+// Sweep is one named parameter sweep of the `ablate` command.
+type Sweep struct {
+	Name string
+	// Paper marks the sweeps of `ablate -sweep all`, the content of the
+	// committed ablate_output.txt; the others are reachable by name only,
+	// so that reference never drifts as policies are added.
+	Paper bool
+	Run   func(ctx context.Context, apps []string, r *Runner) (*Ablation, error)
+}
+
+// Sweeps lists every ablation in the order `ablate` prints them.
+func Sweeps() []Sweep {
+	return []Sweep{
+		{"sample-period", true, AblateSamplePeriod},
+		{"pd-bits", true, AblatePDBits},
+		{"vta-ways", true, AblateVTAWays},
+		{"warp-limit", true, AblateWarpLimit},
+		{"ata-ways", false, AblateATAWays},
+		{"ccws-lifetime", false, AblateCCWSLifetime},
+		{"pred-dead-periods", false, AblatePredictorDeadPeriods},
+	}
+}
+
 // AblateSamplePeriod sweeps the sampling period (§4.1.4; paper: 200
 // cache accesses).
 func AblateSamplePeriod(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {

@@ -7,231 +7,75 @@
 // "all", so the committed reference output is unchanged): ata-ways
 // (aggregated-tag associativity under ATA), ccws-lifetime (CCWS-lite
 // protection lifetime in accesses), and pred-dead-periods (reuse
-// predictor dead threshold).
+// predictor dead threshold). dlpsim.Sweeps is the list.
 //
-// Sweeps execute on a parallel worker pool with a shared result cache,
-// so the per-app baseline runs — identical in every sweep — simulate
-// only once per invocation. Ctrl-C cancels in-flight runs promptly.
+// Sweeps execute on one worker pool with one result cache, so the
+// per-app baseline runs — identical in every sweep — simulate only once
+// per invocation.
 //
 // Usage:
 //
-//	ablate                      # all three sweeps on the default apps
+//	ablate                      # the paper's sweeps on the default apps
 //	ablate -sweep pd-bits       # one sweep
 //	ablate -apps CFD,KM         # choose applications
-//	ablate -j 8                 # worker-pool size (default GOMAXPROCS)
-//	ablate -j 4 -cores 2        # 4 jobs x 2 phase shards per simulation
 //
-// Failure semantics: the first failing run cancels the sweep unless
-// -keep-going is set, in which case failed points render as FAILED
-// cells and the process exits 1 after printing every sweep it could.
-// -retries and -timeout bound transient failures and per-job wall
-// time; -selfcheck turns on the engine's sampled invariant sweeps.
-// Exit codes: 0 success, 1 failure or partial sweep, 130 interrupted.
-//
-// Observability: -metrics FILE streams cycle-domain counter samples
-// (JSONL, one series per simulated point); -trace FILE writes a Chrome
-// trace_event timeline of all sweeps, viewable at ui.perfetto.dev.
+// The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
+// -retries -timeout -selfcheck -cores -metrics -metrics-every -trace),
+// the progress lines and the exit codes are the shared run harness's;
+// see internal/cli. With -keep-going failed points render as FAILED
+// cells and every sweep that could run is still printed.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	dlpsim "repro"
 	"repro/internal/cli"
 )
 
-// profiler owns the optional pprof outputs. Stop is idempotent and runs
-// on every exit path so the profile files are always complete.
-type profiler struct {
-	cpu     *os.File
-	memPath string
-	stopped bool
-}
-
-var prof profiler
-
-func (p *profiler) Start(cpuPath, memPath string) error {
-	p.memPath = memPath
-	if cpuPath == "" {
-		return nil
-	}
-	f, err := os.Create(cpuPath)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	p.cpu = f
-	return nil
-}
-
-func (p *profiler) Stop() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.cpu != nil {
-		pprof.StopCPUProfile()
-		p.cpu.Close()
-	}
-	if p.memPath != "" {
-		f, err := os.Create(p.memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		runtime.GC() // materialize the steady-state live set
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-		f.Close()
-	}
-}
-
-// obs owns the -metrics/-trace outputs; like prof it is flushed on
-// every exit path (Close is idempotent, and a nil obs is inert).
-var obs *cli.Observability
-
-// fatal reports err and exits with the shared code convention — 130
-// for an interrupted sweep, 1 for everything else.
-func fatal(err error) {
-	prof.Stop()
-	obs.Close()
-	log.Print(err)
-	os.Exit(cli.ExitCode(err))
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ablate: ")
+	var run cli.Session
+	run.ExecFlags(flag.CommandLine)
+	run.BatchFlags(flag.CommandLine)
 	sweep := flag.String("sweep", "all", "sample-period | pd-bits | vta-ways | warp-limit | all (paper sweeps) | ata-ways | ccws-lifetime | pred-dead-periods (opt-in)")
 	appsFlag := flag.String("apps", strings.Join(dlpsim.DefaultAblationApps(), ","),
 		"comma-separated application abbreviations")
-	workers := flag.Int("j", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
-	keepGoing := flag.Bool("keep-going", false, "run every job even after failures; render FAILED cells and exit 1")
-	retries := flag.Int("retries", 0, "extra attempts for transiently failed jobs")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock budget (e.g. 5m); 0 = none")
-	selfCheck := flag.Bool("selfcheck", false, "enable sampled engine invariant sweeps on every job")
-	cores := flag.Int("cores", 1, "phase-parallel shards inside each simulation (0 = auto: all host CPUs; Workers x cores capped at GOMAXPROCS); output is identical at any value")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsPath := flag.String("metrics", "", "stream cycle-domain counter samples (JSONL) to this file")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-	metricsEvery := flag.Uint64("metrics-every", 0, "sampling period in cycles for -metrics; 0 = default (4096)")
 	flag.Parse()
 
-	resolvedCores, err := cli.ResolveCores(*cores)
+	ctx, r, err := run.Start(dlpsim.NewRunCache())
 	if err != nil {
-		fatal(err)
+		run.Exit(err)
 	}
-	*cores = resolvedCores
-
-	if err := prof.Start(*cpuProfile, *memProfile); err != nil {
-		fatal(err)
-	}
-	defer prof.Stop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cache := dlpsim.NewRunCache()
-	obs, err = cli.OpenObservability(*metricsPath, *tracePath, cache)
-	if err != nil {
-		fatal(err)
-	}
-	defer obs.Close()
-
 	var apps []string
 	for _, a := range strings.Split(*appsFlag, ",") {
 		apps = append(apps, strings.ToUpper(strings.TrimSpace(a)))
 	}
 
-	// One runner — one worker pool, one result cache — serves every
-	// sweep, so the shared baseline points are simulated exactly once.
-	r := &dlpsim.Runner{
-		Workers:   *workers,
-		Cache:     cache,
-		KeepGoing: *keepGoing,
-		Retries:   *retries,
-		Timeout:   *timeout,
-		SelfCheck: *selfCheck,
-		Cores:     *cores,
-		Events: obs.Events(func(ev dlpsim.RunEvent) {
-			if *quiet || ev.Kind != dlpsim.JobDone || ev.Cached {
-				return
-			}
-			if ev.Err != nil {
-				fmt.Fprintf(os.Stderr, "FAILED %s: %v\n", ev.Label, ev.Err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "ran %s (%.1fs)\n", ev.Label, ev.Wall.Seconds())
-		}),
-		Metrics:      obs.Sink(),
-		MetricsEvery: *metricsEvery,
-	}
-
-	sweeps := map[string]func(context.Context, []string, *dlpsim.Runner) (*dlpsim.Ablation, error){
-		"sample-period": dlpsim.AblateSamplePeriod,
-		"pd-bits":       dlpsim.AblatePDBits,
-		"vta-ways":      dlpsim.AblateVTAWays,
-		"warp-limit":    dlpsim.AblateWarpLimit,
-		// Non-paper policy sweeps, reachable by name only: "all" stays
-		// the paper set so the committed reference output never drifts.
-		"ata-ways":          dlpsim.AblateATAWays,
-		"ccws-lifetime":     dlpsim.AblateCCWSLifetime,
-		"pred-dead-periods": dlpsim.AblatePredictorDeadPeriods,
-	}
-	paper := []string{"sample-period", "pd-bits", "vta-ways", "warp-limit"}
-	order := append(append([]string{}, paper...), "ata-ways", "ccws-lifetime", "pred-dead-periods")
-	inPaper := map[string]bool{}
-	for _, name := range paper {
-		inPaper[name] = true
-	}
-	ran, partial := false, false
-	for _, name := range order {
-		if *sweep == "all" {
-			if !inPaper[name] {
-				continue
-			}
-		} else if *sweep != name {
+	ran := false
+	var partial error
+	for _, sw := range dlpsim.Sweeps() {
+		if *sweep != sw.Name && !(*sweep == "all" && sw.Paper) {
 			continue
 		}
-		ab, err := sweeps[name](ctx, apps, r)
-		if err != nil {
-			// A keep-going sweep returns its partial table alongside a
-			// *BatchError: render the FAILED cells, summarize the
-			// failures, and move on to the next sweep.
-			var be *dlpsim.BatchError
-			if !(*keepGoing && errors.As(err, &be) && ab != nil) {
-				fatal(err)
-			}
-			partial = true
-			fmt.Fprintln(os.Stderr, be.Error())
+		// A keep-going sweep returns its partial table alongside a
+		// *BatchError: render the FAILED cells and move on to the next
+		// sweep; the failures are reported at exit.
+		ab, err := sw.Run(ctx, apps, r)
+		if ab == nil {
+			run.Exit(err)
 		}
+		partial = errors.Join(partial, err)
 		fmt.Println(ab.Render())
 		ran = true
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown sweep %q", *sweep))
+		run.Exit(fmt.Errorf("unknown sweep %q", *sweep))
 	}
-	if partial {
-		prof.Stop()
-		obs.Close()
-		os.Exit(1)
-	}
-	if err := obs.Close(); err != nil {
-		log.Fatal(err)
-	}
+	run.Exit(partial)
 }

@@ -53,7 +53,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address (host:port; port 0 = ephemeral)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	jobs := flag.Int("j", 0, "simulations in flight across all tenants; 0 = GOMAXPROCS")
-	cores := flag.Int("cores", 1, "per-simulation phase-parallelism cap (results identical at any value)")
+	coresFlag := flag.Int("cores", 1, "per-simulation phase-parallelism cap (0 = auto: all host CPUs); results identical at any value")
 	queueDepth := flag.Int("queue", 64, "pending jobs allowed per tenant before 429")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory (\"\" = memory only)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per job; 0 = none")
@@ -61,10 +61,14 @@ func main() {
 	selfcheck := flag.Bool("selfcheck", false, "run sampled invariant sweeps on every job")
 	retries := flag.Int("retries", 0, "transient-failure retries per job")
 	flag.Parse()
+	cores, err := cli.ResolveCores(*coresFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if err := run(*addr, *addrFile, serve.Config{
 		Workers:      *jobs,
-		Cores:        *cores,
+		Cores:        cores,
 		QueueDepth:   *queueDepth,
 		Timeout:      *timeout,
 		DrainTimeout: *drain,

@@ -7,36 +7,23 @@
 // shared between experiments (e.g. the 16KB and 32KB baselines of
 // Figs. 5 and 10) simulate only once. With -cache DIR results persist
 // on disk, so re-running regenerates everything without simulating.
-// Interrupting (Ctrl-C) cancels in-flight simulations promptly.
 //
 // Usage:
 //
 //	paperfigs                 # everything
 //	paperfigs -exp fig10      # one experiment
 //	paperfigs -exp fig3,fig7  # a comma-separated subset
-//	paperfigs -j 8            # worker-pool size (default GOMAXPROCS)
-//	paperfigs -j 4 -cores 2   # 4 jobs x 2 phase shards per simulation
 //	paperfigs -cache .figcache  # persist results across runs
-//	paperfigs -quiet          # suppress per-run progress
 //
-// Failure semantics: by default the first failing simulation cancels
-// the batch. With -keep-going the whole suite runs to completion,
-// failed points render as FAILED cells, every failure is summarized on
-// stderr, and the exit status is 1. -retries N re-runs transiently
-// failed jobs, -timeout D bounds each job's wall time, and -selfcheck
-// turns on the engine's sampled invariant sweeps (results are
-// byte-identical either way; only a broken engine build notices).
+// The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
+// -retries -timeout -selfcheck -cores -metrics -metrics-every -trace),
+// the progress lines and the exit codes are the shared run harness's;
+// see internal/cli. With -keep-going failed points render as FAILED
+// cells and the speedup summaries are left out.
 //
-// Exit codes: 0 success, 1 failure or partial -keep-going suite, 130
-// interrupted (Ctrl-C).
-//
-// Observability: -metrics FILE streams cycle-domain counter samples
-// (JSONL, one series per simulated point) and -trace FILE writes a
-// Chrome trace_event timeline of the whole run — job queue/run/cache
-// spans plus cache and batch-progress counter tracks — viewable at
-// ui.perfetto.dev. -apps BP,HS restricts the simulation suites to an
-// application subset (labels as in Table 2) for quick looks and CI
-// smokes; the committed reference outputs always use the full set.
+// -apps BP,HS restricts the simulation suites to an application subset
+// (labels as in Table 2) for quick looks and CI smokes; the committed
+// reference outputs always use the full set.
 //
 // -stream feeds the suites through the lazy chunked stream frontend:
 // every table stays byte-identical while suite startup skips kernel
@@ -50,328 +37,64 @@
 // "policies" — a cross-policy comparison including the schemes beyond
 // the paper's four (ATA, CCWS-lite, ReusePredictor) — is opt-in only:
 // it is not part of "all", so the committed reference outputs are
-// unchanged by the registry growing.
+// unchanged by the registry growing. The order and content of what is
+// printed live in dlpsim.WritePaperFigs, which the drift test shares.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	dlpsim "repro"
 	"repro/internal/cli"
 )
 
-// profiler owns the optional pprof outputs. Stop is idempotent and runs
-// on every exit path (including log.Fatal via check) so the profile
-// files are always complete.
-type profiler struct {
-	cpu     *os.File
-	memPath string
-	stopped bool
-}
-
-var prof profiler
-
-func (p *profiler) Start(cpuPath, memPath string) error {
-	p.memPath = memPath
-	if cpuPath == "" {
-		return nil
-	}
-	f, err := os.Create(cpuPath)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	p.cpu = f
-	return nil
-}
-
-func (p *profiler) Stop() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.cpu != nil {
-		pprof.StopCPUProfile()
-		p.cpu.Close()
-	}
-	if p.memPath != "" {
-		f, err := os.Create(p.memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		runtime.GC() // materialize the steady-state live set
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-		f.Close()
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
+	var run cli.Session
+	run.ExecFlags(flag.CommandLine)
+	run.BatchFlags(flag.CommandLine)
 	exp := flag.String("exp", "all", "comma-separated experiment ids (default: all)")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
 	format := flag.String("format", "text", "text | csv")
-	workers := flag.Int("j", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "persist simulation results under this directory")
-	keepGoing := flag.Bool("keep-going", false, "run every job even after failures; render FAILED cells and exit 1")
-	retries := flag.Int("retries", 0, "extra attempts for transiently failed jobs")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock budget (e.g. 5m); 0 = none")
-	selfCheck := flag.Bool("selfcheck", false, "enable sampled engine invariant sweeps on every job")
-	coresFlag := flag.Int("cores", 1, "phase-parallel shards inside each simulation (0 = auto: all host CPUs; Workers x cores capped at GOMAXPROCS); output is identical at any value")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsPath := flag.String("metrics", "", "stream cycle-domain counter samples (JSONL) to this file")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-	metricsEvery := flag.Uint64("metrics-every", 0, "sampling period in cycles for -metrics; 0 = default (4096)")
 	appsFlag := flag.String("apps", "", "comma-separated application subset for the simulation suites (default: all 18)")
-	streamFlag := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
-	scaleFlag := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
+	stream := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
+	scale := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
 	flag.Parse()
-	if *scaleFlag < 1 {
-		log.Fatalf("-scale %d: must be >= 1", *scaleFlag)
+	if *scale < 1 {
+		log.Fatalf("-scale %d: must be >= 1", *scale)
 	}
-	resolvedCores, err := cli.ResolveCores(*coresFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	*coresFlag = resolvedCores
-	useCSV := strings.EqualFold(*format, "csv")
 
-	check(prof.Start(*cpuProfile, *memProfile))
-	defer prof.Stop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	has := func(id string) bool { return want["all"] || want[id] }
-
-	// One cache and one event sink are shared by every suite in this
+	// One cache and one runner are shared by every suite in this
 	// invocation, so overlapping (config, policy, kernel) points — the
 	// baseline and 32KB runs appear in both Fig. 5 and Fig. 10 — are
 	// simulated once and recalled afterwards.
 	cache := dlpsim.NewRunCache()
 	if *cacheDir != "" {
 		var err error
-		cache, err = dlpsim.OpenRunCache(*cacheDir)
-		check(err)
+		if cache, err = dlpsim.OpenRunCache(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
 	}
-	obs, err = cli.OpenObservability(*metricsPath, *tracePath, cache)
-	check(err)
-	defer obs.Close()
-
-	var apps []dlpsim.Workload
+	ctx, r, err := run.Start(cache)
+	if err != nil {
+		run.Exit(err)
+	}
+	opts := &dlpsim.SuiteOptions{Runner: r, Stream: *stream, Scale: *scale}
 	if *appsFlag != "" {
 		for _, abbr := range strings.Split(*appsFlag, ",") {
 			spec, err := dlpsim.WorkloadByAbbr(strings.TrimSpace(abbr))
-			check(err)
-			apps = append(apps, spec)
-		}
-	}
-	start := time.Now()
-	var simulated, recalled int
-	events := func(ev dlpsim.RunEvent) {
-		if ev.Kind != dlpsim.JobDone {
-			return
-		}
-		if ev.Cached {
-			recalled++
-			return
-		}
-		simulated++
-		if *quiet {
-			return
-		}
-		if ev.Err != nil {
-			fmt.Fprintf(os.Stderr, "FAILED %s: %v\n", ev.Label, ev.Err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "ran %s (%.1fs, %d/%d done)\n",
-			ev.Label, ev.Wall.Seconds(), ev.Done, ev.Done+ev.Running+ev.Queued)
-	}
-	suiteOpts := &dlpsim.SuiteOptions{
-		Workers:   *workers,
-		Cache:     cache,
-		Events:    obs.Events(events),
-		Apps:      apps,
-		KeepGoing: *keepGoing,
-		Retries:   *retries,
-		Timeout:   *timeout,
-		SelfCheck: *selfCheck,
-		Cores:     *coresFlag,
-
-		Metrics:      obs.Sink(),
-		MetricsEvery: *metricsEvery,
-
-		Stream: *streamFlag,
-		Scale:  *scaleFlag,
-	}
-
-	// In -keep-going mode a suite may come back partial: usable tables
-	// with FAILED cells plus a *BatchError listing what went wrong. The
-	// failures are summarized on stderr and remembered so the process
-	// can exit non-zero after rendering everything it has.
-	partial := false
-	runSuite := func(schemes []dlpsim.Scheme) *dlpsim.SuiteResult {
-		suite, err := dlpsim.RunSuite(ctx, schemes, suiteOpts)
-		if err != nil {
-			var be *dlpsim.BatchError
-			if *keepGoing && errors.As(err, &be) && suite != nil {
-				partial = true
-				fmt.Fprintln(os.Stderr, be.Error())
-				return suite
+			if err != nil {
+				run.Exit(err)
 			}
-			fatal(err)
-		}
-		return suite
-	}
-
-	if has("table2") {
-		fmt.Println(dlpsim.Table2())
-	}
-	if has("overhead") {
-		fmt.Println(dlpsim.OverheadReport(dlpsim.BaselineConfig()))
-	}
-	renderDist := func(d *dlpsim.Distribution) {
-		if useCSV {
-			render(d.RenderCSV)
-			return
-		}
-		render(d.Render)
-	}
-	renderTable := func(t *dlpsim.Table, err error) {
-		check(err)
-		if useCSV {
-			render(t.RenderCSV)
-			return
-		}
-		render(t.Render)
-	}
-
-	if has("fig3") {
-		renderDist(dlpsim.Fig3RDD())
-	}
-	if has("fig4") {
-		renderTable(dlpsim.Fig4MissRates())
-	}
-	if has("fig6") {
-		renderTable(dlpsim.Fig6Ratios())
-	}
-	if has("fig7") {
-		renderDist(dlpsim.Fig7BFS())
-	}
-
-	if has("fig5") {
-		suite := runSuite(dlpsim.AssocSchemes())
-		renderTable(suite.Fig5IPC())
-	}
-
-	needEval := has("fig10") || has("fig11a") || has("fig11b") ||
-		has("fig12a") || has("fig12b") || has("fig13")
-	if needEval {
-		suite := runSuite(dlpsim.PaperSchemes())
-		builders := []struct {
-			id    string
-			build func() (*dlpsim.Table, error)
-		}{
-			{"fig10", suite.Fig10IPC},
-			{"fig11a", suite.Fig11aTraffic},
-			{"fig11b", suite.Fig11bEvictions},
-			{"fig12a", suite.Fig12aHitRate},
-			{"fig12b", suite.Fig12bHits},
-			{"fig13", suite.Fig13ICNT},
-		}
-		for _, b := range builders {
-			if !has(b.id) {
-				continue
-			}
-			renderTable(b.build())
-		}
-		if has("fig10") {
-			if partial {
-				// Headline means over an incomplete suite would silently
-				// compare schemes on different application subsets.
-				fmt.Fprintln(os.Stderr, "skipping headline speedups: suite is partial")
-			} else {
-				sp, err := suite.Speedups()
-				check(err)
-				fmt.Println("== headline speedups (CI geometric mean vs baseline) ==")
-				for _, sc := range dlpsim.PaperSchemes() {
-					fmt.Printf("%-18s CI x%.3f   CS x%.3f\n", sc.Name, sp[sc.Name]["CI"], sp[sc.Name]["CS"])
-				}
-			}
+			opts.Apps = append(opts.Apps, spec)
 		}
 	}
-
-	// The cross-policy comparison is explicitly opt-in (never part of
-	// "all"): the committed reference outputs cover the paper's schemes
-	// only, and must not drift as policies are added to the registry.
-	if want["policies"] {
-		suite := runSuite(dlpsim.PolicySchemes())
-		renderTable(suite.Fig10IPC())
-		if partial {
-			fmt.Fprintln(os.Stderr, "skipping cross-policy speedups: suite is partial")
-		} else {
-			sp, err := suite.Speedups()
-			check(err)
-			fmt.Println("== cross-policy speedups (geometric mean vs baseline) ==")
-			for _, sc := range dlpsim.PolicySchemes() {
-				fmt.Printf("%-18s CI x%.3f   CS x%.3f\n", sc.Name, sp[sc.Name]["CI"], sp[sc.Name]["CS"])
-			}
-		}
-	}
-	if !*quiet && simulated+recalled > 0 {
-		fmt.Fprintf(os.Stderr, "%d simulations, %d cache hits in %.1fs\n",
-			simulated, recalled, time.Since(start).Seconds())
-	}
-	if partial {
-		prof.Stop()
-		obs.Close()
-		os.Exit(1)
-	}
-	check(obs.Close())
-}
-
-// obs owns the -metrics/-trace outputs; like prof it is flushed on
-// every exit path (Close is idempotent).
-var obs *cli.Observability
-
-// fatal reports err and exits with the shared code convention — 130
-// for an interrupted run, 1 for everything else.
-func fatal(err error) {
-	prof.Stop()
-	obs.Close()
-	log.Print(err)
-	os.Exit(cli.ExitCode(err))
-}
-
-func check(err error) {
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func render(f func(w io.Writer) error) {
-	check(f(os.Stdout))
-	fmt.Println()
+	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, strings.EqualFold(*format, "csv"),
+		func(schemes []dlpsim.Scheme) (*dlpsim.SuiteResult, error) {
+			return dlpsim.RunSuite(ctx, schemes, opts)
+		}))
 }

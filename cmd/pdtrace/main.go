@@ -13,9 +13,6 @@
 // -timeout D bounds the replay's wall time; -selfcheck verifies the
 // cache's DLP invariants after every printed sample, so a corrupted
 // protection state is caught at the sample that introduced it.
-// -cores is accepted for CLI uniformity with the other commands but
-// has nothing to parallelize here: the replay is one L1D fed one
-// access at a time, so any value >= 1 runs the same serial loop.
 // Exit codes: 0 success, 1 failure or exhausted -timeout, 130
 // interrupted (Ctrl-C) — an interrupted replay still prints the
 // samples it traced, but exits non-zero so scripts can tell a partial
@@ -57,13 +54,9 @@ func main() {
 	maxSamples := flag.Int("samples", 20, "sampling periods to trace")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the replay (e.g. 1m); 0 = none")
 	selfCheck := flag.Bool("selfcheck", false, "verify DLP invariants after every printed sample")
-	cores := flag.Int("cores", 1, "accepted for CLI uniformity (0 = auto); the single-cache replay is inherently serial")
 	metricsPath := flag.String("metrics", "", "stream the L1D counter registry (JSONL, one row per sample) to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the samples to this file (open in Perfetto)")
 	flag.Parse()
-	if _, err := cli.ResolveCores(*cores); err != nil {
-		log.Fatal(err)
-	}
 
 	// The observability outputs are opened before the replay so a bad
 	// path fails immediately, and flushed on every exit path.

@@ -249,7 +249,7 @@ func TestSelfCheckOutputIdentical(t *testing.T) {
 	render := func(selfCheck bool) string {
 		t.Helper()
 		res, err := RunSuite(context.Background(), smallSchemes(),
-			&SuiteOptions{Apps: apps, SelfCheck: selfCheck})
+			&SuiteOptions{Runner: &Runner{SelfCheck: selfCheck}, Apps: apps})
 		if err != nil {
 			t.Fatalf("selfcheck=%v: %v", selfCheck, err)
 		}

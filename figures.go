@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"time"
+	"strings"
 
 	"repro/internal/config"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/rdd"
 	"repro/internal/report"
@@ -78,53 +78,22 @@ type SuiteResult struct {
 	Stats map[string]map[string]*Stats
 }
 
-// SuiteOptions tunes how RunSuite executes its simulations. The zero
+// SuiteOptions is what RunSuite needs beyond its scheme list. The zero
 // value (and a nil *SuiteOptions) runs the full Table 2 registry on
 // GOMAXPROCS workers with no result cache.
 type SuiteOptions struct {
-	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
-	Workers int
-	// Cache, when non-nil, is consulted before simulating and updated
-	// after. Share one across RunSuite calls (and with ablation sweeps)
-	// so overlapping points are never re-simulated.
-	Cache *runner.Cache
-	// Events receives structured progress notifications (jobs queued /
-	// running / done, cache hits, per-job wall time).
-	Events runner.Events
+	// Runner executes the suite's jobs: pool size, result cache,
+	// progress events, failure policy, phase parallelism and metrics
+	// sampling are all its fields. Share one — and
+	// with it one cache — across RunSuite calls and ablation sweeps so
+	// overlapping points are never re-simulated. Nil means the defaults.
+	// With Runner.KeepGoing set, RunSuite returns the partial
+	// SuiteResult (failed points hold nil Stats and render as FAILED
+	// cells) together with a *BatchError describing every failure.
+	Runner *Runner
 	// Apps restricts the suite to the given applications; nil means the
 	// full Table 2 registry. Used by tests and partial regenerations.
 	Apps []Workload
-	// KeepGoing runs the whole suite even when jobs fail: RunSuite then
-	// returns the partial SuiteResult (failed points hold nil Stats and
-	// render as FAILED cells) together with a *BatchError describing
-	// every failure. Without it the first failure cancels the batch.
-	KeepGoing bool
-	// Retries re-runs a job up to this many extra times when it fails
-	// with a transient error (runner.IsTransient). The engine itself is
-	// deterministic, so this only matters for injected or environmental
-	// failures.
-	Retries int
-	// Timeout bounds each job's wall time; 0 means no deadline.
-	Timeout time.Duration
-	// SelfCheck enables the engine's sampled invariant sweeps
-	// (sim.Options.SelfCheck) on every job. Results are byte-identical
-	// with or without it; only broken engine builds notice.
-	SelfCheck bool
-	// Cores is each simulation's internal phase parallelism
-	// (sim.Options.Cores). The runner caps Workers × Cores at
-	// GOMAXPROCS, and results are byte-identical at every value; see
-	// runner.Runner.Cores.
-	Cores int
-	// Intercept, when non-nil, wraps every simulation attempt — the
-	// fault-injection seam (see internal/faultinject).
-	Intercept runner.Intercept
-	// Metrics, when non-nil, streams cycle-domain counter samples from
-	// every simulated job into the sink, one series per job label (see
-	// runner.Runner.Metrics). Cached jobs emit no rows.
-	Metrics metrics.Sink
-	// MetricsEvery overrides the sampling period in cycles; 0 means
-	// the default (metrics.DefaultEvery).
-	MetricsEvery uint64
 	// Stream feeds every application through the lazy chunked stream
 	// frontend (workloads.Spec.Stream) instead of the process-shared
 	// precomputed kernel. Counters are bit-identical either way; what
@@ -150,6 +119,10 @@ func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*Suite
 	apps := opts.Apps
 	if apps == nil {
 		apps = workloads.All()
+	}
+	r := opts.Runner
+	if r == nil {
+		r = &runner.Runner{}
 	}
 
 	// One config per scheme, built and validated once — not once per
@@ -197,27 +170,13 @@ func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*Suite
 		}
 	}
 
-	r := &runner.Runner{
-		Workers:   opts.Workers,
-		Cache:     opts.Cache,
-		Events:    opts.Events,
-		KeepGoing: opts.KeepGoing,
-		Retries:   opts.Retries,
-		Timeout:   opts.Timeout,
-		SelfCheck: opts.SelfCheck,
-		Cores:     opts.Cores,
-		Intercept: opts.Intercept,
-
-		Metrics:      opts.Metrics,
-		MetricsEvery: opts.MetricsEvery,
-	}
 	results, err := r.Run(ctx, jobs)
 	// In KeepGoing mode a *runner.BatchError still comes with a full
 	// results slice (failed points carry nil Stats); build the partial
 	// result and hand both back so callers can render FAILED cells and
 	// report the failures. Every other error means there is nothing to
 	// tabulate.
-	if err != nil && !(opts.KeepGoing && errors.As(err, new(*runner.BatchError))) {
+	if err != nil && !(r.KeepGoing && errors.As(err, new(*runner.BatchError))) {
 		return nil, err
 	}
 
@@ -487,4 +446,146 @@ func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 		out[s.Name] = m
 	}
 	return out, nil
+}
+
+// WritePaperFigs writes what `paperfigs -exp exps` prints to stdout:
+// the experiments named in the comma-separated exps ("all" = every id
+// but the opt-in "policies"), in the command's fixed order, as text
+// tables or CSV. run executes one scheme set (RunSuite in the command,
+// cached suites in the drift test). A suite that comes back together
+// with an error is partial (KeepGoing): its tables render with FAILED
+// cells, the speedup summaries — means over an incomplete suite would
+// compare schemes on different application subsets — are left out, and
+// the error is returned once everything else has been written.
+func WritePaperFigs(w io.Writer, exps string, csv bool, run func([]Scheme) (*SuiteResult, error)) error {
+	want := map[string]bool{}
+	for _, id := range strings.Split(exps, ",") {
+		want[strings.TrimSpace(strings.ToLower(id))] = true
+	}
+	has := func(id string) bool { return want["all"] || want[id] }
+
+	var partial error
+	suite := func(schemes []Scheme) (*SuiteResult, error) {
+		res, err := run(schemes)
+		if res == nil {
+			return nil, err
+		}
+		partial = errors.Join(partial, err)
+		return res, nil
+	}
+	type figure interface {
+		Render(io.Writer) error
+		RenderCSV(io.Writer) error
+	}
+	emit := func(f figure, err error) error {
+		if err != nil {
+			return err
+		}
+		render := f.Render
+		if csv {
+			render = f.RenderCSV
+		}
+		if err := render(w); err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w)
+		return err
+	}
+	speedups := func(res *SuiteResult, title string) error {
+		if partial != nil {
+			return nil
+		}
+		sp, err := res.Speedups()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, title)
+		for _, sc := range res.Schemes {
+			fmt.Fprintf(w, "%-18s CI x%.3f   CS x%.3f\n", sc.Name, sp[sc.Name]["CI"], sp[sc.Name]["CS"])
+		}
+		return nil
+	}
+
+	if has("table2") {
+		fmt.Fprintln(w, Table2())
+	}
+	if has("overhead") {
+		fmt.Fprintln(w, OverheadReport(BaselineConfig()))
+	}
+	analysis := []struct {
+		id    string
+		build func() (figure, error)
+	}{
+		{"fig3", func() (figure, error) { return Fig3RDD(), nil }},
+		{"fig4", func() (figure, error) { return Fig4MissRates() }},
+		{"fig6", func() (figure, error) { return Fig6Ratios() }},
+		{"fig7", func() (figure, error) { return Fig7BFS(), nil }},
+	}
+	for _, a := range analysis {
+		if has(a.id) {
+			if err := emit(a.build()); err != nil {
+				return err
+			}
+		}
+	}
+	if has("fig5") {
+		res, err := suite(AssocSchemes())
+		if err != nil {
+			return err
+		}
+		if err := emit(res.Fig5IPC()); err != nil {
+			return err
+		}
+	}
+
+	eval := []struct {
+		id    string
+		build func(*SuiteResult) (*Table, error)
+	}{
+		{"fig10", (*SuiteResult).Fig10IPC},
+		{"fig11a", (*SuiteResult).Fig11aTraffic},
+		{"fig11b", (*SuiteResult).Fig11bEvictions},
+		{"fig12a", (*SuiteResult).Fig12aHitRate},
+		{"fig12b", (*SuiteResult).Fig12bHits},
+		{"fig13", (*SuiteResult).Fig13ICNT},
+	}
+	needEval := false
+	for _, e := range eval {
+		needEval = needEval || has(e.id)
+	}
+	if needEval {
+		res, err := suite(PaperSchemes())
+		if err != nil {
+			return err
+		}
+		for _, e := range eval {
+			if has(e.id) {
+				if err := emit(e.build(res)); err != nil {
+					return err
+				}
+			}
+		}
+		if has("fig10") {
+			if err := speedups(res, "== headline speedups (CI geometric mean vs baseline) =="); err != nil {
+				return err
+			}
+		}
+	}
+
+	// The cross-policy comparison is explicitly opt-in (never part of
+	// "all"): the committed reference outputs cover the paper's schemes
+	// only, and must not drift as policies are added to the registry.
+	if want["policies"] {
+		res, err := suite(PolicySchemes())
+		if err != nil {
+			return err
+		}
+		if err := emit(res.Fig10IPC()); err != nil {
+			return err
+		}
+		if err := speedups(res, "== cross-policy speedups (geometric mean vs baseline) =="); err != nil {
+			return err
+		}
+	}
+	return partial
 }

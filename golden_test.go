@@ -112,7 +112,7 @@ func TestGoldenSuiteIdentity(t *testing.T) {
 		t.Skip("full evaluation suite skipped in -short mode")
 	}
 	start := time.Now()
-	res, err := RunSuite(context.Background(), PaperSchemes(), &SuiteOptions{Workers: 1})
+	res, err := RunSuite(context.Background(), PaperSchemes(), &SuiteOptions{Runner: &Runner{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestGoldenSuiteIdentityParallelSelfCheck(t *testing.T) {
 		t.Skip("full evaluation suite skipped in -short mode")
 	}
 	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Workers: 8, SelfCheck: true})
+		&SuiteOptions{Runner: &Runner{Workers: 8, SelfCheck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGoldenSuiteIdentityCores2(t *testing.T) {
 	}
 	withGOMAXPROCS(t, 2)
 	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Workers: 1, Cores: 2, SelfCheck: true})
+		&SuiteOptions{Runner: &Runner{Workers: 1, Cores: 2, SelfCheck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGoldenSuiteIdentityCores8(t *testing.T) {
 		apps = append(apps, w)
 	}
 	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Workers: 2, Cores: 8, SelfCheck: true, Apps: apps})
+		&SuiteOptions{Runner: &Runner{Workers: 2, Cores: 8, SelfCheck: true}, Apps: apps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestGoldenSuiteIdentityOddCores(t *testing.T) {
 
 	for _, cores := range []int{3, 5, 7} {
 		res, err := RunSuite(context.Background(), PaperSchemes(),
-			&SuiteOptions{Workers: 1, Cores: cores, SelfCheck: true, Apps: apps})
+			&SuiteOptions{Runner: &Runner{Workers: 1, Cores: cores, SelfCheck: true}, Apps: apps})
 		if err != nil {
 			t.Fatalf("cores=%d: %v", cores, err)
 		}

@@ -1,10 +1,20 @@
-// Package cli holds behavior shared by the command-line tools: the
-// process exit-code convention and the -metrics/-trace output plumbing.
+// Package cli is the run harness shared by the runner-backed commands
+// (dlpsim, paperfigs, ablate): the one declaration of their execution
+// flags, and a Session that turns the parsed values into a context, a
+// populated runner.Runner and a single exit path. It also holds the
+// process exit-code convention every command follows.
+//
+// Flag groups:
+//
+//	exec   -retries -timeout -selfcheck -cores -metrics -metrics-every -trace
+//	       (dlpsim, paperfigs, ablate)
+//	batch  -j -keep-going -quiet -cpuprofile -memprofile
+//	       (paperfigs, ablate)
 //
 // Exit codes:
 //
 //	0    success
-//	1    simulation or tool failure (including partial KeepGoing suites)
+//	1    simulation or tool failure (including partial -keep-going runs)
 //	130  interrupted (Ctrl-C / SIGINT; 128+2, the shell convention)
 //
 // Interruption is detected through the error chain: a batch stopped by
@@ -15,9 +25,14 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"log"
 	"os"
+	"os/signal"
 	"runtime"
+	"runtime/pprof"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -71,96 +86,210 @@ func ExitCode(err error) int {
 	return ExitFailure
 }
 
-// Observability owns the files behind the -metrics and -trace flags:
-// it opens them up front (so flag typos fail before hours of
-// simulation), hands out the sink and tracer, and flushes both on
-// Close. Either path may be empty; the corresponding accessor then
-// returns nil and the CLI runs exactly as before.
-type Observability struct {
+// Session is one command invocation's run harness. A main registers
+// the flag groups it carries (ExecFlags, and BatchFlags for the suite
+// commands) before flag.Parse, calls Start once, and leaves through
+// Exit on every path so the profile, metrics and trace outputs are
+// always complete.
+type Session struct {
+	// exec group
+	retries      int
+	timeout      time.Duration
+	selfCheck    bool
+	cores        int
+	metricsPath  string
+	metricsEvery uint64
+	tracePath    string
+
+	// batch group; batch records that it was registered, which also
+	// turns on the per-job progress lines and the closing tally.
+	batch      bool
+	workers    int
+	keepGoing  bool
+	quiet      bool
+	cpuProfile string
+	memProfile string
+
+	stop        context.CancelFunc
+	cpuFile     *os.File
 	metricsFile *os.File
 	sink        *metrics.JSONLSink
 	traceFile   *os.File
 	tracer      *runner.JobTracer
-	closed      bool
+
+	started             time.Time
+	simulated, recalled int
+
+	exit func(int) // os.Exit; tests substitute a recorder
 }
 
-// OpenObservability opens the requested output files. cache may be nil;
-// when set, the tracer samples its hit/miss counters into the trace.
-func OpenObservability(metricsPath, tracePath string, cache *runner.Cache) (*Observability, error) {
-	o := &Observability{}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
+// ExecFlags registers the execution-policy flags every runner-backed
+// command carries.
+func (s *Session) ExecFlags(fs *flag.FlagSet) {
+	fs.IntVar(&s.retries, "retries", 0, "extra attempts for transiently failed jobs")
+	fs.DurationVar(&s.timeout, "timeout", 0, "per-job wall-clock budget (e.g. 5m); 0 = none")
+	fs.BoolVar(&s.selfCheck, "selfcheck", false, "enable sampled engine invariant sweeps on every job")
+	fs.IntVar(&s.cores, "cores", 1, "phase-parallel shards inside each simulation (0 = auto: all host CPUs; workers x cores capped at GOMAXPROCS); output is identical at any value")
+	fs.StringVar(&s.metricsPath, "metrics", "", "stream cycle-domain counter samples (JSONL) to this file")
+	fs.Uint64Var(&s.metricsEvery, "metrics-every", 0, "sampling period in cycles for -metrics; 0 = default (4096)")
+	fs.StringVar(&s.tracePath, "trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
+}
+
+// BatchFlags registers the flags the suite commands add on top of
+// ExecFlags: pool size, failure policy, progress and profiles.
+func (s *Session) BatchFlags(fs *flag.FlagSet) {
+	s.batch = true
+	fs.IntVar(&s.workers, "j", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&s.keepGoing, "keep-going", false, "run every job even after failures; render FAILED cells and exit 1")
+	fs.BoolVar(&s.quiet, "quiet", false, "suppress progress output")
+	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&s.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+}
+
+// Start acts on the parsed flags. It installs the SIGINT context first
+// — before the caller generates any kernel, so an interrupt that lands
+// in trace generation still exits 130 — then resolves -cores, starts
+// the CPU profile and opens the -metrics/-trace files, so a bad value
+// or path fails before hours of simulation. The returned Runner
+// carries every flag value, cache (which may be nil; the trace samples
+// its hit/miss counters) and the event chain. On error the caller
+// still leaves through Exit, which releases whatever was opened.
+func (s *Session) Start(cache *runner.Cache) (context.Context, *runner.Runner, error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	s.stop = stop
+	s.started = time.Now()
+
+	cores, err := ResolveCores(s.cores)
+	if err != nil {
+		return ctx, nil, err
+	}
+	if s.cpuProfile != "" {
+		f, err := os.Create(s.cpuProfile)
 		if err != nil {
-			return nil, err
+			return ctx, nil, err
 		}
-		o.metricsFile = f
-		o.sink = metrics.NewJSONLSink(f)
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return ctx, nil, err
+		}
+		s.cpuFile = f
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
+
+	r := &runner.Runner{
+		Workers:      s.workers,
+		Cache:        cache,
+		KeepGoing:    s.keepGoing,
+		Retries:      s.retries,
+		Timeout:      s.timeout,
+		SelfCheck:    s.selfCheck,
+		Cores:        cores,
+		MetricsEvery: s.metricsEvery,
+	}
+	if s.batch {
+		r.Events = s.progress
+	}
+	if s.metricsPath != "" {
+		f, err := os.Create(s.metricsPath)
 		if err != nil {
-			if o.metricsFile != nil {
-				o.metricsFile.Close()
-			}
-			return nil, err
+			return ctx, nil, err
 		}
-		o.traceFile = f
-		o.tracer = runner.NewJobTracer(cache)
+		s.metricsFile, s.sink = f, metrics.NewJSONLSink(f)
+		// Assigned only here: a nil *JSONLSink stored in the Sink
+		// interface would read as "enabled" downstream.
+		r.Metrics = s.sink
 	}
-	return o, nil
+	if s.tracePath != "" {
+		f, err := os.Create(s.tracePath)
+		if err != nil {
+			return ctx, nil, err
+		}
+		s.traceFile, s.tracer = f, runner.NewJobTracer(cache)
+		r.Events = s.tracer.Wrap(r.Events)
+	}
+	return ctx, r, nil
 }
 
-// Sink returns the metrics sink, or nil when -metrics was not given.
-// The untyped nil matters: assigning a typed nil *JSONLSink into a
-// metrics.Sink interface would read as "enabled" downstream.
-func (o *Observability) Sink() metrics.Sink {
-	if o == nil || o.sink == nil {
-		return nil
+// progress is the batch commands' event sink: one stderr line per
+// simulated job unless -quiet, and the counts behind the closing tally.
+func (s *Session) progress(ev runner.Event) {
+	if ev.Kind != runner.JobDone {
+		return
 	}
-	return o.sink
+	if ev.Cached {
+		s.recalled++
+		return
+	}
+	s.simulated++
+	if s.quiet {
+		return
+	}
+	if ev.Err != nil {
+		fmt.Fprintf(os.Stderr, "FAILED %s: %v\n", ev.Label, ev.Err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ran %s (%.1fs, %d/%d done)\n",
+		ev.Label, ev.Wall.Seconds(), ev.Done, ev.Done+ev.Running+ev.Queued)
 }
 
-// Tracer returns the job tracer, or nil when -trace was not given.
-func (o *Observability) Tracer() *runner.JobTracer {
-	if o == nil {
-		return nil
+// Exit is the one way out of a Session's process. It stops the CPU
+// profile, writes the heap profile, flushes the metrics stream and
+// writes the trace file — all of them, whatever err is and whichever
+// of them fails — then reports err and exits with ExitCode(err): 0,
+// 1 (failure, or the *runner.BatchError of a partial -keep-going run)
+// or 130 (interrupt). A nil err with a failed flush exits 1.
+func (s *Session) Exit(err error) {
+	if !s.quiet && s.simulated+s.recalled > 0 {
+		fmt.Fprintf(os.Stderr, "%d simulations, %d cache hits in %.1fs\n",
+			s.simulated, s.recalled, time.Since(s.started).Seconds())
 	}
-	return o.tracer
+	closeErr := s.close()
+	if err == nil {
+		err = closeErr
+	} else if closeErr != nil {
+		log.Print(closeErr)
+	}
+	if err != nil {
+		log.Print(err)
+	}
+	exit := s.exit
+	if exit == nil {
+		exit = os.Exit
+	}
+	exit(ExitCode(err))
 }
 
-// Events wraps next with trace recording when tracing is on; otherwise
-// it returns next unchanged.
-func (o *Observability) Events(next runner.Events) runner.Events {
-	if t := o.Tracer(); t != nil {
-		return t.Wrap(next)
+// close finishes every output Start opened and joins their errors; no
+// failure stops the ones after it.
+func (s *Session) close() error {
+	var errs []error
+	if s.cpuFile != nil {
+		pprof.StopCPUProfile()
+		errs = append(errs, s.cpuFile.Close())
 	}
-	return next
+	if s.memProfile != "" {
+		errs = append(errs, writeHeapProfile(s.memProfile))
+	}
+	if s.sink != nil {
+		errs = append(errs, s.sink.Flush(), s.metricsFile.Close())
+	}
+	if s.tracer != nil {
+		errs = append(errs, s.tracer.WriteJSON(s.traceFile), s.traceFile.Close())
+	}
+	if s.stop != nil {
+		s.stop()
+	}
+	return errors.Join(errs...)
 }
 
-// Close flushes the metrics stream and writes the trace file. It is
-// idempotent, so CLIs can both defer it and call it explicitly before
-// os.Exit (deferred calls never run past os.Exit).
-func (o *Observability) Close() error {
-	if o == nil || o.closed {
-		return nil
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	o.closed = true
-	var firstErr error
-	if o.sink != nil {
-		if err := o.sink.Flush(); err != nil {
-			firstErr = err
-		}
-		if err := o.metricsFile.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	runtime.GC() // materialize the steady-state live set
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
 	}
-	if o.tracer != nil {
-		if err := o.tracer.WriteJSON(o.traceFile); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := o.traceFile.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return f.Close()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -70,50 +71,26 @@ func diffAgainstFile(t *testing.T, got, path string) {
 	t.Fatalf("%s drifted (content equal per line but bytes differ — check trailing newlines)", path)
 }
 
-// TestPaperfigsOutputCommitted re-renders exactly what `paperfigs`
-// prints to stdout — every table, in command order — and diffs it
-// against the committed reference.
+// TestPaperfigsOutputCommitted renders what `paperfigs` prints to
+// stdout through the command's own sequence (WritePaperFigs), feeding
+// it the cached suites, and diffs it against the committed reference.
 func TestPaperfigsOutputCommitted(t *testing.T) {
 	eval := paperSuite(t)  // Figs. 10-13 + speedups
 	assoc := assocSuite(t) // Fig. 5
 
 	var b strings.Builder
-	render := func(f func(w io.Writer) error) {
-		if err := f(&b); err != nil {
-			t.Fatal(err)
+	err := WritePaperFigs(&b, "all", false, func(schemes []Scheme) (*SuiteResult, error) {
+		switch {
+		case reflect.DeepEqual(schemes, PaperSchemes()):
+			return eval, nil
+		case reflect.DeepEqual(schemes, AssocSchemes()):
+			return assoc, nil
 		}
-		fmt.Fprintln(&b)
-	}
-	renderTable := func(tbl *Table, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		render(tbl.Render)
-	}
-
-	fmt.Fprintln(&b, Table2())
-	fmt.Fprintln(&b, OverheadReport(BaselineConfig()))
-	render(Fig3RDD().Render)
-	renderTable(Fig4MissRates())
-	renderTable(Fig6Ratios())
-	render(Fig7BFS().Render)
-	renderTable(assoc.Fig5IPC())
-	renderTable(eval.Fig10IPC())
-	renderTable(eval.Fig11aTraffic())
-	renderTable(eval.Fig11bEvictions())
-	renderTable(eval.Fig12aHitRate())
-	renderTable(eval.Fig12bHits())
-	renderTable(eval.Fig13ICNT())
-
-	sp, err := eval.Speedups()
+		return nil, fmt.Errorf("unexpected scheme set %v", schemes)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintln(&b, "== headline speedups (CI geometric mean vs baseline) ==")
-	for _, sc := range PaperSchemes() {
-		fmt.Fprintf(&b, "%-18s CI x%.3f   CS x%.3f\n", sc.Name, sp[sc.Name]["CI"], sp[sc.Name]["CS"])
-	}
-
 	diffAgainstFile(t, b.String(), "paperfigs_output.txt")
 }
 
@@ -129,10 +106,11 @@ func TestAblateOutputCommitted(t *testing.T) {
 	// per-app baselines simulate once across all four sweeps.
 	r := &Runner{Cache: NewRunCache()}
 	var b strings.Builder
-	for _, sweep := range []func(context.Context, []string, *Runner) (*Ablation, error){
-		AblateSamplePeriod, AblatePDBits, AblateVTAWays, AblateWarpLimit,
-	} {
-		ab, err := sweep(ctx, apps, r)
+	for _, sw := range Sweeps() {
+		if !sw.Paper {
+			continue
+		}
+		ab, err := sw.Run(ctx, apps, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestRunSuiteOrderIndependence(t *testing.T) {
 	run := func(workers int) *SuiteResult {
 		t.Helper()
 		res, err := RunSuite(context.Background(), smallSchemes(),
-			&SuiteOptions{Workers: workers, Apps: apps})
+			&SuiteOptions{Runner: &Runner{Workers: workers}, Apps: apps})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -84,12 +84,11 @@ func TestRunSuiteOrderIndependence(t *testing.T) {
 func TestRunSuiteCoresRenderIdentity(t *testing.T) {
 	apps := smallApps(t)
 	withGOMAXPROCS(t, 16)
-	render := func(opts *SuiteOptions) string {
+	render := func(r *Runner) string {
 		t.Helper()
-		opts.Apps = apps
-		res, err := RunSuite(context.Background(), smallSchemes(), opts)
+		res, err := RunSuite(context.Background(), smallSchemes(), &SuiteOptions{Runner: r, Apps: apps})
 		if err != nil {
-			t.Fatalf("workers=%d cores=%d: %v", opts.Workers, opts.Cores, err)
+			t.Fatalf("workers=%d cores=%d: %v", r.Workers, r.Cores, err)
 		}
 		var b strings.Builder
 		for _, build := range []func() (*Table, error){res.Fig10IPC, res.Fig12aHitRate, res.Fig13ICNT} {
@@ -103,8 +102,8 @@ func TestRunSuiteCoresRenderIdentity(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial := render(&SuiteOptions{Workers: 1})
-	parallel := render(&SuiteOptions{Workers: 8, Cores: 2, SelfCheck: true})
+	serial := render(&Runner{Workers: 1})
+	parallel := render(&Runner{Workers: 8, Cores: 2, SelfCheck: true})
 	if serial != parallel {
 		t.Errorf("-j8 -cores2 renders differently from serial:\nserial:\n%s\nparallel:\n%s",
 			serial, parallel)
@@ -120,10 +119,9 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 		mu        sync.Mutex
 		simulated int
 	)
-	opts := &SuiteOptions{
+	opts := &SuiteOptions{Apps: apps, Runner: &Runner{
 		Workers: 4,
 		Cache:   cache,
-		Apps:    apps,
 		Events: func(ev RunEvent) {
 			if ev.Kind == JobDone && !ev.Cached {
 				mu.Lock()
@@ -131,7 +129,7 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 				mu.Unlock()
 			}
 		},
-	}
+	}}
 
 	first, err := RunSuite(context.Background(), smallSchemes(), opts)
 	if err != nil {
