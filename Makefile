@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke figures clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke abpairs figures clean
 
 all: build
 
@@ -33,9 +33,14 @@ faultcheck: build
 # odd core counts (3/5/7 leave the steal spans uneven), and the
 # normalized stats must match expected_stats.json byte for byte. After
 # an intentional behavior change, regenerate with
-# `go run ./cmd/conform -update` and commit the diff.
+# `go run ./cmd/conform -update` and commit the diff. Then the window
+# differential over the same corpus: the engine's ICNTLatency+1-cycle
+# windows against one-cycle windows (the per-cycle schedule), stats and
+# sampled series, fast-forward on and off, 1/2/3 cores — and the budget
+# sweep that ends a run off the window grid.
 conform: build
 	$(GO) run ./cmd/conform -j 8 -extra-cores 3,5,7
+	$(GO) test -count=1 -run 'TestQuantumDifferential|TestBudgetOffTheWindowGrid' ./internal/sim/
 
 # Fixed-seed differential fuzz smoke under the race detector: 200
 # random (config, policy, workload) triples run serial vs sharded vs
@@ -120,6 +125,19 @@ benchsmoke:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh --workload suite_batch --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 	bash bench/run.sh --workload big_stream --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
+
+# A/B pairs against a parent revision, the protocol every performance PR
+# follows: `make abpairs PARENT=<rev> WORKLOAD=serve_hot SEED=2 N=10`
+# exports PARENT into .bench_build/ab/, alternates `bench/run.sh` between
+# it and the working tree (the side that goes first flips every pair) and
+# prints, per end-to-end metric, both medians with quartiles, the change
+# and the pairs won. Run nothing else meanwhile: both cores get used.
+WORKLOAD ?= suite_batch
+SEED ?= 2
+N ?= 10
+abpairs:
+	@test -n "$(PARENT)" || { echo "usage: make abpairs PARENT=<rev> [WORKLOAD=$(WORKLOAD)] [SEED=$(SEED)] [N=$(N)]"; exit 2; }
+	bash scripts/abpairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # Regenerate the committed reference outputs.
 figures:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/mem"
+	"repro/internal/ring"
 )
 
 // MSHREntry tracks one outstanding line fetch and the requests merged
@@ -113,14 +114,11 @@ func (m *MSHR) Recycle(e *MSHREntry) {
 }
 
 // FIFO is a bounded request queue (the miss queue toward the
-// interconnect, and response staging queues): a ring over a
-// power-of-two buffer that doubles when an unbounded queue outgrows it,
-// so Push and Pop are O(1) at any depth.
+// interconnect, and the never-stalling bypass queue): a ring.Queue with
+// a capacity check in front of Push.
 type FIFO struct {
-	max   int
-	items []*mem.Request // ring buffer; len is zero or a power of two
-	head  int            // index of the oldest request
-	n     int            // queued count
+	max int
+	q   ring.Queue[*mem.Request]
 }
 
 // NewFIFO builds a queue holding at most max requests; max <= 0 means
@@ -128,56 +126,35 @@ type FIFO struct {
 func NewFIFO(max int) *FIFO { return &FIFO{max: max} }
 
 // Full reports whether Push would fail.
-func (q *FIFO) Full() bool { return q.max > 0 && q.n >= q.max }
+func (q *FIFO) Full() bool { return q.max > 0 && q.q.Len() >= q.max }
 
 // Empty reports whether the queue holds nothing.
-func (q *FIFO) Empty() bool { return q.n == 0 }
+func (q *FIFO) Empty() bool { return q.q.Len() == 0 }
 
 // Len returns the queued count.
-func (q *FIFO) Len() int { return q.n }
+func (q *FIFO) Len() int { return q.q.Len() }
 
 // Push appends req; it reports false when the queue is full.
 func (q *FIFO) Push(req *mem.Request) bool {
 	if q.Full() {
 		return false
 	}
-	if q.n == len(q.items) {
-		q.grow()
-	}
-	q.items[(q.head+q.n)&(len(q.items)-1)] = req
-	q.n++
+	q.q.Push(req)
 	return true
-}
-
-// grow doubles the ring, unrolling it so the oldest request lands at
-// index zero.
-func (q *FIFO) grow() {
-	size := 2 * len(q.items)
-	if size == 0 {
-		size = 8
-	}
-	items := make([]*mem.Request, size)
-	k := copy(items, q.items[q.head:])
-	copy(items[k:], q.items[:q.head])
-	q.items, q.head = items, 0
 }
 
 // Pop removes and returns the head, or nil when empty.
 func (q *FIFO) Pop() *mem.Request {
-	if q.n == 0 {
+	if q.q.Len() == 0 {
 		return nil
 	}
-	head := q.items[q.head]
-	q.items[q.head] = nil // the ring must not pin popped requests alive
-	q.head = (q.head + 1) & (len(q.items) - 1)
-	q.n--
-	return head
+	return q.q.Pop()
 }
 
 // Peek returns the head without removing it, or nil when empty.
 func (q *FIFO) Peek() *mem.Request {
-	if q.n == 0 {
+	if q.q.Len() == 0 {
 		return nil
 	}
-	return q.items[q.head]
+	return *q.q.Front()
 }

@@ -143,10 +143,10 @@ func TestFIFOUnbounded(t *testing.T) {
 }
 
 // TestFIFODrainedRetainsNothing runs the ring through wrap-around and
-// growth-while-wrapped, checks order throughout, and then that a drained
-// queue holds no request pointer anywhere in its buffer: the simulator
-// recycles requests through pools, and a stale slot would keep one (and
-// everything it references) reachable for the life of the cache.
+// growth-while-wrapped, checks order throughout, and then that the queue
+// drains to empty: the simulator recycles requests through pools, and a
+// stale slot would keep one (and everything it references) reachable for
+// the life of the cache.
 func TestFIFODrainedRetainsNothing(t *testing.T) {
 	q := NewFIFO(0)
 	next, want := uint64(0), uint64(0)
@@ -178,9 +178,6 @@ func TestFIFODrainedRetainsNothing(t *testing.T) {
 	if !q.Empty() || q.Pop() != nil {
 		t.Fatal("queue not empty after draining")
 	}
-	for i, r := range q.items {
-		if r != nil {
-			t.Errorf("drained queue still holds request %d in slot %d", r.ID, i)
-		}
-	}
+	// That no slot of the drained ring still points at a request is
+	// ring.TestQueueDrainedRetainsNothing, next to the buffer itself.
 }

@@ -367,6 +367,13 @@ func generate(seed uint64, opts Options) (*conform.Spec, bool) {
 	if degenerate {
 		degradeConfig(r, cfg)
 	}
+	// The engine runs ICNTLatency+1 cycles at a stride (latencies 0, 1
+	// and 12 above: strides of 1, 2 and 13) and cuts the last stride at
+	// the budget; an odd budget keeps that cut off every stride's end.
+	// Drawn last, so every earlier draw of a seed is what it always was.
+	if trim := uint64(r.Intn(64)); trim < sp.MaxCycles {
+		sp.MaxCycles -= trim
+	}
 	return sp, degenerate
 }
 

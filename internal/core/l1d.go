@@ -45,6 +45,15 @@ type L1D struct {
 	now     uint64
 
 	onBlocked [3]policy.Decision
+
+	// What lets the LD/ST unit park a stalled access instead of replaying
+	// it every cycle. A stalled Access calls no policy hook and reads only
+	// MSHR, miss-queue and tag state (policy.Spec.check keeps clocked
+	// victim filters out of it), so it keeps stalling until that state
+	// moves: epoch counts the two events that move it while the pipeline
+	// register is blocked — a response (MSHR release, fill) and a
+	// miss-queue pop.
+	epoch uint64
 }
 
 type hitResponse struct {
@@ -175,6 +184,40 @@ func (c *L1D) blocked(req *mem.Request, set int, why policy.Block) mem.AccessOut
 	return mem.OutcomeStall
 }
 
+// Epoch is the park token: an access that just stalled stalls again for
+// as long as Epoch is what it was then.
+func (c *L1D) Epoch() uint64 { return c.epoch }
+
+// CreditStalls counts n stall cycles a parked access slept through: one
+// per cycle it would have been replayed and refused.
+func (c *L1D) CreditStalls(n uint64) { c.st.L1DStalls += n }
+
+// WouldStall re-derives, without touching any state, whether Access(req)
+// would stall right now. It is the reference the self-checks hold a
+// parked access to.
+func (c *L1D) WouldStall(req *mem.Request) bool {
+	if req.Store {
+		return false
+	}
+	var why policy.Block
+	switch set, _, res := c.ta.Probe(req.Addr); {
+	case res == cache.ProbeHit:
+		return false
+	case res == cache.ProbeReserved:
+		if c.mshr.CanMerge(c.mshr.Lookup(req.Addr)) {
+			return false
+		}
+		why = policy.BlockNoMerge
+	case c.mshr.Full() || c.missQ.Full():
+		why = policy.BlockStructural
+	case c.ta.VictimIn(set, c.eligible) < 0:
+		why = policy.BlockNoVictim
+	default:
+		return false
+	}
+	return c.onBlocked[why] == policy.Stall
+}
+
 // Access presents one line-granularity request to the cache and returns
 // how it was handled. OutcomeStall means the request was not accepted and
 // the LD/ST pipeline register must retry next cycle.
@@ -277,6 +320,7 @@ func (c *L1D) accessStore(req *mem.Request) mem.AccessOutcome {
 // path.
 func (c *L1D) PopOutgoing() *mem.Request {
 	if r := c.missQ.Pop(); r != nil {
+		c.epoch++ // a miss-queue slot came free
 		return r
 	}
 	return c.bypsQ.Pop()
@@ -298,6 +342,7 @@ func (c *L1D) OnResponse(req *mem.Request) {
 		c.deliver(req)
 		return
 	}
+	c.epoch++ // an MSHR entry comes free and its line becomes valid
 	e := c.mshr.Release(req.Addr)
 	if e == nil {
 		panic(fmt.Sprintf("core: response for %#x without MSHR entry", uint64(req.Addr)))

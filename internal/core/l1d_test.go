@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/prng"
 )
 
 // harness wires an L1D to a recording delivery sink and a perfect memory
@@ -600,5 +601,61 @@ func TestDLPDoesNotProtectUnseenInstruction(t *testing.T) {
 	}
 	if pl := h.c.ta.Set(set)[way].PL; pl != 0 {
 		t.Errorf("DLP protected an instruction with no evidence: PL=%d", pl)
+	}
+}
+
+// TestWouldStallMatchesAccess holds the self-checks' reference to the
+// access path it stands in for: on a cache starved of MSHRs, miss-queue
+// slots and ways, under every registered policy, WouldStall predicts
+// every access's stall-or-accept outcome — and a stalled access leaves
+// the park token alone, while every response and every miss-queue pop
+// moves it.
+func TestWouldStallMatchesAccess(t *testing.T) {
+	for _, pol := range policy.All() {
+		cfg := config.Baseline()
+		cfg.L1D.Sets, cfg.L1D.Ways = 2, 2
+		cfg.L1DMSHRs, cfg.L1DMSHRMerges, cfg.L1DMissQueue = 2, 1, 1
+		h := newHarness(pol, cfg)
+		rng := prng.New(11)
+		var inFlight []*mem.Request
+		stalls := 0
+		for now := uint64(1); now < 20000; now++ {
+			h.tick(now)
+			if len(inFlight) > 0 && rng.Intn(6) == 0 {
+				before := h.c.Epoch()
+				h.c.OnResponse(inFlight[0])
+				if bypassed := inFlight[0].Bypass; !bypassed && h.c.Epoch() == before {
+					t.Fatalf("%s: a fill left the park token unchanged", pol)
+				}
+				inFlight = inFlight[1:]
+			}
+			h.nextID++
+			req := &mem.Request{ID: h.nextID, Addr: lineAddr(rng.Intn(12)), InsnID: addr.HashPC(uint32(rng.Intn(4))), Store: rng.Intn(10) == 0}
+			want, before := h.c.WouldStall(req), h.c.Epoch()
+			got := h.c.Access(req) == mem.OutcomeStall
+			if got != want {
+				t.Fatalf("%s cycle %d: Access stalled=%v, WouldStall said %v for %v", pol, now, got, want, req)
+			}
+			if got {
+				stalls++
+				if h.c.Epoch() != before {
+					t.Fatalf("%s: a stalled access moved the park token", pol)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				missQueued, before := h.c.missQ.Len() > 0, h.c.Epoch()
+				if out := h.c.PopOutgoing(); out != nil {
+					if missQueued == (h.c.Epoch() == before) {
+						t.Fatalf("%s: park token moved=%v on a pop with a miss queued=%v", pol, h.c.Epoch() != before, missQueued)
+					}
+					if !out.Store {
+						inFlight = append(inFlight, out)
+					}
+				}
+			}
+		}
+		if sp, _ := policy.Lookup(pol); sp.Blocked != [3]policy.Decision{policy.Bypass, policy.Bypass, policy.Bypass} && stalls == 0 {
+			t.Errorf("%s never stalled: the configuration proves nothing", pol)
+		}
 	}
 }

@@ -12,6 +12,7 @@ package interconnect
 
 import (
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -25,52 +26,13 @@ const (
 	ToCore
 )
 
+// packet is one request on the wire. Tick stamps arriveAt = now +
+// latency with a constant latency and a non-decreasing now, so injection
+// order is arrival order and the in-flight queue needs no sorting: its
+// head is always the earliest arrival.
 type packet struct {
 	req      *mem.Request
 	arriveAt uint64
-}
-
-// flightQueue holds the packets on the wire, oldest first. Tick stamps
-// arriveAt = now + latency with a constant latency and a non-decreasing
-// now, so injection order is arrival order and a FIFO needs no sorting:
-// the head is always the earliest arrival. It is a ring over a
-// power-of-two buffer that doubles when full, so the steady state
-// allocates nothing.
-type flightQueue struct {
-	buf  []packet // len is zero or a power of two
-	head int      // index of the oldest packet
-	n    int      // packets in flight
-}
-
-func (q *flightQueue) push(p packet) {
-	if q.n == len(q.buf) {
-		buf := make([]packet, max(8, 2*len(q.buf)))
-		k := copy(buf, q.buf[q.head:])
-		copy(buf[k:], q.buf[:q.head])
-		q.buf, q.head = buf, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-// next returns the arrival cycle of the oldest packet in flight.
-func (q *flightQueue) next() (at uint64, ok bool) {
-	if q.n == 0 {
-		return 0, false
-	}
-	return q.buf[q.head].arriveAt, true
-}
-
-// arrived pops the head if its flight is over by cycle now, else nil.
-func (q *flightQueue) arrived(now uint64) *mem.Request {
-	if at, ok := q.next(); !ok || at > now {
-		return nil
-	}
-	req := q.buf[q.head].req
-	q.buf[q.head].req = nil // the ring must not pin delivered requests alive
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return req
 }
 
 type direction struct {
@@ -80,36 +42,34 @@ type direction struct {
 	// do O(lanes) work per cycle instead of O(packets). Single-packet
 	// Push appends to an "open" tail segment, so packet-at-a-time
 	// callers (tests, simple harnesses) see plain FIFO semantics.
-	// off is the consumed prefix of segs[0]; count is the total queued
-	// across all segments. Fully consumed segments are recycled through
-	// free and handed back to PushBatch callers, so the steady state
-	// allocates nothing.
-	segs     [][]*mem.Request
+	// off is the consumed prefix of the head segment; count is the total
+	// queued across all segments. Fully consumed segments are recycled
+	// through free and handed back to PushBatch callers, so the steady
+	// state allocates nothing.
+	segs     ring.Queue[[]*mem.Request]
 	off      int
 	count    int
 	openTail bool
 	free     [][]*mem.Request
-	inFlight flightQueue
+	inFlight ring.Queue[packet]
 	budget   int // flits remaining this cycle
 	sent     int // flits of the head waiting packet already on the wire
 }
 
 // head returns the oldest waiting packet. Caller checks count > 0.
-func (d *direction) head() *mem.Request { return d.segs[0][d.off] }
+func (d *direction) head() *mem.Request { return (*d.segs.Front())[d.off] }
 
 // popHead consumes the oldest waiting packet, recycling its segment
 // once fully drained.
 func (d *direction) popHead() {
-	d.segs[0][d.off] = nil
+	seg := *d.segs.Front()
+	seg[d.off] = nil
 	d.off++
 	d.count--
-	if d.off == len(d.segs[0]) {
-		d.free = append(d.free, d.segs[0][:0])
-		copy(d.segs, d.segs[1:])
-		d.segs[len(d.segs)-1] = nil
-		d.segs = d.segs[:len(d.segs)-1]
+	if d.off == len(seg) {
+		d.free = append(d.free, d.segs.Pop()[:0])
 		d.off = 0
-		if len(d.segs) == 0 {
+		if d.segs.Len() == 0 {
 			d.openTail = false
 		}
 	}
@@ -198,7 +158,7 @@ func (n *Network) Tick(now uint64) {
 			dir.budget -= remaining
 			dir.sent = 0
 			n.countFlits(flits)
-			dir.inFlight.push(packet{req: req, arriveAt: now + n.latency})
+			dir.inFlight.Push(packet{req: req, arriveAt: now + n.latency})
 			dir.popHead()
 		}
 	}
@@ -215,11 +175,11 @@ func (n *Network) countFlits(flits int) {
 func (n *Network) Push(dir Direction, req *mem.Request) {
 	d := &n.dirs[dir]
 	if !d.openTail {
-		d.segs = append(d.segs, d.grabFree())
+		d.segs.Push(d.grabFree())
 		d.openTail = true
 	}
-	last := len(d.segs) - 1
-	d.segs[last] = append(d.segs[last], req)
+	tail := d.segs.Back()
+	*tail = append(*tail, req)
 	d.count++
 }
 
@@ -234,16 +194,31 @@ func (n *Network) PushBatch(dir Direction, batch []*mem.Request) []*mem.Request 
 		return batch
 	}
 	d := &n.dirs[dir]
-	d.segs = append(d.segs, batch)
+	d.segs.Push(batch)
 	d.openTail = false
 	d.count += len(batch)
 	return d.grabFree()
 }
 
 // PopArrived returns the next packet that has completed its flight in the
-// given direction, or nil.
+// given direction by the cycle of the last Tick, or nil.
 func (n *Network) PopArrived(dir Direction) *mem.Request {
-	return n.dirs[dir].inFlight.arrived(n.now)
+	req, _ := n.PopArrivedBy(dir, n.now)
+	return req
+}
+
+// PopArrivedBy returns the next packet of the given direction whose
+// flight ends at or before cycle by, with the cycle it lands on, or nil.
+// The engine's window loop collects a whole window's arrivals with it
+// right after the window's first Tick: every packet that can land inside
+// a window no longer than the latency plus one is in flight by then.
+func (n *Network) PopArrivedBy(dir Direction, by uint64) (req *mem.Request, at uint64) {
+	q := &n.dirs[dir].inFlight
+	if q.Len() == 0 || q.Front().arriveAt > by {
+		return nil, 0
+	}
+	p := q.Pop()
+	return p.req, p.arriveAt
 }
 
 // HasWaiting reports whether any packet sits in an injection queue. A
@@ -259,8 +234,8 @@ func (n *Network) HasWaiting() bool {
 // now and that cycle every Tick is a pure no-op.
 func (n *Network) NextArrival() (at uint64, ok bool) {
 	for d := range n.dirs {
-		if a, flying := n.dirs[d].inFlight.next(); flying && (!ok || a < at) {
-			at, ok = a, true
+		if q := &n.dirs[d].inFlight; q.Len() > 0 && (!ok || q.Front().arriveAt < at) {
+			at, ok = q.Front().arriveAt, true
 		}
 	}
 	return at, ok
@@ -275,7 +250,7 @@ func (n *Network) AddBackgroundFlits(flits uint64) {
 // Pending reports whether any packet is waiting or in flight.
 func (n *Network) Pending() bool {
 	for d := range n.dirs {
-		if n.dirs[d].count > 0 || n.dirs[d].inFlight.n > 0 {
+		if n.dirs[d].count > 0 || n.dirs[d].inFlight.Len() > 0 {
 			return true
 		}
 	}

@@ -271,7 +271,7 @@ func TestArrivalExactlyLatencyAfterInjection(t *testing.T) {
 					flying[d] = flying[d][1:]
 					delivered++
 				}
-				if got := n.dirs[d].inFlight.n; got != len(flying[d]) {
+				if got := n.dirs[d].inFlight.Len(); got != len(flying[d]) {
 					t.Fatalf("bw %d dir %d cycle %d: %d in flight, want %d", bw, d, now, got, len(flying[d]))
 				}
 				if len(flying[d]) > 0 {

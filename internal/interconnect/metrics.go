@@ -10,7 +10,7 @@ func (n *Network) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	for d, name := range [2]string{ToMem: "to_mem", ToCore: "to_core"} {
 		dir := &n.dirs[d]
 		reg.IntGauge(prefix+"."+name+".waiting", func() int { return dir.count })
-		reg.IntGauge(prefix+"."+name+".in_flight", func() int { return dir.inFlight.n })
+		reg.IntGauge(prefix+"."+name+".in_flight", func() int { return dir.inFlight.Len() })
 	}
 }
 
@@ -23,7 +23,7 @@ func (n *Network) RegisterMetrics(reg *metrics.Registry, prefix string) {
 func (n *Network) RegisterLaneMetrics(reg *metrics.Registry, prefix string) {
 	for d, name := range [2]string{ToMem: "to_mem", ToCore: "to_core"} {
 		dir := &n.dirs[d]
-		reg.IntGauge(prefix+"."+name+".segments", func() int { return len(dir.segs) })
+		reg.IntGauge(prefix+"."+name+".segments", func() int { return dir.segs.Len() })
 		reg.IntGauge(prefix+"."+name+".free_segments", func() int { return len(dir.free) })
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -81,9 +82,9 @@ type Partition struct {
 	mapper     *addr.Mapper
 	mshr       map[addr.Addr][]*mem.Request
 	maxMSHRs   int
-	inQ        []*mem.Request
+	inQ        ring.Queue[*mem.Request]
 	events     eventHeap
-	responses  []*mem.Request
+	responses  ring.Queue[*mem.Request]
 	dram       *dram.Channel
 	hitLatency uint64
 	st         *stats.Stats
@@ -99,6 +100,11 @@ type Partition struct {
 	pool        *mem.Pool
 	rec         *mem.Recycler
 	freeWaiters [][]*mem.Request
+	// parked marks an input-queue head that service refused for want of
+	// an MSHR or a victim way. Both free up only when a DRAM fill lands,
+	// so the head is not re-probed until completeFill clears the mark;
+	// until then Busy and Queued do not count it as serviceable work.
+	parked bool
 }
 
 // New builds a partition from the configuration. pool, which may be
@@ -127,7 +133,7 @@ func New(cfg *config.Config, st *stats.Stats, pool *mem.Pool) *Partition {
 
 // Enqueue accepts a request delivered by the interconnect.
 func (p *Partition) Enqueue(req *mem.Request) {
-	p.inQ = append(p.inQ, req)
+	p.inQ.Push(req)
 }
 
 // Tick advances the partition to cycle now: completes due DRAM fills,
@@ -139,19 +145,20 @@ func (p *Partition) Tick(now uint64) {
 		if ev.fill {
 			p.completeFill(ev.req)
 		} else {
-			p.responses = append(p.responses, ev.req)
+			p.responses.Push(ev.req)
 		}
 	}
-	if len(p.inQ) > 0 {
-		if p.service(p.inQ[0]) {
-			copy(p.inQ, p.inQ[1:])
-			p.inQ[len(p.inQ)-1] = nil
-			p.inQ = p.inQ[:len(p.inQ)-1]
+	if p.inQ.Len() > 0 && !p.parked {
+		if p.service(*p.inQ.Front()) {
+			p.inQ.Pop()
+		} else {
+			p.parked = true
 		}
 	}
 }
 
-// service attempts to handle one request; false means retry next cycle.
+// service attempts to handle one request; false means it needs an MSHR
+// or a victim way that only the next fill can free.
 func (p *Partition) service(req *mem.Request) bool {
 	if req.Store {
 		p.serviceStore(req)
@@ -265,12 +272,15 @@ func (p *Partition) completeFill(req *mem.Request) {
 		panic(fmt.Sprintf("l2: fill for %#x without MSHR entry", uint64(req.Addr)))
 	}
 	delete(p.mshr, req.Addr)
+	p.parked = false
 	set, way, res := p.ta.Probe(req.Addr)
 	if res != cache.ProbeReserved {
 		panic(fmt.Sprintf("l2: fill for %#x but line not reserved (%v)", uint64(req.Addr), res))
 	}
 	p.ta.Fill(set, way)
-	p.responses = append(p.responses, waiters...)
+	for _, w := range waiters {
+		p.responses.Push(w)
+	}
 	p.putWaiters(waiters)
 }
 
@@ -282,20 +292,16 @@ func (p *Partition) schedule(req *mem.Request, at uint64, fill bool) {
 // PopResponse returns the next load response ready to travel back to the
 // core, or nil.
 func (p *Partition) PopResponse() *mem.Request {
-	if len(p.responses) == 0 {
+	if p.responses.Len() == 0 {
 		return nil
 	}
-	r := p.responses[0]
-	copy(p.responses, p.responses[1:])
-	p.responses[len(p.responses)-1] = nil
-	p.responses = p.responses[:len(p.responses)-1]
-	return r
+	return p.responses.Pop()
 }
 
 // Pending reports whether the partition still has queued, in-flight, or
 // undelivered work.
 func (p *Partition) Pending() bool {
-	return len(p.inQ) > 0 || len(p.events) > 0 || len(p.responses) > 0 || len(p.mshr) > 0
+	return p.inQ.Len() > 0 || len(p.events) > 0 || p.responses.Len() > 0 || len(p.mshr) > 0
 }
 
 // Busy reports whether Tick(now) would do real work: a queued request
@@ -303,13 +309,12 @@ func (p *Partition) Pending() bool {
 // When false, Tick is a pure no-op (it would only refresh p.now, which
 // the next real service observes anyway), so the engine can skip it.
 func (p *Partition) Busy(now uint64) bool {
-	return len(p.inQ) > 0 || len(p.responses) > 0 ||
-		(len(p.events) > 0 && p.events[0].readyAt <= now)
+	return p.Queued() || (len(p.events) > 0 && p.events[0].readyAt <= now)
 }
 
 // NextEvent returns the earliest scheduled completion time, or ok=false
-// when no event is pending. With an empty input queue this is the
-// partition's next activity cycle.
+// when no event is pending. With nothing Queued this is the partition's
+// next activity cycle.
 func (p *Partition) NextEvent() (at uint64, ok bool) {
 	if len(p.events) == 0 {
 		return 0, false
@@ -318,8 +323,34 @@ func (p *Partition) NextEvent() (at uint64, ok bool) {
 }
 
 // Queued reports whether the partition holds immediately serviceable
-// work (input-queue entries or undelivered responses) — work that makes
-// the very next cycle active and therefore forbids fast-forwarding.
+// work (an input-queue head that is not parked, or undelivered
+// responses) — work that makes the very next cycle active.
 func (p *Partition) Queued() bool {
-	return len(p.inQ) > 0 || len(p.responses) > 0
+	return (p.inQ.Len() > 0 && !p.parked) || p.responses.Len() > 0
+}
+
+// CheckPark re-derives a parked head's refusal from first principles: a
+// load that matches no line, with every MSHR taken or no way of its set
+// replaceable, and a fill outstanding to end the wait. The engine's
+// sampled self-checks call it; it never mutates state.
+func (p *Partition) CheckPark() error {
+	if !p.parked {
+		return nil
+	}
+	if p.inQ.Len() == 0 {
+		return fmt.Errorf("l2: parked with an empty input queue")
+	}
+	req := *p.inQ.Front()
+	set, _, res := p.ta.Probe(req.Addr)
+	if req.Store || res != cache.ProbeMiss {
+		return fmt.Errorf("l2: parked head %v is serviceable (probe %v)", req, res)
+	}
+	if len(p.mshr) < p.maxMSHRs && p.ta.VictimIn(set, nil) >= 0 {
+		return fmt.Errorf("l2: parked head %v has a free MSHR (%d of %d) and a victim way",
+			req, len(p.mshr), p.maxMSHRs)
+	}
+	if len(p.mshr) == 0 {
+		return fmt.Errorf("l2: parked head %v with no fill outstanding to wake it", req)
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/prng"
 	"repro/internal/stats"
 )
 
@@ -177,5 +178,80 @@ func TestPending(t *testing.T) {
 	}
 	if p.Pending() {
 		t.Error("drained partition still pending")
+	}
+}
+
+// TestParkedHeadMatchesRetry is the L2 park's differential: two
+// partitions starved of MSHRs and ways take the same random request
+// stream. The reference re-probes a refused head every cycle, as the
+// partition did before it could park; the other parks it until the next
+// fill and is ticked only when Busy says so. Every response must leave
+// both in the same cycle and every counter must agree after every cycle,
+// and a parked head must pass its own first-principles check.
+func TestParkedHeadMatchesRetry(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.L2.Sets, cfg.L2.Ways = 4, 2
+	cfg.L2MSHRs = 2
+	refSt, parkSt := &stats.Stats{}, &stats.Stats{}
+	ref, parked := New(cfg, refSt, nil), New(cfg, parkSt, nil)
+	stride := addr.Addr(cfg.L2.LineSize * cfg.NumPartitions)
+	rng := prng.New(5)
+	parkedCycles, skipped := 0, 0
+	for now := uint64(1); now < 30000 || ref.Pending(); now++ {
+		if now > 1_000_000 {
+			t.Fatal("partitions did not drain")
+		}
+		if now < 30000 && rng.Intn(3) == 0 {
+			line := stride * addr.Addr(rng.Intn(40))
+			store := rng.Intn(8) == 0
+			ref.Enqueue(&mem.Request{ID: now, Addr: line, Store: store})
+			parked.Enqueue(&mem.Request{ID: now, Addr: line, Store: store})
+		}
+		ref.parked = false // re-probe
+		ref.Tick(now)
+		if parked.Busy(now) {
+			parked.Tick(now)
+		} else {
+			skipped++
+		}
+		if err := parked.CheckPark(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		for {
+			a, b := ref.PopResponse(), parked.PopResponse()
+			if (a == nil) != (b == nil) || (a != nil && a.ID != b.ID) {
+				t.Fatalf("cycle %d: responses diverge: retrying %v, parked %v", now, a, b)
+			}
+			if a == nil {
+				break
+			}
+		}
+		if parked.parked {
+			parkedCycles++
+			if parked.Queued() {
+				t.Fatalf("cycle %d: a parked head is reported as serviceable work", now)
+			}
+		}
+		if *refSt != *parkSt {
+			t.Fatalf("cycle %d: counters diverge\nretrying %+v\nparked   %+v", now, *refSt, *parkSt)
+		}
+	}
+	if parked.Pending() {
+		t.Fatal("the retrying partition drained but the parking one did not")
+	}
+	if parkedCycles == 0 || skipped == 0 {
+		t.Fatalf("%d parked cycles, %d ticks skipped: the configuration proves nothing", parkedCycles, skipped)
+	}
+	t.Logf("%d cycles with a parked head, %d ticks skipped, %d L2 accesses", parkedCycles, skipped, parkSt.L2Accesses)
+}
+
+// TestCheckParkCatchesAWrongPark parks a head by hand on a partition
+// that could service it.
+func TestCheckParkCatchesAWrongPark(t *testing.T) {
+	p, _ := newPart()
+	p.Enqueue(&mem.Request{ID: 1, Addr: 0x3000})
+	p.parked = true
+	if err := p.CheckPark(); err == nil {
+		t.Error("a head parked in front of free MSHRs and ways went unnoticed")
 	}
 }

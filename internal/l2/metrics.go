@@ -10,10 +10,10 @@ func (p *Partition) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+".misses", &p.st.L2Misses)
 	reg.Counter(prefix+".dram_reads", &p.st.DRAMReads)
 	reg.Counter(prefix+".dram_writes", &p.st.DRAMWrites)
-	reg.IntGauge(prefix+".inq.depth", func() int { return len(p.inQ) })
+	reg.IntGauge(prefix+".inq.depth", func() int { return p.inQ.Len() })
 	reg.IntGauge(prefix+".mshr.entries", func() int { return len(p.mshr) })
 	reg.IntGauge(prefix+".events.pending", func() int { return len(p.events) })
-	reg.IntGauge(prefix+".responses.ready", func() int { return len(p.responses) })
+	reg.IntGauge(prefix+".responses.ready", func() int { return p.responses.Len() })
 	p.pool.RegisterMetrics(reg, prefix+".pool")
 	p.rec.RegisterMetrics(reg, prefix+".recycler")
 }

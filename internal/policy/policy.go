@@ -150,7 +150,8 @@ type Spec struct {
 
 	// Eligible builds the replacement-eligibility predicate over the
 	// cache's host; nil means plain LRU. Called once per cache — the
-	// predicate must stay valid for the cache's lifetime.
+	// predicate must stay valid for the cache's lifetime. A scheme with
+	// a predicate may not Stall on BlockNoVictim (see check).
 	Eligible func(h *Host) func(*cache.Line) bool
 
 	New func(h *Host) Policy
@@ -215,6 +216,20 @@ var specs = []Spec{
 	},
 }
 
+// check refuses the one combination of the bound decisions the cache
+// cannot honour. A stalled access is parked, not replayed, until an MSHR,
+// miss-queue or tag event moves the cache (core.L1D.Epoch) — but an
+// eligibility predicate may read the clock (ccwsEligible does), and a
+// stall for want of a victim it alone refused could then end with no
+// event at all. No scheme here stalls there; one that wants to has to
+// give the park a clock bound first.
+func (sp *Spec) check() error {
+	if sp.Eligible != nil && sp.Blocked[BlockNoVictim] == Stall {
+		return fmt.Errorf("policy: %q filters victims and stalls when none is eligible; a filtered set must bypass", sp.Name)
+	}
+	return nil
+}
+
 // builtinSpecs is the count of compiled-in entries; everything past it
 // arrived through Register and may be Unregister-ed.
 var builtinSpecs = len(specs)
@@ -236,6 +251,9 @@ func Register(sp Spec) error {
 	}
 	if sp.New == nil {
 		return fmt.Errorf("policy: Register %q with nil constructor", sp.Name)
+	}
+	if err := sp.check(); err != nil {
+		return err
 	}
 	taken := func(s string) bool {
 		for _, ex := range specs {

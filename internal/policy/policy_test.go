@@ -139,6 +139,9 @@ func TestBlockedTable(t *testing.T) {
 		t.Fatalf("table covers %d schemes, registry has %d", len(want), len(Specs()))
 	}
 	for _, sp := range Specs() {
+		if err := sp.check(); err != nil {
+			t.Error(err)
+		}
 		for _, why := range []Block{BlockNoMerge, BlockStructural, BlockNoVictim} {
 			if got := sp.Blocked[why]; got != want[sp.Name][why] {
 				t.Errorf("%v blocked for reason %d: decision %d, want %d", sp.Name, why, got, want[sp.Name][why])
@@ -430,6 +433,10 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 	if err := Register(Spec{Name: "NoCtor"}); err == nil {
 		t.Error("nil constructor not rejected")
+	}
+	if err := Register(Spec{Name: "FilteredStall", Eligible: plExpired, New: scratch.New}); err == nil {
+		Unregister("FilteredStall")
+		t.Error("a victim filter that stalls on no victim not rejected")
 	}
 
 	if !Unregister(scratch.Name) {

@@ -274,8 +274,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cancelJob(js)
 	// A running job settles through its worker; report the resource as
-	// it stands once the cancellation has fully landed (bounded: the
-	// engine observes cancellation within a few thousand cycles).
+	// it stands once the cancellation has fully landed. The wait is
+	// bounded in host time: the engine parks at a checkpoint every 4096
+	// simulated cycles at most and looks at its context when it wakes —
+	// well under a millisecond apart on a machine that is mostly waiting,
+	// tens of milliseconds on one issuing flat out — and that park is
+	// also what let this handler run at all with every P simulating
+	// (sim.Engine.checkpoint; TestDeleteLatencyUnderLoadedWorkers).
 	select {
 	case <-js.done:
 	case <-r.Context().Done():

@@ -14,7 +14,9 @@ import (
 // windows), short compute (busy schedulers), coalesced and scattered
 // loads (MSHR merges, multi-request LD/ST drains), stores (write-through
 // traffic that outlives its warp), and more blocks than SMs (pending
-// block admission mid-run).
+// block admission mid-run). A last one-warp block of very long computes
+// outlives all the others, so the run ends with the whole machine idle
+// for longer than any window — the stretches fast-forward jumps.
 func mixedKernel(seed uint64) *trace.Kernel {
 	rng := prng.New(seed)
 	k := &trace.Kernel{Name: "mixed-activity"}
@@ -41,6 +43,11 @@ func mixedKernel(seed uint64) *trace.Kernel {
 		}
 		k.Blocks = append(k.Blocks, blk)
 	}
+	straggler := &trace.WarpTrace{}
+	for i := 0; i < 4; i++ {
+		straggler.Instrs = append(straggler.Instrs, trace.NewCompute(uint32(i), 2000, 32))
+	}
+	k.Blocks = append(k.Blocks, &trace.Block{Warps: []*trace.WarpTrace{straggler}})
 	return k
 }
 
@@ -56,37 +63,50 @@ func activityConfigs() map[string]*config.Config {
 }
 
 // TestActivityAccountingEveryCycle re-derives the engine's O(1) activity
-// accounting from first principles at every stepped cycle of a mixed
+// accounting from first principles at every window end of a mixed
 // workload: the liveWarps counter and the SMs' slot-indexed scheduling
 // arrays (blocked/finished bits, ages) vs slot sweeps, scheduler sleep
-// bounds vs actual issuability, and counter-form quiescence vs the deep
-// sweep. This is the per-cycle (unsampled) version of what
-// SelfCheck verifies every 2048 cycles in production runs — including
-// the fault-injection suites, which run with SelfCheck enabled.
+// bounds vs actual issuability, parked LD/ST and L2 heads vs a replay,
+// and counter-form quiescence vs the deep sweep. It runs twice: on
+// one-cycle windows, where the hook fires cycle by cycle, and on the
+// production windows, where components skip locally and wake bounds
+// carry from one window into the next. This is the unsampled version of
+// what SelfCheck verifies every 2048 cycles in production runs —
+// including the fault-injection suites, which run with SelfCheck enabled.
 func TestActivityAccountingEveryCycle(t *testing.T) {
 	for name, cfg := range activityConfigs() {
 		for _, policy := range []config.Policy{config.PolicyBaseline, config.PolicyDLP} {
 			t.Run(name+"/"+policy.String(), func(t *testing.T) {
-				e, err := New(cfg, policy, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checked := 0
-				e.testHook = func(cycle uint64, active bool) {
-					if err := e.checkActivity(); err != nil {
-						t.Fatalf("cycle %d (active=%v): %v", cycle, active, err)
+				for _, unit := range []bool{true, false} {
+					e, err := New(cfg, policy, Options{})
+					if err != nil {
+						t.Fatal(err)
 					}
-					checked++
-				}
-				st, err := e.Run(context.Background(), mixedKernel(7))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.CheckConservation(); err != nil {
-					t.Error(err)
-				}
-				if checked < 100 {
-					t.Errorf("only %d cycles observed; kernel too small to prove anything", checked)
+					if unit {
+						e.quantum = 1
+					}
+					checked := 0
+					e.windowHook = func(t0, t1, active uint64) {
+						if err := e.checkActivity(); err != nil {
+							t.Fatalf("quantum %d, window %d..%d (active=%#x): %v", e.quantum, t0, t1, active, err)
+						}
+						for i, p := range e.parts {
+							if err := p.CheckPark(); err != nil {
+								t.Fatalf("quantum %d, window %d..%d, partition %d: %v", e.quantum, t0, t1, i, err)
+							}
+						}
+						checked++
+					}
+					st, err := e.Run(context.Background(), mixedKernel(7))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.CheckConservation(); err != nil {
+						t.Error(err)
+					}
+					if checked < 100 {
+						t.Errorf("quantum %d: only %d windows observed; kernel too small to prove anything", e.quantum, checked)
+					}
 				}
 			})
 		}
@@ -94,9 +114,9 @@ func TestActivityAccountingEveryCycle(t *testing.T) {
 }
 
 // TestFastForwardDifferential proves fast-forwarding is unobservable:
-// the same kernel run with the optimization disabled (every cycle
-// stepped) produces bit-identical statistics, while the enabled run
-// demonstrably skips cycles. SelfCheck is on for both legs, so the
+// the same kernel run with the optimization disabled (every component
+// visited on every cycle) produces bit-identical statistics, while the
+// enabled run demonstrably jumps over cycles. SelfCheck is on for both legs, so the
 // sampled sweeps also run on both sides of the comparison.
 func TestFastForwardDifferential(t *testing.T) {
 	for name, cfg := range activityConfigs() {
@@ -109,7 +129,7 @@ func TestFastForwardDifferential(t *testing.T) {
 					}
 					e.disableFastForward = disableFF
 					var stepped uint64
-					e.testHook = func(uint64, bool) { stepped++ }
+					e.windowHook = func(t0, t1, _ uint64) { stepped += t1 - t0 + 1 }
 					st, err := e.Run(context.Background(), mixedKernel(11))
 					if err != nil {
 						t.Fatal(err)

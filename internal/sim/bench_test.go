@@ -7,14 +7,15 @@ import (
 )
 
 // stealStepBench builds a four-shard engine on an idle machine and
-// returns one exchange step: the serial arrival binning (nothing to
-// bin), one steal phase over every span (workers claim from the shared
-// cursor, tick idle components, drain empty lanes), and the serial
-// O(spans) merge — the fixed per-cycle cost of the phase-parallel
-// engine. The first step, which warms span lanes and per-worker state,
+// returns one exchange step: the serial window open (nothing to bin),
+// one steal phase over every span (workers claim from the shared
+// cursor and visit idle components on every cycle of the window — with
+// fast-forward on an idle window would not run a phase at all), and the
+// serial O(spans) close — the fixed per-window cost of the
+// phase-parallel engine. The first step, which warms per-worker state,
 // has already run.
 func stealStepBench(tb testing.TB) (step func()) {
-	e, err := New(config.Baseline(), config.PolicyDLP, Options{Cores: 4})
+	e, err := New(config.Baseline(), config.PolicyDLP, Options{Cores: 4, DisableFastForward: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -26,8 +27,9 @@ func stealStepBench(tb testing.TB) (step func()) {
 	})
 	now := uint64(0)
 	step = func() {
-		now++
-		e.step(now)
+		t0 := now + 1
+		now = e.windowEnd(t0)
+		e.runWindow(t0, now)
 	}
 	step()
 	return step
@@ -48,6 +50,6 @@ func BenchmarkStealScheduleStep(b *testing.B) {
 // rebuilt per cycle.
 func TestStealScheduleStepAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, stealStepBench(t)); avg != 0 {
-		t.Errorf("idle steal-schedule step allocates %.2f per cycle, want 0", avg)
+		t.Errorf("idle steal-schedule step allocates %.2f per window, want 0", avg)
 	}
 }

@@ -47,6 +47,11 @@ func (e *Engine) registerMetrics(m *metrics.Config) {
 // emitSample captures one row attributed to the given cycle. The row
 // buffer is the registry's reusable slice; sinks copy if they retain.
 func (e *Engine) emitSample(cycle uint64) {
+	// A parked LD/ST head owes the stall counter the cycles it has slept
+	// through; the row shows what replaying them would have counted.
+	for _, s := range e.sms {
+		s.FlushStalls(cycle)
+	}
 	e.msink.Row(e.mlabel, cycle, e.mreg.Sample())
 	e.mlast = cycle
 }

@@ -142,7 +142,11 @@ func TestMetricsRowsCoverSkippedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepped := map[uint64]bool{}
-	e.testHook = func(cycle uint64, active bool) { stepped[cycle] = true }
+	e.windowHook = func(t0, t1, _ uint64) {
+		for c := t0; c <= t1; c++ {
+			stepped[c] = true
+		}
+	}
 	if _, err := e.Run(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}

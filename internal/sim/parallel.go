@@ -2,13 +2,13 @@
 //
 // The runner already parallelizes *across* simulations; this file
 // parallelizes *inside* one. The component index space — L2 partitions
-// first, then SMs — is cut into contiguous spans, and each cycle's
-// component phase has the workers claim spans off a shared atomic
-// cursor (deterministic work stealing): a worker stuck on a hot span
-// simply stops claiming while the others drain the rest, so hot/idle
-// imbalance never serializes the phase. Spans — not workers — own the
-// delivery inboxes, the outbound lanes, and the fast-forward partials,
-// so the simulation output depends only on the span layout (a pure
+// first, then SMs — is cut into contiguous spans, and each window's
+// component phase (window.go) has the workers claim spans off a shared
+// atomic cursor (deterministic work stealing): a worker stuck on a hot
+// span simply stops claiming while the others drain the rest, so
+// hot/idle imbalance never serializes the phase. Spans — not workers —
+// own the outbound lanes and the wake bounds, so the simulation output
+// depends only on the span layout (a pure
 // function of geometry and Options.Cores), never on which worker
 // happened to claim which span. That is what keeps results
 // bit-identical at any core count, including odd ones. DESIGN.md §10
@@ -35,7 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/addr"
 	"repro/internal/mem"
 )
 
@@ -60,38 +59,32 @@ func makeSpans(total, n int) []span {
 	return out
 }
 
-// spanState is one span's per-cycle communication state. The inboxes
-// are filled serially (packet binning in the pre-phase, recycled-store
-// routing in the previous cycle's merge) and consumed by whichever
-// worker claims the span; the lanes are filled during the span's tick
-// and handed off — an O(1) slice handoff per lane — by the serial
-// merge. All buffers keep their backing arrays across cycles, so the
-// steady state allocates nothing. The pad keeps neighboring states on
-// separate cache lines so concurrent writers don't false-share.
+// spanState is what one span hands the serial end of a window. The lanes
+// are filled while the span's components run the window — lane j holds
+// the packets of the window's j-th cycle, in component order — and
+// handed to the crossbar whole, an O(1) slice exchange per lane. All
+// buffers keep their backing arrays across windows, so the steady state
+// allocates nothing. The pad rounds the struct up to two cache lines so
+// concurrent writers of neighboring states don't false-share.
 type spanState struct {
-	inMem  []*mem.Request // arrived requests for this span's partitions
-	inCore []*mem.Request // arrived responses for this span's SMs
-	inPut  []*mem.Request // recycled stores homed to this span's SM pools
+	outMem  [][]*mem.Request // SM fetches, per-SM injection-rate bounded
+	outCore [][]*mem.Request // partition responses, in partition order
+	outPut  []*mem.Request   // stores the partitions consumed
+	sent    int              // packets in outMem and outCore
 
-	outMem  []*mem.Request // SM fetches, per-SM injection-rate bounded
-	outCore []*mem.Request // partition responses, in partition order
-	outPut  []*mem.Request // recycled stores drained from partitions
-
-	active bool
-	// mustTick vetoes fast-forwarding: some component in the span needs
-	// per-cycle ticking (a draining LD/ST queue, a queued partition
-	// request).
-	mustTick bool
-	// next is the span's earliest scheduled component event, or
-	// ^uint64(0) when none. Only meaningful when the whole cycle was
-	// inactive — which is the only time the run loop reads it.
-	next uint64
-	// busy counts cycles in which this span did real work — the
-	// load-imbalance signal behind the phase.span<i>.busy_cycles
-	// metrics column. Deterministic: it depends on the span layout,
-	// never on worker scheduling.
-	busy uint64
-	_    [40]byte
+	// active has one bit per cycle of the window in which the span did
+	// real work; busy accumulates its population count — the
+	// load-imbalance signal behind the phase.span<i>.busy_cycles metrics
+	// column. Deterministic: it depends on the span layout, never on
+	// worker scheduling.
+	active uint64
+	busy   uint64
+	// next is the earliest cycle at which a component of the span needs
+	// running again if nothing arrives for it; parked says an SM of the
+	// span holds a parked LD/ST head.
+	next   uint64
+	parked bool
+	_      [16]byte
 }
 
 // workerSlot records a panic recovered on a pool worker; the
@@ -110,7 +103,8 @@ type PhasePanicError struct {
 	// Worker is the worker index the panic escaped from (1-based:
 	// worker 0 is the coordinator and panics through Run directly).
 	Worker int
-	// Cycle is the simulated cycle whose component phase panicked.
+	// Cycle is the first cycle of the window whose component phase
+	// panicked.
 	Cycle uint64
 	// Value is the original panic value.
 	Value any
@@ -122,138 +116,6 @@ func (e *PhasePanicError) Error() string {
 	return fmt.Sprintf("sim: phase worker %d panicked at cycle %d: %v", e.Worker, e.Cycle, e.Value)
 }
 
-// tickSpan advances one span through a full component phase: apply the
-// span's delivery inboxes, tick its components (partitions before SMs —
-// the serial engine's relative order), then drain outbound packets into
-// the span's lanes. Every mutation is local to the span's components
-// and its own spanState, so any worker may run it without locks. When
-// the span did no work, its fast-forward partial (mustTick / earliest
-// next event) is computed in the same pass, which is what lets
-// nextInterestingCycle run without a second component sweep.
-func (e *Engine) tickSpan(si int, now uint64) {
-	st := &e.spanSt[si]
-	if e.spanHook != nil {
-		e.spanHook(si, now)
-	}
-
-	// Recycled stores routed here by the previous cycle's merge return
-	// to their issuing SM's pool before that SM ticks again.
-	for j, r := range st.inPut {
-		st.inPut[j] = nil
-		e.pools[r.SM].Put(r)
-	}
-	st.inPut = st.inPut[:0]
-	// Batched delivery: the serial pre-phase only binned the arrived
-	// packets; the MSHR/L2 work of applying them happens here, span-
-	// locally. Bin order preserves the crossbar's per-direction
-	// arrival order, so each component sees deliveries exactly as the
-	// serial engine ordered them.
-	for j, r := range st.inMem {
-		st.inMem[j] = nil
-		p := addr.PartitionOf(r.Addr, e.cfg.L1D.LineSize, len(e.parts))
-		e.parts[p].Enqueue(r)
-	}
-	st.inMem = st.inMem[:0]
-	for j, r := range st.inCore {
-		st.inCore[j] = nil
-		e.sms[r.SM].L1D().OnResponse(r)
-	}
-	st.inCore = st.inCore[:0]
-
-	sp := e.spans[si]
-	P := len(e.parts)
-	active := false
-	for i := sp.lo; i < sp.hi && i < P; i++ {
-		// A non-Busy partition's tick is a pure no-op and is skipped.
-		if p := e.parts[i]; p.Busy(now) {
-			p.Tick(now)
-			active = true
-		}
-	}
-	// A Done SM has no warps, no queued blocks, and a drained cache;
-	// nothing can re-activate it (blocks are assigned only before the
-	// cycle loop), so its tick is skipped outright.
-	for i := max(sp.lo, P); i < sp.hi; i++ {
-		if s := e.sms[i-P]; !s.Done() && s.Tick(now) {
-			active = true
-		}
-	}
-
-	// Drain outbound lanes: partition responses and recycled stores in
-	// partition order, then SM fetches under the injection-rate bound in
-	// SM order. Spans ascend the component index space, so the merge's
-	// fixed span order concatenates these into exactly the serial
-	// engine's per-direction push order.
-	for i := sp.lo; i < sp.hi && i < P; i++ {
-		p := e.parts[i]
-		for {
-			resp := p.PopResponse()
-			if resp == nil {
-				break
-			}
-			st.outCore = append(st.outCore, resp)
-		}
-		if rc := e.recyclers[i]; rc.Len() > 0 {
-			st.outPut = rc.DrainTo(st.outPut)
-		}
-	}
-	for i := max(sp.lo, P); i < sp.hi; i++ {
-		s := e.sms[i-P]
-		for k := 0; k < e.opts.InjectionRate; k++ {
-			out := s.L1D().PopOutgoing()
-			if out == nil {
-				break
-			}
-			st.outMem = append(st.outMem, out)
-			active = true
-		}
-	}
-
-	st.active = active
-	st.mustTick = false
-	st.next = ^uint64(0)
-	if active {
-		st.busy++
-		// The partial is never read for an active cycle.
-		return
-	}
-	for i := sp.lo; i < sp.hi && i < P; i++ {
-		p := e.parts[i]
-		if p.Queued() {
-			st.mustTick = true
-			return
-		}
-		if a, ok := p.NextEvent(); ok && a < st.next {
-			st.next = a
-		}
-	}
-	for i := max(sp.lo, P); i < sp.hi; i++ {
-		s := e.sms[i-P]
-		if s.Done() {
-			continue
-		}
-		w, ok := s.NextWake(now)
-		if !ok {
-			st.mustTick = true
-			return
-		}
-		if w < st.next {
-			st.next = w
-		}
-	}
-}
-
-// runSpansSerial is the Cores=1 component phase: the same hook and span
-// sweep as the pool path, with no synchronization at all.
-func (e *Engine) runSpansSerial(now uint64) {
-	if hook := e.opts.PhaseHook; hook != nil {
-		hook(0, now)
-	}
-	for i := range e.spans {
-		e.tickSpan(i, now)
-	}
-}
-
 // phasePool is the persistent worker pool behind Options.Cores > 1. It
 // lives for one Run: workers park between phases and exit when stop
 // flips quit and bumps the sequence one last time.
@@ -261,10 +123,10 @@ type phasePool struct {
 	e *Engine
 	// seq announces phases: each bump releases the workers into one
 	// steal loop. Its atomic store/load pair also publishes the plain
-	// now and quit fields and the reset cursor.
-	seq  atomic.Uint64
-	now  uint64
-	quit bool
+	// window bounds and quit field and the reset cursor.
+	seq    atomic.Uint64
+	t0, t1 uint64
+	quit   bool
 	// cursor is the steal counter: the next span index to claim.
 	// Workers claim ascending indices until the list is exhausted, so
 	// every span runs exactly once per phase and the worker→span
@@ -321,9 +183,9 @@ func spinBudget(n int) int {
 // the coordinator, which participates as worker 0. If a pool worker
 // panicked, the recovered value is rethrown here as a *PhasePanicError
 // so it unwinds through Run on the engine's own goroutine.
-func (pp *phasePool) runPhase(now uint64) {
+func (pp *phasePool) runPhase(t0, t1 uint64) {
 	n := pp.e.workers
-	pp.now = now
+	pp.t0, pp.t1 = t0, t1
 	pp.cursor.Store(0)
 	pp.remaining.Store(int32(n - 1))
 	pp.seq.Add(1)
@@ -349,7 +211,7 @@ func (pp *phasePool) runPhase(now uint64) {
 	}
 	for w := 1; w < n; w++ {
 		if sl := &pp.e.wslots[w]; sl.panicVal != nil {
-			panic(&PhasePanicError{Worker: w, Cycle: now, Value: sl.panicVal, Stack: sl.panicStack})
+			panic(&PhasePanicError{Worker: w, Cycle: t0, Value: sl.panicVal, Stack: sl.panicStack})
 		}
 	}
 }
@@ -361,9 +223,8 @@ func (pp *phasePool) runPhase(now uint64) {
 // later reads, are identical at any core count.
 func (pp *phasePool) runSpans(w int) {
 	e := pp.e
-	now := pp.now
 	if hook := e.opts.PhaseHook; hook != nil {
-		hook(w, now)
+		hook(w, pp.t0)
 	}
 	nspans := int64(len(e.spans))
 	for {
@@ -371,7 +232,7 @@ func (pp *phasePool) runSpans(w int) {
 		if i >= nspans {
 			return
 		}
-		e.tickSpan(int(i), now)
+		e.runSpan(int(i), pp.t0, pp.t1)
 	}
 }
 

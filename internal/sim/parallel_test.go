@@ -60,7 +60,7 @@ func TestCoresFastForwardDifferential(t *testing.T) {
 		}
 		e.disableFastForward = disableFF
 		var stepped uint64
-		e.testHook = func(uint64, bool) { stepped++ }
+		e.windowHook = func(t0, t1, _ uint64) { stepped += t1 - t0 + 1 }
 		st, err := e.Run(context.Background(), mixedKernel(31))
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCoresClamped(t *testing.T) {
 }
 
 // TestPhaseHookCoverage proves the hook seam fires on every shard of
-// every stepped cycle — the property the fault-injection suite's
+// every component phase — the property the fault-injection suite's
 // worker-panic case relies on.
 func TestPhaseHookCoverage(t *testing.T) {
 	const cores = 4
@@ -194,27 +194,33 @@ func TestMakeSpans(t *testing.T) {
 }
 
 // TestStealScheduleClaimsEachSpanOnce proves the work-stealing cursor's
-// core property: in every stepped cycle, every span is claimed exactly
-// once — no span is skipped, none ticked twice — regardless of how the
+// core property: in every component phase, every span is claimed exactly
+// once — no span is skipped, none run twice — regardless of how the
 // claims land on workers.
 func TestStealScheduleClaimsEachSpanOnce(t *testing.T) {
-	e, err := New(config.Baseline(), config.PolicyDLP, Options{Cores: 5})
+	var phases atomic.Uint64
+	e, err := New(config.Baseline(), config.PolicyDLP, Options{
+		Cores: 5,
+		PhaseHook: func(w int, _ uint64) {
+			if w == 0 {
+				phases.Add(1)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	claims := make([]atomic.Uint64, len(e.spans))
 	e.spanHook = func(span int, _ uint64) { claims[span].Add(1) }
-	var stepped uint64
-	e.testHook = func(uint64, bool) { stepped++ }
 	if _, err := e.Run(context.Background(), mixedKernel(17)); err != nil {
 		t.Fatal(err)
 	}
-	if stepped == 0 {
-		t.Fatal("no cycles stepped")
+	if phases.Load() == 0 {
+		t.Fatal("no component phase ran")
 	}
 	for si := range claims {
-		if got := claims[si].Load(); got != stepped {
-			t.Errorf("span %d claimed %d times over %d stepped cycles", si, got, stepped)
+		if got := claims[si].Load(); got != phases.Load() {
+			t.Errorf("span %d claimed %d times over %d phases", si, got, phases.Load())
 		}
 	}
 }
@@ -242,7 +248,7 @@ func TestStealScheduleDeterminismOddCores(t *testing.T) {
 	}
 }
 
-// TestSpanPanicSurfacesThroughMerge injects a panic inside a span tick
+// TestSpanPanicSurfacesThroughMerge injects a panic inside a span's run
 // itself (not the phase hook), on whichever worker claims the span: the
 // run must surface it promptly — as a *PhasePanicError when a pool
 // worker claimed the span, or as the raw value when the coordinator did

@@ -1,14 +1,14 @@
 // Package sim is the simulation engine: it wires SMs, their L1D caches,
 // the interconnect, the L2 partitions and DRAM channels into one machine,
-// dispatches a kernel's thread blocks, and steps everything cycle by
-// cycle until the kernel drains.
+// dispatches a kernel's thread blocks, and advances everything — cycle
+// for cycle in simulated time, a crossbar latency at a stride in host
+// time (window.go) — until the kernel drains.
 package sim
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/interconnect"
 	"repro/internal/l2"
@@ -45,7 +45,8 @@ type Options struct {
 	// runner's cache key.
 	SelfCheck bool
 	// Cores sets the engine's internal phase parallelism: how many
-	// shards tick the SMs and L2 partitions concurrently each cycle.
+	// shards run the SMs and L2 partitions concurrently through each
+	// window of cycles.
 	// 0 or 1 means fully serial (no extra goroutines). Results are
 	// bit-identical at every value — the parallel phase only touches
 	// component-local state, and all cross-component interaction runs
@@ -53,10 +54,12 @@ type Options struct {
 	// Cores, like SelfCheck, is excluded from the runner's cache key.
 	// Values beyond the component count are clamped.
 	Cores int
-	// DisableFastForward forces the run loop to step every cycle
-	// instead of jumping over provably idle windows. Fast-forwarding is
-	// unobservable by construction, so results are bit-identical either
-	// way — which is exactly what the conformance corpus and the
+	// DisableFastForward forces every component to be visited on every
+	// cycle: no component skips ahead to its next event inside a window
+	// and the run loop never jumps over a provably idle stretch. Skipped
+	// cycles are unobservable by construction, so results are
+	// bit-identical either way — which is exactly what the conformance
+	// corpus and the
 	// differential fuzzer re-prove on every geometry they visit by
 	// running a ff-disabled engine against the default one. Like
 	// SelfCheck and Cores it is execution policy, not simulation input,
@@ -64,7 +67,8 @@ type Options struct {
 	DisableFastForward bool
 	// PhaseHook, when non-nil, is called by every shard (the
 	// coordinator is shard 0) at the top of each component phase with
-	// the shard's worker index and the current cycle. It is a test and
+	// the shard's worker index and the first cycle of the window the
+	// phase runs. It is a test and
 	// fault-injection seam — e.g. proving a panic on a phase worker
 	// surfaces as a typed error — and must not mutate engine state. It
 	// never affects results and is excluded from cache keys.
@@ -73,10 +77,11 @@ type Options struct {
 	// Metrics.Interval() cycles the engine samples a registry of
 	// counters and gauges registered by its components (L1D, VTA, PDPT,
 	// MSHR queues, L2 partitions, crossbar, SM schedulers) into
-	// Metrics.Sink. Cycles skipped by fast-forward still get their
-	// sampling-boundary rows: a skipped cycle is provably a no-op, so
-	// the engine emits the row with the state at the jump point,
-	// attributed to the boundary cycle. Sampled series are therefore
+	// Metrics.Sink. No window crosses a sampling boundary, and cycles
+	// skipped by fast-forward still get their boundary rows: a skipped
+	// cycle is provably a no-op, so the engine emits the row with the
+	// state at the jump point, attributed to the boundary cycle. Sampled
+	// series are therefore
 	// identical at every Cores value and with fast-forward disabled.
 	// Sampling reads counters the components maintain anyway, never
 	// perturbs simulation state, and a nil Metrics (or nil Sink) costs
@@ -134,28 +139,39 @@ type Engine struct {
 	partSt []*stats.Stats
 
 	// pools recycle mem.Request objects, one unlocked pool per SM: an
-	// SM allocates from and returns loads to its own pool during its
-	// span's tick. Store requests consumed by L2 partitions are
-	// deferred into per-partition recyclers; the partition's span
-	// drains them into its outPut lane, the serial merge bins them by
-	// destination span (Request.SM), and the destination span returns
-	// them to the owning pool at the top of the next component phase —
-	// so pools stay unlocked and the steady state allocation-free at
-	// any core count.
+	// SM allocates from and returns loads to its own pool while it runs
+	// a window. Store requests consumed by L2 partitions are deferred
+	// into per-partition recyclers; the partition's span drains them
+	// into its put list and the serial end of the window returns them
+	// to the issuing SM's pool (Request.SM) — so pools stay unlocked and
+	// the steady state allocation-free at any core count.
 	pools     []*mem.Pool
 	recyclers []*mem.Recycler
 
 	// workers is the effective phase parallelism (Options.Cores clamped
 	// to the component count); spans is the contiguous partition of the
 	// unified component index space the workers steal from, and spanSt
-	// holds each span's inboxes, lanes, activity flag and fast-forward
-	// partial. partSpan/smSpan map a component to its owning span for
-	// the serial binning steps.
-	workers  int
-	spans    []span
-	spanSt   []spanState
-	partSpan []int32
-	smSpan   []int32
+	// holds each span's outbound lanes, activity bits and wake bound.
+	workers int
+	spans   []span
+	spanSt  []spanState
+
+	// quantum is the longest window the run loop hands the components:
+	// ICNTLatency+1 cycles (see window.go for why no longer), at most the
+	// 32 between two quiescence probes, where every window ends anyway
+	// (windowEnd). inbox and wake are indexed by component (partitions,
+	// then SMs): the stamped arrivals of the open window, binned serially
+	// before the component phase, and the first cycle at which the
+	// component needs running again if nothing arrives for it.
+	quantum uint64
+	inbox   [][]arrival
+	wake    []uint64
+	// quiet and parked summarize the machine after a window, for the
+	// fast-forward decisions: the first cycle at which anything at all
+	// can happen, and whether some SM's LD/ST head is parked on a stall
+	// (which forbids jumping, though not skipping — see nextStart).
+	quiet  uint64
+	parked bool
 	// wslots records panics recovered on pool workers (index ≥ 1); the
 	// coordinator rethrows them after the phase barrier.
 	wslots []workerSlot
@@ -174,19 +190,19 @@ type Engine struct {
 	mlabel string
 	mlast  uint64
 
-	// testHook, when set by a test in this package, observes every
-	// stepped cycle (skipped cycles are not observed — that they carry
-	// no observable work is exactly what the activity property tests
-	// verify).
-	testHook func(cycle uint64, active bool)
+	// windowHook, when set by a test in this package, observes every
+	// window the run loop simulates, after its self-check: first and last
+	// cycle, and one activity bit per cycle (bit 0 is t0). Cycles jumped
+	// over are not observed — that they carry no observable work is
+	// exactly what the activity property tests verify.
+	windowHook func(t0, t1, active uint64)
 	// spanHook, when set by a test in this package, observes every span
 	// claim of every component phase (it may run concurrently on
 	// several workers). The steal-schedule tests use it to prove each
-	// span is claimed exactly once per stepped cycle.
-	spanHook func(span int, cycle uint64)
-	// disableFastForward forces the run loop to step every cycle; the
-	// differential property tests use it to prove fast-forwarding
-	// changes nothing but wall-clock time.
+	// span is claimed exactly once per phase.
+	spanHook func(span int, t0 uint64)
+	// disableFastForward is Options.DisableFastForward, settable by the
+	// differential property tests of this package after New.
 	disableFastForward bool
 }
 
@@ -243,17 +259,13 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 	e.spans = makeSpans(total, nspans)
 	e.spanSt = make([]spanState, nspans)
 	e.wslots = make([]workerSlot, cores)
-	e.partSpan = make([]int32, cfg.NumPartitions)
-	e.smSpan = make([]int32, cfg.NumSMs)
-	for si, sp := range e.spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			if i < cfg.NumPartitions {
-				e.partSpan[i] = int32(si)
-			} else {
-				e.smSpan[i-cfg.NumPartitions] = int32(si)
-			}
-		}
+	e.quantum = min(uint64(cfg.ICNTLatency)+1, 32)
+	for i := range e.spanSt {
+		e.spanSt[i].outMem = make([][]*mem.Request, e.quantum)
+		e.spanSt[i].outCore = make([][]*mem.Request, e.quantum)
 	}
+	e.inbox = make([][]arrival, total)
+	e.wake = make([]uint64, total)
 	if opts.Metrics.Enabled() {
 		e.registerMetrics(opts.Metrics)
 	}
@@ -261,8 +273,8 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 }
 
 // Run executes the kernel to completion and returns aggregated stats.
-// The context is checked periodically inside the cycle loop, so a
-// cancelled sweep stops within a few thousand simulated cycles instead
+// The context is checked at every checkpoint of the run loop (at most
+// 4096 simulated cycles apart), so a cancelled sweep stops there instead
 // of running its kernels to completion.
 func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error) {
 	// A kernel precomputed for this line size is left as it is; any other
@@ -313,131 +325,6 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 		e.sms[bi%len(e.sms)].AssignStream(src, bi)
 	}
 	return e.runLoop(ctx, name)
-}
-
-// runLoop steps the machine until the launched work drains, the cycle
-// budget runs out, or the machine wedges. Both Run and RunStream land
-// here after assigning their blocks.
-func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error) {
-	// With more than one worker, spin up the persistent phase-worker
-	// pool for the duration of the run. The deferred stop also runs on
-	// the panic path (a coordinator panic unwinding through Run), so
-	// worker goroutines never outlive the run that spawned them.
-	if e.workers > 1 {
-		pp := newPhasePool(e)
-		e.pp = pp
-		defer func() {
-			pp.stop()
-			e.pp = nil
-		}()
-	}
-
-	var cycle uint64
-	lastActive := uint64(0) // most recent cycle that did any work
-	for cycle = 1; cycle <= e.opts.MaxCycles; cycle++ {
-		if cycle&4095 == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("sim: kernel %q aborted after %d cycles: %w",
-					name, cycle, ctx.Err())
-			default:
-			}
-			if err := e.frontendErr(); err != nil {
-				return nil, err
-			}
-		}
-		active := e.step(cycle)
-		if active {
-			lastActive = cycle
-		}
-		// Sampled self-checking: cheap enough to leave on for whole
-		// suites (one sweep every selfCheckPeriod cycles) while still
-		// catching a corrupted-state bug within ~2k cycles of its
-		// introduction instead of at the end-of-run figures.
-		if e.opts.SelfCheck && cycle&(selfCheckPeriod-1) == 0 {
-			if err := e.selfCheck(name, cycle); err != nil {
-				return nil, err
-			}
-		}
-		if e.testHook != nil {
-			e.testHook(cycle, active)
-		}
-		// Metrics sampling happens after the cycle's work (and after a
-		// passing self-check) but before the quiescence break, so a
-		// boundary coinciding with the drain cycle is captured here and
-		// suppressed from the end-of-run row below.
-		if e.mreg != nil && cycle%e.mevery == 0 {
-			e.emitSample(cycle)
-		}
-		if cycle%32 == 0 {
-			if e.quiescent() {
-				break
-			}
-			// Wedge detection piggybacks on the quiescence boundary: work
-			// outstanding but nothing has happened for a whole window —
-			// a dropped wakeup, not a long latency (see DeadlockError).
-			if cycle-lastActive >= deadlockWindow {
-				return nil, &DeadlockError{Kernel: name, Cycle: cycle, Idle: cycle - lastActive}
-			}
-		}
-		// Fast-forward: when this cycle did no work, every following
-		// cycle up to the machine's next scheduled event is provably
-		// identical no-op, so jump the clock there directly. The target
-		// is clamped so no periodic boundary (context check, self-check,
-		// quiescence check when nothing is scheduled) is ever skipped —
-		// skipped cycles are exactly the ones the unoptimized loop would
-		// have stepped through without touching any state or counter.
-		if !active && !e.disableFastForward {
-			if next, ok := e.nextInterestingCycle(cycle); ok && next > cycle+1 {
-				// Attribute sampling boundaries inside the skipped window
-				// to their boundary cycle before jumping: the machine
-				// state cannot change across the window (each skipped
-				// cycle is a proven no-op), so the rows the unoptimized
-				// loop would have emitted at those boundaries carry
-				// exactly the current values. The boundary at next
-				// itself, if any, is stepped and sampled normally.
-				if e.mreg != nil {
-					for b := cycle - cycle%e.mevery + e.mevery; b < next; b += e.mevery {
-						e.emitSample(b)
-					}
-				}
-				cycle = next - 1
-			}
-		}
-	}
-	// A warp whose window could not be packed ended early, so the run
-	// drained — but not the run that was asked for.
-	if err := e.frontendErr(); err != nil {
-		return nil, err
-	}
-	if cycle > e.opts.MaxCycles {
-		if !e.quiescent() {
-			return nil, &CycleLimitError{Kernel: name, MaxCycles: e.opts.MaxCycles}
-		}
-	}
-
-	// A final full sweep at drain time, so even sub-period kernels get
-	// checked at least once.
-	if e.opts.SelfCheck {
-		if err := e.selfCheck(name, cycle); err != nil {
-			return nil, err
-		}
-	}
-
-	// One final row at the drain (or timeout-boundary) cycle, so every
-	// series ends with the simulation's closing counter values even when
-	// the run length is not a multiple of the sampling period.
-	if e.mreg != nil && e.mlast != cycle {
-		e.emitSample(cycle)
-	}
-
-	total := e.collect()
-	total.Cycles = cycle
-	total.ICNTFlits += uint64(*e.opts.BackgroundFlitsPerKInsn * float64(total.Instructions) / 1000)
-	if err := total.CheckConservation(); err != nil {
-		return nil, err
-	}
-	return total, nil
 }
 
 // frontendErr is the first instruction-packing failure any SM's warps
@@ -526,163 +413,16 @@ func (e *Engine) selfCheck(name string, cycle uint64) error {
 				name, cycle, i, err)
 		}
 	}
+	for i, p := range e.parts {
+		if err := p.CheckPark(); err != nil {
+			return fmt.Errorf("sim: kernel %q self-check failed at cycle %d (partition %d): %w",
+				name, cycle, i, err)
+		}
+	}
 	if err := e.checkActivity(); err != nil {
 		return fmt.Errorf("sim: kernel %q self-check failed at cycle %d: %w", name, cycle, err)
 	}
 	return nil
-}
-
-// step advances the whole machine one core cycle. Core, ICNT and L2 run
-// in the 650 MHz domain; the DRAM channels convert to the 924 MHz memory
-// clock internally (Table 1). It reports whether the cycle did any real
-// work: a false return certifies that no component changed state or
-// counters (beyond clock fields), which is the precondition for the
-// caller's fast-forward. Idle components are skipped via their O(1)
-// activity accounting — a Done SM or a non-Busy partition ticks to the
-// exact same state the full tick would have produced.
-//
-// The cycle is phase-structured so the component ticks can run on
-// multiple workers with bit-identical output at any core count, and so
-// the serial portions do O(spans) — not O(SMs + partitions + packets) —
-// heavy work:
-//
-//  1. Serial binning pre-phase: tick the interconnect, then pop every
-//     arrived packet and bin it by destination span — one pointer
-//     append per packet, no cache or MSHR work. Pushes go to the
-//     network's injection queues, which PopArrived never observes in
-//     the same cycle, so hoisting delivery ahead of the component ticks
-//     is equivalent to the old interleaved order.
-//  2. Component phase (stolen spans, parallel): each claimed span first
-//     applies its inboxes — recycled stores back to their SM pools,
-//     binned requests into partitions, binned responses into L1D MSHRs
-//     (the expensive half of delivery, now parallel) — then ticks its
-//     components, then drains outbound packets into its own lanes:
-//     partition responses and recycled stores in partition order, SM
-//     fetches under the injection-rate bound in SM order. Ticks and
-//     lane drains only touch component-local and span-local state, so
-//     spans share nothing.
-//  3. Serial lane merge, in fixed ascending span order: each non-empty
-//     outbound lane is handed to the network as one segment (an O(1)
-//     slice handoff returning a recycled buffer), and recycled stores
-//     are binned to their destination span's inbox for the next phase.
-//     Spans ascend the component index space and each lane was filled
-//     in component order, so the concatenated per-direction injection
-//     order — and hence every packet sequence number — is exactly the
-//     serial engine's.
-func (e *Engine) step(now uint64) bool {
-	// An injection-queue packet means this network tick does real work.
-	active := e.net.HasWaiting()
-	e.net.Tick(now)
-
-	// Bin arrived request packets by their partition's span.
-	for {
-		req := e.net.PopArrived(interconnect.ToMem)
-		if req == nil {
-			break
-		}
-		p := addr.PartitionOf(req.Addr, e.cfg.L1D.LineSize, len(e.parts))
-		st := &e.spanSt[e.partSpan[p]]
-		st.inMem = append(st.inMem, req)
-		active = true
-	}
-
-	// Bin arrived responses by the issuing SM's span.
-	for {
-		resp := e.net.PopArrived(interconnect.ToCore)
-		if resp == nil {
-			break
-		}
-		st := &e.spanSt[e.smSpan[resp.SM]]
-		st.inCore = append(st.inCore, resp)
-		active = true
-	}
-
-	// Component phase. With one worker it runs inline; otherwise the
-	// coordinator claims spans alongside the pool's workers, and the
-	// barrier inside runPhase orders their writes before the merge
-	// below.
-	if e.pp != nil {
-		e.pp.runPhase(now)
-	} else {
-		e.runSpansSerial(now)
-	}
-
-	// Serial lane merge, fixed span order.
-	for i := range e.spanSt {
-		st := &e.spanSt[i]
-		if st.active {
-			active = true
-		}
-		if len(st.outCore) > 0 {
-			st.outCore = e.net.PushBatch(interconnect.ToCore, st.outCore)
-		}
-		if len(st.outMem) > 0 {
-			st.outMem = e.net.PushBatch(interconnect.ToMem, st.outMem)
-		}
-		// Route recycled stores to their issuing SM's span; the span
-		// applies them at the top of the next phase. Bounded: each
-		// partition retires at most one request per cycle, so this loop
-		// moves at most NumPartitions pointers.
-		for j, r := range st.outPut {
-			st.outPut[j] = nil
-			d := &e.spanSt[e.smSpan[r.SM]]
-			d.inPut = append(d.inPut, r)
-		}
-		st.outPut = st.outPut[:0]
-	}
-	return active
-}
-
-// nextInterestingCycle computes the earliest future cycle at which the
-// machine can do real work, assuming the current cycle was fully
-// inactive. ok=false means some component needs per-cycle ticking (a
-// draining LD/ST queue, a queued partition request, a ready warp) and
-// no jump is safe. The component sweep is pre-folded: each span
-// recorded its partial minimum (or a mustTick veto) while ticking, so
-// this only folds len(spans) partials with the serial network checks.
-// The partials are valid exactly when this is called — the run loop
-// only fast-forwards inactive cycles, and an inactive cycle means every
-// span took the idle path that computes them. The result is clamped to
-// the periodic boundaries the run loop must still observe: the
-// 4096-cycle context check, the self-check sampling grid when enabled,
-// the next 32-cycle quiescence check when no event is scheduled at all,
-// and MaxCycles+1.
-func (e *Engine) nextInterestingCycle(now uint64) (uint64, bool) {
-	const inf = ^uint64(0)
-	if e.net.HasWaiting() {
-		return 0, false
-	}
-	t := inf
-	if a, ok := e.net.NextArrival(); ok {
-		t = a
-	}
-	for i := range e.spanSt {
-		st := &e.spanSt[i]
-		if st.mustTick {
-			return 0, false
-		}
-		if st.next < t {
-			t = st.next
-		}
-	}
-	if t == inf {
-		// Nothing scheduled anywhere: only the quiescence check (or the
-		// MaxCycles timeout for a wedged machine) can end the run. Jump
-		// from boundary to boundary.
-		t = now/32*32 + 32
-	}
-	if b := now/4096*4096 + 4096; t > b {
-		t = b
-	}
-	if e.opts.SelfCheck {
-		if b := now/selfCheckPeriod*selfCheckPeriod + selfCheckPeriod; t > b {
-			t = b
-		}
-	}
-	if t > e.opts.MaxCycles+1 {
-		t = e.opts.MaxCycles + 1
-	}
-	return t, true
 }
 
 // quiescent reports whether every component has fully drained. Every

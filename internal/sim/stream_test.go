@@ -124,7 +124,7 @@ func TestStreamMultiKernel(t *testing.T) {
 }
 
 // heapHighWater runs one simulation sampling the live heap every 4096
-// stepped cycles and returns the maximum HeapAlloc observed together
+// simulated cycles and returns the maximum HeapAlloc observed together
 // with the run's stats.
 func heapHighWater(t *testing.T, cfg *config.Config, run func(*Engine) (*stats.Stats, error)) (uint64, *stats.Stats) {
 	t.Helper()
@@ -141,8 +141,8 @@ func heapHighWater(t *testing.T, cfg *config.Config, run func(*Engine) (*stats.S
 			peak = ms.HeapAlloc
 		}
 	}
-	e.testHook = func(cycle uint64, active bool) {
-		if cycle&4095 == 0 {
+	e.windowHook = func(_, t1, _ uint64) {
+		if t1&4095 == 0 {
 			sample()
 		}
 	}

@@ -10,7 +10,7 @@ func (s *SM) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+".warp_insns", &s.st.WarpInsns)
 	reg.IntGauge(prefix+".live_warps", func() int { return s.liveWarps })
 	reg.IntGauge(prefix+".finished_warps", s.finishedWarps)
-	reg.IntGauge(prefix+".ldst.depth", func() int { return len(s.ldst) })
+	reg.IntGauge(prefix+".ldst.depth", func() int { return s.ldst.Len() })
 	reg.IntGauge(prefix+".pending_blocks", func() int { return len(s.pendingBlocks) })
 	s.l1d.RegisterMetrics(reg, prefix+".l1d")
 	s.pool.RegisterMetrics(reg, prefix+".pool")

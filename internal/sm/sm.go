@@ -13,6 +13,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -103,10 +104,25 @@ type SM struct {
 	// precomputed-kernel path.
 	chunks *trace.ChunkPool
 
-	ldst    []*memInstr
+	ldst    ring.Queue[*memInstr]
 	ldstCap int
 	greedy  []int // per-scheduler last-issued slot, -1 when none
 	now     uint64
+
+	// A stalled LD/ST head parks instead of replaying: stalled is set
+	// when the L1D refuses the head request, with the cache's park token
+	// (stallEpoch). Until the token moves the replay could only be
+	// refused again, so tickLDST skips it and the stall cycles slept
+	// through are credited in bulk — on wake, or when FlushStalls needs
+	// the counter current. stallCredited is the last cycle whose stall is
+	// already in L1DStalls; stallAt and stallBase (the cycle the head
+	// parked and the counter just after) let CheckActivity re-derive the
+	// credit.
+	stalled       bool
+	stallEpoch    uint64
+	stallCredited uint64
+	stallAt       uint64
+	stallBase     uint64
 
 	// liveWarps counts occupied warp slots — maintained at admit/retire
 	// so Done() is a counter comparison, not a slot sweep.
@@ -382,7 +398,7 @@ func (s *SM) Tick(now uint64) bool {
 	if len(s.pendingBlocks) > 0 && s.admitBlocks() {
 		active = true
 	}
-	if len(s.ldst) > 0 {
+	if s.ldst.Len() > 0 {
 		s.tickLDST()
 		active = true
 	}
@@ -394,15 +410,25 @@ func (s *SM) Tick(now uint64) bool {
 
 // tickLDST pushes the head memory instruction's next request into the
 // L1D; a stall blocks the pipeline register (and therefore every younger
-// memory instruction) until the cache accepts it.
+// memory instruction) until the cache accepts it. The blocked register
+// replays its access every cycle, and every replay is one L1DStalls; a
+// parked head gets the same count without the replays (see stalled).
 func (s *SM) tickLDST() {
-	if len(s.ldst) == 0 {
-		return
-	}
-	mi := s.ldst[0]
+	mi := *s.ldst.Front()
 	req := mi.reqs[mi.next]
+	if s.stalled {
+		if s.Stalled() {
+			return
+		}
+		s.FlushStalls(s.now - 1)
+		s.stalled = false
+	}
 	outcome := s.l1d.Access(req)
 	if outcome == mem.OutcomeStall {
+		s.stalled = true
+		s.stallEpoch = s.l1d.Epoch()
+		s.stallCredited, s.stallAt = s.now, s.now
+		s.stallBase = s.l1d.Stats().L1DStalls
 		return
 	}
 	if !req.Store {
@@ -412,9 +438,7 @@ func (s *SM) tickLDST() {
 	if mi.next == len(mi.reqs) {
 		mi.w.inLDST = false
 		s.setBlocked(mi.w)
-		copy(s.ldst, s.ldst[1:])
-		s.ldst[len(s.ldst)-1] = nil
-		s.ldst = s.ldst[:len(s.ldst)-1]
+		s.ldst.Pop()
 		for i := range mi.reqs {
 			mi.reqs[i] = nil // requests live on in the cache/memory system
 		}
@@ -425,6 +449,20 @@ func (s *SM) tickLDST() {
 		// The drained warp may issue again, and the shorter queue may
 		// clear another warp's structural hazard.
 		s.wakeSchedulers()
+	}
+}
+
+// Stalled reports whether the LD/ST head is parked on a stall that no
+// cache event has touched since: ticking the SM will not replay it.
+func (s *SM) Stalled() bool { return s.stalled && s.l1d.Epoch() == s.stallEpoch }
+
+// FlushStalls brings L1DStalls up to date through cycle upto for a
+// stalled head: one stall per cycle since the last one counted. The
+// engine calls it before it samples the counter mid-park.
+func (s *SM) FlushStalls(upto uint64) {
+	if s.stalled && upto > s.stallCredited {
+		s.l1d.CreditStalls(upto - s.stallCredited)
+		s.stallCredited = upto
 	}
 }
 
@@ -492,7 +530,7 @@ func (s *SM) pickWarp(sched int) int {
 	if s.now < s.schedSleepUntil[sched] {
 		return -1 // proven empty until then; skip the scan
 	}
-	ldstFull := len(s.ldst) >= s.ldstCap
+	ldstFull := s.ldst.Len() >= s.ldstCap
 	if s.cfg.Scheduler == config.SchedLRR {
 		return s.pickWarpLRR(sched, ldstFull)
 	}
@@ -595,7 +633,7 @@ func (s *SM) issueFrom(w *warp) {
 			mi.reqs = append(mi.reqs, r)
 		}
 		w.inLDST = true
-		s.ldst = append(s.ldst, mi)
+		s.ldst.Push(mi)
 		s.busyUntil[w.slot] = s.now + 1
 	}
 	w.cur.Advance()
@@ -636,7 +674,7 @@ func (s *SM) getMemInstr() *memInstr {
 // network anyway. The self-check mode cross-checks this equivalence at
 // every sampled cycle (CheckActivity).
 func (s *SM) Done() bool {
-	return s.liveWarps == 0 && len(s.pendingBlocks) == 0 && len(s.ldst) == 0 &&
+	return s.liveWarps == 0 && len(s.pendingBlocks) == 0 && s.ldst.Len() == 0 &&
 		!s.l1d.Pending()
 }
 
@@ -644,7 +682,7 @@ func (s *SM) Done() bool {
 // sampled self-checks and the activity property tests to validate the
 // counter form.
 func (s *SM) DoneSweep() bool {
-	if len(s.pendingBlocks) > 0 || len(s.ldst) > 0 || s.l1d.Pending() {
+	if len(s.pendingBlocks) > 0 || s.ldst.Len() > 0 || s.l1d.Pending() {
 		return false
 	}
 	for _, w := range s.slots {
@@ -716,7 +754,7 @@ func (s *SM) CheckActivity() error {
 	// A sleeping scheduler claims no owned warp can issue before its
 	// bound; an issuable warp under that claim would mean the scan skip
 	// changed behavior.
-	ldstFull := len(s.ldst) >= s.ldstCap
+	ldstFull := s.ldst.Len() >= s.ldstCap
 	for sched, until := range s.schedSleepUntil {
 		if s.now >= until {
 			continue
@@ -728,6 +766,23 @@ func (s *SM) CheckActivity() error {
 			}
 		}
 	}
+	// A stalled head: the counter has moved by exactly the credits since
+	// it parked, and — while no cache event has touched the stall — the
+	// head's access would be refused again if replayed now.
+	if s.stalled {
+		if s.ldst.Len() == 0 {
+			return fmt.Errorf("sm%d: stalled with an empty LD/ST queue", s.id)
+		}
+		if got, want := s.l1d.Stats().L1DStalls, s.stallBase+s.stallCredited-s.stallAt; got != want {
+			return fmt.Errorf("sm%d: L1DStalls=%d, but %d at the park (cycle %d) plus credits through cycle %d make %d",
+				s.id, got, s.stallBase, s.stallAt, s.stallCredited, want)
+		}
+		mi := *s.ldst.Front()
+		if req := mi.reqs[mi.next]; s.Stalled() && !s.l1d.WouldStall(req) {
+			return fmt.Errorf("sm%d: LD/ST head %v is parked since cycle %d but the L1D would accept it at %d",
+				s.id, req, s.stallAt, s.now)
+		}
+	}
 	// Done()==false with doneSweep()==true is legal only while the
 	// retiring warp's store is still in flight somewhere downstream; the
 	// engine-level check (quiescent vs quiescentDeep) covers that case
@@ -737,19 +792,21 @@ func (s *SM) CheckActivity() error {
 
 // NextWake returns the next cycle at which this SM can possibly do real
 // work, given no new responses arrive before then; ok=false means the
-// SM must be ticked every cycle (it has immediately pending work whose
-// per-cycle behavior is observable, e.g. a draining LD/ST queue whose
-// stall retries mutate the stall counters). A warp waiting only on
-// outstanding memory contributes no wake time: the response's arrival
-// is bounded by the network/partition event times the engine already
-// considers, and its delivery marks the SM active again.
+// SM must be ticked every cycle (it has immediately pending work: a
+// draining LD/ST queue, packets for the crossbar, a ready warp). A
+// parked LD/ST head is not such work: its stall cycles are credited in
+// bulk, and what ends it is a response or a miss-queue pop, never the
+// clock. A warp waiting only on outstanding memory contributes no wake
+// time: the response's arrival is bounded by the network/partition
+// event times the engine already considers, and its delivery marks the
+// SM active again.
 // Pending thread blocks do not force per-cycle ticking: admission
 // capacity only changes when a warp retires, and every retirement cycle
 // is already in the wake set (a retiring warp's busyUntil, or the
 // delivery that zeroes its outstanding count). at == ^uint64(0) means
 // the SM has no self-scheduled wake and sleeps until a response.
 func (s *SM) NextWake(now uint64) (at uint64, ok bool) {
-	if len(s.ldst) > 0 || s.l1d.HasOutgoing() {
+	if s.l1d.HasOutgoing() || s.ldst.Len() > 0 && !s.Stalled() {
 		return 0, false
 	}
 	at = never

@@ -330,7 +330,7 @@ func refIssuable(s *SM, w *warp) bool {
 	if !refWarpActive(s, w) {
 		return false
 	}
-	return w.cur.Cur().Kind == trace.Compute || len(s.ldst) < s.ldstCap
+	return w.cur.Cur().Kind == trace.Compute || s.ldst.Len() < s.ldstCap
 }
 
 func refPick(s *SM, sched int) (slot int, sleep uint64) {
@@ -371,7 +371,7 @@ func refPick(s *SM, sched int) (slot int, sleep uint64) {
 			if !refWarpActive(s, w) {
 				continue
 			}
-			if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
+			if w.cur.Cur().Kind != trace.Compute && s.ldst.Len() >= s.ldstCap {
 				continue
 			}
 			return slot, sleep
@@ -398,7 +398,7 @@ func refPick(s *SM, sched int) (slot int, sleep uint64) {
 		if !refWarpActive(s, w) {
 			continue
 		}
-		if w.cur.Cur().Kind != trace.Compute && len(s.ldst) >= s.ldstCap {
+		if w.cur.Cur().Kind != trace.Compute && s.ldst.Len() >= s.ldstCap {
 			continue
 		}
 		if best < 0 || s.age[slot] < bestAge {
@@ -539,7 +539,7 @@ func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
 		if len(s.pendingBlocks) > 0 {
 			s.admitBlocks()
 		}
-		if len(s.ldst) > 0 {
+		if s.ldst.Len() > 0 {
 			s.tickLDST()
 		}
 		for sched := 0; s.liveWarps > 0 && sched < cfg.SchedulersPerSM; sched++ {
