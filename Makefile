@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke abpairs figures clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke abpairs benchprof figures clean
 
 all: build
 
@@ -120,8 +120,11 @@ servesmoke: build
 # without any other target noticing. Run the harness unit tests, then
 # two short real runs — a single round of suite_batch (the eager
 # frontend) and of big_stream (generator- and file-backed refills) —
-# whose result lines must report every result digest correct.
+# whose result lines must report every result digest correct. The vet
+# comes first, so an engine change that breaks the API the benchmark
+# compiles against fails with a vet message, not a build log.
 benchsmoke:
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh --workload suite_batch --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 	bash bench/run.sh --workload big_stream --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
@@ -138,6 +141,16 @@ N ?= 10
 abpairs:
 	@test -n "$(PARENT)" || { echo "usage: make abpairs PARENT=<rev> [WORKLOAD=$(WORKLOAD)] [SEED=$(SEED)] [N=$(N)]"; exit 2; }
 	bash scripts/abpairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
+
+# CPU profile of one benchmark workload, built and run as the driver
+# does: `make benchprof WORKLOAD=big_stream [SEED=1] [PROFILE_S=6]`
+# copies bench/ beside itself, adds a pprof init() to the copy (bench/
+# itself is never touched), builds it into .bench_build/, runs the
+# workload once and prints `go tool pprof -top`, flat and cumulative.
+# Seed 1 unless SEED is given: seed 2 is for claims, not for looking.
+PROFILE_S ?= 6
+benchprof:
+	bash scripts/benchprof.sh $(WORKLOAD) $(if $(filter file,$(origin SEED)),1,$(SEED)) $(PROFILE_S)
 
 # Regenerate the committed reference outputs.
 figures:

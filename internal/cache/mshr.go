@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/mem"
@@ -17,11 +18,17 @@ type MSHREntry struct {
 	Requests []*mem.Request
 }
 
-// MSHR is the miss-status holding register file of one cache.
+// MSHR is the miss-status holding register file of one cache. Entries
+// are found through a flat open-addressed table of at least twice
+// maxEntries buckets — linear probing from the line address's home
+// bucket, backward-shift deletion, so there are no tombstones and a
+// probe always ends at an empty bucket.
 type MSHR struct {
 	maxEntries int
 	maxMerges  int
-	entries    map[addr.Addr]*MSHREntry
+	table      []*MSHREntry // nil: empty bucket; len is a power of two
+	shift      uint         // home bucket = hash >> shift
+	size       int          // live entries
 	// freeEntries recycles released entries (and their merged-request
 	// slices) so the steady-state miss path allocates nothing.
 	freeEntries []*MSHREntry
@@ -33,23 +40,41 @@ func NewMSHR(maxEntries, maxMerges int) *MSHR {
 	if maxEntries <= 0 || maxMerges <= 0 {
 		panic(fmt.Sprintf("cache: invalid MSHR geometry %d/%d", maxEntries, maxMerges))
 	}
+	log := bits.Len(uint(2*maxEntries - 1))
 	return &MSHR{
 		maxEntries: maxEntries,
 		maxMerges:  maxMerges,
-		entries:    make(map[addr.Addr]*MSHREntry, maxEntries),
+		table:      make([]*MSHREntry, 1<<log),
+		shift:      uint(64 - log),
 	}
+}
+
+// home is lineAddr's first bucket. Line addresses differ in a few middle
+// bits; the multiplicative hash spreads those over the top ones.
+func (m *MSHR) home(lineAddr addr.Addr) int {
+	return int(uint64(lineAddr) * 0x9E3779B97F4A7C15 >> m.shift)
+}
+
+// find returns the bucket holding lineAddr's entry, or the empty bucket
+// that ends its probe sequence.
+func (m *MSHR) find(lineAddr addr.Addr) int {
+	i := m.home(lineAddr)
+	for e := m.table[i]; e != nil && e.LineAddr != lineAddr; e = m.table[i] {
+		i = (i + 1) & (len(m.table) - 1)
+	}
+	return i
 }
 
 // Lookup returns the entry for lineAddr, or nil.
 func (m *MSHR) Lookup(lineAddr addr.Addr) *MSHREntry {
-	return m.entries[lineAddr]
+	return m.table[m.find(lineAddr)]
 }
 
 // Full reports whether a new entry cannot be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.maxEntries }
+func (m *MSHR) Full() bool { return m.size >= m.maxEntries }
 
 // Size returns the number of live entries.
-func (m *MSHR) Size() int { return len(m.entries) }
+func (m *MSHR) Size() int { return m.size }
 
 // CanMerge reports whether one more request fits in entry e.
 func (m *MSHR) CanMerge(e *MSHREntry) bool { return len(e.Requests) < m.maxMerges }
@@ -68,7 +93,8 @@ func (m *MSHR) Allocate(req *mem.Request, set, way int) *MSHREntry {
 	if m.Full() {
 		panic("cache: MSHR allocate while full")
 	}
-	if _, exists := m.entries[req.Addr]; exists {
+	i := m.find(req.Addr)
+	if m.table[i] != nil {
 		panic(fmt.Sprintf("cache: duplicate MSHR entry for %#x", uint64(req.Addr)))
 	}
 	var e *MSHREntry
@@ -83,7 +109,8 @@ func (m *MSHR) Allocate(req *mem.Request, set, way int) *MSHREntry {
 	e.Set = set
 	e.Way = way
 	e.Requests = append(e.Requests, req)
-	m.entries[req.Addr] = e
+	m.table[i] = e
+	m.size++
 	return e
 }
 
@@ -92,10 +119,22 @@ func (m *MSHR) Allocate(req *mem.Request, set, way int) *MSHREntry {
 // The caller must hand the entry back with Recycle once it has
 // delivered the merged requests.
 func (m *MSHR) Release(lineAddr addr.Addr) *MSHREntry {
-	e := m.entries[lineAddr]
-	if e != nil {
-		delete(m.entries, lineAddr)
+	i := m.find(lineAddr)
+	e := m.table[i]
+	if e == nil {
+		return nil
 	}
+	// Close the hole: walk the rest of the run and pull back every entry
+	// whose home is at or before the hole, so no probe sequence is cut.
+	mask := len(m.table) - 1
+	for j := (i + 1) & mask; m.table[j] != nil; j = (j + 1) & mask {
+		if (j-m.home(m.table[j].LineAddr))&mask >= (j-i)&mask {
+			m.table[i] = m.table[j]
+			i = j
+		}
+	}
+	m.table[i] = nil
+	m.size--
 	return e
 }
 

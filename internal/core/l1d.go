@@ -15,6 +15,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -41,7 +42,7 @@ type L1D struct {
 	seen lineSet // line IDs ever requested, for compulsory-miss accounting
 
 	deliver func(*mem.Request)
-	hitQ    []hitResponse
+	hitQ    ring.Queue[hitResponse] // ordered by readyAt: the latency is constant
 	now     uint64
 
 	onBlocked [3]policy.Decision
@@ -119,21 +120,9 @@ func (c *L1D) PDPT() *policy.PDPT {
 func (c *L1D) Tick(now uint64) int {
 	c.now = now
 	n := 0
-	for _, h := range c.hitQ {
-		if h.readyAt > now {
-			break
-		}
-		c.deliver(h.req)
+	for c.hitQ.Len() > 0 && c.hitQ.Front().readyAt <= now {
+		c.deliver(c.hitQ.Pop().req)
 		n++
-	}
-	if n > 0 {
-		// Shift rather than re-slice so the backing array is reused and
-		// never pins delivered requests alive.
-		rest := copy(c.hitQ, c.hitQ[n:])
-		for i := rest; i < len(c.hitQ); i++ {
-			c.hitQ[i] = hitResponse{}
-		}
-		c.hitQ = c.hitQ[:rest]
 	}
 	return n
 }
@@ -143,10 +132,10 @@ func (c *L1D) Tick(now uint64) int {
 // constant, so the queue is ordered by readyAt and the head is the
 // minimum.
 func (c *L1D) NextDelivery() (at uint64, ok bool) {
-	if len(c.hitQ) == 0 {
+	if c.hitQ.Len() == 0 {
 		return 0, false
 	}
-	return c.hitQ[0].readyAt, true
+	return c.hitQ.Front().readyAt, true
 }
 
 // NoteInstructions feeds executed-instruction counts into the policy's
@@ -233,7 +222,7 @@ func (c *L1D) Access(req *mem.Request) mem.AccessOutcome {
 		c.ta.Touch(set, way)
 		c.st.L1DHits++
 		c.st.L1DTraffic++
-		c.hitQ = append(c.hitQ, hitResponse{readyAt: c.now + uint64(c.cfg.L1DHitLatency), req: req})
+		c.hitQ.Push(hitResponse{readyAt: c.now + uint64(c.cfg.L1DHitLatency), req: req})
 		return mem.OutcomeHit
 
 	case cache.ProbeReserved:
@@ -360,5 +349,5 @@ func (c *L1D) OnResponse(req *mem.Request) {
 // Pending reports outstanding work: queued packets, live MSHR entries, or
 // undelivered hits. The engine uses it to detect quiescence.
 func (c *L1D) Pending() bool {
-	return c.HasOutgoing() || c.mshr.Size() > 0 || len(c.hitQ) > 0
+	return c.HasOutgoing() || c.mshr.Size() > 0 || c.hitQ.Len() > 0
 }

@@ -10,7 +10,8 @@ import (
 
 // TestLineSetMatchesMap drives the two-level bitset and the map it
 // replaced with the same IDs — dense runs, repeats, page-straddling
-// neighbours and sparse IDs up to the top of the 64-bit space — and
+// neighbours and sparse IDs up to the top of the 64-bit space (some
+// fifty thousand pages, so the page table grows a dozen times) — and
 // requires the same first-touch verdict for every one.
 func TestLineSetMatchesMap(t *testing.T) {
 	var s lineSet
@@ -41,12 +42,12 @@ func TestLineSetMatchesMap(t *testing.T) {
 // per engine, so the set must cost nothing until a line is requested.
 func TestL1DOwnsNoLinePagesUntilFirstMiss(t *testing.T) {
 	c := NewL1D(config.Baseline(), config.PolicyDLP, func(*mem.Request) {})
-	if c.seen.pages != nil {
-		t.Fatal("a fresh L1D already owns line-set pages")
+	if c.seen.buckets != nil {
+		t.Fatal("a fresh L1D already owns a line-set table")
 	}
 	c.Tick(1)
 	c.Access(&mem.Request{ID: 1, Addr: 0x4000})
-	if len(c.seen.pages) != 1 || c.Stats().L1DCompulsory != 1 {
-		t.Errorf("after one miss: %d pages, %d compulsory; want 1 and 1", len(c.seen.pages), c.Stats().L1DCompulsory)
+	if c.seen.n != 1 || c.Stats().L1DCompulsory != 1 {
+		t.Errorf("after one miss: %d pages, %d compulsory; want 1 and 1", c.seen.n, c.Stats().L1DCompulsory)
 	}
 }

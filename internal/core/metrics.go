@@ -23,6 +23,6 @@ func (c *L1D) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	c.mshr.RegisterMetrics(reg, prefix+".mshr")
 	c.missQ.RegisterMetrics(reg, prefix+".missq")
 	c.bypsQ.RegisterMetrics(reg, prefix+".bypsq")
-	reg.IntGauge(prefix+".hitq.depth", func() int { return len(c.hitQ) })
+	reg.IntGauge(prefix+".hitq.depth", c.hitQ.Len)
 	c.pol.RegisterMetrics(reg, prefix)
 }

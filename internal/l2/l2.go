@@ -16,24 +16,31 @@ import (
 	"repro/internal/stats"
 )
 
+// event is one scheduled completion: an L2 hit's response becoming ready
+// to send, or a DRAM fill landing in the way (set, way) it reserved.
 type event struct {
-	readyAt uint64
-	req     *mem.Request
-	fill    bool // true: DRAM fill completion; false: response ready to send
-	seq     uint64
+	readyAt  uint64
+	req      *mem.Request
+	seq      uint64
+	set, way int32
+}
+
+// before orders events by (readyAt, seq). seq makes the order total, so
+// pop order is layout-independent.
+func (ev *event) before(o *event) bool {
+	if ev.readyAt != o.readyAt {
+		return ev.readyAt < o.readyAt
+	}
+	return ev.seq < o.seq
 }
 
 // eventHeap is a hand-rolled min-heap on (readyAt, seq), replacing
-// container/heap to avoid interface boxing on every scheduled event.
-// seq makes the order total, so pop order is layout-independent.
+// container/heap to avoid interface boxing on every scheduled event. It
+// holds the DRAM fills, whose completion times come out of the channel
+// model in no particular order.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].readyAt != h[j].readyAt {
-		return h[i].readyAt < h[j].readyAt
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
@@ -78,12 +85,28 @@ func (h *eventHeap) pop() event {
 
 // Partition is one L2 slice plus its DRAM channel.
 type Partition struct {
-	ta         *cache.TagArray
-	mapper     *addr.Mapper
-	mshr       map[addr.Addr][]*mem.Request
-	maxMSHRs   int
-	inQ        ring.Queue[*mem.Request]
-	events     eventHeap
+	ta     *cache.TagArray
+	mapper *addr.Mapper
+
+	// The MSHRs. An outstanding fetch owns the way it reserved, and every
+	// path that needs its entry — a merge in service, the fill — has just
+	// located that way, so the entry hangs off the way instead of a table
+	// keyed by address: mshrOf[set*ways+way] indexes waiters (-1: the way
+	// has no fetch outstanding). waiters grows to at most maxMSHRs lists,
+	// which keep their capacity between fetches; freeMSHRs holds the
+	// indices not in use, and the rest are live.
+	mshrOf    []int32
+	waiters   [][]*mem.Request
+	freeMSHRs []int32
+	maxMSHRs  int
+
+	inQ ring.Queue[*mem.Request]
+	// Scheduled completions, in two queues popped as one in (readyAt,
+	// seq) order. A hit is due hitLatency after a clock that never runs
+	// backwards, so hits are scheduled in the order they come due and a
+	// ring holds them; only DRAM fills need the heap.
+	hits       ring.Queue[event]
+	fills      eventHeap
 	responses  ring.Queue[*mem.Request]
 	dram       *dram.Channel
 	hitLatency uint64
@@ -95,11 +118,9 @@ type Partition struct {
 	// consumed stores are deferred there instead, for the engine to
 	// route back to each issuing SM's pool during the serial phase —
 	// the partition may be ticking on a phase worker, where touching an
-	// SM-owned pool directly would race. freeWaiters recycles the MSHR
-	// waiter slices so the steady-state miss path allocates nothing.
-	pool        *mem.Pool
-	rec         *mem.Recycler
-	freeWaiters [][]*mem.Request
+	// SM-owned pool directly would race.
+	pool *mem.Pool
+	rec  *mem.Recycler
 	// parked marks an input-queue head that service refused for want of
 	// an MSHR or a victim way. Both free up only when a DRAM fill lands,
 	// so the head is not re-probed until completeFill clears the mark;
@@ -118,10 +139,14 @@ func New(cfg *config.Config, st *stats.Stats, pool *mem.Pool) *Partition {
 	if err != nil {
 		panic(err)
 	}
+	mshrOf := make([]int32, m.NumSets()*cfg.L2.Ways)
+	for i := range mshrOf {
+		mshrOf[i] = -1
+	}
 	return &Partition{
 		ta:       cache.NewTagArray(m, cfg.L2.Ways),
 		mapper:   m,
-		mshr:     make(map[addr.Addr][]*mem.Request),
+		mshrOf:   mshrOf,
 		maxMSHRs: cfg.L2MSHRs,
 		dram: dram.New(cfg.DRAMBanks, cfg.DRAMRowHit, cfg.DRAMRowMiss,
 			cfg.DRAMBusCycles, cfg.CoreClockMHz, cfg.MemClockMHz, cfg.NumPartitions),
@@ -136,16 +161,21 @@ func (p *Partition) Enqueue(req *mem.Request) {
 	p.inQ.Push(req)
 }
 
-// Tick advances the partition to cycle now: completes due DRAM fills,
-// then services one new request from the input queue.
+// Tick advances the partition to cycle now: hands out the responses and
+// completes the DRAM fills that are due, oldest (readyAt, seq) first
+// across both queues, then services one new request from the input
+// queue.
 func (p *Partition) Tick(now uint64) {
 	p.now = now
-	for len(p.events) > 0 && p.events[0].readyAt <= now {
-		ev := p.events.pop()
-		if ev.fill {
-			p.completeFill(ev.req)
+	for {
+		hit := p.hits.Len() > 0 && p.hits.Front().readyAt <= now
+		fill := len(p.fills) > 0 && p.fills[0].readyAt <= now
+		if hit && !(fill && p.fills[0].before(p.hits.Front())) {
+			p.responses.Push(p.hits.Pop().req)
+		} else if fill {
+			p.completeFill(p.fills.pop())
 		} else {
-			p.responses.Push(ev.req)
+			break
 		}
 	}
 	if p.inQ.Len() > 0 && !p.parked {
@@ -170,16 +200,24 @@ func (p *Partition) service(req *mem.Request) bool {
 	case cache.ProbeHit:
 		p.st.L2Hits++
 		p.ta.Touch(set, way)
-		p.schedule(req, p.now+p.hitLatency, false)
+		if p.hits.Len() > 0 && p.hits.Back().readyAt > p.now+p.hitLatency {
+			panic(fmt.Sprintf("l2: clock ran backwards to %d with a hit due at %d queued", p.now, p.hits.Back().readyAt))
+		}
+		p.seq++
+		p.hits.Push(event{readyAt: p.now + p.hitLatency, req: req, seq: p.seq})
 		return true
 	case cache.ProbeReserved:
 		// Merge onto the outstanding fetch; the fill completion responds
 		// to every merged request.
 		p.st.L2Misses++
-		p.mshr[req.Addr] = append(p.mshr[req.Addr], req)
+		m := p.mshrOf[set*p.ta.Ways()+way]
+		if m < 0 {
+			panic(fmt.Sprintf("l2: reserved line %#x without MSHR entry", uint64(req.Addr)))
+		}
+		p.waiters[m] = append(p.waiters[m], req)
 		return true
 	default:
-		if len(p.mshr) >= p.maxMSHRs {
+		if p.liveMSHRs() >= p.maxMSHRs {
 			p.st.L2Accesses-- // not serviced; retry without double-counting
 			return false
 		}
@@ -193,10 +231,13 @@ func (p *Partition) service(req *mem.Request) bool {
 		if evicted.Valid && evicted.Dirty {
 			p.writeback(evicted)
 		}
-		p.mshr[req.Addr] = append(p.getWaiters(), req)
+		m := p.allocMSHR()
+		p.mshrOf[set*p.ta.Ways()+victim] = m
+		p.waiters[m] = append(p.waiters[m], req)
 		done := p.dram.Access(req.Addr, p.mapper.LineSize(), p.now)
 		p.st.DRAMReads++
-		p.schedule(req, done, true)
+		p.seq++
+		p.fills.push(event{readyAt: done, req: req, seq: p.seq, set: int32(set), way: int32(victim)})
 		return true
 	}
 }
@@ -237,23 +278,19 @@ func (p *Partition) recycleStore(req *mem.Request) {
 	p.pool.Put(req)
 }
 
-// getWaiters returns an empty MSHR waiter slice, reusing a recycled
-// backing array when one is available.
-func (p *Partition) getWaiters() []*mem.Request {
-	if n := len(p.freeWaiters); n > 0 {
-		w := p.freeWaiters[n-1]
-		p.freeWaiters[n-1] = nil
-		p.freeWaiters = p.freeWaiters[:n-1]
-		return w
-	}
-	return make([]*mem.Request, 0, 4)
-}
+// liveMSHRs counts the outstanding fetches.
+func (p *Partition) liveMSHRs() int { return len(p.waiters) - len(p.freeMSHRs) }
 
-func (p *Partition) putWaiters(w []*mem.Request) {
-	for i := range w {
-		w[i] = nil
+// allocMSHR takes an MSHR with an empty waiter list. The caller has
+// checked liveMSHRs against maxMSHRs.
+func (p *Partition) allocMSHR() int32 {
+	if n := len(p.freeMSHRs); n > 0 {
+		m := p.freeMSHRs[n-1]
+		p.freeMSHRs = p.freeMSHRs[:n-1]
+		return m
 	}
-	p.freeWaiters = append(p.freeWaiters, w[:0])
+	p.waiters = append(p.waiters, make([]*mem.Request, 0, 4))
+	return int32(len(p.waiters) - 1)
 }
 
 // writeback sends a dirty victim to DRAM.
@@ -264,29 +301,28 @@ func (p *Partition) writeback(evicted cache.Line) {
 	p.st.DRAMWrites++
 }
 
-// completeFill lands a DRAM read: fill the reserved line and release all
-// merged requests as responses.
-func (p *Partition) completeFill(req *mem.Request) {
-	waiters := p.mshr[req.Addr]
-	if waiters == nil {
-		panic(fmt.Sprintf("l2: fill for %#x without MSHR entry", uint64(req.Addr)))
+// completeFill lands a DRAM read: fill the way it reserved and release
+// all merged requests as responses.
+func (p *Partition) completeFill(ev event) {
+	set, way := int(ev.set), int(ev.way)
+	if ln := &p.ta.Set(set)[way]; !ln.Reserved || ln.Tag != p.mapper.Tag(ev.req.Addr) {
+		panic(fmt.Sprintf("l2: fill for %#x but way %d of set %d is not reserved for it", uint64(ev.req.Addr), way, set))
 	}
-	delete(p.mshr, req.Addr)
+	slot := set*p.ta.Ways() + way
+	m := p.mshrOf[slot]
+	if m < 0 {
+		panic(fmt.Sprintf("l2: fill for %#x without MSHR entry", uint64(ev.req.Addr)))
+	}
+	p.mshrOf[slot] = -1
 	p.parked = false
-	set, way, res := p.ta.Probe(req.Addr)
-	if res != cache.ProbeReserved {
-		panic(fmt.Sprintf("l2: fill for %#x but line not reserved (%v)", uint64(req.Addr), res))
-	}
 	p.ta.Fill(set, way)
-	for _, w := range waiters {
+	waiters := p.waiters[m]
+	for i, w := range waiters {
 		p.responses.Push(w)
+		waiters[i] = nil
 	}
-	p.putWaiters(waiters)
-}
-
-func (p *Partition) schedule(req *mem.Request, at uint64, fill bool) {
-	p.seq++
-	p.events.push(event{readyAt: at, req: req, fill: fill, seq: p.seq})
+	p.waiters[m] = waiters[:0]
+	p.freeMSHRs = append(p.freeMSHRs, m)
 }
 
 // PopResponse returns the next load response ready to travel back to the
@@ -301,7 +337,7 @@ func (p *Partition) PopResponse() *mem.Request {
 // Pending reports whether the partition still has queued, in-flight, or
 // undelivered work.
 func (p *Partition) Pending() bool {
-	return p.inQ.Len() > 0 || len(p.events) > 0 || p.responses.Len() > 0 || len(p.mshr) > 0
+	return p.inQ.Len() > 0 || p.hits.Len() > 0 || len(p.fills) > 0 || p.responses.Len() > 0 || p.liveMSHRs() > 0
 }
 
 // Busy reports whether Tick(now) would do real work: a queued request
@@ -309,17 +345,24 @@ func (p *Partition) Pending() bool {
 // When false, Tick is a pure no-op (it would only refresh p.now, which
 // the next real service observes anyway), so the engine can skip it.
 func (p *Partition) Busy(now uint64) bool {
-	return p.Queued() || (len(p.events) > 0 && p.events[0].readyAt <= now)
+	if p.Queued() {
+		return true
+	}
+	at, ok := p.NextEvent()
+	return ok && at <= now
 }
 
-// NextEvent returns the earliest scheduled completion time, or ok=false
-// when no event is pending. With nothing Queued this is the partition's
-// next activity cycle.
+// NextEvent returns the earliest scheduled completion time over both
+// event queues, or ok=false when no event is pending. With nothing
+// Queued this is the partition's next activity cycle.
 func (p *Partition) NextEvent() (at uint64, ok bool) {
-	if len(p.events) == 0 {
-		return 0, false
+	if p.hits.Len() > 0 {
+		at, ok = p.hits.Front().readyAt, true
 	}
-	return p.events[0].readyAt, true
+	if len(p.fills) > 0 && !(ok && at <= p.fills[0].readyAt) {
+		at, ok = p.fills[0].readyAt, true
+	}
+	return at, ok
 }
 
 // Queued reports whether the partition holds immediately serviceable
@@ -329,11 +372,47 @@ func (p *Partition) Queued() bool {
 	return (p.inQ.Len() > 0 && !p.parked) || p.responses.Len() > 0
 }
 
-// CheckPark re-derives a parked head's refusal from first principles: a
-// load that matches no line, with every MSHR taken or no way of its set
-// replaceable, and a fill outstanding to end the wait. The engine's
-// sampled self-checks call it; it never mutates state.
+// checkMSHRs sweeps the ways: exactly the reserved ones have an MSHR,
+// each its own, holding at least the request that opened it and only
+// requests for the way's line; every other waiter list is free.
+func (p *Partition) checkMSHRs() error {
+	live, ways := 0, p.ta.Ways()
+	owned := make([]bool, len(p.waiters))
+	for slot, m := range p.mshrOf {
+		ln := &p.ta.Set(slot / ways)[slot%ways]
+		if ln.Reserved != (m >= 0) {
+			return fmt.Errorf("l2: way %d of set %d has reserved=%v but MSHR %d", slot%ways, slot/ways, ln.Reserved, m)
+		}
+		if m < 0 {
+			continue
+		}
+		live++
+		if int(m) >= len(p.waiters) || owned[m] || len(p.waiters[m]) == 0 {
+			return fmt.Errorf("l2: way %d of set %d holds MSHR %d, which is out of range, shared or has no waiter", slot%ways, slot/ways, m)
+		}
+		owned[m] = true
+		for _, w := range p.waiters[m] {
+			if p.mapper.Tag(w.Addr) != ln.Tag {
+				return fmt.Errorf("l2: %v waits on way %d of set %d, which is reserved for tag %#x", w, slot%ways, slot/ways, ln.Tag)
+			}
+		}
+	}
+	if live != p.liveMSHRs() {
+		return fmt.Errorf("l2: %d ways hold an MSHR, but %d of %d waiter lists are free",
+			live, len(p.freeMSHRs), len(p.waiters))
+	}
+	return nil
+}
+
+// CheckPark re-derives the partition's bookkeeping from first
+// principles: the way-indexed MSHRs (checkMSHRs), and a parked head's
+// refusal — a load that matches no line, with every MSHR taken or no way
+// of its set replaceable, and a fill outstanding to end the wait. The
+// engine's sampled self-checks call it; it never mutates state.
 func (p *Partition) CheckPark() error {
+	if err := p.checkMSHRs(); err != nil {
+		return err
+	}
 	if !p.parked {
 		return nil
 	}
@@ -345,11 +424,11 @@ func (p *Partition) CheckPark() error {
 	if req.Store || res != cache.ProbeMiss {
 		return fmt.Errorf("l2: parked head %v is serviceable (probe %v)", req, res)
 	}
-	if len(p.mshr) < p.maxMSHRs && p.ta.VictimIn(set, nil) >= 0 {
+	if p.liveMSHRs() < p.maxMSHRs && p.ta.VictimIn(set, nil) >= 0 {
 		return fmt.Errorf("l2: parked head %v has a free MSHR (%d of %d) and a victim way",
-			req, len(p.mshr), p.maxMSHRs)
+			req, p.liveMSHRs(), p.maxMSHRs)
 	}
-	if len(p.mshr) == 0 {
+	if p.liveMSHRs() == 0 {
 		return fmt.Errorf("l2: parked head %v with no fill outstanding to wake it", req)
 	}
 	return nil

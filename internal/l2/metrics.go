@@ -11,8 +11,8 @@ func (p *Partition) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+".dram_reads", &p.st.DRAMReads)
 	reg.Counter(prefix+".dram_writes", &p.st.DRAMWrites)
 	reg.IntGauge(prefix+".inq.depth", func() int { return p.inQ.Len() })
-	reg.IntGauge(prefix+".mshr.entries", func() int { return len(p.mshr) })
-	reg.IntGauge(prefix+".events.pending", func() int { return len(p.events) })
+	reg.IntGauge(prefix+".mshr.entries", p.liveMSHRs)
+	reg.IntGauge(prefix+".events.pending", func() int { return p.hits.Len() + len(p.fills) })
 	reg.IntGauge(prefix+".responses.ready", func() int { return p.responses.Len() })
 	p.pool.RegisterMetrics(reg, prefix+".pool")
 	p.rec.RegisterMetrics(reg, prefix+".recycler")

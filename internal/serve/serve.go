@@ -335,6 +335,10 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 		Kernel: kernel,
 		Opts:   sim.Options{MaxCycles: sp.MaxCycles, Cores: cores},
 	}
+	// Hashed before the lock: the key walks the kernel on its first use
+	// and formats the whole configuration on every one, and next(), DELETE
+	// and /stats must not queue behind that. The label is not part of it.
+	key := jobKey(rjob)
 
 	s.mu.Lock()
 	if s.draining || s.ctx.Err() != nil {
@@ -368,7 +372,7 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 	}
 	rjob.Label = js.label
 	js.rjob = rjob
-	js.key = rjob.Key()
+	js.key = key
 	s.jobs[id] = js
 	if _, seen := s.queues[tenant]; !seen {
 		s.ring = append(s.ring, tenant)
@@ -382,6 +386,10 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 	js.appendEvent("queued", nil)
 	return js, nil
 }
+
+// jobKey is runner.Job.Key; a variable so a test can hold a submit inside
+// it.
+var jobKey = runner.Job.Key
 
 // describe renders a spec's workload + policy for job labels.
 func describe(sp *conform.Spec) string {

@@ -672,3 +672,59 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("workers = %d, want 2", sv.Workers)
 	}
 }
+
+// TestSubmitHashesOutsideTheServerLock holds one submit inside the job
+// key — where a first-time kernel digest and the reflective config
+// encoding are paid — and requires the server lock to be free meanwhile:
+// GET /stats answers, and so does a DELETE of an unknown job.
+func TestSubmitHashesOutsideTheServerLock(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	jobKey = func(j runner.Job) string {
+		close(entered)
+		<-release
+		return j.Key()
+	}
+	defer func() { jobKey = runner.Job.Key }()
+	_, ts := startServer(t, Config{Workers: 1})
+
+	posted := make(chan int, 1)
+	go func() {
+		resp, _ := postJob(t, ts, testSpec(t, 90), "", true)
+		posted <- resp.StatusCode
+	}()
+	<-entered
+
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Get(ts.URL + "/stats")
+		if err == nil {
+			var sv StatsView
+			err = json.NewDecoder(resp.Body).Decode(&sv)
+			resp.Body.Close()
+			if err == nil && sv.Submitted != 0 {
+				err = fmt.Errorf("%d jobs submitted while the only submit is still hashing", sv.Submitted)
+			}
+		}
+		if err == nil {
+			var req *http.Request
+			if req, err = http.NewRequest("DELETE", ts.URL+"/jobs/j999", nil); err == nil {
+				if resp, err = ts.Client().Do(req); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("GET /stats and DELETE wait behind a submit that is hashing its job key")
+	}
+	close(release)
+	if code := <-posted; code != http.StatusOK {
+		t.Errorf("the held submit finished with status %d", code)
+	}
+}

@@ -67,33 +67,45 @@ type SM struct {
 	st    *stats.Stats
 	slots []*warp
 
-	// Slot-indexed scheduling state: everything a pick scan reads, laid
-	// out so the scan follows no pointer. busyUntil and age are plain
-	// arrays (0 and noAge while the slot is empty); blocked and finished
-	// are bitsets, bit slot&63 of word slot>>6.
+	// Scheduling state: everything a pick reads, laid out so that it
+	// follows no pointer. busyUntil and age are slot-indexed arrays (0 and
+	// noAge while the slot is empty) and finished is a slot bitset (bit
+	// slot&63 of word slot>>6): the slot's warp has exhausted its trace;
+	// retirement looks only here.
 	//
-	//   blocked   the slot is empty, or its warp has outstanding != 0,
-	//             is inLDST, or is exhausted: only an event, never the
-	//             clock alone, can make it issuable. Bits past the last
-	//             slot are permanently set.
-	//   finished  the slot's warp has exhausted its trace (a subset of
-	//             blocked); retirement looks only here.
+	// Which warps a scheduler may pick is kept in age order instead.
+	// Scheduler k (slot % SchedulersPerSM == k) owns positions
+	// [k*posWords*64, (k+1)*posWords*64), handed out append-only at
+	// admission: ages only grow, so a new warp is always its scheduler's
+	// youngest and ascending position is ascending age. pos2slot and
+	// slot2pos translate (-1: dead position, empty slot); a retired
+	// warp's position stays dead until the scheduler runs out of
+	// positions and compact squeezes the live ones down.
 	//
-	// owned[k] is scheduler k's slots (slot % SchedulersPerSM == k) as
-	// a mask over the same words. The bits are rewritten by noteCursor
-	// wherever a cursor moves (admission, issue) and by setBlocked
-	// wherever outstanding or inLDST changes (LD/ST drain, last memory
-	// response); retirement clears the slot. CheckActivity re-derives
-	// all of it from the warps.
+	//   ready     bit p: position p holds a warp that is not blocked — it
+	//             has no request outstanding, is not inLDST and is not
+	//             exhausted, so the clock alone (busyUntil) can make it
+	//             issuable. Dead positions are clear. A blocked warp needs
+	//             an event, and costs the pick nothing.
+	//
+	// The oldest ready warp is therefore the first set bit of ready whose
+	// busyUntil has elapsed. The bits are rewritten by noteCursor wherever
+	// a cursor moves (admission, issue) and by setBlocked wherever
+	// outstanding or inLDST changes (LD/ST drain, last memory response);
+	// retirement kills the position. CheckActivity re-derives all of it
+	// from the warps.
 	//
 	// Whether a warp's next instruction is a load or store is
 	// deliberately not mirrored here: it is one byte of the next packed
 	// op, and only consulted while the LD/ST queue is full (ldstHazard).
 	busyUntil []uint64
 	age       []uint64
-	blocked   []uint64
 	finished  []uint64
-	owned     [][]uint64
+	ready     []uint64
+	pos2slot  []int32
+	slot2pos  []int32
+	nextPos   []int // per scheduler: the next position to hand out
+	posWords  int   // words of ready per scheduler
 
 	pendingBlocks []pendingBlock
 	ageCounter    uint64
@@ -159,35 +171,40 @@ type SM struct {
 // New builds an SM with its own L1D under the given policy. pool, which
 // may be nil, recycles completed memory requests.
 func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
-	words := (cfg.MaxWarpsPerSM + 63) / 64
+	// One word more than a scheduler's slots fill, so a full scheduler
+	// still has dead positions to spend between compactions.
+	n := cfg.SchedulersPerSM
+	posWords := (cfg.MaxWarpsPerSM+n-1)/n/64 + 1
 	s := &SM{
 		cfg:     cfg,
 		id:      id,
 		st:      &stats.Stats{},
 		slots:   make([]*warp, cfg.MaxWarpsPerSM),
 		ldstCap: 48,
-		greedy:  make([]int, cfg.SchedulersPerSM),
+		greedy:  make([]int, n),
 		pool:    pool,
 
 		busyUntil: make([]uint64, cfg.MaxWarpsPerSM),
 		age:       make([]uint64, cfg.MaxWarpsPerSM),
-		blocked:   make([]uint64, words),
-		finished:  make([]uint64, words),
-		owned:     make([][]uint64, cfg.SchedulersPerSM),
+		finished:  make([]uint64, (cfg.MaxWarpsPerSM+63)/64),
+		ready:     make([]uint64, n*posWords),
+		pos2slot:  make([]int32, n*posWords*64),
+		slot2pos:  make([]int32, cfg.MaxWarpsPerSM),
+		nextPos:   make([]int, n),
+		posWords:  posWords,
 
-		schedSleepUntil: make([]uint64, cfg.SchedulersPerSM),
+		schedSleepUntil: make([]uint64, n),
 	}
-	for i := range s.greedy {
-		s.greedy[i] = -1
-		s.owned[i] = make([]uint64, words)
+	for k := range s.greedy {
+		s.greedy[k] = -1
+		s.nextPos[k] = k * posWords << 6
 	}
-	for i := range s.blocked {
-		s.blocked[i] = ^uint64(0) // every slot starts empty
+	for p := range s.pos2slot {
+		s.pos2slot[p] = -1
 	}
 	for slot := range s.slots {
 		s.age[slot] = noAge
-		wi, bit := slotBit(slot)
-		s.owned[slot%cfg.SchedulersPerSM][wi] |= bit
+		s.slot2pos[slot] = -1
 	}
 	s.l1d = core.NewL1D(cfg, policy, s.onMemResponse)
 	return s
@@ -215,14 +232,14 @@ func (s *SM) AssignStream(src trace.Stream, idx int) {
 	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
 
-// slotBit locates slot in the blocked/finished/owned bitsets.
+// slotBit locates slot in the finished bitset, or a position in ready.
 func slotBit(slot int) (word int, bit uint64) {
 	return slot >> 6, 1 << (slot & 63)
 }
 
 // noteCursor records whether w's cursor has run off the end of its trace
-// in the finished bit, then re-derives the blocked bit. Called wherever
-// a cursor is initialised or moved.
+// in the finished bit, then re-derives the ready bit. Called wherever a
+// cursor is initialised or moved.
 func (s *SM) noteCursor(w *warp) {
 	wi, bit := slotBit(w.slot)
 	if w.cur.Exhausted() {
@@ -236,15 +253,63 @@ func (s *SM) noteCursor(w *warp) {
 	s.setBlocked(w)
 }
 
-// setBlocked re-derives w's blocked bit after outstanding, inLDST or the
-// finished bit changed.
+// setBlocked re-derives the ready bit of w's position after outstanding,
+// inLDST or the finished bit changed.
 func (s *SM) setBlocked(w *warp) {
-	wi, bit := slotBit(w.slot)
-	if w.outstanding != 0 || w.inLDST || s.finished[wi]&bit != 0 {
-		s.blocked[wi] |= bit
+	fi, fbit := slotBit(w.slot)
+	wi, bit := slotBit(int(s.slot2pos[w.slot]))
+	if w.outstanding != 0 || w.inLDST || s.finished[fi]&fbit != 0 {
+		s.ready[wi] &^= bit
 	} else {
-		s.blocked[wi] &^= bit
+		s.ready[wi] |= bit
 	}
+}
+
+// unblocked reports whether slot holds a warp whose position is in ready.
+func (s *SM) unblocked(slot int) bool {
+	p := int(s.slot2pos[slot])
+	if p < 0 {
+		return false
+	}
+	wi, bit := slotBit(p)
+	return s.ready[wi]&bit != 0
+}
+
+// place hands the warp just admitted into slot — the youngest the SM
+// holds — its scheduler's next position.
+func (s *SM) place(slot int) {
+	k := slot % s.cfg.SchedulersPerSM
+	if s.nextPos[k] == (k+1)*s.posWords<<6 {
+		s.compact(k)
+	}
+	p := s.nextPos[k]
+	s.nextPos[k]++
+	s.pos2slot[p] = int32(slot)
+	s.slot2pos[slot] = int32(p)
+}
+
+// compact squeezes scheduler k's live positions down to the start of its
+// range, in order, carrying their ready bits. A scheduler has more
+// positions than slots, so this always leaves room.
+func (s *SM) compact(k int) {
+	to := k * s.posWords << 6
+	for p := to; p < s.nextPos[k]; p++ {
+		slot := s.pos2slot[p]
+		if slot < 0 {
+			continue
+		}
+		if to != p {
+			s.pos2slot[to], s.pos2slot[p] = slot, -1
+			s.slot2pos[slot] = int32(to)
+			if wi, bit := slotBit(p); s.ready[wi]&bit != 0 {
+				s.ready[wi] &^= bit
+				ti, tbit := slotBit(to)
+				s.ready[ti] |= tbit
+			}
+		}
+		to++
+	}
+	s.nextPos[k] = to
 }
 
 // onMemResponse is the L1D delivery callback: one completed load
@@ -307,6 +372,7 @@ func (s *SM) admitBlocks() bool {
 			w.block = rb
 			s.slots[slot] = w
 			s.age[slot] = s.ageCounter // busyUntil[slot] is 0 while empty
+			s.place(slot)
 			s.noteCursor(w)
 			s.liveWarps++
 			wi++
@@ -347,7 +413,8 @@ func (s *SM) retireWarps() bool {
 			s.slots[slot] = nil
 			s.busyUntil[slot] = 0
 			s.age[slot] = noAge
-			s.blocked[wi] |= bit
+			s.pos2slot[s.slot2pos[slot]] = -1 // finished, so not in ready
+			s.slot2pos[slot] = -1
 			s.finished[wi] &^= bit
 			s.liveWarps--
 			w.cur.Release() // return the stream chunk before wiping the warp
@@ -489,8 +556,9 @@ func (s *SM) issue() bool {
 // throttle, and — for a memory instruction — room in the LD/ST queue
 // (ldstFull is len(s.ldst) >= s.ldstCap, hoisted by the caller).
 func (s *SM) issuable(slot int, ldstFull bool) bool {
-	wi, bit := slotBit(slot)
-	return s.blocked[wi]&bit == 0 && s.busyUntil[slot] <= s.now &&
+	// The latency first: the warp a scheduler issued from last is usually
+	// still inside it, and an empty slot's is 0.
+	return s.busyUntil[slot] <= s.now && s.unblocked(slot) &&
 		!(ldstFull && s.ldstHazard(slot)) && s.warpActive(slot)
 }
 
@@ -522,9 +590,10 @@ func (s *SM) warpActive(slot int) bool {
 }
 
 // pickWarp chooses the slot scheduler sched issues from this cycle, or
-// -1. The scan reads only the slot-indexed arrays: candidates are the
-// set bits of owned[sched] &^ blocked, and each costs one busyUntil
-// load (plus age for the survivors) — no warp or instruction is touched
+// -1. Candidates are the set bits of the scheduler's words of ready, in
+// age order, so the oldest ready warp is the first one whose busyUntil
+// has elapsed: each candidate costs one pos2slot and one busyUntil load,
+// a blocked warp costs nothing, and no warp or instruction is touched
 // unless the LD/ST queue is full.
 func (s *SM) pickWarp(sched int) int {
 	if s.now < s.schedSleepUntil[sched] {
@@ -537,15 +606,14 @@ func (s *SM) pickWarp(sched int) int {
 	if g := s.greedy[sched]; g >= 0 && s.issuable(g, ldstFull) {
 		return g
 	}
-	best := -1
-	var bestAge uint64
 	nextReady := never
-	for wi, own := range s.owned[sched] {
-		// Blocked slots — empty, waiting on an unblocking event, or
-		// exhausted — contribute no time-based wake (events reset the
-		// sleep bound), so they are masked out before the loop.
-		for cand := own &^ s.blocked[wi]; cand != 0; cand &= cand - 1 {
-			slot := wi<<6 | bits.TrailingZeros64(cand)
+	base := sched * s.posWords
+	for wi, cand := range s.ready[base : base+s.posWords] {
+		// Blocked warps — waiting on an unblocking event, or exhausted —
+		// contribute no time-based wake (events reset the sleep bound),
+		// and are not in the mask at all.
+		for ; cand != 0; cand &= cand - 1 {
+			slot := int(s.pos2slot[(base+wi)<<6|bits.TrailingZeros64(cand)])
 			if bu := s.busyUntil[slot]; bu > s.now {
 				// Blocked only by its issue latency: it becomes a candidate
 				// at busyUntil with no triggering event, so a failed scan
@@ -555,47 +623,44 @@ func (s *SM) pickWarp(sched int) int {
 				}
 				continue
 			}
-			// Ready; only the LD/ST structural hazard or the throttle can
-			// still block it, and both clear via sleep-resetting events.
-			if ldstFull && s.ldstHazard(slot) {
+			// Ready, and older than every candidate still to come; only the
+			// LD/ST structural hazard or the throttle can still block it,
+			// and both clear via sleep-resetting events.
+			if ldstFull && s.ldstHazard(slot) || !s.warpActive(slot) {
 				continue
 			}
-			if a := s.age[slot]; (best < 0 || a < bestAge) && s.warpActive(slot) {
-				best = slot
-				bestAge = a
-			}
+			return slot
 		}
 	}
-	if best < 0 {
-		s.schedSleepUntil[sched] = nextReady
-	}
-	return best
+	s.schedSleepUntil[sched] = nextReady
+	return -1
 }
 
 // pickWarpLRR rotates through the scheduler's slots in ascending order,
 // starting just after the slot it issued from last and wrapping around.
+// Slot order is not position order, so it asks each slot for its bit.
 func (s *SM) pickWarpLRR(sched int, ldstFull bool) int {
 	last := s.greedy[sched]
 	wrapped := -1 // first issuable slot at or before last
 	nextReady := never
-	for wi, own := range s.owned[sched] {
-		for cand := own &^ s.blocked[wi]; cand != 0; cand &= cand - 1 {
-			slot := wi<<6 | bits.TrailingZeros64(cand)
-			if bu := s.busyUntil[slot]; bu > s.now {
-				if bu < nextReady {
-					nextReady = bu
-				}
-				continue
+	for slot := sched; slot < len(s.slots); slot += s.cfg.SchedulersPerSM {
+		if !s.unblocked(slot) {
+			continue
+		}
+		if bu := s.busyUntil[slot]; bu > s.now {
+			if bu < nextReady {
+				nextReady = bu
 			}
-			if ldstFull && s.ldstHazard(slot) || !s.warpActive(slot) {
-				continue
-			}
-			if slot > last {
-				return slot // ascending scan: the first one past last wins
-			}
-			if wrapped < 0 {
-				wrapped = slot
-			}
+			continue
+		}
+		if ldstFull && s.ldstHazard(slot) || !s.warpActive(slot) {
+			continue
+		}
+		if slot > last {
+			return slot // ascending scan: the first one past last wins
+		}
+		if wrapped < 0 {
+			wrapped = slot
 		}
 	}
 	if wrapped < 0 {
@@ -705,32 +770,40 @@ func (s *SM) finishedWarps() int {
 // CheckActivity validates the SM's O(1) activity accounting against a
 // full sweep. The liveWarps counter must equal the occupied-slot count.
 // Every slot's scheduling state must be what its warp implies: an empty
-// slot is blocked with busyUntil 0, no age and no finished bit; an
-// occupied one has blocked == (outstanding != 0 || inLDST || exhausted),
-// finished == exhausted, a real age, a warp that knows its slot, and a
-// next packed op that says what the instruction it was packed from
-// says; bits past the last slot stay blocked. When the counter form of
-// Done disagrees with the sweep form the difference must be explained
-// by in-flight work (a done-but-unretired warp whose final store still
-// sits in an outgoing queue). Returns a descriptive error on violation.
+// slot has no position, busyUntil 0, no age and no finished bit; an
+// occupied one has a position of its own scheduler that points back at
+// it, ready == !(outstanding != 0 || inLDST || exhausted), finished ==
+// exhausted, a real age, a warp that knows its slot, and a next packed
+// op that says what the instruction it was packed from says; finished
+// bits past the last slot stay clear. Each scheduler's live positions
+// must be strictly ascending in age, all below the next one to hand
+// out, and a dead position must point nowhere and not be ready. When the
+// counter form of Done disagrees with the sweep form the difference must
+// be explained by in-flight work (a done-but-unretired warp whose final
+// store still sits in an outgoing queue). Returns a descriptive error on
+// violation.
 func (s *SM) CheckActivity() error {
 	occupied := 0
 	for slot, w := range s.slots {
 		wi, bit := slotBit(slot)
-		blocked, finished := s.blocked[wi]&bit != 0, s.finished[wi]&bit != 0
+		finished, pos := s.finished[wi]&bit != 0, int(s.slot2pos[slot])
 		if w == nil {
-			if !blocked || finished || s.busyUntil[slot] != 0 || s.age[slot] != noAge {
-				return fmt.Errorf("sm%d: empty slot %d has blocked=%v finished=%v busyUntil=%d age=%d",
-					s.id, slot, blocked, finished, s.busyUntil[slot], s.age[slot])
+			if pos >= 0 || finished || s.busyUntil[slot] != 0 || s.age[slot] != noAge {
+				return fmt.Errorf("sm%d: empty slot %d has position=%d finished=%v busyUntil=%d age=%d",
+					s.id, slot, pos, finished, s.busyUntil[slot], s.age[slot])
 			}
 			continue
 		}
 		occupied++
+		if k := slot % s.cfg.SchedulersPerSM; pos < k*s.posWords<<6 || pos >= s.nextPos[k] || int(s.pos2slot[pos]) != slot {
+			return fmt.Errorf("sm%d: slot %d has position %d, which scheduler %d (next position %d) does not map back to it",
+				s.id, slot, pos, k, s.nextPos[k])
+		}
 		exhausted := w.cur.Exhausted()
 		wantBlocked := w.outstanding != 0 || w.inLDST || exhausted
-		if w.slot != slot || s.age[slot] == noAge || blocked != wantBlocked || finished != exhausted {
-			return fmt.Errorf("sm%d: slot %d (warp.slot=%d age=%d) has blocked=%v finished=%v, warp implies %v/%v",
-				s.id, slot, w.slot, s.age[slot], blocked, finished, wantBlocked, exhausted)
+		if w.slot != slot || s.age[slot] == noAge || s.unblocked(slot) == wantBlocked || finished != exhausted {
+			return fmt.Errorf("sm%d: slot %d (warp.slot=%d age=%d) has ready=%v finished=%v, warp implies %v/%v",
+				s.id, slot, w.slot, s.age[slot], s.unblocked(slot), finished, !wantBlocked, exhausted)
 		}
 		if !exhausted {
 			if err := w.cur.CheckOp(s.cfg.L1D.LineSize); err != nil {
@@ -739,10 +812,35 @@ func (s *SM) CheckActivity() error {
 		}
 	}
 	if tail := len(s.slots) & 63; tail != 0 {
-		last := len(s.blocked) - 1
-		past := ^uint64(0) << tail
-		if s.blocked[last]&past != past || s.finished[last]&past != 0 {
-			return fmt.Errorf("sm%d: scheduling bits past slot %d corrupted", s.id, len(s.slots)-1)
+		if s.finished[len(s.finished)-1]&(^uint64(0)<<tail) != 0 {
+			return fmt.Errorf("sm%d: finished bits past slot %d corrupted", s.id, len(s.slots)-1)
+		}
+	}
+	for k, next := range s.nextPos {
+		base := k * s.posWords << 6
+		if next < base || next > base+s.posWords<<6 {
+			return fmt.Errorf("sm%d: scheduler %d's next position %d is outside [%d, %d]",
+				s.id, k, next, base, base+s.posWords<<6)
+		}
+		older := uint64(0)
+		for p := base; p < base+s.posWords<<6; p++ {
+			slot := int(s.pos2slot[p])
+			wi, bit := slotBit(p)
+			if slot < 0 {
+				if s.ready[wi]&bit != 0 {
+					return fmt.Errorf("sm%d: dead position %d is ready", s.id, p)
+				}
+				continue
+			}
+			if p >= next || slot >= len(s.slots) || int(s.slot2pos[slot]) != p {
+				return fmt.Errorf("sm%d: position %d (scheduler %d, next %d) holds slot %d, which does not map back to it",
+					s.id, p, k, next, slot)
+			}
+			if s.age[slot] <= older {
+				return fmt.Errorf("sm%d: position %d holds slot %d of age %d, not younger than %d before it",
+					s.id, p, slot, s.age[slot], older)
+			}
+			older = s.age[slot]
 		}
 	}
 	if occupied != s.liveWarps {
@@ -813,27 +911,34 @@ func (s *SM) NextWake(now uint64) (at uint64, ok bool) {
 	if h, hok := s.l1d.NextDelivery(); hok {
 		at = h
 	}
-	for wi, blocked := range s.blocked {
-		// Unblocked warps wait at most on their issue latency. A finished
-		// warp is blocked for the schedulers but still wakes the SM for
-		// its retirement, unless memory is what it waits on.
-		for cand := ^blocked | s.finished[wi]; cand != 0; cand &= cand - 1 {
-			slot := wi<<6 | bits.TrailingZeros64(cand)
-			if finished := blocked&cand&-cand != 0; finished {
-				if w := s.slots[slot]; w.inLDST || w.outstanding > 0 {
-					continue
-				}
+	// Unblocked warps wait at most on their issue latency.
+	for wi, cand := range s.ready {
+		for ; cand != 0; cand &= cand - 1 {
+			bu := s.busyUntil[s.pos2slot[wi<<6|bits.TrailingZeros64(cand)]]
+			if bu <= now {
+				return 0, false // ready to issue right now
 			}
-			if bu := s.busyUntil[slot]; bu > now {
-				// Waiting out an issue latency: nothing observable happens
-				// until busyUntil (issue readiness or retirement).
-				if bu < at {
-					at = bu
-				}
+			if bu < at {
+				at = bu
+			}
+		}
+	}
+	// A finished warp is blocked for the schedulers but still wakes the SM
+	// for its retirement, unless memory is what it waits on.
+	for wi, fin := range s.finished {
+		for ; fin != 0; fin &= fin - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(fin)
+			if w := s.slots[slot]; w.inLDST || w.outstanding > 0 {
 				continue
 			}
-			// Ready to issue (or done and awaiting retirement) right now.
-			return 0, false
+			// Nothing observable happens until its last latency has elapsed.
+			bu := s.busyUntil[slot]
+			if bu <= now {
+				return 0, false // done and awaiting retirement
+			}
+			if bu < at {
+				at = bu
+			}
 		}
 	}
 	return at, true

@@ -298,13 +298,13 @@ func TestSchedPolicyString(t *testing.T) {
 }
 
 // The reference pick: the slot-sweep scan the SM used before its
-// scheduling state moved into slot-indexed arrays, kept here as the
-// specification the bitmask scan is tested against. Everything that has
+// scheduling state moved into arrays and age-ordered masks, kept here as
+// the specification the position scan is tested against. Everything that has
 // a first-principles source is read from it — blocked-ness from the
 // warp's cursor, outstanding count and inLDST flag, the instruction
 // kind from the cursor, occupancy and the throttle from sweeping
-// s.slots — and never from the blocked/finished bits or the
-// owned masks. busyUntil and age have no other home than the arrays.
+// s.slots — and never from the ready/finished bits or the position
+// tables. busyUntil and age have no other home than the arrays.
 // Each function returns the pick and the sleep bound the scan leaves
 // behind, and mutates nothing.
 
@@ -448,40 +448,85 @@ func pickKernel(rng *prng.Source, maxWarps int) *trace.Kernel {
 	return k
 }
 
+// churnKernel builds many short blocks, so that warps are admitted and
+// retired fast enough for every scheduler to run out of positions over
+// and over.
+func churnKernel(rng *prng.Source, maxWarps int) *trace.Kernel {
+	k := &trace.Kernel{Name: "churn"}
+	for b := 0; b < 280; b++ {
+		blk := &trace.Block{}
+		for w := 1 + rng.Intn(min(maxWarps, 4)); w > 0; w-- {
+			wt := &trace.WarpTrace{}
+			for i := 2 + rng.Intn(4); i > 0; i-- {
+				pc := uint32(rng.Intn(16))
+				switch rng.Intn(6) {
+				case 0, 1, 2:
+					wt.Instrs = append(wt.Instrs, trace.NewCompute(pc, 1+rng.Intn(12), 32))
+				case 3:
+					wt.Instrs = append(wt.Instrs, trace.NewStore(pc, []addr.Addr{addr.Addr(rng.Intn(96) * 128)}))
+				default:
+					wt.Instrs = append(wt.Instrs, trace.NewLoad(pc, []addr.Addr{addr.Addr(rng.Intn(96) * 128)}))
+				}
+			}
+			blk.Warps = append(blk.Warps, wt)
+		}
+		k.Blocks = append(k.Blocks, blk)
+	}
+	return k
+}
+
 // TestPickMatchesReferenceScan drives random kernels through an SM
 // whose memory answers after a random delay, re-running Tick's stages
 // by hand so that every scheduler's every pick can be compared with the
 // reference scan on exactly the state the pick saw: same slot, same
 // resulting sleep bound. CheckActivity runs every cycle on top, so the
-// arrays are also re-derived from the warps throughout.
+// position tables and bits are also re-derived from the warps
+// throughout. The churn leg does the same while short blocks come and
+// go until every scheduler has compacted its position space at least
+// three times.
 func TestPickMatchesReferenceScan(t *testing.T) {
 	for _, sched := range []config.SchedPolicy{config.SchedGTO, config.SchedLRR} {
 		for _, active := range []int{0, 3} {
 			for _, nsched := range []int{1, 2, 3} {
 				for _, maxWarps := range []int{1, 48, 70} { // 70: a second bitset word
+					newCfg := func() *config.Config {
+						cfg := config.Baseline()
+						cfg.Scheduler = sched
+						cfg.MaxActiveWarps = active
+						cfg.SchedulersPerSM = nsched
+						cfg.MaxWarpsPerSM = maxWarps
+						return cfg
+					}
+					name := fmt.Sprintf("%v/active%d/sched%d/warps%d", sched, active, nsched, maxWarps)
 					for _, ldstCap := range []int{48, 2} {
 						for _, streamed := range []bool{false, true} {
-							name := fmt.Sprintf("%v/active%d/sched%d/warps%d/ldst%d/streamed=%v",
-								sched, active, nsched, maxWarps, ldstCap, streamed)
-							t.Run(name, func(t *testing.T) {
-								cfg := config.Baseline()
-								cfg.Scheduler = sched
-								cfg.MaxActiveWarps = active
-								cfg.SchedulersPerSM = nsched
-								cfg.MaxWarpsPerSM = maxWarps
-								checkPicks(t, cfg, ldstCap, streamed)
+							t.Run(fmt.Sprintf("%s/ldst%d/streamed=%v", name, ldstCap, streamed), func(t *testing.T) {
+								cfg := newCfg()
+								rng := prng.New(uint64(maxWarps*1000 + nsched*100 + ldstCap))
+								checkPicks(t, cfg, ldstCap, streamed, rng, pickKernel(rng, maxWarps))
 							})
 						}
 					}
+					t.Run(name+"/churn", func(t *testing.T) {
+						cfg := newCfg()
+						rng := prng.New(uint64(maxWarps*1000 + nsched*100))
+						compactions := checkPicks(t, cfg, 48, false, rng, churnKernel(rng, maxWarps))
+						for k, n := range compactions {
+							if k < maxWarps && n < 3 { // a scheduler past the last slot owns none
+								t.Errorf("scheduler %d compacted its positions %d times, want at least 3", k, n)
+							}
+						}
+					})
 				}
 			}
 		}
 	}
 }
 
-func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
-	rng := prng.New(uint64(cfg.MaxWarpsPerSM*1000 + cfg.SchedulersPerSM*100 + ldstCap))
-	k := pickKernel(rng, cfg.MaxWarpsPerSM)
+// checkPicks runs k to completion on an SM built from cfg, comparing
+// every pick with the reference, and returns how often each scheduler
+// compacted its position space (the only time nextPos goes down).
+func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool, rng *prng.Source, k *trace.Kernel) (compactions []int) {
 	want := uint64(0)
 	for _, b := range k.Blocks {
 		for _, w := range b.Warps {
@@ -517,6 +562,7 @@ func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
 	}
 	var inFlight []flight
 	picks := 0
+	compactions, lastNext := make([]int, cfg.SchedulersPerSM), make([]int, cfg.SchedulersPerSM)
 	for now := uint64(1); ; now++ {
 		if now > 200000 {
 			t.Fatalf("not done after %d cycles (%d of %d warp instructions)", now, s.st.WarpInsns, want)
@@ -537,7 +583,13 @@ func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
 		s.l1d.Tick(now)
 		s.retireWarps()
 		if len(s.pendingBlocks) > 0 {
+			copy(lastNext, s.nextPos)
 			s.admitBlocks()
+			for k, next := range s.nextPos {
+				if next < lastNext[k] {
+					compactions[k]++
+				}
+			}
 		}
 		if s.ldst.Len() > 0 {
 			s.tickLDST()
@@ -570,5 +622,66 @@ func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool) {
 	}
 	if s.st.WarpInsns != want || uint64(picks) != want {
 		t.Errorf("issued %d warp instructions over %d picks, kernel has %d", s.st.WarpInsns, picks, want)
+	}
+	return compactions
+}
+
+// TestCheckActivityCatchesPositionCorruption breaks each position-space
+// invariant by hand on an SM with eight resident warps under one
+// scheduler (positions 0..7, the warp at position 3 waiting on memory)
+// and requires CheckActivity to notice; after each repair it must pass
+// again.
+func TestCheckActivityCatchesPositionCorruption(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.SchedulersPerSM = 1
+	s := New(cfg, 0, config.PolicyBaseline, nil)
+	blk := &trace.Block{}
+	for w := 0; w < 8; w++ {
+		blk.Warps = append(blk.Warps, computeWarp(4, 8))
+	}
+	s.AssignBlock(blk)
+	s.now = 1
+	s.admitBlocks()
+	s.slots[3].outstanding = 1
+	s.setBlocked(s.slots[3])
+
+	for _, c := range []struct {
+		name            string
+		corrupt, repair func()
+	}{
+		{"a dead position that is ready",
+			func() { s.ready[0] |= 1 << 20 }, func() { s.ready[0] &^= 1 << 20 }},
+		{"a blocked warp that is ready",
+			func() { s.ready[0] |= 1 << 3 }, func() { s.ready[0] &^= 1 << 3 }},
+		{"an unblocked warp that is not ready",
+			func() { s.ready[0] &^= 1 << 5 }, func() { s.ready[0] |= 1 << 5 }},
+		{"two warps out of age order",
+			func() {
+				s.pos2slot[1], s.pos2slot[2] = 2, 1
+				s.slot2pos[1], s.slot2pos[2] = 2, 1
+			}, func() {
+				s.pos2slot[1], s.pos2slot[2] = 1, 2
+				s.slot2pos[1], s.slot2pos[2] = 1, 2
+			}},
+		{"a slot that points at another's position",
+			func() { s.slot2pos[6] = 7 }, func() { s.slot2pos[6] = 6 }},
+		{"a position that points at an empty slot",
+			func() { s.pos2slot[30] = 40 }, func() { s.pos2slot[30] = -1 }},
+		{"a live position past the next to hand out",
+			func() { s.nextPos[0] = 7 }, func() { s.nextPos[0] = 8 }},
+		{"an empty slot with a position",
+			func() { s.slot2pos[40] = 9 }, func() { s.slot2pos[40] = -1 }},
+	} {
+		if err := s.CheckActivity(); err != nil {
+			t.Fatalf("before %q: %v", c.name, err)
+		}
+		c.corrupt()
+		if err := s.CheckActivity(); err == nil {
+			t.Errorf("%s went unnoticed", c.name)
+		}
+		c.repair()
+	}
+	if err := s.CheckActivity(); err != nil {
+		t.Fatalf("after the last repair: %v", err)
 	}
 }
