@@ -29,8 +29,7 @@
 // or wedged engine surfaces as a structured error instead of a crash.
 // The execution flags (-retries -timeout -selfcheck -cores -metrics
 // -metrics-every -trace) and the exit codes are the shared run
-// harness's; see internal/cli. (The kernel-replay flag formerly called
-// -trace is now -kernel.)
+// harness's; see internal/cli.
 package main
 
 import (
@@ -63,20 +62,12 @@ func main() {
 	sizeKB := flag.Int("size", 16, "L1D capacity in KB (16, 32 or 64)")
 	list := flag.Bool("list", false, "list available applications")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	dump := flag.String("dump", "", "write the generated kernel trace to this file and exit")
-	kernelFile := flag.String("kernel", "", "run a kernel from this trace file instead of -app")
 	streamMode := flag.Bool("stream", false, "feed the kernel lazily through the chunked stream frontend instead of materializing it")
 	streamFile := flag.String("stream-file", "", "replay a chunked trace file recorded with dlptrace instead of -app")
 	scale := flag.Int("scale", 1, "workload scale factor (blocks and footprint); >1 implies larger grids")
 	flag.Parse()
 	if *scale < 1 {
 		log.Fatalf("-scale %d: must be >= 1", *scale)
-	}
-	if *streamFile != "" {
-		*streamMode = true
-		if *kernelFile != "" {
-			log.Fatal("-stream-file and -kernel are mutually exclusive")
-		}
 	}
 
 	if *list {
@@ -119,17 +110,6 @@ func main() {
 		}
 		stream = fs // read-only; held until Exit
 		name, class, runName = fs.Name(), "replay", fs.Name()
-	case *kernelFile != "":
-		f, err := os.Open(*kernelFile)
-		if err != nil {
-			run.Exit(err)
-		}
-		kernel, err = trace.ReadKernel(f)
-		f.Close()
-		if err != nil {
-			run.Exit(err)
-		}
-		name, class, runName = kernel.Name, "custom", kernel.Name
 	case strings.Contains(*app, ","):
 		// Multi-kernel grid: back-to-back registry apps as one stream.
 		if !*streamMode {
@@ -161,24 +141,6 @@ func main() {
 		}
 		name, class = spec.Name, spec.Class.String()
 		runName = spec.Abbr
-	}
-
-	if *dump != "" {
-		if kernel == nil {
-			run.Exit(errors.New("-dump needs a materialized kernel; use dlptrace record for streams"))
-		}
-		f, err := os.Create(*dump)
-		if err != nil {
-			run.Exit(err)
-		}
-		if _, err := kernel.WriteTo(f); err != nil {
-			run.Exit(err)
-		}
-		if err := f.Close(); err != nil {
-			run.Exit(err)
-		}
-		fmt.Printf("wrote %s trace to %s\n", kernel.Name, *dump)
-		run.Exit(nil)
 	}
 
 	// Even a single run goes through the experiment runner: panics are

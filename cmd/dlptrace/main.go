@@ -11,7 +11,6 @@
 //	dlptrace record -app SC -o sc.dlpstrm
 //	dlptrace record -app SC -scale 100 -chunk 8192 -o sc100.dlpstrm
 //	dlptrace record -app SC,BP,BFS -o suite.dlpstrm
-//	dlptrace record -kernel dump.trace -o dump.dlpstrm
 //	dlptrace info sc.dlpstrm
 //	dlptrace verify sc.dlpstrm
 //
@@ -62,7 +61,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   dlptrace record -app ABBR[,ABBR...] [-scale N] [-chunk N] -o FILE
-  dlptrace record -kernel TRACEFILE [-chunk N] -o FILE
   dlptrace info FILE
   dlptrace verify FILE`)
 	os.Exit(2)
@@ -71,48 +69,29 @@ func usage() {
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	app := fs.String("app", "", "application abbreviation, or a comma-separated list for a multi-kernel trace")
-	kernelFile := fs.String("kernel", "", "re-container a materialized kernel dump (dlpsim -dump) instead of -app")
 	scale := fs.Int("scale", 1, "workload scale factor (blocks and footprint)")
 	chunk := fs.Int("chunk", 4096, "instructions per chunk")
 	out := fs.String("o", "", "output trace file (required)")
 	fs.Parse(args)
-	if *out == "" {
-		log.Fatal("record: -o FILE is required")
+	if *app == "" || *out == "" {
+		log.Fatal("record: -app ABBR and -o FILE are required")
 	}
 	if *scale < 1 {
 		log.Fatalf("record: -scale %d: must be >= 1", *scale)
 	}
 
-	var src trace.Stream
-	switch {
-	case *kernelFile != "":
-		f, err := os.Open(*kernelFile)
+	abbrs := strings.Split(strings.ToUpper(*app), ",")
+	subs := make([]trace.Stream, len(abbrs))
+	for i, a := range abbrs {
+		spec, err := workloads.ByAbbr(strings.TrimSpace(a))
 		if err != nil {
 			log.Fatal(err)
 		}
-		k, err := trace.ReadKernel(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		src = trace.NewKernelStream(k)
-	case *app != "":
-		abbrs := strings.Split(strings.ToUpper(*app), ",")
-		subs := make([]trace.Stream, len(abbrs))
-		for i, a := range abbrs {
-			spec, err := workloads.ByAbbr(strings.TrimSpace(a))
-			if err != nil {
-				log.Fatal(err)
-			}
-			subs[i] = spec.Stream(*scale)
-		}
-		if len(subs) == 1 {
-			src = subs[0]
-		} else {
-			src = trace.NewMultiStream(strings.Join(abbrs, "+"), subs...)
-		}
-	default:
-		log.Fatal("record: one of -app or -kernel is required")
+		subs[i] = spec.Stream(*scale)
+	}
+	src := subs[0]
+	if len(subs) > 1 {
+		src = trace.NewMultiStream(strings.Join(abbrs, "+"), subs...)
 	}
 
 	if err := trace.WriteFile(*out, src, *chunk); err != nil {

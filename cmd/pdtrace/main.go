@@ -145,11 +145,12 @@ func main() {
 	fmt.Fprintln(w)
 
 	var (
-		now        uint64
-		id         uint64
-		lastSample uint64
-		prevTDA    uint64
-		prevVTA    uint64
+		now            uint64
+		id             uint64
+		lastSample     uint64
+		prevTDA        uint64
+		prevVTA        uint64
+		grows, shrinks uint64
 	)
 	send := func(line addr.Addr, pc uint32, store bool) {
 		id++
@@ -190,13 +191,13 @@ func main() {
 				}
 				for _, line := range in.CoalescedLines(cfg.L1D.LineSize) {
 					// Record counters just before a sample closes so the
-					// decision is reconstructable.
+					// row shows what the decision was made from.
 					tda, vta := pdpt.GlobalHits()
 					prevTDA, prevVTA = tda, vta
 					send(line, in.PC, in.Kind == trace.Store)
 					if s := pdpt.Samples(); s != lastSample {
 						lastSample = s
-						printSample(w, s, prevTDA, prevVTA, pdpt, pcs)
+						printSample(w, s, prevTDA, prevVTA, decision(pdpt, &grows, &shrinks), pdpt, pcs)
 						if reg != nil {
 							msink.Row(series, now, reg.Sample())
 						}
@@ -245,16 +246,25 @@ func main() {
 		st.L1DAccesses, st.L1DHits, st.L1DBypasses, st.VTAHits, st.L1DHitRate())
 }
 
-// printSample emits one row: the counters that drove the Fig. 9 decision
-// and the resulting per-instruction PDs.
-func printSample(w *tabwriter.Writer, sample, tda, vta uint64, pdpt *policy.PDPT, pcs []uint32) {
-	decision := "hold"
+// decision names the Fig. 9 path the sample that just closed took, read
+// off the table's branch counters; grows and shrinks hold their values
+// at the previous sample.
+func decision(pdpt *policy.PDPT, grows, shrinks *uint64) string {
+	g, s := pdpt.Branches()
+	d := "hold"
 	switch {
-	case vta > tda:
-		decision = "increase"
-	case 2*vta < tda:
-		decision = "decrease"
+	case g != *grows:
+		d = "increase"
+	case s != *shrinks:
+		d = "decrease"
 	}
+	*grows, *shrinks = g, s
+	return d
+}
+
+// printSample emits one row: the counters that drove the Fig. 9 decision,
+// the decision, and the resulting per-instruction PDs.
+func printSample(w *tabwriter.Writer, sample, tda, vta uint64, decision string, pdpt *policy.PDPT, pcs []uint32) {
 	fmt.Fprintf(w, "%d\t%d\t%d\t%s", sample, tda, vta, decision)
 	for _, pc := range pcs {
 		fmt.Fprintf(w, "\t%d", pdpt.PD(addr.HashPC(pc)))

@@ -237,18 +237,18 @@ func ReuseMissRate(cfg *Config, k *Kernel) float64 {
 	return rdd.ReuseMissRate(k, cfg.NumSMs, cfg.L1D)
 }
 
-// WriteKernel serializes a kernel to the library's binary trace format;
-// ReadKernel loads one back. The format is documented in
-// internal/trace/serialize.go and is stable across runs, so kernels —
-// including ones converted from external simulators — can be stored and
-// replayed byte-identically.
-func WriteKernel(w io.Writer, k *Kernel) error {
-	_, err := k.WriteTo(w)
-	return err
+// WriteKernel saves a kernel to path in the library's one trace file
+// format, DLPSTRM1 (documented in internal/trace/file.go; the file
+// `dlptrace record` writes and `dlpsim -stream-file` replays); ReadKernel
+// loads one back. The format is checksummed and stable across runs, so
+// kernels — including ones converted from external simulators — can be
+// stored and replayed byte-identically.
+func WriteKernel(path string, k *Kernel) error {
+	return trace.WriteFile(path, trace.NewKernelStream(k), 0)
 }
 
-// ReadKernel deserializes a kernel written by WriteKernel.
-func ReadKernel(r io.Reader) (*Kernel, error) { return trace.ReadKernel(r) }
+// ReadKernel loads a kernel saved by WriteKernel or recorded by dlptrace.
+func ReadKernel(path string) (*Kernel, error) { return trace.ReadKernel(path) }
 
 // ParsePolicy converts a CLI-style name into a Policy. It accepts every
 // registered scheme's name and aliases, case-insensitively.

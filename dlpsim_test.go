@@ -1,8 +1,8 @@
 package dlpsim
 
 import (
-	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -209,11 +209,11 @@ func TestProfileAndMissRateAPI(t *testing.T) {
 func TestKernelSerializationAPI(t *testing.T) {
 	w, _ := WorkloadByAbbr("HS")
 	k := w.Generate()
-	var buf bytes.Buffer
-	if err := WriteKernel(&buf, k); err != nil {
+	path := filepath.Join(t.TempDir(), "hs.dlpstrm")
+	if err := WriteKernel(path, k); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKernel(&buf)
+	got, err := ReadKernel(path)
 	if err != nil {
 		t.Fatal(err)
 	}

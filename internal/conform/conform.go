@@ -445,12 +445,6 @@ type RunConfig struct {
 // Run executes the case's full variant matrix and returns its verdict.
 func (c *Case) Run(ctx context.Context, rc RunConfig) *Result {
 	res := &Result{Case: c, Outcome: Pass}
-	cfg, pol, kernel, err := c.Spec.Build()
-	if err != nil {
-		res.Outcome, res.Err = BadCase, err
-		return res
-	}
-
 	variants := c.Spec.Variants()
 	for _, extra := range rc.ExtraCores {
 		dup := false
@@ -464,59 +458,23 @@ func (c *Case) Run(ctx context.Context, rc RunConfig) *Result {
 			variants = append(variants, Variant{Name: fmt.Sprintf("cores=%d,extra", extra), Cores: extra})
 		}
 	}
-	var stream trace.Stream
-	for _, v := range variants {
-		if v.Streamed {
-			if stream, err = c.Spec.BuildStream(); err != nil {
-				res.Outcome, res.Err = BadCase, err
-				return res
-			}
-			break
-		}
+	d, err := RunDifferential(ctx, c.Spec, variants, c.Name, rc.Timeout)
+	if err != nil {
+		res.Outcome, res.Err = BadCase, err
+		return res
 	}
-	norm := make([][]byte, len(variants))
-	r := &runner.Runner{Workers: 1, Timeout: rc.Timeout, SelfCheck: true}
-	for i, v := range variants {
-		job := runner.Job{
-			Label:  fmt.Sprintf("%s[%s]", c.Name, v.Name),
-			Config: cfg,
-			Policy: pol,
-			Kernel: kernel,
-			Opts: sim.Options{
-				MaxCycles:          c.Spec.MaxCycles,
-				Cores:              v.Cores,
-				DisableFastForward: v.DisableFastForward,
-			},
-		}
-		if v.Streamed {
-			job.Kernel, job.Stream = nil, stream
-		}
-		jobs := []runner.Job{job}
-		results, err := r.Run(ctx, jobs)
-		if err != nil {
-			res.Outcome, res.Err, res.Variant = SimFailed, err, v.Name
-			return res
-		}
-		res.Wall += results[0].Wall
-		if i == 0 {
-			res.Cycles = results[0].Stats.Cycles
-		}
-		if norm[i], err = Normalize(results[0].Stats); err != nil {
-			res.Outcome, res.Err, res.Variant = SimFailed, err, v.Name
-			return res
-		}
-	}
-
-	for i := 1; i < len(variants); i++ {
-		if !bytes.Equal(norm[i], norm[0]) {
-			res.Outcome, res.Variant = VariantMismatch, variants[i].Name
-			res.Diff = UnifiedDiff(variants[0].Name, variants[i].Name, norm[0], norm[i])
-			return res
-		}
+	res.Wall, res.Cycles, res.Variant = d.Wall, d.Cycles, d.Variant
+	switch {
+	case d.Err != nil:
+		res.Outcome, res.Err = SimFailed, d.Err
+		return res
+	case d.Diff != "":
+		res.Outcome, res.Diff = VariantMismatch, d.Diff
+		return res
 	}
 
 	if rc.Update {
-		if err := os.WriteFile(filepath.Join(c.Dir, ExpectedFile), norm[0], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(c.Dir, ExpectedFile), d.Norms[0], 0o644); err != nil {
 			res.Outcome, res.Err = BadCase, err
 			return res
 		}
@@ -529,12 +487,87 @@ func (c *Case) Run(ctx context.Context, rc RunConfig) *Result {
 		res.Outcome, res.Err = CorruptExpected, err
 		return res
 	}
-	if !bytes.Equal(norm[0], expected) {
+	if !bytes.Equal(d.Norms[0], expected) {
 		res.Outcome = Drift
-		res.Diff = UnifiedDiff(ExpectedFile, variants[0].Name, expected, norm[0])
+		res.Diff = UnifiedDiff(ExpectedFile, variants[0].Name, expected, d.Norms[0])
 		return res
 	}
 	return res
+}
+
+// Differential is one run of a spec's variant matrix, the executor
+// behind both conformance cases and the fuzzer: the first variant is the
+// reference, and every other must reproduce its normalized stats.
+type Differential struct {
+	Norms   [][]byte      // normalized stats of every variant that finished, in order
+	Cycles  uint64        // the reference's run length
+	Wall    time.Duration // simulation wall time summed over the variants that finished
+	Variant string        // the variant that failed (Err) or diverged (Diff); "" if none
+	Err     error         // why Variant failed to simulate or normalize
+	Diff    string        // unified diff of Variant's stats against the reference's
+}
+
+// RunDifferential builds sp and runs variants one after another, each as
+// its own job of a one-worker runner with the sampled invariant sweeps
+// on, timeout bounding each; label prefixes the job labels. It stops at
+// the first variant that fails, and otherwise reports the first whose
+// stats differ from the reference's. The error is Build's or
+// BuildStream's: the spec did not resolve into a runnable point, and
+// nothing ran.
+func RunDifferential(ctx context.Context, sp *Spec, variants []Variant, label string, timeout time.Duration) (*Differential, error) {
+	cfg, pol, kernel, err := sp.Build()
+	if err != nil {
+		return nil, err
+	}
+	var stream trace.Stream
+	for _, v := range variants {
+		if v.Streamed {
+			if stream, err = sp.BuildStream(); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
+	d := &Differential{}
+	r := &runner.Runner{Workers: 1, Timeout: timeout, SelfCheck: true}
+	for i, v := range variants {
+		job := runner.Job{
+			Label:  fmt.Sprintf("%s[%s]", label, v.Name),
+			Config: cfg,
+			Policy: pol,
+			Kernel: kernel,
+			Opts: sim.Options{
+				MaxCycles:          sp.MaxCycles,
+				Cores:              v.Cores,
+				DisableFastForward: v.DisableFastForward,
+			},
+		}
+		if v.Streamed {
+			job.Kernel, job.Stream = nil, stream
+		}
+		results, err := r.Run(ctx, []runner.Job{job})
+		var norm []byte
+		if err == nil {
+			norm, err = Normalize(results[0].Stats)
+		}
+		if err != nil {
+			d.Variant, d.Err = v.Name, err
+			return d, nil
+		}
+		d.Wall += results[0].Wall
+		if i == 0 {
+			d.Cycles = results[0].Stats.Cycles
+		}
+		d.Norms = append(d.Norms, norm)
+	}
+	for i := 1; i < len(d.Norms); i++ {
+		if !bytes.Equal(d.Norms[i], d.Norms[0]) {
+			d.Variant = variants[i].Name
+			d.Diff = UnifiedDiff(variants[0].Name, d.Variant, d.Norms[0], d.Norms[i])
+			break
+		}
+	}
+	return d, nil
 }
 
 // WriteCase materializes a case directory from a spec and its expected

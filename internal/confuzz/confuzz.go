@@ -40,8 +40,6 @@ import (
 	"repro/internal/prng"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -510,9 +508,10 @@ type evalResult struct {
 	ref       []byte // normalized serial-reference stats, when that run succeeded
 }
 
-// evaluate runs one spec's full variant matrix and classifies the
-// outcome. A typed *config.Error from Build is an input rejection;
-// everything else that fails is a finding.
+// evaluate runs one spec's full variant matrix through the conformance
+// executor and classifies the outcome. A typed *config.Error from Build
+// and a *sim.LaunchError (a block that does not fit on an SM) are input
+// rejections; everything else that fails is a finding.
 func evaluate(ctx context.Context, sp *conform.Spec, opts Options) (out evalResult) {
 	// A panic escaping Build (generator handed a constructor something
 	// validation missed) is itself a finding, not a crash.
@@ -521,7 +520,8 @@ func evaluate(ctx context.Context, sp *conform.Spec, opts Options) (out evalResu
 			out = evalResult{class: ClassPanic, variant: "build", detail: fmt.Sprintf("panic: %v", v)}
 		}
 	}()
-	cfg, pol, kernel, err := sp.Build()
+	variants := sp.Variants()
+	d, err := conform.RunDifferential(ctx, sp, variants, "fuzz", opts.Timeout)
 	if err != nil {
 		var cerr *config.Error
 		if errors.As(err, &cerr) {
@@ -529,84 +529,43 @@ func evaluate(ctx context.Context, sp *conform.Spec, opts Options) (out evalResu
 		}
 		return evalResult{class: ClassEngine, variant: "build", detail: err.Error()}
 	}
-	// The engine's launch check (block fits on an SM) is an input
-	// property like geometry validity: a shrinker mutation can create
-	// the combination, and it must read as rejected, not as a finding.
-	for i, b := range kernel.Blocks {
-		if len(b.Warps) > cfg.MaxWarpsPerSM {
-			return evalResult{rejected: true, rejectErr: fmt.Errorf(
-				"block %d: %d warps > MaxWarpsPerSM %d", i, len(b.Warps), cfg.MaxWarpsPerSM)}
+	if ctx.Err() != nil {
+		return evalResult{aborted: true}
+	}
+	var ref []byte
+	if len(d.Norms) > 0 {
+		ref = d.Norms[0]
+	}
+	var (
+		cle *sim.CycleLimitError
+		le  *sim.LaunchError
+	)
+	switch {
+	// The engine's launch check is an input property like geometry
+	// validity: a shrinker mutation can create the combination, and it
+	// must read as rejected, not as a finding.
+	case errors.As(d.Err, &le):
+		return evalResult{rejected: true, rejectErr: d.Err}
+	// A kernel still making progress at the MaxCycles bound is a too-slow
+	// input, not an engine failure: tiny fuzzed geometries (one MSHR,
+	// one-deep miss queues) legitimately need orders of magnitude more
+	// cycles than the budget. Genuine wedges trip the engine's quiescence
+	// check or the wall-clock deadline and classify normally.
+	case errors.As(d.Err, &cle):
+		return evalResult{slow: true}
+	case d.Err != nil:
+		cl, detail := Classify(d.Err)
+		return evalResult{class: cl, variant: d.Variant, detail: detail, ref: ref}
+	case d.Diff != "":
+		return evalResult{
+			class:   ClassDrift,
+			variant: d.Variant,
+			detail:  fmt.Sprintf("diverged from %s:\n%s", variants[0].Name, d.Diff),
+			ref:     ref,
 		}
 	}
-
-	r := &runner.Runner{Workers: 1, Timeout: opts.Timeout, SelfCheck: true}
-	variants := sp.Variants()
-	var stream trace.Stream
-	for _, v := range variants {
-		if v.Streamed {
-			if stream, err = sp.BuildStream(); err != nil {
-				return evalResult{class: ClassEngine, variant: "build", detail: err.Error()}
-			}
-			break
-		}
-	}
-	norms := make([][]byte, len(variants))
-	for i, v := range variants {
-		job := runner.Job{
-			Label:  fmt.Sprintf("fuzz[%s]", v.Name),
-			Config: cfg,
-			Policy: pol,
-			Kernel: kernel,
-			Opts: sim.Options{
-				MaxCycles:          sp.MaxCycles,
-				Cores:              v.Cores,
-				DisableFastForward: v.DisableFastForward,
-			},
-		}
-		if v.Streamed {
-			job.Kernel, job.Stream = nil, stream
-		}
-		results, err := r.Run(ctx, []runner.Job{job})
-		if ctx.Err() != nil {
-			return evalResult{aborted: true}
-		}
-		if err != nil {
-			// A kernel still making progress at the MaxCycles bound is a
-			// too-slow input, not an engine failure: tiny fuzzed
-			// geometries (one MSHR, one-deep miss queues) legitimately
-			// need orders of magnitude more cycles than the budget.
-			// Genuine wedges trip the engine's quiescence check or the
-			// wall-clock deadline and classify normally.
-			var cle *sim.CycleLimitError
-			if errors.As(err, &cle) {
-				return evalResult{slow: true}
-			}
-			cl, detail := Classify(err)
-			return evalResult{class: cl, variant: v.Name, detail: detail, ref: out.ref}
-		}
-		if norms[i], err = normalize(results[0].Stats); err != nil {
-			return evalResult{class: ClassEngine, variant: v.Name, detail: err.Error()}
-		}
-		if i == 0 {
-			out.ref = norms[0]
-		}
-	}
-	for i := 1; i < len(variants); i++ {
-		if string(norms[i]) != string(norms[0]) {
-			return evalResult{
-				class:   ClassDrift,
-				variant: variants[i].Name,
-				detail: fmt.Sprintf("diverged from %s:\n%s", variants[0].Name,
-					conform.UnifiedDiff(variants[0].Name, variants[i].Name, norms[0], norms[i])),
-				ref: norms[0],
-			}
-		}
-	}
-	out.class = ClassNone
-	return out
+	return evalResult{ref: ref}
 }
-
-func normalize(st *stats.Stats) ([]byte, error) { return conform.Normalize(st) }
 
 // ---------------------------------------------------------------------
 // Shrinking

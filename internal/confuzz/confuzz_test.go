@@ -91,6 +91,29 @@ func TestGenerateRespectsLaunchLimit(t *testing.T) {
 	}
 }
 
+// TestOversizedBlockIsARejection: a block that cannot launch on an SM —
+// the engine's *sim.LaunchError — is an input the fuzzer refuses, like
+// an invalid geometry, not a finding.
+func TestOversizedBlockIsARejection(t *testing.T) {
+	opts := Options{}.withDefaults()
+	seed := uint64(7)
+	for {
+		seed = splitmix64(seed)
+		if sp, degen := generate(seed, opts); !degen {
+			sp.Config.MaxWarpsPerSM = sp.Workload.Synth.WarpsPerBlock - 1
+			if sp.Config.MaxWarpsPerSM < 1 {
+				continue
+			}
+			out := evaluate(context.Background(), sp, opts)
+			var le *sim.LaunchError
+			if !out.rejected || !errors.As(out.rejectErr, &le) {
+				t.Fatalf("seed %#x: %+v; want a rejection with a *sim.LaunchError", seed, out)
+			}
+			return
+		}
+	}
+}
+
 func TestCampaignCleanOnHealthyRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential campaign")

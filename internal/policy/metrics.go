@@ -8,12 +8,16 @@ func (v *VTA) RegisterMetrics(reg *metrics.Registry, prefix string) {
 }
 
 // RegisterMetrics registers the prediction table's sampling progress
-// and protection-distance level. The hit counters are per-period
-// levels (EndSample resets them), so they are gauges, not counters;
+// and protection-distance level. grows/shrinks count the sampling
+// periods that took Fig. 9's increase and decrease paths (hold is
+// samples minus both). The hit counters are per-period levels
+// (EndSample resets them), so they are gauges, not counters;
 // pd.sum/pd.max summarize the current protection distances across all
 // table entries — the adaptation signal Figs. 8–9 are about.
 func (p *PDPT) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+".samples", &p.samples)
+	reg.Counter(prefix+".grows", &p.grows)
+	reg.Counter(prefix+".shrinks", &p.shrinks)
 	reg.Gauge(prefix+".tda_hits", func() uint64 { return p.globalTDA })
 	reg.Gauge(prefix+".vta_hits", func() uint64 { return p.globalVTA })
 	reg.Gauge(prefix+".pd.sum", func() uint64 {

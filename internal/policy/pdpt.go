@@ -18,6 +18,8 @@ type PDPT struct {
 	globalTDA uint64
 	globalVTA uint64
 	samples   uint64 // completed sampling periods, for introspection
+	grows     uint64 // periods that took Fig. 9's increase path
+	shrinks   uint64 // periods that took its decrease path; the rest held
 }
 
 // NewPDPT builds a per-instruction table with entries slots (the paper
@@ -67,6 +69,11 @@ func (p *PDPT) PD(insnID uint8) int { return p.pd[p.idx(insnID)] }
 
 // Samples returns the number of completed sampling periods.
 func (p *PDPT) Samples() uint64 { return p.samples }
+
+// Branches returns how many completed sampling periods took Fig. 9's
+// increase (grows) and decrease (shrinks) paths; the other
+// Samples()-grows-shrinks periods left every PD where it was.
+func (p *PDPT) Branches() (grows, shrinks uint64) { return p.grows, p.shrinks }
 
 // GlobalHits returns the running global TDA and VTA hit counters of the
 // current sample, for tests and introspection.
@@ -123,10 +130,12 @@ func (p *PDPT) EndSample() {
 			}
 			p.pd[i] = min(p.pd[i]+adj, p.maxPD)
 		}
+		p.grows++
 	case 2*p.globalVTA < p.globalTDA:
 		for i := range p.pd {
 			p.pd[i] = max(p.pd[i]-p.nasc, 0)
 		}
+		p.shrinks++
 	}
 	for i := range p.tdaHits {
 		p.tdaHits[i] = 0

@@ -73,6 +73,16 @@ func TestPDIncreasePath(t *testing.T) {
 	if p.Samples() != 1 {
 		t.Errorf("Samples = %d", p.Samples())
 	}
+	wantBranches(t, p, 1, 0)
+}
+
+// wantBranches checks the table's count of Fig. 9 increase and decrease
+// periods.
+func wantBranches(t *testing.T, p *PDPT, grows, shrinks uint64) {
+	t.Helper()
+	if g, s := p.Branches(); g != grows || s != shrinks {
+		t.Errorf("Branches = %d grows, %d shrinks; want %d, %d", g, s, grows, shrinks)
+	}
 }
 
 // TestPDDecreasePath exercises the right branch: global VTA hits below
@@ -100,6 +110,7 @@ func TestPDDecreasePath(t *testing.T) {
 	if got := p.PD(9); got != 0 {
 		t.Errorf("PD(9) = %d, want 0", got)
 	}
+	wantBranches(t, p, 1, 1)
 }
 
 // TestPDHoldPath: between the two thresholds nothing changes.
@@ -118,6 +129,7 @@ func TestPDHoldPath(t *testing.T) {
 	if got := p.PD(7); got != before {
 		t.Errorf("PD changed on the hold path: %d -> %d", before, got)
 	}
+	wantBranches(t, p, 1, 0)
 }
 
 func TestEndSampleResetsCounters(t *testing.T) {

@@ -2,7 +2,10 @@ package runner
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -321,5 +324,87 @@ func TestKeyDoesNotRetainKernel(t *testing.T) {
 			t.Fatal("kernel still reachable after Job.Key: something retains it")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestDamagedTraceFileFailsTheJob: a DLPSTRM1 file whose chunks are
+// overwritten or cut off after Open, and one that holds an unknown
+// instruction kind under a correct checksum, fail the simulation with a
+// *trace.FormatError — from sim.RunStreamOnce and from a runner job
+// alike — and never with a *JobPanicError.
+func TestDamagedTraceFileFailsTheJob(t *testing.T) {
+	record := func(t *testing.T, k *trace.Kernel) (string, *trace.FileStream) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "k.dlpstrm")
+		if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := trace.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		return path, fs
+	}
+	// indexOff is where the chunk data ends: the footer's first field.
+	indexOff := func(t *testing.T, path string) int64 {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(binary.LittleEndian.Uint64(b[len(b)-48:]))
+	}
+	k := streamKernel("damaged", 2, 2, 40, 2) // 120-instruction warps: two chunks each
+	cases := map[string]func(t *testing.T) (string, *trace.FileStream){
+		"overwritten": func(t *testing.T) (string, *trace.FileStream) {
+			path, fs := record(t, k)
+			end := indexOff(t, path)
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			// Every chunk that starts in the back half now opens with kind 0xff.
+			if _, err := f.WriteAt([]byte(strings.Repeat("\xff", int(end/2))), end-end/2); err != nil {
+				t.Fatal(err)
+			}
+			return path, fs
+		},
+		"truncated": func(t *testing.T) (string, *trace.FileStream) {
+			path, fs := record(t, k)
+			if err := os.Truncate(path, indexOff(t, path)/2); err != nil {
+				t.Fatal(err)
+			}
+			return path, fs
+		},
+		"unknown kind": func(t *testing.T) (string, *trace.FileStream) {
+			bad := streamKernel("kind9", 1, 1, 4, 1)
+			bad.Blocks[0].Warps[0].Instrs[2] = trace.Instr{Kind: trace.Kind(9), PC: 4, ActiveLanes: 32}
+			return record(t, bad)
+		},
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			path, fs := damage(t)
+			check := func(how string, err error) {
+				t.Helper()
+				var fe *trace.FormatError
+				if !errors.As(err, &fe) || fe.Path != path {
+					t.Errorf("%s: error %v, want a *trace.FormatError for %s", how, err, path)
+				}
+				var jp *JobPanicError
+				if errors.As(err, &jp) {
+					t.Errorf("%s: the job panicked: %v", how, jp)
+				}
+			}
+			_, err := sim.RunStreamOnce(context.Background(), config.Baseline(), config.PolicyDLP, fs, sim.Options{})
+			check("RunStreamOnce", err)
+			r := &Runner{Workers: 1, SelfCheck: true}
+			_, err = r.Run(context.Background(), []Job{{
+				Label: name, Config: config.Baseline(), Policy: config.PolicyDLP, Stream: fs,
+			}})
+			check("runner job", err)
+		})
 	}
 }

@@ -57,21 +57,21 @@ func TestRunSurfacesPackError(t *testing.T) {
 // front, the streamed one (an in-memory stream, or a DLPSTRM1 file that
 // carries the instruction under a correct checksum) at the refill that
 // reaches it — and never runs to completion or panics in the LD/ST unit.
+// The one exception is a file holding an unknown kind: the decoder
+// cannot size that instruction, so its refill fails with a
+// *trace.FormatError before any op is built.
 func TestFrontendsRefuseTheSameInstructions(t *testing.T) {
 	cfg := config.Baseline()
 	wide := make([]addr.Addr, 99)
 	cases := []struct {
 		name string
 		in   trace.Instr
-		file bool // the instruction survives a round trip through the file format
 	}{
-		{"zero-lane load", trace.NewLoad(4, nil), true},
-		{"latency 0", trace.NewCompute(4, 0, 32), true},
-		{"compute wider than the warp", trace.NewCompute(4, 4, 99), true},
-		{"load wider than the warp", trace.NewLoad(4, wide), true},
-		// The file decoder cannot size an instruction of unknown kind, so
-		// such a file is a *trace.FormatError before any op is built.
-		{"unknown kind", trace.Instr{Kind: trace.Kind(9), PC: 4, ActiveLanes: 32}, false},
+		{"zero-lane load", trace.NewLoad(4, nil)},
+		{"latency 0", trace.NewCompute(4, 0, 32)},
+		{"compute wider than the warp", trace.NewCompute(4, 4, 99)},
+		{"load wider than the warp", trace.NewLoad(4, wide)},
+		{"unknown kind", trace.Instr{Kind: trace.Kind(9), PC: 4, ActiveLanes: 32}},
 	}
 	for _, tc := range cases {
 		k := &trace.Kernel{Name: "crafted", Blocks: []*trace.Block{{Warps: []*trace.WarpTrace{{Instrs: []trace.Instr{
@@ -85,21 +85,24 @@ func TestFrontendsRefuseTheSameInstructions(t *testing.T) {
 		if !errors.As(err, &want) || want.Insn != 2 {
 			t.Fatalf("%s: eager run returned %v; want a *trace.InstrError at insn 2", tc.name, err)
 		}
-		srcs := map[string]trace.Stream{"stream": trace.NewKernelStream(k)}
-		if tc.file {
-			path := filepath.Join(t.TempDir(), "crafted.dlpstrm")
-			if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
-				t.Fatal(err)
-			}
-			f, err := trace.Open(path) // the checksum is right: Open has no complaint
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			srcs["file"] = f
+		path := filepath.Join(t.TempDir(), "crafted.dlpstrm")
+		if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
+			t.Fatal(err)
 		}
-		for how, src := range srcs {
+		f, err := trace.Open(path) // the checksum is right: Open has no complaint
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for how, src := range map[string]trace.Stream{"stream": trace.NewKernelStream(k), "file": f} {
 			st, err := RunStreamOnce(context.Background(), cfg, config.PolicyDLP, src, Options{})
+			if how == "file" && tc.in.Kind > trace.Store {
+				var fe *trace.FormatError
+				if !errors.As(err, &fe) || fe.Path != path {
+					t.Errorf("%s/%s: stats %v, error %v; want a *trace.FormatError", tc.name, how, st, err)
+				}
+				continue
+			}
 			var got *trace.InstrError
 			if !errors.As(err, &got) {
 				t.Errorf("%s/%s: stats %v, error %v; want a *trace.InstrError", tc.name, how, st, err)

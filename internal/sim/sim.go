@@ -327,9 +327,9 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 	return e.runLoop(ctx, name)
 }
 
-// frontendErr is the first instruction-packing failure any SM's warps
-// ran into (a wrapped *trace.PackError or *trace.InstrError), nil when
-// there is none.
+// frontendErr is the first frontend failure any SM's warps ran into (a
+// wrapped *trace.PackError, *trace.InstrError or *trace.FormatError),
+// nil when there is none.
 func (e *Engine) frontendErr() error {
 	for _, s := range e.sms {
 		if err := s.FrontendErr(); err != nil {

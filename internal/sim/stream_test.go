@@ -110,7 +110,11 @@ func TestStreamMultiKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi := trace.NewMultiStream("SC+BP", sc.Stream(1), bp.Stream(1))
-	ref, err := RunOnce(context.Background(), cfg, config.PolicyDLP, trace.Materialize(multi), Options{})
+	k, err := trace.Materialize(multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunOnce(context.Background(), cfg, config.PolicyDLP, k, Options{})
 	if err != nil {
 		t.Fatalf("eager multi: %v", err)
 	}

@@ -127,8 +127,8 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 			}
 		}
 	}
-	// A warp whose window could not be packed ended early, so the run
-	// drained — but not the run that was asked for.
+	// A warp whose window could not be filled or packed ended early, so
+	// the run drained — but not the run that was asked for.
 	if err := e.frontendErr(); err != nil {
 		return nil, err
 	}

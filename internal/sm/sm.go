@@ -162,9 +162,9 @@ type SM struct {
 	freeWarps  []*warp
 	freeBlocks []*residentBlock
 
-	// frontendErr is the first trace.PackError or trace.InstrError a
-	// warp's cursor ran into; the warp ends there and the engine fails
-	// the run with it.
+	// frontendErr is the first trace.PackError, trace.InstrError or
+	// trace.FormatError a warp's cursor ran into; the warp ends there and
+	// the engine fails the run with it.
 	frontendErr error
 }
 
@@ -706,10 +706,11 @@ func (s *SM) issueFrom(w *warp) {
 }
 
 // FrontendErr is the first error a warp's instruction cursor reported
-// (a *trace.PackError: an instruction no packed op can hold, or a
-// *trace.InstrError: one that breaks a per-instruction rule). The warp
-// stops at the offending window, so the run drains; the engine polls
-// this and fails the run.
+// (a *trace.PackError: an instruction no packed op can hold; a
+// *trace.InstrError: one that breaks a per-instruction rule; or a
+// *trace.FormatError: a trace file that could not fill a window). The
+// warp stops at the offending window, so the run drains; the engine
+// polls this and fails the run.
 func (s *SM) FrontendErr() error { return s.frontendErr }
 
 func (s *SM) getMemInstr() *memInstr {

@@ -16,8 +16,8 @@ import (
 
 // referenceWriteInstr is the instruction encoder as it stood before the
 // stack-buffer fast path: one binary.Write per field. It defines the
-// bytes the DLPTRACE and DLPSTRM1 formats — and therefore every runner
-// cache key and every trace file on disk — are made of.
+// bytes the digest input and DLPSTRM1 — and therefore every runner cache
+// key and every trace file on disk — are made of.
 func referenceWriteInstr(w io.Writer, in *Instr) error {
 	write := func(v interface{}) error { return binary.Write(w, binary.LittleEndian, v) }
 	if err := write(uint8(in.Kind)); err != nil {
@@ -114,12 +114,51 @@ const (
 )
 
 func TestPinnedKernelDigest(t *testing.T) {
-	h := sha256.New()
-	if _, err := pinnedKernel().WriteTo(h); err != nil {
-		t.Fatal(err)
+	got, ok := pinnedKernel().Digest()
+	if !ok {
+		t.Fatal("pinned kernel has no digest")
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedKernelSHA256 {
-		t.Errorf("DLPTRACE bytes changed: sha256 %s, want %s", got, pinnedKernelSHA256)
+	if got != pinnedKernelSHA256 {
+		t.Errorf("digest input bytes changed: sha256 %s, want %s", got, pinnedKernelSHA256)
+	}
+}
+
+// TestEncodingRefusesWhatItCannotHold: a compute instruction whose lanes
+// or latency do not fit their field is refused, not truncated — 288
+// lanes (a legal count on a 1024-wide warp) used to encode as 32, so two
+// different kernels shared one digest and one trace file replayed the
+// other's lanes. Such a kernel has no digest (the runner does not cache
+// it) and no trace file.
+func TestEncodingRefusesWhatItCannotHold(t *testing.T) {
+	for _, in := range []Instr{
+		NewCompute(1, 4, maxLanes+1),
+		NewCompute(1, 4, 288),
+		NewCompute(1, 4, -1),
+		NewCompute(1, 1<<32, 32),
+		NewCompute(1, -1, 32),
+	} {
+		if b, err := appendInstr(nil, &in); err == nil {
+			t.Errorf("lanes %d latency %d encoded as %x", in.ActiveLanes, in.Latency, b)
+		}
+		k := &Kernel{Name: "wide", Blocks: []*Block{{Warps: []*WarpTrace{{Instrs: []Instr{in}}}}}}
+		if d, ok := k.Digest(); ok {
+			t.Errorf("lanes %d latency %d: digest %s", in.ActiveLanes, in.Latency, d)
+		}
+		if err := WriteFile(filepath.Join(t.TempDir(), "k.dlpstrm"), NewKernelStream(k), 0); err == nil {
+			t.Errorf("lanes %d latency %d: WriteFile accepted it", in.ActiveLanes, in.Latency)
+		}
+	}
+	// The edges of each field still encode, and distinctly.
+	seen := map[string]bool{}
+	for _, in := range []Instr{
+		NewCompute(1, 4, 0), NewCompute(1, 4, maxLanes), NewCompute(1, 0, 32), NewCompute(1, 1<<32-1, 32),
+	} {
+		k := &Kernel{Name: "edge", Blocks: []*Block{{Warps: []*WarpTrace{{Instrs: []Instr{in}}}}}}
+		d, ok := k.Digest()
+		if !ok || seen[d] {
+			t.Errorf("lanes %d latency %d: digest %q ok=%v (seen before: %v)", in.ActiveLanes, in.Latency, d, ok, seen[d])
+		}
+		seen[d] = true
 	}
 }
 

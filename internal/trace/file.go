@@ -21,9 +21,9 @@ import (
 //	  blocks      uint32
 //	  per block:  warps uint32
 //	chunk data, block-major, warp order, chunk order:
-//	  instructions encoded exactly as the DLPTRACE kernel format
-//	  (kind uint8, pc uint32; compute: latency uint32 + lanes uint8;
-//	  memory: lanes uint8 + lanes x uint64 addresses)
+//	  instructions in the canonical encoding (encode.go: kind uint8,
+//	  pc uint32; compute: latency uint32 + lanes uint8; memory:
+//	  lanes uint8 + lanes x uint64 addresses)
 //	index (at footer's indexOff), block-major, warp order:
 //	  per warp: instrs uint32, then ceil(instrs/chunkInstrs) x
 //	            (offset uint64, size uint32) chunk locations
@@ -36,7 +36,7 @@ import (
 // simulation seeks straight to any warp's next window with one ReadAt,
 // so resident-warp state — not trace footprint — bounds memory. The
 // whole-file checksum makes corruption detection an Open-time property;
-// Fill never has to distinguish truncation from bad data mid-run.
+// a file damaged after Open fails the Fill that reads the damage.
 
 var streamMagic = [8]byte{'D', 'L', 'P', 'S', 'T', 'R', 'M', '1'}
 
@@ -47,10 +47,20 @@ const (
 	maxChunkBytes   = 1 << 30
 )
 
+// limits guard the reader against corrupt or hostile inputs.
+const (
+	maxNameLen = 1 << 10
+	maxBlocks  = 1 << 20
+	maxWarps   = 1 << 16
+	maxInstrs  = 1 << 26
+)
+
 // FormatError describes a structurally invalid, truncated, or corrupt
 // trace-stream file. Open returns it for anything wrong with the file
-// itself; a FileStream whose file is mutilated after Open panics with
-// one (the runner's recover boundary converts that into a job error).
+// itself. A FileStream whose file is damaged after Open — or that holds
+// an instruction it cannot decode under a correct checksum — reports one
+// on the Chunk it was filling (Chunk.Err); a cursor ends its warp with
+// it, so a simulation returns it as its error.
 type FormatError struct {
 	Path string // file being read
 	Msg  string // what was wrong
@@ -106,6 +116,18 @@ func Open(path string) (*FileStream, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// ReadKernel loads a whole trace-stream file into memory: Open, then
+// Materialize, then Close. Anything wrong with the file is a
+// *FormatError.
+func ReadKernel(path string) (*Kernel, error) {
+	s, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return Materialize(s)
 }
 
 func newFileStream(f *os.File, path string) (*FileStream, error) {
@@ -270,14 +292,14 @@ func (s *FileStream) SpecKey() string     { return "file:sha256:" + s.digest }
 func (s *FileStream) ChunkInstrs() int { return s.chunkInstrs }
 
 // Fill decodes the chunk holding instruction start into c. The stream
-// contract guarantees start falls on a chunk boundary. I/O failures
-// after Open's full validation mean the file changed underneath us;
-// Fill panics with a *FormatError, which the runner's recover boundary
-// reports as the job's error.
+// contract guarantees start falls on a chunk boundary. A start off the
+// chunk grid, a read that fails because the file changed after Open's
+// full validation, or bytes that do not decode set c.Err to a
+// *FormatError and return an empty eof window.
 func (s *FileStream) Fill(block, warp, start int, c *Chunk) ([]Instr, bool, bool) {
 	fw := &s.warps[s.warpStart[block]+warp]
 	if start%s.chunkInstrs != 0 || start < 0 || start >= fw.instrs {
-		panic(formatErrf(s.path, "fill at %d: not a chunk boundary of warp with %d instrs", start, fw.instrs))
+		return s.fail(c, "fill at %d: not a chunk boundary of warp with %d instrs", start, fw.instrs)
 	}
 	ref := fw.chunks[start/s.chunkInstrs]
 	count := fw.instrs - start
@@ -289,12 +311,19 @@ func (s *FileStream) Fill(block, warp, start int, c *Chunk) ([]Instr, bool, bool
 	}
 	c.Buf = c.Buf[:ref.size]
 	if _, err := s.f.ReadAt(c.Buf, ref.off); err != nil {
-		panic(formatErrf(s.path, "reading chunk at %d: %v", ref.off, err))
+		return s.fail(c, "reading chunk at %d: %v", ref.off, err)
 	}
 	if err := decodeChunk(c, count); err != nil {
-		panic(formatErrf(s.path, "chunk at %d: %v", ref.off, err))
+		return s.fail(c, "chunk at %d: %v", ref.off, err)
 	}
 	return c.Instrs, start+count == fw.instrs, true
+}
+
+// fail is Fill's failure return: the *FormatError on c, an empty eof
+// window.
+func (s *FileStream) fail(c *Chunk, format string, args ...any) ([]Instr, bool, bool) {
+	c.Err = formatErrf(s.path, format, args...)
+	return nil, true, true
 }
 
 // decodeChunk parses count instructions from c.Buf into c.Instrs, with
@@ -420,6 +449,9 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 				chunk.Reset()
 				var win []Instr
 				win, eof, _ = src.Fill(bi, wi, start, chunk)
+				if chunk.Err != nil {
+					return chunk.Err
+				}
 				if len(win) == 0 && !eof {
 					return formatErrf(path, "stream %q block %d warp %d: empty non-eof window at %d",
 						name, bi, wi, start)

@@ -1,7 +1,11 @@
 package trace
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,17 +14,14 @@ import (
 	"repro/internal/prng"
 )
 
+// roundTrip saves k with WriteFile and loads it back with ReadKernel.
 func roundTrip(t *testing.T, k *Kernel) *Kernel {
 	t.Helper()
-	var buf bytes.Buffer
-	n, err := k.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	path := filepath.Join(t.TempDir(), "k.dlpstrm")
+	if err := WriteFile(path, NewKernelStream(k), 0); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadKernel(&buf)
+	got, err := ReadKernel(path)
 	if err != nil {
 		t.Fatalf("ReadKernel: %v", err)
 	}
@@ -40,6 +41,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestSerializeRoundTripRandom(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.dlpstrm")
 	f := func(seed uint64, nb, nw, ni uint8) bool {
 		rng := prng.New(seed)
 		k := &Kernel{Name: "r"}
@@ -61,11 +63,10 @@ func TestSerializeRoundTripRandom(t *testing.T) {
 			}
 			k.Blocks = append(k.Blocks, blk)
 		}
-		var buf bytes.Buffer
-		if _, err := k.WriteTo(&buf); err != nil {
+		if err := WriteFile(path, NewKernelStream(k), 1+int(seed%5)); err != nil {
 			return false
 		}
-		got, err := ReadKernel(&buf)
+		got, err := ReadKernel(path)
 		if err != nil {
 			return false
 		}
@@ -84,45 +85,105 @@ func randA(rng *prng.Source) []addr.Addr {
 	return out
 }
 
+// wantFormatError fails the test unless err is a *FormatError naming path.
+func wantFormatError(t *testing.T, what, path string, err error) {
+	t.Helper()
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Errorf("%s: error %T (%v), want *FormatError", what, err, err)
+	} else if fe.Path != path {
+		t.Errorf("%s: FormatError.Path = %q, want %q", what, fe.Path, path)
+	}
+}
+
 func TestReadKernelRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.dlpstrm")
+	if err := WriteFile(good, NewKernelStream(testKernel(2, 2)), 8); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), whole...)
+	flipped[40] ^= 0xff
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   []byte("NOTATRACEFILE###"),
-		"truncated":   append([]byte("DLPTRACE"), 1, 0, 0, 0),
-		"bad version": append([]byte("DLPTRACE"), 9, 9, 9, 9, 0, 0, 0, 0),
+		"empty":     {},
+		"bad magic": []byte("NOTATRACEFILE###"),
+		// The seed's DLPTRACE header is not a trace file any more.
+		"dlptrace":  append([]byte("DLPTRACE"), 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+		"truncated": whole[:len(whole)/2],
+		"flipped":   flipped,
 	}
 	for name, data := range cases {
-		if _, err := ReadKernel(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		path := filepath.Join(dir, name+".dlpstrm")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		k, err := ReadKernel(path)
+		if err == nil {
+			t.Errorf("%s: accepted as %q", name, k.Name)
+			continue
+		}
+		wantFormatError(t, name, path, err)
+	}
+	if _, err := ReadKernel(filepath.Join(dir, "missing.dlpstrm")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: error %v, want os.ErrNotExist", err)
+	}
+}
+
+// writeCrafted writes hashed (header, chunk data and index, the index
+// at indexOff) followed by a footer with a correct checksum: a file
+// Open's checksum cannot fault, so only its structural checks can.
+func writeCrafted(t *testing.T, path string, hashed []byte, indexOff int) {
+	t.Helper()
+	b := binary.LittleEndian.AppendUint64(append([]byte(nil), hashed...), uint64(indexOff))
+	sum := sha256.Sum256(hashed)
+	b = append(append(b, sum[:]...), streamMagic[:]...)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReadKernelRejectsOversizedCounts(t *testing.T) {
-	// Handcraft a header claiming 2^31 blocks.
-	var buf bytes.Buffer
-	buf.WriteString("DLPTRACE")
-	buf.Write([]byte{1, 0, 0, 0})    // version
-	buf.Write([]byte{0, 0, 0, 0})    // name len 0
-	buf.Write([]byte{0, 0, 0, 0x80}) // blocks = 2^31
-	if _, err := ReadKernel(&buf); err == nil {
-		t.Error("oversized block count accepted")
+	// A checksummed header claiming 2^31 blocks.
+	hdr := append([]byte(nil), streamMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, streamVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 8)     // chunk size
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)     // name length
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<31) // blocks
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1)     // warps of block 0
+	path := filepath.Join(t.TempDir(), "huge.dlpstrm")
+	writeCrafted(t, path, hdr, len(hdr))
+	k, err := ReadKernel(path)
+	if err == nil {
+		t.Fatalf("oversized block count accepted as %q", k.Name)
 	}
+	wantFormatError(t, "2^31 blocks", path, err)
 }
 
+// TestReadKernelRejectsUnknownInstrKind: an instruction of a kind the
+// decoder cannot size, in a file whose checksum is right, is a
+// *FormatError from the Fill that meets it — not a panic.
 func TestReadKernelRejectsUnknownInstrKind(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("DLPTRACE")
-	buf.Write([]byte{1, 0, 0, 0}) // version
-	buf.Write([]byte{0, 0, 0, 0}) // name len
-	buf.Write([]byte{1, 0, 0, 0}) // 1 block
-	buf.Write([]byte{1, 0, 0, 0}) // 1 warp
-	buf.Write([]byte{1, 0, 0, 0}) // 1 instr
-	buf.Write([]byte{9})          // kind 9
-	buf.Write([]byte{0, 0, 0, 0}) // pc
-	if _, err := ReadKernel(&buf); err == nil {
-		t.Error("unknown instruction kind accepted")
+	k := &Kernel{Name: "kind9", Blocks: []*Block{{Warps: []*WarpTrace{{Instrs: []Instr{
+		NewCompute(1, 4, 32), {Kind: Kind(9), PC: 4, ActiveLanes: 32},
+	}}}}}}
+	path := filepath.Join(t.TempDir(), "kind9.dlpstrm")
+	if err := WriteFile(path, NewKernelStream(k), 0); err != nil {
+		t.Fatal(err)
 	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v (the checksum is right)", err)
+	}
+	f.Close()
+	got, err := ReadKernel(path)
+	if err == nil {
+		t.Fatalf("unknown instruction kind accepted: %+v", got.Blocks[0].Warps[0].Instrs)
+	}
+	wantFormatError(t, "kind 9", path, err)
 }
 
 func TestSerializeWorkloadScale(t *testing.T) {

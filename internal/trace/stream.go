@@ -34,7 +34,9 @@ type Stream interface {
 	// start is always either 0 or the exact end of the previously
 	// returned window, so sequential backends can keep a cheap
 	// continuation in c.Resume. Backends size their windows to
-	// cap(c.Instrs) (DefaultChunkInstrs when that is zero).
+	// cap(c.Instrs) (DefaultChunkInstrs when that is zero). A backend
+	// that cannot produce the window sets c.Err and returns an empty
+	// eof window.
 	Fill(block, warp, start int, c *Chunk) (win []Instr, eof, owned bool)
 
 	// SpecKey is a stable content identity for the whole stream —
@@ -58,7 +60,10 @@ const DefaultChunkInstrs = 64
 // lines of multi-line memory ops in Lines. Buf is scratch for
 // byte-level backends (trace files). Resume carries a backend-private
 // continuation across refills of the same warp; Reset preserves it,
-// and backends must validate it before trusting it.
+// and backends must validate it before trusting it. Err is a backend's
+// report that it could not produce the window asked for (a
+// *FormatError from a damaged trace file); the window it returns with
+// it is empty and eof.
 type Chunk struct {
 	Instrs []Instr
 	Addrs  []addr.Addr
@@ -66,16 +71,18 @@ type Chunk struct {
 	Lines  []addr.Addr
 	Buf    []byte
 	Resume any
+	Err    error
 }
 
 // Reset truncates the chunk's storage for the next refill, keeping
 // capacity (and the Resume continuation) so steady-state refills stay
-// allocation-free.
+// allocation-free, and clears Err.
 func (c *Chunk) Reset() {
 	c.Instrs = c.Instrs[:0]
 	c.Addrs = c.Addrs[:0]
 	c.Ops = c.Ops[:0]
 	c.Lines = c.Lines[:0]
+	c.Err = nil
 }
 
 // A ChunkPool recycles chunks across the warps of one SM. It is
@@ -182,9 +189,10 @@ func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp i
 // Exhausted reports that the warp has no further instructions.
 func (c *Cursor) Exhausted() bool { return c.eof && c.off >= len(c.win) }
 
-// Err is the *PackError or *InstrError that cut the warp short, if one
-// did: a window with a value no Op can hold, or an instruction that
-// breaks a per-instruction rule, ends the cursor there and then.
+// Err is the *PackError, *InstrError or *FormatError that cut the warp
+// short, if one did: a window with a value no Op can hold, an
+// instruction that breaks a per-instruction rule, or a window its stream
+// could not fill ends the cursor there and then.
 func (c *Cursor) Err() error { return c.err }
 
 // Op returns the current instruction in packed form. Valid only when
@@ -244,11 +252,11 @@ func (c *Cursor) refill(start int) {
 	ch.Reset()
 	win, eof, _ := c.src.Fill(c.block, c.warp, start, ch)
 	c.win, c.eof, c.base, c.off = win, eof, start, 0
-	if c.lineSize == 0 {
-		return
+	err := ch.Err
+	if err == nil && c.lineSize > 0 {
+		ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize, c.pool.WarpSize)
 	}
-	var err error
-	if ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize, c.pool.WarpSize); err != nil {
+	if err != nil {
 		// End the warp here: the SM sees an exhausted cursor, reads Err.
 		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
 		c.win, c.ops, c.eof = nil, nil, true
@@ -349,8 +357,9 @@ func (m *MultiStream) SpecKey() string {
 
 // Materialize runs the whole stream eagerly into a Kernel — the
 // bridge for consumers that still need random access (trace-file
-// recording uses it warp by warp instead, via Fill directly).
-func Materialize(s Stream) *Kernel {
+// recording uses it warp by warp instead, via Fill directly). The error
+// is the first warp's Cursor.Err: a window the stream could not fill.
+func Materialize(s Stream) (*Kernel, error) {
 	k := &Kernel{Name: s.Name(), Blocks: make([]*Block, s.Blocks())}
 	pool := NewChunkPool(DefaultChunkInstrs)
 	for bi := range k.Blocks {
@@ -367,10 +376,14 @@ func Materialize(s Stream) *Kernel {
 				wt.Instrs = append(wt.Instrs, in)
 				cur.Advance()
 			}
+			err := cur.Err()
 			cur.Release()
+			if err != nil {
+				return nil, err
+			}
 			blk.Warps[wi] = wt
 		}
 		k.Blocks[bi] = blk
 	}
-	return k
+	return k, nil
 }

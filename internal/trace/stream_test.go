@@ -79,7 +79,10 @@ func kernelsEqual(a, b *Kernel) error {
 // kernel-backed stream reproduces the kernel.
 func TestMaterializeRoundTrip(t *testing.T) {
 	k := testKernel(3, 4)
-	got := Materialize(NewKernelStream(k))
+	got, err := Materialize(NewKernelStream(k))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := kernelsEqual(k, got); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,11 @@ func TestFileStreamRoundTrip(t *testing.T) {
 	if fs.Digest() == "" || fs.SpecKey() != "file:sha256:"+fs.Digest() {
 		t.Errorf("SpecKey %q inconsistent with digest %q", fs.SpecKey(), fs.Digest())
 	}
-	if err := kernelsEqual(k, Materialize(fs)); err != nil {
+	got, err := Materialize(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kernelsEqual(k, got); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,7 +140,11 @@ func TestFileStreamRerecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close()
-	if err := kernelsEqual(k, Materialize(fs2)); err != nil {
+	got, err := Materialize(fs2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kernelsEqual(k, got); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -283,9 +294,10 @@ func TestCursorStreamWalk(t *testing.T) {
 	}
 }
 
-// TestFillPanicsOnMisalignedStart pins the Fill contract: a start that
-// is not a chunk boundary is a caller bug surfaced as *FormatError.
-func TestFillPanicsOnMisalignedStart(t *testing.T) {
+// TestFillReportsMisalignedStart pins the Fill contract: a start that
+// is not a chunk boundary is a caller bug, reported as a *FormatError on
+// the chunk with an empty eof window.
+func TestFillReportsMisalignedStart(t *testing.T) {
 	k := testKernel(1, 1)
 	path := filepath.Join(t.TempDir(), "k.dlpstrm")
 	if err := WriteFile(path, NewKernelStream(k), 8); err != nil {
@@ -296,17 +308,68 @@ func TestFillPanicsOnMisalignedStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("no panic on misaligned Fill start")
-		}
-		if _, ok := v.(*FormatError); !ok {
-			t.Fatalf("panic value %T, want *FormatError", v)
-		}
-	}()
 	c := NewChunkPool(8).Get()
-	fs.Fill(0, 0, 3, c)
+	win, eof, _ := fs.Fill(0, 0, 3, c)
+	if len(win) != 0 || !eof {
+		t.Errorf("misaligned Fill returned %d instrs, eof=%v; want an empty eof window", len(win), eof)
+	}
+	var fe *FormatError
+	if !errors.As(c.Err, &fe) {
+		t.Fatalf("Chunk.Err = %v, want a *FormatError", c.Err)
+	}
+	c.Reset()
+	if c.Err != nil {
+		t.Errorf("Reset left Chunk.Err = %v", c.Err)
+	}
+	if win, _, _ := fs.Fill(0, 0, 0, c); len(win) == 0 || c.Err != nil {
+		t.Errorf("aligned Fill after a failed one: %d instrs, Err %v", len(win), c.Err)
+	}
+}
+
+// TestDamageAfterOpenEndsTheCursor: bytes that change under an open
+// FileStream — a chunk overwritten with an unknown kind, or the file
+// truncated — end the warp's cursor with a *FormatError at the refill
+// that reads them, and fail Materialize and WriteFile the same way.
+func TestDamageAfterOpenEndsTheCursor(t *testing.T) {
+	k := testKernel(1, 1) // one warp of 5 instructions: chunks at 0 and 4
+	for _, damage := range []string{"overwrite", "truncate"} {
+		t.Run(damage, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "k.dlpstrm")
+			if err := WriteFile(path, NewKernelStream(k), 4); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			second := fs.warps[0].chunks[1].off
+			if damage == "overwrite" {
+				flipByte(t, path, second) // kind 0 (compute) becomes 0xff
+			} else if err := os.Truncate(path, second); err != nil {
+				t.Fatal(err)
+			}
+			var cur Cursor
+			cur.InitStream(fs, NewChunkPool(4), 128, 0, 0)
+			n := 0
+			for ; !cur.Exhausted(); cur.Advance() {
+				n++
+			}
+			var fe *FormatError
+			if !errors.As(cur.Err(), &fe) || fe.Path != path {
+				t.Fatalf("cursor Err = %v, want a *FormatError for %s", cur.Err(), path)
+			}
+			if n != 4 {
+				t.Errorf("cursor walked %d instructions, want the 4 before the damage", n)
+			}
+			if _, err := Materialize(fs); !errors.As(err, &fe) {
+				t.Errorf("Materialize: %v, want a *FormatError", err)
+			}
+			if err := WriteFile(filepath.Join(t.TempDir(), "copy.dlpstrm"), fs, 0); !errors.As(err, &fe) {
+				t.Errorf("WriteFile: %v, want a *FormatError", err)
+			}
+		})
+	}
 }
 
 // TestWriteFileRejectsBadShapes covers writer-side validation.
@@ -342,7 +405,10 @@ func TestMultiStreamShape(t *testing.T) {
 	if m.SpecKey() != "" {
 		t.Errorf("SpecKey = %q, want \"\" (kernel-backed subs are uncacheable)", m.SpecKey())
 	}
-	got := Materialize(m)
+	got, err := Materialize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got.Blocks) != 5 {
 		t.Fatalf("materialized %d blocks, want 5", len(got.Blocks))
 	}

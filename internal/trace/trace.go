@@ -124,20 +124,21 @@ type Kernel struct {
 	Blocks []*Block
 
 	digestOnce sync.Once
-	digest     string // hex SHA-256 of the serialized kernel; "" if unserializable
+	digest     string // hex SHA-256 of the canonical encoding; "" if unencodable
 }
 
-// Digest returns the hex SHA-256 of the kernel's WriteTo serialization —
-// its content address in the runner's result cache. ok is false for a
-// kernel that cannot be serialized. The first call walks the whole
-// trace; the result, success or failure, is then kept on the kernel, so
-// a suite that runs one kernel under every scheme serializes it once
-// and the memo is reclaimed with the kernel. A kernel must not be
-// modified after its first Digest call. Safe for concurrent use.
+// Digest returns the hex SHA-256 of the kernel's canonical encoding
+// (encode.go) — its content address in the runner's result cache. ok is
+// false for a kernel with a value the encoding cannot hold. The first
+// call walks the whole trace; the result, success or failure, is then
+// kept on the kernel, so a suite that runs one kernel under every scheme
+// encodes it once and the memo is reclaimed with the kernel. A kernel
+// must not be modified after its first Digest call. Safe for concurrent
+// use.
 func (k *Kernel) Digest() (digest string, ok bool) {
 	k.digestOnce.Do(func() {
 		h := sha256.New()
-		if _, err := k.WriteTo(h); err == nil {
+		if err := k.encode(h); err == nil {
 			k.digest = hex.EncodeToString(h.Sum(nil))
 		}
 	})
