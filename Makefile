@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke scalesmoke servesmoke benchsmoke abpairs benchprof figures clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke servesmoke benchsmoke abpairs benchprof figures clean
 
 all: build
 
@@ -28,23 +28,22 @@ faultcheck: build
 	$(GO) test -race ./internal/faultinject/
 	$(GO) test -race -run 'TestFaultTolerantSuiteAcceptance|TestSelfCheckOutputIdentical' .
 
-# Replay the committed conformance corpus: every case re-simulates
-# serially, with phase shards, with fast-forward disabled, and at extra
-# odd core counts (3/5/7 leave the steal spans uneven), and the
-# normalized stats must match expected_stats.json byte for byte. After
-# an intentional behavior change, regenerate with
-# `go run ./cmd/conform -update` and commit the diff. Then the window
-# differential over the same corpus: the engine's ICNTLatency+1-cycle
-# windows against one-cycle windows (the per-cycle schedule), stats and
-# sampled series, fast-forward on and off, 1/2/3 cores — and the budget
-# sweep that ends a run off the window grid.
+# Replay the committed conformance corpus: every case re-simulates its
+# reference engine, plus a fast-forward-disabled and a streamed variant
+# where the case asks for them, and the normalized stats must match
+# expected_stats.json byte for byte. After an intentional behavior
+# change, regenerate with `go run ./cmd/conform -update` and commit the
+# diff. Then the window differential over the same corpus: the engine's
+# ICNTLatency+1-cycle windows against one-cycle windows (the per-cycle
+# schedule), stats and sampled series, fast-forward on and off — and the
+# budget sweep that ends a run off the window grid.
 conform: build
-	$(GO) run ./cmd/conform -j 8 -extra-cores 3,5,7
+	$(GO) run ./cmd/conform -j 8
 	$(GO) test -count=1 -run 'TestQuantumDifferential|TestBudgetOffTheWindowGrid' ./internal/sim/
 
 # Fixed-seed differential fuzz smoke under the race detector: 200
-# random (config, policy, workload) triples run serial vs sharded vs
-# ff-off with the invariant sweeps on. Deterministic, so a failure in
+# random (config, policy, workload) triples run reference vs ff-off vs
+# streamed with the invariant sweeps on. Deterministic, so a failure in
 # CI reproduces locally with the same seed; findings are shrunk and
 # written to /tmp/conffuzz-findings as ready-to-commit corpus cases.
 fuzzsmoke: build
@@ -87,20 +86,6 @@ streamsmoke: build
 	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp -json | jq -e .counters > /tmp/streamsmoke_file.json
 	cmp /tmp/streamsmoke_app.json /tmp/streamsmoke_file.json
 	$(GO) run ./cmd/conform -run 'stream-*'
-
-# Multi-core determinism smoke under the race detector: the same
-# dlpsim run serially and at -cores 0 (auto: all host CPUs) with the
-# invariant sweeps on, printed stats diffed byte for byte. Both runs
-# ride two different workloads so a core-count-dependent divergence in
-# either the baseline or the DLP machinery would surface.
-scalesmoke: build
-	$(GO) run -race ./cmd/dlpsim -app HS -policy dlp -selfcheck -cores 1 > /tmp/scalesmoke_c1.txt
-	$(GO) run -race ./cmd/dlpsim -app HS -policy dlp -selfcheck -cores 0 > /tmp/scalesmoke_cN.txt
-	cmp /tmp/scalesmoke_c1.txt /tmp/scalesmoke_cN.txt
-	$(GO) run -race ./cmd/dlpsim -app BFS -policy baseline -selfcheck -cores 1 > /tmp/scalesmoke_b1.txt
-	$(GO) run -race ./cmd/dlpsim -app BFS -policy baseline -selfcheck -cores 0 > /tmp/scalesmoke_bN.txt
-	cmp /tmp/scalesmoke_b1.txt /tmp/scalesmoke_bN.txt
-	@echo "scalesmoke: serial and all-core runs are byte-identical"
 
 # Job-server smoke: start dlpserved on an ephemeral port, replay three
 # committed conformance cases through the HTTP API with dlpload (the

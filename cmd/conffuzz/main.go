@@ -2,9 +2,10 @@
 //
 // Each iteration generates a random simulation point — small cache
 // geometry, policy knobs, and a synthetic access pattern — and runs it
-// three ways: serial reference, phase-parallel (-cores), and with
-// cycle fast-forwarding disabled, all under the engine's sampled
-// invariant sweeps and a per-variant wall-clock deadline. Divergent
+// as a reference engine plus, on about half the points each, one with
+// cycle fast-forwarding disabled and one fed by the streamed frontend,
+// all under the engine's sampled invariant sweeps and a per-variant
+// wall-clock deadline. Divergent
 // counters, invariant violations, panics, and hangs are findings; a
 // slice of iterations also injects one degenerate config field and
 // verifies validation rejects it with a typed error instead of
@@ -44,7 +45,6 @@ func main() {
 	log.SetPrefix("conffuzz: ")
 	seed := flag.Uint64("seed", 1, "campaign seed; same seed, same campaign")
 	n := flag.Int("n", 200, "iterations")
-	cores := flag.Int("cores", 2, "phase-parallel core count run against the serial reference")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-variant wall-clock deadline (the hang detector)")
 	maxCycles := flag.Uint64("max-cycles", 20_000_000, "per-variant simulated-cycle bound")
 	degeneratePct := flag.Int("degenerate-pct", 10, "percent of iterations that inject a degenerate config field")
@@ -58,7 +58,6 @@ func main() {
 	opts := confuzz.Options{
 		Seed:          *seed,
 		Iterations:    *n,
-		Cores:         *cores,
 		Timeout:       *timeout,
 		MaxCycles:     *maxCycles,
 		DegeneratePct: *degeneratePct,

@@ -2,8 +2,8 @@
 // on any divergence from the recorded results.
 //
 // Each case under -dir is a directory holding config.json (what to
-// simulate: policy, geometry overlay, workload, core-count and
-// fast-forward variants) and expected_stats.json (the normalized
+// simulate: policy, geometry overlay, workload, fast-forward-off and
+// streamed variants) and expected_stats.json (the normalized
 // counters the reference run must reproduce, byte for byte). The tool
 // re-simulates every variant of every case; a case passes only when
 // all variants agree with each other AND with the committed
@@ -18,8 +18,8 @@
 //	conform -j 8                    case-level parallelism
 //
 // Outcomes per case: ok, DRIFT (engine result changed; prints a
-// unified diff against the expectation), VARIANT-MISMATCH (core-count
-// or fast-forward variant diverged from the serial reference — a
+// unified diff against the expectation), VARIANT-MISMATCH (a
+// fast-forward-off or streamed variant diverged from the reference — a
 // determinism bug; prints the cross-variant diff), SIM-FAILED (panic,
 // invariant violation or deadline inside a variant),
 // CORRUPT-EXPECTED (the committed expectation file is damaged — fix
@@ -35,8 +35,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,7 +52,6 @@ func main() {
 	jobs := flag.Int("j", 8, "cases simulated in parallel")
 	timeout := flag.Duration("timeout", 2*time.Minute, "wall-clock budget per variant; 0 = none")
 	quiet := flag.Bool("q", false, "only print failing cases and the summary")
-	extraCores := flag.String("extra-cores", "", "comma-separated extra cores=N variants appended to every case")
 	flag.Parse()
 	if *jobs < 1 {
 		log.Fatalf("-j %d: must be >= 1", *jobs)
@@ -80,15 +77,6 @@ func main() {
 	defer stop()
 
 	rc := conform.RunConfig{Timeout: *timeout, Update: *update}
-	if *extraCores != "" {
-		for _, part := range strings.Split(*extraCores, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				log.Fatalf("-extra-cores %q: each entry must be a positive integer", *extraCores)
-			}
-			rc.ExtraCores = append(rc.ExtraCores, n)
-		}
-	}
 
 	// Run cases in parallel, but print results in corpus order so the
 	// report is stable at any -j.

@@ -9,8 +9,7 @@
 //	dlpserved                      serve on 127.0.0.1:8321
 //	dlpserved -addr :0 -addr-file addr.txt
 //	                               ephemeral port, written to addr.txt
-//	dlpserved -j 8 -cores 2        8 simulations in flight, each on
-//	                               up to 2 phase shards
+//	dlpserved -j 8                 8 simulations in flight
 //	dlpserved -cache-dir .dlpcache persist results across restarts
 //
 // API (see internal/serve):
@@ -53,7 +52,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address (host:port; port 0 = ephemeral)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	jobs := flag.Int("j", 0, "simulations in flight across all tenants; 0 = GOMAXPROCS")
-	coresFlag := flag.Int("cores", 1, "per-simulation phase-parallelism cap (0 = auto: all host CPUs); results identical at any value")
 	queueDepth := flag.Int("queue", 64, "pending jobs allowed per tenant before 429")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory (\"\" = memory only)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per job; 0 = none")
@@ -61,14 +59,9 @@ func main() {
 	selfcheck := flag.Bool("selfcheck", false, "run sampled invariant sweeps on every job")
 	retries := flag.Int("retries", 0, "transient-failure retries per job")
 	flag.Parse()
-	cores, err := cli.ResolveCores(*coresFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	if err := run(*addr, *addrFile, serve.Config{
 		Workers:      *jobs,
-		Cores:        cores,
 		QueueDepth:   *queueDepth,
 		Timeout:      *timeout,
 		DrainTimeout: *drain,
@@ -103,8 +96,7 @@ func run(addr, addrFile string, cfg serve.Config, cacheDir string) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	log.Printf("serving on http://%s (workers=%d cores=%d queue=%d)",
-		bound, workers, cfg.Cores, cfg.QueueDepth)
+	log.Printf("serving on http://%s (workers=%d queue=%d)", bound, workers, cfg.QueueDepth)
 
 	srv := serve.NewServer(cfg)
 	httpSrv := &http.Server{Handler: srv.Handler()}

@@ -5,7 +5,6 @@
 //
 //	dlpsim -app CFD -policy dlp
 //	dlpsim -app BFS -policy baseline -size 32
-//	dlpsim -app HG -cores 8
 //	dlpsim -app SC -stream -scale 100
 //	dlpsim -app SC,BP,BFS -stream
 //	dlpsim -stream-file sc.dlpstrm -policy dlp
@@ -20,14 +19,9 @@
 // multi-kernel stream, and -stream-file replays a chunked trace
 // recorded with dlptrace.
 //
-// -cores N ticks the SMs and L2 partitions of the single simulation on
-// exactly N phase-parallel shards (no GOMAXPROCS cap: there is one job),
-// cutting wall time on multi-core hosts; the printed counters are
-// bit-identical at every value.
-//
 // The run executes inside the shared experiment runner, so a panicking
 // or wedged engine surfaces as a structured error instead of a crash.
-// The execution flags (-retries -timeout -selfcheck -cores -metrics
+// The execution flags (-retries -timeout -selfcheck -metrics
 // -metrics-every -trace) and the exit codes are the shared run
 // harness's; see internal/cli.
 package main
@@ -46,7 +40,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/policy"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -145,16 +138,13 @@ func main() {
 
 	// Even a single run goes through the experiment runner: panics are
 	// recovered into errors, the deadline and retry machinery apply, and
-	// behavior matches what the same point does inside a suite. -cores is
-	// set on the job, not left to Runner.Cores, so a single run uses
-	// exactly what was asked for, GOMAXPROCS cap or no.
+	// behavior matches what the same point does inside a suite.
 	results, err := r.Run(ctx, []runner.Job{{
 		Label:  fmt.Sprintf("%s under %s", runName, pol),
 		Config: cfg,
 		Policy: pol,
 		Kernel: kernel,
 		Stream: stream,
-		Opts:   sim.Options{Cores: r.Cores},
 	}})
 	if err != nil {
 		run.Exit(err)

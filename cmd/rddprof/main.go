@@ -20,13 +20,27 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"text/tabwriter"
 
-	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/rdd"
 	"repro/internal/workloads"
 )
+
+// resolveCores maps a -cores flag value to an effective goroutine count.
+// 0 means "auto": use every CPU the scheduler will actually grant —
+// min(NumCPU, GOMAXPROCS), never below 1. Positive values pass through
+// unchanged; negative values are an error.
+func resolveCores(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("-cores %d: must be >= 0 (0 = auto)", n)
+	}
+	if n > 0 {
+		return n, nil
+	}
+	return max(min(runtime.NumCPU(), runtime.GOMAXPROCS(0)), 1), nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -35,7 +49,7 @@ func main() {
 	sizeKB := flag.Int("size", 16, "L1D capacity in KB (16, 32 or 64)")
 	cores := flag.Int("cores", 1, "goroutines per profile (0 = auto: all host CPUs; per-SM replays run in parallel); output is identical at any value")
 	flag.Parse()
-	resolvedCores, err := cli.ResolveCores(*cores)
+	resolvedCores, err := resolveCores(*cores)
 	if err != nil {
 		log.Fatal(err)
 	}

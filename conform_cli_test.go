@@ -35,8 +35,8 @@ func TestConformCLI(t *testing.T) {
 			Seed: 11, Blocks: 1, WarpsPerBlock: 2, MemInsnsPerWarp: 32,
 			FootprintLines: 32, StreamPct: 1,
 		}},
-		MaxCycles: 2_000_000,
-		Cores:     []int{1, 2},
+		MaxCycles:      2_000_000,
+		FastForwardOff: true,
 	}
 	dir := filepath.Join(root, "cli-case")
 	if err := conform.WriteCase(dir, sp, nil); err != nil {

@@ -1,9 +1,11 @@
 package dlpsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -45,37 +47,42 @@ func diffKernel() *trace.Kernel {
 }
 
 // TestCrossPolicyDifferential runs every registered policy on the same
-// kernel serially and at several parallel core counts — including odd
-// ones that leave the steal spans uneven — with the sampled invariant
-// sweeps on, and requires bit-identical statistics. Under `-race` (the
-// CI differential job) this also drives each policy's hooks through the
-// phase-parallel engine's concurrency. A final check confirms the
-// policies actually diverge from the baseline, so a registry mis-wiring
-// that silently ran everything as Baseline would not pass as seven
-// vacuous equalities.
+// kernel three ways with the sampled invariant sweeps on — the default
+// engine, one with fast-forward disabled, and the streamed frontend fed
+// the same kernel — and requires bit-identical statistics. Under `-race`
+// (the CI differential job) it runs each policy's hooks under the race
+// detector. A final check confirms the policies actually diverge from
+// the baseline, so a registry mis-wiring that silently ran everything as
+// Baseline would not pass as seven vacuous equalities.
 func TestCrossPolicyDifferential(t *testing.T) {
 	cfg := BaselineConfig()
 	k := diffKernel()
 	results := make(map[Policy]*Stats)
 	for _, p := range Policies() {
-		serial, err := RunWithOptions(cfg, p, k, Options{SelfCheck: true})
+		ref, err := RunWithOptions(cfg, p, k, Options{SelfCheck: true})
 		if err != nil {
-			t.Fatalf("%v serial: %v", p, err)
+			t.Fatalf("%v: %v", p, err)
 		}
-		for _, cores := range []int{2, 3, 5, 7} {
-			sharded, err := RunWithOptions(cfg, p, k, Options{Cores: cores, SelfCheck: true})
-			if err != nil {
-				t.Fatalf("%v cores=%d: %v", p, cores, err)
+		ffOff, err := RunWithOptions(cfg, p, k, Options{SelfCheck: true, DisableFastForward: true})
+		if err != nil {
+			t.Fatalf("%v ff=off: %v", p, err)
+		}
+		streamed, err := sim.RunStreamOnce(context.Background(), cfg, p, trace.NewKernelStream(k), Options{SelfCheck: true})
+		if err != nil {
+			t.Fatalf("%v streamed: %v", p, err)
+		}
+		for _, v := range []struct {
+			name string
+			st   *Stats
+		}{{"ff=off", ffOff}, {"streamed", streamed}} {
+			if *v.st != *ref {
+				t.Errorf("%v: reference and %s stats differ\nreference: %+v\n%s: %+v", p, v.name, ref, v.name, v.st)
 			}
-			if *serial != *sharded {
-				t.Errorf("%v: serial and cores=%d stats differ\nserial:  %+v\ncores=%d: %+v",
-					p, serial, cores, cores, sharded)
-			}
 		}
-		if serial.Instructions == 0 || serial.L1DAccesses == 0 {
-			t.Errorf("%v: kernel did no work: %+v", p, serial)
+		if ref.Instructions == 0 || ref.L1DAccesses == 0 {
+			t.Errorf("%v: kernel did no work: %+v", p, ref)
 		}
-		results[p] = serial
+		results[p] = ref
 	}
 	diverged := 0
 	for _, p := range Policies() {

@@ -69,10 +69,6 @@ type (
 	JobFailure = runner.JobFailure
 	// JobPanicError is a worker panic recovered into a typed error.
 	JobPanicError = runner.JobPanicError
-	// PhasePanicError is a panic recovered on an engine phase worker
-	// (Options.Cores > 1), rethrown on the engine goroutine; inside a
-	// Runner it arrives as a JobPanicError whose Value is this error.
-	PhasePanicError = sim.PhasePanicError
 	// CancelError summarizes a batch stopped by caller cancellation.
 	CancelError = runner.CancelError
 	// InvariantError is a violated DLP invariant caught by a self-check

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/faultinject"
+	"repro/internal/mem"
+	"repro/internal/policy"
 )
 
 // These tests pin the ISSUE's acceptance scenario for the fault-tolerant
@@ -182,27 +185,42 @@ func TestFaultTolerantSuiteAcceptance(t *testing.T) {
 	}
 }
 
-// TestPhasePanicSurfacesAsJobPanicError proves the fault boundary holds
-// across both parallelism levels: a panic raised on an engine phase
-// worker (Options.Cores > 1) crosses the phase barrier as a typed
-// *PhasePanicError, is rethrown on the job's goroutine, and the runner
-// recovers it into a *JobPanicError whose Value is that phase error —
-// while every healthy neighbour in the batch completes.
-func TestPhasePanicSurfacesAsJobPanicError(t *testing.T) {
+// panicPolicy is Baseline whose miss hook panics on its third serviced
+// miss: a fault raised deep inside the engine, mid-window.
+type panicPolicy struct {
+	policy.Base
+	misses int
+}
+
+func (p *panicPolicy) CheckInvariants() error { return nil }
+
+func (p *panicPolicy) OnMiss(*mem.Request, int, *cache.Line, cache.Line) {
+	if p.misses++; p.misses == 3 {
+		panic("injected engine fault")
+	}
+}
+
+// TestEnginePanicSurfacesAsJobPanicError proves the fault boundary around
+// the engine: a panic raised inside a simulation — here by a scratch
+// policy registered through policy.Register — reaches the runner's caller
+// as a typed *JobPanicError carrying the original value and the stack it
+// was raised on, while every healthy neighbour in the batch completes.
+func TestEnginePanicSurfacesAsJobPanicError(t *testing.T) {
+	const name = Policy("Panic-Scratch")
+	if err := policy.Register(policy.Spec{
+		Name: name,
+		Cite: "test-only: baseline whose miss hook panics",
+		New:  func(*policy.Host) policy.Policy { return &panicPolicy{} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer policy.Unregister(name)
+
 	jobs, _ := faultBatch()
 	jobs = jobs[:4]
 	const faulted = 1
-	jobs[faulted].Label = "phase fault"
-	// Explicit Opts.Cores bypasses the runner's GOMAXPROCS cap, so the
-	// phase pool really spins up even on a single-CPU test box.
-	jobs[faulted].Opts = Options{
-		Cores: 2,
-		PhaseHook: func(worker int, cycle uint64) {
-			if worker == 1 && cycle >= 3 {
-				panic("injected phase fault")
-			}
-		},
-	}
+	jobs[faulted].Label = "engine fault"
+	jobs[faulted].Policy = name
 
 	results, err := RunJobs(context.Background(), jobs, &Runner{Workers: 2, KeepGoing: true})
 	var be *BatchError
@@ -217,18 +235,11 @@ func TestPhasePanicSurfacesAsJobPanicError(t *testing.T) {
 	if !errors.As(results[faulted].Err, &jpe) {
 		t.Fatalf("job error = %v, want *JobPanicError", results[faulted].Err)
 	}
-	ppe, ok := jpe.Value.(*PhasePanicError)
-	if !ok {
-		t.Fatalf("recovered panic value is %T, want *PhasePanicError", jpe.Value)
+	if jpe.Value != "injected engine fault" {
+		t.Errorf("panic value = %v (%T), want the injected fault", jpe.Value, jpe.Value)
 	}
-	if ppe.Worker != 1 {
-		t.Errorf("phase panic on worker %d, want 1", ppe.Worker)
-	}
-	if ppe.Value != "injected phase fault" {
-		t.Errorf("phase panic value = %v, want the injected fault", ppe.Value)
-	}
-	if !strings.Contains(string(ppe.Stack), "runSpans") {
-		t.Errorf("phase panic stack does not show the phase worker:\n%s", ppe.Stack)
+	if !strings.Contains(string(jpe.Stack), "panicPolicy).OnMiss") {
+		t.Errorf("panic stack does not show the policy hook:\n%s", jpe.Stack)
 	}
 
 	for i, res := range results {

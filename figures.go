@@ -83,8 +83,8 @@ type SuiteResult struct {
 // GOMAXPROCS workers with no result cache.
 type SuiteOptions struct {
 	// Runner executes the suite's jobs: pool size, result cache,
-	// progress events, failure policy, phase parallelism and metrics
-	// sampling are all its fields. Share one — and
+	// progress events, failure policy and metrics sampling are all its
+	// fields. Share one — and
 	// with it one cache — across RunSuite calls and ablation sweeps so
 	// overlapping points are never re-simulated. Nil means the defaults.
 	// With Runner.KeepGoing set, RunSuite returns the partial

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -145,135 +144,6 @@ func TestGoldenSuiteIdentityParallelSelfCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "-j 8 selfcheck", goldenBytes(t, res))
-}
-
-// withGOMAXPROCS temporarily raises GOMAXPROCS to at least n so the
-// runner's Workers × Cores ≤ GOMAXPROCS cap doesn't collapse the
-// requested phase parallelism back to serial on small CI boxes. Safe
-// anywhere: when the host has fewer CPUs than a pool has shards, the
-// phase workers park on channels instead of spinning, so raising the
-// limit never livelocks a single-CPU machine.
-func withGOMAXPROCS(t *testing.T, n int) {
-	t.Helper()
-	if old := runtime.GOMAXPROCS(0); old < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-}
-
-// TestGoldenSuiteIdentityCores2 re-runs the full suite with two-way
-// phase parallelism inside every simulation and the sampled invariant
-// sweeps on. This is the tentpole's contract: the phase-parallel engine
-// reproduces the seed recording bit-for-bit at any core count.
-func TestGoldenSuiteIdentityCores2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation suite skipped in -short mode")
-	}
-	withGOMAXPROCS(t, 2)
-	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Runner: &Runner{Workers: 1, Cores: 2, SelfCheck: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "-j 1 -cores 2 selfcheck", goldenBytes(t, res))
-}
-
-// TestGoldenSuiteIdentityCores8 checks eight-way phase parallelism —
-// with a parallel worker pool around it — against the same recording on
-// an application subset (the full grid at cores=8 on a small box would
-// blow the package's test budget; the cores=2 test above already covers
-// every cell). Cells are compared value-by-value against the golden
-// file rather than byte-by-byte, since a subset serializes differently.
-func TestGoldenSuiteIdentityCores8(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation suite skipped in -short mode")
-	}
-	withGOMAXPROCS(t, 16)
-	var apps []Workload
-	for _, abbr := range []string{"BP", "BFS", "HS"} {
-		w, err := WorkloadByAbbr(abbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, w)
-	}
-	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Runner: &Runner{Workers: 2, Cores: 8, SelfCheck: true}, Apps: apps})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var w goldenSuite
-	if err := json.Unmarshal(readGolden(t), &w); err != nil {
-		t.Fatalf("golden file: %v", err)
-	}
-	cells := make(map[string]map[string]*Stats, len(w.Apps))
-	for i, app := range w.Apps {
-		cells[app] = w.Stats[i]
-	}
-	for _, app := range apps {
-		for _, sc := range res.Schemes {
-			got := res.Stats[app.Abbr][sc.Name]
-			want := cells[app.Abbr][sc.Name]
-			if got == nil || want == nil {
-				t.Fatalf("%s/%s: missing cell (got=%v want=%v)", app.Abbr, sc.Name, got, want)
-			}
-			if *got != *want {
-				t.Errorf("-j 2 -cores 8: %s/%s diverged:\n got: %+v\nwant: %+v",
-					app.Abbr, sc.Name, *got, *want)
-			}
-		}
-	}
-}
-
-// TestGoldenSuiteIdentityOddCores checks the work-stealing schedule at
-// core counts that never divide the component count evenly — the span
-// layouts where a striding bug would first show. Same subset-and-cell
-// comparison as the cores=8 test; cores=2 above still covers the full
-// grid.
-func TestGoldenSuiteIdentityOddCores(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation suite skipped in -short mode")
-	}
-	withGOMAXPROCS(t, 8)
-	var apps []Workload
-	for _, abbr := range []string{"BP", "HS"} {
-		w, err := WorkloadByAbbr(abbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, w)
-	}
-
-	var w goldenSuite
-	if err := json.Unmarshal(readGolden(t), &w); err != nil {
-		t.Fatalf("golden file: %v", err)
-	}
-	cells := make(map[string]map[string]*Stats, len(w.Apps))
-	for i, app := range w.Apps {
-		cells[app] = w.Stats[i]
-	}
-
-	for _, cores := range []int{3, 5, 7} {
-		res, err := RunSuite(context.Background(), PaperSchemes(),
-			&SuiteOptions{Runner: &Runner{Workers: 1, Cores: cores, SelfCheck: true}, Apps: apps})
-		if err != nil {
-			t.Fatalf("cores=%d: %v", cores, err)
-		}
-		for _, app := range apps {
-			for _, sc := range res.Schemes {
-				got := res.Stats[app.Abbr][sc.Name]
-				want := cells[app.Abbr][sc.Name]
-				if got == nil || want == nil {
-					t.Fatalf("cores=%d: %s/%s: missing cell (got=%v want=%v)", cores, app.Abbr, sc.Name, got, want)
-				}
-				if *got != *want {
-					t.Errorf("-cores %d: %s/%s diverged:\n got: %+v\nwant: %+v",
-						cores, app.Abbr, sc.Name, *got, *want)
-				}
-			}
-		}
-	}
 }
 
 // TestGoldenSharedSuiteMatches cross-checks the suite the headline tests

@@ -12,13 +12,12 @@ import (
 	"testing"
 )
 
-// harnessFlags are the names internal/cli declares for the runner-backed
-// commands (dlpsim, paperfigs, ablate): the exec group, then the batch
-// group.
-var harnessFlags = []string{
-	"retries", "timeout", "selfcheck", "cores", "metrics", "metrics-every", "trace",
-	"j", "keep-going", "quiet", "cpuprofile", "memprofile",
-}
+// execFlags and batchFlags are the two groups internal/cli declares for
+// the runner-backed commands (dlpsim, paperfigs, ablate), in order.
+var (
+	execFlags  = []string{"retries", "timeout", "selfcheck", "metrics", "metrics-every", "trace"}
+	batchFlags = []string{"j", "keep-going", "quiet", "cpuprofile", "memprofile"}
+)
 
 // ownFlags are the commands that are not runner clients of the harness
 // and declare a flag of the same name with their own default and
@@ -28,12 +27,19 @@ var harnessFlags = []string{
 // internal/cli.
 var ownFlags = map[string][]string{
 	"cmd/conform":    {"j", "timeout"},
-	"cmd/conffuzz":   {"cores", "timeout"},
-	"cmd/dlpserved":  {"cores", "j", "retries", "selfcheck", "timeout"},
+	"cmd/conffuzz":   {"timeout"},
+	"cmd/dlpserved":  {"j", "retries", "selfcheck", "timeout"},
 	"cmd/pdtrace":    {"metrics", "selfcheck", "timeout", "trace"},
-	"cmd/rddprof":    {"cores"},
 	"cmd/metriclint": {"metrics", "trace"},
 	"cmd/dlpload":    {"timeout"},
+}
+
+// retiredFlags are the flags of the deleted in-engine parallelism: the
+// one directory allowed to declare each ("" for none). rddprof's -cores
+// spreads RDD replays over goroutines, not an engine.
+var retiredFlags = map[string]string{
+	"cores":       "cmd/rddprof",
+	"extra-cores": "",
 }
 
 // flagDecl returns the flag name a call like flag.Int("j", …) or
@@ -67,17 +73,20 @@ func flagDecl(call *ast.CallExpr) string {
 }
 
 // TestHarnessOwnsTheExecutionFlags keeps the flag plumbing in one
-// place: the twelve harness-owned names are declared once each in
-// internal/cli and nowhere else in non-test Go, bar the listed
-// commands whose same-named flags mean something else; the three
-// runner-backed mains resolve -cores through the Session only; and no
+// place and the engine serial: the harness-owned names are declared once
+// each in internal/cli — ExecFlags and BatchFlags declare exactly their
+// groups — and nowhere else in non-test Go, bar the listed commands
+// whose same-named flags mean something else; no retired parallelism
+// flag comes back; no non-test file outside bench/ names a Cores field;
+// internal/sim starts no goroutine and imports no sync package; and no
 // per-binary profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
-	for _, name := range harnessFlags {
+	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
 		owned[name] = true
 	}
 	declared := map[string][]string{} // package dir -> harness-owned names it declares
+	groups := map[string][]string{}   // internal/cli group function -> names in order
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -98,17 +107,47 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
-		harnessClient := dir == "cmd/dlpsim" || dir == "cmd/paperfigs" || dir == "cmd/ablate"
+		if dir == "internal/sim" {
+			for _, imp := range file.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+					t.Errorf("%s imports %s; the engine runs on one goroutine", path, p)
+				}
+			}
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && dir == "internal/cli" &&
+				(fn.Name.Name == "ExecFlags" || fn.Name.Name == "BatchFlags") {
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if name := flagDecl(call); name != "" {
+							groups[fn.Name.Name] = append(groups[fn.Name.Name], name)
+						}
+					}
+					return true
+				})
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if name := flagDecl(n); owned[name] {
+				name := flagDecl(n)
+				if owned[name] {
 					declared[dir] = append(declared[dir], name)
 				}
+				if owner, retired := retiredFlags[name]; retired && dir != owner {
+					t.Errorf("%s declares the retired -%s flag", path, name)
+				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == "cli" && n.Sel.Name == "ResolveCores" &&
-					(harnessClient || dir == "cmd/pdtrace") {
-					t.Errorf("%s calls cli.ResolveCores directly", path)
+				if n.Sel.Name == "Cores" {
+					t.Errorf("%s names a Cores field", fset.Position(n.Pos()))
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Cores" {
+					t.Errorf("%s sets a Cores field", fset.Position(n.Pos()))
+				}
+			case *ast.GoStmt:
+				if dir == "internal/sim" {
+					t.Errorf("%s: internal/sim starts a goroutine", fset.Position(n.Pos()))
 				}
 			case *ast.TypeSpec:
 				if n.Name.Name == "profiler" && strings.HasPrefix(dir, "cmd/") {
@@ -123,7 +162,12 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := map[string][]string{"internal/cli": append([]string(nil), harnessFlags...)}
+	for fn, want := range map[string][]string{"ExecFlags": execFlags, "BatchFlags": batchFlags} {
+		if got := groups[fn]; strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("cli.Session.%s declares [%s], want [%s]", fn, strings.Join(got, " "), strings.Join(want, " "))
+		}
+	}
+	want := map[string][]string{"internal/cli": append(append([]string(nil), execFlags...), batchFlags...)}
 	for dir, names := range ownFlags {
 		want[dir] = names
 	}

@@ -6,7 +6,7 @@
 //
 // Flag groups:
 //
-//	exec   -retries -timeout -selfcheck -cores -metrics -metrics-every -trace
+//	exec   -retries -timeout -selfcheck -metrics -metrics-every -trace
 //	       (dlpsim, paperfigs, ablate)
 //	batch  -j -keep-going -quiet -cpuprofile -memprofile
 //	       (paperfigs, ablate)
@@ -37,29 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
-
-// ResolveCores maps a -cores flag value to an effective core count.
-// 0 means "auto": use every CPU the scheduler will actually grant —
-// min(NumCPU, GOMAXPROCS), never below 1. Positive values pass through
-// unchanged (the engine clamps to its component count); negative
-// values are an error. Shared by every command exposing -cores so
-// "auto" means the same thing everywhere.
-func ResolveCores(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("-cores %d: must be >= 0 (0 = auto)", n)
-	}
-	if n > 0 {
-		return n, nil
-	}
-	c := runtime.NumCPU()
-	if p := runtime.GOMAXPROCS(0); p < c {
-		c = p
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c, nil
-}
 
 // ExitInterrupted is the exit status after Ctrl-C (128 + SIGINT).
 const ExitInterrupted = 130
@@ -96,7 +73,6 @@ type Session struct {
 	retries      int
 	timeout      time.Duration
 	selfCheck    bool
-	cores        int
 	metricsPath  string
 	metricsEvery uint64
 	tracePath    string
@@ -129,7 +105,6 @@ func (s *Session) ExecFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.retries, "retries", 0, "extra attempts for transiently failed jobs")
 	fs.DurationVar(&s.timeout, "timeout", 0, "per-job wall-clock budget (e.g. 5m); 0 = none")
 	fs.BoolVar(&s.selfCheck, "selfcheck", false, "enable sampled engine invariant sweeps on every job")
-	fs.IntVar(&s.cores, "cores", 1, "phase-parallel shards inside each simulation (0 = auto: all host CPUs; workers x cores capped at GOMAXPROCS); output is identical at any value")
 	fs.StringVar(&s.metricsPath, "metrics", "", "stream cycle-domain counter samples (JSONL) to this file")
 	fs.Uint64Var(&s.metricsEvery, "metrics-every", 0, "sampling period in cycles for -metrics; 0 = default (4096)")
 	fs.StringVar(&s.tracePath, "trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
@@ -148,9 +123,9 @@ func (s *Session) BatchFlags(fs *flag.FlagSet) {
 
 // Start acts on the parsed flags. It installs the SIGINT context first
 // — before the caller generates any kernel, so an interrupt that lands
-// in trace generation still exits 130 — then resolves -cores, starts
-// the CPU profile and opens the -metrics/-trace files, so a bad value
-// or path fails before hours of simulation. The returned Runner
+// in trace generation still exits 130 — then starts the CPU profile and
+// opens the -metrics/-trace files, so a bad path fails before hours of
+// simulation. The returned Runner
 // carries every flag value, cache (which may be nil; the trace samples
 // its hit/miss counters) and the event chain. On error the caller
 // still leaves through Exit, which releases whatever was opened.
@@ -159,10 +134,6 @@ func (s *Session) Start(cache *runner.Cache) (context.Context, *runner.Runner, e
 	s.stop = stop
 	s.started = time.Now()
 
-	cores, err := ResolveCores(s.cores)
-	if err != nil {
-		return ctx, nil, err
-	}
 	if s.cpuProfile != "" {
 		f, err := os.Create(s.cpuProfile)
 		if err != nil {
@@ -182,7 +153,6 @@ func (s *Session) Start(cache *runner.Cache) (context.Context, *runner.Runner, e
 		Retries:      s.retries,
 		Timeout:      s.timeout,
 		SelfCheck:    s.selfCheck,
-		Cores:        cores,
 		MetricsEvery: s.metricsEvery,
 	}
 	if s.batch {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"testing"
 	"time"
@@ -69,11 +68,10 @@ func start(t *testing.T, batch bool, cache *runner.Cache, args ...string) (*Sess
 // TestFlagsToRunner is the contract between the shared flags and the
 // Runner the mains receive: every flag lands in exactly one field.
 func TestFlagsToRunner(t *testing.T) {
-	auto := min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	dir := t.TempDir()
 	cache := runner.NewCache()
 	type want struct {
-		workers, retries, cores  int
+		workers, retries         int
 		keepGoing, selfCheck     bool
 		timeout                  time.Duration
 		metricsEvery             uint64
@@ -85,16 +83,14 @@ func TestFlagsToRunner(t *testing.T) {
 		args  []string
 		want  want
 	}{
-		{"exec defaults", false, nil, want{cores: 1}},
-		{"batch defaults", true, nil, want{cores: 1, events: true}},
-		{"exec group", false, []string{"-retries", "2", "-timeout", "90s", "-selfcheck", "-cores", "3",
+		{"exec defaults", false, nil, want{}},
+		{"batch defaults", true, nil, want{events: true}},
+		{"exec group", false, []string{"-retries", "2", "-timeout", "90s", "-selfcheck",
 			"-metrics-every", "128", "-metrics", filepath.Join(dir, "m.jsonl"), "-trace", filepath.Join(dir, "t.json")},
-			want{retries: 2, timeout: 90 * time.Second, selfCheck: true, cores: 3, metricsEvery: 128, metrics: true, events: true}},
+			want{retries: 2, timeout: 90 * time.Second, selfCheck: true, metricsEvery: 128, metrics: true, events: true}},
 		{"batch group", true, []string{"-j", "4", "-keep-going", "-quiet",
 			"-cpuprofile", filepath.Join(dir, "cpu.prof"), "-memprofile", filepath.Join(dir, "mem.prof")},
-			want{workers: 4, keepGoing: true, cores: 1, events: true}},
-		{"cores auto", true, []string{"-cores", "0"}, want{cores: auto, events: true}},
-		{"cores negative", true, []string{"-cores", "-1"}, want{failure: true}},
+			want{workers: 4, keepGoing: true, events: true}},
 		{"batch flag on an exec-only command", false, []string{"-j", "2"}, want{failure: true}},
 	}
 	for _, c := range cases {
@@ -112,7 +108,7 @@ func TestFlagsToRunner(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		got := want{r.Workers, r.Retries, r.Cores, r.KeepGoing, r.SelfCheck, r.Timeout,
+		got := want{r.Workers, r.Retries, r.KeepGoing, r.SelfCheck, r.Timeout,
 			r.MetricsEvery, r.Metrics != nil, r.Events != nil, false}
 		if got != c.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
@@ -302,34 +298,5 @@ func TestOpenObservabilityBadPath(t *testing.T) {
 		if s.Exit(err); *code != ExitFailure {
 			t.Fatalf("%s: exit %d", flagName, *code)
 		}
-	}
-}
-
-func TestResolveCores(t *testing.T) {
-	// Positive values pass through untouched.
-	for _, n := range []int{1, 3, 64} {
-		got, err := ResolveCores(n)
-		if err != nil || got != n {
-			t.Errorf("ResolveCores(%d) = %d, %v; want %d, nil", n, got, err, n)
-		}
-	}
-	// Negative is a flag error, not a silent clamp.
-	if _, err := ResolveCores(-1); err == nil {
-		t.Error("ResolveCores(-1) accepted")
-	}
-	// 0 = auto: every CPU the scheduler will grant, never below 1.
-	got, err := ResolveCores(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runtime.NumCPU()
-	if p := runtime.GOMAXPROCS(0); p < want {
-		want = p
-	}
-	if want < 1 {
-		want = 1
-	}
-	if got != want {
-		t.Errorf("ResolveCores(0) = %d, want %d (min of NumCPU and GOMAXPROCS)", got, want)
 	}
 }

@@ -15,10 +15,10 @@
 // seeded workloads.SynthSpec, so the whole case re-generates from its
 // JSON alone — no kernel blobs in the tree.
 //
-// Running a case simulates a serial reference engine plus the case's
-// variant matrix — extra phase-parallel core counts and, when
-// requested, a fast-forward-disabled engine — all under the sampled
-// invariant sweeps (SelfCheck) and a per-variant wall-clock deadline
+// Running a case simulates a reference engine plus the case's variant
+// matrix — when requested, a fast-forward-disabled engine and one fed by
+// the streamed frontend — all under the sampled invariant sweeps
+// (SelfCheck) and a per-variant wall-clock deadline
 // through the experiment runner's fault boundary. Every variant must
 // produce bytes identical to the reference, and the reference must
 // match the committed expectation. Drift is reported as a unified
@@ -85,20 +85,14 @@ type Spec struct {
 	// MaxCycles bounds the simulation; 0 means the engine default.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 
-	// Cores lists the phase-parallelism values to run. The first entry
-	// is the reference; [] means [1]. Every entry must reproduce the
-	// reference bytes.
-	Cores []int `json:"cores,omitempty"`
-
-	// FastForwardOff adds a variant with cycle fast-forwarding disabled
-	// (same core count as the reference), proving the skipped windows
-	// carried no observable work on this case's geometry.
+	// FastForwardOff adds a variant with cycle fast-forwarding disabled,
+	// proving the skipped windows carried no observable work on this
+	// case's geometry.
 	FastForwardOff bool `json:"fast_forward_off,omitempty"`
 
 	// Streamed adds a variant that runs the workload through the lazy
-	// chunked stream frontend (sim.RunStream) at the reference core
-	// count, proving the streamed backend reproduces the reference
-	// bytes on this case's geometry.
+	// chunked stream frontend (sim.RunStream), proving the streamed
+	// backend reproduces the reference bytes on this case's geometry.
 	Streamed bool `json:"streamed,omitempty"`
 }
 
@@ -141,16 +135,6 @@ func (sp *Spec) Build() (*config.Config, config.Policy, *trace.Kernel, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, "", nil, err
-	}
-	seen := map[int]bool{}
-	for _, c := range sp.Cores {
-		if c < 1 {
-			return nil, "", nil, fmt.Errorf("conform: cores value %d must be >= 1", c)
-		}
-		if seen[c] {
-			return nil, "", nil, fmt.Errorf("conform: duplicate cores value %d", c)
-		}
-		seen[c] = true
 	}
 	scale := sp.Workload.Scale
 	if scale < 0 {
@@ -205,27 +189,12 @@ func (sp *Spec) BuildStream() (trace.Stream, error) {
 // Variants expands the spec's run matrix. The first entry is the
 // reference.
 func (sp *Spec) Variants() []Variant {
-	cores := sp.Cores
-	if len(cores) == 0 {
-		cores = []int{1}
-	}
-	out := make([]Variant, 0, len(cores)+1)
-	for _, c := range cores {
-		out = append(out, Variant{Name: fmt.Sprintf("cores=%d", c), Cores: c})
-	}
+	out := []Variant{{Name: "reference"}}
 	if sp.FastForwardOff {
-		out = append(out, Variant{
-			Name:               fmt.Sprintf("cores=%d,ff=off", cores[0]),
-			Cores:              cores[0],
-			DisableFastForward: true,
-		})
+		out = append(out, Variant{Name: "ff=off", DisableFastForward: true})
 	}
 	if sp.Streamed {
-		out = append(out, Variant{
-			Name:     fmt.Sprintf("cores=%d,streamed", cores[0]),
-			Cores:    cores[0],
-			Streamed: true,
-		})
+		out = append(out, Variant{Name: "streamed", Streamed: true})
 	}
 	return out
 }
@@ -233,7 +202,6 @@ func (sp *Spec) Variants() []Variant {
 // Variant is one engine configuration of a case's run matrix.
 type Variant struct {
 	Name               string
-	Cores              int
 	DisableFastForward bool
 	Streamed           bool
 }
@@ -379,8 +347,8 @@ const (
 	// Drift: the engine's reference result no longer matches the
 	// committed expectation.
 	Drift
-	// VariantMismatch: a core-count or fast-forward variant diverged
-	// from the serial reference — a determinism bug.
+	// VariantMismatch: a fast-forward-off or streamed variant diverged
+	// from the reference — a determinism bug.
 	VariantMismatch
 	// SimFailed: a variant failed to simulate (panic, invariant
 	// violation, deadline, validation error).
@@ -433,31 +401,12 @@ type RunConfig struct {
 	// Update rewrites expected_stats.json from the reference run
 	// instead of comparing, provided every variant agrees.
 	Update bool
-	// ExtraCores appends additional cores=N variants to every case's
-	// run matrix (duplicates of the spec's own core counts are
-	// skipped). The corpus's determinism guarantee is core-count
-	// independence, so a harness can widen the sweep — e.g. to odd
-	// counts that leave the steal spans uneven — without editing any
-	// case spec.
-	ExtraCores []int
 }
 
 // Run executes the case's full variant matrix and returns its verdict.
 func (c *Case) Run(ctx context.Context, rc RunConfig) *Result {
 	res := &Result{Case: c, Outcome: Pass}
 	variants := c.Spec.Variants()
-	for _, extra := range rc.ExtraCores {
-		dup := false
-		for _, v := range variants {
-			if !v.DisableFastForward && !v.Streamed && v.Cores == extra {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			variants = append(variants, Variant{Name: fmt.Sprintf("cores=%d,extra", extra), Cores: extra})
-		}
-	}
 	d, err := RunDifferential(ctx, c.Spec, variants, c.Name, rc.Timeout)
 	if err != nil {
 		res.Outcome, res.Err = BadCase, err
@@ -538,7 +487,6 @@ func RunDifferential(ctx context.Context, sp *Spec, variants []Variant, label st
 			Kernel: kernel,
 			Opts: sim.Options{
 				MaxCycles:          sp.MaxCycles,
-				Cores:              v.Cores,
 				DisableFastForward: v.DisableFastForward,
 			},
 		}

@@ -15,8 +15,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// tinySpec is a fast case exercising the full variant matrix: two core
-// counts plus a fast-forward-off variant.
+// tinySpec is a fast case exercising the full variant matrix: the
+// reference plus a fast-forward-off and a streamed variant.
 func tinySpec() *Spec {
 	return &Spec{
 		Schema:      SpecSchema,
@@ -28,8 +28,8 @@ func tinySpec() *Spec {
 			FootprintLines: 32, StreamPct: 1, HotPct: 1,
 		}},
 		MaxCycles:      2_000_000,
-		Cores:          []int{1, 2},
 		FastForwardOff: true,
+		Streamed:       true,
 	}
 }
 
@@ -98,6 +98,12 @@ func TestUnmarshalSpecRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Fatal("typo'd field accepted")
 	}
+	// The cores list is gone from the format; a body that still carries
+	// one is refused, not silently run.
+	_, err = UnmarshalSpec([]byte(`{"schema": 1, "policy": "dlp", "workload": {"app": "HS"}, "cores": [1, 2]}`))
+	if err == nil {
+		t.Fatal("spec with a cores list accepted")
+	}
 }
 
 func TestBuildRejectsBadSpecs(t *testing.T) {
@@ -107,8 +113,6 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		"both-workloads": func(sp *Spec) { sp.Workload.App = "HS" },
 		"no-workload":    func(sp *Spec) { sp.Workload = WorkloadRef{} },
 		"bad-app":        func(sp *Spec) { sp.Workload = WorkloadRef{App: "NOPE"} },
-		"zero-cores":     func(sp *Spec) { sp.Cores = []int{0} },
-		"dup-cores":      func(sp *Spec) { sp.Cores = []int{2, 2} },
 		"bad-geometry":   func(sp *Spec) { sp.Config.L1D.Ways = 0 },
 		"bad-synth":      func(sp *Spec) { sp.Workload.Synth.Blocks = 0 },
 	}
@@ -271,30 +275,15 @@ func TestVariantsMatrix(t *testing.T) {
 	if len(vs) != 3 {
 		t.Fatalf("variants = %+v", vs)
 	}
-	if vs[0].Cores != 1 || vs[1].Cores != 2 || !vs[2].DisableFastForward {
-		t.Errorf("variant matrix wrong: %+v", vs)
+	want := []Variant{{Name: "reference"}, {Name: "ff=off", DisableFastForward: true}, {Name: "streamed", Streamed: true}}
+	for i := range want {
+		if vs[i] != want[i] {
+			t.Errorf("variant %d = %+v, want %+v", i, vs[i], want[i])
+		}
 	}
-	sp.Cores = nil
-	sp.FastForwardOff = false
+	sp.FastForwardOff, sp.Streamed = false, false
 	vs = sp.Variants()
-	if len(vs) != 1 || vs[0].Cores != 1 {
+	if len(vs) != 1 || vs[0] != want[0] {
 		t.Errorf("default variants wrong: %+v", vs)
-	}
-}
-
-func TestExtraCoresVariants(t *testing.T) {
-	root := t.TempDir()
-	c := writeTestCase(t, root, "tiny-extra", tinySpec())
-
-	// The extra sweep re-runs the case at cores the spec never lists;
-	// duplicates of the spec's own counts (here 1 and 2) are skipped,
-	// so the run exercises exactly the odd counts on top of the matrix.
-	res := c.Run(context.Background(), RunConfig{
-		Timeout:    time.Minute,
-		ExtraCores: []int{2, 3, 5, 7},
-	})
-	if res.Outcome != Pass {
-		t.Fatalf("extra-cores sweep failed: %s (err %v, variant %q)\n%s",
-			res.Outcome, res.Err, res.Variant, res.Diff)
 	}
 }

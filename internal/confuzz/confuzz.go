@@ -2,9 +2,9 @@
 //
 // Each iteration draws a random simulation point — cache geometry,
 // policy knobs, and a synthetic access pattern from the adversarial
-// mixer — and runs it differentially: a serial reference engine against
-// a phase-parallel engine and a fast-forward-disabled engine, all under
-// the sampled invariant sweeps and a wall-clock deadline. Any
+// mixer — and runs it differentially: a reference engine against a
+// fast-forward-disabled engine and one fed by the streamed frontend, all
+// under the sampled invariant sweeps and a wall-clock deadline. Any
 // disagreement or failure is a finding, classified as stats drift, an
 // invariant violation, a panic, a hang, or a generic engine error.
 //
@@ -50,8 +50,8 @@ const (
 	// ClassNone: the iteration passed.
 	ClassNone Class = iota
 	// ClassDrift: two engine variants produced different counters —
-	// the determinism contract (bit-identical at any core count, with
-	// or without fast-forward) is broken.
+	// the determinism contract (bit-identical with or without
+	// fast-forward, eager or streamed) is broken.
 	ClassDrift
 	// ClassInvariant: a sampled SelfCheck sweep found a violated
 	// structural invariant (typed *policy.InvariantError).
@@ -117,10 +117,6 @@ type Options struct {
 	// Policies to draw from; nil means every registered policy.
 	Policies []config.Policy
 
-	// Cores is the phase-parallel core count run against the serial
-	// reference (default 2).
-	Cores int
-
 	// Timeout bounds each variant's wall clock (default 30s); this is
 	// the hang detector, so 0 is rejected.
 	Timeout time.Duration
@@ -152,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Policies) == 0 {
 		o.Policies = policy.All()
-	}
-	if o.Cores < 2 {
-		o.Cores = 2
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
@@ -349,7 +342,6 @@ func generate(seed uint64, opts Options) (*conform.Spec, bool) {
 		Config:    cfg,
 		Workload:  conform.WorkloadRef{Synth: sy},
 		MaxCycles: opts.MaxCycles,
-		Cores:     []int{1, opts.Cores},
 		// Half the points also check the fast-forward contract.
 		FastForwardOff: r.Intn(2) == 0,
 		// And half check the streamed frontend against the precomputed
@@ -698,13 +690,6 @@ func (s *shrinker) shrink(sp *conform.Spec) *conform.Spec {
 		if cur.Streamed {
 			cand := clone(cur)
 			cand.Streamed = false
-			if s.fails(cand) {
-				cur, improved = cand, true
-			}
-		}
-		if len(cur.Cores) > 1 {
-			cand := clone(cur)
-			cand.Cores = cur.Cores[:1]
 			if s.fails(cand) {
 				cur, improved = cand, true
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // lanePushBench builds the engine's per-cycle crossbar pattern: one
-// per-span lane batch handed to PushBatch (ownership transfer, no
+// lane batch handed to PushBatch (ownership transfer, no
 // copying), the network ticked until the batch arrives and is popped,
 // and the recycled segment reused as the next cycle's lane. It returns
 // warm: the first cycle seeds the segment free list, the second starts

@@ -38,9 +38,9 @@ type packet struct {
 type direction struct {
 	// The injection queue is a FIFO of segments. PushBatch hands over a
 	// whole lane of packets as one segment — an O(1) slice handoff, no
-	// per-packet copying — which is what lets the engine's serial merge
-	// do O(lanes) work per cycle instead of O(packets). Single-packet
-	// Push appends to an "open" tail segment, so packet-at-a-time
+	// per-packet copying — which is what lets the engine's window close
+	// do O(1) work per cycle and direction instead of O(packets).
+	// Single-packet Push appends to an "open" tail segment, so packet-at-a-time
 	// callers (tests, simple harnesses) see plain FIFO semantics.
 	// off is the consumed prefix of the head segment; count is the total
 	// queued across all segments. Fully consumed segments are recycled

@@ -116,9 +116,7 @@ type Partition struct {
 	// pool receives consumed write-through stores (the partition is
 	// their last stop); may be nil. When rec is set it takes precedence:
 	// consumed stores are deferred there instead, for the engine to
-	// route back to each issuing SM's pool during the serial phase —
-	// the partition may be ticking on a phase worker, where touching an
-	// SM-owned pool directly would race.
+	// route back to each issuing SM's pool when the window closes.
 	pool *mem.Pool
 	rec  *mem.Recycler
 	// parked marks an input-queue head that service refused for want of
@@ -262,8 +260,8 @@ func (p *Partition) serviceStore(req *mem.Request) {
 
 // SetRecycler diverts consumed write-through stores into rc instead of
 // the pool passed to New. The engine installs one recycler per
-// partition and drains them serially each cycle, so partition ticks
-// never touch another shard's pool.
+// partition and returns its stores to their SMs' pools when a window of
+// cycles closes, so a partition never touches an SM's pool mid-window.
 func (p *Partition) SetRecycler(rc *mem.Recycler) { p.rec = rc }
 
 // recycleStore returns a consumed write-through store to the request

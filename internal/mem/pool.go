@@ -6,11 +6,11 @@ package mem
 // recycle through pools, so a simulation's steady state reuses a small
 // working set of Request objects instead of allocating one per memory
 // instruction. Pools are unlocked: each is owned by exactly one
-// component shard — the engine gives every SM its own pool, and
-// consumers on other shards (L2 partitions retiring stores) defer their
-// returns through a Recycler that the engine drains back to the owning
-// SM's pool during the serial phase of the cycle. Separate engines
-// (parallel runner workers) each own their own pools.
+// component — the engine gives every SM its own pool, and other
+// consumers (L2 partitions retiring stores) defer their returns through
+// a Recycler that the engine drains back to the owning SM's pool when a
+// window of cycles closes. Separate engines (parallel runner workers)
+// each own their own pools.
 //
 // A nil *Pool is valid and simply allocates/discards, which keeps
 // component constructors usable from tests that don't care about
@@ -48,21 +48,19 @@ func (p *Pool) Put(r *Request) {
 
 // Recycler accumulates Requests whose lifetime ended on a component that
 // does not own their home pool. L2 partitions retire store requests that
-// were allocated from the issuing SM's pool; under phase-parallel
-// ticking the partition must not touch that pool directly (it may be
-// ticking concurrently on another shard), so it defers the return here.
-// The engine drains every recycler during the serial interaction phase,
-// routing each request back to its origin SM's pool via Request.SM — so
-// pools stay unlocked and the steady state stays allocation-free at any
-// core count.
+// were allocated from the issuing SM's pool and defer the return here;
+// the engine hands them back to their origin SM's pool (Request.SM) when
+// the window closes, so a pool's free level — a sampled metric column —
+// moves on the window grid, not in the middle of another component's
+// run.
 //
 // A nil *Recycler is valid: Defer discards the request (matching the
-// nil-*Pool contract) and Drain is a no-op.
+// nil-*Pool contract) and DrainTo is a no-op.
 type Recycler struct {
 	reqs []*Request
 }
 
-// Defer records a request for a later Drain.
+// Defer records a request for a later DrainTo.
 func (rc *Recycler) Defer(r *Request) {
 	if rc == nil || r == nil {
 		return
@@ -78,25 +76,11 @@ func (rc *Recycler) Len() int {
 	return len(rc.reqs)
 }
 
-// Drain hands every deferred request to put (in defer order) and resets
-// the recycler, keeping its backing array for reuse.
-func (rc *Recycler) Drain(put func(*Request)) {
-	if rc == nil {
-		return
-	}
-	for i, r := range rc.reqs {
-		rc.reqs[i] = nil
-		put(r)
-	}
-	rc.reqs = rc.reqs[:0]
-}
-
 // DrainTo appends every deferred request to lane (in defer order),
-// resets the recycler, and returns the extended lane. It is the
-// lane-queue form of Drain: a phase shard moves its partitions'
-// deferred returns into its own lane with plain pointer appends — no
-// per-element callback — and the engine's serial merge routes the lane
-// contents home afterwards. A nil receiver returns lane unchanged.
+// resets the recycler keeping its backing array for reuse, and returns
+// the extended lane. The engine moves a partition's deferred returns
+// into its window's store list this way and routes them home when the
+// window closes. A nil receiver returns lane unchanged.
 func (rc *Recycler) DrainTo(lane []*Request) []*Request {
 	if rc == nil {
 		return lane

@@ -2,7 +2,7 @@ package mem
 
 import "testing"
 
-// TestRecyclerDrainTo pins the lane-queue drain the phase shards use:
+// TestRecyclerDrainTo pins the drain the engine's window close uses:
 // defer order is preserved, the recycler is emptied (and its backing
 // slots cleared so it holds no stale references), and a nil receiver
 // leaves the lane untouched.
@@ -46,7 +46,7 @@ func TestRecyclerDrainTo(t *testing.T) {
 
 // TestRecyclerDrainToReusesBacking proves repeated Defer/DrainTo cycles
 // reuse the recycler's backing array — the allocation-free steady state
-// the engine's per-span lanes rely on.
+// the engine's window lanes rely on.
 func TestRecyclerDrainToReusesBacking(t *testing.T) {
 	rc := &Recycler{}
 	var lane []*Request

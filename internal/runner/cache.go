@@ -19,8 +19,8 @@ import (
 // serialized kernel trace. Two jobs with equal Key produce identical
 // Stats (the engine is deterministic), which is what makes result reuse
 // sound. Labels, wall-clock budgets (MaxWall), self-checking
-// (Opts.SelfCheck), phase parallelism (Opts.Cores) and fast-forward
-// disabling (Opts.DisableFastForward) are excluded: they are
+// (Opts.SelfCheck) and fast-forward disabling
+// (Opts.DisableFastForward) are excluded: they are
 // presentation and execution policy, not simulation input — results
 // are bit-identical at every setting.
 //

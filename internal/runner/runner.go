@@ -157,15 +157,8 @@ type Runner struct {
 	// is execution policy: the checks never change simulation results,
 	// so it does not participate in cache keys.
 	SelfCheck bool
-	// Cores is the default intra-simulation phase parallelism
-	// (sim.Options.Cores) for jobs that don't set their own. The two
-	// levels compose without oversubscription: the effective value is
-	// capped so Workers × Cores stays within GOMAXPROCS — with 8
-	// workers on a 16-way host each simulation gets 2 shards; once the
-	// batch is narrower than the pool, raise Cores to soak up the idle
-	// CPUs. A job whose Opts.Cores is set explicitly is honored as
-	// given, cap or no cap. Simulation output is bit-identical at
-	// every value, so Cores never participates in cache keys.
+	// Deprecated: ignored. Workers is the only parallelism: each
+	// simulation runs on its worker's goroutine.
 	Cores int
 	// Intercept, when non-nil, wraps every simulation attempt. This is
 	// the deterministic fault-injection seam; production callers leave
@@ -265,7 +258,6 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	cores := effectiveCores(r.Cores, workers)
 
 	callerCtx := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -336,7 +328,7 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = r.runOne(ctx, i, jobs[i], cores, emit)
+				results[i] = r.runOne(ctx, i, jobs[i], emit)
 			}
 		}()
 	}
@@ -384,23 +376,8 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 	return results, nil
 }
 
-// effectiveCores resolves Runner.Cores against the worker-pool size:
-// the product of the two parallelism levels must not exceed
-// GOMAXPROCS, or the phase barriers would thrash an oversubscribed
-// scheduler. requested <= 1 short-circuits to serial.
-func effectiveCores(requested, workers int) int {
-	if requested <= 1 {
-		return 1
-	}
-	if limit := runtime.GOMAXPROCS(0) / workers; requested > limit {
-		requested = limit
-	}
-	return max(requested, 1)
-}
-
 // runOne executes (or recalls) a single job, retrying transient
-// failures up to Runner.Retries times. cores fills Job.Opts.Cores for
-// jobs that left it zero.
+// failures up to Runner.Retries times.
 //
 // Cacheable jobs run under single-flight: of all concurrent jobs with
 // the same content address (across every Run call sharing this
@@ -409,10 +386,7 @@ func effectiveCores(requested, workers int) int {
 // fails or is cancelled wakes its waiters without publishing a result;
 // each waiter then retakes the flight, so one tenant disconnecting
 // mid-simulation never loses another tenant's identical job.
-func (r *Runner) runOne(ctx context.Context, i int, j Job, cores int, emit func(Event)) Result {
-	if j.Opts.Cores == 0 {
-		j.Opts.Cores = cores
-	}
+func (r *Runner) runOne(ctx context.Context, i int, j Job, emit func(Event)) Result {
 	if r.Metrics != nil && j.Opts.Metrics == nil {
 		j.Opts.Metrics = &metrics.Config{Sink: r.Metrics, Every: r.MetricsEvery, Label: j.Label}
 	}

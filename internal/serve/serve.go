@@ -46,18 +46,12 @@ import (
 )
 
 // Config tunes a Server. The zero value serves with GOMAXPROCS workers,
-// serial simulations, an in-memory cache, a 64-deep per-tenant queue
-// and no per-job deadline.
+// an in-memory cache, a 64-deep per-tenant queue and no per-job
+// deadline.
 type Config struct {
 	// Workers bounds simulations in flight across all tenants (the
 	// runner's -j); <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Cores is the per-simulation phase-parallelism cap. A job asking
-	// for more (via its spec's cores list) is clamped; results are
-	// bit-identical at any value, so clamping is invisible in output.
-	// <= 0 means 1: with Workers saturating the host, extra shards per
-	// simulation would only thrash the phase barriers.
-	Cores int
 	// QueueDepth bounds each tenant's pending-job FIFO; submissions
 	// beyond it get 429. <= 0 means 64.
 	QueueDepth int
@@ -318,14 +312,6 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 	if err != nil {
 		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
 	}
-	cores := 1
-	if len(sp.Cores) > 0 {
-		cores = sp.Cores[0]
-	}
-	if maxCores := s.cfg.Cores; maxCores >= 1 && cores > maxCores {
-		// Identical results at any core count; only the schedule changes.
-		cores = maxCores
-	}
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -333,7 +319,7 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 		Config: cfg,
 		Policy: pol,
 		Kernel: kernel,
-		Opts:   sim.Options{MaxCycles: sp.MaxCycles, Cores: cores},
+		Opts:   sim.Options{MaxCycles: sp.MaxCycles},
 	}
 	// Hashed before the lock: the key walks the kernel on its first use
 	// and formats the whole configuration on every one, and next(), DELETE

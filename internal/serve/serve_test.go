@@ -60,7 +60,7 @@ func directStats(t *testing.T, specBytes []byte) []byte {
 	r := &runner.Runner{Workers: 1}
 	res, err := r.Run(context.Background(), []runner.Job{{
 		Config: cfg, Policy: pol, Kernel: kernel,
-		Opts: sim.Options{MaxCycles: sp.MaxCycles, Cores: 1},
+		Opts: sim.Options{MaxCycles: sp.MaxCycles},
 	}})
 	if err != nil {
 		t.Fatal(err)

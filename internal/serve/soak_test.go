@@ -204,6 +204,6 @@ func buildJob(t *testing.T, specBytes []byte) runner.Job {
 	}
 	return runner.Job{
 		Config: cfg, Policy: pol, Kernel: kernel,
-		Opts: sim.Options{MaxCycles: sp.MaxCycles, Cores: 1},
+		Opts: sim.Options{MaxCycles: sp.MaxCycles},
 	}
 }

@@ -6,25 +6,17 @@ import (
 	"repro/internal/config"
 )
 
-// stealStepBench builds a four-shard engine on an idle machine and
-// returns one exchange step: the serial window open (nothing to bin),
-// one steal phase over every span (workers claim from the shared
-// cursor and visit idle components on every cycle of the window — with
-// fast-forward on an idle window would not run a phase at all), and the
-// serial O(spans) close — the fixed per-window cost of the
-// phase-parallel engine. The first step, which warms per-worker state,
-// has already run.
-func stealStepBench(tb testing.TB) (step func()) {
-	e, err := New(config.Baseline(), config.PolicyDLP, Options{Cores: 4, DisableFastForward: true})
+// windowStepBench builds an engine on an idle machine and returns one
+// window step: the open (nothing to bin), the component phase over
+// every partition and SM (with fast-forward off, so each idle component
+// is visited on every cycle of the window — with it on an idle window
+// would not run a phase at all), and the close — the fixed per-window
+// cost of the run loop. The first step has already run.
+func windowStepBench(tb testing.TB) (step func()) {
+	e, err := New(config.Baseline(), config.PolicyDLP, Options{DisableFastForward: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pp := newPhasePool(e)
-	e.pp = pp
-	tb.Cleanup(func() {
-		pp.stop()
-		e.pp = nil
-	})
 	now := uint64(0)
 	step = func() {
 		t0 := now + 1
@@ -35,9 +27,9 @@ func stealStepBench(tb testing.TB) (step func()) {
 	return step
 }
 
-// BenchmarkStealScheduleStep measures the idle exchange step.
-func BenchmarkStealScheduleStep(b *testing.B) {
-	step := stealStepBench(b)
+// BenchmarkWindowStep measures the idle window step.
+func BenchmarkWindowStep(b *testing.B) {
+	step := windowStepBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,11 +37,11 @@ func BenchmarkStealScheduleStep(b *testing.B) {
 	}
 }
 
-// TestStealScheduleStepAllocs pins the exchange step allocation-free at
-// steady state: span lanes and per-worker scratch are reused, never
-// rebuilt per cycle.
-func TestStealScheduleStepAllocs(t *testing.T) {
-	if avg := testing.AllocsPerRun(200, stealStepBench(t)); avg != 0 {
-		t.Errorf("idle steal-schedule step allocates %.2f per window, want 0", avg)
+// TestWindowStepAllocs pins the window step allocation-free at steady
+// state: the lanes and the store list are reused, never rebuilt per
+// window.
+func TestWindowStepAllocs(t *testing.T) {
+	if avg := testing.AllocsPerRun(200, windowStepBench(t)); avg != 0 {
+		t.Errorf("idle window step allocates %.2f per window, want 0", avg)
 	}
 }

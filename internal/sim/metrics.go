@@ -22,16 +22,6 @@ func (e *Engine) registerMetrics(m *metrics.Config) {
 	for i, s := range e.sms {
 		s.RegisterMetrics(reg, "sm"+strconv.Itoa(i))
 	}
-	// Engine-parallelism observability lives in its own "phase."
-	// namespace: one busy-cycles counter per steal span (the
-	// load-imbalance signal) plus the crossbar's lane-segment gauges.
-	// Unlike every simulation-domain column these depend on the span
-	// layout — i.e. on Options.Cores — by design, so the series-identity
-	// differential excludes exactly this namespace.
-	for i := range e.spanSt {
-		reg.Counter("phase.span"+strconv.Itoa(i)+".busy_cycles", &e.spanSt[i].busy)
-	}
-	e.net.RegisterLaneMetrics(reg, "phase.icnt")
 	reg.Seal()
 
 	e.mreg = reg

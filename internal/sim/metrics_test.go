@@ -13,12 +13,11 @@ import (
 
 // runSampled runs one kernel with a MemorySink attached and returns
 // the collected series plus the final stats.
-func runSampled(t *testing.T, policy config.Policy, cores int, noFF bool, every uint64) (*metrics.Series, *stats.Stats) {
+func runSampled(t *testing.T, policy config.Policy, noFF bool, every uint64) (*metrics.Series, *stats.Stats) {
 	t.Helper()
 	k := streamKernel("metrics", 4, 4, 48, 3)
 	sink := metrics.NewMemorySink()
 	e, err := New(config.Baseline(), policy, Options{
-		Cores:   cores,
 		Metrics: &metrics.Config{Sink: sink, Every: every, Label: "diff"},
 	})
 	if err != nil {
@@ -36,41 +35,14 @@ func runSampled(t *testing.T, policy config.Policy, cores int, noFF bool, every 
 	return s, st
 }
 
-// stripPhase returns a copy of the series without the "phase." columns.
-// That namespace holds engine-parallelism observability (per-span busy
-// counters, lane-segment gauges) whose column set and values depend on
-// Options.Cores by design; every simulation-domain column must still be
-// byte-identical across core counts.
-func stripPhase(s *metrics.Series) *metrics.Series {
-	keep := make([]int, 0, len(s.Names))
-	names := make([]string, 0, len(s.Names))
-	for i, name := range s.Names {
-		if !strings.HasPrefix(name, "phase.") {
-			keep = append(keep, i)
-			names = append(names, name)
-		}
-	}
-	out := &metrics.Series{Names: names, Rows: make([]metrics.SampleRow, len(s.Rows))}
-	for ri, r := range s.Rows {
-		vals := make([]uint64, len(keep))
-		for vi, ci := range keep {
-			vals[vi] = r.Values[ci]
-		}
-		out.Rows[ri] = metrics.SampleRow{Cycle: r.Cycle, Values: vals}
-	}
-	return out
-}
-
 // TestMetricsSeriesIdentity is the acceptance differential: the sampled
-// metric series — minus the core-count-dependent "phase." namespace —
-// must be byte-identical at every Cores value and with fast-forward
-// force-disabled. Fast-forwarded windows get their boundary rows
-// attributed to the skipped cycles, so the slow path and the fast path
-// produce the same rows at the same cycles.
+// metric series must be byte-identical with fast-forward force-disabled.
+// Fast-forwarded windows get their boundary rows attributed to the
+// skipped cycles, so the slow path and the fast path produce the same
+// rows at the same cycles.
 func TestMetricsSeriesIdentity(t *testing.T) {
 	for _, policy := range []config.Policy{config.PolicyBaseline, config.PolicyDLP} {
-		ref, refSt := runSampled(t, policy, 1, false, 64)
-		ref = stripPhase(ref)
+		ref, refSt := runSampled(t, policy, false, 64)
 		if len(ref.Rows) < 4 {
 			t.Fatalf("%v: only %d rows sampled; kernel too short for a meaningful differential", policy, len(ref.Rows))
 		}
@@ -81,36 +53,24 @@ func TestMetricsSeriesIdentity(t *testing.T) {
 			}
 			last = r.Cycle
 		}
-		for _, v := range []struct {
-			name  string
-			cores int
-			noFF  bool
-		}{
-			{"cores1-noff", 1, true},
-			{"cores2", 2, false},
-			{"cores2-noff", 2, true},
-			{"cores8", 8, false},
-		} {
-			got, gotSt := runSampled(t, policy, v.cores, v.noFF, 64)
-			got = stripPhase(got)
-			if !reflect.DeepEqual(ref.Names, got.Names) {
-				t.Fatalf("%v/%s: metric names differ", policy, v.name)
+		got, gotSt := runSampled(t, policy, true, 64)
+		if !reflect.DeepEqual(ref.Names, got.Names) {
+			t.Fatalf("%v/noff: metric names differ", policy)
+		}
+		if !reflect.DeepEqual(ref.Rows, got.Rows) {
+			n := len(ref.Rows)
+			if len(got.Rows) != n {
+				t.Fatalf("%v/noff: %d rows, reference has %d", policy, len(got.Rows), n)
 			}
-			if !reflect.DeepEqual(ref.Rows, got.Rows) {
-				n := len(ref.Rows)
-				if len(got.Rows) != n {
-					t.Fatalf("%v/%s: %d rows, reference has %d", policy, v.name, len(got.Rows), n)
-				}
-				for i := range ref.Rows {
-					if !reflect.DeepEqual(ref.Rows[i], got.Rows[i]) {
-						t.Fatalf("%v/%s: row %d differs:\n ref %v\n got %v",
-							policy, v.name, i, ref.Rows[i], got.Rows[i])
-					}
+			for i := range ref.Rows {
+				if !reflect.DeepEqual(ref.Rows[i], got.Rows[i]) {
+					t.Fatalf("%v/noff: row %d differs:\n ref %v\n got %v",
+						policy, i, ref.Rows[i], got.Rows[i])
 				}
 			}
-			if *gotSt != *refSt {
-				t.Fatalf("%v/%s: final stats differ", policy, v.name)
-			}
+		}
+		if *gotSt != *refSt {
+			t.Fatalf("%v/noff: final stats differ", policy)
 		}
 	}
 }
@@ -121,7 +81,7 @@ func TestMetricsSamplingDoesNotPerturb(t *testing.T) {
 	k := streamKernel("perturb", 4, 4, 48, 3)
 	for _, policy := range []config.Policy{config.PolicyBaseline, config.PolicyDLP} {
 		plain := mustRun(t, config.Baseline(), policy, k)
-		_, sampled := runSampled(t, policy, 1, false, 32)
+		_, sampled := runSampled(t, policy, false, 32)
 		if *sampled != *plain {
 			t.Fatalf("%v: sampling changed the results:\nplain   %+v\nsampled %+v", policy, plain, sampled)
 		}
@@ -166,7 +126,7 @@ func TestMetricsRowsCoverSkippedWindows(t *testing.T) {
 // carries the drain cycle, and the L1D access total in it matches the
 // final stats.
 func TestMetricsSeriesEndsAtDrain(t *testing.T) {
-	s, st := runSampled(t, config.PolicyDLP, 1, false, 0) // default period >> run length
+	s, st := runSampled(t, config.PolicyDLP, false, 0) // default period >> run length
 	lastRow := s.Rows[len(s.Rows)-1]
 	if lastRow.Cycle != st.Cycles {
 		t.Fatalf("last row at cycle %d, run drained at %d", lastRow.Cycle, st.Cycles)

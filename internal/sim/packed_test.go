@@ -43,12 +43,10 @@ func TestRunSurfacesPackError(t *testing.T) {
 			t.Errorf("%s: PackError %+v, want latency %d at insn 3", how, *pe, int64(trace.MaxOpLatency+1))
 		}
 	}
-	for _, cores := range []int{1, 2} {
-		st, err := RunOnce(context.Background(), cfg, config.PolicyDLP, k, Options{Cores: cores})
-		check("Run", st, err)
-		st, err = RunStreamOnce(context.Background(), cfg, config.PolicyDLP, trace.NewKernelStream(k), Options{Cores: cores})
-		check("RunStream", st, err)
-	}
+	st, err := RunOnce(context.Background(), cfg, config.PolicyDLP, k, Options{})
+	check("Run", st, err)
+	st, err = RunStreamOnce(context.Background(), cfg, config.PolicyDLP, trace.NewKernelStream(k), Options{})
+	check("RunStream", st, err)
 }
 
 // TestFrontendsRefuseTheSameInstructions: an instruction that breaks one
@@ -153,7 +151,7 @@ func TestWideWarpsEagerMatchesStreamed(t *testing.T) {
 			t.Errorf("lanes=%d: %d thread instructions, want %d", lanes, ref.Instructions, want)
 		}
 		st, err := RunStreamOnce(context.Background(), cfg, config.PolicyDLP, trace.NewKernelStream(k),
-			Options{SelfCheck: true, Cores: 2})
+			Options{SelfCheck: true})
 		if err != nil {
 			t.Fatalf("lanes=%d streamed: %v", lanes, err)
 		}

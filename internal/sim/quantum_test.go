@@ -47,13 +47,11 @@ func quantumRun(t *testing.T, c *conform.Case, opts sim.Options, unit bool) (*st
 
 // layoutColumn reports the metric columns that describe the engine's
 // own schedule rather than the simulated machine, and so may differ
-// between window lengths: the crossbar's lane-segment gauges, and the
-// request pools' free levels (a consumed store goes home when its window
-// closes; how many requests an SM had to allocate meanwhile depends on
-// how long the window was). The per-span busy counters are not among
-// them: a cycle is busy or not whatever window it was simulated in.
+// between window lengths: the request pools' free levels (a consumed
+// store goes home when its window closes; how many requests an SM had to
+// allocate meanwhile depends on how long the window was).
 func layoutColumn(name string) bool {
-	return strings.HasPrefix(name, "phase.icnt.") || strings.HasSuffix(name, ".pool.free")
+	return strings.HasSuffix(name, ".pool.free")
 }
 
 // TestQuantumDifferential holds the window loop to the per-cycle
@@ -61,8 +59,8 @@ func layoutColumn(name string) bool {
 // one-cycle windows and one with ICNTLatency+1-cycle windows must
 // produce byte-identical stats — and, sampled, identical rows at
 // identical cycles in every simulation-domain column — with fast-forward
-// on and off, at 1, 2 and 3 cores, with metrics on and off. The sampling
-// period is prime, so windows get cut where no quantum would end.
+// on and off, with metrics on and off. The sampling period is prime, so
+// windows get cut where no quantum would end.
 func TestQuantumDifferential(t *testing.T) {
 	cases, err := conform.Discover(filepath.Join("..", "..", "testdata", "conform"), "")
 	if err != nil {
@@ -77,21 +75,19 @@ func TestQuantumDifferential(t *testing.T) {
 		}
 		t.Run(c.Name, func(t *testing.T) {
 			for _, ffOff := range []bool{false, true} {
-				for _, cores := range []int{1, 2, 3} {
-					for _, sampled := range []bool{false, true} {
-						name := fmt.Sprintf("ff-off=%v cores=%d metrics=%v", ffOff, cores, sampled)
-						opts := sim.Options{Cores: cores, DisableFastForward: ffOff, SelfCheck: true}
-						if sampled {
-							opts.Metrics = &metrics.Config{Every: 61}
-						}
-						want, wantRows := quantumRun(t, c, opts, true)
-						got, gotRows := quantumRun(t, c, opts, false)
-						if *got != *want {
-							t.Errorf("%s: stats differ\nunit windows %+v\nfull windows %+v", name, want, got)
-						}
-						if sampled {
-							compareSeries(t, name, wantRows, gotRows)
-						}
+				for _, sampled := range []bool{false, true} {
+					name := fmt.Sprintf("ff-off=%v metrics=%v", ffOff, sampled)
+					opts := sim.Options{DisableFastForward: ffOff, SelfCheck: true}
+					if sampled {
+						opts.Metrics = &metrics.Config{Every: 61}
+					}
+					want, wantRows := quantumRun(t, c, opts, true)
+					got, gotRows := quantumRun(t, c, opts, false)
+					if *got != *want {
+						t.Errorf("%s: stats differ\nunit windows %+v\nfull windows %+v", name, want, got)
+					}
+					if sampled {
+						compareSeries(t, name, wantRows, gotRows)
 					}
 				}
 			}
@@ -140,46 +136,44 @@ func TestBudgetOffTheWindowGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span, coreCounts := uint64(45), []int{1, 2}
+	span := uint64(45)
 	if testing.Short() {
-		span, coreCounts = 20, []int{2}
+		span = 20
 	}
 	finished, limited := 0, 0
 	for budget := ref.Cycles - span; budget <= ref.Cycles+2; budget++ {
 		for _, ffOff := range []bool{false, true} {
-			for _, cores := range coreCounts {
-				run := func(unit bool) (*stats.Stats, error) {
-					e, err := sim.New(cfg, pol, sim.Options{
-						MaxCycles: budget, Cores: cores, DisableFastForward: ffOff, SelfCheck: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if unit {
-						e.UnitQuantum()
-					}
-					return e.Run(context.Background(), k)
+			run := func(unit bool) (*stats.Stats, error) {
+				e, err := sim.New(cfg, pol, sim.Options{
+					MaxCycles: budget, DisableFastForward: ffOff, SelfCheck: true,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				want, wantErr := run(true)
-				got, gotErr := run(false)
-				name := fmt.Sprintf("budget %d (drain at %d) ff-off=%v cores=%d", budget, ref.Cycles, ffOff, cores)
-				var limit *sim.CycleLimitError
-				switch {
-				case wantErr != nil:
-					if !errors.As(wantErr, &limit) {
-						t.Fatalf("%s: %v", name, wantErr)
-					}
-					if gotErr == nil || gotErr.Error() != wantErr.Error() {
-						t.Errorf("%s: full windows returned %v, unit windows %v", name, gotErr, wantErr)
-					}
-					limited++
-				case gotErr != nil:
-					t.Errorf("%s: full windows returned %v, unit windows finished", name, gotErr)
-				case *got != *want:
-					t.Errorf("%s: stats differ\nunit windows %+v\nfull windows %+v", name, want, got)
-				default:
-					finished++
+				if unit {
+					e.UnitQuantum()
 				}
+				return e.Run(context.Background(), k)
+			}
+			want, wantErr := run(true)
+			got, gotErr := run(false)
+			name := fmt.Sprintf("budget %d (drain at %d) ff-off=%v", budget, ref.Cycles, ffOff)
+			var limit *sim.CycleLimitError
+			switch {
+			case wantErr != nil:
+				if !errors.As(wantErr, &limit) {
+					t.Fatalf("%s: %v", name, wantErr)
+				}
+				if gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Errorf("%s: full windows returned %v, unit windows %v", name, gotErr, wantErr)
+				}
+				limited++
+			case gotErr != nil:
+				t.Errorf("%s: full windows returned %v, unit windows finished", name, gotErr)
+			case *got != *want:
+				t.Errorf("%s: stats differ\nunit windows %+v\nfull windows %+v", name, want, got)
+			default:
+				finished++
 			}
 		}
 	}

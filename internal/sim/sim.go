@@ -44,35 +44,19 @@ type Options struct {
 	// disabled one — which is also why SelfCheck is excluded from the
 	// runner's cache key.
 	SelfCheck bool
-	// Cores sets the engine's internal phase parallelism: how many
-	// shards run the SMs and L2 partitions concurrently through each
-	// window of cycles.
-	// 0 or 1 means fully serial (no extra goroutines). Results are
-	// bit-identical at every value — the parallel phase only touches
-	// component-local state, and all cross-component interaction runs
-	// serially in fixed SM/partition order (see DESIGN.md §10) — so
-	// Cores, like SelfCheck, is excluded from the runner's cache key.
-	// Values beyond the component count are clamped.
+	// Deprecated: ignored. Every engine runs its windows on its own
+	// goroutine; parallelism lives in the runner's worker pool.
 	Cores int
 	// DisableFastForward forces every component to be visited on every
 	// cycle: no component skips ahead to its next event inside a window
 	// and the run loop never jumps over a provably idle stretch. Skipped
 	// cycles are unobservable by construction, so results are
 	// bit-identical either way — which is exactly what the conformance
-	// corpus and the
-	// differential fuzzer re-prove on every geometry they visit by
-	// running a ff-disabled engine against the default one. Like
-	// SelfCheck and Cores it is execution policy, not simulation input,
-	// and is excluded from the runner's cache key.
+	// corpus and the differential fuzzer re-prove on every geometry they
+	// visit by running a ff-disabled engine against the default one. Like
+	// SelfCheck it is execution policy, not simulation input, and is
+	// excluded from the runner's cache key.
 	DisableFastForward bool
-	// PhaseHook, when non-nil, is called by every shard (the
-	// coordinator is shard 0) at the top of each component phase with
-	// the shard's worker index and the first cycle of the window the
-	// phase runs. It is a test and
-	// fault-injection seam — e.g. proving a panic on a phase worker
-	// surfaces as a typed error — and must not mutate engine state. It
-	// never affects results and is excluded from cache keys.
-	PhaseHook func(worker int, cycle uint64)
 	// Metrics enables cycle-domain observability: every
 	// Metrics.Interval() cycles the engine samples a registry of
 	// counters and gauges registered by its components (L1D, VTA, PDPT,
@@ -81,8 +65,7 @@ type Options struct {
 	// skipped by fast-forward still get their boundary rows: a skipped
 	// cycle is provably a no-op, so the engine emits the row with the
 	// state at the jump point, attributed to the boundary cycle. Sampled
-	// series are therefore
-	// identical at every Cores value and with fast-forward disabled.
+	// series are therefore identical with fast-forward disabled.
 	// Sampling reads counters the components maintain anyway, never
 	// perturbs simulation state, and a nil Metrics (or nil Sink) costs
 	// one nil check per boundary — so Metrics, like SelfCheck, is
@@ -111,9 +94,6 @@ func (o Options) withDefaults() Options {
 	if o.InjectionRate == 0 {
 		o.InjectionRate = 2
 	}
-	if o.Cores < 1 {
-		o.Cores = 1
-	}
 	return o
 }
 
@@ -132,36 +112,38 @@ type Engine struct {
 	net   *interconnect.Network
 	parts []*l2.Partition
 	netSt *stats.Stats
-	// partSt holds one Stats per L2 partition. Partitions tick
-	// concurrently under Options.Cores > 1, so they cannot share one
-	// counter block; the per-partition sums are folded in collect,
-	// where uint64 addition makes the totals independent of core count.
+	// partSt holds one Stats per L2 partition: the per-partition metric
+	// columns (l2p<i>.*) read them, and collect folds them into the
+	// totals.
 	partSt []*stats.Stats
 
-	// pools recycle mem.Request objects, one unlocked pool per SM: an
-	// SM allocates from and returns loads to its own pool while it runs
-	// a window. Store requests consumed by L2 partitions are deferred
-	// into per-partition recyclers; the partition's span drains them
-	// into its put list and the serial end of the window returns them
-	// to the issuing SM's pool (Request.SM) — so pools stay unlocked and
-	// the steady state allocation-free at any core count.
+	// pools recycle mem.Request objects, one pool per SM: an SM
+	// allocates from and returns loads to its own pool, whose free level
+	// is the sm<i>.pool.free metric column. Store requests consumed by L2
+	// partitions are deferred into per-partition recyclers, drained into
+	// outPut as the partition runs, and returned to the issuing SM's pool
+	// (Request.SM) when the window closes — the schedule that column
+	// records.
 	pools     []*mem.Pool
 	recyclers []*mem.Recycler
 
-	// workers is the effective phase parallelism (Options.Cores clamped
-	// to the component count); spans is the contiguous partition of the
-	// unified component index space the workers steal from, and spanSt
-	// holds each span's outbound lanes, activity bits and wake bound.
-	workers int
-	spans   []span
-	spanSt  []spanState
+	// outMem and outCore are the window's outbound lanes, one per cycle
+	// of the window: lane j holds the packets sent in the window's j-th
+	// cycle, in component order, and is handed to the crossbar whole. sent
+	// counts the packets in them; outPut holds the stores the partitions
+	// consumed. Every buffer keeps its backing array across windows, so
+	// the steady state allocates nothing.
+	outMem  [][]*mem.Request
+	outCore [][]*mem.Request
+	outPut  []*mem.Request
+	sent    int
 
 	// quantum is the longest window the run loop hands the components:
 	// ICNTLatency+1 cycles (see window.go for why no longer), at most the
 	// 32 between two quiescence probes, where every window ends anyway
 	// (windowEnd). inbox and wake are indexed by component (partitions,
-	// then SMs): the stamped arrivals of the open window, binned serially
-	// before the component phase, and the first cycle at which the
+	// then SMs): the stamped arrivals of the open window, binned before
+	// the component phase, and the first cycle at which the
 	// component needs running again if nothing arrives for it.
 	quantum uint64
 	inbox   [][]arrival
@@ -172,12 +154,6 @@ type Engine struct {
 	// (which forbids jumping, though not skipping — see nextStart).
 	quiet  uint64
 	parked bool
-	// wslots records panics recovered on pool workers (index ≥ 1); the
-	// coordinator rethrows them after the phase barrier.
-	wslots []workerSlot
-	// pp is the persistent phase-worker pool, non-nil only while Run
-	// executes with more than one worker.
-	pp *phasePool
 
 	// mreg/msink/mevery/mlabel drive the optional cycle-domain metrics
 	// sampling (Options.Metrics); mreg is nil when sampling is off, so
@@ -196,11 +172,6 @@ type Engine struct {
 	// over are not observed — that they carry no observable work is
 	// exactly what the activity property tests verify.
 	windowHook func(t0, t1, active uint64)
-	// spanHook, when set by a test in this package, observes every span
-	// claim of every component phase (it may run concurrently on
-	// several workers). The steal-schedule tests use it to prove each
-	// span is claimed exactly once per phase.
-	spanHook func(span int, t0 uint64)
 	// disableFastForward is Options.DisableFastForward, settable by the
 	// differential property tests of this package after New.
 	disableFastForward bool
@@ -239,31 +210,11 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 		e.parts[i] = l2.New(cfg, e.partSt[i], nil)
 		e.parts[i].SetRecycler(e.recyclers[i])
 	}
-	// Work-stealing spans over the unified component index space:
-	// partitions first, then SMs. Workers beyond the component count
-	// could never have work and are clamped; the span count gives each
-	// worker a few spans to claim (spansPerWorker) so one hot span
-	// doesn't serialize a phase, while keeping the serial lane merge
-	// O(spans). A serial engine uses a single span — one inbox apply,
-	// one sweep, one merge handoff per direction.
+	// The component index space: partitions first, then SMs.
 	total := cfg.NumSMs + cfg.NumPartitions
-	cores := opts.Cores
-	if cores > total {
-		cores = total
-	}
-	e.workers = cores
-	nspans := 1
-	if cores > 1 {
-		nspans = min(cores*spansPerWorker, total)
-	}
-	e.spans = makeSpans(total, nspans)
-	e.spanSt = make([]spanState, nspans)
-	e.wslots = make([]workerSlot, cores)
 	e.quantum = min(uint64(cfg.ICNTLatency)+1, 32)
-	for i := range e.spanSt {
-		e.spanSt[i].outMem = make([][]*mem.Request, e.quantum)
-		e.spanSt[i].outCore = make([][]*mem.Request, e.quantum)
-	}
+	e.outMem = make([][]*mem.Request, e.quantum)
+	e.outCore = make([][]*mem.Request, e.quantum)
 	e.inbox = make([][]arrival, total)
 	e.wake = make([]uint64, total)
 	if opts.Metrics.Enabled() {
@@ -484,9 +435,7 @@ func (e *Engine) checkActivity() error {
 	return nil
 }
 
-// collect sums per-component stats into one Stats. The partition order
-// of the fold is fixed, and every counter is a uint64 sum, so the total
-// is identical at every core count.
+// collect sums per-component stats into one Stats.
 func (e *Engine) collect() *stats.Stats {
 	total := &stats.Stats{}
 	for _, s := range e.sms {

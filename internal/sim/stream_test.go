@@ -13,7 +13,7 @@ import (
 )
 
 // diffSynth is the differential test's kernel: small enough that the
-// 7-policy × 3-core matrix stays fast, mixed enough (every pattern
+// 7-policy sweep stays fast, mixed enough (every pattern
 // class plus stores and phase rotation) that a stream-window bug in
 // any issue path would skew the stats.
 var diffSynth = workloads.SynthSpec{
@@ -25,10 +25,9 @@ var diffSynth = workloads.SynthSpec{
 }
 
 // TestStreamMatchesPrecomputedAllPolicies is the tentpole differential:
-// for every registered policy and cores 1/2/8, running the lazily
-// generated stream must produce bit-identical stats to running the
-// eagerly materialized kernel, with the engine's sampled invariant
-// sweeps enabled throughout.
+// for every registered policy, running the lazily generated stream must
+// produce bit-identical stats to running the eagerly materialized
+// kernel, with the engine's sampled invariant sweeps enabled throughout.
 func TestStreamMatchesPrecomputedAllPolicies(t *testing.T) {
 	cfg := config.Baseline()
 	k := diffSynth.Kernel()
@@ -37,16 +36,12 @@ func TestStreamMatchesPrecomputedAllPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eager %s: %v", pol, err)
 		}
-		for _, cores := range []int{1, 2, 8} {
-			st, err := RunStreamOnce(context.Background(), cfg, pol, diffSynth.Stream(),
-				Options{SelfCheck: true, Cores: cores})
-			if err != nil {
-				t.Fatalf("streamed %s cores=%d: %v", pol, cores, err)
-			}
-			if *st != *ref {
-				t.Errorf("streamed %s cores=%d diverged from eager:\n  eager    %+v\n  streamed %+v",
-					pol, cores, ref, st)
-			}
+		st, err := RunStreamOnce(context.Background(), cfg, pol, diffSynth.Stream(), Options{SelfCheck: true})
+		if err != nil {
+			t.Fatalf("streamed %s: %v", pol, err)
+		}
+		if *st != *ref {
+			t.Errorf("streamed %s diverged from eager:\n  eager    %+v\n  streamed %+v", pol, ref, st)
 		}
 	}
 }
@@ -69,7 +64,7 @@ func TestStreamMatchesPrecomputedTable2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eager %s: %v", abbr, err)
 		}
-		st, err := RunStreamOnce(context.Background(), cfg, config.PolicyDLP, spec.Stream(1), Options{Cores: 2})
+		st, err := RunStreamOnce(context.Background(), cfg, config.PolicyDLP, spec.Stream(1), Options{})
 		if err != nil {
 			t.Fatalf("streamed %s: %v", abbr, err)
 		}

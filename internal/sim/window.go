@@ -13,7 +13,7 @@
 // machine only through the crossbar, can run those ICNTLatency+1 cycles
 // on its own: deliver its arrivals at their stamps, tick, stamp what it
 // sends, and skip locally over the cycles in which it provably has
-// nothing to do. A serial pass then replays the window's net.Tick calls
+// nothing to do. A closing pass then replays the window's net.Tick calls
 // in order, pushing each cycle's packets as whole lanes in the order the
 // per-cycle loop pushed them (partitions ascending, then SMs), so every
 // injection, flit count and arrival stamp is the one that loop produced.
@@ -59,19 +59,6 @@ func cycleBits(t0, from, to uint64) uint64 {
 // drains, the cycle budget runs out, or the machine wedges. Both Run and
 // RunStream land here after assigning their blocks.
 func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error) {
-	// With more than one worker, spin up the persistent phase-worker
-	// pool for the duration of the run. The deferred stop also runs on
-	// the panic path (a coordinator panic unwinding through Run), so
-	// worker goroutines never outlive the run that spawned them.
-	if e.workers > 1 {
-		pp := newPhasePool(e)
-		e.pp = pp
-		defer func() {
-			pp.stop()
-			e.pp = nil
-		}()
-	}
-
 	var (
 		cycle      uint64 // last cycle simulated or jumped over
 		lastActive uint64 // most recent cycle that did any work
@@ -243,25 +230,20 @@ func (e *Engine) windowEnd(t0 uint64) uint64 {
 // 0 is t0): a clear bit certifies that no component changed state or
 // counters in that cycle, beyond clock fields.
 //
-//  1. Serial open: tick the crossbar for t0, then pop every packet that
+//  1. Open: tick the crossbar for t0, then pop every packet that
 //     lands in the window and bin it, with its stamp, by destination
 //     component — one append per packet, no cache or MSHR work.
-//  2. Component phase (stolen spans, parallel): each span runs its
-//     components through the whole window, one after the other.
-//  3. Serial close: replay the crossbar cycle by cycle, handing it each
-//     span's lanes in fixed span order (closeWindow).
+//  2. Component phase: every component runs through the whole window,
+//     one after the other (runComponents).
+//  3. Close: replay the crossbar cycle by cycle, handing it each cycle's
+//     lanes (closeWindow).
 func (e *Engine) runWindow(t0, t1 uint64) (active uint64) {
 	if !e.disableFastForward && e.quiet > t1 {
 		// Nothing can happen before the window is over; e.quiet and the
-		// spans' wake bounds stand. A parked head's stall cycles still
-		// count as activity, for the span that holds it and the machine.
+		// components' wake bounds stand. A parked head's stall cycles
+		// still count as activity.
 		if e.parked {
 			active = cycleBits(t0, t0, t1+1)
-			for i := range e.spanSt {
-				if st := &e.spanSt[i]; st.parked {
-					st.busy += t1 - t0 + 1
-				}
-			}
 		}
 		return active
 	}
@@ -288,41 +270,26 @@ func (e *Engine) runWindow(t0, t1 uint64) (active uint64) {
 		e.inbox[P+resp.SM] = append(e.inbox[P+resp.SM], arrival{resp, at})
 	}
 
-	// Component phase. With one worker it runs inline; otherwise the
-	// coordinator claims spans alongside the pool's workers, and the
-	// barrier inside runPhase orders their writes before the close.
-	if e.pp != nil {
-		e.pp.runPhase(t0, t1)
-	} else {
-		e.runSpansSerial(t0, t1)
-	}
+	active |= e.runComponents(t0, t1)
 	return active | e.closeWindow(t0, t1)
 }
 
-// closeWindow is the serial end of a window. Spans ascend the component
-// index space and each lane was filled in component order, so handing
-// the crossbar cycle c's lanes span by span, then ticking it for c+1,
-// reproduces the per-cycle loop's injection order — and hence every
+// closeWindow is the end of a window. Each lane was filled in component
+// order, so handing the crossbar cycle c's lanes, then ticking it for
+// c+1, reproduces the per-cycle loop's injection order — and hence every
 // arrival stamp — exactly. A lane handoff is an O(1) slice exchange. It
-// also folds the spans' activity bits and wake bounds for the loop's
+// also folds the crossbar into the wake bound for the loop's
 // fast-forward decisions, and returns consumed stores to their pools.
 func (e *Engine) closeWindow(t0, t1 uint64) (active uint64) {
-	sent := 0
-	for i := range e.spanSt {
-		sent += e.spanSt[i].sent
-		e.spanSt[i].sent = 0
-	}
-	if sent > 0 || e.net.HasWaiting() {
+	if e.sent > 0 || e.net.HasWaiting() {
+		e.sent = 0
 		for c := t0; c <= t1; c++ {
 			lane := c - t0
-			for i := range e.spanSt {
-				st := &e.spanSt[i]
-				if len(st.outCore[lane]) > 0 {
-					st.outCore[lane] = e.net.PushBatch(interconnect.ToCore, st.outCore[lane])
-				}
-				if len(st.outMem[lane]) > 0 {
-					st.outMem[lane] = e.net.PushBatch(interconnect.ToMem, st.outMem[lane])
-				}
+			if len(e.outCore[lane]) > 0 {
+				e.outCore[lane] = e.net.PushBatch(interconnect.ToCore, e.outCore[lane])
+			}
+			if len(e.outMem[lane]) > 0 {
+				e.outMem[lane] = e.net.PushBatch(interconnect.ToMem, e.outMem[lane])
 			}
 			// The tick for t1+1 opens the next window.
 			if c < t1 && e.net.HasWaiting() {
@@ -330,15 +297,6 @@ func (e *Engine) closeWindow(t0, t1 uint64) (active uint64) {
 				e.net.Tick(c + 1)
 			}
 		}
-	}
-
-	e.quiet, e.parked = never, false
-	for i := range e.spanSt {
-		st := &e.spanSt[i]
-		active |= st.active
-		st.busy += uint64(bits.OnesCount64(st.active))
-		e.quiet = min(e.quiet, st.next)
-		e.parked = e.parked || st.parked
 	}
 	if e.net.HasWaiting() {
 		e.quiet = t1 + 1
@@ -349,50 +307,46 @@ func (e *Engine) closeWindow(t0, t1 uint64) (active uint64) {
 	return active
 }
 
-// returnStores hands every span's consumed stores back to their issuing
+// returnStores hands the window's consumed stores back to their issuing
 // SMs' pools. Which request object a pool hands out next depends on when
 // and in what order these returns happen, and nothing else does: Get
 // zeroes what it returns.
 func (e *Engine) returnStores() {
-	for i := range e.spanSt {
-		put := e.spanSt[i].outPut
-		for j, r := range put {
-			put[j] = nil
-			e.pools[r.SM].Put(r)
-		}
-		e.spanSt[i].outPut = put[:0]
+	for i, r := range e.outPut {
+		e.outPut[i] = nil
+		e.pools[r.SM].Put(r)
 	}
+	e.outPut = e.outPut[:0]
 }
 
-// runSpan takes one span through a window: its partitions, then its SMs,
-// each for the whole window (the per-cycle loop's relative order, which
-// is what fills every lane in component order). Every mutation is local
-// to the span's components and its own spanState, so any worker may run
-// it without locks. A component with no arrivals and nothing scheduled
-// inside the window is passed over in O(1).
-func (e *Engine) runSpan(si int, t0, t1 uint64) {
-	st := &e.spanSt[si]
-	if e.spanHook != nil {
-		e.spanHook(si, t0)
-	}
-	sp := e.spans[si]
+// runComponents takes every component through a window: the partitions,
+// then the SMs, each for the whole window (the per-cycle loop's relative
+// order, which is what fills every lane in component order). It returns
+// the window's activity bits and leaves the earliest wake bound in
+// e.quiet and whether an SM holds a parked LD/ST head in e.parked. A
+// component with no arrivals and nothing scheduled inside the window is
+// passed over in O(1).
+func (e *Engine) runComponents(t0, t1 uint64) (active uint64) {
 	P := len(e.parts)
-	st.active, st.next, st.parked = 0, never, false
-	for i := sp.lo; i < sp.hi && i < P; i++ {
+	e.quiet, e.parked = never, false
+	for i := range e.parts {
 		if e.due(i, t1) {
-			e.runPartition(st, i, t0, t1)
+			active |= e.runPartition(i, t0, t1)
 		}
-		st.next = min(st.next, e.wake[i])
+		e.quiet = min(e.quiet, e.wake[i])
 	}
-	for i := max(sp.lo, P); i < sp.hi; i++ {
+	for j, s := range e.sms {
+		i := P + j
 		if e.due(i, t1) {
-			e.runSM(st, i, t0, t1)
-		} else if e.sms[i-P].Stalled() {
-			st.active |= cycleBits(t0, t0, t1+1)
-			st.parked = true
+			active |= e.runSM(i, t0, t1)
+		} else if s.Stalled() {
+			// A parked head's skipped window is all stall cycles.
+			active |= cycleBits(t0, t0, t1+1)
 		}
-		st.next = min(st.next, e.wake[i])
+		e.parked = e.parked || s.Stalled()
+		e.quiet = min(e.quiet, e.wake[i])
 	}
+	return active
 }
 
 // due reports whether component i needs running in a window that ends at
@@ -421,7 +375,7 @@ func (e *Engine) firstVisit(i int, t0 uint64) uint64 {
 // tick if that does anything, hand the responses to the cycle's lane —
 // and between visits, skip to the next cycle with a request arriving or
 // an event due.
-func (e *Engine) runPartition(st *spanState, i int, t0, t1 uint64) {
+func (e *Engine) runPartition(i int, t0, t1 uint64) (active uint64) {
 	p, in := e.parts[i], e.inbox[i]
 	skip := !e.disableFastForward
 	c := e.firstVisit(i, t0)
@@ -440,14 +394,14 @@ func (e *Engine) runPartition(st *spanState, i int, t0, t1 uint64) {
 		}
 		lane := c - t0
 		for resp := p.PopResponse(); resp != nil; resp = p.PopResponse() {
-			st.outCore[lane] = append(st.outCore[lane], resp)
-			st.sent++
+			e.outCore[lane] = append(e.outCore[lane], resp)
+			e.sent++
 		}
 		if rc := e.recyclers[i]; rc.Len() > 0 {
-			st.outPut = rc.DrainTo(st.outPut)
+			e.outPut = rc.DrainTo(e.outPut)
 		}
 		if act {
-			st.active |= 1 << lane
+			active |= 1 << lane
 		}
 		c++
 		if skip && !p.Queued() {
@@ -463,6 +417,7 @@ func (e *Engine) runPartition(st *spanState, i int, t0, t1 uint64) {
 	}
 	e.inbox[i] = e.inbox[i][:0]
 	e.wake[i] = c
+	return active
 }
 
 // runSM runs SM i through cycles t0..t1 the same way: deliver the
@@ -471,14 +426,14 @@ func (e *Engine) runPartition(st *spanState, i int, t0, t1 uint64) {
 // or the SM's own wake bound. A Done SM has no warps, no queued blocks
 // and a drained cache, and nothing can re-activate it (blocks are
 // assigned only before the loop), so its tick is skipped outright.
-func (e *Engine) runSM(st *spanState, i int, t0, t1 uint64) {
+func (e *Engine) runSM(i int, t0, t1 uint64) (active uint64) {
 	s, in := e.sms[i-len(e.parts)], e.inbox[i]
 	l1d := s.L1D()
 	skip := !e.disableFastForward
 	c := e.firstVisit(i, t0)
 	if s.Stalled() {
 		// The cycles a parked head sleeps through are stall cycles.
-		st.active |= cycleBits(t0, t0, min(c, t1+1))
+		active |= cycleBits(t0, t0, min(c, t1+1))
 	}
 	for c <= t1 {
 		act := false
@@ -497,12 +452,12 @@ func (e *Engine) runSM(st *spanState, i int, t0, t1 uint64) {
 			if out == nil {
 				break
 			}
-			st.outMem[lane] = append(st.outMem[lane], out)
-			st.sent++
+			e.outMem[lane] = append(e.outMem[lane], out)
+			e.sent++
 			act = true
 		}
 		if act {
-			st.active |= 1 << lane
+			active |= 1 << lane
 		}
 		c++
 		// The wake bound costs a scan of the warp state, so it is asked
@@ -515,27 +470,14 @@ func (e *Engine) runSM(st *spanState, i int, t0, t1 uint64) {
 				}
 				if w > c {
 					if stalled {
-						st.active |= cycleBits(t0, c, min(w, t1+1))
+						active |= cycleBits(t0, c, min(w, t1+1))
 					}
 					c = w
 				}
 			}
 		}
 	}
-	if s.Stalled() {
-		st.parked = true
-	}
 	e.inbox[i] = e.inbox[i][:0]
 	e.wake[i] = c
-}
-
-// runSpansSerial is the Cores=1 component phase: the same hook and span
-// sweep as the pool path, with no synchronization at all.
-func (e *Engine) runSpansSerial(t0, t1 uint64) {
-	if hook := e.opts.PhaseHook; hook != nil {
-		hook(0, t0)
-	}
-	for i := range e.spans {
-		e.runSpan(i, t0, t1)
-	}
+	return active
 }

@@ -153,10 +153,9 @@ type SM struct {
 	// Free lists for the steady-state issue path: completed load
 	// requests return via pool, drained memInstrs via freeMI, retired
 	// warps/blocks via freeWarps/freeBlocks. The pool is owned by this
-	// SM alone — the engine gives every SM its own, so Tick can Get/Put
-	// on it while other shards tick concurrently; stores consumed by L2
-	// partitions come home through the engine's serial recycler drain,
-	// never directly.
+	// SM alone — the engine gives every SM its own; stores consumed by L2
+	// partitions come home through the engine's recycler drain when a
+	// window closes, never directly.
 	pool       *mem.Pool
 	freeMI     []*memInstr
 	freeWarps  []*warp

@@ -89,8 +89,8 @@ type fileWarp struct {
 // FileStream replays a "DLPSTRM1" trace file as a Stream. Open
 // validates the whole file — bounds, index sanity, and the full-file
 // checksum — so every later Fill is a bounds-checked ReadAt into the
-// caller's chunk. Fill is safe for concurrent use across warps (the
-// phase-parallel engine ticks SMs concurrently against one stream).
+// caller's chunk. Fill is safe for concurrent use across warps (engines
+// on different runner workers may replay one stream at once).
 type FileStream struct {
 	f           *os.File
 	path        string

@@ -75,20 +75,18 @@ func TestRunSuiteOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestRunSuiteCoresRenderIdentity pins the two-level pool end to end at
-// the printed-bytes level: the suite on 8 workers with two phase shards
-// inside every simulation (and the sampled self-checks on) must render
-// byte-identically to the plain serial suite. It runs in -short mode on
-// purpose — `make check` then drives the phase barriers, the sharded
-// request pools and the serial post-phase under the race detector.
-func TestRunSuiteCoresRenderIdentity(t *testing.T) {
+// TestRunSuiteParallelSelfCheckRenderIdentity pins the worker pool end to
+// end at the printed-bytes level: the suite on 8 workers with the sampled
+// self-checks on must render byte-identically to the plain serial suite.
+// It runs in -short mode on purpose — `make check` then drives the pool
+// and the invariant sweeps of concurrent engines under the race detector.
+func TestRunSuiteParallelSelfCheckRenderIdentity(t *testing.T) {
 	apps := smallApps(t)
-	withGOMAXPROCS(t, 16)
 	render := func(r *Runner) string {
 		t.Helper()
 		res, err := RunSuite(context.Background(), smallSchemes(), &SuiteOptions{Runner: r, Apps: apps})
 		if err != nil {
-			t.Fatalf("workers=%d cores=%d: %v", r.Workers, r.Cores, err)
+			t.Fatalf("workers=%d: %v", r.Workers, err)
 		}
 		var b strings.Builder
 		for _, build := range []func() (*Table, error){res.Fig10IPC, res.Fig12aHitRate, res.Fig13ICNT} {
@@ -103,9 +101,9 @@ func TestRunSuiteCoresRenderIdentity(t *testing.T) {
 		return b.String()
 	}
 	serial := render(&Runner{Workers: 1})
-	parallel := render(&Runner{Workers: 8, Cores: 2, SelfCheck: true})
+	parallel := render(&Runner{Workers: 8, SelfCheck: true})
 	if serial != parallel {
-		t.Errorf("-j8 -cores2 renders differently from serial:\nserial:\n%s\nparallel:\n%s",
+		t.Errorf("-j8 selfcheck renders differently from serial:\nserial:\n%s\nparallel:\n%s",
 			serial, parallel)
 	}
 }
