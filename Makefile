@@ -6,8 +6,8 @@
 # tests concurrently.
 #
 # `make faultcheck` runs just the fault-injection suite — panic
-# isolation, retries, deadlines, cache quarantine, KeepGoing
-# determinism — under the race detector.
+# isolation, deadlines, cache quarantine, KeepGoing determinism —
+# under the race detector.
 
 GO ?= go
 

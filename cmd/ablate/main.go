@@ -20,7 +20,7 @@
 //	ablate -apps CFD,KM         # choose applications
 //
 // The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
-// -retries -timeout -selfcheck -metrics -metrics-every -trace),
+// -timeout -selfcheck -metrics -metrics-every -trace),
 // the progress lines and the exit codes are the shared run harness's;
 // see internal/cli. With -keep-going failed points render as FAILED
 // cells and every sweep that could run is still printed.

@@ -11,6 +11,10 @@
 //	                               ephemeral port, written to addr.txt
 //	dlpserved -j 8                 8 simulations in flight
 //	dlpserved -cache-dir .dlpcache persist results across restarts
+//	dlpserved -timeout 5m          fail any job still running after 5m
+//
+// A failed job is not retried: the engine is deterministic, so it would
+// fail the same way again.
 //
 // API (see internal/serve):
 //
@@ -57,7 +61,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per job; 0 = none")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before cancelling stragglers")
 	selfcheck := flag.Bool("selfcheck", false, "run sampled invariant sweeps on every job")
-	retries := flag.Int("retries", 0, "transient-failure retries per job")
 	flag.Parse()
 
 	if err := run(*addr, *addrFile, serve.Config{
@@ -66,7 +69,6 @@ func main() {
 		Timeout:      *timeout,
 		DrainTimeout: *drain,
 		SelfCheck:    *selfcheck,
-		Retries:      *retries,
 	}, *cacheDir); err != nil {
 		log.Print(err)
 		os.Exit(cli.ExitCode(err))

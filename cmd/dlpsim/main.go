@@ -21,9 +21,10 @@
 //
 // The run executes inside the shared experiment runner, so a panicking
 // or wedged engine surfaces as a structured error instead of a crash.
-// The execution flags (-retries -timeout -selfcheck -metrics
-// -metrics-every -trace) and the exit codes are the shared run
-// harness's; see internal/cli.
+// The execution flags (-timeout -selfcheck -metrics -metrics-every
+// -trace) and the exit codes are the shared run harness's; see
+// internal/cli. A failed run is not retried: the engine is
+// deterministic, so it would fail the same way again.
 package main
 
 import (
@@ -137,7 +138,7 @@ func main() {
 	}
 
 	// Even a single run goes through the experiment runner: panics are
-	// recovered into errors, the deadline and retry machinery apply, and
+	// recovered into errors, the -timeout deadline applies, and
 	// behavior matches what the same point does inside a suite.
 	results, err := r.Run(ctx, []runner.Job{{
 		Label:  fmt.Sprintf("%s under %s", runName, pol),

@@ -16,7 +16,7 @@
 //	paperfigs -cache .figcache  # persist results across runs
 //
 // The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
-// -retries -timeout -selfcheck -metrics -metrics-every -trace),
+// -timeout -selfcheck -metrics -metrics-every -trace),
 // the progress lines and the exit codes are the shared run harness's;
 // see internal/cli. With -keep-going failed points render as FAILED
 // cells and the speedup summaries are left out.

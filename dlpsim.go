@@ -74,9 +74,9 @@ type (
 	// InvariantError is a violated DLP invariant caught by a self-check
 	// (Options.SelfCheck) or an explicit CheckInvariants call.
 	InvariantError = core.InvariantError
-	// SimFunc runs one simulation attempt; Intercept wraps it.
+	// SimFunc runs one job's simulation; Intercept wraps it.
 	SimFunc = runner.SimFunc
-	// Intercept wraps every simulation attempt a Runner makes — the
+	// Intercept wraps every simulation a Runner makes — the
 	// fault-injection and instrumentation seam (internal/faultinject).
 	Intercept = runner.Intercept
 	// MetricsConfig enables cycle-domain sampling on a single run
@@ -88,13 +88,6 @@ type (
 	// JobTracer converts runner progress events into a Chrome
 	// trace_event timeline viewable in Perfetto.
 	JobTracer = runner.JobTracer
-)
-
-// Transient marks an error as retryable by the Runner's retry loop;
-// IsTransient reports whether an error carries that classification.
-var (
-	Transient   = runner.Transient
-	IsTransient = runner.IsTransient
 )
 
 // Progress-event kinds emitted by the Runner.

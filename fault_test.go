@@ -105,7 +105,6 @@ func TestFaultTolerantSuiteAcceptance(t *testing.T) {
 			Workers:   workers,
 			Cache:     cache,
 			KeepGoing: true,
-			Retries:   1,
 			Timeout:   200 * time.Millisecond,
 			Intercept: plan.Intercept(),
 		})

@@ -314,12 +314,10 @@ func Fig3RDD() *Distribution {
 // and tabulates the reuse-data miss rate (compulsory misses excluded).
 func Fig4MissRates() (*Table, error) {
 	apps := make([]string, 0, 18)
-	classes := make([]string, 0, 18)
 	for _, s := range workloads.All() {
 		apps = append(apps, s.Abbr)
-		classes = append(classes, s.Class.String())
 	}
-	t := &Table{Title: "Fig. 4: reuse-data miss rate vs L1D size", Apps: apps, Classes: nil}
+	t := &Table{Title: "Fig. 4: reuse-data miss rate vs L1D size", Apps: apps}
 	n := config.Baseline().NumSMs
 	for _, sc := range AssocSchemes() {
 		cfg, err := config.ByL1DSize(sc.L1DKB)
@@ -334,7 +332,6 @@ func Fig4MissRates() (*Table, error) {
 			return nil, err
 		}
 	}
-	_ = classes
 	return t, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -15,7 +16,7 @@ import (
 // execFlags and batchFlags are the two groups internal/cli declares for
 // the runner-backed commands (dlpsim, paperfigs, ablate), in order.
 var (
-	execFlags  = []string{"retries", "timeout", "selfcheck", "metrics", "metrics-every", "trace"}
+	execFlags  = []string{"timeout", "selfcheck", "metrics", "metrics-every", "trace"}
 	batchFlags = []string{"j", "keep-going", "quiet", "cpuprofile", "memprofile"}
 )
 
@@ -28,18 +29,50 @@ var (
 var ownFlags = map[string][]string{
 	"cmd/conform":    {"j", "timeout"},
 	"cmd/conffuzz":   {"timeout"},
-	"cmd/dlpserved":  {"j", "retries", "selfcheck", "timeout"},
+	"cmd/dlpserved":  {"j", "selfcheck", "timeout"},
 	"cmd/pdtrace":    {"metrics", "selfcheck", "timeout", "trace"},
 	"cmd/metriclint": {"metrics", "trace"},
 	"cmd/dlpload":    {"timeout"},
 }
 
-// retiredFlags are the flags of the deleted in-engine parallelism: the
-// one directory allowed to declare each ("" for none). rddprof's -cores
-// spreads RDD replays over goroutines, not an engine.
+// retiredFlags are the flags of the deleted in-engine parallelism and
+// the deleted retry path: the one directory allowed to declare each (""
+// for none). rddprof's -cores spreads RDD replays over goroutines, not
+// an engine.
 var retiredFlags = map[string]string{
 	"cores":       "cmd/rddprof",
 	"extra-cores": "",
+	"retries":     "",
+}
+
+// retiredFields are the settable values that had no caller: the retry
+// budget and its attempt counts, the per-job deadline, the engine's
+// background-traffic and injection-rate options (now constants in
+// internal/sim), and the server's Retry-After and history options (now
+// constants in internal/serve). No non-test file outside bench/ may
+// declare, select or set a field of these names.
+var retiredFields = map[string]bool{
+	"Retries": true, "MaxWall": true, "InjectionRate": true, "BackgroundFlitsPerKInsn": true,
+	"RetryAfter": true, "History": true, "FailAttempts": true, "Attempts": true,
+}
+
+// retiredNames are the deleted retry classifier and the fault kind that
+// only its tests reached; no non-test file outside bench/ may name them.
+var retiredNames = map[string]bool{"Transient": true, "IsTransient": true, "Flaky": true}
+
+// importNames returns the names a file's imports bind, so a qualified
+// identifier such as sim.InjectionRate is not taken for a field.
+func importNames(file *ast.File) map[string]bool {
+	names := map[string]bool{}
+	for _, imp := range file.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		if imp.Name != nil {
+			names[imp.Name.Name] = true
+		} else {
+			names[path.Base(p)] = true
+		}
+	}
+	return names
 }
 
 // flagDecl returns the flag name a call like flag.Int("j", …) or
@@ -76,10 +109,11 @@ func flagDecl(call *ast.CallExpr) string {
 // place and the engine serial: the harness-owned names are declared once
 // each in internal/cli — ExecFlags and BatchFlags declare exactly their
 // groups — and nowhere else in non-test Go, bar the listed commands
-// whose same-named flags mean something else; no retired parallelism
-// flag comes back; no non-test file outside bench/ names a Cores field;
-// internal/sim starts no goroutine and imports no sync package; and no
-// per-binary profiler type comes back.
+// whose same-named flags mean something else; no retired flag comes
+// back; no non-test file outside bench/ names a Cores field or a retired
+// field, or names a retired identifier; internal/sim starts no goroutine
+// and imports no sync package; and no per-binary profiler type comes
+// back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
@@ -107,6 +141,7 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		imports := importNames(file)
 		if dir == "internal/sim" {
 			for _, imp := range file.Imports {
 				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
@@ -141,9 +176,25 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 				if n.Sel.Name == "Cores" {
 					t.Errorf("%s names a Cores field", fset.Position(n.Pos()))
 				}
+				if x, ok := n.X.(*ast.Ident); retiredFields[n.Sel.Name] && !(ok && imports[x.Name]) {
+					t.Errorf("%s selects the retired field %s", fset.Position(n.Pos()), n.Sel.Name)
+				}
 			case *ast.KeyValueExpr:
 				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Cores" {
 					t.Errorf("%s sets a Cores field", fset.Position(n.Pos()))
+				}
+				if k, ok := n.Key.(*ast.Ident); ok && retiredFields[k.Name] {
+					t.Errorf("%s sets the retired field %s", fset.Position(n.Pos()), k.Name)
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					if retiredFields[name.Name] {
+						t.Errorf("%s declares the retired field %s", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			case *ast.Ident:
+				if retiredNames[n.Name] {
+					t.Errorf("%s names the retired %s", fset.Position(n.Pos()), n.Name)
 				}
 			case *ast.GoStmt:
 				if dir == "internal/sim" {

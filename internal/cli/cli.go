@@ -6,7 +6,7 @@
 //
 // Flag groups:
 //
-//	exec   -retries -timeout -selfcheck -metrics -metrics-every -trace
+//	exec   -timeout -selfcheck -metrics -metrics-every -trace
 //	       (dlpsim, paperfigs, ablate)
 //	batch  -j -keep-going -quiet -cpuprofile -memprofile
 //	       (paperfigs, ablate)
@@ -70,7 +70,6 @@ func ExitCode(err error) int {
 // always complete.
 type Session struct {
 	// exec group
-	retries      int
 	timeout      time.Duration
 	selfCheck    bool
 	metricsPath  string
@@ -102,7 +101,6 @@ type Session struct {
 // ExecFlags registers the execution-policy flags every runner-backed
 // command carries.
 func (s *Session) ExecFlags(fs *flag.FlagSet) {
-	fs.IntVar(&s.retries, "retries", 0, "extra attempts for transiently failed jobs")
 	fs.DurationVar(&s.timeout, "timeout", 0, "per-job wall-clock budget (e.g. 5m); 0 = none")
 	fs.BoolVar(&s.selfCheck, "selfcheck", false, "enable sampled engine invariant sweeps on every job")
 	fs.StringVar(&s.metricsPath, "metrics", "", "stream cycle-domain counter samples (JSONL) to this file")
@@ -150,7 +148,6 @@ func (s *Session) Start(cache *runner.Cache) (context.Context, *runner.Runner, e
 		Workers:      s.workers,
 		Cache:        cache,
 		KeepGoing:    s.keepGoing,
-		Retries:      s.retries,
 		Timeout:      s.timeout,
 		SelfCheck:    s.selfCheck,
 		MetricsEvery: s.metricsEvery,

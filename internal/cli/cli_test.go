@@ -71,7 +71,7 @@ func TestFlagsToRunner(t *testing.T) {
 	dir := t.TempDir()
 	cache := runner.NewCache()
 	type want struct {
-		workers, retries         int
+		workers                  int
 		keepGoing, selfCheck     bool
 		timeout                  time.Duration
 		metricsEvery             uint64
@@ -85,9 +85,9 @@ func TestFlagsToRunner(t *testing.T) {
 	}{
 		{"exec defaults", false, nil, want{}},
 		{"batch defaults", true, nil, want{events: true}},
-		{"exec group", false, []string{"-retries", "2", "-timeout", "90s", "-selfcheck",
+		{"exec group", false, []string{"-timeout", "90s", "-selfcheck",
 			"-metrics-every", "128", "-metrics", filepath.Join(dir, "m.jsonl"), "-trace", filepath.Join(dir, "t.json")},
-			want{retries: 2, timeout: 90 * time.Second, selfCheck: true, metricsEvery: 128, metrics: true, events: true}},
+			want{timeout: 90 * time.Second, selfCheck: true, metricsEvery: 128, metrics: true, events: true}},
 		{"batch group", true, []string{"-j", "4", "-keep-going", "-quiet",
 			"-cpuprofile", filepath.Join(dir, "cpu.prof"), "-memprofile", filepath.Join(dir, "mem.prof")},
 			want{workers: 4, keepGoing: true, events: true}},
@@ -108,7 +108,7 @@ func TestFlagsToRunner(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		got := want{r.Workers, r.Retries, r.KeepGoing, r.SelfCheck, r.Timeout,
+		got := want{r.Workers, r.KeepGoing, r.SelfCheck, r.Timeout,
 			r.MetricsEvery, r.Metrics != nil, r.Events != nil, false}
 		if got != c.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)

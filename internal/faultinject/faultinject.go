@@ -1,7 +1,7 @@
 // Package faultinject deterministically injects faults into runner
 // batches and result caches, so tests can prove the execution layer's
-// fault-tolerance properties — panic isolation, bounded retries,
-// per-job deadlines, KeepGoing degradation, cache quarantine — without
+// fault-tolerance properties — panic isolation, per-job deadlines,
+// KeepGoing degradation, cache quarantine — without
 // flakiness. Everything is seed-driven: fault placement comes from a
 // splitmix64 stream over the seed, never from wall-clock time or global
 // PRNG state, so the same plan faults the same jobs at any worker count
@@ -34,7 +34,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Kind selects what an injected fault does to a simulation attempt.
+// Kind selects what an injected fault does to a job's simulation.
 type Kind int
 
 const (
@@ -43,23 +43,17 @@ const (
 	// Panic panics inside the worker, exercising the runner's recover
 	// path (the panic value carries the job index).
 	Panic
-	// Fail returns a permanent (non-transient) error: the job fails on
-	// the first attempt and is never retried.
+	// Fail returns an error: the job fails without simulating.
 	Fail
-	// Flaky returns a transient error for the first FailAttempts
-	// attempts, then lets the real simulation run; it exercises
-	// retry-then-succeed and, with FailAttempts > Runner.Retries,
-	// retry-exhaustion.
-	Flaky
-	// Hang blocks until the attempt's context is cancelled — a job
-	// that would run forever. Under a per-job deadline (Job.MaxWall /
-	// Runner.Timeout) it fails with context.DeadlineExceeded; the
-	// outcome is deterministic even though the deadline is wall-clock.
+	// Hang blocks until the job's context is cancelled — a job that
+	// would run forever. Under a per-job deadline (Runner.Timeout) it
+	// fails with context.DeadlineExceeded; the outcome is deterministic
+	// even though the deadline is wall-clock.
 	Hang
 	// CancelBatch invokes the plan's OnCancel callback (typically the
-	// batch context's cancel function) and then blocks until the
-	// attempt's context dies, modelling an external abort arriving
-	// while work is in flight.
+	// batch context's cancel function) and then blocks until the job's
+	// context dies, modelling an external abort arriving while work is
+	// in flight.
 	CancelBatch
 )
 
@@ -72,8 +66,6 @@ func (k Kind) String() string {
 		return "panic"
 	case Fail:
 		return "fail"
-	case Flaky:
-		return "flaky"
 	case Hang:
 		return "hang"
 	case CancelBatch:
@@ -86,9 +78,6 @@ func (k Kind) String() string {
 // Fault is one injected behavior.
 type Fault struct {
 	Kind Kind
-	// FailAttempts is how many initial attempts a Flaky fault fails
-	// before succeeding; 0 means 1.
-	FailAttempts int
 }
 
 // Plan assigns faults to job indices. The zero Plan injects nothing;
@@ -104,13 +93,12 @@ type Plan struct {
 
 	mu         sync.Mutex
 	cancelOnce bool
-	injected   map[int]int // index -> injected attempts, for assertions
 }
 
 // NewPlan returns an empty plan whose PickIndices stream derives from
 // seed alone.
 func NewPlan(seed uint64) *Plan {
-	return &Plan{seed: seed, faults: make(map[int]Fault), injected: make(map[int]int)}
+	return &Plan{seed: seed, faults: make(map[int]Fault)}
 }
 
 // Set assigns a fault to the job at the given submission index.
@@ -164,45 +152,22 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Injected returns how many attempts were intercepted with a live fault
-// at index, for test assertions.
-func (p *Plan) Injected(index int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.injected[index]
-}
-
 // Intercept compiles the plan into the runner's fault-injection seam.
 func (p *Plan) Intercept() runner.Intercept {
-	return func(ctx context.Context, index, attempt int, job runner.Job, run runner.SimFunc) (*stats.Stats, error) {
+	return func(ctx context.Context, index, _ int, job runner.Job, run runner.SimFunc) (*stats.Stats, error) {
 		f, ok := p.faults[index]
 		if !ok || f.Kind == None {
 			return run(ctx)
 		}
 		switch f.Kind {
-		case Flaky:
-			failures := f.FailAttempts
-			if failures <= 0 {
-				failures = 1
-			}
-			if attempt >= failures {
-				return run(ctx)
-			}
-			p.note(index)
-			return nil, runner.Transient(fmt.Errorf("faultinject: transient failure %d/%d in job %d",
-				attempt+1, failures, index))
 		case Fail:
-			p.note(index)
-			return nil, fmt.Errorf("faultinject: injected permanent failure in job %d", index)
+			return nil, fmt.Errorf("faultinject: injected failure in job %d", index)
 		case Panic:
-			p.note(index)
 			panic(fmt.Sprintf("faultinject: injected panic in job %d (%s)", index, job.Label))
 		case Hang:
-			p.note(index)
 			<-ctx.Done()
 			return nil, fmt.Errorf("faultinject: hung job %d gave up: %w", index, ctx.Err())
 		case CancelBatch:
-			p.note(index)
 			p.fireCancel()
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -210,12 +175,6 @@ func (p *Plan) Intercept() runner.Intercept {
 			return run(ctx)
 		}
 	}
-}
-
-func (p *Plan) note(index int) {
-	p.mu.Lock()
-	p.injected[index]++
-	p.mu.Unlock()
 }
 
 func (p *Plan) fireCancel() {

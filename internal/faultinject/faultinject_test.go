@@ -113,63 +113,6 @@ func TestKeepGoingPartialResults(t *testing.T) {
 	}
 }
 
-// TestRetryThenSucceed: a job failing transiently recovers within the
-// retry budget and reports its attempt count.
-func TestRetryThenSucceed(t *testing.T) {
-	p := NewPlan(3)
-	p.Set(0, Fault{Kind: Flaky, FailAttempts: 2})
-	r := &runner.Runner{Workers: 1, Retries: 2, Intercept: p.Intercept()}
-	results, err := r.Run(context.Background(), batch(1))
-	if err != nil {
-		t.Fatalf("flaky job did not recover: %v", err)
-	}
-	if results[0].Stats == nil {
-		t.Fatal("recovered job has no stats")
-	}
-	if results[0].Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (2 transient failures + 1 success)", results[0].Attempts)
-	}
-	if got := p.Injected(0); got != 2 {
-		t.Errorf("injected %d transient failures, want 2", got)
-	}
-}
-
-// TestRetryExhaustion: when the transient failures outlast the retry
-// budget, the job fails with the transient error after exactly
-// 1+Retries attempts.
-func TestRetryExhaustion(t *testing.T) {
-	p := NewPlan(4)
-	p.Set(0, Fault{Kind: Flaky, FailAttempts: 10})
-	r := &runner.Runner{Workers: 1, Retries: 2, Intercept: p.Intercept()}
-	results, err := r.Run(context.Background(), batch(1))
-	if err == nil {
-		t.Fatal("exhausted retries reported success")
-	}
-	if !runner.IsTransient(err) {
-		t.Errorf("exhaustion error %v lost its transient classification", err)
-	}
-	if results[0].Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", results[0].Attempts)
-	}
-}
-
-// TestPermanentErrorsNeverRetry: the classifier keeps deterministic
-// failures (permanent errors, panics) to a single attempt.
-func TestPermanentErrorsNeverRetry(t *testing.T) {
-	for _, kind := range []Kind{Fail, Panic} {
-		p := NewPlan(5)
-		p.Set(0, Fault{Kind: kind})
-		r := &runner.Runner{Workers: 1, Retries: 5, Intercept: p.Intercept()}
-		results, err := r.Run(context.Background(), batch(1))
-		if err == nil {
-			t.Fatalf("%v: faulted job reported success", kind)
-		}
-		if results[0].Attempts != 1 {
-			t.Errorf("%v: attempts = %d, want 1 (permanent errors must not retry)", kind, results[0].Attempts)
-		}
-	}
-}
-
 // TestHangTimesOut: a hung job is bounded by the per-job deadline and
 // fails with context.DeadlineExceeded without disturbing its
 // neighbours.
@@ -194,24 +137,6 @@ func TestHangTimesOut(t *testing.T) {
 		if i != 3 && res.Err != nil {
 			t.Errorf("healthy job %d caught the hang: %v", i, res.Err)
 		}
-	}
-}
-
-// TestJobMaxWallOverridesRunnerTimeout: a per-job deadline takes
-// precedence over the runner-wide default.
-func TestJobMaxWallOverridesRunnerTimeout(t *testing.T) {
-	p := NewPlan(7)
-	p.Set(0, Fault{Kind: Hang})
-	jobs := batch(1)
-	jobs[0].MaxWall = 20 * time.Millisecond
-	start := time.Now()
-	r := &runner.Runner{Workers: 1, Timeout: time.Hour, Intercept: p.Intercept()}
-	_, err := r.Run(context.Background(), jobs)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Job.MaxWall ignored: hang lasted %v", elapsed)
 	}
 }
 
@@ -254,8 +179,7 @@ func TestDeterminismUnderFaults(t *testing.T) {
 		p := NewPlan(9)
 		p.Set(2, Fault{Kind: Panic})
 		p.Set(7, Fault{Kind: Fail})
-		p.Set(11, Fault{Kind: Flaky, FailAttempts: 1})
-		r := &runner.Runner{Workers: workers, KeepGoing: true, Retries: 1, Intercept: p.Intercept()}
+		r := &runner.Runner{Workers: workers, KeepGoing: true, Intercept: p.Intercept()}
 		return r.Run(context.Background(), batch(12))
 	}
 	serial, errS := run(1)

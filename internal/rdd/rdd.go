@@ -120,7 +120,7 @@ func ProfileKernel(k *trace.Kernel, numSMs int, geom config.CacheGeom) *Profile 
 // counter is a sum, so the result is identical to the serial profile
 // at any core count.
 func ProfileKernelCores(k *trace.Kernel, numSMs int, geom config.CacheGeom, cores int) *Profile {
-	shards := shardSMs(k, numSMs, cores, func() *Profile {
+	shards := shardSMs(k, numSMs, geom.LineSize, cores, func() *Profile {
 		return &Profile{
 			Global: stats.NewHistogram(),
 			PerPC:  make(map[uint32]*stats.Histogram),
@@ -187,7 +187,7 @@ func ReuseMissRateCores(k *trace.Kernel, numSMs int, geom config.CacheGeom, core
 	if geom.Hashed {
 		kind = addr.HashIndex
 	}
-	shards := shardSMs(k, numSMs, cores, func() *missShard { return &missShard{} },
+	shards := shardSMs(k, numSMs, geom.LineSize, cores, func() *missShard { return &missShard{} },
 		func(ms *missShard, sm int) func(addr.Addr, uint32) {
 			m := addr.MustMapper(geom.LineSize, geom.Sets, kind)
 			sets := make([]lruSet, geom.Sets)
@@ -228,12 +228,12 @@ type replayScratch struct {
 
 // shardSMs distributes the kernel's blocks round-robin over numSMs SMs
 // (mirroring the simulator's dispatch), stripes the SMs across
-// min(cores, numSMs) workers, and replays each SM through an access
-// function built by sink over the worker's shard. Shards are private
-// to their worker — sink is called on the worker goroutine — so the
-// replay is race-free without locks; callers fold the shards, whose
-// counters are order-independent sums.
-func shardSMs[S any](k *trace.Kernel, numSMs, cores int,
+// min(cores, numSMs) workers, and replays each SM, coalesced at
+// lineSize, through an access function built by sink over the worker's
+// shard. Shards are private to their worker — sink is called on the
+// worker goroutine — so the replay is race-free without locks; callers
+// fold the shards, whose counters are order-independent sums.
+func shardSMs[S any](k *trace.Kernel, numSMs, lineSize, cores int,
 	newShard func() S, sink func(shard S, sm int) func(addr.Addr, uint32)) []S {
 	perSM := make([][]*trace.Block, numSMs)
 	for i, b := range k.Blocks {
@@ -253,7 +253,7 @@ func shardSMs[S any](k *trace.Kernel, numSMs, cores int,
 			if len(perSM[sm]) == 0 {
 				continue
 			}
-			replaySM(perSM[sm], sink(shards[w], sm), &sc)
+			replaySM(perSM[sm], lineSize, sink(shards[w], sm), &sc)
 		}
 	}
 	if cores == 1 {
@@ -273,9 +273,8 @@ func shardSMs[S any](k *trace.Kernel, numSMs, cores int,
 }
 
 // replaySM walks one SM's blocks in dispatch order, invoking access for
-// every coalesced line.
-func replaySM(blocks []*trace.Block, access func(addr.Addr, uint32), sc *replayScratch) {
-	const lineSize = 128
+// every line of lineSize bytes an instruction touches.
+func replaySM(blocks []*trace.Block, lineSize int, access func(addr.Addr, uint32), sc *replayScratch) {
 	for _, b := range blocks {
 		// Round-robin one memory instruction per warp per turn,
 		// approximating fine-grained multithreaded issue.

@@ -227,6 +227,24 @@ func TestComputeInstructionsSkipped(t *testing.T) {
 	}
 }
 
+// TestReplayCoalescesAtTheGeometryLineSize: a 32-lane load of
+// consecutive 4-byte words spans 128 bytes — one line of a 128-byte
+// cache, two of a 64-byte one.
+func TestReplayCoalescesAtTheGeometryLineSize(t *testing.T) {
+	lanes := make([]addr.Addr, 32)
+	for i := range lanes {
+		lanes[i] = addr.Addr(4 * i)
+	}
+	w := &trace.WarpTrace{Instrs: []trace.Instr{trace.NewLoad(0, lanes)}}
+	k := &trace.Kernel{Name: "wide", Blocks: []*trace.Block{{Warps: []*trace.WarpTrace{w}}}}
+	for _, c := range []struct{ lineSize, want int }{{128, 1}, {64, 2}} {
+		geom := config.CacheGeom{Sets: 2, Ways: 2, LineSize: c.lineSize}
+		if got := ProfileKernel(k, 1, geom).Accesses; got != uint64(c.want) {
+			t.Errorf("%d-byte lines: %d accesses, want %d", c.lineSize, got, c.want)
+		}
+	}
+}
+
 func TestBucketsMatchPaperRanges(t *testing.T) {
 	h := stats.NewHistogram()
 	for _, v := range []int{4, 5, 8, 9, 64, 65} {

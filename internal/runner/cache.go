@@ -9,16 +9,17 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // Key returns the job's content hash: a stable digest of everything
 // that determines the simulation's outcome — the full hardware
-// configuration, the policy, the canonicalized engine options, and the
-// serialized kernel trace. Two jobs with equal Key produce identical
-// Stats (the engine is deterministic), which is what makes result reuse
-// sound. Labels, wall-clock budgets (MaxWall), self-checking
+// configuration, the policy, the canonicalized engine options, the
+// engine's model constants, and the serialized kernel trace. Two jobs
+// with equal Key produce identical Stats (the engine is deterministic),
+// which is what makes result reuse sound. Labels, self-checking
 // (Opts.SelfCheck) and fast-forward disabling
 // (Opts.DisableFastForward) are excluded: they are
 // presentation and execution policy, not simulation input — results
@@ -68,8 +69,10 @@ func (j Job) Key() string {
 	// Config has only value fields, so %#v is a canonical encoding.
 	fmt.Fprintf(h, "config|%#v\n", *j.Config)
 	fmt.Fprintf(h, "policy|%s\n", j.Policy)
+	// The two model constants stay in the key so that changing either
+	// one addresses new results instead of serving the old ones.
 	o := j.Opts.Canonical()
-	fmt.Fprintf(h, "opts|%d|%g|%d\n", o.MaxCycles, *o.BackgroundFlitsPerKInsn, o.InjectionRate)
+	fmt.Fprintf(h, "opts|%d|%g|%d\n", o.MaxCycles, sim.BackgroundFlitsPerKInsn, sim.InjectionRate)
 	fmt.Fprintf(h, "kernel|%s\n", kernelLine)
 	return hex.EncodeToString(h.Sum(nil))
 }

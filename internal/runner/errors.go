@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -74,33 +73,3 @@ func (e *CancelError) Error() string {
 }
 
 func (e *CancelError) Unwrap() error { return e.Err }
-
-// transientError marks a wrapped error as retryable.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string   { return t.err.Error() }
-func (t *transientError) Unwrap() error   { return t.err }
-func (t *transientError) Transient() bool { return true }
-
-// Transient wraps err so IsTransient reports it retryable. The
-// simulation engine is deterministic — a failed job fails identically
-// on every retry — so nothing in this repository produces transient
-// errors on its own; the marker exists for callers whose jobs touch
-// genuinely flaky resources and for fault-injection tests of the retry
-// machinery.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient is the retry classifier: it reports whether err (or
-// anything it wraps) is marked retryable via a `Transient() bool`
-// method. Panics, invariant violations, validation errors, timeouts and
-// cancellations are all permanent — retrying a deterministic failure
-// only burns wall-clock.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}

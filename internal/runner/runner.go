@@ -13,12 +13,12 @@
 //
 // The runner is also the repository's fault boundary. A panicking job
 // is recovered into a *JobPanicError instead of killing the process; a
-// job exceeding its wall-clock budget (Job.MaxWall / Runner.Timeout)
-// fails with context.DeadlineExceeded without touching its neighbours;
-// transient failures (IsTransient) are retried a bounded number of
-// times; and in KeepGoing mode the batch always runs to completion,
-// aggregating failures into one *BatchError so suites can render
-// partial tables with explicit FAILED cells.
+// job exceeding its wall-clock budget (Runner.Timeout) fails with
+// context.DeadlineExceeded without touching its neighbours; and in
+// KeepGoing mode the batch always runs to completion, aggregating
+// failures into one *BatchError so suites can render partial tables
+// with explicit FAILED cells. A failed job is never retried: the engine
+// is deterministic, so a second attempt would fail the same way.
 //
 // Jobs may share *config.Config and *trace.Kernel values freely: both
 // are read-only during simulation (each engine keeps its own mutable
@@ -56,26 +56,16 @@ type Job struct {
 	// both fails rather than guessing which trace the caller meant.
 	Stream trace.Stream
 	Opts   sim.Options
-
-	// MaxWall, when positive, bounds the job's wall-clock simulation
-	// time: the engine runs under context.WithTimeout and the job fails
-	// with context.DeadlineExceeded when the deadline passes. Zero
-	// falls back to Runner.Timeout. Like Label, MaxWall is execution
-	// policy, not simulation input, so it is excluded from the cache
-	// key — the engine is deterministic and a completed run is the
-	// same run at any deadline.
-	MaxWall time.Duration
 }
 
 // Result is one job's outcome, in the same position as its job in the
 // submitted batch.
 type Result struct {
-	Job      Job
-	Stats    *stats.Stats
-	Err      error
-	Cached   bool          // served from the result cache, no simulation ran
-	Wall     time.Duration // simulation wall time (0 when Cached)
-	Attempts int           // simulation attempts performed (0 when Cached)
+	Job    Job
+	Stats  *stats.Stats
+	Err    error
+	Cached bool          // served from the result cache, no simulation ran
+	Wall   time.Duration // simulation wall time (0 when Cached)
 }
 
 // EventKind classifies a progress event.
@@ -94,14 +84,13 @@ const (
 // Done counters are a consistent snapshot of the whole batch at the
 // moment the event fired.
 type Event struct {
-	Kind     EventKind
-	Index    int           // job position in the submitted batch
-	Label    string        // Job.Label
-	Cached   bool          // JobDone: result came from the cache
-	Err      error         // JobDone: the job's error, if any
-	Wall     time.Duration // JobDone: simulation wall time
-	Cycles   uint64        // JobDone: cycles the simulation ran
-	Attempts int           // JobDone: simulation attempts performed
+	Kind   EventKind
+	Index  int           // job position in the submitted batch
+	Label  string        // Job.Label
+	Cached bool          // JobDone: result came from the cache
+	Err    error         // JobDone: the job's error, if any
+	Wall   time.Duration // JobDone: simulation wall time
+	Cycles uint64        // JobDone: cycles the simulation ran
 
 	Queued  int // jobs not yet picked up
 	Running int // jobs currently executing
@@ -114,20 +103,20 @@ type Event struct {
 // goroutines, not the submitting one.
 type Events func(Event)
 
-// SimFunc runs one simulation attempt under the given context.
+// SimFunc runs one job's simulation under the given context.
 type SimFunc func(ctx context.Context) (*stats.Stats, error)
 
-// Intercept wraps every simulation attempt of every job. It exists for
+// Intercept wraps the simulation of every job. It exists for
 // deterministic fault injection (see internal/faultinject): the
-// interceptor may run the attempt, replace it, delay it, fail it, or
-// panic — the runner's recovery, retry and timeout machinery treats
-// whatever happens exactly as it would a real simulation. attempt
-// counts from 0 within one job.
+// interceptor may run the simulation, replace it, delay it, fail it, or
+// panic — the runner's recovery and timeout machinery treats whatever
+// happens exactly as it would a real simulation. Each job is simulated
+// once, so attempt is always 0.
 type Intercept func(ctx context.Context, index, attempt int, job Job, run SimFunc) (*stats.Stats, error)
 
 // Runner executes batches of jobs. The zero value runs with GOMAXPROCS
-// workers, no cache, no retries, no deadlines, fail-fast semantics and
-// no event callbacks.
+// workers, no cache, no deadline, fail-fast semantics and no event
+// callbacks.
 type Runner struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -145,24 +134,22 @@ type Runner struct {
 	// carry their error and a nil Stats. Caller cancellation still
 	// aborts the batch.
 	KeepGoing bool
-	// Retries is how many extra attempts a failed job gets when its
-	// error is transient (IsTransient). Permanent errors — panics,
-	// validation failures, timeouts, cancellations — never retry.
-	Retries int
-	// Timeout is the default per-job wall-clock budget for jobs whose
-	// MaxWall is zero. Zero means no deadline.
+	// Timeout, when positive, bounds each job's wall-clock simulation
+	// time: the engine runs under context.WithTimeout and the job fails
+	// with context.DeadlineExceeded when the deadline passes. Zero means
+	// no deadline.
 	Timeout time.Duration
 	// SelfCheck forces the engine's sampled invariant sweeps
-	// (sim.Options.SelfCheck) on every job in the batch. Like MaxWall it
+	// (sim.Options.SelfCheck) on every job in the batch. Like Timeout it
 	// is execution policy: the checks never change simulation results,
 	// so it does not participate in cache keys.
 	SelfCheck bool
 	// Deprecated: ignored. Workers is the only parallelism: each
 	// simulation runs on its worker's goroutine.
 	Cores int
-	// Intercept, when non-nil, wraps every simulation attempt. This is
-	// the deterministic fault-injection seam; production callers leave
-	// it nil.
+	// Intercept, when non-nil, wraps every simulation. This is the
+	// deterministic fault-injection seam; production callers leave it
+	// nil.
 	Intercept Intercept
 
 	// Metrics, when non-nil, enables cycle-domain sampling
@@ -376,8 +363,7 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 	return results, nil
 }
 
-// runOne executes (or recalls) a single job, retrying transient
-// failures up to Runner.Retries times.
+// runOne executes (or recalls) a single job.
 //
 // Cacheable jobs run under single-flight: of all concurrent jobs with
 // the same content address (across every Run call sharing this
@@ -436,42 +422,27 @@ func (r *Runner) runOne(ctx context.Context, i int, j Job, emit func(Event)) Res
 	}
 	defer r.releaseSlot()
 	start := time.Now()
-	var (
-		st       *stats.Stats
-		err      error
-		attempts int
-	)
-	for attempt := 0; ; attempt++ {
-		attempts++
-		st, err = r.attempt(ctx, i, attempt, j)
-		if err == nil || attempt >= r.Retries || !IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-	}
+	st, err := r.simulate(ctx, i, j)
 	wall := time.Since(start)
 	if err == nil && r.Cache != nil && key != "" {
 		r.Cache.Put(key, st)
 	}
-	ev := Event{Kind: JobDone, Index: i, Label: j.Label, Err: err, Wall: wall, Attempts: attempts}
+	ev := Event{Kind: JobDone, Index: i, Label: j.Label, Err: err, Wall: wall}
 	if st != nil {
 		ev.Cycles = st.Cycles
 	}
 	emit(ev)
-	return Result{Job: j, Stats: st, Err: err, Wall: wall, Attempts: attempts}
+	return Result{Job: j, Stats: st, Err: err, Wall: wall}
 }
 
-// attempt performs one simulation attempt under the job's wall-clock
-// budget, converting a panic into a *JobPanicError. The recover sits
-// here — inside the worker's call into policy/engine code — so a
-// panicking job surfaces as an ordinary failed Result instead of
-// killing the pool.
-func (r *Runner) attempt(ctx context.Context, index, attempt int, j Job) (st *stats.Stats, err error) {
-	if wall := j.MaxWall; wall > 0 || r.Timeout > 0 {
-		if wall <= 0 {
-			wall = r.Timeout
-		}
+// simulate runs the job once under Runner.Timeout, converting a panic
+// into a *JobPanicError. The recover sits here — inside the worker's
+// call into policy/engine code — so a panicking job surfaces as an
+// ordinary failed Result instead of killing the pool.
+func (r *Runner) simulate(ctx context.Context, index int, j Job) (st *stats.Stats, err error) {
+	if r.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, wall)
+		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
 	}
 	defer func() {
@@ -495,7 +466,7 @@ func (r *Runner) attempt(ctx context.Context, index, attempt int, j Job) (st *st
 		}
 	}
 	if r.Intercept != nil {
-		return r.Intercept(ctx, index, attempt, j, run)
+		return r.Intercept(ctx, index, 0, j, run)
 	}
 	return run(ctx)
 }

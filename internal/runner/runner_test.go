@@ -220,15 +220,35 @@ func TestKeyStability(t *testing.T) {
 	// Explicitly spelling the default options must hash like the zero
 	// value (the key is built from canonical options)...
 	e := mk()
-	e.Opts = sim.Options{MaxCycles: 50_000_000, BackgroundFlitsPerKInsn: sim.Float(60), InjectionRate: 2}
+	e.Opts = sim.Options{MaxCycles: 50_000_000}
 	if a.Key() != e.Key() {
 		t.Error("canonically-equal options hash differently")
 	}
 	// ...while a genuinely different option changes the key.
 	f := mk()
-	f.Opts = sim.Options{BackgroundFlitsPerKInsn: sim.Float(0)}
+	f.Opts = sim.Options{MaxCycles: 2_000_000}
 	if a.Key() == f.Key() {
-		t.Error("disabled background traffic hashes like the default")
+		t.Error("a different cycle budget hashes like the default")
+	}
+}
+
+// TestKeyPinned pins the literal content address of two fixed jobs, so
+// a change to what Key hashes, or how, cannot silently orphan every
+// result already on disk. The engine's background-traffic and
+// injection-rate constants are part of the hashed bytes.
+func TestKeyPinned(t *testing.T) {
+	j := Job{Config: config.Baseline(), Policy: config.PolicyDLP, Kernel: streamKernel("k", 1, 1, 4, 2)}
+	for _, c := range []struct {
+		maxCycles uint64
+		want      string
+	}{
+		{0, "8879d33001468e354c0a847dfcf0e5721e90199a88fb9a46cd716c27bb11b60f"},
+		{2_000_000, "4a91d749c528df012dd350ba802bdc36dc6119a0cae36a79ff8d4f7c5c11335d"},
+	} {
+		j.Opts.MaxCycles = c.maxCycles
+		if got := j.Key(); got != c.want {
+			t.Errorf("MaxCycles %d: key %s, want %s", c.maxCycles, got, c.want)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // JobTracer converts the runner's Events stream into a Chrome
 // trace_event timeline (metrics.Trace): one thread track per batch
 // slot, a "queued" span from acceptance to pickup, a "run" (or
-// "cached") span from pickup to completion annotated with cycles,
-// attempts and wall time, instant markers for failures and retries,
-// and counter tracks for the batch's queued/running/done totals and —
-// when a Cache is attached — its hit/miss counters.
+// "cached") span from pickup to completion annotated with cycles and
+// wall time, an instant marker for each failure, and counter tracks for
+// the batch's queued/running/done totals and — when a Cache is
+// attached — its hit/miss counters.
 //
 // Wire it up by wrapping the runner's Events callback:
 //
@@ -117,10 +117,9 @@ func (t *JobTracer) observe(ev Event) {
 			cat = "cached"
 		}
 		args := map[string]any{
-			"cycles":   ev.Cycles,
-			"attempts": ev.Attempts,
-			"wall_ms":  float64(ev.Wall) / float64(time.Millisecond),
-			"cached":   ev.Cached,
+			"cycles":  ev.Cycles,
+			"wall_ms": float64(ev.Wall) / float64(time.Millisecond),
+			"cached":  ev.Cached,
 		}
 		if ev.Err != nil {
 			args["error"] = ev.Err.Error()
@@ -129,10 +128,6 @@ func (t *JobTracer) observe(ev Event) {
 		if ev.Err != nil {
 			t.tr.Instant("FAILED "+sp.label, "failure", tracePid, t.tid(ev.Index), ts,
 				map[string]any{"error": ev.Err.Error()})
-		}
-		if ev.Attempts > 1 {
-			t.tr.Instant(fmt.Sprintf("retried x%d %s", ev.Attempts-1, sp.label), "retry",
-				tracePid, t.tid(ev.Index), ts, nil)
 		}
 		delete(t.live, ev.Index)
 		if t.cache != nil {

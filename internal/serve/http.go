@@ -19,15 +19,14 @@ const maxBodyBytes = 1 << 20
 // the canonically normalized counters (the same bytes as a conformance
 // case's expected_stats.json) once the job is done.
 type JobView struct {
-	ID       string          `json:"id"`
-	Tenant   string          `json:"tenant"`
-	Status   Status          `json:"status"`
-	Cached   bool            `json:"cached,omitempty"`
-	Cycles   uint64          `json:"cycles,omitempty"`
-	WallMS   int64           `json:"wall_ms,omitempty"`
-	Attempts int             `json:"attempts,omitempty"`
-	Error    *ErrorInfo      `json:"error,omitempty"`
-	Stats    json.RawMessage `json:"stats,omitempty"`
+	ID     string          `json:"id"`
+	Tenant string          `json:"tenant"`
+	Status Status          `json:"status"`
+	Cached bool            `json:"cached,omitempty"`
+	Cycles uint64          `json:"cycles,omitempty"`
+	WallMS int64           `json:"wall_ms,omitempty"`
+	Error  *ErrorInfo      `json:"error,omitempty"`
+	Stats  json.RawMessage `json:"stats,omitempty"`
 }
 
 // view snapshots the job as its API resource. includeStats controls
@@ -36,13 +35,12 @@ func (j *jobState) view(includeStats bool) JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
-		ID:       j.id,
-		Tenant:   j.tenant,
-		Status:   j.status,
-		Cached:   j.cached,
-		Cycles:   j.cycles,
-		WallMS:   j.wall.Milliseconds(),
-		Attempts: j.attempts,
+		ID:     j.id,
+		Tenant: j.tenant,
+		Status: j.status,
+		Cached: j.cached,
+		Cycles: j.cycles,
+		WallMS: j.wall.Milliseconds(),
 	}
 	if j.err != nil {
 		v.Error = classify(j.err)
@@ -131,12 +129,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	wait := r.URL.Query().Get("wait") == "1"
 	js, serr := s.submit(sp, r.Header.Get("X-Tenant"), wait)
 	if serr != nil {
-		if serr.retryAfter > 0 {
-			secs := int(serr.retryAfter.Round(time.Second) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+		if serr.status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		}
 		writeError(w, serr.status, serr.info)
 		return
@@ -310,12 +304,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	view.Rejected = s.rejected
 	view.Running = s.running
 	view.Queued = s.queued
-	if s.queued > 0 {
-		view.Tenants = make(map[string]int)
+	if len(s.queues) > 0 {
+		view.Tenants = make(map[string]int, len(s.queues))
 		for tenant, q := range s.queues {
-			if len(q) > 0 {
-				view.Tenants[tenant] = len(q)
-			}
+			view.Tenants[tenant] = len(q)
 		}
 	}
 	s.mu.Unlock()

@@ -65,20 +65,20 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: jobs still queued or
 	// running past it are cancelled. <= 0 means 30s.
 	DrainTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses; <= 0 means 1s.
-	RetryAfter time.Duration
-	// History bounds how many finished job records are kept for
-	// GET /jobs/{id}; the oldest are evicted beyond it. <= 0 means 1024.
-	History int
 	// SelfCheck enables the engine's sampled invariant sweeps on every
 	// job (execution policy — results are unchanged).
 	SelfCheck bool
-	// Retries is the runner's transient-retry budget per job.
-	Retries int
-	// Intercept, when non-nil, wraps every simulation attempt — the
+	// Intercept, when non-nil, wraps every simulation — the
 	// fault-injection seam, passed through to the runner.
 	Intercept runner.Intercept
 }
+
+// retryAfter is the hint returned with 429 responses.
+const retryAfter = time.Second
+
+// historyLimit bounds how many finished job records are kept for
+// GET /jobs/{id}; the oldest are evicted beyond it.
+const historyLimit = 1024
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -99,20 +99,6 @@ func (c Config) drainTimeout() time.Duration {
 		return c.DrainTimeout
 	}
 	return 30 * time.Second
-}
-
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter > 0 {
-		return c.RetryAfter
-	}
-	return time.Second
-}
-
-func (c Config) history() int {
-	if c.History > 0 {
-		return c.History
-	}
-	return 1024
 }
 
 // Status is a job's lifecycle state.
@@ -164,19 +150,18 @@ type jobState struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	status   Status
-	events   []JobEvent
-	change   chan struct{} // closed and replaced on every append
-	stats    []byte        // canonically normalized stats (done only)
-	err      error
-	cached   bool
-	wall     time.Duration
-	attempts int
-	cycles   uint64
-	waiters  int  // attached synchronous submitters
-	syncOwn  bool // cancel when the last waiter detaches pre-completion
-	done     chan struct{}
+	mu      sync.Mutex
+	status  Status
+	events  []JobEvent
+	change  chan struct{} // closed and replaced on every append
+	stats   []byte        // canonically normalized stats (done only)
+	err     error
+	cached  bool
+	wall    time.Duration
+	cycles  uint64
+	waiters int  // attached synchronous submitters
+	syncOwn bool // cancel when the last waiter detaches pre-completion
+	done    chan struct{}
 }
 
 func (j *jobState) appendEvent(kind string, mut func(*JobEvent)) {
@@ -248,9 +233,9 @@ type Server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*jobState
-	queues   map[string][]*jobState
-	ring     []string // tenant round-robin order (first-submission order)
-	rr       int
+	queues   map[string][]*jobState // pending jobs of every tenant that has any
+	ring     []string               // round-robin order of the tenants in queues
+	rr       int                    // ring index of the tenant whose turn is next
 	queued   int
 	running  int
 	draining bool
@@ -279,7 +264,6 @@ func NewServer(cfg Config) *Server {
 			Cache:     cache,
 			Timeout:   cfg.Timeout,
 			SelfCheck: cfg.SelfCheck,
-			Retries:   cfg.Retries,
 			Intercept: cfg.Intercept,
 		},
 		start:  time.Now(),
@@ -335,8 +319,7 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 		s.rejected++
 		s.mu.Unlock()
 		return nil, &submitError{
-			status:     429,
-			retryAfter: s.cfg.retryAfter(),
+			status: 429,
 			info: ErrorInfo{Type: "backpressure",
 				Message: fmt.Sprintf("tenant %q queue is full (%d pending)", tenant, s.cfg.queueDepth())},
 		}
@@ -360,7 +343,7 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 	js.rjob = rjob
 	js.key = key
 	s.jobs[id] = js
-	if _, seen := s.queues[tenant]; !seen {
+	if _, active := s.queues[tenant]; !active {
 		s.ring = append(s.ring, tenant)
 	}
 	s.queues[tenant] = append(s.queues[tenant], js)
@@ -390,9 +373,8 @@ func describe(sp *conform.Spec) string {
 }
 
 type submitError struct {
-	status     int
-	retryAfter time.Duration
-	info       ErrorInfo
+	status int
+	info   ErrorInfo
 }
 
 // worker is one dispatch loop: claim the next job fairly, execute it,
@@ -409,8 +391,11 @@ func (s *Server) worker() {
 }
 
 // next pops the next runnable job, round-robin across tenants, FIFO
-// within one. It blocks while the queues are empty and returns nil once
-// the server is draining (and empty) or stopped.
+// within one. A tenant whose queue empties is forgotten — dropped from
+// both queues and ring — so the server's memory and this scan grow with
+// the tenants that have work pending, not with every tenant ever seen.
+// It blocks while the queues are empty and returns nil once the server
+// is draining (and empty) or stopped.
 func (s *Server) next() *jobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -418,20 +403,31 @@ func (s *Server) next() *jobState {
 		if s.ctx.Err() != nil {
 			return nil
 		}
-		for n := 0; n < len(s.ring); n++ {
-			idx := (s.rr + n) % len(s.ring)
-			tenant := s.ring[idx]
-			for len(s.queues[tenant]) > 0 {
-				js := s.queues[tenant][0]
-				s.queues[tenant] = s.queues[tenant][1:]
-				s.queued--
-				if js.terminal() {
-					continue // cancelled while queued
-				}
-				s.rr = (idx + 1) % len(s.ring)
-				s.running++
-				return js
+		for len(s.ring) > 0 {
+			if s.rr >= len(s.ring) {
+				s.rr = 0
 			}
+			tenant := s.ring[s.rr]
+			q := s.queues[tenant]
+			js := q[0]
+			s.queued--
+			more := len(q) > 1
+			if more {
+				s.queues[tenant] = q[1:]
+			} else {
+				// The tenant after this one slides into its ring index and
+				// so holds the next turn.
+				delete(s.queues, tenant)
+				s.ring = append(s.ring[:s.rr], s.ring[s.rr+1:]...)
+			}
+			if js.terminal() {
+				continue // cancelled while queued; the turn is not used up
+			}
+			if more {
+				s.rr++
+			}
+			s.running++
+			return js
 		}
 		if s.draining {
 			return nil
@@ -492,7 +488,6 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 		js.stats = norm
 		js.cached = res.Cached
 		js.wall = res.Wall
-		js.attempts = res.Attempts
 		if res.Stats != nil {
 			js.cycles = res.Stats.Cycles
 		}
@@ -529,7 +524,7 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 // does not accumulate every job it ever ran.
 func (s *Server) retireLocked(id string) {
 	s.history = append(s.history, id)
-	for len(s.history) > s.cfg.history() {
+	for len(s.history) > historyLimit {
 		evict := s.history[0]
 		s.history = s.history[1:]
 		delete(s.jobs, evict)
@@ -625,10 +620,11 @@ func (s *Server) abort() {
 	s.stop()
 	s.mu.Lock()
 	var stranded []*jobState
-	for tenant, q := range s.queues {
+	for _, q := range s.queues {
 		stranded = append(stranded, q...)
-		s.queues[tenant] = nil
 	}
+	s.queues = make(map[string][]*jobState)
+	s.ring, s.rr = nil, 0
 	s.queued = 0
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -407,7 +407,7 @@ func TestBackpressure429(t *testing.T) {
 	entered := make(chan string, 1)
 	release := make(chan struct{})
 	_, ts := startServer(t, Config{
-		Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second,
+		Workers: 1, QueueDepth: 1,
 		Intercept: hangIntercept(entered, release),
 	})
 
@@ -427,8 +427,8 @@ func TestBackpressure429(t *testing.T) {
 	if info := decodeError(t, b); info.Type != "backpressure" {
 		t.Errorf("error type %q, want backpressure", info.Type)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want 1", ra)
 	}
 	// A full tenant-A queue must not reject tenant B.
 	if resp, _ := postJob(t, ts, testSpec(t, 11), "B", false); resp.StatusCode != http.StatusAccepted {
@@ -476,6 +476,92 @@ func TestFairFIFOAcrossTenants(t *testing.T) {
 	}
 	if quietAt < 0 || quietAt > 1 {
 		t.Errorf("quiet tenant waited behind the flood: dispatch order %v", order)
+	}
+}
+
+// submitDrained submits n asynchronous jobs of one spec straight into
+// the server, each from a tenant of its own, and waits until every one
+// of them has finished. All but the first are cache hits.
+func submitDrained(t *testing.T, s *Server, spec []byte, n int) {
+	t.Helper()
+	sp, err := conform.UnmarshalSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]*jobState, n)
+	for i := range jobs {
+		js, serr := s.submit(sp, fmt.Sprintf("tenant-%d", i), false)
+		if serr != nil {
+			t.Fatalf("submit %d: %d %+v", i, serr.status, serr.info)
+		}
+		jobs[i] = js
+	}
+	for i, js := range jobs {
+		select {
+		case <-js.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %d never finished", i)
+		}
+	}
+}
+
+// TestDrainedTenantsAreForgotten: a tenant whose queue empties leaves
+// the dispatcher's state, so a client cycling through tenant names
+// cannot grow the server's memory or the dispatch scan without bound.
+func TestDrainedTenantsAreForgotten(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 2})
+	const tenants = 5000
+	submitDrained(t, s, testSpec(t, 80), tenants)
+
+	s.mu.Lock()
+	ring, queues := len(s.ring), len(s.queues)
+	s.mu.Unlock()
+	if ring != 0 || queues != 0 {
+		t.Errorf("after every tenant drained: %d tenants in the ring, %d queues, want 0 and 0", ring, queues)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sv StatsView
+	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
+		t.Fatal(err)
+	}
+	if sv.Tenants != nil || sv.Completed != tenants {
+		t.Errorf("/stats: tenants %v, completed %d; want none and %d", sv.Tenants, sv.Completed, tenants)
+	}
+}
+
+// TestHistoryEvictsOldestJobs: past historyLimit finished jobs, the
+// oldest records are evicted — GET on them is a typed 404 — while the
+// newest stay readable.
+func TestHistoryEvictsOldestJobs(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 2})
+	n := historyLimit + 6
+	submitDrained(t, s, testSpec(t, 81), n)
+
+	s.mu.Lock()
+	kept, running := len(s.jobs), s.running
+	s.mu.Unlock()
+	if kept > historyLimit+running {
+		t.Errorf("%d job records kept with %d in flight, want at most %d", kept, running, historyLimit+running)
+	}
+	get := func(id string) (*http.Response, []byte) {
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp, b
+	}
+	if resp, b := get("j1"); resp.StatusCode != http.StatusNotFound || decodeError(t, b).Type != "unknown-job" {
+		t.Errorf("evicted job j1: status %d, body %s; want 404 unknown-job", resp.StatusCode, b)
+	}
+	newest := fmt.Sprintf("j%d", n)
+	if resp, b := get(newest); resp.StatusCode != http.StatusOK || decodeView(t, b).Status != StatusDone {
+		t.Errorf("newest job %s: status %d, body %s; want 200 done", newest, resp.StatusCode, b)
 	}
 }
 

@@ -20,19 +20,18 @@ import (
 	"repro/internal/trace"
 )
 
+// BackgroundFlitsPerKInsn models L1I/L1C/L1T traffic sharing the
+// interconnect (§6.4): flits added per 1000 thread instructions.
+const BackgroundFlitsPerKInsn float64 = 60
+
+// InjectionRate is the most packets one L1D hands to the crossbar per
+// cycle.
+const InjectionRate = 2
+
 // Options tune engine behavior beyond the hardware configuration.
 type Options struct {
 	// MaxCycles aborts runaway simulations; 0 means the default (50M).
 	MaxCycles uint64
-	// BackgroundFlitsPerKInsn models L1I/L1C/L1T traffic sharing the
-	// interconnect (§6.4): flits added per 1000 thread instructions.
-	// nil means the default (60); point at an explicit value — including
-	// 0, e.g. sim.Float(0), to disable the model. Negative values are
-	// treated as 0.
-	BackgroundFlitsPerKInsn *float64
-	// InjectionRate is the max packets one L1D hands to the ICNT per
-	// cycle; 0 means the default (2).
-	InjectionRate int
 	// SelfCheck enables sampled per-cycle verification of the DLP
 	// invariants the paper's correctness rests on: PL counters within
 	// the PDBits field, protected lines never exceeding a set's
@@ -73,32 +72,15 @@ type Options struct {
 	Metrics *metrics.Config
 }
 
-// Float returns a pointer to v, for populating optional Options fields:
-// Options{BackgroundFlitsPerKInsn: sim.Float(0)} disables background
-// traffic, which the old zero-means-default encoding could not express.
-func Float(v float64) *float64 { return &v }
-
 func (o Options) withDefaults() Options {
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
 	}
-	switch {
-	case o.BackgroundFlitsPerKInsn == nil:
-		o.BackgroundFlitsPerKInsn = Float(60)
-	case *o.BackgroundFlitsPerKInsn < 0:
-		o.BackgroundFlitsPerKInsn = Float(0)
-	default:
-		// Private copy so the engine never aliases caller memory.
-		o.BackgroundFlitsPerKInsn = Float(*o.BackgroundFlitsPerKInsn)
-	}
-	if o.InjectionRate == 0 {
-		o.InjectionRate = 2
-	}
 	return o
 }
 
-// Canonical resolves every default and sentinel to its effective value,
-// so two Options that drive the engine identically compare — and hash —
+// Canonical resolves every default to its effective value, so two
+// Options that drive the engine identically compare — and hash —
 // identically. The runner's result cache keys on this form.
 func (o Options) Canonical() Options { return o.withDefaults() }
 

@@ -146,7 +146,7 @@ func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error)
 
 	total := e.collect()
 	total.Cycles = cycle
-	total.ICNTFlits += uint64(*e.opts.BackgroundFlitsPerKInsn * float64(total.Instructions) / 1000)
+	total.ICNTFlits += uint64(BackgroundFlitsPerKInsn * float64(total.Instructions) / 1000)
 	if err := total.CheckConservation(); err != nil {
 		return nil, err
 	}
@@ -447,7 +447,7 @@ func (e *Engine) runSM(i int, t0, t1 uint64) (active uint64) {
 			act = true
 		}
 		lane := c - t0
-		for k := 0; k < e.opts.InjectionRate; k++ {
+		for k := 0; k < InjectionRate; k++ {
 			out := l1d.PopOutgoing()
 			if out == nil {
 				break
