@@ -3,7 +3,10 @@
 # automatically), then runs the short test suite under the race
 # detector, which exercises the internal/runner worker pool, the
 # concurrent metrics sinks, and the suite-level order-independence
-# tests concurrently.
+# tests concurrently. Budget 2 GB of memory for it: the largest race
+# test binaries peak at 1.3 GB (root package) and 1.5 GB
+# (internal/workloads), and on a 2-core host, where two packages run at
+# a time, the summed peak was 1.6 GB over a 2.5-minute run.
 #
 # `make faultcheck` runs just the fault-injection suite — panic
 # isolation, deadlines, cache quarantine, KeepGoing determinism —

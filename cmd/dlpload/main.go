@@ -1,4 +1,4 @@
-// Command dlpload is the job server's client and load generator.
+// Command dlpload is the job server's replay client.
 //
 // Replay mode drives the conformance corpus through a running dlpserved
 // end to end: each case's config.json is submitted verbatim and the
@@ -8,21 +8,23 @@
 //
 //	dlpload -addr 127.0.0.1:8321 -replay testdata/conform -run 'app-*'
 //
-// Load mode floods the server with synthetic jobs from a configurable
-// number of distinct simulation points, spread across tenants, with an
-// optional fraction cancelled mid-flight — a cache-hit and single-flight
-// storm:
+// -shutdown drains the server (POST /shutdown) and returns once every
+// queued and running job has settled:
 //
-//	dlpload -addr 127.0.0.1:8321 -n 200 -c 32 -distinct 5 -tenants 4 -cancel 0.1
+//	dlpload -addr 127.0.0.1:8321 -shutdown
 //
-// Exit codes: 0 all requests behaved, 1 any mismatch or unexpected
-// failure, 130 interrupted.
+// The benchmark's serve_cold and serve_hot workloads (bench/) are the
+// load generators.
+//
+// Exit codes: 0 all requests behaved, 1 any mismatch, unexpected
+// failure or missing mode, 130 interrupted.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,14 +33,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/config"
 	"repro/internal/conform"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -46,14 +44,9 @@ func main() {
 	log.SetPrefix("dlpload: ")
 	addr := flag.String("addr", "127.0.0.1:8321", "dlpserved address (host:port)")
 	addrFile := flag.String("addr-file", "", "read the server address from this file (overrides -addr)")
-	replay := flag.String("replay", "", "replay corpus cases under this directory instead of generating load")
+	replay := flag.String("replay", "", "replay corpus cases under this directory")
 	shutdown := flag.Bool("shutdown", false, "drain the server (POST /shutdown) and exit")
 	run := flag.String("run", "", "with -replay: only cases whose name matches this glob")
-	n := flag.Int("n", 100, "total jobs to submit")
-	c := flag.Int("c", 16, "concurrent clients")
-	distinct := flag.Int("distinct", 4, "distinct simulation points to draw jobs from")
-	tenants := flag.Int("tenants", 2, "tenants to spread submissions across")
-	cancelFrac := flag.Float64("cancel", 0, "fraction of jobs to cancel mid-flight (0..1)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall client budget")
 	flag.Parse()
 
@@ -72,12 +65,13 @@ func main() {
 	cl := &client{base: "http://" + *addr, hc: &http.Client{}}
 
 	var err error
-	if *shutdown {
+	switch {
+	case *shutdown:
 		err = cl.shutdown(ctx)
-	} else if *replay != "" {
+	case *replay != "":
 		err = replayCorpus(ctx, cl, *replay, *run)
-	} else {
-		err = generate(ctx, cl, *n, *c, *distinct, *tenants, *cancelFrac)
+	default:
+		err = errors.New("usage: dlpload [-addr HOST:PORT | -addr-file FILE] (-replay DIR [-run GLOB] | -shutdown)")
 	}
 	if err != nil {
 		log.Print(err)
@@ -92,11 +86,10 @@ type client struct {
 
 // jobView mirrors serve.JobView's fields the client reads.
 type jobView struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Cached bool            `json:"cached"`
-	Error  *errorInfo      `json:"error"`
-	Stats  json.RawMessage `json:"stats"`
+	ID     string     `json:"id"`
+	Status string     `json:"status"`
+	Cached bool       `json:"cached"`
+	Error  *errorInfo `json:"error"`
 }
 
 type errorInfo struct {
@@ -104,21 +97,16 @@ type errorInfo struct {
 	Message string `json:"message"`
 }
 
-// submit POSTs a spec body and decodes the job resource; wait holds the
-// connection until the job settles. Returns the HTTP status alongside.
-func (cl *client) submit(ctx context.Context, body []byte, tenant string, wait bool) (*jobView, int, error) {
-	url := cl.base + "/jobs"
-	if wait {
-		url += "?wait=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(body))
+// submit POSTs a spec body with ?wait=1, so the connection is held
+// until the job settles, and decodes the job resource. Returns the HTTP
+// status alongside.
+func (cl *client) submit(ctx context.Context, body []byte) (*jobView, int, error) {
+	req, err := http.NewRequestWithContext(ctx, "POST", cl.base+"/jobs?wait=1", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
+	req.Header.Set("X-Tenant", "replay")
 	resp, err := cl.hc.Do(req)
 	if err != nil {
 		return nil, 0, err
@@ -142,20 +130,6 @@ func (cl *client) submit(ctx context.Context, body []byte, tenant string, wait b
 		}
 	}
 	return &jv, resp.StatusCode, nil
-}
-
-func (cl *client) cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, "DELETE", cl.base+"/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 func (cl *client) statsBytes(ctx context.Context, id string) ([]byte, error) {
@@ -218,7 +192,7 @@ func replayCorpus(ctx context.Context, cl *client, dir, glob string) error {
 		if err != nil {
 			return err
 		}
-		jv, status, err := cl.submit(ctx, specBytes, "replay", true)
+		jv, status, err := cl.submit(ctx, specBytes)
 		if err != nil {
 			return fmt.Errorf("%s: %w", tc.Name, err)
 		}
@@ -246,114 +220,5 @@ func replayCorpus(ctx context.Context, cl *client, dir, glob string) error {
 		return fmt.Errorf("%d of %d cases failed over HTTP", failures, len(cases))
 	}
 	log.Printf("replayed %d cases, all byte-identical", len(cases))
-	return nil
-}
-
-// loadSpec builds the i-th distinct synthetic simulation point. Points
-// differ only by seed, so submissions for the same i share a content
-// address — the dedup storm the server must coalesce.
-func loadSpec(i int) []byte {
-	sp := conform.Spec{
-		Schema: conform.SpecSchema,
-		Policy: string(config.PolicyDLP),
-		Workload: conform.WorkloadRef{Synth: &workloads.SynthSpec{
-			Seed:            9000 + uint64(i),
-			Blocks:          2,
-			WarpsPerBlock:   4,
-			MemInsnsPerWarp: 24,
-			FootprintLines:  48,
-			HotLines:        4,
-			StorePct:        10,
-		}},
-		MaxCycles: 2_000_000,
-	}
-	b, err := json.Marshal(sp)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// generate floods the server: n jobs over c clients, drawn from
-// `distinct` points across `tenants` tenants, cancelling cancelFrac of
-// them shortly after submission.
-func generate(ctx context.Context, cl *client, n, c, distinct, tenants int, cancelFrac float64) error {
-	if distinct < 1 {
-		distinct = 1
-	}
-	if tenants < 1 {
-		tenants = 1
-	}
-	specs := make([][]byte, distinct)
-	for i := range specs {
-		specs[i] = loadSpec(i)
-	}
-
-	var done, cached, cancelled, rejected, failed atomic.Int64
-	var firstErr atomic.Value
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				tenant := fmt.Sprintf("t%d", i%tenants)
-				toCancel := cancelFrac > 0 && float64(i%n) < cancelFrac*float64(n)
-				if toCancel {
-					jv, status, err := cl.submit(ctx, specs[i%distinct], tenant, false)
-					if err != nil || status != http.StatusAccepted {
-						if ctx.Err() == nil {
-							failed.Add(1)
-							firstErr.CompareAndSwap(nil, fmt.Errorf("async submit: status=%d err=%v", status, err))
-						}
-						continue
-					}
-					if err := cl.cancel(ctx, jv.ID); err == nil {
-						cancelled.Add(1)
-					}
-					continue
-				}
-				jv, status, err := cl.submit(ctx, specs[i%distinct], tenant, true)
-				switch {
-				case err != nil:
-					if ctx.Err() == nil {
-						failed.Add(1)
-						firstErr.CompareAndSwap(nil, err)
-					}
-				case status == http.StatusOK:
-					done.Add(1)
-					if jv.Cached {
-						cached.Add(1)
-					}
-				case status == http.StatusTooManyRequests:
-					rejected.Add(1) // backpressure is correct behaviour, not failure
-				default:
-					failed.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("job %s: status=%d err=%+v", jv.ID, status, jv.Error))
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			close(jobs)
-			wg.Wait()
-			return ctx.Err()
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	log.Printf("%d jobs in %v over %d clients: %d done (%d cached), %d cancelled, %d backpressured, %d failed",
-		n, time.Since(start).Round(time.Millisecond), c,
-		done.Load(), cached.Load(), cancelled.Load(), rejected.Load(), failed.Load())
-	if f := failed.Load(); f > 0 {
-		err, _ := firstErr.Load().(error)
-		return fmt.Errorf("%d jobs failed unexpectedly (first: %v)", f, err)
-	}
 	return nil
 }

@@ -1,6 +1,9 @@
 // Command paperfigs regenerates every table and figure of the paper's
-// evaluation from the simulator: Table 2, Figs. 3–7 (workload analysis),
-// the §4.3 overhead model, and Figs. 10–13 (the policy evaluation).
+// evaluation: Table 2, the workload analysis of Figs. 3, 4, 6 and 7
+// (reuse-distance distributions, LRU reuse miss rates and memory-access
+// ratios, replayed from the traces without simulating), the Fig. 5
+// associativity study, the §4.3 overhead model, and Figs. 10–13 (the
+// policy evaluation).
 //
 // Simulations run on a parallel worker pool behind a content-addressed
 // result cache: table output is byte-identical at any -j, and points
@@ -12,7 +15,8 @@
 //
 //	paperfigs                 # everything
 //	paperfigs -exp fig10      # one experiment
-//	paperfigs -exp fig3,fig7  # a comma-separated subset
+//	paperfigs -exp fig3,fig4,fig6,fig7  # the workload analysis
+//	paperfigs -exp fig7 -apps CFD,KM    # per-instruction RDD of CFD and KM
 //	paperfigs -cache .figcache  # persist results across runs
 //
 // The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
@@ -21,9 +25,12 @@
 // see internal/cli. With -keep-going failed points render as FAILED
 // cells and the speedup summaries are left out.
 //
-// -apps BP,HS restricts the simulation suites to an application subset
-// (labels as in Table 2) for quick looks and CI smokes; the committed
-// reference outputs always use the full set.
+// -apps BP,HS names the simulation suites' applications, and Fig. 7's
+// (labels as in Table 2): the suites run on that subset, for quick looks
+// and CI smokes, and Fig. 7 prints one per-instruction RDD table per
+// application (BFS, as in the paper, without -apps). Figs. 3, 4 and 6
+// always cover the whole registry; the committed reference outputs use
+// the full set.
 //
 // -stream feeds the suites through the lazy chunked stream frontend:
 // every table stays byte-identical while suite startup skips kernel
@@ -33,16 +40,19 @@
 // bounded by the per-SM chunk pools.
 //
 // Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7,
-// fig10, fig11a, fig11b, fig12a, fig12b, fig13. The extra id
-// "policies" — a cross-policy comparison including the schemes beyond
-// the paper's four (ATA, CCWS-lite, ReusePredictor) — is opt-in only:
-// it is not part of "all", so the committed reference outputs are
-// unchanged by the registry growing. The order and content of what is
-// printed live in dlpsim.WritePaperFigs, which the drift test shares.
+// fig10, fig11a, fig11b, fig12a, fig12b, fig13; an unknown id, or a
+// -format other than text or csv, exits 1 before anything is printed.
+// The extra id "policies" — a cross-policy comparison including the
+// schemes beyond the paper's four (ATA, CCWS-lite, ReusePredictor) — is
+// opt-in only: it is not part of "all", so the committed reference
+// outputs are unchanged by the registry growing. The order and content
+// of what is printed live in dlpsim.WritePaperFigs, which the drift
+// test shares.
 package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -60,12 +70,16 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (default: all)")
 	format := flag.String("format", "text", "text | csv")
 	cacheDir := flag.String("cache", "", "persist simulation results under this directory")
-	appsFlag := flag.String("apps", "", "comma-separated application subset for the simulation suites (default: all 18)")
+	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18) and of Fig. 7 (default: BFS)")
 	stream := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
 	scale := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
 	flag.Parse()
 	if *scale < 1 {
 		log.Fatalf("-scale %d: must be >= 1", *scale)
+	}
+	csv := strings.EqualFold(*format, "csv")
+	if !csv && !strings.EqualFold(*format, "text") {
+		run.Exit(fmt.Errorf("-format %q: want text or csv", *format))
 	}
 
 	// One cache and one runner are shared by every suite in this
@@ -93,7 +107,7 @@ func main() {
 			opts.Apps = append(opts.Apps, spec)
 		}
 	}
-	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, strings.EqualFold(*format, "csv"),
+	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, csv, opts.Apps,
 		func(schemes []dlpsim.Scheme) (*dlpsim.SuiteResult, error) {
 			return dlpsim.RunSuite(ctx, schemes, opts)
 		}))

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 func TestConfigForL1D(t *testing.T) {
@@ -138,8 +140,10 @@ func TestFig6Builder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Apps) != 18 || tab.Apps[0] != "HG" || tab.Apps[17] != "STR" {
-		t.Errorf("Fig6 ordering wrong: %v", tab.Apps)
+	// The registry (Table 2) order is ascending in ratio, so sorting by
+	// ratio must give it back exactly.
+	if got, want := strings.Join(tab.Apps, ","), strings.Join(workloads.Abbrs(), ","); got != want {
+		t.Errorf("Fig6 ordering %s, want the registry order %s", got, want)
 	}
 	ratios := tab.Series[0].Values
 	ci := tab.Series[1].Values
@@ -152,7 +156,11 @@ func TestFig6Builder(t *testing.T) {
 }
 
 func TestFig7Builder(t *testing.T) {
-	d := Fig7BFS()
+	bfs, err := WorkloadByAbbr("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Fig7RDD(bfs)
 	if len(d.Rows) < 5 {
 		t.Fatalf("Fig7 has %d instruction rows", len(d.Rows))
 	}

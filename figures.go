@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/config"
@@ -292,6 +294,11 @@ func (r *SuiteResult) Fig5IPC() (*Table, error) {
 		func(s *Stats) float64 { return s.IPC() })
 }
 
+// The workload analysis (Figs. 3, 4, 6 and 7) is one pass over each
+// application's trace, so each builder generates the kernels it replays
+// and drops them as it goes: nothing of it outlives the call. The replay
+// and Summarize coalesce from the instructions, so no kernel is packed.
+
 // Fig3RDD profiles every application and returns the program-level
 // reuse-distance distribution table.
 func Fig3RDD() *Distribution {
@@ -301,7 +308,7 @@ func Fig3RDD() *Distribution {
 		Buckets: rdd.BucketLabels,
 	}
 	for _, spec := range workloads.All() {
-		prof := rdd.ProfileKernel(spec.SharedKernel(cfg.L1D.LineSize), cfg.NumSMs, cfg.L1D)
+		prof := rdd.ProfileKernel(spec.Generate(), cfg.NumSMs, cfg.L1D)
 		d.Rows = append(d.Rows, report.DistRow{
 			Label:     spec.Abbr,
 			Fractions: prof.GlobalFractions(),
@@ -312,23 +319,31 @@ func Fig3RDD() *Distribution {
 
 // Fig4MissRates replays every application through 16/32/64KB LRU caches
 // and tabulates the reuse-data miss rate (compulsory misses excluded).
+// Each application is generated once and replayed at all three sizes.
 func Fig4MissRates() (*Table, error) {
-	apps := make([]string, 0, 18)
-	for _, s := range workloads.All() {
-		apps = append(apps, s.Abbr)
-	}
-	t := &Table{Title: "Fig. 4: reuse-data miss rate vs L1D size", Apps: apps}
-	n := config.Baseline().NumSMs
-	for _, sc := range AssocSchemes() {
+	schemes := AssocSchemes()
+	geoms := make([]config.CacheGeom, len(schemes))
+	for i, sc := range schemes {
 		cfg, err := config.ByL1DSize(sc.L1DKB)
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, 0, len(apps))
-		for _, s := range workloads.All() {
-			vals = append(vals, rdd.ReuseMissRate(s.SharedKernel(cfg.L1D.LineSize), n, cfg.L1D))
+		geoms[i] = cfg.L1D
+	}
+	specs := workloads.All()
+	apps := make([]string, len(specs))
+	vals := make([][]float64, len(schemes))
+	n := config.Baseline().NumSMs
+	for ai, spec := range specs {
+		apps[ai] = spec.Abbr
+		k := spec.Generate()
+		for gi, geom := range geoms {
+			vals[gi] = append(vals[gi], rdd.ReuseMissRate(k, n, geom))
 		}
-		if err := t.AddSeries(sc.Name, vals); err != nil {
+	}
+	t := &Table{Title: "Fig. 4: reuse-data miss rate vs L1D size", Apps: apps}
+	for i, sc := range schemes {
+		if err := t.AddSeries(sc.Name, vals[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -339,42 +354,42 @@ func Fig4MissRates() (*Table, error) {
 // ascending order with its CS/CI classification (1% threshold).
 func Fig6Ratios() (*Table, error) {
 	lineSize := config.Baseline().L1D.LineSize
-	sorted := workloads.SortedByRatio(lineSize)
-	apps := make([]string, len(sorted))
-	classes := make([]string, len(sorted))
-	vals := make([]float64, len(sorted))
-	for i, s := range sorted {
-		apps[i] = s.Abbr
-		classes[i] = s.Class.String()
-		vals[i] = s.SharedKernel(lineSize).Summarize(lineSize).MemoryAccessRatio() * 100
+	type point struct {
+		spec  Workload
+		ratio float64
+	}
+	points := make([]point, 0, 18)
+	for _, spec := range workloads.All() {
+		points = append(points, point{spec, spec.Generate().Summarize(lineSize).MemoryAccessRatio()})
+	}
+	sort.SliceStable(points, func(i, j int) bool { return points[i].ratio < points[j].ratio })
+	apps := make([]string, len(points))
+	vals := make([]float64, len(points))
+	ci := make([]float64, len(points))
+	for i, p := range points {
+		apps[i] = p.spec.Abbr
+		vals[i] = p.ratio * 100
+		if p.spec.Class == workloads.CI {
+			ci[i] = 1
+		}
 	}
 	t := &Table{Title: "Fig. 6: memory access ratio (%, sorted)", Apps: apps, Format: "%.3f"}
 	if err := t.AddSeries("ratio%", vals); err != nil {
 		return nil, err
 	}
-	if err := t.AddSeries("CI?(>1%)", boolSeries(classes)); err != nil {
+	if err := t.AddSeries("CI?(>1%)", ci); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func boolSeries(classes []string) []float64 {
-	out := make([]float64, len(classes))
-	for i, c := range classes {
-		if c == "CI" {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// Fig7BFS returns the per-instruction RDD of the BFS application.
-func Fig7BFS() *Distribution {
+// Fig7RDD returns the per-instruction RDD of one application; the paper
+// plots BFS.
+func Fig7RDD(spec Workload) *Distribution {
 	cfg := config.Baseline()
-	spec, _ := workloads.ByAbbr("BFS")
-	prof := rdd.ProfileKernel(spec.SharedKernel(cfg.L1D.LineSize), cfg.NumSMs, cfg.L1D)
+	prof := rdd.ProfileKernel(spec.Generate(), cfg.NumSMs, cfg.L1D)
 	d := &Distribution{
-		Title:   "Fig. 7: per-instruction RDD of BFS",
+		Title:   "Fig. 7: per-instruction RDD of " + spec.Abbr,
 		Buckets: rdd.BucketLabels,
 	}
 	for _, pc := range prof.PCs() {
@@ -445,19 +460,30 @@ func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 	return out, nil
 }
 
+// paperFigIDs are the experiment ids WritePaperFigs knows besides "all"
+// (every one of them but the opt-in "policies").
+var paperFigIDs = []string{"table2", "overhead", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13", "policies"}
+
 // WritePaperFigs writes what `paperfigs -exp exps` prints to stdout:
-// the experiments named in the comma-separated exps ("all" = every id
-// but the opt-in "policies"), in the command's fixed order, as text
-// tables or CSV. run executes one scheme set (RunSuite in the command,
-// cached suites in the drift test). A suite that comes back together
-// with an error is partial (KeepGoing): its tables render with FAILED
-// cells, the speedup summaries — means over an incomplete suite would
-// compare schemes on different application subsets — are left out, and
-// the error is returned once everything else has been written.
-func WritePaperFigs(w io.Writer, exps string, csv bool, run func([]Scheme) (*SuiteResult, error)) error {
+// the experiments named in the comma-separated exps, in the command's
+// fixed order, as text tables or CSV. An id it does not know is an error
+// before anything is written. apps are the applications of Fig. 7, one
+// table each; none means BFS, as in the paper. run executes one scheme
+// set (RunSuite in the command, cached suites in the drift test). A
+// suite that comes back together with an error is partial (KeepGoing):
+// its tables render with FAILED cells, the speedup summaries — means
+// over an incomplete suite would compare schemes on different
+// application subsets — are left out, and the error is returned once
+// everything else has been written.
+func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run func([]Scheme) (*SuiteResult, error)) error {
 	want := map[string]bool{}
 	for _, id := range strings.Split(exps, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id != "all" && !slices.Contains(paperFigIDs, id) {
+			return fmt.Errorf("unknown experiment %q (valid: all, %s)", id, strings.Join(paperFigIDs, ", "))
+		}
+		want[id] = true
 	}
 	has := func(id string) bool { return want["all"] || want[id] }
 
@@ -516,11 +542,24 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, run func([]Scheme) (*Sui
 		{"fig3", func() (figure, error) { return Fig3RDD(), nil }},
 		{"fig4", func() (figure, error) { return Fig4MissRates() }},
 		{"fig6", func() (figure, error) { return Fig6Ratios() }},
-		{"fig7", func() (figure, error) { return Fig7BFS(), nil }},
 	}
 	for _, a := range analysis {
 		if has(a.id) {
 			if err := emit(a.build()); err != nil {
+				return err
+			}
+		}
+	}
+	if has("fig7") {
+		if len(apps) == 0 {
+			bfs, err := workloads.ByAbbr("BFS")
+			if err != nil {
+				return err
+			}
+			apps = []Workload{bfs}
+		}
+		for _, app := range apps {
+			if err := emit(Fig7RDD(app), nil); err != nil {
 				return err
 			}
 		}

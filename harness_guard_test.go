@@ -35,14 +35,21 @@ var ownFlags = map[string][]string{
 	"cmd/dlpload":    {"timeout"},
 }
 
-// retiredFlags are the flags of the deleted in-engine parallelism and
-// the deleted retry path: the one directory allowed to declare each (""
-// for none). rddprof's -cores spreads RDD replays over goroutines, not
-// an engine.
+// retiredFlags are the flags of the deleted in-engine and RDD-replay
+// parallelism and the deleted retry path: the one directory allowed to
+// declare each ("" for none).
 var retiredFlags = map[string]string{
-	"cores":       "cmd/rddprof",
+	"cores":       "",
 	"extra-cores": "",
 	"retries":     "",
+}
+
+// serialDirs are the packages that start no goroutine and import no
+// sync package: the engine and the RDD replay. -j is the only
+// parallelism, and it lives in the runner.
+var serialDirs = map[string]string{
+	"internal/sim": "the engine runs on one goroutine",
+	"internal/rdd": "the RDD replay runs on one goroutine",
 }
 
 // retiredFields are the settable values that had no caller: the retry
@@ -57,8 +64,13 @@ var retiredFields = map[string]bool{
 }
 
 // retiredNames are the deleted retry classifier and the fault kind that
-// only its tests reached; no non-test file outside bench/ may name them.
-var retiredNames = map[string]bool{"Transient": true, "IsTransient": true, "Flaky": true}
+// only its tests reached, the deleted parallel RDD replays, the
+// registry sort that pinned every kernel, and the BFS-only Fig. 7; no
+// non-test file outside bench/ may name them.
+var retiredNames = map[string]bool{
+	"Transient": true, "IsTransient": true, "Flaky": true,
+	"ProfileKernelCores": true, "ReuseMissRateCores": true, "SortedByRatio": true, "Fig7BFS": true,
+}
 
 // importNames returns the names a file's imports bind, so a qualified
 // identifier such as sim.InjectionRate is not taken for a field.
@@ -111,9 +123,9 @@ func flagDecl(call *ast.CallExpr) string {
 // groups — and nowhere else in non-test Go, bar the listed commands
 // whose same-named flags mean something else; no retired flag comes
 // back; no non-test file outside bench/ names a Cores field or a retired
-// field, or names a retired identifier; internal/sim starts no goroutine
-// and imports no sync package; and no per-binary profiler type comes
-// back.
+// field, or names a retired identifier; internal/sim and internal/rdd
+// start no goroutine and import no sync package; and no per-binary
+// profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
@@ -142,10 +154,10 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		imports := importNames(file)
-		if dir == "internal/sim" {
+		if why, serial := serialDirs[dir]; serial {
 			for _, imp := range file.Imports {
 				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
-					t.Errorf("%s imports %s; the engine runs on one goroutine", path, p)
+					t.Errorf("%s imports %s; %s", path, p, why)
 				}
 			}
 		}
@@ -197,8 +209,8 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 					t.Errorf("%s names the retired %s", fset.Position(n.Pos()), n.Name)
 				}
 			case *ast.GoStmt:
-				if dir == "internal/sim" {
-					t.Errorf("%s: internal/sim starts a goroutine", fset.Position(n.Pos()))
+				if _, serial := serialDirs[dir]; serial {
+					t.Errorf("%s: %s starts a goroutine", fset.Position(n.Pos()), dir)
 				}
 			case *ast.TypeSpec:
 				if n.Name.Name == "profiler" && strings.HasPrefix(dir, "cmd/") {

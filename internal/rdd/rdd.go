@@ -10,7 +10,6 @@ package rdd
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -66,14 +65,18 @@ type tracker struct {
 	prof       *Profile
 }
 
-func newTracker(geom config.CacheGeom, prof *Profile) *tracker {
+// mapperFor returns the set/tag mapper of a cache geometry.
+func mapperFor(geom config.CacheGeom) *addr.Mapper {
 	kind := addr.LinearIndex
 	if geom.Hashed {
 		kind = addr.HashIndex
 	}
-	m := addr.MustMapper(geom.LineSize, geom.Sets, kind)
+	return addr.MustMapper(geom.LineSize, geom.Sets, kind)
+}
+
+func newTracker(geom config.CacheGeom, prof *Profile) *tracker {
 	t := &tracker{
-		mapper:     m,
+		mapper:     mapperFor(geom),
 		setCounter: make([]uint64, geom.Sets),
 		lastTouch:  make([]map[uint64]uint64, geom.Sets),
 		prof:       prof,
@@ -110,38 +113,13 @@ func (t *tracker) access(a addr.Addr, pc uint32) {
 // round-robin and interleaving warp memory instructions round-robin
 // within each SM, mirroring the simulator's dispatch.
 func ProfileKernel(k *trace.Kernel, numSMs int, geom config.CacheGeom) *Profile {
-	return ProfileKernelCores(k, numSMs, geom, 1)
-}
-
-// ProfileKernelCores is ProfileKernel on a pool of cores goroutines.
-// Each SM's replay is independent (its own cache view, its own
-// counters), so SMs are striped across workers, each worker fills a
-// private Profile, and the shards merge afterwards. Every merged
-// counter is a sum, so the result is identical to the serial profile
-// at any core count.
-func ProfileKernelCores(k *trace.Kernel, numSMs int, geom config.CacheGeom, cores int) *Profile {
-	shards := shardSMs(k, numSMs, geom.LineSize, cores, func() *Profile {
-		return &Profile{
-			Global: stats.NewHistogram(),
-			PerPC:  make(map[uint32]*stats.Histogram),
-		}
-	}, func(prof *Profile, sm int) func(addr.Addr, uint32) {
-		t := newTracker(geom, prof)
-		return t.access
-	})
-	prof := shards[0]
-	for _, sh := range shards[1:] {
-		prof.Global.Merge(sh.Global)
-		for pc, h := range sh.PerPC {
-			if have, ok := prof.PerPC[pc]; ok {
-				have.Merge(h)
-			} else {
-				prof.PerPC[pc] = h
-			}
-		}
-		prof.Accesses += sh.Accesses
-		prof.Reuses += sh.Reuses
+	prof := &Profile{
+		Global: stats.NewHistogram(),
+		PerPC:  make(map[uint32]*stats.Histogram),
 	}
+	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, uint32) {
+		return newTracker(geom, prof).access
+	})
 	return prof
 }
 
@@ -167,109 +145,56 @@ func (s *lruSet) touch(tag uint64, ways int) (hit bool) {
 	return false
 }
 
-// missShard counts one worker's share of the Fig. 4 LRU replay.
-type missShard struct {
-	reuses      uint64
-	reuseMisses uint64
-}
-
 // ReuseMissRate replays the stream through LRU caches of the given
 // geometry and returns the miss rate over non-compulsory accesses only
 // (Fig. 4 excludes compulsory misses).
 func ReuseMissRate(k *trace.Kernel, numSMs int, geom config.CacheGeom) float64 {
-	return ReuseMissRateCores(k, numSMs, geom, 1)
-}
-
-// ReuseMissRateCores is ReuseMissRate with the SMs striped across cores
-// goroutines; the per-shard counters sum to the serial result exactly.
-func ReuseMissRateCores(k *trace.Kernel, numSMs int, geom config.CacheGeom, cores int) float64 {
-	kind := addr.LinearIndex
-	if geom.Hashed {
-		kind = addr.HashIndex
-	}
-	shards := shardSMs(k, numSMs, geom.LineSize, cores, func() *missShard { return &missShard{} },
-		func(ms *missShard, sm int) func(addr.Addr, uint32) {
-			m := addr.MustMapper(geom.LineSize, geom.Sets, kind)
-			sets := make([]lruSet, geom.Sets)
-			seen := make(map[uint64]bool)
-			return func(a addr.Addr, pc uint32) {
-				tag := m.Tag(a)
-				first := !seen[tag]
-				seen[tag] = true
-				hit := sets[m.Set(a)].touch(tag, geom.Ways)
-				if first {
-					return
-				}
-				ms.reuses++
-				if !hit {
-					ms.reuseMisses++
-				}
-			}
-		})
 	var reuses, reuseMisses uint64
-	for _, ms := range shards {
-		reuses += ms.reuses
-		reuseMisses += ms.reuseMisses
-	}
-	if reuses == 0 {
-		return 0
-	}
-	return float64(reuseMisses) / float64(reuses)
+	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, uint32) {
+		m := mapperFor(geom)
+		sets := make([]lruSet, geom.Sets)
+		seen := make(map[uint64]bool)
+		return func(a addr.Addr, _ uint32) {
+			tag := m.Tag(a)
+			first := !seen[tag]
+			seen[tag] = true
+			hit := sets[m.Set(a)].touch(tag, geom.Ways)
+			if first {
+				return
+			}
+			reuses++
+			if !hit {
+				reuseMisses++
+			}
+		}
+	})
+	return stats.Ratio(reuseMisses, reuses)
 }
 
-// replayScratch holds one worker's reusable replay buffers: the
-// per-block warp cursors and the coalescing output. Reusing them is
-// what keeps the replay's allocation count proportional to the cache
-// state (SMs, sets, distinct lines) instead of the stream length.
+// replayScratch holds the reusable replay buffers: the per-block warp
+// cursors and the coalescing output. Reusing them is what keeps the
+// replay's allocation count proportional to the cache state (SMs, sets,
+// distinct lines) instead of the stream length.
 type replayScratch struct {
 	ptrs  []int
 	lines []addr.Addr
 }
 
-// shardSMs distributes the kernel's blocks round-robin over numSMs SMs
-// (mirroring the simulator's dispatch), stripes the SMs across
-// min(cores, numSMs) workers, and replays each SM, coalesced at
-// lineSize, through an access function built by sink over the worker's
-// shard. Shards are private to their worker — sink is called on the
-// worker goroutine — so the replay is race-free without locks; callers
-// fold the shards, whose counters are order-independent sums.
-func shardSMs[S any](k *trace.Kernel, numSMs, lineSize, cores int,
-	newShard func() S, sink func(shard S, sm int) func(addr.Addr, uint32)) []S {
+// eachSM distributes the kernel's blocks round-robin over numSMs SMs
+// (mirroring the simulator's dispatch) and replays each SM that got a
+// block, coalesced at lineSize, through a fresh access function from
+// newSM — one cache view per SM.
+func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() func(addr.Addr, uint32)) {
 	perSM := make([][]*trace.Block, numSMs)
 	for i, b := range k.Blocks {
 		perSM[i%numSMs] = append(perSM[i%numSMs], b)
 	}
-	if cores > numSMs {
-		cores = numSMs
-	}
-	if cores < 1 {
-		cores = 1
-	}
-	shards := make([]S, cores)
-	work := func(w int) {
-		shards[w] = newShard()
-		var sc replayScratch
-		for sm := w; sm < numSMs; sm += cores {
-			if len(perSM[sm]) == 0 {
-				continue
-			}
-			replaySM(perSM[sm], lineSize, sink(shards[w], sm), &sc)
+	var sc replayScratch
+	for _, blocks := range perSM {
+		if len(blocks) > 0 {
+			replaySM(blocks, lineSize, newSM(), &sc)
 		}
 	}
-	if cores == 1 {
-		work(0)
-		return shards
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < cores; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	wg.Wait()
-	return shards
 }
 
 // replaySM walks one SM's blocks in dispatch order, invoking access for

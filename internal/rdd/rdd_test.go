@@ -261,3 +261,41 @@ func TestBucketsMatchPaperRanges(t *testing.T) {
 		t.Error("label/bucket length mismatch")
 	}
 }
+
+// TestReplayAllocsStreamIndependent pins the replay's allocations to
+// the cache state it builds (SMs × sets, distinct lines), not to the
+// length of the memory stream. Replaying the same working set with 8×
+// the accesses must not allocate more — without the scratch-buffer
+// reuse, every instruction allocates its coalesced-line slice and every
+// block its warp cursors.
+func TestReplayAllocsStreamIndependent(t *testing.T) {
+	build := func(touches int) *trace.Kernel {
+		k := &trace.Kernel{Name: "alloc"}
+		for b := 0; b < 16; b++ {
+			blk := &trace.Block{}
+			wt := &trace.WarpTrace{}
+			for tch := 0; tch < touches; tch++ {
+				for line := 0; line < 8; line++ {
+					wt.Instrs = append(wt.Instrs,
+						trace.NewLoad(uint32(line), []addr.Addr{addr.Addr((b*8 + line) * 128)}))
+				}
+			}
+			blk.Warps = append(blk.Warps, wt)
+			k.Blocks = append(k.Blocks, blk)
+		}
+		return k
+	}
+	short, long := build(2), build(16)
+	geom := config.Baseline().L1D
+	measure := func(k *trace.Kernel) float64 {
+		return testing.AllocsPerRun(10, func() {
+			ProfileKernel(k, 16, geom)
+			ReuseMissRate(k, 16, geom)
+		})
+	}
+	a, b := measure(short), measure(long)
+	// Identical working sets, so only map-internals jitter is tolerated.
+	if b > a*1.1 {
+		t.Errorf("8x the accesses allocates %.0f vs %.0f: replay allocations scale with stream length", b, a)
+	}
+}

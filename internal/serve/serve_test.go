@@ -351,6 +351,10 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	if v.Status != StatusCancelled {
 		t.Fatalf("status after DELETE = %q, want cancelled: %s", v.Status, b)
 	}
+	// The worker books the cancellation just after it settles the job,
+	// which is what released the DELETE response; the drain returns once
+	// the worker is done with it.
+	s.Shutdown(context.Background())
 	s.mu.Lock()
 	cancelled := s.cancelled
 	s.mu.Unlock()

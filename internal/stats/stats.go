@@ -189,19 +189,6 @@ func (h *Histogram) Observe(v int) {
 	h.total++
 }
 
-// Merge folds every observation of o into h. Addition commutes, so a
-// set of histograms merges to the same result in any order — which is
-// what lets the parallel RDD profiler shard per SM and fold.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for v, c := range o.counts {
-		h.counts[v] += c
-	}
-	h.total += o.total
-}
-
 // Total returns the number of observations.
 func (h *Histogram) Total() uint64 { return h.total }
 

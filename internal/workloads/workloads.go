@@ -11,7 +11,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/trace"
@@ -135,7 +134,10 @@ func Abbrs() []string {
 // sharedKernels memoizes generated kernels process-wide. Generation is
 // deterministic and simulations never mutate a kernel (per-warp pc
 // state lives in sm.warp), so every suite, test, and tool in the
-// process can share one instance per application and line size.
+// process can share one instance per application and line size. The
+// memo is never emptied, so it only pays for callers that run many jobs
+// over one kernel; a single pass over a trace (the workload analysis of
+// Figs. 3, 4, 6 and 7) calls Generate and drops the kernel instead.
 var (
 	sharedMu      sync.Mutex
 	sharedKernels = map[sharedKey]*trace.Kernel{}
@@ -199,18 +201,4 @@ func (s Spec) ScaledKernel(scale int) *trace.Kernel {
 		return s.Generate()
 	}
 	return s.gridGen(scale).Kernel()
-}
-
-// SortedByRatio returns specs sorted ascending by the memory-access
-// ratio of their generated kernels (the Fig. 6 x-axis ordering).
-func SortedByRatio(lineSize int) []Spec {
-	specs := All()
-	ratios := make(map[string]float64, len(specs))
-	for _, s := range specs {
-		ratios[s.Abbr] = s.SharedKernel(lineSize).Summarize(lineSize).MemoryAccessRatio()
-	}
-	sort.SliceStable(specs, func(i, j int) bool {
-		return ratios[specs[i].Abbr] < ratios[specs[j].Abbr]
-	})
-	return specs
 }

@@ -79,7 +79,7 @@ func TestPaperfigsOutputCommitted(t *testing.T) {
 	assoc := assocSuite(t) // Fig. 5
 
 	var b strings.Builder
-	err := WritePaperFigs(&b, "all", false, func(schemes []Scheme) (*SuiteResult, error) {
+	err := WritePaperFigs(&b, "all", false, nil, func(schemes []Scheme) (*SuiteResult, error) {
 		switch {
 		case reflect.DeepEqual(schemes, PaperSchemes()):
 			return eval, nil
