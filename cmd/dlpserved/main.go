@@ -1,8 +1,8 @@
 // Command dlpserved runs the simulation job server: a persistent HTTP
 // service that accepts jobs in the conformance corpus's Spec
 // vocabulary, executes them on a shared runner with a shared
-// content-addressed result cache, and streams progress back as SSE or
-// JSONL.
+// content-addressed result cache, and streams progress back as JSON
+// lines.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@
 //	                          verbatim); X-Tenant names the tenant
 //	GET    /jobs/{id}         job status
 //	GET    /jobs/{id}/stats   normalized stats (corpus byte format)
-//	GET    /jobs/{id}/events  SSE progress (?format=jsonl)
+//	GET    /jobs/{id}/events  progress (JSON lines)
 //	DELETE /jobs/{id}         cancel
 //	GET    /stats             server + cache counters
 //	GET    /healthz           liveness

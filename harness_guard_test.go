@@ -65,11 +65,15 @@ var retiredFields = map[string]bool{
 
 // retiredNames are the deleted retry classifier and the fault kind that
 // only its tests reached, the deleted parallel RDD replays, the
-// registry sort that pinned every kernel, and the BFS-only Fig. 7; no
-// non-test file outside bench/ may name them.
+// registry sort that pinned every kernel, the BFS-only Fig. 7, the
+// deferred store return the phase-parallel engine needed, and the
+// crossbar's segment queue; no non-test file outside bench/ may name
+// them.
 var retiredNames = map[string]bool{
 	"Transient": true, "IsTransient": true, "Flaky": true,
 	"ProfileKernelCores": true, "ReuseMissRateCores": true, "SortedByRatio": true, "Fig7BFS": true,
+	"Recycler": true, "SetRecycler": true, "DrainTo": true, "returnStores": true,
+	"grabFree": true, "popHead": true, "openTail": true,
 }
 
 // importNames returns the names a file's imports bind, so a qualified

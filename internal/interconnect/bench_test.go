@@ -8,12 +8,10 @@ import (
 )
 
 // lanePushBench builds the engine's per-cycle crossbar pattern: one
-// lane batch handed to PushBatch (ownership transfer, no
-// copying), the network ticked until the batch arrives and is popped,
-// and the recycled segment reused as the next cycle's lane. It returns
-// warm: the first cycle seeds the segment free list, the second starts
-// the lane-reuse steady state (PushBatch returns the first cycle's
-// recycled segment).
+// lane of packets handed to PushBatch, the network ticked until the
+// batch arrives and is popped, and the emptied lane reused as the next
+// cycle's. It returns warm: the first cycles grow the injection and
+// in-flight rings to their steady size.
 func lanePushBench() (cycle func()) {
 	const batchSize = 8
 	n := New(2, 64, 32, 128, &stats.Stats{})
@@ -54,8 +52,8 @@ func BenchmarkLanePushBatch(b *testing.B) {
 }
 
 // TestLanePushBatchAllocs pins the lane merge allocation-free once the
-// segment free list is warm: a nil or fresh segment out of PushBatch
-// would make the next cycle's lane fill allocate.
+// rings have grown: PushBatch must hand back the caller's lane, emptied,
+// so the next cycle's fill reuses its backing array.
 func TestLanePushBatchAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, lanePushBench()); avg != 0 {
 		t.Errorf("lane PushBatch cycle allocates %.2f per cycle, want 0", avg)

@@ -35,56 +35,13 @@ type packet struct {
 	arriveAt uint64
 }
 
+// direction is one way through the crossbar: the packets waiting for
+// injection, in the order they were pushed, and the packets on the wire.
 type direction struct {
-	// The injection queue is a FIFO of segments. PushBatch hands over a
-	// whole lane of packets as one segment — an O(1) slice handoff, no
-	// per-packet copying — which is what lets the engine's window close
-	// do O(1) work per cycle and direction instead of O(packets).
-	// Single-packet Push appends to an "open" tail segment, so packet-at-a-time
-	// callers (tests, simple harnesses) see plain FIFO semantics.
-	// off is the consumed prefix of the head segment; count is the total
-	// queued across all segments. Fully consumed segments are recycled
-	// through free and handed back to PushBatch callers, so the steady
-	// state allocates nothing.
-	segs     ring.Queue[[]*mem.Request]
-	off      int
-	count    int
-	openTail bool
-	free     [][]*mem.Request
+	waiting  ring.Queue[*mem.Request]
 	inFlight ring.Queue[packet]
 	budget   int // flits remaining this cycle
 	sent     int // flits of the head waiting packet already on the wire
-}
-
-// head returns the oldest waiting packet. Caller checks count > 0.
-func (d *direction) head() *mem.Request { return (*d.segs.Front())[d.off] }
-
-// popHead consumes the oldest waiting packet, recycling its segment
-// once fully drained.
-func (d *direction) popHead() {
-	seg := *d.segs.Front()
-	seg[d.off] = nil
-	d.off++
-	d.count--
-	if d.off == len(seg) {
-		d.free = append(d.free, d.segs.Pop()[:0])
-		d.off = 0
-		if d.segs.Len() == 0 {
-			d.openTail = false
-		}
-	}
-}
-
-// grabFree pops a recycled empty segment, or nil when none is banked.
-func (d *direction) grabFree() []*mem.Request {
-	n := len(d.free)
-	if n == 0 {
-		return nil
-	}
-	s := d.free[n-1]
-	d.free[n-1] = nil
-	d.free = d.free[:n-1]
-	return s
 }
 
 // Network is the crossbar. The engine calls Tick once per ICNT cycle,
@@ -144,8 +101,8 @@ func (n *Network) Tick(now uint64) {
 	for d := range n.dirs {
 		dir := &n.dirs[d]
 		dir.budget = n.bandwidth
-		for dir.count > 0 && dir.budget > 0 {
-			req := dir.head()
+		for dir.waiting.Len() > 0 && dir.budget > 0 {
+			req := *dir.waiting.Front()
 			flits := n.FlitsFor(req, Direction(d))
 			remaining := flits - dir.sent
 			if remaining > dir.budget {
@@ -159,7 +116,7 @@ func (n *Network) Tick(now uint64) {
 			dir.sent = 0
 			n.countFlits(flits)
 			dir.inFlight.Push(packet{req: req, arriveAt: now + n.latency})
-			dir.popHead()
+			dir.waiting.Pop()
 		}
 	}
 }
@@ -169,35 +126,22 @@ func (n *Network) countFlits(flits int) {
 	n.st.ICNTDataFlits += uint64(flits)
 }
 
-// Push enqueues a packet for injection in the given direction. Packets
-// land in an open tail segment, after everything already queued; Push
-// and PushBatch interleave into one FIFO.
+// Push enqueues a packet for injection in the given direction, after
+// everything already queued.
 func (n *Network) Push(dir Direction, req *mem.Request) {
-	d := &n.dirs[dir]
-	if !d.openTail {
-		d.segs.Push(d.grabFree())
-		d.openTail = true
-	}
-	tail := d.segs.Back()
-	*tail = append(*tail, req)
-	d.count++
+	n.dirs[dir].waiting.Push(req)
 }
 
-// PushBatch enqueues a whole lane of packets as one segment, preserving
-// their order after everything already queued. The network takes
-// ownership of the slice; in exchange the caller receives an empty
-// recycled buffer (possibly nil early on) for its next lane fill, so a
-// steady-state lane merge moves no packets and allocates nothing. An
-// empty batch is returned unchanged.
+// PushBatch pushes a lane of packets in order, clears the lane's slots
+// and returns it emptied for the caller's next fill, so the steady state
+// allocates nothing once the injection queue has grown.
 func (n *Network) PushBatch(dir Direction, batch []*mem.Request) []*mem.Request {
-	if len(batch) == 0 {
-		return batch
-	}
 	d := &n.dirs[dir]
-	d.segs.Push(batch)
-	d.openTail = false
-	d.count += len(batch)
-	return d.grabFree()
+	for i, req := range batch {
+		d.waiting.Push(req)
+		batch[i] = nil
+	}
+	return batch[:0]
 }
 
 // PopArrived returns the next packet that has completed its flight in the
@@ -225,7 +169,7 @@ func (n *Network) PopArrivedBy(dir Direction, by uint64) (req *mem.Request, at u
 // waiting packet means the next Tick does real work (it will inject),
 // so the engine must not fast-forward past it.
 func (n *Network) HasWaiting() bool {
-	return n.dirs[ToMem].count > 0 || n.dirs[ToCore].count > 0
+	return n.dirs[ToMem].waiting.Len() > 0 || n.dirs[ToCore].waiting.Len() > 0
 }
 
 // NextArrival returns the earliest in-flight arrival time across both
@@ -250,7 +194,7 @@ func (n *Network) AddBackgroundFlits(flits uint64) {
 // Pending reports whether any packet is waiting or in flight.
 func (n *Network) Pending() bool {
 	for d := range n.dirs {
-		if n.dirs[d].count > 0 || n.dirs[d].inFlight.Len() > 0 {
+		if n.dirs[d].waiting.Len() > 0 || n.dirs[d].inFlight.Len() > 0 {
 			return true
 		}
 	}

@@ -252,7 +252,7 @@ func TestArrivalExactlyLatencyAfterInjection(t *testing.T) {
 			}
 			n.Tick(now)
 			for d := range waiting {
-				k := len(waiting[d]) - n.dirs[d].count // injected by this Tick
+				k := len(waiting[d]) - n.dirs[d].waiting.Len() // injected by this Tick
 				for _, r := range waiting[d][:k] {
 					flying[d] = append(flying[d], sent{req: r, at: now})
 				}

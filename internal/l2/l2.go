@@ -114,11 +114,8 @@ type Partition struct {
 	now        uint64
 	seq        uint64
 	// pool receives consumed write-through stores (the partition is
-	// their last stop); may be nil. When rec is set it takes precedence:
-	// consumed stores are deferred there instead, for the engine to
-	// route back to each issuing SM's pool when the window closes.
+	// their last stop); may be nil.
 	pool *mem.Pool
-	rec  *mem.Recycler
 	// parked marks an input-queue head that service refused for want of
 	// an MSHR or a victim way. Both free up only when a DRAM fill lands,
 	// so the head is not re-probed until completeFill clears the mark;
@@ -240,8 +237,11 @@ func (p *Partition) service(req *mem.Request) bool {
 	}
 }
 
+// serviceStore absorbs or forwards a write-through store and returns it
+// to the pool: the partition is a store's final owner — stores get no
+// response — so this is the one place a store request dies.
 func (p *Partition) serviceStore(req *mem.Request) {
-	defer p.recycleStore(req)
+	defer p.pool.Put(req)
 	p.st.L2Accesses++
 	set, way, res := p.ta.Probe(req.Addr)
 	if res == cache.ProbeHit {
@@ -256,24 +256,6 @@ func (p *Partition) serviceStore(req *mem.Request) {
 	p.st.L2Misses++
 	p.dram.Access(req.Addr, p.mapper.LineSize(), p.now)
 	p.st.DRAMWrites++
-}
-
-// SetRecycler diverts consumed write-through stores into rc instead of
-// the pool passed to New. The engine installs one recycler per
-// partition and returns its stores to their SMs' pools when a window of
-// cycles closes, so a partition never touches an SM's pool mid-window.
-func (p *Partition) SetRecycler(rc *mem.Recycler) { p.rec = rc }
-
-// recycleStore returns a consumed write-through store to the request
-// pool (or defers it to the engine's recycler). The partition is a
-// store's final owner — stores get no response — so this is the one
-// place a store request dies.
-func (p *Partition) recycleStore(req *mem.Request) {
-	if p.rec != nil {
-		p.rec.Defer(req)
-		return
-	}
-	p.pool.Put(req)
 }
 
 // liveMSHRs counts the outstanding fetches.

@@ -14,6 +14,4 @@ func (p *Partition) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.IntGauge(prefix+".mshr.entries", p.liveMSHRs)
 	reg.IntGauge(prefix+".events.pending", func() int { return p.hits.Len() + len(p.fills) })
 	reg.IntGauge(prefix+".responses.ready", func() int { return p.responses.Len() })
-	p.pool.RegisterMetrics(reg, prefix+".pool")
-	p.rec.RegisterMetrics(reg, prefix+".recycler")
 }

@@ -4,18 +4,7 @@ import "repro/internal/metrics"
 
 // RegisterMetrics registers the pool's free-list level under prefix.
 // The gauge tracks how deep the request free list has grown — a proxy
-// for the peak number of in-flight requests the component has seen.
+// for the peak number of in-flight requests the machine has seen.
 func (p *Pool) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if p == nil {
-		return
-	}
 	reg.IntGauge(prefix+".free", func() int { return len(p.free) })
-}
-
-// RegisterMetrics registers the recycler's pending-return level.
-func (r *Recycler) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	reg.IntGauge(prefix+".pending", r.Len)
 }

@@ -1,7 +1,7 @@
 // Package metrics is the cycle-domain observability layer of the
 // simulator: a pull-model registry of named counters and gauges that
 // core components (L1D, VTA, PDPT, MSHR queues, L2 partitions, the
-// crossbar, SM schedulers, request pools) register into at engine
+// crossbar, SM schedulers, the request pool) register into at engine
 // construction time, plus sinks that receive sampled rows.
 //
 // The design goal is that the registry is provably free when disabled:

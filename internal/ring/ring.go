@@ -1,7 +1,7 @@
 // Package ring is the simulator's one FIFO: a queue over a power-of-two
 // ring buffer that doubles when full, so Push and Pop are O(1) at any
 // depth and the steady state allocates nothing. The crossbar's
-// injection segments and in-flight packets, the L2 partitions' input,
+// injection and in-flight queues, the L2 partitions' input,
 // hit-event and response queues, the SM's LD/ST queue and the L1D's
 // miss, bypass and hit queues all sit on it.
 package ring

@@ -83,7 +83,7 @@ type CacheView struct {
 //	                      the result — disconnecting cancels the job)
 //	GET    /jobs/{id}         job status (+stats when done)
 //	GET    /jobs/{id}/stats   normalized stats, verbatim corpus bytes
-//	GET    /jobs/{id}/events  progress stream (SSE; ?format=jsonl)
+//	GET    /jobs/{id}/events  progress stream (JSON lines)
 //	DELETE /jobs/{id}         cancel
 //	GET    /stats             server + cache counters
 //	GET    /healthz           liveness (503 while draining)
@@ -208,23 +208,16 @@ func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(stats)
 }
 
-// handleJobEvents streams the job's progress log. Server-Sent Events by
-// default; ?format=jsonl switches to one JSON object per line. The
-// stream replays history first, then follows live until the terminal
-// event, so a subscriber attaching at any point sees the full
-// lifecycle.
+// handleJobEvents streams the job's progress log as JSON lines, one
+// event per line. The stream replays history first, then follows live
+// until the terminal event, so a subscriber attaching at any point sees
+// the full lifecycle.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	js := s.lookup(w, r)
 	if js == nil {
 		return
 	}
-	jsonl := r.URL.Query().Get("format") == "jsonl"
-	if jsonl {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	} else {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 
 	next := 0
@@ -241,11 +234,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			if jsonl {
-				fmt.Fprintf(w, "%s\n", b)
-			} else {
-				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, b)
-			}
+			fmt.Fprintf(w, "%s\n", b)
 		}
 		if len(evs) > 0 && flusher != nil {
 			flusher.Flush()

@@ -5,7 +5,7 @@
 // Clients POST jobs in the conformance corpus's Spec vocabulary (policy
 // + sparse config overlay + workload reference — the same config.json
 // bytes committed under testdata/conform/ are valid request bodies) and
-// get back a job resource that can be polled, streamed (SSE / JSONL
+// get back a job resource that can be polled, streamed (JSON lines
 // derived from the runner's Events stream), cancelled, and fetched as
 // canonically normalized stats.
 //
@@ -117,8 +117,8 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// JobEvent is one entry of a job's progress log, streamed over SSE /
-// JSONL. Kinds: "queued", "started" (a runner worker picked the job
+// JobEvent is one entry of a job's progress log, streamed as one JSON
+// line. Kinds: "queued", "started" (a runner worker picked the job
 // up), and one terminal "done" / "failed" / "cancelled".
 type JobEvent struct {
 	Seq    int        `json:"seq"`

@@ -202,11 +202,14 @@ func TestAsyncSubmitPollEvents(t *testing.T) {
 	}
 
 	// The event stream of a finished job replays and terminates.
-	evResp, err := ts.Client().Get(ts.URL + "/jobs/" + id + "/events?format=jsonl")
+	evResp, err := ts.Client().Get(ts.URL + "/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer evResp.Body.Close()
+	if ct := evResp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
+	}
 	evBody, _ := io.ReadAll(evResp.Body)
 	var kinds []string
 	for _, line := range strings.Split(strings.TrimSpace(string(evBody)), "\n") {
@@ -219,28 +222,6 @@ func TestAsyncSubmitPollEvents(t *testing.T) {
 	want := []string{"queued", "started", "done"}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Errorf("event kinds = %v, want %v", kinds, want)
-	}
-}
-
-// TestSSEEventStream: the default SSE framing carries the same events.
-func TestSSEEventStream(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1})
-	_, body := postJob(t, ts, testSpec(t, 3), "", true)
-	id := decodeView(t, body).ID
-
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("Content-Type = %q, want text/event-stream", ct)
-	}
-	sse, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{"event: queued\n", "event: started\n", "event: done\n", "data: {"} {
-		if !strings.Contains(string(sse), want) {
-			t.Errorf("SSE stream missing %q:\n%s", want, sse)
-		}
 	}
 }
 

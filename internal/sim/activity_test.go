@@ -127,7 +127,7 @@ func TestFastForwardDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.disableFastForward = disableFF
+					e.opts.DisableFastForward = disableFF
 					var stepped uint64
 					e.windowHook = func(t0, t1, _ uint64) { stepped += t1 - t0 + 1 }
 					st, err := e.Run(context.Background(), mixedKernel(11))

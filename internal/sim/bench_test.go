@@ -38,8 +38,7 @@ func BenchmarkWindowStep(b *testing.B) {
 }
 
 // TestWindowStepAllocs pins the window step allocation-free at steady
-// state: the lanes and the store list are reused, never rebuilt per
-// window.
+// state: the lanes and inboxes are reused, never rebuilt per window.
 func TestWindowStepAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, windowStepBench(t)); avg != 0 {
 		t.Errorf("idle window step allocates %.2f per window, want 0", avg)

@@ -22,6 +22,7 @@ func (e *Engine) registerMetrics(m *metrics.Config) {
 	for i, s := range e.sms {
 		s.RegisterMetrics(reg, "sm"+strconv.Itoa(i))
 	}
+	e.pool.RegisterMetrics(reg, "pool")
 	reg.Seal()
 
 	e.mreg = reg

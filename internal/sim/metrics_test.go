@@ -23,7 +23,7 @@ func runSampled(t *testing.T, policy config.Policy, noFF bool, every uint64) (*m
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.disableFastForward = noFF
+	e.opts.DisableFastForward = noFF
 	st, err := e.Run(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/conform"
@@ -47,11 +46,12 @@ func quantumRun(t *testing.T, c *conform.Case, opts sim.Options, unit bool) (*st
 
 // layoutColumn reports the metric columns that describe the engine's
 // own schedule rather than the simulated machine, and so may differ
-// between window lengths: the request pools' free levels (a consumed
-// store goes home when its window closes; how many requests an SM had to
-// allocate meanwhile depends on how long the window was).
+// between window lengths: the request pool's free level (the partitions
+// run a whole window before the SMs do, so how many requests the SMs had
+// to allocate while stores were still on their way home depends on how
+// long the window was).
 func layoutColumn(name string) bool {
-	return strings.HasSuffix(name, ".pool.free")
+	return name == "pool.free"
 }
 
 // TestQuantumDifferential holds the window loop to the per-cycle

@@ -99,25 +99,19 @@ type Engine struct {
 	// totals.
 	partSt []*stats.Stats
 
-	// pools recycle mem.Request objects, one pool per SM: an SM
-	// allocates from and returns loads to its own pool, whose free level
-	// is the sm<i>.pool.free metric column. Store requests consumed by L2
-	// partitions are deferred into per-partition recyclers, drained into
-	// outPut as the partition runs, and returned to the issuing SM's pool
-	// (Request.SM) when the window closes — the schedule that column
-	// records.
-	pools     []*mem.Pool
-	recyclers []*mem.Recycler
+	// pool recycles mem.Request objects: the SMs allocate from it, and a
+	// request goes back where its life ends — a load in its SM's
+	// delivery callback, a store in the L2 partition that consumes it.
+	// Its free level is the pool.free metric column.
+	pool *mem.Pool
 
 	// outMem and outCore are the window's outbound lanes, one per cycle
 	// of the window: lane j holds the packets sent in the window's j-th
 	// cycle, in component order, and is handed to the crossbar whole. sent
-	// counts the packets in them; outPut holds the stores the partitions
-	// consumed. Every buffer keeps its backing array across windows, so
-	// the steady state allocates nothing.
+	// counts the packets in them. Every lane keeps its backing array
+	// across windows, so the steady state allocates nothing.
 	outMem  [][]*mem.Request
 	outCore [][]*mem.Request
-	outPut  []*mem.Request
 	sent    int
 
 	// quantum is the longest window the run loop hands the components:
@@ -154,9 +148,6 @@ type Engine struct {
 	// over are not observed — that they carry no observable work is
 	// exactly what the activity property tests verify.
 	windowHook func(t0, t1, active uint64)
-	// disableFastForward is Options.DisableFastForward, settable by the
-	// differential property tests of this package after New.
-	disableFastForward bool
 }
 
 // New builds an engine for the configuration and L1D policy.
@@ -169,28 +160,23 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 	}
 	opts = opts.withDefaults()
 	e := &Engine{
-		cfg:                cfg,
-		policy:             policy,
-		opts:               opts,
-		netSt:              &stats.Stats{},
-		disableFastForward: opts.DisableFastForward,
+		cfg:    cfg,
+		policy: policy,
+		opts:   opts,
+		netSt:  &stats.Stats{},
+		pool:   mem.NewPool(),
 	}
-	e.pools = make([]*mem.Pool, cfg.NumSMs)
 	e.sms = make([]*sm.SM, cfg.NumSMs)
 	for i := range e.sms {
-		e.pools[i] = mem.NewPool()
-		e.sms[i] = sm.New(cfg, i, policy, e.pools[i])
+		e.sms[i] = sm.New(cfg, i, policy, e.pool)
 	}
 	e.net = interconnect.New(cfg.ICNTLatency, cfg.ICNTBandwidthFlits,
 		cfg.ICNTFlitBytes, cfg.L1D.LineSize, e.netSt)
 	e.partSt = make([]*stats.Stats, cfg.NumPartitions)
-	e.recyclers = make([]*mem.Recycler, cfg.NumPartitions)
 	e.parts = make([]*l2.Partition, cfg.NumPartitions)
 	for i := range e.parts {
 		e.partSt[i] = &stats.Stats{}
-		e.recyclers[i] = &mem.Recycler{}
-		e.parts[i] = l2.New(cfg, e.partSt[i], nil)
-		e.parts[i].SetRecycler(e.recyclers[i])
+		e.parts[i] = l2.New(cfg, e.partSt[i], e.pool)
 	}
 	// The component index space: partitions first, then SMs.
 	total := cfg.NumSMs + cfg.NumPartitions

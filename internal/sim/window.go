@@ -190,7 +190,7 @@ func (e *Engine) checkpoint(ctx context.Context, name string, cycle uint64) erro
 // its stall cycles are simulated time that passes window by window.
 func (e *Engine) nextStart(cycle uint64) uint64 {
 	t := e.quiet
-	if e.disableFastForward || e.parked || t <= cycle+1 {
+	if e.opts.DisableFastForward || e.parked || t <= cycle+1 {
 		return cycle + 1
 	}
 	if t == never {
@@ -238,7 +238,7 @@ func (e *Engine) windowEnd(t0 uint64) uint64 {
 //  3. Close: replay the crossbar cycle by cycle, handing it each cycle's
 //     lanes (closeWindow).
 func (e *Engine) runWindow(t0, t1 uint64) (active uint64) {
-	if !e.disableFastForward && e.quiet > t1 {
+	if !e.opts.DisableFastForward && e.quiet > t1 {
 		// Nothing can happen before the window is over; e.quiet and the
 		// components' wake bounds stand. A parked head's stall cycles
 		// still count as activity.
@@ -277,9 +277,8 @@ func (e *Engine) runWindow(t0, t1 uint64) (active uint64) {
 // closeWindow is the end of a window. Each lane was filled in component
 // order, so handing the crossbar cycle c's lanes, then ticking it for
 // c+1, reproduces the per-cycle loop's injection order — and hence every
-// arrival stamp — exactly. A lane handoff is an O(1) slice exchange. It
-// also folds the crossbar into the wake bound for the loop's
-// fast-forward decisions, and returns consumed stores to their pools.
+// arrival stamp — exactly. It also folds the crossbar into the wake
+// bound for the loop's fast-forward decisions.
 func (e *Engine) closeWindow(t0, t1 uint64) (active uint64) {
 	if e.sent > 0 || e.net.HasWaiting() {
 		e.sent = 0
@@ -303,20 +302,7 @@ func (e *Engine) closeWindow(t0, t1 uint64) (active uint64) {
 	} else if at, ok := e.net.NextArrival(); ok {
 		e.quiet = min(e.quiet, at)
 	}
-	e.returnStores()
 	return active
-}
-
-// returnStores hands the window's consumed stores back to their issuing
-// SMs' pools. Which request object a pool hands out next depends on when
-// and in what order these returns happen, and nothing else does: Get
-// zeroes what it returns.
-func (e *Engine) returnStores() {
-	for i, r := range e.outPut {
-		e.outPut[i] = nil
-		e.pools[r.SM].Put(r)
-	}
-	e.outPut = e.outPut[:0]
 }
 
 // runComponents takes every component through a window: the partitions,
@@ -353,14 +339,14 @@ func (e *Engine) runComponents(t0, t1 uint64) (active uint64) {
 // t1: always without fast-forward, otherwise when its wake bound falls
 // inside the window or a packet arrives for it.
 func (e *Engine) due(i int, t1 uint64) bool {
-	return e.disableFastForward || e.wake[i] <= t1 || len(e.inbox[i]) > 0
+	return e.opts.DisableFastForward || e.wake[i] <= t1 || len(e.inbox[i]) > 0
 }
 
 // firstVisit is the first cycle of a window starting at t0 on which
 // component i has anything to do: its wake bound or its first arrival
 // (whose stamp is never before t0), whichever comes first.
 func (e *Engine) firstVisit(i int, t0 uint64) uint64 {
-	if e.disableFastForward {
+	if e.opts.DisableFastForward {
 		return t0
 	}
 	c := max(t0, e.wake[i])
@@ -377,7 +363,7 @@ func (e *Engine) firstVisit(i int, t0 uint64) uint64 {
 // an event due.
 func (e *Engine) runPartition(i int, t0, t1 uint64) (active uint64) {
 	p, in := e.parts[i], e.inbox[i]
-	skip := !e.disableFastForward
+	skip := !e.opts.DisableFastForward
 	c := e.firstVisit(i, t0)
 	for c <= t1 {
 		act := false
@@ -396,9 +382,6 @@ func (e *Engine) runPartition(i int, t0, t1 uint64) (active uint64) {
 		for resp := p.PopResponse(); resp != nil; resp = p.PopResponse() {
 			e.outCore[lane] = append(e.outCore[lane], resp)
 			e.sent++
-		}
-		if rc := e.recyclers[i]; rc.Len() > 0 {
-			e.outPut = rc.DrainTo(e.outPut)
 		}
 		if act {
 			active |= 1 << lane
@@ -429,7 +412,7 @@ func (e *Engine) runPartition(i int, t0, t1 uint64) (active uint64) {
 func (e *Engine) runSM(i int, t0, t1 uint64) (active uint64) {
 	s, in := e.sms[i-len(e.parts)], e.inbox[i]
 	l1d := s.L1D()
-	skip := !e.disableFastForward
+	skip := !e.opts.DisableFastForward
 	c := e.firstVisit(i, t0)
 	if s.Stalled() {
 		// The cycles a parked head sleeps through are stall cycles.

@@ -13,5 +13,4 @@ func (s *SM) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.IntGauge(prefix+".ldst.depth", func() int { return s.ldst.Len() })
 	reg.IntGauge(prefix+".pending_blocks", func() int { return len(s.pendingBlocks) })
 	s.l1d.RegisterMetrics(reg, prefix+".l1d")
-	s.pool.RegisterMetrics(reg, prefix+".pool")
 }

@@ -152,10 +152,9 @@ type SM struct {
 
 	// Free lists for the steady-state issue path: completed load
 	// requests return via pool, drained memInstrs via freeMI, retired
-	// warps/blocks via freeWarps/freeBlocks. The pool is owned by this
-	// SM alone — the engine gives every SM its own; stores consumed by L2
-	// partitions come home through the engine's recycler drain when a
-	// window closes, never directly.
+	// warps/blocks via freeWarps/freeBlocks. The pool is the engine's,
+	// shared with the other SMs and with the L2 partitions, which return
+	// the stores they consume to it.
 	pool       *mem.Pool
 	freeMI     []*memInstr
 	freeWarps  []*warp

@@ -89,9 +89,10 @@ func TestAddCoversEveryFieldReflect(t *testing.T) {
 }
 
 // TestAddConservationRoundTrip shards a conserving Stats, folds the
-// shards back with Add, and checks the identity the phase-parallel
-// engine relies on: the sum equals the whole, and conservation holds
-// on the sum whenever it holds on every shard.
+// shards back with Add, and checks the identity the engine relies on
+// when it folds per-component stats into one total: the sum equals the
+// whole, and conservation holds on the sum whenever it holds on every
+// shard.
 func TestAddConservationRoundTrip(t *testing.T) {
 	shards := []*Stats{
 		{L1DAccesses: 10, L1DHits: 4, L1DMisses: 3, L1DBypasses: 3, L1DTraffic: 7, Cycles: 5, Instructions: 9},
