@@ -104,6 +104,7 @@ servesmoke: build
 	trap 'kill $$pid 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do [ -s /tmp/dlpserved.addr ] && break; sleep 0.1; done; \
 	/tmp/dlpload -addr-file /tmp/dlpserved.addr -replay testdata/conform -run 'app-*' && \
+	/tmp/dlpload -addr-file /tmp/dlpserved.addr -replay testdata/conform -run 'app-*' && \
 	/tmp/dlpload -addr-file /tmp/dlpserved.addr -shutdown && \
 	wait $$pid
 	$(GO) test -race -short -run 'TestServeSoak|TestDedupStormSingleSimulation' ./internal/serve/

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/conform"
 )
 
 // maxBodyBytes bounds a job submission body; corpus specs are a few KB,
@@ -80,7 +78,9 @@ type CacheView struct {
 //
 //	POST   /jobs          submit (body: conform Spec JSON; X-Tenant
 //	                      header names the tenant; ?wait=1 blocks for
-//	                      the result — disconnecting cancels the job)
+//	                      the result — disconnecting cancels the job;
+//	                      a body that settled done before is answered
+//	                      at once, cached)
 //	GET    /jobs/{id}         job status (+stats when done)
 //	GET    /jobs/{id}/stats   normalized stats, verbatim corpus bytes
 //	GET    /jobs/{id}/events  progress stream (JSON lines)
@@ -121,13 +121,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrorInfo{Type: "spec", Message: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
-	sp, err := conform.UnmarshalSpec(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorInfo{Type: "spec", Message: err.Error()})
-		return
-	}
 	wait := r.URL.Query().Get("wait") == "1"
-	js, serr := s.submit(sp, r.Header.Get("X-Tenant"), wait)
+	js, serr := s.submit(body, r.Header.Get("X-Tenant"), wait)
 	if serr != nil {
 		if serr.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
@@ -272,6 +267,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	// Hits are requests served without simulating: the runner cache's,
+	// plus the submissions the answer table settled.
 	hits, misses := s.cache.Counters()
 	view := StatsView{
 		Cache: CacheView{
@@ -283,6 +280,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	s.mu.Lock()
+	view.Cache.Hits += uint64(s.answered)
 	view.UptimeMS = time.Since(s.start).Milliseconds()
 	view.Draining = s.draining
 	view.Workers = s.cfg.workers()

@@ -24,6 +24,12 @@
 // rejected with 429 and a Retry-After hint rather than queued without
 // limit (backpressure, not collapse).
 //
+// A repeat is a lookup: a bounded, least-recently-used table maps the
+// SHA-256 of a POST /jobs body to the answer a done job settled with, and
+// a submission whose digest is in it is settled inside submit — a real
+// job with an id, events and counters, but no build, no key, no queue
+// slot and no simulation.
+//
 // Cancellation is first-class: every job runs under its own context
 // (derived from the server's), a synchronous submitter disconnecting
 // cancels its job mid-flight (surfacing as the runner's *CancelError),
@@ -33,7 +39,9 @@
 package serve
 
 import (
+	"container/list"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,6 +87,10 @@ const retryAfter = time.Second
 // historyLimit bounds how many finished job records are kept for
 // GET /jobs/{id}; the oldest are evicted beyond it.
 const historyLimit = 1024
+
+// answersLimit bounds the answer table. A normalized answer is about
+// 400 bytes, so a full table holds about 2 MB.
+const answersLimit = 4096
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -142,8 +154,7 @@ type ErrorInfo struct {
 type jobState struct {
 	id        string
 	tenant    string
-	label     string
-	key       string // content address ("" = uncacheable)
+	digest    [sha256.Size]byte // of the request body: the answer table's key
 	rjob      runner.Job
 	submitted time.Time
 
@@ -241,8 +252,10 @@ type Server struct {
 	draining bool
 	seq      int64
 	history  []string // finished job ids, oldest first
+	answers  answerTable
 
-	submitted, completed, failed, cancelled, rejected, deduped int64
+	submitted, completed, failed, cancelled, rejected int64
+	answered                                          int64 // settled from the answer table
 
 	wg       sync.WaitGroup
 	done     chan struct{} // closed when shutdown drain completes
@@ -266,12 +279,13 @@ func NewServer(cfg Config) *Server {
 			SelfCheck: cfg.SelfCheck,
 			Intercept: cfg.Intercept,
 		},
-		start:  time.Now(),
-		ctx:    ctx,
-		stop:   stop,
-		jobs:   make(map[string]*jobState),
-		queues: make(map[string][]*jobState),
-		done:   make(chan struct{}),
+		start:   time.Now(),
+		ctx:     ctx,
+		stop:    stop,
+		jobs:    make(map[string]*jobState),
+		queues:  make(map[string][]*jobState),
+		answers: answerTable{byDigest: make(map[[sha256.Size]byte]*list.Element), order: list.New()},
+		done:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.workers(); i++ {
@@ -289,31 +303,49 @@ func (s *Server) Cache() *runner.Cache { return s.cache }
 // fully drained; a main loop selects on it to exit.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// submit validates and enqueues one job. It returns the job, or a
-// submitError carrying the HTTP status to respond with.
-func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobState, *submitError) {
-	cfg, pol, kernel, err := sp.Build()
-	if err != nil {
-		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
-	}
+// submit settles one request body from the answer table, or validates
+// and enqueues it. It returns the job, or a submitError carrying the HTTP
+// status to respond with.
+//
+// The body alone decides the answer: it is a self-contained Spec that
+// names no server-side state, so decode, build, key and result are a
+// pure function of its bytes. The tenant and the wait mode are not part
+// of it. A byte-different spelling of one spec misses the table and is
+// still deduplicated by the runner's content-addressed cache.
+func (s *Server) submit(body []byte, tenant string, syncOwn bool) (*jobState, *submitError) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	rjob := runner.Job{
-		Config: cfg,
-		Policy: pol,
-		Kernel: kernel,
-		Opts:   sim.Options{MaxCycles: sp.MaxCycles},
-	}
-	// Hashed before the lock: the key walks the kernel on its first use
-	// and formats the whole configuration on every one, and next(), DELETE
-	// and /stats must not queue behind that. The label is not part of it.
-	key := jobKey(rjob)
+	digest := sha256.Sum256(body)
 
 	s.mu.Lock()
-	if s.draining || s.ctx.Err() != nil {
+	if serr := s.refuseLocked(); serr != nil {
 		s.mu.Unlock()
-		return nil, &submitError{status: 503, info: ErrorInfo{Type: "draining", Message: "server is shutting down"}}
+		return nil, serr
+	}
+	if a, ok := s.answers.get(digest); ok {
+		js := s.answerLocked(a, tenant)
+		s.mu.Unlock()
+		return js, nil
+	}
+	s.mu.Unlock()
+
+	// Built before the lock: the kernel generation and the checks take
+	// tens of microseconds, and next(), DELETE and /stats must not queue
+	// behind them.
+	sp, err := conform.UnmarshalSpec(body)
+	if err != nil {
+		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
+	}
+	cfg, pol, kernel, err := buildSpec(sp)
+	if err != nil {
+		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
+	}
+
+	s.mu.Lock()
+	if serr := s.refuseLocked(); serr != nil {
+		s.mu.Unlock()
+		return nil, serr
 	}
 	if len(s.queues[tenant]) >= s.cfg.queueDepth() {
 		s.rejected++
@@ -324,31 +356,22 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 				Message: fmt.Sprintf("tenant %q queue is full (%d pending)", tenant, s.cfg.queueDepth())},
 		}
 	}
-	s.seq++
-	id := fmt.Sprintf("j%d", s.seq)
-	ctx, cancel := context.WithCancel(s.ctx)
-	js := &jobState{
-		id:        id,
-		tenant:    tenant,
-		label:     fmt.Sprintf("%s %s %s", id, tenant, describe(sp)),
-		submitted: time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		status:    StatusQueued,
-		change:    make(chan struct{}),
-		done:      make(chan struct{}),
-		syncOwn:   syncOwn,
+	js := s.newJobLocked(tenant)
+	js.ctx, js.cancel = context.WithCancel(s.ctx)
+	js.syncOwn = syncOwn
+	js.digest = digest
+	js.rjob = runner.Job{
+		Label:  fmt.Sprintf("%s %s %s", js.id, tenant, describe(sp)),
+		Config: cfg,
+		Policy: pol,
+		Kernel: kernel,
+		Opts:   sim.Options{MaxCycles: sp.MaxCycles},
 	}
-	rjob.Label = js.label
-	js.rjob = rjob
-	js.key = key
-	s.jobs[id] = js
 	if _, active := s.queues[tenant]; !active {
 		s.ring = append(s.ring, tenant)
 	}
 	s.queues[tenant] = append(s.queues[tenant], js)
 	s.queued++
-	s.submitted++
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -356,9 +379,92 @@ func (s *Server) submit(sp *conform.Spec, tenant string, syncOwn bool) (*jobStat
 	return js, nil
 }
 
-// jobKey is runner.Job.Key; a variable so a test can hold a submit inside
-// it.
-var jobKey = runner.Job.Key
+// buildSpec is conform.Spec.Build; a variable so a test can hold a submit
+// inside it, or count the builds.
+var buildSpec = (*conform.Spec).Build
+
+// refuseLocked is the 503 every submission gets while the server drains.
+func (s *Server) refuseLocked() *submitError {
+	if s.draining || s.ctx.Err() != nil {
+		return &submitError{status: 503, info: ErrorInfo{Type: "draining", Message: "server is shutting down"}}
+	}
+	return nil
+}
+
+// newJobLocked registers a queued job under the next id.
+func (s *Server) newJobLocked(tenant string) *jobState {
+	s.seq++
+	s.submitted++
+	js := &jobState{
+		id:        fmt.Sprintf("j%d", s.seq),
+		tenant:    tenant,
+		submitted: time.Now(),
+		status:    StatusQueued,
+		change:    make(chan struct{}),
+		done:      make(chan struct{}),
+	}
+	s.jobs[js.id] = js
+	return js
+}
+
+// answerLocked settles a submission from a remembered answer. The job
+// never queues, so it takes no slot and is never refused with 429, and
+// its log is "queued" then "done": nothing ran, so nothing "started". It
+// carries no kernel.
+func (s *Server) answerLocked(a *answer, tenant string) *jobState {
+	js := s.newJobLocked(tenant)
+	js.cancel = func() {} // nothing runs, so there is nothing to interrupt
+	js.mu.Lock()
+	js.appendEventLocked("queued", nil)
+	js.stats, js.cached, js.cycles = a.stats, true, a.cycles
+	js.finishLocked(StatusDone, "done", func(ev *JobEvent) {
+		ev.Cached = true
+		ev.Cycles = a.cycles
+	})
+	js.mu.Unlock()
+	s.completed++
+	s.answered++
+	s.retireLocked(js.id)
+	return js
+}
+
+// answer is what a done job settled with. Its stats are shared by every
+// job answered from it, so nothing may mutate them.
+type answer struct {
+	digest [sha256.Size]byte
+	stats  []byte
+	cycles uint64
+}
+
+// answerTable maps request-body digests to answers, least recently used
+// first out beyond answersLimit. The server lock guards it.
+type answerTable struct {
+	byDigest map[[sha256.Size]byte]*list.Element // of *answer
+	order    *list.List                          // most recently used at the front
+}
+
+func (t *answerTable) get(digest [sha256.Size]byte) (*answer, bool) {
+	e, ok := t.byDigest[digest]
+	if !ok {
+		return nil, false
+	}
+	t.order.MoveToFront(e)
+	return e.Value.(*answer), true
+}
+
+func (t *answerTable) put(a *answer) {
+	if e, ok := t.byDigest[a.digest]; ok {
+		// Two submissions of one body missed together; their answers are
+		// the same bytes.
+		t.order.MoveToFront(e)
+		return
+	}
+	t.byDigest[a.digest] = t.order.PushFront(a)
+	if t.order.Len() > answersLimit {
+		oldest := t.order.Remove(t.order.Back()).(*answer)
+		delete(t.byDigest, oldest.digest)
+	}
+}
 
 // describe renders a spec's workload + policy for job labels.
 func describe(sp *conform.Spec) string {
@@ -450,6 +556,7 @@ func (s *Server) execute(js *jobState) {
 		}
 	})
 	s.finalize(js, results, err)
+	js.cancel() // releases the job's context from the server's
 
 	s.mu.Lock()
 	s.running--
@@ -481,6 +588,10 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 		}
 	}
 
+	var cycles uint64
+	if res.Stats != nil {
+		cycles = res.Stats.Cycles
+	}
 	js.mu.Lock()
 	transitioned := !js.status.Terminal()
 	if transitioned {
@@ -488,13 +599,11 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 		js.stats = norm
 		js.cached = res.Cached
 		js.wall = res.Wall
-		if res.Stats != nil {
-			js.cycles = res.Stats.Cycles
-		}
+		js.cycles = cycles
 		kind := map[Status]string{StatusDone: "done", StatusFailed: "failed", StatusCancelled: "cancelled"}[outcome]
 		js.finishLocked(outcome, kind, func(ev *JobEvent) {
 			ev.Cached = res.Cached
-			ev.Cycles = js.cycles
+			ev.Cycles = cycles
 			ev.Error = info
 		})
 	}
@@ -507,9 +616,9 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 	switch outcome {
 	case StatusDone:
 		s.completed++
-		if res.Cached {
-			s.deduped++
-		}
+		// Only a done job is remembered: a failed, timed-out or cancelled
+		// one says nothing about what the body would settle with.
+		s.answers.put(&answer{digest: js.digest, stats: norm, cycles: cycles})
 	case StatusFailed:
 		s.failed++
 	case StatusCancelled:

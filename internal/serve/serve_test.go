@@ -18,6 +18,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -466,16 +467,12 @@ func TestFairFIFOAcrossTenants(t *testing.T) {
 
 // submitDrained submits n asynchronous jobs of one spec straight into
 // the server, each from a tenant of its own, and waits until every one
-// of them has finished. All but the first are cache hits.
+// of them has finished. All but the first are cache hits or answers.
 func submitDrained(t *testing.T, s *Server, spec []byte, n int) {
 	t.Helper()
-	sp, err := conform.UnmarshalSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobs := make([]*jobState, n)
 	for i := range jobs {
-		js, serr := s.submit(sp, fmt.Sprintf("tenant-%d", i), false)
+		js, serr := s.submit(spec, fmt.Sprintf("tenant-%d", i), false)
 		if serr != nil {
 			t.Fatalf("submit %d: %d %+v", i, serr.status, serr.info)
 		}
@@ -524,7 +521,11 @@ func TestDrainedTenantsAreForgotten(t *testing.T) {
 func TestHistoryEvictsOldestJobs(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 2})
 	n := historyLimit + 6
-	submitDrained(t, s, testSpec(t, 81), n)
+	// j1 settles first, so it is the oldest record. Submitted together,
+	// it could still be waking from a co-submitter's flight while later
+	// repeats are answered from the table and retired ahead of it.
+	submitDrained(t, s, testSpec(t, 81), 1)
+	submitDrained(t, s, testSpec(t, 81), n-1)
 
 	s.mu.Lock()
 	kept, running := len(s.jobs), s.running
@@ -744,18 +745,18 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSubmitHashesOutsideTheServerLock holds one submit inside the job
-// key — where a first-time kernel digest and the reflective config
-// encoding are paid — and requires the server lock to be free meanwhile:
+// TestSubmitHashesOutsideTheServerLock holds one submit inside the spec
+// build — where a missed body pays for kernel generation and the checks,
+// after its digest — and requires the server lock to be free meanwhile:
 // GET /stats answers, and so does a DELETE of an unknown job.
 func TestSubmitHashesOutsideTheServerLock(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	jobKey = func(j runner.Job) string {
+	buildSpec = func(sp *conform.Spec) (*config.Config, config.Policy, *trace.Kernel, error) {
 		close(entered)
 		<-release
-		return j.Key()
+		return sp.Build()
 	}
-	defer func() { jobKey = runner.Job.Key }()
+	defer func() { buildSpec = (*conform.Spec).Build }()
 	_, ts := startServer(t, Config{Workers: 1})
 
 	posted := make(chan int, 1)
@@ -773,7 +774,7 @@ func TestSubmitHashesOutsideTheServerLock(t *testing.T) {
 			err = json.NewDecoder(resp.Body).Decode(&sv)
 			resp.Body.Close()
 			if err == nil && sv.Submitted != 0 {
-				err = fmt.Errorf("%d jobs submitted while the only submit is still hashing", sv.Submitted)
+				err = fmt.Errorf("%d jobs submitted while the only submit is still building", sv.Submitted)
 			}
 		}
 		if err == nil {
@@ -792,7 +793,7 @@ func TestSubmitHashesOutsideTheServerLock(t *testing.T) {
 			t.Error(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("GET /stats and DELETE wait behind a submit that is hashing its job key")
+		t.Error("GET /stats and DELETE wait behind a submit that is building its spec")
 	}
 	close(release)
 	if code := <-posted; code != http.StatusOK {
