@@ -57,13 +57,17 @@ fuzzsmoke: build
 # prove both exported files re-parse — the JSONL stream with the schema
 # and arity checks, the Chrome trace with the phase validation Perfetto
 # relies on. BFS keeps a cache-insufficient app in the subset so the
-# headline geomeans are defined. A second point runs a
-# registry-extension policy through dlpsim so the non-paper schemes'
-# metric namespaces stay linted too.
+# headline geomeans are defined. An ablation sweep runs through the same
+# harness, so its job labels ("BP under pd-bits=4") are linted metric
+# series too. A last point runs a registry-extension policy through
+# dlpsim so the non-paper schemes' metric namespaces stay linted too.
 obssmoke: build
 	$(GO) run ./cmd/paperfigs -exp fig10 -apps BP,HS,BFS -quiet \
 		-metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
 	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
+	$(GO) run ./cmd/paperfigs -exp pd-bits -apps BP -quiet \
+		-metrics /tmp/smoke_sweep.jsonl -trace /tmp/smoke_sweep_trace.json
+	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_sweep.jsonl -trace /tmp/smoke_sweep_trace.json
 	$(GO) run ./cmd/dlpsim -app HS -policy ata \
 		-metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
 	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
@@ -149,7 +153,7 @@ benchprof:
 # Regenerate the committed reference outputs.
 figures:
 	$(GO) run ./cmd/paperfigs > paperfigs_output.txt
-	$(GO) run ./cmd/ablate -quiet > ablate_output.txt
+	$(GO) run ./cmd/paperfigs -exp ablations -quiet > ablate_output.txt
 
 clean:
 	$(GO) clean ./...

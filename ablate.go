@@ -1,23 +1,20 @@
 package dlpsim
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // Ablations quantify the design choices §4 fixes by fiat: the 200-access
 // sampling period (§4.1.4), the 4-bit PD/PL field width (§4.3), and the
 // VTA associativity (footnote 2: equal to the cache's). Each ablation
-// sweeps one parameter and reports DLP's IPC speedup over the unmodified
-// baseline cache on a set of cache-insufficient applications.
+// sweeps one parameter and reports the swept policy's IPC speedup over
+// the unmodified baseline cache on a set of applications. A sweep is a
+// suite: Sweep.Schemes is the scheme list RunSuite runs, and
+// Sweep.Ablation tabulates the result.
 
 // AblationPoint is one parameter setting's outcome.
 type AblationPoint struct {
@@ -37,168 +34,82 @@ type Ablation struct {
 // protection showcases, one 32KB-favoring app, and one long-RD app.
 func DefaultAblationApps() []string { return []string{"CFD", "PVR", "SRK", "KM"} }
 
-// runAblation sweeps mutate over values for the given apps under pol.
-// All points — the per-app baselines plus every (value, app) run — are
-// submitted to r as one batch, so the pool overlaps them freely and a
-// shared result cache deduplicates the baselines across sweeps. A nil
-// runner gets the defaults (GOMAXPROCS workers, no cache).
-func runAblation(ctx context.Context, name string, pol Policy, apps []string, values []int,
-	mutate func(cfg *config.Config, v int), r *runner.Runner) (*Ablation, error) {
-	if r == nil {
-		r = &runner.Runner{}
-	}
-	ab := &Ablation{Name: name, Apps: apps}
+// Sweep is one named parameter sweep: Policy on the baseline
+// configuration with Set applied for each of Values.
+type Sweep struct {
+	Name string
+	// Paper marks the sweeps of `paperfigs -exp ablations`, the content
+	// of the committed ablate_output.txt; the others are reachable by
+	// name only, so that reference never drifts as policies are added.
+	Paper  bool
+	Policy Policy
+	Values []int
+	Set    func(cfg *Config, v int)
+}
 
-	// Kernels are generated once per app and shared by every point
-	// (they are read-only during simulation).
-	kernels := make([]*trace.Kernel, len(apps))
-	for i, app := range apps {
-		spec, err := workloads.ByAbbr(app)
-		if err != nil {
-			return nil, err
-		}
-		kernels[i] = spec.SharedKernel(config.Baseline().L1D.LineSize)
+// Sweeps lists every ablation in the order paperfigs prints them.
+func Sweeps() []Sweep {
+	return []Sweep{
+		// §4.1.4 sampling period; paper: 200 cache accesses.
+		{"sample-period", true, DLP, []int{50, 100, 200, 400, 800}, func(c *Config, v int) { c.SampleAccesses = v }},
+		// §4.3 PD field width; paper: 4 bits, a protected life of up to 15 set queries.
+		{"pd-bits", true, DLP, []int{2, 3, 4, 5, 6}, func(c *Config, v int) { c.PDBits = v }},
+		// Footnote 2 VTA associativity; paper: the cache's 4 ways (Nasc scales with it).
+		{"vta-ways", true, DLP, []int{2, 4, 8, 16}, func(c *Config, v int) { c.VTAWays = v }},
+		// A static CCWS-style warp throttle on DLP, after Chen et al. [6]; 0 is unthrottled.
+		{"warp-limit", true, DLP, []int{0, 8, 16, 24, 32}, func(c *Config, v int) { c.MaxActiveWarps = v }},
+		// ATA's aggregated tag ways (arXiv:2302.10638); default 16 over the 4-way cache.
+		{"ata-ways", false, ATA, []int{4, 8, 16, 32}, func(c *Config, v int) { c.ATAWays = v }},
+		// CCWS-lite's protection lifetime in set queries (accesses mode).
+		{"ccws-lifetime", false, CCWSLite, []int{2, 4, 8, 16, 32}, func(c *Config, v int) { c.CCWSProtectAccesses = v }},
+		// Reuse-free sampling periods before the reuse predictor calls an instruction dead.
+		{"pred-dead-periods", false, ReusePredictor, []int{1, 2, 3, 4, 6}, func(c *Config, v int) { c.PredictorDeadPeriods = v }},
 	}
+}
 
-	// Baselines are measured once with the untouched configuration: the
-	// swept parameters only exist inside the policy hardware, so the
-	// baseline cache is unaffected by them.
-	var jobs []runner.Job
-	for i, app := range apps {
-		jobs = append(jobs, runner.Job{
-			Label:  fmt.Sprintf("%s: baseline %s", name, app),
-			Config: config.Baseline(),
-			Policy: config.PolicyBaseline,
-			Kernel: kernels[i],
-		})
-	}
-	for _, v := range values {
+// Schemes is the suite the sweep runs: the unmodified baseline cache
+// first — the swept parameters only exist inside the policy hardware, so
+// one baseline serves every point — then one "<name>=<value>" scheme per
+// value.
+func (s Sweep) Schemes() []Scheme {
+	out := []Scheme{{"Baseline", Baseline, config.Baseline()}}
+	for _, v := range s.Values {
 		cfg := config.Baseline()
-		mutate(cfg, v)
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		for i, app := range apps {
-			jobs = append(jobs, runner.Job{
-				Label:  fmt.Sprintf("%s=%d: %s", name, v, app),
-				Config: cfg,
-				Policy: pol,
-				Kernel: kernels[i],
-			})
-		}
+		s.Set(cfg, v)
+		out = append(out, Scheme{fmt.Sprintf("%s=%d", s.Name, v), s.Policy, cfg})
 	}
+	return out
+}
 
-	results, err := r.Run(ctx, jobs)
-	// With a KeepGoing runner a *runner.BatchError carries a complete
-	// results slice whose failed points hold nil Stats; tabulate the
-	// partial sweep (failed cells become NaN → rendered FAILED) and
-	// return it alongside the error. Any other error has no results.
-	if err != nil && !(r.KeepGoing && errors.As(err, new(*runner.BatchError))) {
-		return nil, err
-	}
-
-	ipc := func(res runner.Result) float64 {
-		if res.Stats == nil {
-			return math.NaN()
+// Ablation tabulates res, a suite run over s.Schemes(): each point's IPC
+// over the baseline's, per application. A point without Stats — its job
+// failed in a KeepGoing suite — is NaN, which renders as FAILED, and the
+// point's geometric mean covers the applications that did run.
+func (s Sweep) Ablation(res *SuiteResult) *Ablation {
+	ipc := func(app, scheme string) float64 {
+		if st := res.Stats[app][scheme]; st != nil {
+			return st.IPC()
 		}
-		return res.Stats.IPC()
+		return math.NaN()
 	}
-	base := make(map[string]float64, len(apps))
-	for i, app := range apps {
-		base[app] = ipc(results[i])
+	ab := &Ablation{Name: s.Name}
+	for _, app := range res.Apps {
+		ab.Apps = append(ab.Apps, app.Abbr)
 	}
-	idx := len(apps)
-	for _, v := range values {
-		pt := AblationPoint{Value: v, Speedups: make(map[string]float64, len(apps))}
+	for i, v := range s.Values {
+		pt := AblationPoint{Value: v, Speedups: make(map[string]float64, len(ab.Apps))}
 		var ratios []float64
-		for _, app := range apps {
-			sp := ipc(results[idx]) / base[app] // NaN in either operand stays NaN
+		for _, app := range ab.Apps {
+			sp := ipc(app, res.Schemes[i+1].Name) / ipc(app, res.Schemes[0].Name) // NaN in either operand stays NaN
 			pt.Speedups[app] = sp
 			if !math.IsNaN(sp) {
 				ratios = append(ratios, sp)
 			}
-			idx++
 		}
 		pt.GeoMean = stats.GeoMean(ratios) // NaN when every app failed
 		ab.Points = append(ab.Points, pt)
 	}
-	return ab, err
-}
-
-// Sweep is one named parameter sweep of the `ablate` command.
-type Sweep struct {
-	Name string
-	// Paper marks the sweeps of `ablate -sweep all`, the content of the
-	// committed ablate_output.txt; the others are reachable by name only,
-	// so that reference never drifts as policies are added.
-	Paper bool
-	Run   func(ctx context.Context, apps []string, r *Runner) (*Ablation, error)
-}
-
-// Sweeps lists every ablation in the order `ablate` prints them.
-func Sweeps() []Sweep {
-	return []Sweep{
-		{"sample-period", true, AblateSamplePeriod},
-		{"pd-bits", true, AblatePDBits},
-		{"vta-ways", true, AblateVTAWays},
-		{"warp-limit", true, AblateWarpLimit},
-		{"ata-ways", false, AblateATAWays},
-		{"ccws-lifetime", false, AblateCCWSLifetime},
-		{"pred-dead-periods", false, AblatePredictorDeadPeriods},
-	}
-}
-
-// AblateSamplePeriod sweeps the sampling period (§4.1.4; paper: 200
-// cache accesses).
-func AblateSamplePeriod(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "sample-period", DLP, apps, []int{50, 100, 200, 400, 800},
-		func(cfg *config.Config, v int) { cfg.SampleAccesses = v }, r)
-}
-
-// AblatePDBits sweeps the protection-distance field width (§4.3; paper:
-// 4 bits, i.e. a maximum protected life of 15 set queries).
-func AblatePDBits(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "pd-bits", DLP, apps, []int{2, 3, 4, 5, 6},
-		func(cfg *config.Config, v int) { cfg.PDBits = v }, r)
-}
-
-// AblateVTAWays sweeps the victim-tag-array associativity (footnote 2;
-// paper: equal to the cache's 4 ways). Nasc scales with it, so this
-// changes both the observation window and the PD increments.
-func AblateVTAWays(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "vta-ways", DLP, apps, []int{2, 4, 8, 16},
-		func(cfg *config.Config, v int) { cfg.VTAWays = v }, r)
-}
-
-// AblateWarpLimit sweeps a static CCWS-style active-warp throttle on top
-// of DLP — the combination the paper's related work points at (Chen et
-// al. [6] integrate PDP with CCWS). Zero means unthrottled.
-func AblateWarpLimit(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "warp-limit", DLP, apps, []int{0, 8, 16, 24, 32},
-		func(cfg *config.Config, v int) { cfg.MaxActiveWarps = v }, r)
-}
-
-// AblateATAWays sweeps the aggregated tag array's associativity under
-// the ATA policy (arXiv:2302.10638 sizes the tag store several times
-// the data store; the paper's default here is 16 ways over a 4-way
-// cache).
-func AblateATAWays(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "ata-ways", ATA, apps, []int{4, 8, 16, 32},
-		func(cfg *config.Config, v int) { cfg.ATAWays = v }, r)
-}
-
-// AblateCCWSLifetime sweeps CCWS-lite's protection lifetime in the
-// accesses encoding (set queries a re-fetched line stays protected).
-func AblateCCWSLifetime(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "ccws-lifetime", CCWSLite, apps, []int{2, 4, 8, 16, 32},
-		func(cfg *config.Config, v int) { cfg.CCWSProtectAccesses = v }, r)
-}
-
-// AblatePredictorDeadPeriods sweeps how many reuse-free sampling periods
-// the reuse predictor tolerates before declaring an instruction dead.
-func AblatePredictorDeadPeriods(ctx context.Context, apps []string, r *Runner) (*Ablation, error) {
-	return runAblation(ctx, "pred-dead-periods", ReusePredictor, apps, []int{1, 2, 3, 4, 6},
-		func(cfg *config.Config, v int) { cfg.PredictorDeadPeriods = v }, r)
+	return ab
 }
 
 // Render formats the ablation as an aligned table. NaN cells — points

@@ -14,8 +14,8 @@ import (
 
 // noSuite is the WritePaperFigs run function of tests that ask for no
 // simulation figure.
-func noSuite(t *testing.T) func([]Scheme) (*SuiteResult, error) {
-	return func(schemes []Scheme) (*SuiteResult, error) {
+func noSuite(t *testing.T) func([]Workload, []Scheme) (*SuiteResult, error) {
+	return func(_ []Workload, schemes []Scheme) (*SuiteResult, error) {
 		t.Errorf("unexpected suite run for %v", schemes)
 		return nil, errors.New("no suite in this test")
 	}
@@ -49,9 +49,8 @@ func TestFig7IsTheProfileOfEachApp(t *testing.T) {
 		}
 	}
 
-	cfd, _ := WorkloadByAbbr("CFD")
 	var b strings.Builder
-	if err := WritePaperFigs(&b, "fig7", false, []Workload{cfd}, noSuite(t)); err != nil {
+	if err := WritePaperFigs(&b, "fig7", false, []string{"CFD"}, noSuite(t)); err != nil {
 		t.Fatal(err)
 	}
 	if out := b.String(); !strings.Contains(out, "per-instruction RDD of CFD") || strings.Contains(out, "of BFS") {

@@ -3,7 +3,12 @@
 // (reuse-distance distributions, LRU reuse miss rates and memory-access
 // ratios, replayed from the traces without simulating), the Fig. 5
 // associativity study, the §4.3 overhead model, and Figs. 10–13 (the
-// policy evaluation).
+// policy evaluation). It also prints the ablation sweeps over the
+// design constants the paper fixes by fiat: the sampling period (200
+// accesses, §4.1.4), the PD field width (4 bits, §4.3), the VTA
+// associativity (= cache ways, footnote 2) and a warp throttle on top of
+// DLP, each as DLP's IPC speedup over the baseline cache at every
+// setting.
 //
 // Simulations run on a parallel worker pool behind a content-addressed
 // result cache: table output is byte-identical at any -j, and points
@@ -18,6 +23,8 @@
 //	paperfigs -exp fig3,fig4,fig6,fig7  # the workload analysis
 //	paperfigs -exp fig7 -apps CFD,KM    # per-instruction RDD of CFD and KM
 //	paperfigs -cache .figcache  # persist results across runs
+//	paperfigs -exp ablations  # the paper's design-parameter sweeps
+//	paperfigs -exp pd-bits -apps CFD,BP  # one sweep on two applications
 //
 // The execution flags (-j -keep-going -quiet -cpuprofile -memprofile,
 // -timeout -selfcheck -metrics -metrics-every -trace),
@@ -25,12 +32,14 @@
 // see internal/cli. With -keep-going failed points render as FAILED
 // cells and the speedup summaries are left out.
 //
-// -apps BP,HS names the simulation suites' applications, and Fig. 7's
-// (labels as in Table 2): the suites run on that subset, for quick looks
-// and CI smokes, and Fig. 7 prints one per-instruction RDD table per
-// application (BFS, as in the paper, without -apps). Figs. 3, 4 and 6
-// always cover the whole registry; the committed reference outputs use
-// the full set.
+// -apps BP,HS names the applications of the simulation suites, of
+// Fig. 7 and of the sweeps (labels as in Table 2): the suites run on
+// that subset, for quick looks and CI smokes, Fig. 7 prints one
+// per-instruction RDD table per application, and the sweeps tabulate
+// those applications. Without -apps the suites run all 18, Fig. 7 is
+// BFS's, as in the paper, and the sweeps run CFD, PVR, SRK and KM
+// (dlpsim.DefaultAblationApps). Figs. 3, 4 and 6 always cover the whole
+// registry; the committed reference outputs use the defaults.
 //
 // -stream feeds the suites through the lazy chunked stream frontend:
 // every table stays byte-identical while suite startup skips kernel
@@ -40,14 +49,27 @@
 // bounded by the per-SM chunk pools.
 //
 // Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7,
-// fig10, fig11a, fig11b, fig12a, fig12b, fig13; an unknown id, or a
-// -format other than text or csv, exits 1 before anything is printed.
-// The extra id "policies" — a cross-policy comparison including the
-// schemes beyond the paper's four (ATA, CCWS-lite, ReusePredictor) — is
-// opt-in only: it is not part of "all", so the committed reference
-// outputs are unchanged by the registry growing. The order and content
-// of what is printed live in dlpsim.WritePaperFigs, which the drift
-// test shares.
+// fig10, fig11a, fig11b, fig12a, fig12b, fig13 (together "all"); an
+// unknown id or application, or a -format other than text or csv, exits
+// 1 before anything is printed. The other ids are opt-in only, never
+// part of "all", so the committed paperfigs_output.txt is unchanged by
+// the registry growing:
+//
+//   - policies: a cross-policy comparison including the schemes beyond
+//     the paper's four (ATA, CCWS-lite, ReusePredictor);
+//   - sample-period, pd-bits, vta-ways, warp-limit: the paper's sweeps,
+//     together "ablations" (the committed ablate_output.txt);
+//   - ata-ways, ccws-lifetime, pred-dead-periods: the non-paper
+//     policies' sweeps (aggregated-tag associativity under ATA,
+//     CCWS-lite protection lifetime in accesses, reuse predictor dead
+//     threshold).
+//
+// A sweep has no CSV form: a sweep id under -format csv exits 1 before
+// anything is printed. Every sweep is a suite run (dlpsim.Sweep.Schemes)
+// on the shared runner, so the per-application baselines, identical in
+// every sweep, simulate once per invocation. The order and content of
+// what is printed live in dlpsim.WritePaperFigs, which the drift test
+// shares.
 package main
 
 import (
@@ -70,7 +92,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (default: all)")
 	format := flag.String("format", "text", "text | csv")
 	cacheDir := flag.String("cache", "", "persist simulation results under this directory")
-	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18) and of Fig. 7 (default: BFS)")
+	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18), of Fig. 7 (default: BFS) and of the sweeps (default: "+strings.Join(dlpsim.DefaultAblationApps(), ",")+")")
 	stream := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
 	scale := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
 	flag.Parse()
@@ -84,8 +106,9 @@ func main() {
 
 	// One cache and one runner are shared by every suite in this
 	// invocation, so overlapping (config, policy, kernel) points — the
-	// baseline and 32KB runs appear in both Fig. 5 and Fig. 10 — are
-	// simulated once and recalled afterwards.
+	// baseline and 32KB runs appear in both Fig. 5 and Fig. 10, the
+	// baseline in every sweep — are simulated once and recalled
+	// afterwards.
 	cache := dlpsim.NewRunCache()
 	if *cacheDir != "" {
 		var err error
@@ -97,18 +120,12 @@ func main() {
 	if err != nil {
 		run.Exit(err)
 	}
-	opts := &dlpsim.SuiteOptions{Runner: r, Stream: *stream, Scale: *scale}
+	var apps []string
 	if *appsFlag != "" {
-		for _, abbr := range strings.Split(*appsFlag, ",") {
-			spec, err := dlpsim.WorkloadByAbbr(strings.TrimSpace(abbr))
-			if err != nil {
-				run.Exit(err)
-			}
-			opts.Apps = append(opts.Apps, spec)
-		}
+		apps = strings.Split(*appsFlag, ",")
 	}
-	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, csv, opts.Apps,
-		func(schemes []dlpsim.Scheme) (*dlpsim.SuiteResult, error) {
-			return dlpsim.RunSuite(ctx, schemes, opts)
+	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, csv, apps,
+		func(apps []dlpsim.Workload, schemes []dlpsim.Scheme) (*dlpsim.SuiteResult, error) {
+			return dlpsim.RunSuite(ctx, schemes, &dlpsim.SuiteOptions{Runner: r, Apps: apps, Stream: *stream, Scale: *scale})
 		}))
 }

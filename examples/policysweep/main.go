@@ -1,67 +1,48 @@
 // Policysweep: evaluate every registered L1D management scheme plus the
-// doubled cache on a set of cache-insufficient applications — a
+// doubled cache on a set of cache-insufficient applications plus one
+// cache-sufficient control (BP), so both class geomeans are defined — a
 // small-scale version of the paper's Figure 10 extended with the
-// literature schemes, built on the public experiment runner. The scheme
+// literature schemes, built on the public RunSuite API. The scheme
 // columns come from the policy registry, so a newly registered policy
-// shows up here with no code change. All (app, scheme) points are
-// submitted as one batch, execute in parallel, and come back in
-// submission order, so the printed table is identical at every worker
-// count.
+// shows up here with no code change. RunSuite executes the (app,
+// scheme) points in parallel and scatters them back by submission
+// order, so the printed table is identical at every worker count.
 package main
 
 import (
 	"context"
-	"fmt"
 	"log"
+	"os"
 
 	dlpsim "repro"
 )
 
 func main() {
 	log.SetFlags(0)
-	apps := []string{"CFD", "PVR", "SS", "SRK", "KM"}
-	// Every registered policy at 16KB, plus the doubled-capacity baseline.
-	schemes := append(dlpsim.PolicySchemes(), dlpsim.Scheme{Name: "32KB", Policy: dlpsim.Baseline, L1DKB: 32})
-
-	var jobs []dlpsim.Job
-	for _, app := range apps {
-		spec, err := dlpsim.WorkloadByAbbr(app)
+	var apps []dlpsim.Workload
+	for _, abbr := range []string{"BP", "CFD", "PVR", "SS", "SRK", "KM"} {
+		spec, err := dlpsim.WorkloadByAbbr(abbr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		k := spec.Generate() // one kernel shared by every scheme
-		for _, sc := range schemes {
-			cfg, err := dlpsim.ConfigForL1D(sc.L1DKB)
-			if err != nil {
-				log.Fatal(err)
-			}
-			jobs = append(jobs, dlpsim.Job{
-				Label:  app + " under " + sc.Name,
-				Config: cfg,
-				Policy: sc.Policy,
-				Kernel: k,
-			})
-		}
+		apps = append(apps, spec)
 	}
-
-	results, err := dlpsim.RunJobs(context.Background(), jobs, nil)
+	// Every registered policy at 16KB, plus the doubled-capacity baseline.
+	big, err := dlpsim.ConfigForL1D(32)
 	if err != nil {
 		log.Fatal(err)
 	}
+	schemes := append(dlpsim.PolicySchemes(), dlpsim.Scheme{Name: "32KB", Policy: dlpsim.Baseline, Config: big})
 
-	fmt.Printf("%-6s", "app")
-	for _, sc := range schemes {
-		fmt.Printf(" %18s", sc.Name)
+	res, err := dlpsim.RunSuite(context.Background(), schemes, &dlpsim.SuiteOptions{Apps: apps})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println()
-	for i, app := range apps {
-		row := results[i*len(schemes) : (i+1)*len(schemes)]
-		base := row[0].Stats.IPC()
-		fmt.Printf("%-6s", app)
-		for _, res := range row {
-			fmt.Printf(" %18.2f", res.Stats.IPC()/base)
-		}
-		fmt.Println()
+	tab, err := res.Fig10IPC()
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("\nvalues are IPC normalized to the 16KB baseline (Fig. 10 style)")
+	if err := tab.Render(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

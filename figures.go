@@ -28,12 +28,13 @@ type (
 	Series       = report.Series
 )
 
-// Scheme is one (policy, L1D size) combination plotted in the paper's
-// evaluation figures.
+// Scheme is one (policy, configuration) combination plotted in the
+// paper's evaluation figures or swept by an ablation. Config is
+// read-only: the suite shares it between every application's job.
 type Scheme struct {
 	Name   string
 	Policy Policy
-	L1DKB  int
+	Config *Config
 }
 
 // PaperSchemes are the five configurations of Figure 10, in plotting
@@ -46,9 +47,9 @@ func PaperSchemes() []Scheme {
 		if p == Baseline {
 			name = "16KB(Baseline)"
 		}
-		out = append(out, Scheme{name, p, 16})
+		out = append(out, Scheme{name, p, config.Baseline()})
 	}
-	return append(out, Scheme{"32KB", Baseline, 32})
+	return append(out, Scheme{"32KB", Baseline, config.L1D32KB()})
 }
 
 // PolicySchemes are every registered policy at the paper's 16KB L1D —
@@ -58,7 +59,7 @@ func PolicySchemes() []Scheme {
 	all := policy.All()
 	out := make([]Scheme, len(all))
 	for i, p := range all {
-		out[i] = Scheme{p.String(), p, 16}
+		out[i] = Scheme{p.String(), p, config.Baseline()}
 	}
 	return out
 }
@@ -66,9 +67,9 @@ func PolicySchemes() []Scheme {
 // AssocSchemes are the three cache sizes of Figures 4 and 5.
 func AssocSchemes() []Scheme {
 	return []Scheme{
-		{"16KB", Baseline, 16},
-		{"32KB", Baseline, 32},
-		{"64KB", Baseline, 64},
+		{"16KB", Baseline, config.Baseline()},
+		{"32KB", Baseline, config.L1D32KB()},
+		{"64KB", Baseline, config.L1D64KB()},
 	}
 }
 
@@ -127,19 +128,14 @@ func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*Suite
 		r = &runner.Runner{}
 	}
 
-	// One config per scheme, built and validated once — not once per
-	// (app, scheme) pair as the old serial loop did.
-	cfgs := make([]*config.Config, len(schemes))
-	for i, sc := range schemes {
-		cfg, err := config.ByL1DSize(sc.L1DKB)
-		if err != nil {
+	// Each scheme's config is validated once, not once per (app,
+	// scheme) pair.
+	for _, sc := range schemes {
+		if err := sc.Config.Validate(); err != nil {
 			return nil, err
 		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
 	}
+	lineSize := schemes[0].Config.L1D.LineSize
 
 	jobs := make([]runner.Job, 0, len(apps)*len(schemes))
 	for _, spec := range apps {
@@ -155,16 +151,16 @@ func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*Suite
 			src = spec.Stream(opts.Scale)
 		case opts.Scale > 1:
 			k = spec.ScaledKernel(opts.Scale)
-			k.PrecomputeCoalesced(cfgs[0].L1D.LineSize)
+			k.PrecomputeCoalesced(lineSize)
 		default:
 			// One kernel shared by every scheme's job — and, via the
 			// process-wide cache, by every other suite in the process.
-			k = spec.SharedKernel(cfgs[0].L1D.LineSize)
+			k = spec.SharedKernel(lineSize)
 		}
-		for si, sc := range schemes {
+		for _, sc := range schemes {
 			jobs = append(jobs, runner.Job{
 				Label:  spec.Abbr + " under " + sc.Name,
-				Config: cfgs[si],
+				Config: sc.Config,
 				Policy: sc.Policy,
 				Kernel: k,
 				Stream: src,
@@ -322,14 +318,6 @@ func Fig3RDD() *Distribution {
 // Each application is generated once and replayed at all three sizes.
 func Fig4MissRates() (*Table, error) {
 	schemes := AssocSchemes()
-	geoms := make([]config.CacheGeom, len(schemes))
-	for i, sc := range schemes {
-		cfg, err := config.ByL1DSize(sc.L1DKB)
-		if err != nil {
-			return nil, err
-		}
-		geoms[i] = cfg.L1D
-	}
 	specs := workloads.All()
 	apps := make([]string, len(specs))
 	vals := make([][]float64, len(schemes))
@@ -337,8 +325,8 @@ func Fig4MissRates() (*Table, error) {
 	for ai, spec := range specs {
 		apps[ai] = spec.Abbr
 		k := spec.Generate()
-		for gi, geom := range geoms {
-			vals[gi] = append(vals[gi], rdd.ReuseMissRate(k, n, geom))
+		for si, sc := range schemes {
+			vals[si] = append(vals[si], rdd.ReuseMissRate(k, n, sc.Config.L1D))
 		}
 	}
 	t := &Table{Title: "Fig. 4: reuse-data miss rate vs L1D size", Apps: apps}
@@ -460,36 +448,91 @@ func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 	return out, nil
 }
 
-// paperFigIDs are the experiment ids WritePaperFigs knows besides "all"
-// (every one of them but the opt-in "policies").
+// paperFigIDs are the experiments of "all". The cross-policy table ("policies") and the ablation
+// sweeps are opt-in only, so the committed reference outputs do not
+// drift as policies and sweeps are added.
 var paperFigIDs = []string{"table2", "overhead", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13", "policies"}
+	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13"}
 
-// WritePaperFigs writes what `paperfigs -exp exps` prints to stdout:
-// the experiments named in the comma-separated exps, in the command's
-// fixed order, as text tables or CSV. An id it does not know is an error
-// before anything is written. apps are the applications of Fig. 7, one
-// table each; none means BFS, as in the paper. run executes one scheme
-// set (RunSuite in the command, cached suites in the drift test). A
-// suite that comes back together with an error is partial (KeepGoing):
-// its tables render with FAILED cells, the speedup summaries — means
-// over an incomplete suite would compare schemes on different
-// application subsets — are left out, and the error is returned once
-// everything else has been written.
-func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run func([]Scheme) (*SuiteResult, error)) error {
+// experimentIDs expands exps, a comma-separated list of experiment ids,
+// into the set of experiments WritePaperFigs prints: "all" is every
+// paperFigIDs entry, "ablations" every Paper sweep, and any other id
+// itself. An unknown id is an error, and so is a sweep under csv: an
+// Ablation has no CSV form.
+func experimentIDs(exps string, csv bool) (map[string]bool, error) {
+	valid := append(append([]string{"all"}, paperFigIDs...), "policies", "ablations")
+	sweep := map[string]bool{"ablations": true}
+	var paperSweeps []string
+	for _, sw := range Sweeps() {
+		valid = append(valid, sw.Name)
+		sweep[sw.Name] = true
+		if sw.Paper {
+			paperSweeps = append(paperSweeps, sw.Name)
+		}
+	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(exps, ",") {
 		id = strings.TrimSpace(strings.ToLower(id))
-		if id != "all" && !slices.Contains(paperFigIDs, id) {
-			return fmt.Errorf("unknown experiment %q (valid: all, %s)", id, strings.Join(paperFigIDs, ", "))
+		ids := []string{id}
+		switch {
+		case !slices.Contains(valid, id):
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		case csv && sweep[id]:
+			return nil, fmt.Errorf("experiment %q is an ablation sweep, which has no csv form", id)
+		case id == "all":
+			ids = paperFigIDs
+		case id == "ablations":
+			ids = paperSweeps
 		}
-		want[id] = true
+		for _, id := range ids {
+			want[id] = true
+		}
 	}
-	has := func(id string) bool { return want["all"] || want[id] }
+	return want, nil
+}
+
+// WritePaperFigs writes what `paperfigs -exp exps` prints to stdout:
+// the experiments named in the comma-separated exps (see experimentIDs),
+// in the command's fixed order, as text tables or CSV. An unknown id or
+// application is an error before anything is written. Each experiment
+// has its own applications — every registry application for the suites,
+// BFS for Fig. 7 as in the paper, DefaultAblationApps for the sweeps —
+// unless apps names them (figure labels, any case). run executes one
+// scheme set on the given applications (RunSuite in the command, cached
+// suites in the drift test). A suite that comes back together with an
+// error is partial (KeepGoing): its tables render with FAILED cells, the
+// speedup summaries — means over an incomplete suite would compare
+// schemes on different application subsets — are left out, and the
+// error is returned once everything else has been written.
+func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func([]Workload, []Scheme) (*SuiteResult, error)) error {
+	want, err := experimentIDs(exps, csv)
+	if err != nil {
+		return err
+	}
+	appsOr := func(defaults []string) ([]Workload, error) {
+		if len(apps) > 0 {
+			defaults = apps
+		}
+		out := make([]Workload, len(defaults))
+		for i, abbr := range defaults {
+			var err error
+			if out[i], err = WorkloadByAbbr(strings.TrimSpace(abbr)); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	if _, err := appsOr(nil); err != nil {
+		return err
+	}
 
 	var partial error
-	suite := func(schemes []Scheme) (*SuiteResult, error) {
-		res, err := run(schemes)
+	suite := func(defaults []string, schemes []Scheme) (*SuiteResult, error) {
+		apps, err := appsOr(defaults)
+		if err != nil {
+			return nil, err
+		}
+		res, err := run(apps, schemes)
 		if res == nil {
 			return nil, err
 		}
@@ -529,10 +572,10 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run fun
 		return nil
 	}
 
-	if has("table2") {
+	if want["table2"] {
 		fmt.Fprintln(w, Table2())
 	}
-	if has("overhead") {
+	if want["overhead"] {
 		fmt.Fprintln(w, OverheadReport(BaselineConfig()))
 	}
 	analysis := []struct {
@@ -544,19 +587,16 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run fun
 		{"fig6", func() (figure, error) { return Fig6Ratios() }},
 	}
 	for _, a := range analysis {
-		if has(a.id) {
+		if want[a.id] {
 			if err := emit(a.build()); err != nil {
 				return err
 			}
 		}
 	}
-	if has("fig7") {
-		if len(apps) == 0 {
-			bfs, err := workloads.ByAbbr("BFS")
-			if err != nil {
-				return err
-			}
-			apps = []Workload{bfs}
+	if want["fig7"] {
+		apps, err := appsOr([]string{"BFS"})
+		if err != nil {
+			return err
 		}
 		for _, app := range apps {
 			if err := emit(Fig7RDD(app), nil); err != nil {
@@ -564,8 +604,8 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run fun
 			}
 		}
 	}
-	if has("fig5") {
-		res, err := suite(AssocSchemes())
+	if want["fig5"] {
+		res, err := suite(workloads.Abbrs(), AssocSchemes())
 		if err != nil {
 			return err
 		}
@@ -587,32 +627,29 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run fun
 	}
 	needEval := false
 	for _, e := range eval {
-		needEval = needEval || has(e.id)
+		needEval = needEval || want[e.id]
 	}
 	if needEval {
-		res, err := suite(PaperSchemes())
+		res, err := suite(workloads.Abbrs(), PaperSchemes())
 		if err != nil {
 			return err
 		}
 		for _, e := range eval {
-			if has(e.id) {
+			if want[e.id] {
 				if err := emit(e.build(res)); err != nil {
 					return err
 				}
 			}
 		}
-		if has("fig10") {
+		if want["fig10"] {
 			if err := speedups(res, "== headline speedups (CI geometric mean vs baseline) =="); err != nil {
 				return err
 			}
 		}
 	}
 
-	// The cross-policy comparison is explicitly opt-in (never part of
-	// "all"): the committed reference outputs cover the paper's schemes
-	// only, and must not drift as policies are added to the registry.
 	if want["policies"] {
-		res, err := suite(PolicySchemes())
+		res, err := suite(workloads.Abbrs(), PolicySchemes())
 		if err != nil {
 			return err
 		}
@@ -622,6 +659,16 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []Workload, run fun
 		if err := speedups(res, "== cross-policy speedups (geometric mean vs baseline) =="); err != nil {
 			return err
 		}
+	}
+	for _, sw := range Sweeps() {
+		if !want[sw.Name] {
+			continue
+		}
+		res, err := suite(DefaultAblationApps(), sw.Schemes())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, sw.Ablation(res).Render())
 	}
 	return partial
 }

@@ -12,8 +12,8 @@ import (
 // builders can be tested without running simulations.
 func fakeSuite() *SuiteResult {
 	schemes := []Scheme{
-		{"16KB(Baseline)", Baseline, 16},
-		{"DLP", DLP, 16},
+		{"16KB(Baseline)", Baseline, BaselineConfig()},
+		{"DLP", DLP, BaselineConfig()},
 	}
 	res := &SuiteResult{
 		Apps:    workloads.All(),
@@ -130,7 +130,7 @@ func TestPaperSchemesShape(t *testing.T) {
 		t.Errorf("scheme order wrong: %v", ps)
 	}
 	as := AssocSchemes()
-	if len(as) != 3 || as[2].L1DKB != 64 {
+	if len(as) != 3 || as[2].Config.L1D.SizeBytes() != 64<<10 {
 		t.Errorf("AssocSchemes wrong: %v", as)
 	}
 }

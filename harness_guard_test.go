@@ -14,7 +14,7 @@ import (
 )
 
 // execFlags and batchFlags are the two groups internal/cli declares for
-// the runner-backed commands (dlpsim, paperfigs, ablate), in order.
+// the runner-backed commands (dlpsim, paperfigs), in order.
 var (
 	execFlags  = []string{"timeout", "selfcheck", "metrics", "metrics-every", "trace"}
 	batchFlags = []string{"j", "keep-going", "quiet", "cpuprofile", "memprofile"}
@@ -67,13 +67,23 @@ var retiredFields = map[string]bool{
 // only its tests reached, the deleted parallel RDD replays, the
 // registry sort that pinned every kernel, the BFS-only Fig. 7, the
 // deferred store return the phase-parallel engine needed, and the
-// crossbar's segment queue; no non-test file outside bench/ may name
-// them.
+// crossbar's segment queue, and the second experiment runner with its
+// seven sweep wrappers (a sweep is a RunSuite call); no non-test file
+// outside bench/ may name them.
 var retiredNames = map[string]bool{
 	"Transient": true, "IsTransient": true, "Flaky": true,
 	"ProfileKernelCores": true, "ReuseMissRateCores": true, "SortedByRatio": true, "Fig7BFS": true,
 	"Recycler": true, "SetRecycler": true, "DrainTo": true, "returnStores": true,
 	"grabFree": true, "popHead": true, "openTail": true,
+	"runAblation": true, "AblateSamplePeriod": true, "AblatePDBits": true, "AblateVTAWays": true,
+	"AblateWarpLimit": true, "AblateATAWays": true, "AblateCCWSLifetime": true,
+	"AblatePredictorDeadPeriods": true,
+}
+
+// retiredCommands are the deleted mains whose work is another command's:
+// the ablation sweeps are paperfigs experiments.
+var retiredCommands = map[string]string{
+	"cmd/ablate": "paperfigs -exp",
 }
 
 // importNames returns the names a file's imports bind, so a qualified
@@ -126,8 +136,9 @@ func flagDecl(call *ast.CallExpr) string {
 // each in internal/cli — ExecFlags and BatchFlags declare exactly their
 // groups — and nowhere else in non-test Go, bar the listed commands
 // whose same-named flags mean something else; no retired flag comes
-// back; no non-test file outside bench/ names a Cores field or a retired
-// field, or names a retired identifier; internal/sim and internal/rdd
+// back, and no retired command directory; no non-test file outside
+// bench/ names a Cores field or a retired field, or names a retired
+// identifier; internal/sim and internal/rdd
 // start no goroutine and import no sync package; and no per-binary
 // profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
@@ -143,6 +154,9 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
+			if by, ok := retiredCommands[filepath.ToSlash(path)]; ok {
+				t.Errorf("%s is back; its work is %s", path, by)
+			}
 			// bench/ is a module of its own with its own flag vocabulary.
 			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "bench" || name == "testdata") {
 				return filepath.SkipDir

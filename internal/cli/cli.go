@@ -1,5 +1,5 @@
 // Package cli is the run harness shared by the runner-backed commands
-// (dlpsim, paperfigs, ablate): the one declaration of their execution
+// (dlpsim, paperfigs): the one declaration of their execution
 // flags, and a Session that turns the parsed values into a context, a
 // populated runner.Runner and a single exit path. It also holds the
 // process exit-code convention every command follows.
@@ -7,9 +7,9 @@
 // Flag groups:
 //
 //	exec   -timeout -selfcheck -metrics -metrics-every -trace
-//	       (dlpsim, paperfigs, ablate)
+//	       (dlpsim, paperfigs)
 //	batch  -j -keep-going -quiet -cpuprofile -memprofile
-//	       (paperfigs, ablate)
+//	       (paperfigs)
 //
 // Exit codes:
 //

@@ -147,8 +147,8 @@ func ReadJSONL(r io.Reader) (*SeriesSet, error) {
 				return nil, fmt.Errorf("metrics jsonl line %d: header without names", lineNo)
 			}
 			if s, ok := ss.Series[rec.Series]; ok {
-				// A retried job re-announces its series; the schema
-				// must not change mid-stream.
+				// Two simulated jobs that share a label announce one
+				// series twice; the schema must not change mid-stream.
 				if len(s.Names) != len(rec.Names) {
 					return nil, fmt.Errorf("metrics jsonl line %d: series %q re-announced with %d names, had %d",
 						lineNo, rec.Series, len(rec.Names), len(s.Names))

@@ -54,7 +54,8 @@ func (c *Config) Interval() uint64 {
 // Sink receives sampled metric rows. Begin is called once per series
 // before any Row. Implementations must tolerate concurrent calls for
 // different series (the runner samples many simulations in parallel)
-// and a repeated Begin for the same series (a retried job re-registers).
+// and a repeated Begin for the same series (two simulated jobs that
+// share a label announce one series twice).
 //
 // The values slice passed to Row is reused by the sampler for the next
 // row: a sink that retains values past the call must copy them.

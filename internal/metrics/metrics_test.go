@@ -153,7 +153,8 @@ func TestJSONLReaderRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// A repeated identical header (retried job) is fine.
+	// A repeated identical header (two simulated jobs that share a
+	// label) is fine.
 	ok := `{"series":"x","names":["a"]}` + "\n" + `{"series":"x","names":["a"]}` + "\n" + `{"series":"x","cycle":1,"v":[5]}`
 	ss, err := ReadJSONL(strings.NewReader(ok))
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 //	tr.WriteJSON(f) // or tr.Trace().WriteJSON
 //
 // One tracer may observe several sequential batches (paperfigs runs
-// two suites; ablate four sweeps): timestamps are wall-clock
+// one per suite, and every sweep is a suite): timestamps are wall-clock
 // microseconds since the tracer was created, so the batches appear one
 // after another on a single timeline.
 type JobTracer struct {

@@ -248,8 +248,8 @@ type gridStream struct {
 	counts []int    // counts[i] = instruction count of shaped warp i
 }
 
-// newGridStream wraps g; key is the stream's cache identity ("" for
-// uncacheable custom grids).
+// newGridStream wraps g; key is the stream's cache identity, its
+// SpecKey.
 func newGridStream(g gridSpec, key string) *gridStream {
 	s := &gridStream{g: g, key: key}
 	if g.mem == nil {

@@ -39,16 +39,14 @@ const RatioThreshold = 0.01
 
 // Spec describes one benchmark application.
 type Spec struct {
-	Name     string // full name from Table 2
-	Abbr     string // figure label
-	Suite    string // originating benchmark suite
-	Class    Class
-	Input    string // the paper's input size (documentation only)
-	Generate func() *trace.Kernel
+	Name  string // full name from Table 2
+	Abbr  string // figure label
+	Suite string // originating benchmark suite
+	Class Class
+	Input string // the paper's input size (documentation only)
 
-	// gridGen is the scalable deferred generator behind Generate for
-	// registry applications (nil for custom specs); Stream and
-	// ScaledKernel derive from it.
+	// gridGen is the application's scalable deferred generator;
+	// Generate, Stream and ScaledKernel derive from it.
 	gridGen func(scale int) gridSpec
 
 	// DominantBucket is the RD bucket (index into rdd.Buckets) expected
@@ -66,11 +64,12 @@ const GenVersion = 1
 func app(name, abbr, suite string, class Class, input string, g func(int) gridSpec, bucket int) Spec {
 	return Spec{
 		Name: name, Abbr: abbr, Suite: suite, Class: class, Input: input,
-		Generate:       func() *trace.Kernel { return g(1).Kernel() },
-		gridGen:        g,
-		DominantBucket: bucket,
+		gridGen: g, DominantBucket: bucket,
 	}
 }
+
+// Generate materializes the application at the paper's Table 2 size.
+func (s Spec) Generate() *trace.Kernel { return s.gridGen(1).Kernel() }
 
 // registry lists the applications in the paper's Table 2 / figure order.
 var registry = []Spec{
@@ -151,19 +150,8 @@ type sharedKey struct {
 // SharedKernel returns the application's kernel from a process-wide
 // cache, generating it on first use and precomputing its coalesced
 // line lists for the given cache line size. The returned kernel is
-// shared and must be treated as read-only; registry applications are
-// memoized by abbreviation, unknown (custom) specs are generated
-// fresh on every call.
+// shared and must be treated as read-only.
 func (s Spec) SharedKernel(lineSize int) *trace.Kernel {
-	reg, err := ByAbbr(s.Abbr)
-	if err != nil || reg.Name != s.Name || reg.Suite != s.Suite ||
-		reg.Class != s.Class || reg.Input != s.Input {
-		// Not a registry application (or an abbreviation collision with
-		// different metadata): generate fresh, never cache.
-		k := s.Generate()
-		k.PrecomputeCoalesced(lineSize)
-		return k
-	}
 	key := sharedKey{s.Abbr, lineSize}
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
@@ -179,26 +167,14 @@ func (s Spec) SharedKernel(lineSize int) *trace.Kernel {
 // Stream returns a lazily generated trace.Stream of the application at
 // the given scale factor (clamped to >= 1). Scale 1 streams exactly the
 // trace Generate materializes; larger scales multiply the block count
-// and shared footprints. Custom (non-registry) specs fall back to a
-// precomputed-kernel compat stream.
+// and shared footprints.
 func (s Spec) Stream(scale int) trace.Stream {
-	if scale < 1 {
-		scale = 1
-	}
-	if s.gridGen == nil {
-		return trace.NewKernelStream(s.Generate())
-	}
+	scale = max(scale, 1)
 	key := fmt.Sprintf("app:%s:v%d:scale%d", s.Abbr, GenVersion, scale)
 	return newGridStream(s.gridGen(scale), key)
 }
 
 // ScaledKernel materializes the application at the given scale factor —
 // the eager counterpart of Stream, for differential tests and
-// small-scale reference runs. Scale <= 1 (or a custom spec) is exactly
-// Generate.
-func (s Spec) ScaledKernel(scale int) *trace.Kernel {
-	if s.gridGen == nil || scale <= 1 {
-		return s.Generate()
-	}
-	return s.gridGen(scale).Kernel()
-}
+// small-scale reference runs. Scale <= 1 is exactly Generate.
+func (s Spec) ScaledKernel(scale int) *trace.Kernel { return s.gridGen(max(scale, 1)).Kernel() }

@@ -79,7 +79,7 @@ func TestPaperfigsOutputCommitted(t *testing.T) {
 	assoc := assocSuite(t) // Fig. 5
 
 	var b strings.Builder
-	err := WritePaperFigs(&b, "all", false, nil, func(schemes []Scheme) (*SuiteResult, error) {
+	err := WritePaperFigs(&b, "all", false, nil, func(_ []Workload, schemes []Scheme) (*SuiteResult, error) {
 		switch {
 		case reflect.DeepEqual(schemes, PaperSchemes()):
 			return eval, nil
@@ -94,27 +94,25 @@ func TestPaperfigsOutputCommitted(t *testing.T) {
 	diffAgainstFile(t, b.String(), "paperfigs_output.txt")
 }
 
-// TestAblateOutputCommitted re-renders what `ablate` (all sweeps)
+// runSuitesOn returns a WritePaperFigs run function that simulates each
+// suite on r, as the command does.
+func runSuitesOn(r *Runner) func([]Workload, []Scheme) (*SuiteResult, error) {
+	return func(apps []Workload, schemes []Scheme) (*SuiteResult, error) {
+		return RunSuite(context.Background(), schemes, &SuiteOptions{Runner: r, Apps: apps})
+	}
+}
+
+// TestAblateOutputCommitted re-renders what `paperfigs -exp ablations`
 // prints to stdout and diffs it against the committed reference.
 func TestAblateOutputCommitted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweeps skipped in -short mode")
 	}
-	ctx := context.Background()
-	apps := DefaultAblationApps()
 	// One runner, one cache — the same sharing the command uses, so the
 	// per-app baselines simulate once across all four sweeps.
-	r := &Runner{Cache: NewRunCache()}
 	var b strings.Builder
-	for _, sw := range Sweeps() {
-		if !sw.Paper {
-			continue
-		}
-		ab, err := sw.Run(ctx, apps, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintln(&b, ab.Render())
+	if err := WritePaperFigs(&b, "ablations", false, nil, runSuitesOn(&Runner{Cache: NewRunCache()})); err != nil {
+		t.Fatal(err)
 	}
 	diffAgainstFile(t, b.String(), "ablate_output.txt")
 }
@@ -128,9 +126,9 @@ func TestAblateRenderParallelSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep skipped in -short mode")
 	}
+	var b strings.Builder
 	r := &Runner{Workers: 2, SelfCheck: true, Cache: NewRunCache()}
-	ab, err := AblateSamplePeriod(context.Background(), DefaultAblationApps(), r)
-	if err != nil {
+	if err := WritePaperFigs(&b, "sample-period", false, nil, runSuitesOn(r)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile("ablate_output.txt")
@@ -141,7 +139,7 @@ func TestAblateRenderParallelSelfCheck(t *testing.T) {
 	if !ok {
 		t.Fatal("ablate_output.txt has no blank-line block separator")
 	}
-	if got := strings.TrimSuffix(ab.Render(), "\n"); got != want {
+	if got := strings.TrimSuffix(b.String(), "\n\n"); got != want {
 		t.Errorf("-j 2 selfcheck sample-period sweep drifted from committed block:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -28,8 +28,8 @@ func smallApps(t *testing.T) []Workload {
 
 func smallSchemes() []Scheme {
 	return []Scheme{
-		{"16KB(Baseline)", Baseline, 16},
-		{"DLP", DLP, 16},
+		{"16KB(Baseline)", Baseline, BaselineConfig()},
+		{"DLP", DLP, BaselineConfig()},
 	}
 }
 
