@@ -1,7 +1,10 @@
 // Command paperfigs regenerates every table and figure of the paper's
 // evaluation: Table 2, the workload analysis of Figs. 3, 4, 6 and 7
 // (reuse-distance distributions, LRU reuse miss rates and memory-access
-// ratios, replayed from the traces without simulating), the Fig. 5
+// ratios, replayed from the traces without simulating), the Fig. 9
+// protection-distance dynamics (one application's stream replayed
+// through a single DLP L1D: per sampling period, the global TDA/VTA
+// hits, the branch taken and each instruction's PD), the Fig. 5
 // associativity study, the §4.3 overhead model, and Figs. 10–13 (the
 // policy evaluation). It also prints the ablation sweeps over the
 // design constants the paper fixes by fiat: the sampling period (200
@@ -22,6 +25,7 @@
 //	paperfigs -exp fig10      # one experiment
 //	paperfigs -exp fig3,fig4,fig6,fig7  # the workload analysis
 //	paperfigs -exp fig7 -apps CFD,KM    # per-instruction RDD of CFD and KM
+//	paperfigs -exp fig9 -apps BFS       # BFS's PD dynamics
 //	paperfigs -cache .figcache  # persist results across runs
 //	paperfigs -exp ablations  # the paper's design-parameter sweeps
 //	paperfigs -exp pd-bits -apps CFD,BP  # one sweep on two applications
@@ -33,11 +37,11 @@
 // cells and the speedup summaries are left out.
 //
 // -apps BP,HS names the applications of the simulation suites, of
-// Fig. 7 and of the sweeps (labels as in Table 2): the suites run on
-// that subset, for quick looks and CI smokes, Fig. 7 prints one
-// per-instruction RDD table per application, and the sweeps tabulate
-// those applications. Without -apps the suites run all 18, Fig. 7 is
-// BFS's, as in the paper, and the sweeps run CFD, PVR, SRK and KM
+// Figs. 7 and 9 and of the sweeps (labels as in Table 2): the suites run
+// on that subset, for quick looks and CI smokes, Figs. 7 and 9 print one
+// table per application, and the sweeps tabulate those applications.
+// Without -apps the suites run all 18, Fig. 7 is BFS's, as in the paper,
+// Fig. 9 is CFD's, and the sweeps run CFD, PVR, SRK and KM
 // (dlpsim.DefaultAblationApps). Figs. 3, 4 and 6 always cover the whole
 // registry; the committed reference outputs use the defaults.
 //
@@ -48,7 +52,7 @@
 // design); at large scales pair it with -stream so memory stays
 // bounded by the per-SM chunk pools.
 //
-// Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7,
+// Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7, fig9,
 // fig10, fig11a, fig11b, fig12a, fig12b, fig13 (together "all"); an
 // unknown id or application, or a -format other than text or csv, exits
 // 1 before anything is printed. The other ids are opt-in only, never
@@ -92,7 +96,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (default: all)")
 	format := flag.String("format", "text", "text | csv")
 	cacheDir := flag.String("cache", "", "persist simulation results under this directory")
-	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18), of Fig. 7 (default: BFS) and of the sweeps (default: "+strings.Join(dlpsim.DefaultAblationApps(), ",")+")")
+	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18), of Figs. 7 (default: BFS) and 9 (default: CFD) and of the sweeps (default: "+strings.Join(dlpsim.DefaultAblationApps(), ",")+")")
 	stream := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
 	scale := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
 	flag.Parse()

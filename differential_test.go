@@ -59,15 +59,15 @@ func TestCrossPolicyDifferential(t *testing.T) {
 	k := diffKernel()
 	results := make(map[Policy]*Stats)
 	for _, p := range Policies() {
-		ref, err := RunWithOptions(cfg, p, k, Options{SelfCheck: true})
+		ref, err := sim.RunOnce(context.Background(), cfg, p, k, sim.Options{SelfCheck: true})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		ffOff, err := RunWithOptions(cfg, p, k, Options{SelfCheck: true, DisableFastForward: true})
+		ffOff, err := sim.RunOnce(context.Background(), cfg, p, k, sim.Options{SelfCheck: true, DisableFastForward: true})
 		if err != nil {
 			t.Fatalf("%v ff=off: %v", p, err)
 		}
-		streamed, err := sim.RunStreamOnce(context.Background(), cfg, p, trace.NewKernelStream(k), Options{SelfCheck: true})
+		streamed, err := sim.RunStreamOnce(context.Background(), cfg, p, trace.NewKernelStream(k), sim.Options{SelfCheck: true})
 		if err != nil {
 			t.Fatalf("%v streamed: %v", p, err)
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/policy"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -35,13 +37,13 @@ func TestParsePolicy(t *testing.T) {
 		"reusepredictor": ReusePredictor, "reuse-predictor": ReusePredictor, "pred": ReusePredictor,
 	}
 	for in, want := range cases {
-		got, err := ParsePolicy(in)
+		got, err := policy.Parse(in)
 		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", in, got, err)
+			t.Errorf("policy.Parse(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParsePolicy("lru"); err == nil {
-		t.Error("ParsePolicy accepted an unknown name")
+	if _, err := policy.Parse("lru"); err == nil {
+		t.Error("policy.Parse accepted an unknown name")
 	}
 }
 
@@ -56,11 +58,11 @@ func TestPoliciesOrder(t *testing.T) {
 			t.Errorf("Policies()[%d] = %v, want %v", i, ps[i], want[i])
 		}
 	}
-	if got := PaperPolicies(); len(got) != 4 || got[0] != Baseline || got[3] != DLP {
-		t.Errorf("PaperPolicies() = %v, want the paper's four in plotting order", got)
+	if got := policy.Paper(); len(got) != 4 || got[0] != Baseline || got[3] != DLP {
+		t.Errorf("policy.Paper() = %v, want the paper's four in plotting order", got)
 	}
 	for _, p := range ps {
-		if PolicyCitation(p) == "" {
+		if s, _ := policy.Lookup(p); s.Cite == "" {
 			t.Errorf("policy %s has no provenance citation", p)
 		}
 	}
@@ -81,8 +83,8 @@ func TestHardwareOverheadHeadline(t *testing.T) {
 }
 
 func TestWorkloadsLookup(t *testing.T) {
-	if got := len(Workloads()); got != 18 {
-		t.Fatalf("Workloads() = %d apps", got)
+	if got := len(workloads.All()); got != 18 {
+		t.Fatalf("workloads.All() = %d apps", got)
 	}
 	w, err := WorkloadByAbbr("bfs") // case-insensitive
 	if err != nil || w.Abbr != "BFS" {
@@ -218,10 +220,10 @@ func TestKernelSerializationAPI(t *testing.T) {
 	w, _ := WorkloadByAbbr("HS")
 	k := w.Generate()
 	path := filepath.Join(t.TempDir(), "hs.dlpstrm")
-	if err := WriteKernel(path, k); err != nil {
+	if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKernel(path)
+	got, err := trace.ReadKernel(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@
 //	if err != nil { ... }
 //	fmt.Println(st.IPC())
 //
-// To regenerate the paper's figures, see RunPaperSuite and the Fig*
-// builders, or run the cmd/paperfigs binary.
+// To regenerate the paper's figures, see RunSuite (the simulation
+// suites), the Fig* builders and WritePaperFigs (everything
+// cmd/paperfigs prints, in its order), or run the cmd/paperfigs binary.
 package dlpsim

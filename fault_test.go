@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/runner"
 )
 
 // These tests pin the ISSUE's acceptance scenario for the fault-tolerant
@@ -42,14 +43,14 @@ func faultKernel(name string, stride int) *Kernel {
 // app-major. The paper subset is deliberate: the injected fault
 // indices below name specific cells of this grid, which must not
 // shift as extension schemes join the registry.
-func faultBatch() (jobs []Job, appNames []string) {
+func faultBatch() (jobs []runner.Job, appNames []string) {
 	cfg := BaselineConfig()
 	for a := 0; a < 9; a++ {
 		name := fmt.Sprintf("app%d", a)
 		appNames = append(appNames, name)
 		k := faultKernel(name, 128*(a+1))
-		for _, pol := range PaperPolicies() {
-			jobs = append(jobs, Job{
+		for _, pol := range policy.Paper() {
+			jobs = append(jobs, runner.Job{
 				Label:  fmt.Sprintf("%s under %s", name, pol),
 				Config: cfg,
 				Policy: pol,
@@ -81,7 +82,7 @@ func TestFaultTolerantSuiteAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunJobs(context.Background(), jobs[:1], &Runner{Workers: 1, Cache: warm}); err != nil {
+		if _, err := (&Runner{Workers: 1, Cache: warm}).Run(context.Background(), jobs[:1]); err != nil {
 			t.Fatal(err)
 		}
 		key := jobs[0].Key()
@@ -101,13 +102,13 @@ func TestFaultTolerantSuiteAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := RunJobs(context.Background(), jobs, &Runner{
+		results, err := (&Runner{
 			Workers:   workers,
 			Cache:     cache,
 			KeepGoing: true,
 			Timeout:   200 * time.Millisecond,
 			Intercept: plan.Intercept(),
-		})
+		}).Run(context.Background(), jobs)
 
 		// The batch ran to completion and aggregated exactly the
 		// injected failures, in submission order.
@@ -149,10 +150,10 @@ func TestFaultTolerantSuiteAcceptance(t *testing.T) {
 		// Render the (policy x app) table the way the CLIs do: failed
 		// points become NaN, which prints as FAILED.
 		tab := &Table{Title: "fault acceptance: IPC", Apps: appNames}
-		for pi, pol := range PaperPolicies() {
+		for pi, pol := range policy.Paper() {
 			vals := make([]float64, len(appNames))
 			for a := range appNames {
-				if st := results[a*len(PaperPolicies())+pi].Stats; st != nil {
+				if st := results[a*len(policy.Paper())+pi].Stats; st != nil {
 					vals[a] = st.IPC()
 				} else {
 					vals[a] = math.NaN()
@@ -221,7 +222,7 @@ func TestEnginePanicSurfacesAsJobPanicError(t *testing.T) {
 	jobs[faulted].Label = "engine fault"
 	jobs[faulted].Policy = name
 
-	results, err := RunJobs(context.Background(), jobs, &Runner{Workers: 2, KeepGoing: true})
+	results, err := (&Runner{Workers: 2, KeepGoing: true}).Run(context.Background(), jobs)
 	var be *BatchError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BatchError", err)
@@ -230,7 +231,7 @@ func TestEnginePanicSurfacesAsJobPanicError(t *testing.T) {
 		t.Fatalf("failures = %+v, want exactly job %d", be.Failures, faulted)
 	}
 
-	var jpe *JobPanicError
+	var jpe *runner.JobPanicError
 	if !errors.As(results[faulted].Err, &jpe) {
 		t.Fatalf("job error = %v, want *JobPanicError", results[faulted].Err)
 	}

@@ -8,9 +8,13 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/addr"
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/rdd"
 	"repro/internal/report"
@@ -290,7 +294,7 @@ func (r *SuiteResult) Fig5IPC() (*Table, error) {
 		func(s *Stats) float64 { return s.IPC() })
 }
 
-// The workload analysis (Figs. 3, 4, 6 and 7) is one pass over each
+// The workload analysis (Figs. 3, 4, 6, 7 and 9) is one pass over each
 // application's trace, so each builder generates the kernels it replays
 // and drops them as it goes: nothing of it outlives the call. The replay
 // and Summarize coalesce from the instructions, so no kernel is packed.
@@ -389,6 +393,106 @@ func Fig7RDD(spec Workload) *Distribution {
 	return d
 }
 
+// fig9Samples is how many sampling periods Fig. 9 traces.
+const fig9Samples = 20
+
+// Fig9PD traces the Fig. 9 dynamics of one application: SM 0's share of
+// its memory stream is replayed through one DLP-managed L1D with ideal
+// memory behind it, and each of the first fig9Samples sampling periods
+// is a column holding the global TDA and VTA hits the closing decision
+// was made from, the branch taken (+1 increase, -1 decrease, 0 hold) and
+// the protection distance it left each memory instruction with. The
+// cache's DLP invariants are checked after every sample and at the end.
+func Fig9PD(spec Workload) (*Table, error) {
+	cfg := config.Baseline()
+	k := spec.Generate()
+	seen := map[uint32]bool{}
+	for _, b := range k.Blocks {
+		for _, w := range b.Warps {
+			for i := range w.Instrs {
+				if in := &w.Instrs[i]; in.Kind != trace.Compute {
+					seen[in.PC] = true
+				}
+			}
+		}
+	}
+	pcs := make([]uint32, 0, len(seen))
+	for pc := range seen {
+		pcs = append(pcs, pc)
+	}
+	slices.Sort(pcs)
+
+	l1d := core.NewL1D(cfg, config.PolicyDLP, func(*mem.Request) {})
+	pdpt := l1d.PDPT()
+	var now, id uint64
+	// send offers one line access, retrying a stalled one a cycle later;
+	// every fetch is answered at once.
+	send := func(line addr.Addr, in *trace.Instr) {
+		id++
+		req := &mem.Request{ID: id, Addr: line, PC: in.PC, InsnID: addr.HashPC(in.PC), Store: in.Kind == trace.Store}
+		for {
+			now++
+			l1d.Tick(now)
+			out := l1d.Access(req)
+			for o := l1d.PopOutgoing(); o != nil; o = l1d.PopOutgoing() {
+				if !o.Store {
+					l1d.OnResponse(o)
+				}
+			}
+			if out != mem.OutcomeStall {
+				return
+			}
+		}
+	}
+
+	t := &Table{Format: "%.0f", Series: []Series{{Name: "TDA hits"}, {Name: "VTA hits"}, {Name: "branch"}}}
+	for _, pc := range pcs {
+		t.Series = append(t.Series, Series{Name: fmt.Sprintf("PD(insn%d)", pc)})
+	}
+	var grows, shrinks uint64
+	var err error
+	rdd.ReplaySM(rdd.PerSM(k, cfg.NumSMs)[0], cfg.L1D.LineSize, func(line addr.Addr, in *trace.Instr) bool {
+		tda, vta := pdpt.GlobalHits()
+		send(line, in)
+		s := pdpt.Samples()
+		if int(s) == len(t.Apps) {
+			return true
+		}
+		g, sh := pdpt.Branches()
+		branch := 0.0
+		switch {
+		case g != grows:
+			branch = 1
+		case sh != shrinks:
+			branch = -1
+		}
+		grows, shrinks = g, sh
+		col := []float64{float64(tda), float64(vta), branch}
+		for _, pc := range pcs {
+			col = append(col, float64(pdpt.PD(addr.HashPC(pc))))
+		}
+		for i, v := range col {
+			t.Series[i].Values = append(t.Series[i].Values, v)
+		}
+		t.Apps = append(t.Apps, strconv.Itoa(int(s)))
+		if err = l1d.CheckInvariants(); err != nil {
+			err = fmt.Errorf("fig9 %s: after sample %d: %w", spec.Abbr, s, err)
+			return false
+		}
+		return s < fig9Samples
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := l1d.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("fig9 %s: after the replay: %w", spec.Abbr, err)
+	}
+	st := l1d.Stats()
+	t.Title = fmt.Sprintf("Fig. 9: DLP protection distances per sampling period of %s (accesses=%d hits=%d bypasses=%d vta_hits=%d hit_rate=%.3f)",
+		spec.Abbr, st.L1DAccesses, st.L1DHits, st.L1DBypasses, st.VTAHits, st.L1DHitRate())
+	return t, nil
+}
+
 // Table2 tabulates the benchmark applications (name, suite, class,
 // input) as in the paper.
 func Table2() string {
@@ -451,7 +555,7 @@ func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 // paperFigIDs are the experiments of "all". The cross-policy table ("policies") and the ablation
 // sweeps are opt-in only, so the committed reference outputs do not
 // drift as policies and sweeps are added.
-var paperFigIDs = []string{"table2", "overhead", "fig3", "fig4", "fig5", "fig6", "fig7",
+var paperFigIDs = []string{"table2", "overhead", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9",
 	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13"}
 
 // experimentIDs expands exps, a comma-separated list of experiment ids,
@@ -496,14 +600,14 @@ func experimentIDs(exps string, csv bool) (map[string]bool, error) {
 // in the command's fixed order, as text tables or CSV. An unknown id or
 // application is an error before anything is written. Each experiment
 // has its own applications — every registry application for the suites,
-// BFS for Fig. 7 as in the paper, DefaultAblationApps for the sweeps —
-// unless apps names them (figure labels, any case). run executes one
-// scheme set on the given applications (RunSuite in the command, cached
-// suites in the drift test). A suite that comes back together with an
-// error is partial (KeepGoing): its tables render with FAILED cells, the
-// speedup summaries — means over an incomplete suite would compare
-// schemes on different application subsets — are left out, and the
-// error is returned once everything else has been written.
+// BFS for Fig. 7 as in the paper, CFD for Fig. 9, DefaultAblationApps
+// for the sweeps — unless apps names them (figure labels, any case). run
+// executes one scheme set on the given applications (RunSuite in the
+// command, cached suites in the drift test). A suite that comes back
+// together with an error is partial (KeepGoing): its tables render with
+// FAILED cells, the speedup summaries — means over an incomplete suite
+// would compare schemes on different application subsets — are left
+// out, and the error is returned once everything else has been written.
 func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func([]Workload, []Scheme) (*SuiteResult, error)) error {
 	want, err := experimentIDs(exps, csv)
 	if err != nil {
@@ -593,13 +697,24 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func(
 			}
 		}
 	}
-	if want["fig7"] {
-		apps, err := appsOr([]string{"BFS"})
+	perApp := []struct {
+		id       string
+		defaults []string
+		build    func(Workload) (figure, error)
+	}{
+		{"fig7", []string{"BFS"}, func(app Workload) (figure, error) { return Fig7RDD(app), nil }},
+		{"fig9", []string{"CFD"}, func(app Workload) (figure, error) { return Fig9PD(app) }},
+	}
+	for _, f := range perApp {
+		if !want[f.id] {
+			continue
+		}
+		apps, err := appsOr(f.defaults)
 		if err != nil {
 			return err
 		}
 		for _, app := range apps {
-			if err := emit(Fig7RDD(app), nil); err != nil {
+			if err := emit(f.build(app)); err != nil {
 				return err
 			}
 		}

@@ -23,14 +23,12 @@ var (
 // ownFlags are the commands that are not runner clients of the harness
 // and declare a flag of the same name with their own default and
 // meaning (a server's admission budget, a corpus replay's pool, a
-// single-cache replay's outputs, a linter's inputs, an HTTP client's
-// per-request budget). Anything not listed here must come from
-// internal/cli.
+// linter's inputs, an HTTP client's per-request budget). Anything not
+// listed here must come from internal/cli.
 var ownFlags = map[string][]string{
 	"cmd/conform":    {"j", "timeout"},
 	"cmd/conffuzz":   {"timeout"},
 	"cmd/dlpserved":  {"j", "selfcheck", "timeout"},
-	"cmd/pdtrace":    {"metrics", "selfcheck", "timeout", "trace"},
 	"cmd/metriclint": {"metrics", "trace"},
 	"cmd/dlpload":    {"timeout"},
 }
@@ -81,9 +79,10 @@ var retiredNames = map[string]bool{
 }
 
 // retiredCommands are the deleted mains whose work is another command's:
-// the ablation sweeps are paperfigs experiments.
+// the ablation sweeps and the Fig. 9 PD trace are paperfigs experiments.
 var retiredCommands = map[string]string{
-	"cmd/ablate": "paperfigs -exp",
+	"cmd/ablate":  "paperfigs -exp",
+	"cmd/pdtrace": "paperfigs -exp fig9",
 }
 
 // importNames returns the names a file's imports bind, so a qualified

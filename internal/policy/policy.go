@@ -128,8 +128,9 @@ type Policy interface {
 
 // PDPTCarrier is the capability sub-interface of schemes built on the
 // paper's protection-distance prediction table (Global-Protection and
-// DLP). Tools that introspect PD state (pdtrace, tests) type-assert on
-// it; other policies don't carry the hardware at all.
+// DLP). Code that introspects PD state (core.L1D.PDPT, which the Fig. 9
+// builder reads, and tests) type-asserts on it; other policies don't
+// carry the hardware at all.
 type PDPTCarrier interface {
 	PDPT() *PDPT
 }

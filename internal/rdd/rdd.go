@@ -5,7 +5,9 @@
 // profiler replays a kernel's memory stream in the same block/warp
 // interleaving the simulator uses and produces program-level (Fig. 3) and
 // per-instruction (Fig. 7) RD distributions, plus the associativity
-// sensitivity study of Fig. 4 via an LRU cache replay.
+// sensitivity study of Fig. 4 via an LRU cache replay. The per-SM walk
+// itself (PerSM, ReplaySM) is exported for other single-cache replays,
+// such as the Fig. 9 trace of the DLP prediction table.
 package rdd
 
 import (
@@ -87,8 +89,9 @@ func newTracker(geom config.CacheGeom, prof *Profile) *tracker {
 	return t
 }
 
-// access replays one line access issued by instruction pc.
-func (t *tracker) access(a addr.Addr, pc uint32) {
+// access replays one line access issued by instruction in; it always
+// asks for the next.
+func (t *tracker) access(a addr.Addr, in *trace.Instr) bool {
 	set := t.mapper.Set(a)
 	tag := t.mapper.Tag(a)
 	t.setCounter[set]++
@@ -98,14 +101,15 @@ func (t *tracker) access(a addr.Addr, pc uint32) {
 		rd := int(now - last)
 		t.prof.Reuses++
 		t.prof.Global.Observe(rd)
-		h, ok := t.prof.PerPC[pc]
+		h, ok := t.prof.PerPC[in.PC]
 		if !ok {
 			h = stats.NewHistogram()
-			t.prof.PerPC[pc] = h
+			t.prof.PerPC[in.PC] = h
 		}
 		h.Observe(rd)
 	}
 	t.lastTouch[set][tag] = now
+	return true
 }
 
 // ProfileKernel replays the kernel's memory stream against numSMs
@@ -117,7 +121,7 @@ func ProfileKernel(k *trace.Kernel, numSMs int, geom config.CacheGeom) *Profile 
 		Global: stats.NewHistogram(),
 		PerPC:  make(map[uint32]*stats.Histogram),
 	}
-	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, uint32) {
+	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, *trace.Instr) bool {
 		return newTracker(geom, prof).access
 	})
 	return prof
@@ -150,63 +154,66 @@ func (s *lruSet) touch(tag uint64, ways int) (hit bool) {
 // (Fig. 4 excludes compulsory misses).
 func ReuseMissRate(k *trace.Kernel, numSMs int, geom config.CacheGeom) float64 {
 	var reuses, reuseMisses uint64
-	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, uint32) {
+	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, *trace.Instr) bool {
 		m := mapperFor(geom)
 		sets := make([]lruSet, geom.Sets)
 		seen := make(map[uint64]bool)
-		return func(a addr.Addr, _ uint32) {
+		return func(a addr.Addr, _ *trace.Instr) bool {
 			tag := m.Tag(a)
 			first := !seen[tag]
 			seen[tag] = true
 			hit := sets[m.Set(a)].touch(tag, geom.Ways)
-			if first {
-				return
+			if !first {
+				reuses++
+				if !hit {
+					reuseMisses++
+				}
 			}
-			reuses++
-			if !hit {
-				reuseMisses++
-			}
+			return true
 		}
 	})
 	return stats.Ratio(reuseMisses, reuses)
 }
 
-// replayScratch holds the reusable replay buffers: the per-block warp
-// cursors and the coalescing output. Reusing them is what keeps the
-// replay's allocation count proportional to the cache state (SMs, sets,
-// distinct lines) instead of the stream length.
-type replayScratch struct {
-	ptrs  []int
-	lines []addr.Addr
-}
-
-// eachSM distributes the kernel's blocks round-robin over numSMs SMs
-// (mirroring the simulator's dispatch) and replays each SM that got a
-// block, coalesced at lineSize, through a fresh access function from
-// newSM — one cache view per SM.
-func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() func(addr.Addr, uint32)) {
+// PerSM distributes the kernel's blocks round-robin over numSMs SMs,
+// mirroring the simulator's dispatch: entry i is SM i's share, in
+// dispatch order.
+func PerSM(k *trace.Kernel, numSMs int) [][]*trace.Block {
 	perSM := make([][]*trace.Block, numSMs)
 	for i, b := range k.Blocks {
 		perSM[i%numSMs] = append(perSM[i%numSMs], b)
 	}
-	var sc replayScratch
-	for _, blocks := range perSM {
+	return perSM
+}
+
+// eachSM replays each SM that got a block (PerSM), coalesced at
+// lineSize, through a fresh access function from newSM — one cache view
+// per SM.
+func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() func(addr.Addr, *trace.Instr) bool) {
+	for _, blocks := range PerSM(k, numSMs) {
 		if len(blocks) > 0 {
-			replaySM(blocks, lineSize, newSM(), &sc)
+			ReplaySM(blocks, lineSize, newSM())
 		}
 	}
 }
 
-// replaySM walks one SM's blocks in dispatch order, invoking access for
-// every line of lineSize bytes an instruction touches.
-func replaySM(blocks []*trace.Block, lineSize int, access func(addr.Addr, uint32), sc *replayScratch) {
+// ReplaySM walks one SM's blocks in dispatch order, invoking access for
+// every line of lineSize bytes a memory instruction touches, until the
+// blocks are exhausted or access returns false. Within a block the
+// warps take turns, one memory instruction each, approximating
+// fine-grained multithreaded issue. The warp cursors and the coalescing
+// output are reused across blocks and instructions, so the walk's
+// allocations do not grow with the stream's length.
+func ReplaySM(blocks []*trace.Block, lineSize int, access func(line addr.Addr, in *trace.Instr) bool) {
+	var (
+		ptrs  []int
+		lines []addr.Addr
+	)
 	for _, b := range blocks {
-		// Round-robin one memory instruction per warp per turn,
-		// approximating fine-grained multithreaded issue.
-		if cap(sc.ptrs) < len(b.Warps) {
-			sc.ptrs = make([]int, len(b.Warps))
+		if cap(ptrs) < len(b.Warps) {
+			ptrs = make([]int, len(b.Warps))
 		}
-		ptrs := sc.ptrs[:len(b.Warps)]
+		ptrs = ptrs[:len(b.Warps)]
 		remaining := 0
 		for wi, w := range b.Warps {
 			ptrs[wi] = nextMem(w, 0)
@@ -221,9 +228,11 @@ func replaySM(blocks []*trace.Block, lineSize int, access func(addr.Addr, uint32
 					continue
 				}
 				in := &w.Instrs[p]
-				sc.lines = in.AppendCoalescedLines(sc.lines[:0], lineSize)
-				for _, line := range sc.lines {
-					access(line, in.PC)
+				lines = in.AppendCoalescedLines(lines[:0], lineSize)
+				for _, line := range lines {
+					if !access(line, in) {
+						return
+					}
 				}
 				ptrs[wi] = nextMem(w, p+1)
 				if ptrs[wi] >= len(w.Instrs) {

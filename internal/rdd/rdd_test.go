@@ -227,6 +227,24 @@ func TestComputeInstructionsSkipped(t *testing.T) {
 	}
 }
 
+// TestReplaySMStopsWhenAccessDeclines: ReplaySM hands access the
+// instruction behind each line (so a store reaches the callback as a
+// store) and stops at the first false, mid-instruction included.
+func TestReplaySMStopsWhenAccessDeclines(t *testing.T) {
+	w := &trace.WarpTrace{Instrs: []trace.Instr{
+		trace.NewStore(7, []addr.Addr{0, 128, 256}),
+		trace.NewLoad(8, []addr.Addr{0}),
+	}}
+	var seen []trace.Kind
+	ReplaySM([]*trace.Block{{Warps: []*trace.WarpTrace{w}}}, 128, func(_ addr.Addr, in *trace.Instr) bool {
+		seen = append(seen, in.Kind)
+		return len(seen) < 2
+	})
+	if len(seen) != 2 || seen[0] != trace.Store || seen[1] != trace.Store {
+		t.Errorf("walk saw %v, want two store lines and then a stop", seen)
+	}
+}
+
 // TestReplayCoalescesAtTheGeometryLineSize: a 32-lane load of
 // consecutive 4-byte words spans 128 bytes — one line of a 128-byte
 // cache, two of a 64-byte one.

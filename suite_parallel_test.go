@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // These tests pin the runner refactor's correctness contract at the
@@ -120,8 +122,8 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 	opts := &SuiteOptions{Apps: apps, Runner: &Runner{
 		Workers: 4,
 		Cache:   cache,
-		Events: func(ev RunEvent) {
-			if ev.Kind == JobDone && !ev.Cached {
+		Events: func(ev runner.Event) {
+			if ev.Kind == runner.JobDone && !ev.Cached {
 				mu.Lock()
 				simulated++
 				mu.Unlock()
