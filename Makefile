@@ -79,17 +79,17 @@ test: build vet
 # Streamed-frontend smoke: record a 10x-scaled trace with dlptrace,
 # verify its digest and replayability, replay it through dlpsim with
 # the observability exports on, lint those exports, check that the
-# replay's counters equal the generated workload's (the one CLI
-# record/replay round trip), and re-run the streamed conformance cases
-# (streamed variants must match the eager serial reference byte for
-# byte).
+# replay's counters equal those of dlpsim streaming the same app at the
+# same scale (the one CLI record/replay round trip), and re-run the
+# streamed conformance cases (streamed variants must match the eager
+# serial reference byte for byte).
 streamsmoke: build
 	$(GO) run ./cmd/dlptrace record -app SC -scale 10 -o /tmp/streamsmoke.dlpstrm
 	$(GO) run ./cmd/dlptrace verify /tmp/streamsmoke.dlpstrm
 	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp \
 		-metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
 	$(GO) run ./cmd/metriclint -metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
-	$(GO) run ./cmd/dlpsim -app SC -scale 10 -stream -policy dlp -json | jq -e .counters > /tmp/streamsmoke_app.json
+	$(GO) run ./cmd/dlpsim -app SC -scale 10 -policy dlp -json | jq -e .counters > /tmp/streamsmoke_app.json
 	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp -json | jq -e .counters > /tmp/streamsmoke_file.json
 	cmp /tmp/streamsmoke_app.json /tmp/streamsmoke_file.json
 	$(GO) run ./cmd/conform -run 'stream-*'

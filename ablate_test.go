@@ -65,7 +65,7 @@ func TestAblationPDBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := sweepNamed(t, "pd-bits")
-	res, err := RunSuite(context.Background(), sw.Schemes(), &SuiteOptions{Apps: []Workload{cfd}})
+	res, err := RunSuite(context.Background(), nil, []Workload{cfd}, sw.Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,19 +5,19 @@
 //
 //	dlpsim -app CFD -policy dlp
 //	dlpsim -app BFS -policy baseline -size 32
-//	dlpsim -app SC -stream -scale 100
-//	dlpsim -app SC,BP,BFS -stream
+//	dlpsim -app SC -scale 100
+//	dlpsim -app SC,BP,BFS
 //	dlpsim -stream-file sc.dlpstrm -policy dlp
 //	dlpsim -list
 //
-// -stream feeds the workload to the SMs lazily through the chunked
-// stream frontend instead of materializing the whole trace up front;
-// counters are bit-identical to the eager path while peak memory stays
-// bounded by the chunk pool. -scale N multiplies the grid and footprint
-// (use with -stream for scales that would not fit materialized), a
-// comma-separated -app list runs the kernels back to back as one
-// multi-kernel stream, and -stream-file replays a chunked trace
-// recorded with dlptrace.
+// A single simulation point streams: the SMs pull the workload lazily
+// through the chunked stream frontend, so peak memory stays bounded by
+// the per-SM chunk pools at any size, with counters bit-identical to
+// the packed kernel a suite shares (see dlpsim.RunSuite). -scale N
+// multiplies the grid and footprint, a comma-separated -app list runs
+// the kernels back to back as one multi-kernel stream, and -stream-file
+// replays a chunked trace recorded with dlptrace; a recording's size is
+// fixed, so -scale above 1 with it exits 1 before anything runs.
 //
 // The run executes inside the shared experiment runner, so a panicking
 // or wedged engine surfaces as a structured error instead of a crash.
@@ -29,7 +29,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,12 +55,14 @@ func main() {
 	sizeKB := flag.Int("size", 16, "L1D capacity in KB (16, 32 or 64)")
 	list := flag.Bool("list", false, "list available applications")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	streamMode := flag.Bool("stream", false, "feed the kernel lazily through the chunked stream frontend instead of materializing it")
 	streamFile := flag.String("stream-file", "", "replay a chunked trace file recorded with dlptrace instead of -app")
 	scale := flag.Int("scale", 1, "workload scale factor (blocks and footprint); >1 implies larger grids")
 	flag.Parse()
 	if *scale < 1 {
 		log.Fatalf("-scale %d: must be >= 1", *scale)
+	}
+	if *scale > 1 && *streamFile != "" {
+		log.Fatalf("-scale %d: a -stream-file recording has a fixed size", *scale)
 	}
 
 	if *list {
@@ -91,10 +92,7 @@ func main() {
 		run.Exit(err)
 	}
 
-	var (
-		kernel *trace.Kernel
-		stream trace.Stream
-	)
+	var stream trace.Stream
 	name, class, runName := "", "", ""
 	switch {
 	case *streamFile != "":
@@ -106,9 +104,6 @@ func main() {
 		name, class, runName = fs.Name(), "replay", fs.Name()
 	case strings.Contains(*app, ","):
 		// Multi-kernel grid: back-to-back registry apps as one stream.
-		if !*streamMode {
-			run.Exit(errors.New("a comma-separated -app list needs -stream"))
-		}
 		abbrs := strings.Split(strings.ToUpper(*app), ",")
 		subs := make([]trace.Stream, len(abbrs))
 		for i, a := range abbrs {
@@ -126,15 +121,8 @@ func main() {
 		if err != nil {
 			run.Exit(err)
 		}
-		if *streamMode {
-			stream = spec.Stream(*scale)
-		} else if *scale > 1 {
-			kernel = spec.ScaledKernel(*scale)
-		} else {
-			kernel = spec.Generate()
-		}
-		name, class = spec.Name, spec.Class.String()
-		runName = spec.Abbr
+		stream = spec.Stream(*scale)
+		name, class, runName = spec.Name, spec.Class.String(), spec.Abbr
 	}
 
 	// Even a single run goes through the experiment runner: panics are
@@ -144,7 +132,6 @@ func main() {
 		Label:  fmt.Sprintf("%s under %s", runName, pol),
 		Config: cfg,
 		Policy: pol,
-		Kernel: kernel,
 		Stream: stream,
 	}})
 	if err != nil {

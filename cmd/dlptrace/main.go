@@ -15,7 +15,7 @@
 //	dlptrace verify sc.dlpstrm
 //
 // record generates the workload through the same lazy stream frontend
-// dlpsim -stream uses, so recording a -scale 100 trace never holds the
+// every dlpsim run uses, so recording a -scale 100 trace never holds the
 // materialized kernel in memory. info prints the header (name, shape,
 // chunking, digest) without touching the payload; verify re-hashes the
 // whole file and then walks every warp cursor to end-of-trace, counting

@@ -45,13 +45,6 @@
 // (dlpsim.DefaultAblationApps). Figs. 3, 4 and 6 always cover the whole
 // registry; the committed reference outputs use the defaults.
 //
-// -stream feeds the suites through the lazy chunked stream frontend:
-// every table stays byte-identical while suite startup skips kernel
-// materialization. -scale N multiplies each application's grid and
-// footprint (tables then diverge from the committed references by
-// design); at large scales pair it with -stream so memory stays
-// bounded by the per-SM chunk pools.
-//
 // Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7, fig9,
 // fig10, fig11a, fig11b, fig12a, fig12b, fig13 (together "all"); an
 // unknown id or application, or a -format other than text or csv, exits
@@ -97,12 +90,7 @@ func main() {
 	format := flag.String("format", "text", "text | csv")
 	cacheDir := flag.String("cache", "", "persist simulation results under this directory")
 	appsFlag := flag.String("apps", "", "comma-separated applications of the simulation suites (default: all 18), of Figs. 7 (default: BFS) and 9 (default: CFD) and of the sweeps (default: "+strings.Join(dlpsim.DefaultAblationApps(), ",")+")")
-	stream := flag.Bool("stream", false, "feed workloads through the lazy chunked stream frontend (bit-identical tables, lower startup memory)")
-	scale := flag.Int("scale", 1, "workload scale factor for the simulation suites; >1 diverges from the committed reference outputs")
 	flag.Parse()
-	if *scale < 1 {
-		log.Fatalf("-scale %d: must be >= 1", *scale)
-	}
 	csv := strings.EqualFold(*format, "csv")
 	if !csv && !strings.EqualFold(*format, "text") {
 		run.Exit(fmt.Errorf("-format %q: want text or csv", *format))
@@ -130,6 +118,6 @@ func main() {
 	}
 	run.Exit(dlpsim.WritePaperFigs(os.Stdout, *exp, csv, apps,
 		func(apps []dlpsim.Workload, schemes []dlpsim.Scheme) (*dlpsim.SuiteResult, error) {
-			return dlpsim.RunSuite(ctx, schemes, &dlpsim.SuiteOptions{Runner: r, Apps: apps, Stream: *stream, Scale: *scale})
+			return dlpsim.RunSuite(ctx, r, apps, schemes)
 		}))
 }

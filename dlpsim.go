@@ -105,8 +105,8 @@ func WorkloadByAbbr(abbr string) (Workload, error) {
 	return workloads.ByAbbr(strings.ToUpper(abbr))
 }
 
-// RunApp generates the named application and runs it under policy with
-// an l1dKB-sized L1D (16, 32 or 64).
+// RunApp streams the named application at its Table 2 size through a
+// machine with an l1dKB-sized L1D (16, 32 or 64) under policy.
 func RunApp(abbr string, policy Policy, l1dKB int) (*Stats, error) {
 	spec, err := WorkloadByAbbr(abbr)
 	if err != nil {
@@ -116,7 +116,7 @@ func RunApp(abbr string, policy Policy, l1dKB int) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(cfg, policy, spec.SharedKernel(cfg.L1D.LineSize))
+	return sim.RunStreamOnce(context.Background(), cfg, policy, spec.Stream(1), sim.Options{})
 }
 
 // HardwareOverhead evaluates the paper's §4.3 cost model for cfg. With

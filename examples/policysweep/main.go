@@ -34,7 +34,7 @@ func main() {
 	}
 	schemes := append(dlpsim.PolicySchemes(), dlpsim.Scheme{Name: "32KB", Policy: dlpsim.Baseline, Config: big})
 
-	res, err := dlpsim.RunSuite(context.Background(), schemes, &dlpsim.SuiteOptions{Apps: apps})
+	res, err := dlpsim.RunSuite(context.Background(), nil, apps, schemes)
 	if err != nil {
 		log.Fatal(err)
 	}

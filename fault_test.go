@@ -259,8 +259,7 @@ func TestSelfCheckOutputIdentical(t *testing.T) {
 	apps := smallApps(t)
 	render := func(selfCheck bool) string {
 		t.Helper()
-		res, err := RunSuite(context.Background(), smallSchemes(),
-			&SuiteOptions{Runner: &Runner{SelfCheck: selfCheck}, Apps: apps})
+		res, err := RunSuite(context.Background(), &Runner{SelfCheck: selfCheck}, apps, smallSchemes())
 		if err != nil {
 			t.Fatalf("selfcheck=%v: %v", selfCheck, err)
 		}

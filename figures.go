@@ -85,49 +85,28 @@ type SuiteResult struct {
 	Stats map[string]map[string]*Stats
 }
 
-// SuiteOptions is what RunSuite needs beyond its scheme list. The zero
-// value (and a nil *SuiteOptions) runs the full Table 2 registry on
-// GOMAXPROCS workers with no result cache.
-type SuiteOptions struct {
-	// Runner executes the suite's jobs: pool size, result cache,
-	// progress events, failure policy and metrics sampling are all its
-	// fields. Share one — and
-	// with it one cache — across RunSuite calls and ablation sweeps so
-	// overlapping points are never re-simulated. Nil means the defaults.
-	// With Runner.KeepGoing set, RunSuite returns the partial
-	// SuiteResult (failed points hold nil Stats and render as FAILED
-	// cells) together with a *BatchError describing every failure.
-	Runner *Runner
-	// Apps restricts the suite to the given applications; nil means the
-	// full Table 2 registry. Used by tests and partial regenerations.
-	Apps []Workload
-	// Stream feeds every application through the lazy chunked stream
-	// frontend (workloads.Spec.Stream) instead of the process-shared
-	// precomputed kernel. Counters are bit-identical either way; what
-	// changes is startup cost — no kernel is materialized, so suite
-	// setup allocations and peak memory drop.
-	Stream bool
-	// Scale multiplies each application's grid and shared footprint
-	// (workloads.Spec.Stream / ScaledKernel); <= 1 is the paper's
-	// Table 2 size. Large scales pair naturally with Stream, which
-	// keeps memory bounded by the chunk pool regardless of Scale.
-	Scale int
-}
-
-// RunSuite simulates every application under every scheme on a parallel
-// worker pool. The result tables are deterministic regardless of worker
-// count or completion order: jobs are scattered back into the
-// (app, scheme) grid by submission index, and the engine itself is
-// deterministic, so same jobs + any schedule = same tables.
-func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*SuiteResult, error) {
-	if opts == nil {
-		opts = &SuiteOptions{}
+// RunSuite simulates every application under every scheme on r's worker
+// pool; a nil r is the default runner (GOMAXPROCS workers, no cache) and
+// nil apps the full Table 2 registry. Share one runner, and with it one
+// cache, across calls so overlapping points simulate once.
+//
+// The frontend is the code's choice: a single simulation point streams
+// (dlpsim, RunApp), and a suite runs every scheme of an application over
+// one shared packed kernel, because packing once beats a stream refill
+// per job when one application runs under many schemes.
+//
+// The tables are deterministic at any worker count: jobs are scattered
+// back into the (app, scheme) grid by submission index, and the engine
+// is deterministic. With r.KeepGoing set, RunSuite returns the partial
+// result (failed points hold nil Stats and render as FAILED cells)
+// together with a *BatchError describing every failure.
+func RunSuite(ctx context.Context, r *Runner, apps []Workload, schemes []Scheme) (*SuiteResult, error) {
+	if len(schemes) == 0 {
+		return nil, errors.New("dlpsim: RunSuite needs at least one scheme")
 	}
-	apps := opts.Apps
 	if apps == nil {
 		apps = workloads.All()
 	}
-	r := opts.Runner
 	if r == nil {
 		r = &runner.Runner{}
 	}
@@ -143,31 +122,15 @@ func RunSuite(ctx context.Context, schemes []Scheme, opts *SuiteOptions) (*Suite
 
 	jobs := make([]runner.Job, 0, len(apps)*len(schemes))
 	for _, spec := range apps {
-		var (
-			k   *trace.Kernel
-			src trace.Stream
-		)
-		switch {
-		case opts.Stream:
-			// One stream shared by every scheme's job: Fill is
-			// per-(block, warp) and SMs hold their own cursors, so
-			// concurrent jobs can draw from the same source.
-			src = spec.Stream(opts.Scale)
-		case opts.Scale > 1:
-			k = spec.ScaledKernel(opts.Scale)
-			k.PrecomputeCoalesced(lineSize)
-		default:
-			// One kernel shared by every scheme's job — and, via the
-			// process-wide cache, by every other suite in the process.
-			k = spec.SharedKernel(lineSize)
-		}
+		// One kernel shared by every scheme's job — and, via the
+		// process-wide cache, by every other suite in the process.
+		k := spec.SharedKernel(lineSize)
 		for _, sc := range schemes {
 			jobs = append(jobs, runner.Job{
 				Label:  spec.Abbr + " under " + sc.Name,
 				Config: sc.Config,
 				Policy: sc.Policy,
 				Kernel: k,
-				Stream: src,
 			})
 		}
 	}

@@ -111,7 +111,7 @@ func TestGoldenSuiteIdentity(t *testing.T) {
 		t.Skip("full evaluation suite skipped in -short mode")
 	}
 	start := time.Now()
-	res, err := RunSuite(context.Background(), PaperSchemes(), &SuiteOptions{Runner: &Runner{Workers: 1}})
+	res, err := RunSuite(context.Background(), &Runner{Workers: 1}, nil, PaperSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,7 @@ func TestGoldenSuiteIdentityParallelSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation suite skipped in -short mode")
 	}
-	res, err := RunSuite(context.Background(), PaperSchemes(),
-		&SuiteOptions{Runner: &Runner{Workers: 8, SelfCheck: true}})
+	res, err := RunSuite(context.Background(), &Runner{Workers: 8, SelfCheck: true}, nil, PaperSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,14 @@ var ownFlags = map[string][]string{
 }
 
 // retiredFlags are the flags of the deleted in-engine and RDD-replay
-// parallelism and the deleted retry path: the one directory allowed to
+// parallelism, the deleted retry path and the deleted frontend choice
+// (a single run streams, a suite packs): the one directory allowed to
 // declare each ("" for none).
 var retiredFlags = map[string]string{
 	"cores":       "",
 	"extra-cores": "",
 	"retries":     "",
+	"stream":      "",
 }
 
 // serialDirs are the packages that start no goroutine and import no
@@ -65,9 +67,11 @@ var retiredFields = map[string]bool{
 // only its tests reached, the deleted parallel RDD replays, the
 // registry sort that pinned every kernel, the BFS-only Fig. 7, the
 // deferred store return the phase-parallel engine needed, and the
-// crossbar's segment queue, and the second experiment runner with its
-// seven sweep wrappers (a sweep is a RunSuite call); no non-test file
-// outside bench/ may name them.
+// crossbar's segment queue, the second experiment runner with its
+// seven sweep wrappers (a sweep is a RunSuite call), and the suite
+// options struct whose frontend and scale fields no caller set (RunSuite
+// takes its runner and applications); no non-test file outside bench/
+// may name them.
 var retiredNames = map[string]bool{
 	"Transient": true, "IsTransient": true, "Flaky": true,
 	"ProfileKernelCores": true, "ReuseMissRateCores": true, "SortedByRatio": true, "Fig7BFS": true,
@@ -75,7 +79,7 @@ var retiredNames = map[string]bool{
 	"grabFree": true, "popHead": true, "openTail": true,
 	"runAblation": true, "AblateSamplePeriod": true, "AblatePDBits": true, "AblateVTAWays": true,
 	"AblateWarpLimit": true, "AblateATAWays": true, "AblateCCWSLifetime": true,
-	"AblatePredictorDeadPeriods": true,
+	"AblatePredictorDeadPeriods": true, "SuiteOptions": true,
 }
 
 // retiredCommands are the deleted mains whose work is another command's:

@@ -25,7 +25,7 @@ func paperSuite(t testing.TB) *SuiteResult {
 		}
 	}
 	suiteOnce.Do(func() {
-		suiteRes, suiteErr = RunSuite(context.Background(), PaperSchemes(), nil)
+		suiteRes, suiteErr = RunSuite(context.Background(), nil, nil, PaperSchemes())
 	})
 	if suiteErr != nil {
 		t.Fatalf("suite failed: %v", suiteErr)

@@ -120,7 +120,9 @@ func MarshalSpec(sp *Spec) ([]byte, error) {
 // Build resolves the spec into simulation inputs. Config and workload
 // problems come back as typed errors (*config.Error for geometry), so
 // mechanized callers — the fuzzer — can tell a rejected input from an
-// engine failure.
+// engine failure. The kernel stays eager: it is the reference side of
+// the corpus's streamed differential, and dlpserved jobs resolved to
+// streams instead served fewer cold jobs per second.
 func (sp *Spec) Build() (*config.Config, config.Policy, *trace.Kernel, error) {
 	if sp.Schema != SpecSchema {
 		return nil, "", nil, fmt.Errorf("conform: spec schema %d, this build reads %d", sp.Schema, SpecSchema)

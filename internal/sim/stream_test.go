@@ -46,16 +46,16 @@ func TestStreamMatchesPrecomputedAllPolicies(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesPrecomputedTable2 spot-checks the registry
-// generators' stream replay against their eager output on real
-// Table 2 apps — one CS, one CI with gathers (BFS), one with shared
-// per-block state (BP) — at scale 1 and a scaled variant.
+// TestStreamMatchesPrecomputedTable2 checks every registry generator's
+// stream replay against its eager output at scale 1 — dlpsim and RunApp
+// stream every Table 2 app, and this is what says their counters are
+// the eager suite's — and one scaled variant.
 func TestStreamMatchesPrecomputedTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-app differential in -short mode")
 	}
 	cfg := config.Baseline()
-	for _, abbr := range []string{"SC", "BP", "BFS"} {
+	for _, abbr := range workloads.Abbrs() {
 		spec, err := workloads.ByAbbr(abbr)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // The committed paperfigs_output.txt / ablate_output.txt drifted
@@ -34,7 +36,7 @@ func assocSuite(t testing.TB) *SuiteResult {
 		tt.Skip("full associativity suite skipped in -short mode")
 	}
 	assocOnce.Do(func() {
-		assocRes, assocErr = RunSuite(context.Background(), AssocSchemes(), nil)
+		assocRes, assocErr = RunSuite(context.Background(), nil, nil, AssocSchemes())
 	})
 	if assocErr != nil {
 		t.Fatalf("assoc suite failed: %v", assocErr)
@@ -98,7 +100,7 @@ func TestPaperfigsOutputCommitted(t *testing.T) {
 // suite on r, as the command does.
 func runSuitesOn(r *Runner) func([]Workload, []Scheme) (*SuiteResult, error) {
 	return func(apps []Workload, schemes []Scheme) (*SuiteResult, error) {
-		return RunSuite(context.Background(), schemes, &SuiteOptions{Runner: r, Apps: apps})
+		return RunSuite(context.Background(), r, apps, schemes)
 	}
 }
 
@@ -144,6 +146,39 @@ func TestAblateRenderParallelSelfCheck(t *testing.T) {
 	}
 }
 
+// TestScaledReplayRefused: a recording has a fixed size, so dlpsim
+// refuses -scale above 1 with -stream-file — exit 1 with nothing on
+// stdout — instead of replaying the file at its own size as if the
+// scale had been applied.
+func TestScaledReplayRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dlpsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dlpsim").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	bp, err := WorkloadByAbbr("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := filepath.Join(dir, "bp.dlpstrm")
+	if err := trace.WriteFile(rec, bp.Stream(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	var stdout strings.Builder
+	cmd := exec.Command(bin, "-stream-file", rec, "-scale", "2")
+	cmd.Stdout, cmd.Stderr = &stdout, io.Discard
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("dlpsim -stream-file -scale 2: err=%v, want exit 1", err)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("refused run printed to stdout:\n%s", stdout.String())
+	}
+}
+
 // TestInterruptExitCode pins the Ctrl-C contract end to end: a real
 // SIGINT delivered to a running dlpsim must exit 130 — distinct from
 // both success and the generic failure exit 1 — so scripts can tell an
@@ -158,8 +193,9 @@ func TestInterruptExitCode(t *testing.T) {
 	}
 	// MM at 8x scale simulates for several seconds (plain MM now takes
 	// about one), so an interrupt one second in lands mid-run with wide
-	// margin on both sides; streamed, it starts without generating.
-	cmd := exec.Command(bin, "-app", "MM", "-policy", "baseline", "-stream", "-scale", "8")
+	// margin on both sides; dlpsim streams, so it starts without
+	// generating.
+	cmd := exec.Command(bin, "-app", "MM", "-policy", "baseline", "-scale", "8")
 	cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

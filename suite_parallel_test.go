@@ -41,8 +41,7 @@ func TestRunSuiteOrderIndependence(t *testing.T) {
 	apps := smallApps(t)
 	run := func(workers int) *SuiteResult {
 		t.Helper()
-		res, err := RunSuite(context.Background(), smallSchemes(),
-			&SuiteOptions{Runner: &Runner{Workers: workers}, Apps: apps})
+		res, err := RunSuite(context.Background(), &Runner{Workers: workers}, apps, smallSchemes())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,7 +85,7 @@ func TestRunSuiteParallelSelfCheckRenderIdentity(t *testing.T) {
 	apps := smallApps(t)
 	render := func(r *Runner) string {
 		t.Helper()
-		res, err := RunSuite(context.Background(), smallSchemes(), &SuiteOptions{Runner: r, Apps: apps})
+		res, err := RunSuite(context.Background(), r, apps, smallSchemes())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", r.Workers, err)
 		}
@@ -119,7 +118,7 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 		mu        sync.Mutex
 		simulated int
 	)
-	opts := &SuiteOptions{Apps: apps, Runner: &Runner{
+	r := &Runner{
 		Workers: 4,
 		Cache:   cache,
 		Events: func(ev runner.Event) {
@@ -129,9 +128,9 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 				mu.Unlock()
 			}
 		},
-	}}
+	}
 
-	first, err := RunSuite(context.Background(), smallSchemes(), opts)
+	first, err := RunSuite(context.Background(), r, apps, smallSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 	}
 
 	simulated = 0
-	second, err := RunSuite(context.Background(), smallSchemes(), opts)
+	second, err := RunSuite(context.Background(), r, apps, smallSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +157,17 @@ func TestRunSuiteCacheAvoidsResimulation(t *testing.T) {
 }
 
 // TestRunSuiteCancelled: a cancelled context fails the suite instead of
-// silently returning partial tables.
+// silently returning partial tables, and so does an empty scheme list
+// instead of panicking.
 func TestRunSuiteCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSuite(ctx, smallSchemes(), &SuiteOptions{Apps: smallApps(t)}); err == nil {
-		t.Fatal("cancelled RunSuite reported success")
+	for name, run := range map[string]func() (*SuiteResult, error){
+		"cancelled":  func() (*SuiteResult, error) { return RunSuite(ctx, nil, smallApps(t), smallSchemes()) },
+		"no schemes": func() (*SuiteResult, error) { return RunSuite(context.Background(), nil, smallApps(t), nil) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s RunSuite reported success", name)
+		}
 	}
 }
