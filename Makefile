@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke servesmoke benchsmoke abpairs benchprof figures clean
+.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke benchsmoke abpairs benchprof figures clean
 
 all: build
 
@@ -93,25 +93,6 @@ streamsmoke: build
 	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp -json | jq -e .counters > /tmp/streamsmoke_file.json
 	cmp /tmp/streamsmoke_app.json /tmp/streamsmoke_file.json
 	$(GO) run ./cmd/conform -run 'stream-*'
-
-# Job-server smoke: start dlpserved on an ephemeral port, replay three
-# committed conformance cases through the HTTP API with dlpload (the
-# server's normalized stats must byte-match expected_stats.json), drain
-# it with POST /shutdown, then run the reduced-scale concurrency soak —
-# dedup storms, cancellation mix, graceful drain — under the race
-# detector.
-servesmoke: build
-	$(GO) build -o /tmp/dlpserved ./cmd/dlpserved
-	$(GO) build -o /tmp/dlpload ./cmd/dlpload
-	rm -f /tmp/dlpserved.addr; \
-	/tmp/dlpserved -addr 127.0.0.1:0 -addr-file /tmp/dlpserved.addr & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 100); do [ -s /tmp/dlpserved.addr ] && break; sleep 0.1; done; \
-	/tmp/dlpload -addr-file /tmp/dlpserved.addr -replay testdata/conform -run 'app-*' && \
-	/tmp/dlpload -addr-file /tmp/dlpserved.addr -replay testdata/conform -run 'app-*' && \
-	/tmp/dlpload -addr-file /tmp/dlpserved.addr -shutdown && \
-	wait $$pid
-	$(GO) test -race -short -run 'TestServeSoak|TestDedupStormSingleSimulation' ./internal/serve/
 
 # Benchmark-module smoke: bench/ is a module of its own that the root
 # `go build ./...` cannot see, so an engine change can break its imports

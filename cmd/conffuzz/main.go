@@ -19,7 +19,6 @@
 //
 //	conffuzz -seed 1 -n 200                      quick smoke
 //	conffuzz -seed 7 -n 10000 -timeout 30s       campaign
-//	conffuzz -policies dlp,ccws -max-findings 1  focused hunt
 //
 // Exit codes: 0 no findings, 1 findings (or tool failure), 130
 // interrupted.
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/confuzz"
-	"repro/internal/policy"
 )
 
 func main() {
@@ -46,36 +44,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "campaign seed; same seed, same campaign")
 	n := flag.Int("n", 200, "iterations")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-variant wall-clock deadline (the hang detector)")
-	maxCycles := flag.Uint64("max-cycles", 20_000_000, "per-variant simulated-cycle bound")
-	degeneratePct := flag.Int("degenerate-pct", 10, "percent of iterations that inject a degenerate config field")
-	shrinkBudget := flag.Int("shrink-budget", 64, "differential evaluations spent shrinking each finding; -1 disables")
-	maxFindings := flag.Int("max-findings", 0, "stop after this many findings; 0 = run all iterations")
-	policies := flag.String("policies", "", "comma-separated policies to fuzz (default: all registered)")
 	out := flag.String("out", "testdata/conform", "directory for shrunk reproducer cases")
 	quiet := flag.Bool("q", false, "suppress per-finding progress lines")
 	flag.Parse()
 
-	opts := confuzz.Options{
-		Seed:          *seed,
-		Iterations:    *n,
-		Timeout:       *timeout,
-		MaxCycles:     *maxCycles,
-		DegeneratePct: *degeneratePct,
-		ShrinkBudget:  *shrinkBudget,
-		MaxFindings:   *maxFindings,
-	}
-	if *shrinkBudget < 0 {
-		opts.ShrinkBudget = -1 // normalized to "disabled" by withDefaults
-	}
-	if *policies != "" {
-		for _, s := range strings.Split(*policies, ",") {
-			p, err := policy.Parse(s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Policies = append(opts.Policies, p)
-		}
-	}
+	opts := confuzz.Options{Seed: *seed, Iterations: *n, Timeout: *timeout}
 	if !*quiet {
 		opts.Log = func(line string) { log.Print(line) }
 	}

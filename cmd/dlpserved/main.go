@@ -26,10 +26,10 @@
 //	DELETE /jobs/{id}         cancel
 //	GET    /stats             server + cache counters
 //	GET    /healthz           liveness
-//	POST   /shutdown          graceful drain
 //
-// SIGINT/SIGTERM drain gracefully (bounded by -drain) and exit 130, the
-// same interrupt contract as the batch CLIs.
+// SIGINT and SIGTERM are the only way to stop the server: either drains
+// gracefully (bounded by -drain) and exits 130, the same interrupt
+// contract as the batch CLIs.
 package main
 
 import (
@@ -108,15 +108,10 @@ func run(addr, addrFile string, cfg serve.Config, cacheDir string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	var interrupted bool
 	select {
 	case <-sig:
-		interrupted = true
 		log.Printf("interrupt: draining (budget %s)", cfg.DrainTimeout)
 		srv.Shutdown(nil)
-	case <-srv.Done():
-		// POST /shutdown drained the job server; fall through to close
-		// the HTTP side.
 	case err := <-serveErr:
 		srv.Close()
 		return fmt.Errorf("http: %w", err)
@@ -126,10 +121,7 @@ func run(addr, addrFile string, cfg serve.Config, cacheDir string) error {
 	defer cancel()
 	_ = httpSrv.Shutdown(closeCtx)
 	log.Print("drained")
-	if interrupted {
-		// The batch CLIs exit 130 on Ctrl-C; a drained server interrupt
-		// is the same contract.
-		return &runner.CancelError{Err: context.Canceled}
-	}
-	return nil
+	// The batch CLIs exit 130 on Ctrl-C; a drained server interrupt is
+	// the same contract.
+	return &runner.CancelError{Err: context.Canceled}
 }

@@ -23,25 +23,31 @@ var (
 // ownFlags are the commands that are not runner clients of the harness
 // and declare a flag of the same name with their own default and
 // meaning (a server's admission budget, a corpus replay's pool, a
-// linter's inputs, an HTTP client's per-request budget). Anything not
-// listed here must come from internal/cli.
+// linter's inputs). Anything not listed here must come from
+// internal/cli.
 var ownFlags = map[string][]string{
 	"cmd/conform":    {"j", "timeout"},
 	"cmd/conffuzz":   {"timeout"},
 	"cmd/dlpserved":  {"j", "selfcheck", "timeout"},
 	"cmd/metriclint": {"metrics", "trace"},
-	"cmd/dlpload":    {"timeout"},
 }
 
 // retiredFlags are the flags of the deleted in-engine and RDD-replay
-// parallelism, the deleted retry path and the deleted frontend choice
-// (a single run streams, a suite packs): the one directory allowed to
-// declare each ("" for none).
+// parallelism, the deleted retry path, the deleted frontend choice
+// (a single run streams, a suite packs) and the conffuzz knobs no
+// caller set (three are constants in internal/confuzz; Policies and
+// MaxFindings are Options only its tests set): the one directory
+// allowed to declare each ("" for none).
 var retiredFlags = map[string]string{
-	"cores":       "",
-	"extra-cores": "",
-	"retries":     "",
-	"stream":      "",
+	"cores":          "",
+	"extra-cores":    "",
+	"retries":        "",
+	"stream":         "",
+	"degenerate-pct": "",
+	"shrink-budget":  "",
+	"max-findings":   "",
+	"max-cycles":     "",
+	"policies":       "",
 }
 
 // serialDirs are the packages that start no goroutine and import no
@@ -55,12 +61,14 @@ var serialDirs = map[string]string{
 // retiredFields are the settable values that had no caller: the retry
 // budget and its attempt counts, the per-job deadline, the engine's
 // background-traffic and injection-rate options (now constants in
-// internal/sim), and the server's Retry-After and history options (now
-// constants in internal/serve). No non-test file outside bench/ may
-// declare, select or set a field of these names.
+// internal/sim), the server's Retry-After and history options (now
+// constants in internal/serve), and the fuzzer's degenerate share and
+// shrink budget (now constants in internal/confuzz). No non-test file
+// outside bench/ may declare, select or set a field of these names.
 var retiredFields = map[string]bool{
 	"Retries": true, "MaxWall": true, "InjectionRate": true, "BackgroundFlitsPerKInsn": true,
 	"RetryAfter": true, "History": true, "FailAttempts": true, "Attempts": true,
+	"DegeneratePct": true, "ShrinkBudget": true,
 }
 
 // retiredNames are the deleted retry classifier and the fault kind that
@@ -68,9 +76,10 @@ var retiredFields = map[string]bool{
 // registry sort that pinned every kernel, the BFS-only Fig. 7, the
 // deferred store return the phase-parallel engine needed, and the
 // crossbar's segment queue, the second experiment runner with its
-// seven sweep wrappers (a sweep is a RunSuite call), and the suite
+// seven sweep wrappers (a sweep is a RunSuite call), the suite
 // options struct whose frontend and scale fields no caller set (RunSuite
-// takes its runner and applications); no non-test file outside bench/
+// takes its runner and applications), and the server's HTTP shutdown
+// route (a signal drains the server); no non-test file outside bench/
 // may name them.
 var retiredNames = map[string]bool{
 	"Transient": true, "IsTransient": true, "Flaky": true,
@@ -79,14 +88,16 @@ var retiredNames = map[string]bool{
 	"grabFree": true, "popHead": true, "openTail": true,
 	"runAblation": true, "AblateSamplePeriod": true, "AblatePDBits": true, "AblateVTAWays": true,
 	"AblateWarpLimit": true, "AblateATAWays": true, "AblateCCWSLifetime": true,
-	"AblatePredictorDeadPeriods": true, "SuiteOptions": true,
+	"AblatePredictorDeadPeriods": true, "SuiteOptions": true, "handleShutdown": true,
 }
 
-// retiredCommands are the deleted mains whose work is another command's:
-// the ablation sweeps and the Fig. 9 PD trace are paperfigs experiments.
+// retiredCommands are the deleted mains whose work is done elsewhere:
+// the ablation sweeps and the Fig. 9 PD trace are paperfigs experiments,
+// and the HTTP corpus replay is an in-process test of internal/serve.
 var retiredCommands = map[string]string{
 	"cmd/ablate":  "paperfigs -exp",
 	"cmd/pdtrace": "paperfigs -exp fig9",
+	"cmd/dlpload": "go test ./internal/serve -run TestCorpusOverHTTP",
 }
 
 // importNames returns the names a file's imports bind, so a qualified

@@ -108,6 +108,19 @@ func Classify(err error) (Class, string) {
 	return ClassEngine, err.Error()
 }
 
+// The campaign's fixed bounds.
+const (
+	// maxCycles bounds each simulation, the in-simulation complement
+	// of Options.Timeout.
+	maxCycles = 20_000_000
+	// degeneratePct is the percentage of iterations that deliberately
+	// break one config field.
+	degeneratePct = 10
+	// shrinkBudget caps the differential evaluations spent shrinking
+	// one finding.
+	shrinkBudget = 64
+)
+
 // Options tunes a campaign. The zero value is not runnable; use
 // withDefaults via Run.
 type Options struct {
@@ -120,18 +133,6 @@ type Options struct {
 	// Timeout bounds each variant's wall clock (default 30s); this is
 	// the hang detector, so 0 is rejected.
 	Timeout time.Duration
-
-	// MaxCycles bounds each simulation (default 20M), the in-simulation
-	// complement of Timeout.
-	MaxCycles uint64
-
-	// DegeneratePct is the percentage of iterations that deliberately
-	// break one config field (default 10).
-	DegeneratePct int
-
-	// ShrinkBudget caps differential evaluations spent shrinking one
-	// finding (default 64, 0 disables shrinking).
-	ShrinkBudget int
 
 	// MaxFindings stops the campaign after this many findings
 	// (default 0: run every iteration).
@@ -151,20 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 20_000_000
-	}
-	if o.DegeneratePct < 0 {
-		o.DegeneratePct = 0
-	}
-	if o.DegeneratePct == 0 {
-		o.DegeneratePct = 10
-	}
-	if o.ShrinkBudget < 0 {
-		o.ShrinkBudget = 0
-	} else if o.ShrinkBudget == 0 {
-		o.ShrinkBudget = 64
 	}
 	return o
 }
@@ -227,7 +214,7 @@ func Run(ctx context.Context, opts Options) (*Campaign, error) {
 			}
 		case out.slow:
 			camp.Slow++
-			logf("iter %d: too slow for %d-cycle budget: %s", i, opts.MaxCycles, describe(sp))
+			logf("iter %d: too slow for %d-cycle budget: %s", i, maxCycles, describe(sp))
 		case out.class != ClassNone:
 			fd := &Finding{
 				Iteration: i,
@@ -240,20 +227,18 @@ func Run(ctx context.Context, opts Options) (*Campaign, error) {
 				RefStats:  out.ref,
 			}
 			logf("iter %d: %s in %s[%s]: %s", i, fd.Class, sp.Policy, fd.Variant, fd.Detail)
-			if opts.ShrinkBudget > 0 {
-				s := &shrinker{ctx: ctx, opts: opts, class: fd.Class, budget: opts.ShrinkBudget}
-				fd.Spec = s.shrink(sp)
-				fd.ShrinkEvals = s.evals
-				camp.Evals += s.evals
-				// Re-evaluate the shrunk spec for its final variant,
-				// detail, and reference stats.
-				final := evaluate(ctx, fd.Spec, opts)
-				camp.Evals++
-				if final.class == fd.Class {
-					fd.Variant, fd.Detail, fd.RefStats = final.variant, final.detail, final.ref
-				}
-				logf("iter %d: shrunk in %d evals: %s", i, fd.ShrinkEvals, describe(fd.Spec))
+			s := &shrinker{ctx: ctx, opts: opts, class: fd.Class}
+			fd.Spec = s.shrink(sp)
+			fd.ShrinkEvals = s.evals
+			camp.Evals += s.evals
+			// Re-evaluate the shrunk spec for its final variant,
+			// detail, and reference stats.
+			final := evaluate(ctx, fd.Spec, opts)
+			camp.Evals++
+			if final.class == fd.Class {
+				fd.Variant, fd.Detail, fd.RefStats = final.variant, final.detail, final.ref
 			}
+			logf("iter %d: shrunk in %d evals: %s", i, fd.ShrinkEvals, describe(fd.Spec))
 			camp.Findings = append(camp.Findings, fd)
 			if opts.MaxFindings > 0 && len(camp.Findings) >= opts.MaxFindings {
 				return camp, nil
@@ -341,7 +326,7 @@ func generate(seed uint64, opts Options) (*conform.Spec, bool) {
 		Policy:    string(opts.Policies[r.Intn(len(opts.Policies))]),
 		Config:    cfg,
 		Workload:  conform.WorkloadRef{Synth: sy},
-		MaxCycles: opts.MaxCycles,
+		MaxCycles: maxCycles,
 		// Half the points also check the fast-forward contract.
 		FastForwardOff: r.Intn(2) == 0,
 		// And half check the streamed frontend against the precomputed
@@ -353,7 +338,7 @@ func generate(seed uint64, opts Options) (*conform.Spec, bool) {
 	if r.Intn(4) == 0 {
 		sp.Workload.Scale = pick(r, 2, 4, 8)
 	}
-	degenerate := r.Intn(100) < opts.DegeneratePct
+	degenerate := r.Intn(100) < degeneratePct
 	if degenerate {
 		degradeConfig(r, cfg)
 	}
@@ -563,17 +548,16 @@ func evaluate(ctx context.Context, sp *conform.Spec, opts Options) (out evalResu
 // Shrinking
 
 type shrinker struct {
-	ctx    context.Context
-	opts   Options
-	class  Class
-	budget int
-	evals  int
+	ctx   context.Context
+	opts  Options
+	class Class
+	evals int
 }
 
 // fails reports whether sp still reproduces the shrinker's failure
 // class, spending one evaluation of budget.
 func (s *shrinker) fails(sp *conform.Spec) bool {
-	if s.evals >= s.budget || s.ctx.Err() != nil {
+	if s.evals >= shrinkBudget || s.ctx.Err() != nil {
 		return false
 	}
 	s.evals++
@@ -633,7 +617,7 @@ func knobFields() []intField {
 func (s *shrinker) shrink(sp *conform.Spec) *conform.Spec {
 	cur := clone(sp)
 	base := config.Baseline()
-	for improved := true; improved && s.evals < s.budget; {
+	for improved := true; improved && s.evals < shrinkBudget; {
 		improved = false
 
 		// Bisect workload dimensions to their minimal failing values —
@@ -715,7 +699,7 @@ func (s *shrinker) minimize(cur *conform.Spec, f intField) (*conform.Spec, bool)
 	pass, hi := f.lo, v
 	best := cur
 	shrank := false
-	for hi-pass > 1 && s.evals < s.budget {
+	for hi-pass > 1 && s.evals < shrinkBudget {
 		mid := pass + (hi-pass)/2
 		cand := clone(cur)
 		f.set(cand, mid)

@@ -87,7 +87,6 @@ type CacheView struct {
 //	DELETE /jobs/{id}         cancel
 //	GET    /stats             server + cache counters
 //	GET    /healthz           liveness (503 while draining)
-//	POST   /shutdown          graceful drain, responds once drained
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -97,7 +96,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("POST /shutdown", s.handleShutdown)
 	return mux
 }
 
@@ -310,17 +308,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// handleShutdown starts a graceful drain and responds once it has
-// completed; the owning process watches Done() to exit afterwards.
-func (s *Server) handleShutdown(w http.ResponseWriter, r *http.Request) {
-	go s.Shutdown(nil)
-	select {
-	case <-s.done:
-		writeJSON(w, http.StatusOK, struct {
-			Drained bool `json:"drained"`
-		}{true})
-	case <-r.Context().Done():
-	}
 }

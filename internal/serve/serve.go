@@ -35,7 +35,8 @@
 // cancels its job mid-flight (surfacing as the runner's *CancelError),
 // DELETE cancels by id, and shutdown drains — admission stops, queued
 // and running jobs finish (or are cancelled at the drain deadline), and
-// only then does Done() fire.
+// only then does Shutdown return. The process that owns the server
+// drains it on SIGINT or SIGTERM; no HTTP route stops it.
 package serve
 
 import (
@@ -258,7 +259,6 @@ type Server struct {
 	answered                                          int64 // settled from the answer table
 
 	wg       sync.WaitGroup
-	done     chan struct{} // closed when shutdown drain completes
 	shutOnce sync.Once
 }
 
@@ -285,7 +285,6 @@ func NewServer(cfg Config) *Server {
 		jobs:    make(map[string]*jobState),
 		queues:  make(map[string][]*jobState),
 		answers: answerTable{byDigest: make(map[[sha256.Size]byte]*list.Element), order: list.New()},
-		done:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.workers(); i++ {
@@ -298,10 +297,6 @@ func NewServer(cfg Config) *Server {
 // Cache exposes the shared result cache (for wiring into a tracer or
 // reading counters).
 func (s *Server) Cache() *runner.Cache { return s.cache }
-
-// Done fires once a graceful shutdown (POST /shutdown or Shutdown) has
-// fully drained; a main loop selects on it to exit.
-func (s *Server) Done() <-chan struct{} { return s.done }
 
 // submit settles one request body from the answer table, or validates
 // and enqueues it. It returns the job, or a submitError carrying the HTTP
@@ -592,6 +587,11 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 	if res.Stats != nil {
 		cycles = res.Stats.Cycles
 	}
+	// The server lock is held across the transition, so no one who sees
+	// the job settled — a ?wait=1 client woken by its done channel — can
+	// read /stats before the outcome is counted.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	js.mu.Lock()
 	transitioned := !js.status.Terminal()
 	if transitioned {
@@ -612,7 +612,6 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 		return // cancelled while queued: already counted and retired
 	}
 
-	s.mu.Lock()
 	switch outcome {
 	case StatusDone:
 		s.completed++
@@ -625,7 +624,6 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 		s.cancelled++
 	}
 	s.retireLocked(js.id)
-	s.mu.Unlock()
 }
 
 // retireLocked records a finished job in the bounded history, evicting
@@ -661,8 +659,8 @@ func (s *Server) cancelJob(js *jobState) {
 
 // Shutdown drains the server: admission stops immediately, queued and
 // running jobs get until the configured DrainTimeout (bounded further
-// by ctx) to finish, then stragglers are cancelled. It is idempotent;
-// Done() closes once the first call completes.
+// by ctx) to finish, then stragglers are cancelled. It is idempotent:
+// every call returns once the first call's drain has completed.
 func (s *Server) Shutdown(ctx context.Context) {
 	s.shutOnce.Do(func() {
 		s.mu.Lock()
@@ -702,9 +700,7 @@ func (s *Server) Shutdown(ctx context.Context) {
 		if stopOnCtx != nil {
 			stopOnCtx()
 		}
-		close(s.done)
 	})
-	<-s.done
 }
 
 // releaseKernels drops what the recorded jobs needed only to run. The

@@ -551,8 +551,8 @@ func TestHistoryEvictsOldestJobs(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains: POST /shutdown completes queued work,
-// rejects new submissions with 503, reports drained, and fires Done().
+// TestGracefulShutdownDrains: Shutdown completes queued work, then new
+// submissions get 503 and so does /healthz.
 func TestGracefulShutdownDrains(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 2})
 	var ids []string
@@ -561,20 +561,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		ids = append(ids, decodeView(t, body).ID)
 	}
 
-	resp, err := ts.Client().Post(ts.URL+"/shutdown", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(b), `"drained": true`) {
-		t.Fatalf("shutdown response: %s", b)
-	}
-	select {
-	case <-s.Done():
-	default:
-		t.Error("Done() not closed after drained /shutdown response")
-	}
+	s.Shutdown(nil)
 	// Every pre-shutdown job ran to completion, none were cancelled.
 	for _, id := range ids {
 		s.mu.Lock()

@@ -23,7 +23,7 @@ import (
 // exists to survive: hundreds of submissions race over a handful of
 // shared simulation points across several tenants, a slice of them
 // cancelled mid-flight, all under the race detector (run with -race;
-// `make servesmoke` does). It pins the acceptance bar end to end:
+// `make check` does). It pins the acceptance bar end to end:
 //
 //   - every completed job's stats are byte-identical to a direct
 //     (serverless) run of the same point,

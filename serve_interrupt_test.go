@@ -8,26 +8,34 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
 
 // TestServedInterruptDrainsAndExits130 pins the server's interrupt
-// contract end to end: a real SIGINT to a running dlpserved with a job
-// in flight must (a) let the job finish inside the drain budget — the
-// waiting client still gets its 200 — and (b) exit 130, the same
-// Ctrl-C status as the batch CLIs.
+// contract end to end, for both signals that stop it — SIGINT (Ctrl-C)
+// and SIGTERM (a process manager): the signal sent to a running
+// dlpserved with a job in flight must (a) let the job finish inside the
+// drain budget — the waiting client still gets its 200 — and (b) exit
+// 130, the same Ctrl-C status as the batch CLIs.
 func TestServedInterruptDrainsAndExits130(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "dlpserved")
+	bin := filepath.Join(t.TempDir(), "dlpserved")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dlpserved").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
+		t.Run(sig.String(), func(t *testing.T) { drainOnSignal(t, bin, sig) })
+	}
+}
 
-	addrFile := filepath.Join(dir, "addr")
+// drainOnSignal starts the server binary, sends sig while an MM job is
+// running under a ?wait=1 client, and checks the drain and exit status.
+func drainOnSignal(t *testing.T, bin string, sig os.Signal) {
+	addrFile := filepath.Join(t.TempDir(), "addr")
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-j", "2", "-drain", "30s")
 	cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
 	if err := cmd.Start(); err != nil {
@@ -84,7 +92,7 @@ func TestServedInterruptDrainsAndExits130(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+	if err := cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,15 +105,15 @@ func TestServedInterruptDrainsAndExits130(t *testing.T) {
 			t.Errorf("waiting client got %d during drain, want 200", o.status)
 		}
 	case <-time.After(60 * time.Second):
-		t.Error("waiting client never got a response after SIGINT")
+		t.Errorf("waiting client never got a response after %v", sig)
 	}
 
 	err := cmd.Wait()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
-		t.Fatalf("dlpserved exited cleanly despite SIGINT (err=%v)", err)
+		t.Fatalf("dlpserved exited cleanly despite %v (err=%v)", sig, err)
 	}
 	if code := ee.ExitCode(); code != 130 {
-		t.Fatalf("interrupted dlpserved exited %d, want 130", code)
+		t.Fatalf("dlpserved exited %d after %v, want 130", code, sig)
 	}
 }
