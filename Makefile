@@ -125,7 +125,9 @@ abpairs:
 # does: `make benchprof WORKLOAD=big_stream [SEED=1] [PROFILE_S=6]`
 # copies bench/ beside itself, adds a pprof init() to the copy (bench/
 # itself is never touched), builds it into .bench_build/, runs the
-# workload once and prints `go tool pprof -top`, flat and cumulative.
+# workload once and prints `go tool pprof -top`, flat and cumulative,
+# then the -inuse_space top of the heap profile written when the CPU
+# profile stops.
 # Seed 1 unless SEED is given: seed 2 is for claims, not for looking.
 PROFILE_S ?= 6
 benchprof:

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/policy"
+	"repro/internal/sm"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -184,4 +186,90 @@ func TestStreamBoundsLiveHeap(t *testing.T) {
 	}
 	t.Logf("live-heap high-water: eager %.1f MB, streamed %.1f MB",
 		float64(eagerPeak)/(1<<20), float64(streamPeak)/(1<<20))
+}
+
+// TestStreamedWarpsHoldOnlyOps pins the streamed frontend's memory
+// contract at full occupancy: CFD's stream is one 48-warp block per SM
+// of the baseline machine. A resident warp keeps its packed ops, not
+// its instructions — every window is filled into its SM's one scratch
+// chunk — so (a) no resident warp's chunk holds instruction or address
+// capacity at any sample, and (b) the live heap the run adds over the
+// engine it starts from, averaged over the resident warps, stays under
+// residentWarpBytes. A chunk that kept a full instruction window,
+// 64 instrs plus 2048 lane addresses (~20 KB), breaks both.
+func TestStreamedWarpsHoldOnlyOps(t *testing.T) {
+	// The measured high-water is ~2.2 KB per warp, under a quarter of
+	// this bound; with a full window per warp it is ~23 KB.
+	const residentWarpBytes = 8 << 10
+	cfg := config.Baseline()
+	spec, err := workloads.ByAbbr("CFD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(cfg, config.PolicyBaseline, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveHeap()
+	var peak, next uint64
+	samples, resident := 0, 0
+	e.windowHook = func(_, t1, _ uint64) {
+		if t1 < next {
+			return
+		}
+		next = t1 + 1<<14
+		samples++
+		n := 0
+		for i, s := range e.sms {
+			for _, c := range residentChunkCaps(s) {
+				if c != [2]int{} {
+					t.Fatalf("cycle %d: a resident warp of SM %d holds a chunk with %d instrs and %d addrs of capacity, want ops only",
+						t1, i, c[0], c[1])
+				}
+				n++
+			}
+		}
+		if samples == 1 {
+			resident = n
+		}
+		peak = max(peak, liveHeap())
+	}
+	if _, err := e.RunStream(context.Background(), spec.Stream(1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.NumSMs * cfg.MaxWarpsPerSM; resident != want {
+		t.Fatalf("%d warps resident after admission, want a full machine of %d", resident, want)
+	}
+	perWarp := (peak - min(peak, base)) / uint64(resident)
+	t.Logf("live heap: %.1f MB at start, high-water %.1f MB over %d samples: %d B per resident warp",
+		float64(base)/(1<<20), float64(peak)/(1<<20), samples, perWarp)
+	if perWarp >= residentWarpBytes {
+		t.Errorf("live-heap high-water is %d B per resident warp, want < %d", perWarp, residentWarpBytes)
+	}
+}
+
+// residentChunkCaps returns, for each resident warp of s whose cursor
+// holds a chunk, that chunk's instruction and address capacity. SM
+// slots and cursor chunks are private to their packages, so it reads
+// them by reflection; a renamed field fails the caller loudly.
+func residentChunkCaps(s *sm.SM) (caps [][2]int) {
+	slots := reflect.ValueOf(s).Elem().FieldByName("slots")
+	for i := 0; i < slots.Len(); i++ {
+		w := slots.Index(i)
+		if w.IsNil() {
+			continue
+		}
+		ch := w.Elem().FieldByName("cur").FieldByName("chunk")
+		if ch.IsNil() {
+			continue
+		}
+		caps = append(caps, [2]int{ch.Elem().FieldByName("Instrs").Cap(), ch.Elem().FieldByName("Addrs").Cap()})
+	}
+	return caps
 }

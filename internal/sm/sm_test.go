@@ -330,7 +330,7 @@ func refIssuable(s *SM, w *warp) bool {
 	if !refWarpActive(s, w) {
 		return false
 	}
-	return w.cur.Cur().Kind == trace.Compute || s.ldst.Len() < s.ldstCap
+	return s.ldst.Len() < s.ldstCap || w.cur.Cur().Kind == trace.Compute
 }
 
 func refPick(s *SM, sched int) (slot int, sleep uint64) {
@@ -371,7 +371,7 @@ func refPick(s *SM, sched int) (slot int, sleep uint64) {
 			if !refWarpActive(s, w) {
 				continue
 			}
-			if w.cur.Cur().Kind != trace.Compute && s.ldst.Len() >= s.ldstCap {
+			if s.ldst.Len() >= s.ldstCap && w.cur.Cur().Kind != trace.Compute {
 				continue
 			}
 			return slot, sleep
@@ -398,7 +398,7 @@ func refPick(s *SM, sched int) (slot int, sleep uint64) {
 		if !refWarpActive(s, w) {
 			continue
 		}
-		if w.cur.Cur().Kind != trace.Compute && s.ldst.Len() >= s.ldstCap {
+		if s.ldst.Len() >= s.ldstCap && w.cur.Cur().Kind != trace.Compute {
 			continue
 		}
 		if best < 0 || s.age[slot] < bestAge {

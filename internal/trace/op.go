@@ -180,9 +180,16 @@ func (k *Kernel) PrecomputeCoalesced(lineSize int) {
 // CheckOp compares the cursor's current packed op, field by field and
 // line by line, with a fresh reading of the instruction it was packed
 // from at lineSize. It is the self-check behind the hot/cold split:
-// whatever built the ops, they must say what the Instrs say.
+// whatever built the ops, they must say what the Instrs say. A cursor
+// that packs a stream may have to re-read its window for that; a
+// re-read that fails is the error, with the stream's *FormatError
+// reachable through errors.As.
 func (c *Cursor) CheckOp(lineSize int) error {
-	op, in := c.Op(), c.Cur()
+	in, err := c.instr()
+	if err != nil {
+		return err
+	}
+	op := c.Op()
 	if op.Kind != in.Kind || op.PC != in.PC || op.ActiveLanes() != in.ActiveLanes {
 		return fmt.Errorf("trace: insn %d: op {%v pc=%d lanes=%d} packed from instr {%v pc=%d lanes=%d}",
 			c.Index(), op.Kind, op.PC, op.ActiveLanes(), in.Kind, in.PC, in.ActiveLanes)

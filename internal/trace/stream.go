@@ -14,7 +14,10 @@ import (
 //
 // Streams must be deterministic: the same (block, warp, start) always
 // yields the same window contents, so simulations are bit-identical to
-// their eager counterparts and resumable across refills.
+// their eager counterparts and a window can be read again instead of
+// kept. A ChunkPool tells windows apart by (stream, block, warp,
+// start), so implementations must be comparable types (every backend
+// here is a pointer).
 type Stream interface {
 	// Name is the kernel name (shown in tables and error messages).
 	Name() string
@@ -31,12 +34,11 @@ type Stream interface {
 	// storage shared with other consumers (owned=false); callers treat
 	// it as read-only either way. eof reports that the window reaches
 	// the end of the warp's trace; a non-eof window is never empty.
-	// start is always either 0 or the exact end of the previously
-	// returned window, so sequential backends can keep a cheap
-	// continuation in c.Resume. Backends size their windows to
-	// cap(c.Instrs) (DefaultChunkInstrs when that is zero). A backend
-	// that cannot produce the window sets c.Err and returns an empty
-	// eof window.
+	// start is 0, the end of the window returned before, or that
+	// window's own start again (a re-read, which must yield the same
+	// window). Backends size their windows to cap(c.Instrs)
+	// (DefaultChunkInstrs when that is zero). A backend that cannot
+	// produce the window sets c.Err and returns an empty eof window.
 	Fill(block, warp, start int, c *Chunk) (win []Instr, eof, owned bool)
 
 	// SpecKey is a stable content identity for the whole stream —
@@ -47,36 +49,36 @@ type Stream interface {
 }
 
 // DefaultChunkInstrs is the instruction-window size streaming cursors
-// request per refill. At 64 instructions a fully diverged chunk tops
-// out around 37 KB (64 instrs x 32 lanes x 8-byte addresses, as much
-// again for their coalesced lines, 1 KB of ops), so even a fully
-// resident machine — 16 SMs x 48 warps — is bounded near 28 MB of
-// chunk storage regardless of trace footprint.
+// request per refill. A cursor that packs its windows holds only their
+// ops: 1 KB at 64 instructions, plus the coalesced lines of its
+// multi-line memory ops (none when every op coalesces to one line, at
+// most 16 KB for a fully diverged window of 64 x 32 lines). Each SM's
+// pool adds one scratch chunk of ~19 KB (64 instrs, 64 x 32 lane
+// addresses) that every window is filled into. A fully resident
+// machine — 16 SMs x 48 warps — so holds ~1 MB of chunk storage on
+// coalesced streams and at most ~14 MB on fully diverged ones,
+// regardless of trace footprint.
 const DefaultChunkInstrs = 64
 
-// A Chunk is one warp's reusable refill buffer. Streams that own their
-// windows build instructions in Instrs with per-lane addresses in
-// Addrs; the cursor packs the window into Ops, with the coalesced
-// lines of multi-line memory ops in Lines. Buf is scratch for
-// byte-level backends (trace files). Resume carries a backend-private
-// continuation across refills of the same warp; Reset preserves it,
-// and backends must validate it before trusting it. Err is a backend's
-// report that it could not produce the window asked for (a
-// *FormatError from a damaged trace file); the window it returns with
-// it is empty and eof.
+// A Chunk is a reusable refill buffer. Streams that own their windows
+// build instructions in Instrs with per-lane addresses in Addrs; Buf is
+// scratch for byte-level backends (trace files). A cursor that packs
+// its windows keeps only Ops and, for its multi-line memory ops, their
+// coalesced Lines. Err is a backend's report that it could not produce
+// the window asked for (a *FormatError from a damaged trace file); the
+// window it returns with it is empty and eof.
 type Chunk struct {
 	Instrs []Instr
 	Addrs  []addr.Addr
 	Ops    []Op
 	Lines  []addr.Addr
 	Buf    []byte
-	Resume any
 	Err    error
 }
 
 // Reset truncates the chunk's storage for the next refill, keeping
-// capacity (and the Resume continuation) so steady-state refills stay
-// allocation-free, and clears Err.
+// capacity so steady-state refills stay allocation-free, and clears
+// Err.
 func (c *Chunk) Reset() {
 	c.Instrs = c.Instrs[:0]
 	c.Addrs = c.Addrs[:0]
@@ -89,6 +91,11 @@ func (c *Chunk) Reset() {
 // deliberately unsynchronized: each SM owns one pool, and all warp
 // refills happen on that SM's tick, which the engine already keeps
 // single-threaded.
+//
+// Cursors that pack their windows fill every window into the pool's
+// one scratch chunk and keep only the packed form in a chunk of their
+// own, so the instruction, address and byte arenas exist once per pool
+// and stay hot, not once per resident warp.
 type ChunkPool struct {
 	// WarpSize is the machine's warp width: an instruction with more
 	// active lanes ends its cursor with an *InstrError. The SM sets it;
@@ -97,7 +104,19 @@ type ChunkPool struct {
 	WarpSize int
 
 	chunkInstrs int
-	free        []*Chunk
+	free        []*Chunk // full chunks, for Get
+	packed      []*Chunk // ops-only chunks of packing cursors
+
+	scratch *Chunk  // where packing cursors' windows are filled
+	held    window  // the window scratch holds; zero when none
+	heldWin []Instr // that window's instructions
+}
+
+// A window names one Fill: by the Stream contract, equal windows read
+// the same instructions.
+type window struct {
+	src                Stream
+	block, warp, start int
 }
 
 // NewChunkPool returns a pool handing out chunks sized for
@@ -113,7 +132,7 @@ func NewChunkPool(chunkInstrs int) *ChunkPool {
 func (p *ChunkPool) ChunkInstrs() int { return p.chunkInstrs }
 
 // Get pops a free chunk, allocating a fresh one with preallocated
-// backing when the free list is empty.
+// instruction and address arenas when the free list is empty.
 func (p *ChunkPool) Get() *Chunk {
 	if n := len(p.free); n > 0 {
 		c := p.free[n-1]
@@ -124,8 +143,6 @@ func (p *ChunkPool) Get() *Chunk {
 	return &Chunk{
 		Instrs: make([]Instr, 0, p.chunkInstrs),
 		Addrs:  make([]addr.Addr, 0, p.chunkInstrs*lanes),
-		Ops:    make([]Op, 0, p.chunkInstrs),
-		Lines:  make([]addr.Addr, 0, p.chunkInstrs*4),
 	}
 }
 
@@ -136,18 +153,47 @@ func (p *ChunkPool) Put(c *Chunk) {
 	}
 }
 
+// getPacked pops an ops-only chunk for a packing cursor. Its Lines grow
+// only when a window has multi-line memory ops.
+func (p *ChunkPool) getPacked() *Chunk {
+	if n := len(p.packed); n > 0 {
+		c := p.packed[n-1]
+		p.packed = p.packed[:n-1]
+		return c
+	}
+	return &Chunk{Ops: make([]Op, 0, p.chunkInstrs)}
+}
+
+// fill reads window w into the scratch chunk and remembers it as held.
+// A window the stream could not fill leaves nothing held.
+func (p *ChunkPool) fill(w window) (win []Instr, eof bool, err error) {
+	if p.scratch == nil {
+		p.scratch = p.Get()
+	}
+	ch := p.scratch
+	ch.Reset()
+	win, eof, _ = w.src.Fill(w.block, w.warp, w.start, ch)
+	if ch.Err != nil {
+		p.held, p.heldWin = window{}, nil
+		return nil, true, ch.Err
+	}
+	p.held, p.heldWin = w, win
+	return win, eof, nil
+}
+
 // A Cursor walks one warp's instruction stream in order, over either a
-// whole precomputed WarpTrace or a pooled chunk window that it refills
-// from a trace.Stream on demand. Either way the issue stage reads the
-// same thing — the current packed Op and its lines — and never asks
-// which; the Instr the op was packed from stays reachable through Cur
-// for trace-level consumers and self-checks.
+// whole precomputed WarpTrace or a chunk window that it refills from a
+// trace.Stream on demand. Either way the issue stage reads the same
+// thing — the current packed Op and its lines — and never asks which;
+// the Instr the op was packed from stays reachable through Cur for
+// trace-level consumers and self-checks.
 type Cursor struct {
 	ops   []Op        // packed window; nil when no line size was given
 	lines []addr.Addr // arena ops index into
-	win   []Instr
+	win   []Instr     // instruction window; nil when the cursor packs a stream
+	n     int         // window length
 	off   int
-	base  int // in-warp index of win[0]
+	base  int // in-warp index of the window's first instruction
 	eof   bool
 
 	src      Stream
@@ -162,7 +208,7 @@ type Cursor struct {
 // InitPrecomputed points the cursor at a fully materialized warp trace
 // for walking its Instrs; Op and OpLines need InitPacked.
 func (c *Cursor) InitPrecomputed(wt *WarpTrace) {
-	*c = Cursor{win: wt.Instrs, eof: true}
+	*c = Cursor{win: wt.Instrs, n: len(wt.Instrs), eof: true}
 }
 
 // InitPacked points the cursor at a fully materialized warp trace and
@@ -175,19 +221,21 @@ func (c *Cursor) InitPacked(wt *WarpTrace, lineSize int) {
 		*c = Cursor{eof: true, err: err}
 		return
 	}
-	*c = Cursor{ops: p.ops, lines: p.lines, win: wt.Instrs, eof: true}
+	*c = Cursor{ops: p.ops, lines: p.lines, win: wt.Instrs, n: len(wt.Instrs), eof: true}
 }
 
 // InitStream points the cursor at warp (block, warp) of src and loads
 // the first window. lineSize > 0 has every window packed for the issue
-// stage (Op, OpLines); 0 serves Cur alone.
+// stage (Op, OpLines) and keeps only the packed form: the instructions
+// are filled into the pool's scratch chunk, where Cur finds them. 0
+// keeps the instruction window and serves Cur alone.
 func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp int) {
 	*c = Cursor{src: src, pool: pool, lineSize: lineSize, block: block, warp: warp}
 	c.refill(0)
 }
 
 // Exhausted reports that the warp has no further instructions.
-func (c *Cursor) Exhausted() bool { return c.eof && c.off >= len(c.win) }
+func (c *Cursor) Exhausted() bool { return c.eof && c.off >= c.n }
 
 // Err is the *PackError, *InstrError or *FormatError that cut the warp
 // short, if one did: a window with a value no Op can hold, an
@@ -205,8 +253,36 @@ func (c *Cursor) Op() *Op { return &c.ops[c.off] }
 func (c *Cursor) OpLines() []addr.Addr { return c.ops[c.off].lines(c.lines) }
 
 // Cur returns the current instruction. Valid only when !Exhausted();
-// the pointer is invalidated by the next Advance.
-func (c *Cursor) Cur() *Instr { return &c.win[c.off] }
+// the pointer is invalidated by the next Advance. A cursor that packs a
+// stream reads it from its pool's scratch chunk, re-reading its window
+// there first if the pool has filled another since; the pointer then
+// also lasts only until the next fill of that pool, and is nil if the
+// re-read fails (CheckOp returns why). Cur is for trace-level consumers
+// and self-checks, never for the issue stage.
+func (c *Cursor) Cur() *Instr {
+	in, _ := c.instr()
+	return in
+}
+
+// instr is Cur with the error of a failed re-read.
+func (c *Cursor) instr() (*Instr, error) {
+	if c.src == nil || c.lineSize == 0 {
+		return &c.win[c.off], nil
+	}
+	p := c.pool
+	w := window{c.src, c.block, c.warp, c.base}
+	if p.held != w {
+		if _, _, err := p.fill(w); err != nil {
+			return nil, fmt.Errorf("stream %q block %d warp %d: re-reading the window at %d: %w",
+				c.src.Name(), c.block, c.warp, c.base, err)
+		}
+	}
+	if len(p.heldWin) != c.n {
+		return nil, fmt.Errorf("stream %q block %d warp %d: the window at %d re-read as %d instructions, was %d",
+			c.src.Name(), c.block, c.warp, c.base, len(p.heldWin), c.n)
+	}
+	return &p.heldWin[c.off], nil
+}
 
 // Index is the in-warp index of the current instruction.
 func (c *Cursor) Index() int { return c.base + c.off }
@@ -216,8 +292,8 @@ func (c *Cursor) Index() int { return c.base + c.off }
 // invalid afterwards.
 func (c *Cursor) Advance() {
 	c.off++
-	if c.off >= len(c.win) && !c.eof {
-		c.refill(c.base + len(c.win))
+	if c.off >= c.n && !c.eof {
+		c.refill(c.base + c.n)
 	}
 }
 
@@ -231,38 +307,54 @@ func (c *Cursor) Rewind() {
 }
 
 // Release returns the cursor's chunk to the pool and clears the
-// cursor. The chunk keeps its Resume continuation, so a warp of the
-// same stream reusing it later can still fast-path.
+// cursor.
 func (c *Cursor) Release() {
-	if c.chunk != nil {
+	switch {
+	case c.chunk == nil:
+	case c.lineSize > 0:
+		c.pool.packed = append(c.pool.packed, c.chunk)
+	default:
 		c.pool.Put(c.chunk)
 	}
 	*c = Cursor{}
 }
 
-// refill loads the window starting at start and packs it into the
-// chunk — the per-window counterpart of Kernel.Pack, through the same
-// packInstrs. Ops never go into the window itself, so windows that
-// alias shared storage are packed like owned ones.
+// refill loads the window starting at start — into the pool's scratch
+// when the cursor packs, into its own chunk when it does not — and
+// packs it into the cursor's chunk: the per-window counterpart of
+// Kernel.Pack, through the same packInstrs. Ops never go into the
+// window itself, so windows that alias shared storage are packed like
+// owned ones.
 func (c *Cursor) refill(start int) {
-	if c.chunk == nil {
-		c.chunk = c.pool.Get()
+	var (
+		win []Instr
+		eof bool
+		err error
+	)
+	if c.lineSize == 0 {
+		if c.chunk == nil {
+			c.chunk = c.pool.Get()
+		}
+		c.chunk.Reset()
+		win, eof, _ = c.src.Fill(c.block, c.warp, start, c.chunk)
+		c.win, err = win, c.chunk.Err
+	} else {
+		if c.chunk == nil {
+			c.chunk = c.pool.getPacked()
+		}
+		win, eof, err = c.pool.fill(window{c.src, c.block, c.warp, start})
+		if err == nil {
+			ch := c.chunk
+			ch.Ops, ch.Lines, err = packInstrs(ch.Ops[:0], ch.Lines[:0], win, start, c.lineSize, c.pool.WarpSize)
+			c.ops, c.lines = ch.Ops, ch.Lines
+		}
 	}
-	ch := c.chunk
-	ch.Reset()
-	win, eof, _ := c.src.Fill(c.block, c.warp, start, ch)
-	c.win, c.eof, c.base, c.off = win, eof, start, 0
-	err := ch.Err
-	if err == nil && c.lineSize > 0 {
-		ch.Ops, ch.Lines, err = packInstrs(ch.Ops, ch.Lines, win, start, c.lineSize, c.pool.WarpSize)
-	}
+	c.n, c.eof, c.base, c.off = len(win), eof, start, 0
 	if err != nil {
 		// End the warp here: the SM sees an exhausted cursor, reads Err.
 		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
-		c.win, c.ops, c.eof = nil, nil, true
-		return
+		c.win, c.ops, c.n, c.eof = nil, nil, 0, true
 	}
-	c.ops, c.lines = ch.Ops, ch.Lines
 }
 
 // KernelStream adapts a fully precomputed Kernel to the Stream

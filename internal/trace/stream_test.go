@@ -239,8 +239,12 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestCursorStreamWalk drives a cursor over a file stream and checks
+// TestCursorStreamWalk drives every warp of a file stream at once,
+// round-robin through one pool — an SM's resident warps — and checks
 // the instruction sequence and indices against the precomputed form.
+// Each cursor keeps only its packed ops; its Cur must still read its
+// own instruction, re-read from the pool's scratch chunk after other
+// cursors have filled it.
 func TestCursorStreamWalk(t *testing.T) {
 	k := testKernel(2, 4)
 	path := filepath.Join(t.TempDir(), "k.dlpstrm")
@@ -253,44 +257,68 @@ func TestCursorStreamWalk(t *testing.T) {
 	}
 	defer fs.Close()
 	pool := NewChunkPool(8)
-	for b := range k.Blocks {
-		for w := range k.Blocks[b].Warps {
-			want := k.Blocks[b].Warps[w].Instrs
-			var cur Cursor
+	var curs []*Cursor
+	var wants [][]Instr
+	for b, blk := range k.Blocks {
+		for w, wt := range blk.Warps {
+			cur := &Cursor{}
 			cur.InitStream(fs, pool, 128, b, w)
-			for i := range want {
-				if cur.Exhausted() {
-					t.Fatalf("block %d warp %d: exhausted at %d/%d", b, w, i, len(want))
-				}
-				if cur.Index() != i {
-					t.Fatalf("block %d warp %d: Index=%d, want %d", b, w, cur.Index(), i)
-				}
-				in := cur.Cur()
-				if in.Kind != want[i].Kind || in.PC != want[i].PC {
-					t.Fatalf("block %d warp %d instr %d: got kind=%v pc=%d", b, w, i, in.Kind, in.PC)
-				}
-				if in.Kind != Compute {
-					// The memoized per-chunk lines must equal a fresh
-					// coalescing of the eager instruction.
-					want := want[i].CoalescedLines(128)
-					got := in.CoalescedLines(128)
-					if len(got) != len(want) {
-						t.Fatalf("block %d warp %d instr %d: %d coalesced lines, want %d",
-							b, w, i, len(got), len(want))
-					}
-					for l := range got {
-						if got[l] != want[l] {
-							t.Fatalf("block %d warp %d instr %d line %d differs", b, w, i, l)
-						}
-					}
-				}
-				cur.Advance()
-			}
-			if !cur.Exhausted() {
-				t.Fatalf("block %d warp %d: not exhausted after %d instrs", b, w, len(want))
-			}
-			cur.Release()
+			curs = append(curs, cur)
+			wants = append(wants, wt.Instrs)
 		}
+	}
+	for i := 0; ; i++ {
+		walking := false
+		for c, cur := range curs {
+			want := wants[c]
+			if i >= len(want) {
+				if !cur.Exhausted() {
+					t.Fatalf("cursor %d: not exhausted after %d instrs", c, len(want))
+				}
+				continue
+			}
+			walking = true
+			if cur.Exhausted() {
+				t.Fatalf("cursor %d: exhausted at %d/%d", c, i, len(want))
+			}
+			if cur.Index() != i {
+				t.Fatalf("cursor %d: Index=%d, want %d", c, cur.Index(), i)
+			}
+			if ch := cur.chunk; cap(ch.Instrs) != 0 || cap(ch.Addrs) != 0 || cur.win != nil {
+				t.Fatalf("cursor %d holds an instruction window: chunk caps %d/%d, %d instrs",
+					c, cap(ch.Instrs), cap(ch.Addrs), len(cur.win))
+			}
+			in := cur.Cur()
+			if in.Kind != want[i].Kind || in.PC != want[i].PC {
+				t.Fatalf("cursor %d instr %d: got kind=%v pc=%d", c, i, in.Kind, in.PC)
+			}
+			if in.Kind != Compute {
+				// The re-read instruction must coalesce like the eager one.
+				want := want[i].CoalescedLines(128)
+				got := in.CoalescedLines(128)
+				if len(got) != len(want) {
+					t.Fatalf("cursor %d instr %d: %d coalesced lines, want %d", c, i, len(got), len(want))
+				}
+				for l := range got {
+					if got[l] != want[l] {
+						t.Fatalf("cursor %d instr %d line %d differs", c, i, l)
+					}
+				}
+			}
+			if err := cur.CheckOp(128); err != nil {
+				t.Fatalf("cursor %d: %v", c, err)
+			}
+			cur.Advance()
+		}
+		if !walking {
+			break
+		}
+	}
+	for c, cur := range curs {
+		if err := cur.Err(); err != nil {
+			t.Errorf("cursor %d: %v", c, err)
+		}
+		cur.Release()
 	}
 }
 
@@ -369,6 +397,45 @@ func TestDamageAfterOpenEndsTheCursor(t *testing.T) {
 				t.Errorf("WriteFile: %v, want a *FormatError", err)
 			}
 		})
+	}
+}
+
+// TestFailedReReadIsTheCheckError: once its pool has filled another
+// window, a packing cursor's CheckOp re-reads its own. If the file was
+// damaged in between, the re-read's *FormatError is CheckOp's error and
+// Cur is nil — never a panic — while the packed op stays readable.
+func TestFailedReReadIsTheCheckError(t *testing.T) {
+	k := testKernel(1, 2)
+	path := filepath.Join(t.TempDir(), "k.dlpstrm")
+	if err := WriteFile(path, NewKernelStream(k), 4); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	pool := NewChunkPool(4)
+	var a, b Cursor
+	a.InitStream(fs, pool, 128, 0, 0)
+	b.InitStream(fs, pool, 128, 0, 1)
+	if err := a.CheckOp(128); err != nil {
+		t.Fatalf("re-read of an intact window: %v", err)
+	}
+	// The pool holds warp 1's window again; then warp 0's first
+	// instruction, a compute (kind 0), becomes kind 0xff.
+	b.Rewind()
+	flipByte(t, path, fs.warps[0].chunks[0].off)
+	err = a.CheckOp(128)
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Path != path {
+		t.Fatalf("CheckOp after damage = %v, want a *FormatError for %s", err, path)
+	}
+	if in := a.Cur(); in != nil {
+		t.Errorf("Cur after a failed re-read = %+v, want nil", *in)
+	}
+	if op := a.Op(); op.Kind != Compute || op.Latency() != 3 {
+		t.Errorf("packed op after a failed re-read = {%v latency %d}, want the compute op it was packed as", op.Kind, op.Latency())
 	}
 }
 

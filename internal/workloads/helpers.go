@@ -74,9 +74,7 @@ func (b *wb) want() bool {
 func (b *wb) lanes(n int) []addr.Addr {
 	if b.chunk != nil {
 		start := len(b.chunk.Addrs)
-		for i := 0; i < n; i++ {
-			b.chunk.Addrs = append(b.chunk.Addrs, 0)
-		}
+		b.chunk.Addrs = append(b.chunk.Addrs, make([]addr.Addr, n)...)
 		return b.chunk.Addrs[start:len(b.chunk.Addrs):len(b.chunk.Addrs)]
 	}
 	return make([]addr.Addr, n)

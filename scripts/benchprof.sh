@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# CPU profile of one benchmark workload, as the driver builds and runs
-# it. dlpbench has no profile flag and bench/ may not be edited by a PR
-# that claims a gain, so this profiles a copy: bench/ is copied to
-# .benchprof_src/ at the repository root (bench/go.mod says
+# CPU profile and live heap of one benchmark workload, built and run as
+# bench/run.sh does. dlpbench has no profile flag and bench/ may not be
+# edited by a PR that claims a gain, so this profiles a copy: bench/ is
+# copied to .benchprof_src/ at the repository root (bench/go.mod says
 # `replace repro => ../`, so the copy must sit one level below the root;
 # the directory is ignored by git), an init() that starts
 # pprof.StartCPUProfile is added there — never in bench/ — the copy is
 # built into .bench_build/ and deleted, the workload runs once, and
-# `go tool pprof -top` is printed flat and cumulative.
+# `go tool pprof -top` is printed flat and cumulative. When the CPU
+# profile stops, the copy also collects garbage and writes a heap
+# profile; its -inuse_space top 15 is where the live set is.
 #
 #   scripts/benchprof.sh <workload> [seed] [profile-seconds]
 #
 # The profile covers the first <profile-seconds> of the process (default
 # 6); the run is sized to outlive that window, or the file stays empty.
-# Kept: .bench_build/dlpbench-prof and .bench_build/<workload>.prof
+# Kept: .bench_build/dlpbench-prof, .bench_build/<workload>.prof and
+# .bench_build/<workload>.heap.prof
 # (`go tool pprof -list 'SM..pickWarp' <binary> <prof>` for lines).
 set -euo pipefail
 
@@ -26,6 +29,7 @@ build="$root/.bench_build"
 src="$root/.benchprof_src"
 bin="$build/dlpbench-prof"
 prof="$build/$workload.prof"
+heap="$build/$workload.heap.prof"
 mkdir -p "$build/gotmp"
 export GOCACHE="$build/gocache" GOPATH="$build/gopath" GOTMPDIR="$build/gotmp" XDG_CONFIG_HOME="$build/config"
 export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-modcacherw
@@ -38,8 +42,10 @@ package main
 
 import (
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -48,6 +54,9 @@ func init() {
 	if path == "" {
 		return
 	}
+	// The default 512 KB sampling sees a few-MB live set as a handful
+	// of samples; 16 KB resolves per-warp and per-SM buffers.
+	runtime.MemProfileRate = 16 << 10
 	f, err := os.Create(path)
 	if err != nil {
 		panic(err)
@@ -60,6 +69,16 @@ func init() {
 		time.Sleep(time.Duration(secs * float64(time.Second)))
 		pprof.StopCPUProfile()
 		f.Close()
+		// The live set at the same moment, beside the CPU profile.
+		h, err := os.Create(strings.TrimSuffix(path, ".prof") + ".heap.prof")
+		if err != nil {
+			panic(err)
+		}
+		runtime.GC()
+		if err := pprof.Lookup("heap").WriteTo(h, 0); err != nil {
+			panic(err)
+		}
+		h.Close()
 	}()
 }
 EOF
@@ -69,7 +88,7 @@ rm -rf "$src"
 # The full five rounds, as the driver runs it: the process has to outlive
 # the window, because a profile still running at exit is never written.
 cd "$root"
-rm -f "$prof"
+rm -f "$prof" "$heap"
 seconds="$(jq -r .run_seconds "$root/BENCHMARK.json" 2>/dev/null || echo 25)"
 DLPBENCH_CPUPROFILE="$prof" DLPBENCH_PROFILE_S="$window" \
 	"$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -1
@@ -79,4 +98,6 @@ echo "== flat =="
 go tool pprof -top -nodecount=30 "$bin" "$prof" 2>/dev/null
 echo "== cumulative =="
 go tool pprof -top -cum -nodecount=40 "$bin" "$prof" 2>/dev/null
-echo "kept: $bin $prof"
+echo "== live heap (inuse_space) =="
+go tool pprof -top -inuse_space -nodecount=15 "$bin" "$heap" 2>/dev/null
+echo "kept: $bin $prof $heap"
