@@ -51,12 +51,23 @@ var retiredFlags = map[string]string{
 }
 
 // serialDirs are the packages that start no goroutine and import no
-// sync package: the engine and the RDD replay. -j is the only
-// parallelism, and it lives in the runner.
+// sync package: the engine and the RDD replay. -j is the parallelism
+// of a batch, and it lives in the runner.
 var serialDirs = map[string]string{
 	"internal/sim": "the engine runs on one goroutine",
 	"internal/rdd": "the RDD replay runs on one goroutine",
 }
+
+// noGoDirs are the packages that start no goroutine (they may
+// synchronize): the SMs tick on the engine's goroutine.
+var noGoDirs = map[string]string{
+	"internal/sm": "the SMs tick on the engine's goroutine",
+}
+
+// readAheadFile is the one file of internal/trace that starts a
+// goroutine, and it starts exactly one: the helper that fills a
+// streamed run's next windows.
+const readAheadFile = "internal/trace/readahead.go"
 
 // retiredFields are the settable values that had no caller: the retry
 // budget and its attempt counts, the per-job deadline, the engine's
@@ -153,13 +164,15 @@ func flagDecl(call *ast.CallExpr) string {
 // back, and no retired command directory; no non-test file outside
 // bench/ names a Cores field or a retired field, or names a retired
 // identifier; internal/sim and internal/rdd
-// start no goroutine and import no sync package; and no per-binary
-// profiler type comes back.
+// start no goroutine and import no sync package, internal/sm starts
+// none, and internal/trace has exactly one go statement, the read-ahead
+// helper's; and no per-binary profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
 		owned[name] = true
 	}
+	var traceGos []string             // positions of internal/trace's go statements
 	declared := map[string][]string{} // package dir -> harness-owned names it declares
 	groups := map[string][]string{}   // internal/cli group function -> names in order
 	fset := token.NewFileSet()
@@ -244,6 +257,12 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 				if _, serial := serialDirs[dir]; serial {
 					t.Errorf("%s: %s starts a goroutine", fset.Position(n.Pos()), dir)
 				}
+				if why, ok := noGoDirs[dir]; ok {
+					t.Errorf("%s: %s starts a goroutine; %s", fset.Position(n.Pos()), dir, why)
+				}
+				if dir == "internal/trace" {
+					traceGos = append(traceGos, filepath.ToSlash(fset.Position(n.Pos()).String()))
+				}
 			case *ast.TypeSpec:
 				if n.Name.Name == "profiler" && strings.HasPrefix(dir, "cmd/") {
 					t.Errorf("%s declares a profiler type; profiles belong to cli.Session", path)
@@ -257,6 +276,9 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if len(traceGos) != 1 || !strings.HasPrefix(traceGos[0], readAheadFile+":") {
+		t.Errorf("internal/trace starts goroutines at %v, want exactly one, in %s", traceGos, readAheadFile)
+	}
 	for fn, want := range map[string][]string{"ExecFlags": execFlags, "BatchFlags": batchFlags} {
 		if got := groups[fn]; strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("cli.Session.%s declares [%s], want [%s]", fn, strings.Join(got, " "), strings.Join(want, " "))

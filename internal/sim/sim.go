@@ -222,7 +222,11 @@ func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error)
 // materialized kernel: blocks round-robin onto SMs in the same order,
 // and each SM pulls instruction windows through per-warp cursors as
 // warps advance. Stats are bit-identical to Run on the materialized
-// equivalent (see trace.Materialize).
+// equivalent (see trace.Materialize): a window is the same whether the
+// run's read-ahead helper filled it or an SM did when it ran dry. The
+// helper is the run's one other goroutine; it only fills and packs
+// windows, and it is joined before RunStream returns, however it
+// returns.
 func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats, error) {
 	name := src.Name()
 	blocks := src.Blocks()
@@ -242,6 +246,11 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 	}
 	for bi := 0; bi < blocks; bi++ {
 		e.sms[bi%len(e.sms)].AssignStream(src, bi)
+	}
+	ra := trace.StartReadAhead()
+	defer ra.Stop()
+	for _, s := range e.sms {
+		s.ReadAhead(ra)
 	}
 	return e.runLoop(ctx, name)
 }

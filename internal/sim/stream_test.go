@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/policy"
 	"repro/internal/sm"
@@ -198,8 +200,9 @@ func TestStreamBoundsLiveHeap(t *testing.T) {
 // residentWarpBytes. A chunk that kept a full instruction window,
 // 64 instrs plus 2048 lane addresses (~20 KB), breaks both.
 func TestStreamedWarpsHoldOnlyOps(t *testing.T) {
-	// The measured high-water is ~2.2 KB per warp, under a quarter of
-	// this bound; with a full window per warp it is ~23 KB.
+	// The measured high-water is ~3.5 KB per warp (~2.2 KB before the
+	// second, read-ahead ops chunk), under half of this bound; with a
+	// full window per warp it is ~23 KB.
 	const residentWarpBytes = 8 << 10
 	cfg := config.Baseline()
 	spec, err := workloads.ByAbbr("CFD")
@@ -255,9 +258,11 @@ func TestStreamedWarpsHoldOnlyOps(t *testing.T) {
 }
 
 // residentChunkCaps returns, for each resident warp of s whose cursor
-// holds a chunk, that chunk's instruction and address capacity. SM
-// slots and cursor chunks are private to their packages, so it reads
-// them by reflection; a renamed field fails the caller loudly.
+// holds a chunk, that chunk's instruction and address capacity, summed
+// with those of the chunk its read-ahead request packs the next window
+// into. SM slots, cursor chunks and requests are private to their
+// packages, so it reads them by reflection; a renamed field fails the
+// caller loudly.
 func residentChunkCaps(s *sm.SM) (caps [][2]int) {
 	slots := reflect.ValueOf(s).Elem().FieldByName("slots")
 	for i := 0; i < slots.Len(); i++ {
@@ -265,11 +270,99 @@ func residentChunkCaps(s *sm.SM) (caps [][2]int) {
 		if w.IsNil() {
 			continue
 		}
-		ch := w.Elem().FieldByName("cur").FieldByName("chunk")
+		cur := w.Elem().FieldByName("cur")
+		ch := cur.FieldByName("chunk")
 		if ch.IsNil() {
 			continue
 		}
-		caps = append(caps, [2]int{ch.Elem().FieldByName("Instrs").Cap(), ch.Elem().FieldByName("Addrs").Cap()})
+		c := [2]int{ch.Elem().FieldByName("Instrs").Cap(), ch.Elem().FieldByName("Addrs").Cap()}
+		if next := cur.FieldByName("next"); !next.IsNil() {
+			nch := next.Elem().FieldByName("chunk").Elem()
+			c[0] += nch.FieldByName("Instrs").Cap()
+			c[1] += nch.FieldByName("Addrs").Cap()
+		}
+		caps = append(caps, c)
 	}
 	return caps
+}
+
+// TestStreamedRefillsDoNotAllocate pins a streamed run's refills
+// allocation-free once its warps are resident, with the read-ahead
+// helper filling windows beside the engine: every window comes from a
+// DLPSTRM1 file into reused chunks, and the helper's requests, queues
+// and chunks are recycled. The run is one wave (a block per SM), so no
+// admission falls inside the measured middle third. Every window holds
+// the same one-line ops, so a chunk's warm-up (its read buffer's
+// high-water, a Lines arena) happens at its first fill; a loaded host
+// can push the helper's first fill, which sets up its scratch chunk,
+// into the measured third, but not a chunk's later ones. The bound is
+// one allocation per hundred refills, not zero, because the runtime
+// allocates a few times of its own there: the run loop's park
+// (time.Sleep) may grow a P's timer heap, and a loaded host makes it
+// start threads. One allocation per refill is over two thousand.
+func TestStreamedRefillsDoNotAllocate(t *testing.T) {
+	cfg := config.Baseline()
+	const warps, instrs = 8, 64 * 60
+	k := &trace.Kernel{Name: "refills"}
+	for b := 0; b < cfg.NumSMs; b++ {
+		blk := &trace.Block{}
+		for w := 0; w < warps; w++ {
+			wt := &trace.WarpTrace{}
+			base := addr.Addr((b*warps + w) * instrs * 128)
+			for i := 0; i < instrs; i++ {
+				at := base + addr.Addr(i*128)
+				switch i % 4 {
+				case 1:
+					wt.Instrs = append(wt.Instrs, trace.NewLoad(1, []addr.Addr{at}))
+				case 2:
+					wt.Instrs = append(wt.Instrs, trace.NewStore(2, []addr.Addr{at}))
+				default:
+					wt.Instrs = append(wt.Instrs, trace.NewCompute(100, 2, 32))
+				}
+			}
+			blk.Warps = append(blk.Warps, wt)
+		}
+		k.Blocks = append(k.Blocks, blk)
+	}
+	path := filepath.Join(t.TempDir(), "refills.dlpstrm")
+	if err := trace.WriteFile(path, trace.NewKernelStream(k), 0); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	e, err := New(cfg, config.PolicyDLP, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := uint64(cfg.NumSMs * warps * instrs)
+	var ms runtime.MemStats
+	var insns0, mallocs0, insns, mallocs uint64
+	e.windowHook = func(_, _, _ uint64) {
+		n := uint64(0)
+		for _, s := range e.sms {
+			n += s.Stats().WarpInsns
+		}
+		switch {
+		case insns0 == 0 && n >= total/3:
+			runtime.ReadMemStats(&ms)
+			insns0, mallocs0 = n, ms.Mallocs
+		case insns0 != 0 && insns == 0 && n >= 2*total/3:
+			runtime.ReadMemStats(&ms)
+			insns, mallocs = n-insns0, ms.Mallocs-mallocs0
+		}
+	}
+	if _, err := e.RunStream(context.Background(), fs); err != nil {
+		t.Fatal(err)
+	}
+	refills := insns / trace.DefaultChunkInstrs
+	t.Logf("%d allocations over %d warp instructions (~%d refills)", mallocs, insns, refills)
+	if refills < 2000 {
+		t.Fatalf("measured only %d refills", refills)
+	}
+	if mallocs*100 > refills {
+		t.Errorf("%d allocations over ~%d refills, want under one per hundred", mallocs, refills)
+	}
 }

@@ -39,9 +39,9 @@ func storeBench() (s *SM, step func()) {
 	tick() // admit + issue
 	tick() // drain; primes the memInstr/request free lists
 	step = func() {
-		// Rewind the warp so it issues the same store again. The rewind
+		// Restart the warp so it issues the same store again. The restart
 		// itself is not a tracked scheduler event, so wake explicitly.
-		s.slots[0].cur.Rewind()
+		s.slots[0].cur.InitPacked(tr, cfg.L1D.LineSize)
 		s.noteCursor(s.slots[0])
 		s.wakeSchedulers()
 		tick() // issue

@@ -230,6 +230,16 @@ func (s *SM) AssignStream(src trace.Stream, idx int) {
 	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
 
+// ReadAhead has this SM's streamed warps post their next windows to r,
+// whose helper fills them while the SM ticks. Call it after
+// AssignStream and before the first tick; an SM with no streamed block
+// ignores it.
+func (s *SM) ReadAhead(r *trace.ReadAhead) {
+	if s.chunks != nil {
+		s.chunks.Ahead = r
+	}
+}
+
 // slotBit locates slot in the finished bitset, or a position in ready.
 func slotBit(slot int) (word int, bit uint64) {
 	return slot >> 6, 1 << (slot & 63)

@@ -11,7 +11,7 @@ import (
 )
 
 // storeBenchStream is storeBench with the warp fed from an on-disk
-// trace stream instead of a precomputed block: every rewind re-pulls
+// trace stream instead of a precomputed block: every restart re-pulls
 // the warp's chunk through the FileStream — one ReadAt, a decode into
 // the pooled chunk, and per-chunk coalesced-line memoization — so the
 // measured round covers the streamed frontend's whole refill + issue
@@ -52,7 +52,11 @@ func storeBenchStream(t *testing.T) (s *SM, step func()) {
 	tick() // admit + issue
 	tick() // drain; primes the memInstr/request free lists
 	step = func() {
-		s.slots[0].cur.Rewind()
+		// Restart the warp: its chunk goes back to the pool and comes
+		// straight out again.
+		cur := &s.slots[0].cur
+		cur.Release()
+		cur.InitStream(fs, s.chunks, cfg.L1D.LineSize, 0, 0)
 		s.noteCursor(s.slots[0])
 		s.wakeSchedulers()
 		tick() // issue

@@ -14,10 +14,19 @@ import (
 //
 // Streams must be deterministic: the same (block, warp, start) always
 // yields the same window contents, so simulations are bit-identical to
-// their eager counterparts and a window can be read again instead of
-// kept. A ChunkPool tells windows apart by (stream, block, warp,
-// start), so implementations must be comparable types (every backend
-// here is a pointer).
+// their eager counterparts, a window can be read again instead of
+// kept, and a window filled ahead on another goroutine is the window
+// an inline fill would read. A ChunkPool tells windows apart by
+// (stream, block, warp, start), so implementations must be comparable
+// types (every backend here is a pointer).
+//
+// Fill may be called concurrently for different windows, each call
+// with its own Chunk: a streamed engine run fills windows ahead on a
+// helper goroutine (ReadAhead) while its own goroutine fills the ones
+// it takes back. The backends here meet that as follows: a generator
+// stream serializes its fills with a mutex, a FileStream reads with
+// ReadAt into the chunk's own Buf, a KernelStream only reads, and a
+// MultiStream delegates to its sub-streams.
 type Stream interface {
 	// Name is the kernel name (shown in tables and error messages).
 	Name() string
@@ -52,12 +61,13 @@ type Stream interface {
 // request per refill. A cursor that packs its windows holds only their
 // ops: 1 KB at 64 instructions, plus the coalesced lines of its
 // multi-line memory ops (none when every op coalesces to one line, at
-// most 16 KB for a fully diverged window of 64 x 32 lines). Each SM's
+// most 16 KB for a fully diverged window of 64 x 32 lines). Under a
+// ReadAhead it holds a second such chunk, its next window. Each SM's
 // pool adds one scratch chunk of ~19 KB (64 instrs, 64 x 32 lane
-// addresses) that every window is filled into. A fully resident
-// machine — 16 SMs x 48 warps — so holds ~1 MB of chunk storage on
-// coalesced streams and at most ~14 MB on fully diverged ones,
-// regardless of trace footprint.
+// addresses) that every inline window is filled into, and the helper
+// one more. A fully resident machine — 16 SMs x 48 warps — so holds
+// ~2 MB of chunk storage on coalesced streams and at most ~27 MB on
+// fully diverged ones, regardless of trace footprint.
 const DefaultChunkInstrs = 64
 
 // A Chunk is a reusable refill buffer. Streams that own their windows
@@ -90,7 +100,8 @@ func (c *Chunk) Reset() {
 // A ChunkPool recycles chunks across the warps of one SM. It is
 // deliberately unsynchronized: each SM owns one pool, and all warp
 // refills happen on that SM's tick, which the engine already keeps
-// single-threaded.
+// single-threaded. The one exception is the hand-over of a window
+// filled ahead, which goes through the request's atomic state.
 //
 // Cursors that pack their windows fill every window into the pool's
 // one scratch chunk and keep only the packed form in a chunk of their
@@ -103,9 +114,15 @@ type ChunkPool struct {
 	// MaxOpLanes — the most an Op can hold.
 	WarpSize int
 
+	// Ahead, when set, has packing cursors post their next window to
+	// its helper after every refill. Set it before the pool's first
+	// cursor; nil fills every window inline.
+	Ahead *ReadAhead
+
 	chunkInstrs int
 	free        []*Chunk // full chunks, for Get
 	packed      []*Chunk // ops-only chunks of packing cursors
+	aheads      []*ahead // idle read-ahead requests of packing cursors
 
 	scratch *Chunk  // where packing cursors' windows are filled
 	held    window  // the window scratch holds; zero when none
@@ -139,10 +156,16 @@ func (p *ChunkPool) Get() *Chunk {
 		p.free = p.free[:n-1]
 		return c
 	}
+	return newChunk(p.chunkInstrs)
+}
+
+// newChunk allocates a chunk with instruction and address arenas for
+// instrs-instruction windows of full warps.
+func newChunk(instrs int) *Chunk {
 	const lanes = 32
 	return &Chunk{
-		Instrs: make([]Instr, 0, p.chunkInstrs),
-		Addrs:  make([]addr.Addr, 0, p.chunkInstrs*lanes),
+		Instrs: make([]Instr, 0, instrs),
+		Addrs:  make([]addr.Addr, 0, instrs*lanes),
 	}
 }
 
@@ -162,6 +185,16 @@ func (p *ChunkPool) getPacked() *Chunk {
 		return c
 	}
 	return &Chunk{Ops: make([]Op, 0, p.chunkInstrs)}
+}
+
+// getAhead pops an idle read-ahead request with an ops-only chunk.
+func (p *ChunkPool) getAhead() *ahead {
+	if n := len(p.aheads); n > 0 {
+		a := p.aheads[n-1]
+		p.aheads = p.aheads[:n-1]
+		return a
+	}
+	return &ahead{pool: p, chunk: p.getPacked()}
 }
 
 // fill reads window w into the scratch chunk and remembers it as held.
@@ -199,6 +232,7 @@ type Cursor struct {
 	src      Stream
 	pool     *ChunkPool
 	chunk    *Chunk
+	next     *ahead // the next window, posted to pool.Ahead; nil when none was
 	lineSize int
 	block    int
 	warp     int
@@ -297,18 +331,14 @@ func (c *Cursor) Advance() {
 	}
 }
 
-// Rewind restarts the warp from its first instruction.
-func (c *Cursor) Rewind() {
-	if c.src == nil {
-		c.off = 0
-		return
-	}
-	c.refill(0)
-}
-
-// Release returns the cursor's chunk to the pool and clears the
-// cursor.
+// Release returns the cursor's chunks to the pool and clears the
+// cursor. A next window the helper is filling is waited for first.
 func (c *Cursor) Release() {
+	if a := c.next; a != nil {
+		a.settle()
+		a.fault = nil
+		c.pool.aheads = append(c.pool.aheads, a)
+	}
 	switch {
 	case c.chunk == nil:
 	case c.lineSize > 0:
@@ -324,10 +354,11 @@ func (c *Cursor) Release() {
 // packs it into the cursor's chunk: the per-window counterpart of
 // Kernel.Pack, through the same packInstrs. Ops never go into the
 // window itself, so windows that alias shared storage are packed like
-// owned ones.
+// owned ones. A packing cursor whose next window the pool's ReadAhead
+// has filled swaps that chunk in instead, and posts the window after.
 func (c *Cursor) refill(start int) {
 	var (
-		win []Instr
+		n   int
 		eof bool
 		err error
 	)
@@ -336,25 +367,51 @@ func (c *Cursor) refill(start int) {
 			c.chunk = c.pool.Get()
 		}
 		c.chunk.Reset()
-		win, eof, _ = c.src.Fill(c.block, c.warp, start, c.chunk)
-		c.win, err = win, c.chunk.Err
+		c.win, eof, _ = c.src.Fill(c.block, c.warp, start, c.chunk)
+		n, err = len(c.win), c.chunk.Err
 	} else {
 		if c.chunk == nil {
 			c.chunk = c.pool.getPacked()
 		}
-		win, eof, err = c.pool.fill(window{c.src, c.block, c.warp, start})
-		if err == nil {
-			ch := c.chunk
-			ch.Ops, ch.Lines, err = packInstrs(ch.Ops[:0], ch.Lines[:0], win, start, c.lineSize, c.pool.WarpSize)
-			c.ops, c.lines = ch.Ops, ch.Lines
+		if a := c.next; a != nil && a.settle() {
+			if v := a.fault; v != nil {
+				a.fault = nil
+				panic(v)
+			}
+			c.chunk, a.chunk = a.chunk, c.chunk
+			n, eof, err = a.n, a.eof, a.err
+		} else {
+			var win []Instr
+			win, eof, err = c.pool.fill(window{c.src, c.block, c.warp, start})
+			n = len(win)
+			if err == nil {
+				ch := c.chunk
+				ch.Ops, ch.Lines, err = packInstrs(ch.Ops[:0], ch.Lines[:0], win, start, c.lineSize, c.pool.WarpSize)
+			}
+		}
+		c.ops, c.lines = c.chunk.Ops, c.chunk.Lines
+		if err == nil && !eof && c.pool.Ahead != nil {
+			c.post(start + n)
 		}
 	}
-	c.n, c.eof, c.base, c.off = len(win), eof, start, 0
+	c.n, c.eof, c.base, c.off = n, eof, start, 0
 	if err != nil {
 		// End the warp here: the SM sees an exhausted cursor, reads Err.
 		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
 		c.win, c.ops, c.n, c.eof = nil, nil, 0, true
 	}
+}
+
+// post asks the pool's ReadAhead for the window at start, the only one
+// the cursor can refill next: Advance refills the window after the
+// current one, and only InitStream, which starts a cursor afresh,
+// refills another. The request is idle: refill has just settled it.
+func (c *Cursor) post(start int) {
+	if c.next == nil {
+		c.next = c.pool.getAhead()
+	}
+	c.next.w, c.next.line = window{c.src, c.block, c.warp, start}, c.lineSize
+	c.pool.Ahead.post(c.next)
 }
 
 // KernelStream adapts a fully precomputed Kernel to the Stream

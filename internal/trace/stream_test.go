@@ -424,7 +424,7 @@ func TestFailedReReadIsTheCheckError(t *testing.T) {
 	}
 	// The pool holds warp 1's window again; then warp 0's first
 	// instruction, a compute (kind 0), becomes kind 0xff.
-	b.Rewind()
+	b.InitStream(fs, pool, 128, 0, 1)
 	flipByte(t, path, fs.warps[0].chunks[0].off)
 	err = a.CheckOp(128)
 	var fe *FormatError

@@ -49,7 +49,7 @@ func slidingStream(name string, scale, touches, gap, streamLoads, computes, iter
 		build: func(b *wb, block, warp int) {
 			fresh := mem.array(iters)
 			stream := mem.array(iters * streamLoads)
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters && !b.full(); i++ {
 				b.loadVec(0, lineAt(fresh, i)) // birth
 				for t := 1; t < touches; t++ {
 					if i >= t*gap {
@@ -104,7 +104,7 @@ func gridBFS(scale int) gridSpec {
 			visited := mem.array(nodes)
 			offsets := mem.array(nodes)
 			cost := mem.array(nodes)
-			for n := 0; n < nodes; n++ {
+			for n := 0; n < nodes && !b.full(); n++ {
 				f := lineAt(frontier, n)
 				b.loadVec(0, f)                  // insn0: pop frontier entry
 				b.loadVec(1, f)                  // insn1: node id re-read: RD 1-4
@@ -141,7 +141,7 @@ func gridMM(scale int) gridSpec {
 			tileB := mem.array(iters)
 			panel := mem.array(2 * iters)
 			bigC := mem.array(32)
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters && !b.full(); i++ {
 				a := lineAt(rowA, 2*i)
 				b.loadSpan(0, a, 2)                  // insn0: A row fragment birth
 				b.loadSpan(1, a, 2)                  // insn1: immediate re-read: RD 1-4
@@ -165,7 +165,7 @@ func gridSRK(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			const iters = 150
 			panel := mem.array(2 * iters)
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters && !b.full(); i++ {
 				b.loadSpan(0, lineAt(panel, 2*i), 2) // panel birth
 				if i > 0 {
 					b.loadSpan(1, lineAt(panel, 2*(i-1)), 2) // first reuse
@@ -187,7 +187,7 @@ func gridSR2K(scale int) gridSpec {
 			const iters = 150
 			panel := mem.array(2 * iters)
 			stream := mem.array(3 * iters)
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters && !b.full(); i++ {
 				b.loadSpan(0, lineAt(panel, 2*i), 2)  // panel birth
 				b.loadSpan(1, lineAt(stream, 3*i), 3) // streamed second panel
 				if i > 0 {
@@ -212,8 +212,8 @@ func gridKM(scale int) gridSpec {
 			const reps = 5
 			assign := mem.array(reps * 10)
 			g := 0
-			for r := 0; r < reps; r++ {
-				for p := 0; p*6 < 60; p++ {
+			for r := 0; r < reps && !b.full(); r++ {
+				for p := 0; p*6 < 60 && !b.full(); p++ {
 					b.loadSpan(0, lineAt(points, p*6), 6) // points: RD >64
 					b.loadVec(1, lineAt(assign, g))       // assignment birth
 					if g > 0 {
@@ -241,8 +241,8 @@ func gridSTR(scale int) gridSpec {
 			const keywords = 6
 			kw := mem.array(keywords * 5)
 			j := 0
-			for k := 0; k < keywords; k++ {
-				for l := 0; l+10 <= 50; l += 10 {
+			for k := 0; k < keywords && !b.full(); k++ {
+				for l := 0; l+10 <= 50 && !b.full(); l += 10 {
 					b.loadSpan(0, lineAt(text, l), 5)
 					b.loadSpan(1, lineAt(text, l+5), 5)
 					if j%2 == 0 {

@@ -48,7 +48,7 @@ func gridHG(scale int) gridSpec {
 			rng := seedFor(1, block, warp)
 			const inputPerWarp = 10
 			input := mem.array(inputPerWarp)
-			for i := 0; i < inputPerWarp; i++ {
+			for i := 0; i < inputPerWarp && !b.full(); i++ {
 				b.loadVec(0, lineAt(input, i)) // stream the input
 				// Per-element binning: a few diverged bin touches.
 				binLines := make([]addr.Addr, 8)
@@ -72,7 +72,7 @@ func gridHS(scale int) gridSpec {
 			temp := mem.array(rows + 2)
 			power := mem.array(rows)
 			out := mem.array(rows)
-			for y := 0; y < rows; y++ {
+			for y := 0; y < rows && !b.full(); y++ {
 				b.loadVec(0, lineAt(temp, y))   // north (reused: was center)
 				b.loadVec(1, lineAt(temp, y+1)) // center (reused: was south)
 				b.loadVec(2, lineAt(temp, y+2)) // south (first touch)
@@ -96,8 +96,8 @@ func gridSTEN(scale int) gridSpec {
 			vol := mem.array(slabLines * (planes + 2))
 			out := mem.array(slabLines * planes)
 			at := func(z, y int) addr.Addr { return lineAt(vol, z*slabLines+y) }
-			for z := 1; z <= planes; z++ {
-				for y := 0; y < slabLines; y++ {
+			for z := 1; z <= planes && !b.full(); z++ {
+				for y := 0; y < slabLines && !b.full(); y++ {
 					b.loadVec(0, at(z-1, y))
 					b.loadVec(1, at(z, y))
 					b.loadVec(2, at(z+1, y))
@@ -118,7 +118,7 @@ func gridSC(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			img := mem.array(rows + 2)
 			out := mem.array(rows)
-			for y := 0; y < rows; y++ {
+			for y := 0; y < rows && !b.full(); y++ {
 				b.loadVec(0, lineAt(img, y))
 				b.loadVec(1, lineAt(img, y+1))
 				b.loadVec(2, lineAt(img, y+2))
@@ -140,7 +140,7 @@ func gridBP(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			const inputs = 12
 			in := mem.array(inputs)
-			for i := 0; i < inputs; i++ {
+			for i := 0; i < inputs && !b.full(); i++ {
 				b.loadVec(0, lineAt(in, i)) // stream inputs
 				// Re-walk a slice of the shared weight matrix: tight reuse.
 				for w := 0; w < 4; w++ {
@@ -166,7 +166,7 @@ func gridSRAD(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			img, coeff := imgs[block], coeffs[block]
 			const passes = 8
-			for pass := 0; pass < passes; pass++ {
+			for pass := 0; pass < passes && !b.full(); pass++ {
 				y := warp
 				b.loadVec(0, lineAt(img, y))
 				b.loadVec(1, lineAt(img, y+1))
@@ -190,7 +190,7 @@ func gridNW(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			rng := seedFor(7, block, warp)
 			score := mem.array(3 * diag)
-			for step := 0; step < 40; step++ {
+			for step := 0; step < 40 && !b.full(); step++ {
 				cur := step % 3
 				prev := (step + 2) % 3
 				prev2 := (step + 1) % 3
@@ -217,8 +217,8 @@ func gridGEMM(scale int) gridSpec {
 	return gridSpec{name: "GEMM", blocks: blocks, warps: csWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			c := mem.array(tileLines)
-			for t := 0; t < tiles; t++ {
-				for l := 0; l < tileLines; l++ {
+			for t := 0; t < tiles && !b.full(); t++ {
+				for l := 0; l < tileLines && !b.full(); l++ {
 					// All warps of the block load the same tile lines: the
 					// interleaved issue makes the RD 1-4.
 					b.loadVec(0, lineAt(a[block], t*tileLines+l))
@@ -226,7 +226,7 @@ func gridGEMM(scale int) gridSpec {
 					b.compute(100, 7) // the k-loop multiply-accumulate
 				}
 			}
-			for l := 0; l < tileLines; l++ {
+			for l := 0; l < tileLines && !b.full(); l++ {
 				b.loadVec(2, lineAt(c, l))
 				b.storeVec(3, lineAt(c, l))
 			}
@@ -247,7 +247,7 @@ func gridBT(scale int) gridSpec {
 		build: func(b *wb, block, warp int) {
 			rng := seedFor(9, block, warp)
 			const queries = 10
-			for q := 0; q < queries; q++ {
+			for q := 0; q < queries && !b.full(); q++ {
 				b.loadVec(0, lineAt(inner[block], 0)) // root: RD ~1
 				b.loadVec(1, lineAt(inner[block], 1+rng.Intn(innerLines-1)))
 				b.loadGather(2, []addr.Addr{

@@ -68,6 +68,13 @@ func (b *wb) want() bool {
 	return true
 }
 
+// full reports that a chunk-mode build has emitted its window's last
+// instruction: nothing the closure emits from here on is materialized,
+// so its loops stop early. Every Fill restores the layout cursor from
+// the warp's snapshot, and the shape pass runs closures in full, so
+// stopping changes no window.
+func (b *wb) full() bool { return b.chunk != nil && b.n >= b.limit }
+
 // lanes returns an n-address slice for the instruction being built:
 // carved from the chunk arena in chunk mode (capped so later appends
 // can never scribble over it), freshly allocated in eager mode.
@@ -234,9 +241,11 @@ func grid(name string, blocks, warpsPerBlock int, build func(b *wb, block, warp 
 // therefore keeps an incremental shape pass — one layout-cursor
 // snapshot per warp, extended on demand — and every refill restores
 // the warp's snapshot and replays its closure in chunk mode, skipping
-// instructions outside the requested window. Replay work per refill is
-// one closure run (with O(1) skipped compute runs), traded for never
-// materializing the grid.
+// instructions before the requested window and stopping at its end
+// (wb.full). Replay work per refill is the closure run up to the
+// window's end (with O(1) skipped compute runs), traded for never
+// materializing the grid. Fill holds the stream's mutex throughout, so
+// concurrent fills of different windows take turns.
 type gridStream struct {
 	g   gridSpec
 	key string

@@ -207,7 +207,7 @@ func (s SynthSpec) gridSpec() gridSpec {
 		build: func(b *wb, block, warp int) {
 			r := seedFor(s.Seed, block, warp)
 			cursor := r.Intn(s.FootprintLines) // per-warp streaming position
-			for i := 0; i < s.MemInsnsPerWarp; i++ {
+			for i := 0; i < s.MemInsnsPerWarp && !b.full(); i++ {
 				if s.ComputeRun > 0 {
 					b.compute(0, s.ComputeRun)
 				}
