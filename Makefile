@@ -126,8 +126,8 @@ abpairs:
 # copies bench/ beside itself, adds a pprof init() to the copy (bench/
 # itself is never touched), builds it into .bench_build/, runs the
 # workload once and prints `go tool pprof -top`, flat and cumulative,
-# then the -inuse_space top of the heap profile written when the CPU
-# profile stops.
+# then the -inuse_space and alloc_space tops of the heap profile written
+# when the CPU profile stops.
 # Seed 1 unless SEED is given: seed 2 is for claims, not for looking.
 PROFILE_S ?= 6
 benchprof:

@@ -39,31 +39,41 @@ func (l *layout) array(lines int) addr.Addr {
 // closure in one of three modes, so the same closure serves eager
 // materialization, shape discovery, and lazy chunked streaming:
 //
-//   - eager (zero value): every instruction is appended to instrs with
-//     freshly allocated address slices — the original behavior, byte
-//     for byte.
 //   - shape (shape=true): nothing is materialized; only the running
-//     instruction count n (and the closure's own layout/PRNG side
-//     effects) advance.
+//     instruction count n, the lane-address count nlanes, and the
+//     closure's own layout/PRNG side effects advance (gridSpec.shape).
+//   - sized eager (chunk == nil, shape false): every instruction is
+//     appended to instrs, which Kernel allocates at the warp's shaped
+//     length, and every address slice is carved from slab, the warp's
+//     one lane arena sized to its shaped lane count — capped, so an
+//     append to one instruction's lanes can never write over the next
+//     one's. A warp is two allocations, whatever its length.
 //   - chunk (chunk != nil): only instructions whose index falls in
 //     [skip, limit) are materialized, into the chunk's backing arrays;
 //     everything else just advances n.
 type wb struct {
 	instrs []trace.Instr
+	slab   []addr.Addr
 
 	chunk       *trace.Chunk
 	skip, limit int
 	shape       bool
 	n           int // instructions emitted so far (all modes)
+	nlanes      int // lane addresses emitted so far (shape mode)
 }
 
-// want reports whether the current instruction must be materialized.
-func (b *wb) want() bool {
+// emits reports whether the memory instruction being built, with k
+// lanes, must be materialized. When it must not, the instruction only
+// advances the stream — and in shape mode its lanes are counted.
+func (b *wb) emits(k int) bool {
 	if b.shape {
+		b.n++
+		b.nlanes += k
 		return false
 	}
-	if b.chunk != nil {
-		return b.n >= b.skip && b.n < b.limit
+	if b.chunk != nil && (b.n < b.skip || b.n >= b.limit) {
+		b.n++
+		return false
 	}
 	return true
 }
@@ -75,16 +85,19 @@ func (b *wb) want() bool {
 // stopping changes no window.
 func (b *wb) full() bool { return b.chunk != nil && b.n >= b.limit }
 
-// lanes returns an n-address slice for the instruction being built:
-// carved from the chunk arena in chunk mode (capped so later appends
-// can never scribble over it), freshly allocated in eager mode.
+// lanes returns an n-address slice for the instruction being built,
+// capped so later appends can never scribble over a neighbor: carved
+// from the chunk arena in chunk mode, from the warp's slab in eager
+// mode.
 func (b *wb) lanes(n int) []addr.Addr {
 	if b.chunk != nil {
 		start := len(b.chunk.Addrs)
 		b.chunk.Addrs = append(b.chunk.Addrs, make([]addr.Addr, n)...)
 		return b.chunk.Addrs[start:len(b.chunk.Addrs):len(b.chunk.Addrs)]
 	}
-	return make([]addr.Addr, n)
+	a := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	return a
 }
 
 // push emits a materialized instruction and advances the stream.
@@ -125,8 +138,7 @@ func (b *wb) compute(pc uint32, n int) {
 // loadVec appends a fully coalesced load: 32 lanes reading consecutive
 // words starting at base (one cache line when line-aligned).
 func (b *wb) loadVec(pc uint32, base addr.Addr) {
-	if !b.want() {
-		b.n++
+	if !b.emits(warpLanes) {
 		return
 	}
 	addrs := b.lanes(warpLanes)
@@ -138,8 +150,7 @@ func (b *wb) loadVec(pc uint32, base addr.Addr) {
 
 // storeVec appends a fully coalesced store of one line.
 func (b *wb) storeVec(pc uint32, base addr.Addr) {
-	if !b.want() {
-		b.n++
+	if !b.emits(warpLanes) {
 		return
 	}
 	addrs := b.lanes(warpLanes)
@@ -153,8 +164,7 @@ func (b *wb) storeVec(pc uint32, base addr.Addr) {
 // consecutive cache lines starting at base — the partially coalesced
 // access pattern of column-major or structure-of-arrays code.
 func (b *wb) loadSpan(pc uint32, base addr.Addr, lines int) {
-	if !b.want() {
-		b.n++
+	if !b.emits(warpLanes) {
 		return
 	}
 	if lines < 1 {
@@ -175,8 +185,7 @@ func (b *wb) loadSpan(pc uint32, base addr.Addr, lines int) {
 // loadGather appends a load with one lane per given line address — the
 // fully diverged pattern of pointer-chasing and hash-table code.
 func (b *wb) loadGather(pc uint32, lines []addr.Addr) {
-	if !b.want() {
-		b.n++
+	if !b.emits(len(lines)) {
 		return
 	}
 	addrs := b.lanes(len(lines))
@@ -186,18 +195,12 @@ func (b *wb) loadGather(pc uint32, lines []addr.Addr) {
 
 // storeGather appends a store with one lane per given line address.
 func (b *wb) storeGather(pc uint32, lines []addr.Addr) {
-	if !b.want() {
-		b.n++
+	if !b.emits(len(lines)) {
 		return
 	}
 	addrs := b.lanes(len(lines))
 	copy(addrs, lines)
 	b.push(trace.NewStore(pc, addrs))
-}
-
-// trace finalizes the warp (eager mode).
-func (b *wb) trace() *trace.WarpTrace {
-	return &trace.WarpTrace{Instrs: b.instrs}
 }
 
 // gridSpec is a generator's deferred grid: the launch shape plus the
@@ -213,26 +216,37 @@ type gridSpec struct {
 	build  func(b *wb, block, warp int)
 }
 
-// Kernel materializes the whole grid eagerly — byte-identical to what
-// the pre-streaming generators produced.
-func (g gridSpec) Kernel() *trace.Kernel {
-	k := &trace.Kernel{Name: g.name}
-	for bi := 0; bi < g.blocks; bi++ {
-		blk := &trace.Block{}
-		for wi := 0; wi < g.warps; wi++ {
-			b := &wb{}
-			g.build(b, bi, wi)
-			blk.Warps = append(blk.Warps, b.trace())
-		}
-		k.Blocks = append(k.Blocks, blk)
-	}
-	return k
+// shape runs warp (block, warp)'s closure in shape mode from the layout
+// cursor's current position, leaving the cursor after the warp, and
+// returns the warp's instruction and lane-address counts. It is the one
+// shape pass: Kernel sizes each warp with it, and gridStream learns
+// each warp's layout snapshot and length from it.
+func (g gridSpec) shape(block, warp int) (n, lanes int) {
+	b := &wb{shape: true}
+	g.build(b, block, warp)
+	return b.n, b.nlanes
 }
 
-// grid assembles blocks x warpsPerBlock warps, where build(b, block,
-// warp) fills each warp's stream.
-func grid(name string, blocks, warpsPerBlock int, build func(b *wb, block, warp int)) *trace.Kernel {
-	return gridSpec{name: name, blocks: blocks, warps: warpsPerBlock, build: build}.Kernel()
+// Kernel materializes the whole grid eagerly — byte-identical to what
+// the pre-streaming generators produced. Each warp is shaped first,
+// then the layout cursor is rewound to the warp's snapshot and the warp
+// is built at its final size: its instructions in one allocation, all
+// its lane addresses in another.
+func (g gridSpec) Kernel() *trace.Kernel {
+	k := &trace.Kernel{Name: g.name, Blocks: make([]*trace.Block, g.blocks)}
+	for bi := range k.Blocks {
+		blk := &trace.Block{Warps: make([]*trace.WarpTrace, g.warps)}
+		for wi := range blk.Warps {
+			snap := g.mem.next
+			n, lanes := g.shape(bi, wi)
+			g.mem.next = snap
+			b := &wb{instrs: make([]trace.Instr, 0, n), slab: make([]addr.Addr, lanes)}
+			g.build(b, bi, wi)
+			blk.Warps[wi] = &trace.WarpTrace{Instrs: b.instrs}
+		}
+		k.Blocks[bi] = blk
+	}
+	return k
 }
 
 // gridStream serves a gridSpec lazily as a trace.Stream. Generators
@@ -258,12 +272,7 @@ type gridStream struct {
 // newGridStream wraps g; key is the stream's cache identity, its
 // SpecKey.
 func newGridStream(g gridSpec, key string) *gridStream {
-	s := &gridStream{g: g, key: key}
-	if g.mem == nil {
-		s.g.mem = &layout{}
-	}
-	s.snaps = append(s.snaps, s.g.mem.next)
-	return s
+	return &gridStream{g: g, key: key, snaps: []uint64{g.mem.next}}
 }
 
 func (s *gridStream) Name() string        { return s.g.name }
@@ -272,15 +281,13 @@ func (s *gridStream) Warps(block int) int { return s.g.warps }
 func (s *gridStream) SpecKey() string     { return s.key }
 
 // ensureShaped extends the shape pass through global warp index idx,
-// running build closures in shape mode (layout and PRNG side effects
-// only) to learn each warp's layout snapshot and instruction count.
+// learning each warp's layout snapshot and instruction count.
 func (s *gridStream) ensureShaped(idx int) {
 	for len(s.counts) <= idx {
 		i := len(s.counts)
 		s.g.mem.next = s.snaps[i]
-		b := &wb{shape: true}
-		s.g.build(b, i/s.g.warps, i%s.g.warps)
-		s.counts = append(s.counts, b.n)
+		n, _ := s.g.shape(i/s.g.warps, i%s.g.warps)
+		s.counts = append(s.counts, n)
 		s.snaps = append(s.snaps, s.g.mem.next)
 	}
 }

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -252,18 +254,73 @@ func TestSummariesReasonable(t *testing.T) {
 }
 
 func TestLoadSpanClamps(t *testing.T) {
-	b := &wb{}
-	b.loadSpan(0, 0, 0)  // clamps to 1
-	b.loadSpan(1, 0, 64) // clamps to 32
-	k := &trace.Kernel{Name: "x", Blocks: []*trace.Block{{Warps: []*trace.WarpTrace{b.trace()}}}}
+	k := gridSpec{name: "x", blocks: 1, warps: 1, mem: &layout{}, build: func(b *wb, _, _ int) {
+		b.loadSpan(0, 0, 0)  // clamps to 1
+		b.loadSpan(1, 0, 64) // clamps to 32
+	}}.Kernel()
 	if err := k.Validate(32); err != nil {
 		t.Fatalf("clamped spans invalid: %v", err)
 	}
-	if got := len(b.instrs[0].CoalescedLines(128)); got != 1 {
+	instrs := k.Blocks[0].Warps[0].Instrs
+	if got := len(instrs[0].CoalescedLines(128)); got != 1 {
 		t.Errorf("span 0 coalesced to %d lines", got)
 	}
-	if got := len(b.instrs[1].CoalescedLines(128)); got != 32 {
+	if got := len(instrs[1].CoalescedLines(128)); got != 32 {
 		t.Errorf("span 64 coalesced to %d lines, want 32", got)
+	}
+}
+
+// maxAllocsPerWarp bounds eager generation's heap allocations per warp.
+// A sized build costs a handful (the warp's instructions, its lane
+// slab, its WarpTrace, the closures' own per-warp state); growing the
+// instruction slice or allocating lanes per instruction costs hundreds.
+const maxAllocsPerWarp = 8
+
+// TestEagerWarpsBuiltAtFinalSize pins the sized eager build: every warp
+// of every registry app and of a gather-heavy synth spec is allocated at
+// its final length, every memory instruction's lanes are capped at
+// their length (a capped sub-slice of the warp's slab: an append to one
+// never writes over its neighbor), and generation allocates a small
+// constant per warp, not per instruction.
+func TestEagerWarpsBuiltAtFinalSize(t *testing.T) {
+	gather := SynthSpec{
+		Name: "gather", Seed: 3, Blocks: 4, WarpsPerBlock: 8, MemInsnsPerWarp: 256, ComputeRun: 1,
+		FootprintLines: 4096, StorePct: 25, GatherPct: 80, StreamPct: 10, StridePct: 10,
+	}
+	kernels := map[string]func() *trace.Kernel{gather.Name: gather.Kernel}
+	names := []string{gather.Name}
+	for _, s := range All() {
+		kernels[s.Abbr] = s.Generate
+		names = append(names, s.Abbr)
+	}
+	for _, name := range names {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		k := kernels[name]()
+		runtime.ReadMemStats(&m1)
+		warps, instrs := 0, 0
+		var slack error // the kernel's first oversized slice
+		for _, blk := range k.Blocks {
+			for _, w := range blk.Warps {
+				if len(w.Instrs) != cap(w.Instrs) && slack == nil {
+					slack = fmt.Errorf("warp %d: %d instructions in capacity %d", warps, len(w.Instrs), cap(w.Instrs))
+				}
+				for i := range w.Instrs {
+					if a := w.Instrs[i].Addrs; cap(a) != len(a) && slack == nil {
+						slack = fmt.Errorf("warp %d insn %d: %d lanes in capacity %d", warps, i, len(a), cap(a))
+					}
+				}
+				warps++
+				instrs += len(w.Instrs)
+			}
+		}
+		if slack != nil {
+			t.Errorf("%s: %v", name, slack)
+		}
+		if allocs := m1.Mallocs - m0.Mallocs; allocs > uint64(maxAllocsPerWarp*warps) {
+			t.Errorf("%s: generating %d warps (%d instructions) made %d allocations, want at most %d per warp",
+				name, warps, instrs, allocs, maxAllocsPerWarp)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@
 # built into .bench_build/ and deleted, the workload runs once, and
 # `go tool pprof -top` is printed flat and cumulative. When the CPU
 # profile stops, the copy also collects garbage and writes a heap
-# profile; its -inuse_space top 15 is where the live set is.
+# profile; its -inuse_space top 15 is where the live set is, and its
+# -sample_index=alloc_space top 15 is where the window allocated (a
+# set-up cost can be all allocation and leave nothing live).
 #
 #   scripts/benchprof.sh <workload> [seed] [profile-seconds]
 #
@@ -100,4 +102,6 @@ echo "== cumulative =="
 go tool pprof -top -cum -nodecount=40 "$bin" "$prof" 2>/dev/null
 echo "== live heap (inuse_space) =="
 go tool pprof -top -inuse_space -nodecount=15 "$bin" "$heap" 2>/dev/null
+echo "== allocated in the window (alloc_space) =="
+go tool pprof -top -sample_index=alloc_space -nodecount=15 "$bin" "$heap" 2>/dev/null
 echo "kept: $bin $prof $heap"
