@@ -76,7 +76,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	rc := conform.RunConfig{Timeout: *timeout, Update: *update}
+	// One runner for the whole corpus, -j slots wide: each slot runs its
+	// cases' variants on the machine its last variant left, whatever that
+	// one's config and policy, so the replay also checks that a reset
+	// machine equals a new one. -j 1 replays every case on one machine.
+	rc := conform.RunConfig{Runner: conform.NewRunner(*jobs, *timeout), Update: *update}
 
 	// Run cases in parallel, but print results in corpus order so the
 	// report is stable at any -j.

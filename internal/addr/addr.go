@@ -35,40 +35,43 @@ const (
 	HashIndex
 )
 
-// NewPartitionedMapper builds a Mapper for one slice of a cache whose
-// lines are interleaved across `partitions` memory partitions: the slice
-// sees every partitions-th line, so its set index is computed from
-// lineID/partitions. Without this, a partition count that shares factors
-// with the set count would leave most sets unreachable.
-func NewPartitionedMapper(lineSize, numSets int, kind IndexKind, partitions int) (*Mapper, error) {
-	if partitions <= 0 {
-		return nil, fmt.Errorf("addr: partition count %d must be positive", partitions)
-	}
-	m, err := NewMapper(lineSize, numSets, kind)
-	if err != nil {
+// NewMapper builds a Mapper. lineSize and numSets must be powers of two.
+func NewMapper(lineSize, numSets int, kind IndexKind) (*Mapper, error) {
+	m := &Mapper{}
+	if err := m.Reset(lineSize, numSets, kind, 0); err != nil {
 		return nil, err
 	}
-	m.partitions = uint64(partitions)
 	return m, nil
 }
 
-// NewMapper builds a Mapper. lineSize and numSets must be powers of two.
-func NewMapper(lineSize, numSets int, kind IndexKind) (*Mapper, error) {
+// Reset re-initialises m in place for the given geometry. A positive
+// partitions makes m the mapper of one slice of a cache whose lines are
+// interleaved across that many memory partitions: the slice sees every
+// partitions-th line, so its set index is computed from
+// lineID/partitions. Without this, a partition count that shares
+// factors with the set count would leave most sets unreachable. Zero
+// means a cache that is not interleaved. On an error m is left as it
+// was.
+func (m *Mapper) Reset(lineSize, numSets int, kind IndexKind, partitions int) error {
 	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("addr: line size %d is not a positive power of two", lineSize)
+		return fmt.Errorf("addr: line size %d is not a positive power of two", lineSize)
 	}
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		return nil, fmt.Errorf("addr: set count %d is not a positive power of two", numSets)
+		return fmt.Errorf("addr: set count %d is not a positive power of two", numSets)
 	}
-	m := &Mapper{
-		lineSize:  uint64(lineSize),
-		numSets:   uint64(numSets),
-		lineShift: log2(uint64(lineSize)),
-		setMask:   uint64(numSets) - 1,
-		hashedIdx: kind == HashIndex,
+	if partitions < 0 {
+		return fmt.Errorf("addr: partition count %d is negative", partitions)
 	}
-	m.setShift = log2(uint64(numSets))
-	return m, nil
+	*m = Mapper{
+		lineSize:   uint64(lineSize),
+		numSets:    uint64(numSets),
+		lineShift:  log2(uint64(lineSize)),
+		setShift:   log2(uint64(numSets)),
+		setMask:    uint64(numSets) - 1,
+		hashedIdx:  kind == HashIndex,
+		partitions: uint64(partitions),
+	}
+	return nil
 }
 
 // MustMapper is NewMapper but panics on invalid geometry. It is intended

@@ -37,16 +37,32 @@ type MSHR struct {
 // NewMSHR builds an MSHR file with maxEntries entries, each accepting up
 // to maxMerges merged requests (including the original).
 func NewMSHR(maxEntries, maxMerges int) *MSHR {
+	m := &MSHR{}
+	m.Reset(maxEntries, maxMerges)
+	return m
+}
+
+// Reset empties the file and re-sizes it to maxEntries entries of up to
+// maxMerges requests. Live entries go to the free list with their request
+// references dropped; the bucket table is kept when it has the size the
+// new geometry needs.
+func (m *MSHR) Reset(maxEntries, maxMerges int) {
 	if maxEntries <= 0 || maxMerges <= 0 {
 		panic(fmt.Sprintf("cache: invalid MSHR geometry %d/%d", maxEntries, maxMerges))
 	}
-	log := bits.Len(uint(2*maxEntries - 1))
-	return &MSHR{
-		maxEntries: maxEntries,
-		maxMerges:  maxMerges,
-		table:      make([]*MSHREntry, 1<<log),
-		shift:      uint(64 - log),
+	for i, e := range m.table {
+		if e != nil {
+			m.table[i] = nil
+			m.Recycle(e)
+		}
 	}
+	log := bits.Len(uint(2*maxEntries - 1))
+	if len(m.table) != 1<<log {
+		m.table = make([]*MSHREntry, 1<<log)
+	}
+	m.maxEntries, m.maxMerges = maxEntries, maxMerges
+	m.shift = uint(64 - log)
+	m.size = 0
 }
 
 // home is lineAddr's first bucket. Line addresses differ in a few middle
@@ -162,7 +178,17 @@ type FIFO struct {
 
 // NewFIFO builds a queue holding at most max requests; max <= 0 means
 // unbounded.
-func NewFIFO(max int) *FIFO { return &FIFO{max: max} }
+func NewFIFO(max int) *FIFO {
+	q := &FIFO{}
+	q.Reset(max)
+	return q
+}
+
+// Reset empties the queue, keeping its buffer, and bounds it to max.
+func (q *FIFO) Reset(max int) {
+	q.max = max
+	q.q.Reset()
+}
 
 // Full reports whether Push would fail.
 func (q *FIFO) Full() bool { return q.max > 0 && q.q.Len() >= q.max }

@@ -42,22 +42,42 @@ type Line struct {
 type TagArray struct {
 	mapper *addr.Mapper
 	ways   int
-	sets   [][]Line
+	sets   [][]Line // cut from lines, ways apiece
+	lines  []Line
 	clock  uint64
 }
 
 // NewTagArray builds a tag array over the given mapper with ways
 // associativity.
 func NewTagArray(m *addr.Mapper, ways int) *TagArray {
+	t := &TagArray{}
+	t.Reset(m, ways)
+	return t
+}
+
+// Reset re-initialises the array over m with ways associativity: every
+// line invalid, the LRU clock at zero. The line storage is kept when it
+// is large enough and grown when it is not.
+func (t *TagArray) Reset(m *addr.Mapper, ways int) {
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: non-positive associativity %d", ways))
 	}
-	sets := make([][]Line, m.NumSets())
-	backing := make([]Line, m.NumSets()*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
+	n := m.NumSets()
+	if cap(t.lines) < n*ways {
+		t.lines = make([]Line, n*ways)
+	} else {
+		t.lines = t.lines[:n*ways]
+		clear(t.lines)
 	}
-	return &TagArray{mapper: m, ways: ways, sets: sets}
+	backing := t.lines
+	if cap(t.sets) < n {
+		t.sets = make([][]Line, n)
+	}
+	t.sets = t.sets[:n]
+	for i := range t.sets {
+		t.sets[i], backing = backing[:ways:ways], backing[ways:]
+	}
+	t.mapper, t.ways, t.clock = m, ways, 0
 }
 
 // Ways returns the associativity.

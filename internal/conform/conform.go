@@ -398,18 +398,29 @@ type Result struct {
 
 // RunConfig tunes case execution.
 type RunConfig struct {
-	// Timeout bounds each variant's wall clock; 0 means no deadline.
-	Timeout time.Duration
+	// Runner runs the variants (see NewRunner). Cases that share it share
+	// its machines: every slot resets the machine the job before it left,
+	// whatever that job's config and policy, so a corpus replayed through
+	// one runner also checks that a reset machine equals a new one.
+	Runner *runner.Runner
 	// Update rewrites expected_stats.json from the reference run
 	// instead of comparing, provided every variant agrees.
 	Update bool
 }
 
-// Run executes the case's full variant matrix and returns its verdict.
+// NewRunner is the runner conformance cases run their variants on:
+// workers slots, the sampled invariant sweeps on, timeout bounding each
+// variant's wall clock (0: none).
+func NewRunner(workers int, timeout time.Duration) *runner.Runner {
+	return &runner.Runner{Workers: workers, Timeout: timeout, SelfCheck: true}
+}
+
+// Run executes the case's full variant matrix on rc.Runner and returns
+// its verdict.
 func (c *Case) Run(ctx context.Context, rc RunConfig) *Result {
 	res := &Result{Case: c, Outcome: Pass}
 	variants := c.Spec.Variants()
-	d, err := RunDifferential(ctx, c.Spec, variants, c.Name, rc.Timeout)
+	d, err := RunDifferential(ctx, rc.Runner, c.Spec, variants, c.Name)
 	if err != nil {
 		res.Outcome, res.Err = BadCase, err
 		return res
@@ -459,13 +470,12 @@ type Differential struct {
 }
 
 // RunDifferential builds sp and runs variants one after another, each as
-// its own job of a one-worker runner with the sampled invariant sweeps
-// on, timeout bounding each; label prefixes the job labels. It stops at
-// the first variant that fails, and otherwise reports the first whose
-// stats differ from the reference's. The error is Build's or
-// BuildStream's: the spec did not resolve into a runnable point, and
-// nothing ran.
-func RunDifferential(ctx context.Context, sp *Spec, variants []Variant, label string, timeout time.Duration) (*Differential, error) {
+// its own job of r (normally a NewRunner); label prefixes the job
+// labels. It stops at the first variant that fails, and otherwise
+// reports the first whose stats differ from the reference's. The error
+// is Build's or BuildStream's: the spec did not resolve into a runnable
+// point, and nothing ran.
+func RunDifferential(ctx context.Context, r *runner.Runner, sp *Spec, variants []Variant, label string) (*Differential, error) {
 	cfg, pol, kernel, err := sp.Build()
 	if err != nil {
 		return nil, err
@@ -480,7 +490,6 @@ func RunDifferential(ctx context.Context, sp *Spec, variants []Variant, label st
 		}
 	}
 	d := &Differential{}
-	r := &runner.Runner{Workers: 1, Timeout: timeout, SelfCheck: true}
 	for i, v := range variants {
 		job := runner.Job{
 			Label:  fmt.Sprintf("%s[%s]", label, v.Name),

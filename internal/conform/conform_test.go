@@ -45,7 +45,7 @@ func writeTestCase(t *testing.T, root, name string, sp *Spec) *Case {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Run(context.Background(), RunConfig{Timeout: time.Minute, Update: true})
+	res := c.Run(context.Background(), RunConfig{Runner: NewRunner(1, time.Minute), Update: true})
 	if res.Outcome != Updated {
 		t.Fatalf("update run: outcome %s, err %v, variant %q", res.Outcome, res.Err, res.Variant)
 	}
@@ -56,7 +56,7 @@ func TestCaseRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	c := writeTestCase(t, root, "tiny", tinySpec())
 
-	res := c.Run(context.Background(), RunConfig{Timeout: time.Minute})
+	res := c.Run(context.Background(), RunConfig{Runner: NewRunner(1, time.Minute)})
 	if res.Outcome != Pass {
 		t.Fatalf("fresh expectation did not pass: %s (err %v, variant %q)\n%s",
 			res.Outcome, res.Err, res.Variant, res.Diff)
@@ -144,7 +144,7 @@ func TestPerturbedExpectationIsDrift(t *testing.T) {
 	if err := faultinject.CorruptFileDigit(filepath.Join(c.Dir, ExpectedFile)); err != nil {
 		t.Fatal(err)
 	}
-	res := c.Run(context.Background(), RunConfig{Timeout: time.Minute})
+	res := c.Run(context.Background(), RunConfig{Runner: NewRunner(1, time.Minute)})
 	if res.Outcome != Drift {
 		t.Fatalf("outcome %s, want Drift (err %v)", res.Outcome, res.Err)
 	}
@@ -179,7 +179,7 @@ func TestDamagedExpectationIsCorruptNotDrift(t *testing.T) {
 			if err := hurt(filepath.Join(c.Dir, ExpectedFile)); err != nil {
 				t.Fatal(err)
 			}
-			res := c.Run(context.Background(), RunConfig{Timeout: time.Minute})
+			res := c.Run(context.Background(), RunConfig{Runner: NewRunner(1, time.Minute)})
 			if res.Outcome != CorruptExpected {
 				t.Fatalf("outcome %s, want CorruptExpected (err %v)", res.Outcome, res.Err)
 			}

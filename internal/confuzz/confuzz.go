@@ -498,7 +498,7 @@ func evaluate(ctx context.Context, sp *conform.Spec, opts Options) (out evalResu
 		}
 	}()
 	variants := sp.Variants()
-	d, err := conform.RunDifferential(ctx, sp, variants, "fuzz", opts.Timeout)
+	d, err := conform.RunDifferential(ctx, conform.NewRunner(1, opts.Timeout), sp, variants, "fuzz")
 	if err != nil {
 		var cerr *config.Error
 		if errors.As(err, &cerr) {

@@ -209,7 +209,7 @@ func TestInjectedBugFoundShrunkAndReproduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cs.Run(context.Background(), conform.RunConfig{Timeout: time.Minute})
+	res := cs.Run(context.Background(), conform.RunConfig{Runner: conform.NewRunner(1, time.Minute)})
 	if !res.Outcome.Failed() {
 		t.Fatalf("conform replay of reproducer passed (outcome %s)", res.Outcome)
 	}

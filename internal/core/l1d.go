@@ -37,6 +37,9 @@ type L1D struct {
 	// copied out of its registry entry when the cache is built.
 	pol      policy.Policy
 	eligible func(*cache.Line) bool
+	// host is what the scheme sees of the cache; it lives here so a
+	// reset policy keeps the pointer it was built with.
+	host policy.Host
 
 	st   *stats.Stats
 	seen lineSet // line IDs ever requested, for compulsory-miss accounting
@@ -67,39 +70,62 @@ type hitResponse struct {
 // policy name must be registered (sim.New validates it up front); an
 // unknown name here is a programming error and panics.
 func NewL1D(cfg *config.Config, pol config.Policy, deliver func(*mem.Request)) *L1D {
-	kind := addr.LinearIndex
-	if cfg.L1D.Hashed {
-		kind = addr.HashIndex
-	}
-	m := addr.MustMapper(cfg.L1D.LineSize, cfg.L1D.Sets, kind)
 	c := &L1D{
-		cfg:     cfg,
-		policy:  pol,
-		mapper:  m,
-		ta:      cache.NewTagArray(m, cfg.L1D.Ways),
-		mshr:    cache.NewMSHR(cfg.L1DMSHRs, cfg.L1DMSHRMerges),
-		missQ:   cache.NewFIFO(cfg.L1DMissQueue),
-		bypsQ:   cache.NewFIFO(0),
+		mapper:  &addr.Mapper{},
+		ta:      &cache.TagArray{},
+		mshr:    &cache.MSHR{},
+		missQ:   &cache.FIFO{},
+		bypsQ:   &cache.FIFO{},
 		st:      &stats.Stats{},
 		deliver: deliver,
 	}
-	host := &policy.Host{
-		Cfg:    cfg,
-		Mapper: m,
-		Tags:   c.ta,
-		Stats:  c.st,
-		Now:    func() uint64 { return c.now },
-	}
+	c.host.Now = func() uint64 { return c.now }
+	c.Reset(cfg, pol)
+	return c
+}
+
+// Reset re-initialises the cache for a new run on cfg under pol, as
+// NewL1D leaves it: every line invalid, the queues empty, the counters,
+// the clock and the park token at zero, no line ever seen. The tag
+// array, MSHRs, queues and line set keep their storage, growing it
+// where cfg asks for more. The scheme keeps its own (VTA, PDPT, sampler)
+// when pol is the policy the cache last ran and it is a
+// policy.Resetter; otherwise it is built anew.
+func (c *L1D) Reset(cfg *config.Config, pol config.Policy) {
 	sp, ok := policy.Lookup(pol)
 	if !ok {
 		panic(fmt.Sprintf("core: %q is not a registered policy (want %s)", pol, policy.Usage()))
 	}
-	c.pol = sp.New(host)
-	c.onBlocked = sp.Blocked
-	if sp.Eligible != nil {
-		c.eligible = sp.Eligible(host)
+	kind := addr.LinearIndex
+	if cfg.L1D.Hashed {
+		kind = addr.HashIndex
 	}
-	return c
+	if err := c.mapper.Reset(cfg.L1D.LineSize, cfg.L1D.Sets, kind, 0); err != nil {
+		panic(err)
+	}
+	c.cfg = cfg
+	c.ta.Reset(c.mapper, cfg.L1D.Ways)
+	c.mshr.Reset(cfg.L1DMSHRs, cfg.L1DMSHRMerges)
+	c.missQ.Reset(cfg.L1DMissQueue)
+	c.bypsQ.Reset(0)
+	c.hitQ.Reset()
+	c.seen.reset()
+	*c.st = stats.Stats{}
+	c.now, c.epoch = 0, 0
+
+	c.host.Cfg = cfg
+	c.host.Mapper, c.host.Tags, c.host.Stats = c.mapper, c.ta, c.st
+	if r, ok := c.pol.(policy.Resetter); ok && c.policy == pol {
+		r.Reset(&c.host)
+	} else {
+		c.pol = sp.New(&c.host)
+	}
+	c.policy = pol
+	c.onBlocked = sp.Blocked
+	c.eligible = nil
+	if sp.Eligible != nil {
+		c.eligible = sp.Eligible(&c.host)
+	}
 }
 
 // Stats returns the cache's counters.

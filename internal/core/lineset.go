@@ -12,6 +12,7 @@ package core
 type lineSet struct {
 	buckets []pageBucket // len is zero or a power of two, at most half full
 	n       int          // pages
+	spare   []*linePage  // pages of an earlier run, zeroed when taken
 }
 
 // pageBucket is one table entry; key is the page number plus one, so
@@ -49,7 +50,7 @@ func (s *lineSet) add(id uint64) bool {
 	}
 	b := s.bucket(id>>linePageShift + 1)
 	if b.key == 0 {
-		b.key, b.page = id>>linePageShift+1, new(linePage)
+		b.key, b.page = id>>linePageShift+1, s.newPage()
 		s.n++
 	}
 	word, bit := &b.page[id>>6&(uint64(len(b.page))-1)], uint64(1)<<(id&63)
@@ -58,4 +59,40 @@ func (s *lineSet) add(id uint64) bool {
 	}
 	*word |= bit
 	return true
+}
+
+// newPage returns an empty page, a spare one when there is one.
+func (s *lineSet) newPage() *linePage {
+	n := len(s.spare)
+	if n == 0 {
+		return new(linePage)
+	}
+	p := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	*p = linePage{}
+	return p
+}
+
+// maxSparePages bounds the pages a reset keeps (a Table 2 app touches
+// one to three), and the table with them: a run over a far wider address
+// space does not leave its footprint behind for good.
+const maxSparePages = 8
+
+// reset empties the set. The table keeps its size and up to
+// maxSparePages pages become spares, so a cache that runs again touches
+// the same footprint without allocating it again.
+func (s *lineSet) reset() {
+	for i := range s.buckets {
+		if b := &s.buckets[i]; b.key != 0 {
+			if len(s.spare) < maxSparePages {
+				s.spare = append(s.spare, b.page)
+			}
+			*b = pageBucket{}
+		}
+	}
+	if len(s.buckets) > 2*maxSparePages {
+		s.buckets = nil
+	}
+	s.n = 0
 }

@@ -51,3 +51,23 @@ func TestL1DOwnsNoLinePagesUntilFirstMiss(t *testing.T) {
 		t.Errorf("after one miss: %d pages, %d compulsory; want 1 and 1", c.seen.n, c.Stats().L1DCompulsory)
 	}
 }
+
+// TestLineSetResetKeepsFewPages: a reset keeps at most maxSparePages
+// pages and a table no wider than they need, however many pages the run
+// before it touched, and the set it leaves is empty.
+func TestLineSetResetKeepsFewPages(t *testing.T) {
+	var s lineSet
+	for p := uint64(0); p < 64; p++ {
+		s.add(p << linePageShift)
+	}
+	s.reset()
+	if len(s.spare) > maxSparePages || len(s.buckets) > 2*maxSparePages {
+		t.Errorf("after a 64-page run a reset kept %d pages and %d buckets; want at most %d and %d",
+			len(s.spare), len(s.buckets), maxSparePages, 2*maxSparePages)
+	}
+	for p := uint64(0); p < 64; p++ {
+		if !s.add(p << linePageShift) {
+			t.Fatalf("line %#x still present after a reset", p<<linePageShift)
+		}
+	}
+}

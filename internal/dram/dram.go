@@ -6,7 +6,11 @@
 // memory 924 MHz).
 package dram
 
-import "repro/internal/addr"
+import (
+	"slices"
+
+	"repro/internal/addr"
+)
 
 // linesPerRow is the number of consecutive cache lines mapped to one DRAM
 // row (2KB rows of 128B lines).
@@ -37,12 +41,23 @@ type Channel struct {
 // interleave-th line, so bank and row selection strip that factor first
 // (otherwise every line of one partition would land in the same bank).
 func New(banks, rowHit, rowMiss, busCycles, coreClockMHz, memClockMHz, interleave int) *Channel {
+	c := &Channel{}
+	c.Reset(banks, rowHit, rowMiss, busCycles, coreClockMHz, memClockMHz, interleave)
+	return c
+}
+
+// Reset re-initialises the channel with New's parameters: every bank
+// idle with no row open, the bus free. The bank array is kept when it is
+// large enough.
+func (c *Channel) Reset(banks, rowHit, rowMiss, busCycles, coreClockMHz, memClockMHz, interleave int) {
 	if banks <= 0 || rowHit <= 0 || rowMiss <= 0 || busCycles <= 0 ||
 		coreClockMHz <= 0 || memClockMHz <= 0 || interleave <= 0 {
 		panic("dram: invalid parameters")
 	}
-	return &Channel{
-		banks:        make([]bank, banks),
+	b := slices.Grow(c.banks[:0], banks)[:banks]
+	clear(b)
+	*c = Channel{
+		banks:        b,
 		rowHit:       uint64(rowHit),
 		rowMiss:      uint64(rowMiss),
 		busCycles:    uint64(busCycles),

@@ -58,20 +58,28 @@ type Network struct {
 
 // New builds a network with the given one-way latency (cycles), per-cycle
 // per-direction flit bandwidth, flit size and cache line size (bytes).
+// Its flits are counted into st.
 func New(latency, bandwidth, flitBytes, lineSize int, st *stats.Stats) *Network {
+	n := &Network{st: st}
+	n.Reset(latency, bandwidth, flitBytes, lineSize)
+	return n
+}
+
+// Reset empties both directions, keeping their queues' buffers, and
+// re-parameterises the network as New does. The stats are the caller's
+// and are left alone.
+func (n *Network) Reset(latency, bandwidth, flitBytes, lineSize int) {
 	if latency < 0 || bandwidth <= 0 || flitBytes <= 0 || lineSize <= 0 {
 		panic("interconnect: invalid parameters")
 	}
-	n := &Network{
-		latency:   uint64(latency),
-		bandwidth: bandwidth,
-		flitBytes: flitBytes,
-		lineSize:  lineSize,
-		st:        st,
+	n.latency, n.bandwidth, n.flitBytes, n.lineSize = uint64(latency), bandwidth, flitBytes, lineSize
+	n.now = 0
+	for d := range n.dirs {
+		dir := &n.dirs[d]
+		dir.waiting.Reset()
+		dir.inFlight.Reset()
+		dir.budget, dir.sent = bandwidth, 0
 	}
-	n.dirs[ToMem].budget = bandwidth
-	n.dirs[ToCore].budget = bandwidth
-	return n
 }
 
 // FlitsFor returns the flit count of a packet: one header/control flit,

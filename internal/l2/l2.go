@@ -6,6 +6,7 @@ package l2
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -126,29 +127,53 @@ type Partition struct {
 // New builds a partition from the configuration. pool, which may be
 // nil, recycles the store requests the partition consumes.
 func New(cfg *config.Config, st *stats.Stats, pool *mem.Pool) *Partition {
+	p := &Partition{
+		ta:     &cache.TagArray{},
+		mapper: &addr.Mapper{},
+		dram:   &dram.Channel{},
+		st:     st,
+		pool:   pool,
+	}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset re-initialises the partition for a new run on cfg: every line
+// invalid, every queue empty, no MSHR live, the clock and the event
+// sequence at zero, the DRAM channel idle. Its stats are the caller's
+// and are left alone. Storage is kept, and grown where cfg asks for
+// more; the waiter lists of fetches a run left outstanding become free
+// lists again, their request references dropped.
+func (p *Partition) Reset(cfg *config.Config) {
 	kind := addr.LinearIndex
 	if cfg.L2.Hashed {
 		kind = addr.HashIndex
 	}
-	m, err := addr.NewPartitionedMapper(cfg.L2.LineSize, cfg.L2.Sets, kind, cfg.NumPartitions)
-	if err != nil {
+	if err := p.mapper.Reset(cfg.L2.LineSize, cfg.L2.Sets, kind, cfg.NumPartitions); err != nil {
 		panic(err)
 	}
-	mshrOf := make([]int32, m.NumSets()*cfg.L2.Ways)
-	for i := range mshrOf {
-		mshrOf[i] = -1
+	p.ta.Reset(p.mapper, cfg.L2.Ways)
+	n := p.mapper.NumSets() * cfg.L2.Ways
+	p.mshrOf = slices.Grow(p.mshrOf[:0], n)[:n]
+	for i := range p.mshrOf {
+		p.mshrOf[i] = -1
 	}
-	return &Partition{
-		ta:       cache.NewTagArray(m, cfg.L2.Ways),
-		mapper:   m,
-		mshrOf:   mshrOf,
-		maxMSHRs: cfg.L2MSHRs,
-		dram: dram.New(cfg.DRAMBanks, cfg.DRAMRowHit, cfg.DRAMRowMiss,
-			cfg.DRAMBusCycles, cfg.CoreClockMHz, cfg.MemClockMHz, cfg.NumPartitions),
-		hitLatency: uint64(cfg.L2HitLatency),
-		st:         st,
-		pool:       pool,
+	p.freeMSHRs = p.freeMSHRs[:0]
+	for m, w := range p.waiters {
+		clear(w)
+		p.waiters[m] = w[:0]
+		p.freeMSHRs = append(p.freeMSHRs, int32(m))
 	}
+	p.maxMSHRs = cfg.L2MSHRs
+	p.inQ.Reset()
+	p.hits.Reset()
+	clear(p.fills)
+	p.fills = p.fills[:0]
+	p.responses.Reset()
+	p.dram.Reset(cfg.DRAMBanks, cfg.DRAMRowHit, cfg.DRAMRowMiss,
+		cfg.DRAMBusCycles, cfg.CoreClockMHz, cfg.MemClockMHz, cfg.NumPartitions)
+	p.hitLatency = uint64(cfg.L2HitLatency)
+	p.now, p.seq, p.parked = 0, 0, false
 }
 
 // Enqueue accepts a request delivered by the interconnect.

@@ -14,6 +14,11 @@ package mem
 // pooling.
 type Pool struct {
 	free []*Request
+	// spare holds the requests of earlier runs (see Reset). Get reaches
+	// for them only when free is empty, where a fresh pool would
+	// allocate, so free — the pool.free metric column — moves exactly as
+	// it does in a fresh pool.
+	spare []*Request
 }
 
 // NewPool returns an empty pool.
@@ -21,15 +26,31 @@ func NewPool() *Pool { return &Pool{} }
 
 // Get returns a zeroed Request, reusing a recycled one when available.
 func (p *Pool) Get() *Request {
-	if p == nil || len(p.free) == 0 {
+	if p == nil {
 		return new(Request)
 	}
-	n := len(p.free) - 1
-	r := p.free[n]
-	p.free[n] = nil
-	p.free = p.free[:n]
+	list := &p.free
+	if len(p.free) == 0 {
+		if len(p.spare) == 0 {
+			return new(Request)
+		}
+		list = &p.spare
+	}
+	n := len(*list) - 1
+	r := (*list)[n]
+	(*list)[n] = nil
+	*list = (*list)[:n]
 	*r = Request{}
 	return r
+}
+
+// Reset starts the pool over for a new run: the free list is empty, as
+// in a new pool, and what it held is kept aside for Get. Requests a run
+// left in flight are not the pool's and are not recovered.
+func (p *Pool) Reset() {
+	p.spare = append(p.spare, p.free...)
+	clear(p.free)
+	p.free = p.free[:0]
 }
 
 // Put recycles a Request whose lifetime has ended. The caller must hold

@@ -19,7 +19,10 @@
 //     boundary.
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DefaultEvery is the sampling period, in cycles, used when a Config
 // does not specify one. It matches the engine's context-check stride so
@@ -84,6 +87,14 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// Reset empties the registry and unseals it for a new round of
+// registration, keeping its buffers.
+func (r *Registry) Reset() {
+	clear(r.names)
+	clear(r.src)
+	r.names, r.src, r.row, r.sealed = r.names[:0], r.src[:0], r.row[:0], false
+}
+
 func (r *Registry) add(name string, s source) {
 	if r.sealed {
 		panic("metrics: registration after Seal")
@@ -135,7 +146,7 @@ func (r *Registry) IntGauge(name string, fn func() int) {
 // must be called before Sample; further registration panics.
 func (r *Registry) Seal() {
 	r.sealed = true
-	r.row = make([]uint64, len(r.src))
+	r.row = slices.Grow(r.row[:0], len(r.src))[:len(r.src)]
 }
 
 // Names returns the registered metric names in registration order. The

@@ -28,7 +28,14 @@ type ata struct {
 }
 
 func newATA(h *Host) *ata {
-	return &ata{h: h, tags: NewVTA(h.Cfg.L1D.Sets, h.Cfg.ATAWays)}
+	p := &ata{tags: &VTA{}}
+	p.Reset(h)
+	return p
+}
+
+func (p *ata) Reset(h *Host) {
+	p.h, p.admits, p.firstTouch = h, 0, 0
+	p.tags.Reset(h.Cfg.L1D.Sets, h.Cfg.ATAWays)
 }
 
 // Admit consults and trains the aggregated array: a miss whose tag is

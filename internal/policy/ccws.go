@@ -33,16 +33,18 @@ type ccws struct {
 }
 
 func newCCWS(h *Host) *ccws {
+	p := &ccws{vta: &VTA{}}
+	p.Reset(h)
+	return p
+}
+
+func (p *ccws) Reset(h *Host) {
 	life := h.Cfg.CCWSProtectAccesses
 	if h.Cfg.CCWSByCycles {
 		life = h.Cfg.CCWSProtectCycles
 	}
-	return &ccws{
-		h:        h,
-		vta:      NewVTA(h.Cfg.L1D.Sets, h.Cfg.VTAWays),
-		byCycles: h.Cfg.CCWSByCycles,
-		lifetime: life,
-	}
+	*p = ccws{h: h, vta: p.vta, byCycles: h.Cfg.CCWSByCycles, lifetime: life}
+	p.vta.Reset(h.Cfg.L1D.Sets, h.Cfg.VTAWays)
 }
 
 func (p *ccws) OnAccess(_ *mem.Request, set int) {

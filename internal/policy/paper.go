@@ -25,6 +25,8 @@ type baseline struct {
 	h *Host
 }
 
+func (p *baseline) Reset(h *Host) { p.h = h }
+
 func (p *baseline) CheckInvariants() error {
 	return checkNoProtectionTDA(p.h, config.PolicyBaseline)
 }
@@ -36,6 +38,8 @@ type stallBypass struct {
 	Base
 	h *Host
 }
+
+func (p *stallBypass) Reset(h *Host) { p.h = h }
 
 func (p *stallBypass) CheckInvariants() error {
 	return checkNoProtectionTDA(p.h, config.PolicyStallBypass)
@@ -55,17 +59,18 @@ type protect struct {
 }
 
 func newProtect(h *Host, global bool) *protect {
-	p := &protect{
-		h:       h,
-		vta:     NewVTA(h.Cfg.L1D.Sets, h.Cfg.VTAWays),
-		sampler: NewSampler(h.Cfg.SampleAccesses, h.Cfg.SampleInsnCap),
-	}
-	if global {
-		p.pdpt = NewGlobalPDT(h.Cfg.VTAWays, h.Cfg.MaxPD())
-	} else {
-		p.pdpt = NewPDPT(h.Cfg.PDPTEntries, h.Cfg.VTAWays, h.Cfg.MaxPD())
-	}
+	p := &protect{vta: &VTA{}, pdpt: &PDPT{global: global}, sampler: &Sampler{}}
+	p.Reset(h)
 	return p
+}
+
+// Reset re-initialises the VTA, the PDPT (which keeps its
+// Global-Protection mode) and the sampler in place.
+func (p *protect) Reset(h *Host) {
+	p.h = h
+	p.vta.Reset(h.Cfg.L1D.Sets, h.Cfg.VTAWays)
+	p.pdpt.Reset(h.Cfg.PDPTEntries, h.Cfg.VTAWays, h.Cfg.MaxPD())
+	p.sampler.Reset(h.Cfg.SampleAccesses, h.Cfg.SampleInsnCap)
 }
 
 // PDPT exposes the prediction table (the PDPTCarrier capability).

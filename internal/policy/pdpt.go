@@ -1,5 +1,7 @@
 package policy
 
+import "slices"
+
 // PDPT is the Protection Distance Prediction Table (§4.1.3): one entry
 // per memory-instruction ID, each accumulating TDA and VTA hits over the
 // current sampling period and holding the instruction's current
@@ -25,24 +27,46 @@ type PDPT struct {
 // NewPDPT builds a per-instruction table with entries slots (the paper
 // uses 128), Nasc = nasc and a PD field saturating at maxPD.
 func NewPDPT(entries, nasc, maxPD int) *PDPT {
-	if entries <= 0 || nasc <= 0 || maxPD <= 0 {
-		panic("policy: invalid PDPT parameters")
-	}
-	return &PDPT{
-		nasc:    nasc,
-		maxPD:   maxPD,
-		tdaHits: make([]uint64, entries),
-		vtaHits: make([]uint64, entries),
-		pd:      make([]int, entries),
-	}
+	p := &PDPT{}
+	p.Reset(entries, nasc, maxPD)
+	return p
 }
 
 // NewGlobalPDT builds the Global-Protection variant: a single PD driven
 // only by the global hit counters.
 func NewGlobalPDT(nasc, maxPD int) *PDPT {
-	p := NewPDPT(1, nasc, maxPD)
-	p.global = true
+	p := &PDPT{global: true}
+	p.Reset(1, nasc, maxPD)
 	return p
+}
+
+// Reset re-initialises the table in place — every PD and hit counter at
+// zero, no sample taken — with entries slots (one, whatever is asked,
+// for the Global-Protection variant), keeping its arrays when they are
+// large enough.
+func (p *PDPT) Reset(entries, nasc, maxPD int) {
+	if entries <= 0 || nasc <= 0 || maxPD <= 0 {
+		panic("policy: invalid PDPT parameters")
+	}
+	if p.global {
+		entries = 1
+	}
+	*p = PDPT{
+		global:  p.global,
+		nasc:    nasc,
+		maxPD:   maxPD,
+		tdaHits: zeroed(p.tdaHits, entries),
+		vtaHits: zeroed(p.vtaHits, entries),
+		pd:      zeroed(p.pd, entries),
+	}
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when
+// the capacity allows.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 func (p *PDPT) idx(insnID uint8) int {
@@ -160,10 +184,18 @@ type Sampler struct {
 // NewSampler builds a sampler with the paper's access limit (200) and an
 // instruction cap.
 func NewSampler(accessLimit, insnCap int) *Sampler {
+	s := &Sampler{}
+	s.Reset(accessLimit, insnCap)
+	return s
+}
+
+// Reset starts the sampler over, at the start of a period, with the
+// given limits.
+func (s *Sampler) Reset(accessLimit, insnCap int) {
 	if accessLimit <= 0 || insnCap <= 0 {
 		panic("policy: invalid sampler parameters")
 	}
-	return &Sampler{accessLimit: uint64(accessLimit), insnCap: uint64(insnCap)}
+	*s = Sampler{accessLimit: uint64(accessLimit), insnCap: uint64(insnCap)}
 }
 
 // NoteAccess records one cache access and reports whether the sample just

@@ -135,6 +135,17 @@ type PDPTCarrier interface {
 	PDPT() *PDPT
 }
 
+// Resetter is the capability of a scheme that can start a new run on
+// the cache it already serves without being rebuilt. Reset puts the
+// scheme back to the state Spec.New(h) gives — h is the cache's own
+// host, whose configuration may have changed since — keeping whatever
+// storage still fits. core's L1D resolves it once per reset, and only
+// for the policy the cache last ran; a scheme without it is rebuilt.
+// Every compiled-in scheme has it.
+type Resetter interface {
+	Reset(h *Host)
+}
+
 // Spec is one registry entry: a compiled-in scheme with its display
 // name, CLI aliases, paper membership, provenance, the two decisions the
 // cache binds when it is built, and the constructor of the rest.

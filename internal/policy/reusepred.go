@@ -45,13 +45,21 @@ type predEntry struct {
 }
 
 func newReusePredictor(h *Host) *reusePred {
-	return &reusePred{
+	p := &reusePred{vta: &VTA{}, sampler: &Sampler{}}
+	p.Reset(h)
+	return p
+}
+
+func (p *reusePred) Reset(h *Host) {
+	*p = reusePred{
 		h:           h,
-		vta:         NewVTA(h.Cfg.L1D.Sets, h.Cfg.VTAWays),
-		sampler:     NewSampler(h.Cfg.SampleAccesses, h.Cfg.SampleInsnCap),
-		table:       make([]predEntry, h.Cfg.PDPTEntries),
+		vta:         p.vta,
+		sampler:     p.sampler,
+		table:       zeroed(p.table, h.Cfg.PDPTEntries),
 		deadPeriods: h.Cfg.PredictorDeadPeriods,
 	}
+	p.vta.Reset(h.Cfg.L1D.Sets, h.Cfg.VTAWays)
+	p.sampler.Reset(h.Cfg.SampleAccesses, h.Cfg.SampleInsnCap)
 }
 
 func (p *reusePred) idx(insnID uint8) int { return int(insnID) % len(p.table) }

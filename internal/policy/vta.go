@@ -1,6 +1,10 @@
 package policy
 
-import "repro/internal/cache"
+import (
+	"slices"
+
+	"repro/internal/cache"
+)
 
 // vtaEntry is one victim tag: an address tag plus the instruction ID of
 // the load that brought in or last hit the line before it was evicted
@@ -15,18 +19,28 @@ type vtaEntry struct {
 // VTA is the victim tag array: same set structure as the TDA, holding
 // only tags of recently evicted lines, replaced LRU.
 type VTA struct {
-	sets  [][]vtaEntry
-	clock uint64
+	sets    [][]vtaEntry // cut from entries, ways apiece
+	entries []vtaEntry
+	clock   uint64
 }
 
 // NewVTA builds a VTA with the given set count and associativity.
 func NewVTA(numSets, ways int) *VTA {
-	sets := make([][]vtaEntry, numSets)
-	backing := make([]vtaEntry, numSets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
+	v := &VTA{}
+	v.Reset(numSets, ways)
+	return v
+}
+
+// Reset empties the VTA and re-shapes it to numSets sets of ways
+// entries, keeping its storage when it is large enough.
+func (v *VTA) Reset(numSets, ways int) {
+	v.entries = zeroed(v.entries, numSets*ways)
+	v.sets = slices.Grow(v.sets[:0], numSets)[:numSets]
+	backing := v.entries
+	for i := range v.sets {
+		v.sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
-	return &VTA{sets: sets}
+	v.clock = 0
 }
 
 // Insert records an evicted line's tag and instruction ID in set. An

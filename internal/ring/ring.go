@@ -46,3 +46,10 @@ func (q *Queue[T]) Pop() T {
 	q.n--
 	return v
 }
+
+// Reset empties the queue and keeps its buffer: every slot is zeroed,
+// so nothing it held stays reachable through it.
+func (q *Queue[T]) Reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}

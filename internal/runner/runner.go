@@ -111,7 +111,9 @@ type SimFunc func(ctx context.Context) (*stats.Stats, error)
 // interceptor may run the simulation, replace it, delay it, fail it, or
 // panic — the runner's recovery and timeout machinery treats whatever
 // happens exactly as it would a real simulation. Each job is simulated
-// once, so attempt is always 0.
+// once, so attempt is always 0. run simulates on the machine of the
+// job's slot, so the interceptor calls it on its own goroutine and never
+// after it has returned.
 type Intercept func(ctx context.Context, index, attempt int, job Job, run SimFunc) (*stats.Stats, error)
 
 // Runner executes batches of jobs. The zero value runs with GOMAXPROCS
@@ -177,8 +179,14 @@ type Runner struct {
 	// blocks there; with several Runs sharing the Runner it is what
 	// keeps "-j" a process-wide budget instead of a per-batch one.
 	// Built lazily on first use from the Workers value at that moment.
+	//
+	// A slot carries its machine: taking a slot takes the engine the
+	// slot's last simulation ran on (nil before the first), and the
+	// next simulation Resets it instead of building a GPU of its own.
+	// So the runner holds at most one idle machine per slot, and none
+	// larger than the largest preset (sim.Engine.Keepable).
 	slotOnce sync.Once
-	slots    chan struct{}
+	slots    chan *sim.Engine
 }
 
 // slotCap resolves the process-wide simulation budget.
@@ -189,20 +197,28 @@ func (r *Runner) slotCap() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// acquireSlot blocks until a simulation slot is free or ctx dies. Slots
-// are held only while a simulation actually runs — cache hits and
-// single-flight waiters never consume one.
-func (r *Runner) acquireSlot(ctx context.Context) error {
-	r.slotOnce.Do(func() { r.slots = make(chan struct{}, r.slotCap()) })
+// acquireSlot blocks until a simulation slot is free or ctx dies, and
+// returns the slot's machine (nil when it has none yet). Slots are held
+// only while a simulation actually runs — cache hits and single-flight
+// waiters never consume one.
+func (r *Runner) acquireSlot(ctx context.Context) (*sim.Engine, error) {
+	r.slotOnce.Do(func() {
+		r.slots = make(chan *sim.Engine, r.slotCap())
+		for range r.slotCap() {
+			r.slots <- nil
+		}
+	})
 	select {
-	case r.slots <- struct{}{}:
-		return nil
+	case m := <-r.slots:
+		return m, nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-func (r *Runner) releaseSlot() { <-r.slots }
+// releaseSlot frees the slot and leaves m, which may be nil, in it for
+// the next simulation.
+func (r *Runner) releaseSlot(m *sim.Engine) { r.slots <- m }
 
 // Run executes jobs and returns their results in submission order.
 //
@@ -416,13 +432,15 @@ func (r *Runner) runOne(ctx context.Context, i int, j Job, emit func(Event)) Res
 	// calls. Within a single Run the worker pool is never wider than
 	// the budget, so this acquisition only ever blocks when several
 	// batches share the Runner.
-	if err := r.acquireSlot(ctx); err != nil {
+	m, err := r.acquireSlot(ctx)
+	if err != nil {
 		emit(Event{Kind: JobDone, Index: i, Label: j.Label, Err: err})
 		return Result{Job: j, Err: err}
 	}
-	defer r.releaseSlot()
+	defer func() { r.releaseSlot(m) }()
 	start := time.Now()
-	st, err := r.simulate(ctx, i, j)
+	var st *stats.Stats
+	st, m, err = r.simulate(ctx, i, j, m)
 	wall := time.Since(start)
 	if err == nil && r.Cache != nil && key != "" {
 		r.Cache.Put(key, st)
@@ -435,11 +453,15 @@ func (r *Runner) runOne(ctx context.Context, i int, j Job, emit func(Event)) Res
 	return Result{Job: j, Stats: st, Err: err, Wall: wall}
 }
 
-// simulate runs the job once under Runner.Timeout, converting a panic
-// into a *JobPanicError. The recover sits here — inside the worker's
-// call into policy/engine code — so a panicking job surfaces as an
-// ordinary failed Result instead of killing the pool.
-func (r *Runner) simulate(ctx context.Context, index int, j Job) (st *stats.Stats, err error) {
+// simulate runs the job once under Runner.Timeout on machine m (nil:
+// build one), converting a panic into a *JobPanicError. The recover sits
+// here — inside the worker's call into policy/engine code — so a
+// panicking job surfaces as an ordinary failed Result instead of
+// killing the pool. It returns the machine for the slot to keep: the
+// one the job ran on, however the run ended, except after a panic,
+// which may have left it half way through an update, and after a
+// configuration larger than the presets (sim.Engine.Keepable) — then nil.
+func (r *Runner) simulate(ctx context.Context, index int, j Job, m *sim.Engine) (st *stats.Stats, kept *sim.Engine, err error) {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
@@ -447,7 +469,7 @@ func (r *Runner) simulate(ctx context.Context, index int, j Job) (st *stats.Stat
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			st = nil
+			st, kept = nil, nil
 			err = &JobPanicError{Label: j.Label, Index: index, Value: v, Stack: debug.Stack()}
 		}
 	}()
@@ -456,17 +478,27 @@ func (r *Runner) simulate(ctx context.Context, index int, j Job) (st *stats.Stat
 		opts.SelfCheck = true
 	}
 	run := func(c context.Context) (*stats.Stats, error) {
-		switch {
-		case j.Kernel != nil && j.Stream != nil:
+		if j.Kernel != nil && j.Stream != nil {
 			return nil, fmt.Errorf("runner: job %q sets both Kernel and Stream", j.Label)
-		case j.Stream != nil:
-			return sim.RunStreamOnce(c, j.Config, j.Policy, j.Stream, opts)
-		default:
-			return sim.RunOnce(c, j.Config, j.Policy, j.Kernel, opts)
 		}
+		if m == nil {
+			m = &sim.Engine{}
+		}
+		if err := m.Reset(j.Config, j.Policy, opts); err != nil {
+			return nil, err
+		}
+		if j.Stream != nil {
+			return m.RunStream(c, j.Stream)
+		}
+		return m.Run(c, j.Kernel)
 	}
 	if r.Intercept != nil {
-		return r.Intercept(ctx, index, 0, j, run)
+		st, err = r.Intercept(ctx, index, 0, j, run)
+	} else {
+		st, err = run(ctx)
 	}
-	return run(ctx)
+	if m != nil && !m.Keepable() {
+		m = nil
+	}
+	return st, m, err
 }

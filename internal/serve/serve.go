@@ -196,11 +196,14 @@ func (j *jobState) appendEventLocked(kind string, mut func(*JobEvent)) {
 	j.change = make(chan struct{})
 }
 
-// finishLocked moves the job to a terminal state exactly once.
+// finishLocked moves the job to a terminal state exactly once, and
+// lets go of its kernel: a settled job never runs again, and its view,
+// events and stats do not need it, so the job history pins no kernel.
 func (j *jobState) finishLocked(st Status, kind string, mut func(*JobEvent)) {
 	if j.status.Terminal() {
 		return
 	}
+	j.rjob.Kernel = nil
 	j.status = st
 	j.appendEventLocked(kind, mut)
 	close(j.done)
@@ -538,9 +541,22 @@ func (s *Server) next() *jobState {
 }
 
 // execute runs one claimed job through the shared runner and records
-// its outcome.
+// its outcome. A job cancelled between its claim and here is already
+// settled, counted and without its kernel: there is nothing to run.
 func (s *Server) execute(js *jobState) {
-	results, err := s.runner.RunEvents(js.ctx, []runner.Job{js.rjob}, func(ev runner.Event) {
+	defer func() {
+		s.mu.Lock()
+		s.running--
+		s.cond.Broadcast() // wakes the drain waiter
+		s.mu.Unlock()
+	}()
+	js.mu.Lock()
+	job, settled := js.rjob, js.status.Terminal()
+	js.mu.Unlock()
+	if settled {
+		return
+	}
+	results, err := s.runner.RunEvents(js.ctx, []runner.Job{job}, func(ev runner.Event) {
 		if ev.Kind == runner.JobStarted {
 			js.mu.Lock()
 			if !js.status.Terminal() {
@@ -552,11 +568,6 @@ func (s *Server) execute(js *jobState) {
 	})
 	s.finalize(js, results, err)
 	js.cancel() // releases the job's context from the server's
-
-	s.mu.Lock()
-	s.running--
-	s.cond.Broadcast() // wakes the drain waiter
-	s.mu.Unlock()
 }
 
 // finalize records a terminal state from the runner's verdict.
@@ -696,26 +707,10 @@ func (s *Server) Shutdown(ctx context.Context) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		s.wg.Wait()
-		s.releaseKernels()
 		if stopOnCtx != nil {
 			stopOnCtx()
 		}
 	})
-}
-
-// releaseKernels drops what the recorded jobs needed only to run. The
-// workers have exited, so nothing reads a job's runner.Job again; its
-// status, events and stats stay readable. Without this, whatever keeps a
-// stopped server reachable a moment longer — a connection goroutine of
-// the http.Server that has yet to notice the close — pins every kernel
-// in the job history, and whether a collection right after the stop
-// frees them is a race.
-func (s *Server) releaseKernels() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, js := range s.jobs {
-		js.rjob = runner.Job{}
-	}
 }
 
 // abort hard-stops execution: the server context dies (cancelling every

@@ -587,7 +587,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // TestShutdownReleasesKernels: a drained server keeps no job's kernel —
 // only a run needed it — while the job's stats stay readable.
 func TestShutdownReleasesKernels(t *testing.T) {
-	s, ts := startServer(t, Config{Workers: 2})
+	// The jobs are held until their kernels have been seen: a job lets
+	// go of its kernel as soon as it settles.
+	entered, release := make(chan string, 3), make(chan struct{})
+	s, ts := startServer(t, Config{Workers: 2, Intercept: hangIntercept(entered, release)})
 	var ids []string
 	for seed := uint64(60); seed < 63; seed++ {
 		_, body := postJob(t, ts, testSpec(t, seed), "", false)
@@ -601,6 +604,7 @@ func TestShutdownReleasesKernels(t *testing.T) {
 	}
 	s.mu.Unlock()
 
+	close(release)
 	s.Shutdown(nil)
 	for _, id := range ids {
 		s.mu.Lock()

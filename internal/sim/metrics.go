@@ -6,15 +6,21 @@ import (
 	"repro/internal/metrics"
 )
 
-// registerMetrics builds the engine's metrics registry: every component
+// registerMetrics fills the engine's metrics registry: every component
 // registers the counters it already maintains (by pointer into its
 // stats block) and gauges over its queue depths, then the registry is
 // sealed — the row buffer is allocated once, and sampling from the run
-// loop performs no allocations. Called from New only when
-// Options.Metrics carries a sink; otherwise e.mreg stays nil and the
-// run loop's sampling checks reduce to one nil test.
+// loop performs no allocations. Called from Reset only when
+// Options.Metrics carries a sink; otherwise e.mreg is nil and the run
+// loop's sampling checks reduce to one nil test. The registry of the
+// engine's last sampled run is emptied and filled again.
 func (e *Engine) registerMetrics(m *metrics.Config) {
-	reg := metrics.NewRegistry()
+	reg := e.mreg
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	} else {
+		reg.Reset()
+	}
 	e.net.RegisterMetrics(reg, "icnt")
 	for i, p := range e.parts {
 		p.RegisterMetrics(reg, "l2p"+strconv.Itoa(i))

@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/interconnect"
@@ -152,43 +153,125 @@ type Engine struct {
 
 // New builds an engine for the configuration and L1D policy.
 func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	e := &Engine{}
+	if err := e.Reset(cfg, policy, opts); err != nil {
 		return nil, err
 	}
+	return e, nil
+}
+
+// Reset turns e into the machine New(cfg, policy, opts) builds, ready
+// for one Run or RunStream, whatever e ran before and however that run
+// ended — drained, failed, cancelled or out of cycles. Only a run that
+// panicked leaves a machine that must not be reset: its components may
+// be half way through an update. Every component re-initialises the
+// storage it already has, and grows it where cfg asks for more; the
+// L1Ds keep their scheme's state when policy is the one e last ran.
+// On an error e is left as it was. A zero Engine is a valid receiver:
+// New is a zero Engine plus Reset.
+func (e *Engine) Reset(cfg *config.Config, policy config.Policy, opts Options) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if _, ok := policypkg.Lookup(policy); !ok {
-		return nil, fmt.Errorf("sim: %q is not a registered policy (want %s)", policy, policypkg.Usage())
+		return fmt.Errorf("sim: %q is not a registered policy (want %s)", policy, policypkg.Usage())
 	}
-	opts = opts.withDefaults()
-	e := &Engine{
-		cfg:    cfg,
-		policy: policy,
-		opts:   opts,
-		netSt:  &stats.Stats{},
-		pool:   mem.NewPool(),
+	e.cfg, e.policy, e.opts = cfg, policy, opts.withDefaults()
+	if e.pool == nil {
+		e.pool, e.netSt = mem.NewPool(), &stats.Stats{}
 	}
-	e.sms = make([]*sm.SM, cfg.NumSMs)
-	for i := range e.sms {
-		e.sms[i] = sm.New(cfg, i, policy, e.pool)
+	e.pool.Reset()
+	*e.netSt = stats.Stats{}
+
+	// A machine that shrank lets the components past its new size go.
+	e.sms = shrink(e.sms, cfg.NumSMs)
+	for _, s := range e.sms {
+		s.Reset(cfg, policy)
 	}
-	e.net = interconnect.New(cfg.ICNTLatency, cfg.ICNTBandwidthFlits,
-		cfg.ICNTFlitBytes, cfg.L1D.LineSize, e.netSt)
-	e.partSt = make([]*stats.Stats, cfg.NumPartitions)
-	e.parts = make([]*l2.Partition, cfg.NumPartitions)
-	for i := range e.parts {
-		e.partSt[i] = &stats.Stats{}
-		e.parts[i] = l2.New(cfg, e.partSt[i], e.pool)
+	for i := len(e.sms); i < cfg.NumSMs; i++ {
+		e.sms = append(e.sms, sm.New(cfg, i, policy, e.pool))
 	}
+	if e.net == nil {
+		e.net = interconnect.New(cfg.ICNTLatency, cfg.ICNTBandwidthFlits,
+			cfg.ICNTFlitBytes, cfg.L1D.LineSize, e.netSt)
+	} else {
+		e.net.Reset(cfg.ICNTLatency, cfg.ICNTBandwidthFlits, cfg.ICNTFlitBytes, cfg.L1D.LineSize)
+	}
+	e.parts, e.partSt = shrink(e.parts, cfg.NumPartitions), shrink(e.partSt, cfg.NumPartitions)
+	for i, p := range e.parts {
+		*e.partSt[i] = stats.Stats{}
+		p.Reset(cfg)
+	}
+	for i := len(e.parts); i < cfg.NumPartitions; i++ {
+		st := &stats.Stats{}
+		e.partSt = append(e.partSt, st)
+		e.parts = append(e.parts, l2.New(cfg, st, e.pool))
+	}
+
 	// The component index space: partitions first, then SMs.
 	total := cfg.NumSMs + cfg.NumPartitions
 	e.quantum = min(uint64(cfg.ICNTLatency)+1, 32)
-	e.outMem = make([][]*mem.Request, e.quantum)
-	e.outCore = make([][]*mem.Request, e.quantum)
-	e.inbox = make([][]arrival, total)
-	e.wake = make([]uint64, total)
-	if opts.Metrics.Enabled() {
-		e.registerMetrics(opts.Metrics)
+	e.outMem = emptyLanes(e.outMem, int(e.quantum))
+	e.outCore = emptyLanes(e.outCore, int(e.quantum))
+	e.inbox = emptyLanes(e.inbox, total)
+	e.wake = slices.Grow(e.wake[:0], total)[:total]
+	clear(e.wake)
+	e.sent, e.quiet, e.parked = 0, 0, false
+	e.mlast = 0
+	e.windowHook = nil
+	if e.opts.Metrics.Enabled() {
+		e.registerMetrics(e.opts.Metrics)
+	} else {
+		e.mreg, e.msink, e.mevery, e.mlabel = nil, nil, 0, ""
 	}
-	return e, nil
+	return nil
+}
+
+// keepBound is the largest machine worth keeping between jobs: the
+// largest preset. Keepable compares with it every field that sizes some
+// of a machine's storage.
+var keepBound = config.L1D64KB()
+
+// Keepable reports whether e, once its run is over, is worth keeping for
+// a later Reset: whether the configuration it last ran is no larger than
+// the largest preset (config.L1D64KB) in any dimension that sizes a
+// machine's storage. A component keeps the largest storage it was ever
+// reset to, so a holder that keeps only keepable machines never holds
+// more than one preset-sized machine, whatever configurations it ran.
+func (e *Engine) Keepable() bool {
+	c, b := e.cfg, keepBound
+	if c == nil { // never Reset: nothing worth keeping
+		return false
+	}
+	return c.NumSMs <= b.NumSMs && c.NumPartitions <= b.NumPartitions &&
+		c.MaxWarpsPerSM <= b.MaxWarpsPerSM && c.SchedulersPerSM <= b.SchedulersPerSM &&
+		c.L1D.Sets <= b.L1D.Sets && c.L1D.Ways <= b.L1D.Ways &&
+		c.L1DMSHRs <= b.L1DMSHRs && c.L1DMSHRMerges <= b.L1DMSHRMerges &&
+		c.L1DMissQueue <= b.L1DMissQueue &&
+		c.VTAWays <= b.VTAWays && c.ATAWays <= b.ATAWays && c.PDPTEntries <= b.PDPTEntries &&
+		c.L2.Sets <= b.L2.Sets && c.L2.Ways <= b.L2.Ways &&
+		c.L2MSHRs <= b.L2MSHRs && c.L2MissQueue <= b.L2MissQueue && c.DRAMBanks <= b.DRAMBanks
+}
+
+// shrink returns s cut to at most n elements, the ones past n cleared so
+// that they are not kept reachable.
+func shrink[T any](s []*T, n int) []*T {
+	if len(s) <= n {
+		return s
+	}
+	clear(s[n:])
+	return s[:n]
+}
+
+// emptyLanes returns n empty lanes, reusing lanes' array and each
+// lane's own (cleared, so no request or arrival stays reachable).
+func emptyLanes[T any](lanes [][]T, n int) [][]T {
+	lanes = slices.Grow(lanes[:0], n)[:n]
+	for i, l := range lanes {
+		clear(l)
+		lanes[i] = l[:0]
+	}
+	return lanes
 }
 
 // Run executes the kernel to completion and returns aggregated stats.
@@ -196,6 +279,7 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 // 4096 simulated cycles apart), so a cancelled sweep stops there instead
 // of running its kernels to completion.
 func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error) {
+	defer e.release()
 	// A kernel precomputed for this line size is left as it is; any other
 	// is packed here, once, rather than warp by warp at admission. Packing
 	// is also where Kernel.Validate's rules are enforced — the streamed
@@ -244,6 +328,7 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 				bi, warps, e.cfg.MaxWarpsPerSM)}
 		}
 	}
+	defer e.release()
 	for bi := 0; bi < blocks; bi++ {
 		e.sms[bi%len(e.sms)].AssignStream(src, bi)
 	}
@@ -253,6 +338,15 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 		s.ReadAhead(ra)
 	}
 	return e.runLoop(ctx, name)
+}
+
+// release drops every reference the machine holds into the trace it
+// last ran, however the run ended, so a machine kept between jobs pins
+// no job's kernel or stream. The next Reset re-initialises the rest.
+func (e *Engine) release() {
+	for _, s := range e.sms {
+		s.Release()
+	}
 }
 
 // frontendErr is the first frontend failure any SM's warps ran into (a

@@ -11,6 +11,6 @@ func (s *SM) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.IntGauge(prefix+".live_warps", func() int { return s.liveWarps })
 	reg.IntGauge(prefix+".finished_warps", s.finishedWarps)
 	reg.IntGauge(prefix+".ldst.depth", func() int { return s.ldst.Len() })
-	reg.IntGauge(prefix+".pending_blocks", func() int { return len(s.pendingBlocks) })
+	reg.IntGauge(prefix+".pending_blocks", s.pendingBlocks.Len)
 	s.l1d.RegisterMetrics(reg, prefix+".l1d")
 }

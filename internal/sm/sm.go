@@ -8,6 +8,7 @@ package sm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -107,12 +108,12 @@ type SM struct {
 	nextPos   []int // per scheduler: the next position to hand out
 	posWords  int   // words of ready per scheduler
 
-	pendingBlocks []pendingBlock
+	pendingBlocks ring.Queue[pendingBlock]
 	ageCounter    uint64
 	nextReqID     uint64
 
 	// chunks recycles stream-refill buffers across this SM's warps;
-	// created lazily on the first AssignStream, nil on the
+	// created lazily on a run's first AssignStream, nil on the
 	// precomputed-kernel path.
 	chunks *trace.ChunkPool
 
@@ -169,33 +170,36 @@ type SM struct {
 // New builds an SM with its own L1D under the given policy. pool, which
 // may be nil, recycles completed memory requests.
 func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
+	s := &SM{id: id, pool: pool, st: &stats.Stats{}}
+	s.Reset(cfg, policy)
+	return s
+}
+
+// Reset re-initialises the SM for a new run on cfg, its L1D under
+// policy: no block assigned, every slot empty, the clock, the counters
+// and the frontend error cleared. Its arrays keep their storage, growing
+// where cfg asks for more.
+func (s *SM) Reset(cfg *config.Config, policy config.Policy) {
+	s.Release()
+
 	// One word more than a scheduler's slots fill, so a full scheduler
 	// still has dead positions to spend between compactions.
-	n := cfg.SchedulersPerSM
-	posWords := (cfg.MaxWarpsPerSM+n-1)/n/64 + 1
-	s := &SM{
-		cfg:     cfg,
-		id:      id,
-		st:      &stats.Stats{},
-		slots:   make([]*warp, cfg.MaxWarpsPerSM),
-		ldstCap: 48,
-		greedy:  make([]int, n),
-		pool:    pool,
-
-		busyUntil: make([]uint64, cfg.MaxWarpsPerSM),
-		age:       make([]uint64, cfg.MaxWarpsPerSM),
-		finished:  make([]uint64, (cfg.MaxWarpsPerSM+63)/64),
-		ready:     make([]uint64, n*posWords),
-		pos2slot:  make([]int32, n*posWords*64),
-		slot2pos:  make([]int32, cfg.MaxWarpsPerSM),
-		nextPos:   make([]int, n),
-		posWords:  posWords,
-
-		schedSleepUntil: make([]uint64, n),
-	}
+	n, m := cfg.SchedulersPerSM, cfg.MaxWarpsPerSM
+	s.posWords = (m+n-1)/n/64 + 1
+	s.cfg = cfg
+	s.slots = zeroed(s.slots, m)
+	s.busyUntil = zeroed(s.busyUntil, m)
+	s.age = zeroed(s.age, m)
+	s.finished = zeroed(s.finished, (m+63)/64)
+	s.ready = zeroed(s.ready, n*s.posWords)
+	s.pos2slot = zeroed(s.pos2slot, n*s.posWords*64)
+	s.slot2pos = zeroed(s.slot2pos, m)
+	s.nextPos = zeroed(s.nextPos, n)
+	s.greedy = zeroed(s.greedy, n)
+	s.schedSleepUntil = zeroed(s.schedSleepUntil, n)
 	for k := range s.greedy {
 		s.greedy[k] = -1
-		s.nextPos[k] = k * posWords << 6
+		s.nextPos[k] = k * s.posWords << 6
 	}
 	for p := range s.pos2slot {
 		s.pos2slot[p] = -1
@@ -204,7 +208,49 @@ func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
 		s.age[slot] = noAge
 		s.slot2pos[slot] = -1
 	}
-	s.l1d = core.NewL1D(cfg, policy, s.onMemResponse)
+
+	*s.st = stats.Stats{}
+	s.ldstCap = 48
+	s.ageCounter, s.nextReqID, s.now = 0, 0, 0
+	s.stalled, s.stallEpoch, s.stallCredited, s.stallAt, s.stallBase = false, 0, 0, 0, 0
+	s.liveWarps = 0
+	s.frontendErr = nil
+	if s.l1d == nil {
+		s.l1d = core.NewL1D(cfg, policy, s.onMemResponse)
+	} else {
+		s.l1d.Reset(cfg, policy)
+	}
+}
+
+// Release lets go of everything that ties the SM to its last run's
+// trace: whatever a run that did not drain left resident — warps, LD/ST
+// entries — goes back to the free lists with its trace and request
+// references dropped, the unadmitted blocks are forgotten and the stream
+// chunk pool is let go (the next streamed run builds its own). The SM
+// must be Reset before it runs again.
+func (s *SM) Release() {
+	for slot, w := range s.slots {
+		if w != nil {
+			*w = warp{}
+			s.freeWarps = append(s.freeWarps, w)
+			s.slots[slot] = nil
+		}
+	}
+	for s.ldst.Len() > 0 {
+		mi := s.ldst.Pop()
+		clear(mi.reqs)
+		*mi = memInstr{reqs: mi.reqs[:0]}
+		s.freeMI = append(s.freeMI, mi)
+	}
+	s.pendingBlocks.Reset()
+	s.chunks = nil
+}
+
+// zeroed returns s with n zero elements, reusing its array when the
+// capacity allows.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
 	return s
 }
 
@@ -216,7 +262,7 @@ func (s *SM) Stats() *stats.Stats { return s.st }
 
 // AssignBlock queues a precomputed thread block for execution on this SM.
 func (s *SM) AssignBlock(b *trace.Block) {
-	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{b: b, warps: len(b.Warps)})
+	s.pendingBlocks.Push(pendingBlock{b: b, warps: len(b.Warps)})
 }
 
 // AssignStream queues block idx of a lazy trace stream for execution on
@@ -227,7 +273,7 @@ func (s *SM) AssignStream(src trace.Stream, idx int) {
 		s.chunks = trace.NewChunkPool(trace.DefaultChunkInstrs)
 		s.chunks.WarpSize = s.cfg.WarpSize
 	}
-	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
+	s.pendingBlocks.Push(pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
 
 // ReadAhead has this SM's streamed warps post their next windows to r,
@@ -354,8 +400,8 @@ func (s *SM) wakeSchedulers() {
 // Returns whether any block was admitted.
 func (s *SM) admitBlocks() bool {
 	admitted := false
-	for len(s.pendingBlocks) > 0 {
-		pb := s.pendingBlocks[0]
+	for s.pendingBlocks.Len() > 0 {
+		pb := *s.pendingBlocks.Front()
 		if len(s.slots)-s.liveWarps < pb.warps {
 			return admitted
 		}
@@ -385,7 +431,7 @@ func (s *SM) admitBlocks() bool {
 			s.liveWarps++
 			wi++
 		}
-		s.pendingBlocks = s.pendingBlocks[1:]
+		s.pendingBlocks.Pop()
 		admitted = true
 	}
 	if admitted {
@@ -470,7 +516,7 @@ func (s *SM) Tick(now uint64) bool {
 	if s.retireWarps() {
 		active = true
 	}
-	if len(s.pendingBlocks) > 0 && s.admitBlocks() {
+	if s.pendingBlocks.Len() > 0 && s.admitBlocks() {
 		active = true
 	}
 	if s.ldst.Len() > 0 {
@@ -748,7 +794,7 @@ func (s *SM) getMemInstr() *memInstr {
 // network anyway. The self-check mode cross-checks this equivalence at
 // every sampled cycle (CheckActivity).
 func (s *SM) Done() bool {
-	return s.liveWarps == 0 && len(s.pendingBlocks) == 0 && s.ldst.Len() == 0 &&
+	return s.liveWarps == 0 && s.pendingBlocks.Len() == 0 && s.ldst.Len() == 0 &&
 		!s.l1d.Pending()
 }
 
@@ -756,7 +802,7 @@ func (s *SM) Done() bool {
 // sampled self-checks and the activity property tests to validate the
 // counter form.
 func (s *SM) DoneSweep() bool {
-	if len(s.pendingBlocks) > 0 || s.ldst.Len() > 0 || s.l1d.Pending() {
+	if s.pendingBlocks.Len() > 0 || s.ldst.Len() > 0 || s.l1d.Pending() {
 		return false
 	}
 	for _, w := range s.slots {

@@ -582,7 +582,7 @@ func checkPicks(t *testing.T, cfg *config.Config, ldstCap int, streamed bool, rn
 		s.now = now
 		s.l1d.Tick(now)
 		s.retireWarps()
-		if len(s.pendingBlocks) > 0 {
+		if s.pendingBlocks.Len() > 0 {
 			copy(lastNext, s.nextPos)
 			s.admitBlocks()
 			for k, next := range s.nextPos {
