@@ -8,13 +8,16 @@
 # (internal/workloads), and on a 2-core host, where two packages run at
 # a time, the summed peak was 1.6 GB over a 2.5-minute run.
 #
-# `make faultcheck` runs just the fault-injection suite — panic
-# isolation, deadlines, cache quarantine, KeepGoing determinism —
-# under the race detector.
+# Every check is a Go test and runs once per mode: the fault-injection
+# suite and the cross-policy differential run race-enabled under
+# `make check`; the export round trips (TestObservabilityExports,
+# TestRecordReplayCLI), the window differential over the whole corpus
+# and the other suite-scale and subprocess tests run without -short in
+# `make test`.
 
 GO ?= go
 
-.PHONY: all build vet check test faultcheck conform fuzzsmoke obssmoke streamsmoke benchsmoke abpairs benchprof figures clean
+.PHONY: all build vet check test conform fuzzsmoke benchsmoke abpairs benchprof figures clean
 
 all: build
 
@@ -27,22 +30,16 @@ vet:
 check: build vet
 	$(GO) test -race -short ./...
 
-faultcheck: build
-	$(GO) test -race ./internal/faultinject/
-	$(GO) test -race -run 'TestFaultTolerantSuiteAcceptance|TestSelfCheckOutputIdentical' .
-
 # Replay the committed conformance corpus: every case re-simulates its
 # reference engine, plus a fast-forward-disabled and a streamed variant
 # where the case asks for them, and the normalized stats must match
 # expected_stats.json byte for byte. After an intentional behavior
 # change, regenerate with `go run ./cmd/conform -update` and commit the
-# diff. Then the window differential over the same corpus: the engine's
-# ICNTLatency+1-cycle windows against one-cycle windows (the per-cycle
-# schedule), stats and sampled series, fast-forward on and off — and the
-# budget sweep that ends a run off the window grid.
+# diff. The window differential over the same corpus
+# (TestQuantumDifferential, TestBudgetOffTheWindowGrid in internal/sim)
+# is part of `make test`.
 conform: build
 	$(GO) run ./cmd/conform -j 8
-	$(GO) test -count=1 -run 'TestQuantumDifferential|TestBudgetOffTheWindowGrid' ./internal/sim/
 
 # Fixed-seed differential fuzz smoke under the race detector: 200
 # random (config, policy, workload) triples run reference vs ff-off vs
@@ -52,47 +49,9 @@ conform: build
 fuzzsmoke: build
 	$(GO) run -race ./cmd/conffuzz -seed 1 -n 200 -out /tmp/conffuzz-findings
 
-# Observability smoke, the end-to-end fence of the shared run harness
-# (internal/cli): one tiny suite with -metrics and -trace enabled, then
-# prove both exported files re-parse — the JSONL stream with the schema
-# and arity checks, the Chrome trace with the phase validation Perfetto
-# relies on. BFS keeps a cache-insufficient app in the subset so the
-# headline geomeans are defined. An ablation sweep runs through the same
-# harness, so its job labels ("BP under pd-bits=4") are linted metric
-# series too. A last point runs a registry-extension policy through
-# dlpsim so the non-paper schemes' metric namespaces stay linted too.
-obssmoke: build
-	$(GO) run ./cmd/paperfigs -exp fig10 -apps BP,HS,BFS -quiet \
-		-metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
-	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_metrics.jsonl -trace /tmp/smoke_trace.json
-	$(GO) run ./cmd/paperfigs -exp pd-bits -apps BP -quiet \
-		-metrics /tmp/smoke_sweep.jsonl -trace /tmp/smoke_sweep_trace.json
-	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_sweep.jsonl -trace /tmp/smoke_sweep_trace.json
-	$(GO) run ./cmd/dlpsim -app HS -policy ata \
-		-metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
-	$(GO) run ./cmd/metriclint -metrics /tmp/smoke_ata.jsonl -trace /tmp/smoke_ata_trace.json
-
 # Full suite, including the ~2 min headline reproduction tests.
 test: build vet
 	$(GO) test ./...
-
-# Streamed-frontend smoke: record a 10x-scaled trace with dlptrace,
-# verify its digest and replayability, replay it through dlpsim with
-# the observability exports on, lint those exports, check that the
-# replay's counters equal those of dlpsim streaming the same app at the
-# same scale (the one CLI record/replay round trip), and re-run the
-# streamed conformance cases (streamed variants must match the eager
-# serial reference byte for byte).
-streamsmoke: build
-	$(GO) run ./cmd/dlptrace record -app SC -scale 10 -o /tmp/streamsmoke.dlpstrm
-	$(GO) run ./cmd/dlptrace verify /tmp/streamsmoke.dlpstrm
-	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp \
-		-metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
-	$(GO) run ./cmd/metriclint -metrics /tmp/streamsmoke_metrics.jsonl -trace /tmp/streamsmoke_trace.json
-	$(GO) run ./cmd/dlpsim -app SC -scale 10 -policy dlp -json | jq -e .counters > /tmp/streamsmoke_app.json
-	$(GO) run ./cmd/dlpsim -stream-file /tmp/streamsmoke.dlpstrm -policy dlp -json | jq -e .counters > /tmp/streamsmoke_file.json
-	cmp /tmp/streamsmoke_app.json /tmp/streamsmoke_file.json
-	$(GO) run ./cmd/conform -run 'stream-*'
 
 # Benchmark-module smoke: bench/ is a module of its own that the root
 # `go build ./...` cannot see, so an engine change can break its imports

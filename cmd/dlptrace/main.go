@@ -79,6 +79,9 @@ func record(args []string) {
 	if *scale < 1 {
 		log.Fatalf("record: -scale %d: must be >= 1", *scale)
 	}
+	if *chunk < 1 {
+		log.Fatalf("record: -chunk %d: must be >= 1", *chunk)
+	}
 
 	abbrs := strings.Split(strings.ToUpper(*app), ",")
 	subs := make([]trace.Stream, len(abbrs))

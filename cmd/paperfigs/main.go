@@ -38,7 +38,7 @@
 //
 // -apps BP,HS names the applications of the simulation suites, of
 // Figs. 7 and 9 and of the sweeps (labels as in Table 2): the suites run
-// on that subset, for quick looks and CI smokes, Figs. 7 and 9 print one
+// on that subset, for quick looks and tests, Figs. 7 and 9 print one
 // table per application, and the sweeps tabulate those applications.
 // Without -apps the suites run all 18, Fig. 7 is BFS's, as in the paper,
 // Fig. 9 is CFD's, and the sweeps run CFD, PVR, SRK and KM

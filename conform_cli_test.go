@@ -21,10 +21,7 @@ func TestConformCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "conform")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/conform").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildMain(t, "./cmd/conform")
 
 	root := t.TempDir()
 	sp := &conform.Spec{

@@ -50,7 +50,7 @@ func diffKernel() *trace.Kernel {
 // kernel three ways with the sampled invariant sweeps on — the default
 // engine, one with fast-forward disabled, and the streamed frontend fed
 // the same kernel — and requires bit-identical statistics. Under `-race`
-// (the CI differential job) it runs each policy's hooks under the race
+// (`make check`) it runs each policy's hooks under the race
 // detector. A final check confirms the policies actually diverge from
 // the baseline, so a registry mis-wiring that silently ran everything as
 // Baseline would not pass as seven vacuous equalities.

@@ -22,14 +22,12 @@ var (
 
 // ownFlags are the commands that are not runner clients of the harness
 // and declare a flag of the same name with their own default and
-// meaning (a server's admission budget, a corpus replay's pool, a
-// linter's inputs). Anything not listed here must come from
-// internal/cli.
+// meaning (a server's admission budget, a corpus replay's pool).
+// Anything not listed here must come from internal/cli.
 var ownFlags = map[string][]string{
-	"cmd/conform":    {"j", "timeout"},
-	"cmd/conffuzz":   {"timeout"},
-	"cmd/dlpserved":  {"j", "selfcheck", "timeout"},
-	"cmd/metriclint": {"metrics", "trace"},
+	"cmd/conform":   {"j", "timeout"},
+	"cmd/conffuzz":  {"timeout"},
+	"cmd/dlpserved": {"j", "selfcheck", "timeout"},
 }
 
 // retiredFlags are the flags of the deleted in-engine and RDD-replay
@@ -104,11 +102,13 @@ var retiredNames = map[string]bool{
 
 // retiredCommands are the deleted mains whose work is done elsewhere:
 // the ablation sweeps and the Fig. 9 PD trace are paperfigs experiments,
-// and the HTTP corpus replay is an in-process test of internal/serve.
+// the HTTP corpus replay is an in-process test of internal/serve, and
+// the export linter is a root test that re-reads the exports itself.
 var retiredCommands = map[string]string{
-	"cmd/ablate":  "paperfigs -exp",
-	"cmd/pdtrace": "paperfigs -exp fig9",
-	"cmd/dlpload": "go test ./internal/serve -run TestCorpusOverHTTP",
+	"cmd/ablate":     "paperfigs -exp",
+	"cmd/pdtrace":    "paperfigs -exp fig9",
+	"cmd/dlpload":    "go test ./internal/serve -run TestCorpusOverHTTP",
+	"cmd/metriclint": "go test . -run TestObservabilityExports",
 }
 
 // importNames returns the names a file's imports bind, so a qualified

@@ -176,15 +176,8 @@ type FIFO struct {
 	q   ring.Queue[*mem.Request]
 }
 
-// NewFIFO builds a queue holding at most max requests; max <= 0 means
-// unbounded.
-func NewFIFO(max int) *FIFO {
-	q := &FIFO{}
-	q.Reset(max)
-	return q
-}
-
-// Reset empties the queue, keeping its buffer, and bounds it to max.
+// Reset empties the queue, keeping its buffer, and bounds it to max
+// requests; max <= 0 means unbounded.
 func (q *FIFO) Reset(max int) {
 	q.max = max
 	q.q.Reset()

@@ -251,7 +251,8 @@ func TestNewMSHRPanicsOnBadGeometry(t *testing.T) {
 }
 
 func TestFIFOOrderAndBounds(t *testing.T) {
-	q := NewFIFO(2)
+	var q FIFO
+	q.Reset(2)
 	if !q.Empty() || q.Full() || q.Len() != 0 {
 		t.Error("fresh queue state wrong")
 	}
@@ -277,7 +278,8 @@ func TestFIFOOrderAndBounds(t *testing.T) {
 }
 
 func TestFIFOUnbounded(t *testing.T) {
-	q := NewFIFO(0)
+	var q FIFO
+	q.Reset(0)
 	for i := 0; i < 1000; i++ {
 		if !q.Push(req(uint64(i), 0)) {
 			t.Fatalf("unbounded push %d failed", i)
@@ -299,7 +301,8 @@ func TestFIFOUnbounded(t *testing.T) {
 // stale slot would keep one (and everything it references) reachable for
 // the life of the cache.
 func TestFIFODrainedRetainsNothing(t *testing.T) {
-	q := NewFIFO(0)
+	var q FIFO
+	q.Reset(0)
 	next, want := uint64(0), uint64(0)
 	push := func(n int) {
 		for i := 0; i < n; i++ {

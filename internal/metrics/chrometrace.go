@@ -95,8 +95,8 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 // ReadChromeTrace parses and validates a trace_event JSON document:
 // every event must carry a known phase and a name (metadata and
 // counter events included), and "X" events must not have negative
-// durations. It is the validation the CI smoke job runs on exported
-// traces.
+// durations. The root tests hold every exported trace to it
+// (TestObservabilityExports, TestRecordReplayCLI).
 func ReadChromeTrace(r io.Reader) (*TraceDoc, error) {
 	var doc TraceDoc
 	dec := json.NewDecoder(r)

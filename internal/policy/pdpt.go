@@ -181,14 +181,6 @@ type Sampler struct {
 	insns       uint64
 }
 
-// NewSampler builds a sampler with the paper's access limit (200) and an
-// instruction cap.
-func NewSampler(accessLimit, insnCap int) *Sampler {
-	s := &Sampler{}
-	s.Reset(accessLimit, insnCap)
-	return s
-}
-
 // Reset starts the sampler over, at the start of a period, with the
 // given limits.
 func (s *Sampler) Reset(accessLimit, insnCap int) {

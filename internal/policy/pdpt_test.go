@@ -247,7 +247,8 @@ func TestPDPTInsnIDWraps(t *testing.T) {
 }
 
 func TestSamplerAccessLimit(t *testing.T) {
-	s := NewSampler(3, 1000)
+	var s Sampler
+	s.Reset(3, 1000)
 	if s.NoteAccess() || s.NoteAccess() {
 		t.Error("sample closed early")
 	}
@@ -261,7 +262,8 @@ func TestSamplerAccessLimit(t *testing.T) {
 }
 
 func TestSamplerInsnCap(t *testing.T) {
-	s := NewSampler(200, 100)
+	var s Sampler
+	s.Reset(200, 100)
 	if s.NoteInstructions(99) {
 		t.Error("insn cap fired early")
 	}
@@ -272,7 +274,8 @@ func TestSamplerInsnCap(t *testing.T) {
 	if s.NoteInstructions(99) {
 		t.Error("insn counter did not reset")
 	}
-	s2 := NewSampler(2, 100)
+	var s2 Sampler
+	s2.Reset(2, 100)
 	s2.NoteAccess()
 	s2.NoteInstructions(100) // closes via cap
 	if s2.NoteAccess() {
@@ -280,11 +283,12 @@ func TestSamplerInsnCap(t *testing.T) {
 	}
 }
 
-func TestNewSamplerPanics(t *testing.T) {
+func TestSamplerResetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewSampler(0, 0) did not panic")
+			t.Fatal("Sampler.Reset(0, 0) did not panic")
 		}
 	}()
-	NewSampler(0, 0)
+	var s Sampler
+	s.Reset(0, 0)
 }

@@ -24,13 +24,6 @@ type VTA struct {
 	clock   uint64
 }
 
-// NewVTA builds a VTA with the given set count and associativity.
-func NewVTA(numSets, ways int) *VTA {
-	v := &VTA{}
-	v.Reset(numSets, ways)
-	return v
-}
-
 // Reset empties the VTA and re-shapes it to numSets sets of ways
 // entries, keeping its storage when it is large enough.
 func (v *VTA) Reset(numSets, ways int) {

@@ -3,7 +3,8 @@ package policy
 import "testing"
 
 func TestVTAInsertLookup(t *testing.T) {
-	v := NewVTA(4, 2)
+	var v VTA
+	v.Reset(4, 2)
 	v.Insert(1, 0xabc, 7)
 	if v.Len() != 1 {
 		t.Fatalf("Len = %d", v.Len())
@@ -22,7 +23,8 @@ func TestVTAInsertLookup(t *testing.T) {
 }
 
 func TestVTAPeekDoesNotConsume(t *testing.T) {
-	v := NewVTA(4, 2)
+	var v VTA
+	v.Reset(4, 2)
 	v.Insert(2, 0x123, 9)
 	for i := 0; i < 3; i++ {
 		id, hit := v.Peek(2, 0x123)
@@ -36,7 +38,8 @@ func TestVTAPeekDoesNotConsume(t *testing.T) {
 }
 
 func TestVTAMissOnWrongSetOrTag(t *testing.T) {
-	v := NewVTA(4, 2)
+	var v VTA
+	v.Reset(4, 2)
 	v.Insert(0, 0x1, 1)
 	if _, hit := v.Lookup(1, 0x1); hit {
 		t.Error("hit in the wrong set")
@@ -47,7 +50,8 @@ func TestVTAMissOnWrongSetOrTag(t *testing.T) {
 }
 
 func TestVTALRUReplacement(t *testing.T) {
-	v := NewVTA(1, 2)
+	var v VTA
+	v.Reset(1, 2)
 	v.Insert(0, 0xa, 1)
 	v.Insert(0, 0xb, 2)
 	v.Insert(0, 0xc, 3) // evicts 0xa (LRU)
@@ -62,7 +66,8 @@ func TestVTALRUReplacement(t *testing.T) {
 }
 
 func TestVTAInsertRefreshesDuplicate(t *testing.T) {
-	v := NewVTA(1, 2)
+	var v VTA
+	v.Reset(1, 2)
 	v.Insert(0, 0xa, 1)
 	v.Insert(0, 0xb, 2)
 	// Re-inserting 0xa updates its insn ID and recency instead of
@@ -82,7 +87,8 @@ func TestVTAInsertRefreshesDuplicate(t *testing.T) {
 }
 
 func TestVTAInsertPrefersInvalidWay(t *testing.T) {
-	v := NewVTA(1, 3)
+	var v VTA
+	v.Reset(1, 3)
 	v.Insert(0, 0xa, 1)
 	v.Lookup(0, 0xa) // consume, leaving a hole
 	v.Insert(0, 0xb, 2)

@@ -154,16 +154,12 @@ func TestScaledReplayRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "dlpsim")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dlpsim").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildMain(t, "./cmd/dlpsim")
 	bp, err := WorkloadByAbbr("BP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := filepath.Join(dir, "bp.dlpstrm")
+	rec := filepath.Join(t.TempDir(), "bp.dlpstrm")
 	if err := trace.WriteFile(rec, bp.Stream(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +183,7 @@ func TestInterruptExitCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "dlpsim")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dlpsim").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildMain(t, "./cmd/dlpsim")
 	// MM at 8x scale simulates for several seconds (plain MM now takes
 	// about one), so an interrupt one second in lands mid-run with wide
 	// margin on both sides; dlpsim streams, so it starts without

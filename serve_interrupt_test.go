@@ -23,10 +23,7 @@ func TestServedInterruptDrainsAndExits130(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "dlpserved")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dlpserved").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildMain(t, "./cmd/dlpserved")
 	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
 		t.Run(sig.String(), func(t *testing.T) { drainOnSignal(t, bin, sig) })
 	}
