@@ -118,7 +118,9 @@ func (ss *SeriesSet) Labels() []string {
 
 // ReadJSONL parses a metrics JSONL stream, validating that every row
 // belongs to an announced series and carries exactly one value per
-// declared name.
+// declared name. A stream that announces no series is an error, as a
+// Chrome trace with no events is to ReadChromeTrace: every export
+// holds at least one simulation.
 func ReadJSONL(r io.Reader) (*SeriesSet, error) {
 	ss := &SeriesSet{Series: make(map[string]*Series)}
 	sc := bufio.NewScanner(r)
@@ -173,6 +175,9 @@ func ReadJSONL(r io.Reader) (*SeriesSet, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(ss.Series) == 0 {
+		return nil, fmt.Errorf("metrics jsonl: no series")
 	}
 	return ss, nil
 }

@@ -147,6 +147,8 @@ func TestJSONLReaderRejectsMalformed(t *testing.T) {
 		"not json":           `not json`,
 		"schema change": `{"series":"x","names":["a"]}` + "\n" +
 			`{"series":"x","names":["a","b"]}`,
+		"empty stream": "",
+		"blank lines":  "\n\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {

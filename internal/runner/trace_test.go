@@ -14,8 +14,9 @@ import (
 // TestJobTracerTimeline runs a real batch (twice, through a shared
 // cache, so cached spans appear) and validates the exported trace:
 // every job contributes a queued span and a run/cached span, counter
-// tracks exist, and the document parses under the same validation the
-// CI smoke applies.
+// tracks exist, and the document parses under the same validation
+// TestObservabilityExports and TestRecordReplayCLI apply to the files
+// the commands write.
 func TestJobTracerTimeline(t *testing.T) {
 	jobs := testJobs()
 	cache := NewCache()

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -38,35 +37,28 @@ const maxLanes = 255
 
 // encode writes the kernel's canonical encoding to w.
 func (k *Kernel) encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
 	if len(k.Name) > maxNameLen {
 		return fmt.Errorf("trace: kernel name longer than %d bytes", maxNameLen)
 	}
-	hdr := append(cw.buf[:0], digestMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, digestVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k.Name)))
-	hdr = append(hdr, k.Name...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k.Blocks)))
-	if err := cw.flush(hdr); err != nil {
-		return err
-	}
+	e := newEncoder(w, nil, digestBufSize)
+	// The fixed header fits the empty buffer.
+	e.buf = append(e.buf, digestMagic[:]...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, digestVersion)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(k.Name)))
+	e.buf = append(e.buf, k.Name...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(k.Blocks)))
 	for _, b := range k.Blocks {
-		if err := cw.writeUint32(uint32(len(b.Warps))); err != nil {
-			return err
-		}
+		e.uint32(uint32(len(b.Warps)))
 		for _, wt := range b.Warps {
-			if err := cw.writeUint32(uint32(len(wt.Instrs))); err != nil {
-				return err
-			}
+			e.uint32(uint32(len(wt.Instrs)))
 			for i := range wt.Instrs {
-				if err := cw.writeInstr(&wt.Instrs[i]); err != nil {
+				if err := e.instr(&wt.Instrs[i]); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return bw.Flush()
+	return e.flush()
 }
 
 // appendInstr appends one instruction's encoding (the format comment
@@ -96,38 +88,72 @@ func appendInstr(dst []byte, in *Instr) ([]byte, error) {
 	return dst, nil
 }
 
-// countWriter tracks bytes written (WriteFile's chunk offsets) and owns
-// the scratch buffer the encoders append into: a header, a count or a
-// whole instruction is built there and handed to the underlying writer
-// in one Write, with no per-field allocation.
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	buf []byte
+// The encoder's buffer sizes are constants, never a chunk or a kernel,
+// so a diverged chunk or a long warp costs no more memory than a short
+// one. A trace file goes out in fileBufSize writes, and Open hashes it
+// in reads of that size: fewer, larger system calls. A digest is done
+// once per job key, often of a small kernel, so it takes a small buffer
+// per call; a pooled large one would stay live and raise a job server's
+// peak RSS (EXPERIMENTS.md).
+const (
+	fileBufSize   = 128 << 10
+	digestBufSize = 4 << 10
+)
+
+// maxInstrLen is the longest instruction encoding: a memory instruction
+// of maxLanes lanes.
+const maxInstrLen = 1 + 4 + 1 + 8*maxLanes
+
+// encoder appends an encoding into a fixed-size buffer and hands each
+// full buffer to sum (when set) and to w, one Write each. off counts the
+// bytes encoded, flushed or not, so an offset taken from it is right
+// wherever a flush falls. The first write error sticks: later flushes
+// write nothing, and instr and flush return it.
+type encoder struct {
+	w, sum  io.Writer
+	buf     []byte
+	flushed int64
+	err     error
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// newEncoder returns an encoder with a size-byte buffer; size must hold
+// the longest instruction and the fixed header.
+func newEncoder(w, sum io.Writer, size int) *encoder {
+	return &encoder{w: w, sum: sum, buf: make([]byte, 0, size)}
 }
 
-// flush writes b, which was appended to c.buf[:0], and keeps its
-// storage as the next scratch buffer.
-func (c *countWriter) flush(b []byte) error {
-	c.buf = b
-	_, err := c.Write(b)
-	return err
+func (e *encoder) off() int64 { return e.flushed + int64(len(e.buf)) }
+
+// flush writes the buffered bytes out and empties the buffer.
+func (e *encoder) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		if e.sum != nil {
+			e.sum.Write(e.buf)
+		}
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.flushed += int64(len(e.buf))
+	e.buf = e.buf[:0]
+	return e.err
 }
 
-func (c *countWriter) writeUint32(v uint32) error {
-	return c.flush(binary.LittleEndian.AppendUint32(c.buf[:0], v))
+// reserve flushes unless n more bytes fit the buffer.
+func (e *encoder) reserve(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
 }
 
-func (c *countWriter) writeInstr(in *Instr) error {
-	b, err := appendInstr(c.buf[:0], in)
-	if err != nil {
+func (e *encoder) uint32(v uint32) {
+	e.reserve(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+func (e *encoder) instr(in *Instr) error {
+	e.reserve(maxInstrLen)
+	var err error
+	if e.buf, err = appendInstr(e.buf, in); err != nil {
 		return err
 	}
-	return c.flush(b)
+	return e.err
 }

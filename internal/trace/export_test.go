@@ -25,3 +25,23 @@ func (c *Cursor) AwaitAhead() bool {
 		}
 	}
 }
+
+// FileBufSize is the encoder buffer size a large-file test must exceed.
+const FileBufSize = fileBufSize
+
+// EncodedSize is the length of k's canonical encoding, the bytes Digest
+// hashes.
+func EncodedSize(k *Kernel) int64 {
+	var n byteCounter
+	if err := k.encode(&n); err != nil {
+		panic(err)
+	}
+	return int64(n)
+}
+
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}

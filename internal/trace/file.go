@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -155,76 +155,64 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 		return nil, formatErrf(path, "index offset %d out of range (file %d bytes)", indexOff, size)
 	}
 	h := sha256.New()
-	if _, err := io.Copy(h, io.NewSectionReader(f, 0, hashedLen)); err != nil {
+	_, err = io.CopyBuffer(h, io.NewSectionReader(f, 0, hashedLen), make([]byte, fileBufSize))
+	if err != nil {
 		return nil, formatErrf(path, "hashing: %v", err)
 	}
-	sum := h.Sum(nil)
-	var want [sha256.Size]byte
-	copy(want[:], footer[8:8+sha256.Size])
-	if [sha256.Size]byte(sum) != want {
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	if [sha256.Size]byte(footer[8:8+sha256.Size]) != sum {
 		return nil, formatErrf(path, "checksum mismatch: file is corrupt or truncated")
 	}
 
-	s := &FileStream{f: f, path: path, digest: fmt.Sprintf("%x", sum)}
+	s := &FileStream{f: f, path: path, digest: hex.EncodeToString(sum[:])}
 
-	// Header.
-	hr := bufio.NewReader(io.NewSectionReader(f, 0, indexOff))
-	var magic [8]byte
-	if _, err := io.ReadFull(hr, magic[:]); err != nil {
-		return nil, formatErrf(path, "reading magic: %v", err)
-	}
-	if magic != streamMagic {
-		return nil, formatErrf(path, "bad magic %q", magic[:])
-	}
-	u32 := func(what string) (uint32, error) {
-		var v uint32
-		if err := binary.Read(hr, binary.LittleEndian, &v); err != nil {
-			return 0, formatErrf(path, "reading %s: %v", what, err)
-		}
-		return v, nil
-	}
-	version, err := u32("version")
+	// Header: its 20 fixed bytes (magic, version, chunk size, name
+	// length), the name and the block count, then the per-block warp
+	// counts, each read with one ReadAt that stops at the chunk data.
+	le := binary.LittleEndian
+	hdr, err := readRegion(f, 0, 20+maxNameLen+4, indexOff)
 	if err != nil {
-		return nil, err
+		return nil, formatErrf(path, "reading header: %v", err)
 	}
-	if version != streamVersion {
-		return nil, formatErrf(path, "unsupported version %d", version)
+	if len(hdr) < 20 {
+		return nil, formatErrf(path, "header cut off at byte %d", len(hdr))
 	}
-	ci, err := u32("chunk size")
-	if err != nil {
-		return nil, err
+	if [8]byte(hdr) != streamMagic {
+		return nil, formatErrf(path, "bad magic %q", hdr[:8])
 	}
+	if v := le.Uint32(hdr[8:]); v != streamVersion {
+		return nil, formatErrf(path, "unsupported version %d", v)
+	}
+	ci, nameLen := le.Uint32(hdr[12:]), le.Uint32(hdr[16:])
 	if ci == 0 || ci > maxChunkInstrs {
 		return nil, formatErrf(path, "chunk size %d out of range", ci)
-	}
-	s.chunkInstrs = int(ci)
-	nameLen, err := u32("name length")
-	if err != nil {
-		return nil, err
 	}
 	if nameLen > maxNameLen {
 		return nil, formatErrf(path, "name length %d too large", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(hr, name); err != nil {
-		return nil, formatErrf(path, "reading name: %v", err)
+	warpsAt := 20 + int(nameLen) + 4
+	if len(hdr) < warpsAt {
+		return nil, formatErrf(path, "header cut off in the name or block count")
 	}
-	s.name = string(name)
-	nBlocks, err := u32("block count")
-	if err != nil {
-		return nil, err
-	}
+	s.chunkInstrs, s.name = int(ci), string(hdr[20:warpsAt-4])
+	nBlocks := le.Uint32(hdr[warpsAt-4:])
 	if nBlocks == 0 || nBlocks > maxBlocks {
 		return nil, formatErrf(path, "block count %d out of range", nBlocks)
 	}
+	counts, err := readRegion(f, int64(warpsAt), 4*int64(nBlocks), indexOff)
+	if err != nil {
+		return nil, formatErrf(path, "reading warp counts: %v", err)
+	}
+	if len(counts) < 4*int(nBlocks) {
+		return nil, formatErrf(path, "header cut off in block %d warp count", len(counts)/4)
+	}
+	dataOff := int64(warpsAt + len(counts)) // chunk data runs from here to indexOff
 	s.warpsPer = make([]int, nBlocks)
 	s.warpStart = make([]int, nBlocks)
 	totalWarps := 0
 	for bi := range s.warpsPer {
-		nw, err := u32(fmt.Sprintf("block %d warp count", bi))
-		if err != nil {
-			return nil, err
-		}
+		nw := le.Uint32(counts[4*bi:])
 		if nw == 0 || nw > maxWarps {
 			return nil, formatErrf(path, "block %d warp count %d out of range", bi, nw)
 		}
@@ -233,47 +221,51 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 		totalWarps += int(nw)
 	}
 
-	// Index.
-	ir := bufio.NewReader(io.NewSectionReader(f, indexOff, hashedLen-indexOff))
-	iu32 := func(what string) (uint32, error) {
-		var v uint32
-		if err := binary.Read(ir, binary.LittleEndian, &v); err != nil {
-			return 0, formatErrf(path, "index: reading %s: %v", what, err)
-		}
-		return v, nil
+	// Index: one ReadAt, then every warp's chunk list carved out of one
+	// slice sized for the entries the index has room for.
+	ix, err := readRegion(f, indexOff, hashedLen-indexOff, hashedLen)
+	if err != nil {
+		return nil, formatErrf(path, "reading index: %v", err)
 	}
+	refs := make([]chunkRef, 0, max(0, (len(ix)-4*totalWarps)/12))
 	s.warps = make([]fileWarp, totalWarps)
 	totalInstrs := 0
 	for wi := range s.warps {
-		n, err := iu32(fmt.Sprintf("warp %d instr count", wi))
-		if err != nil {
-			return nil, err
+		if len(ix) < 4 {
+			return nil, formatErrf(path, "index: warp %d instr count cut off", wi)
 		}
+		n := le.Uint32(ix)
 		totalInstrs += int(n)
 		if n == 0 || totalInstrs > maxInstrs {
 			return nil, formatErrf(path, "warp %d instr count %d out of range", wi, n)
 		}
 		nChunks := (int(n) + s.chunkInstrs - 1) / s.chunkInstrs
-		w := fileWarp{instrs: int(n), chunks: make([]chunkRef, nChunks)}
-		for c := range w.chunks {
-			var off uint64
-			if err := binary.Read(ir, binary.LittleEndian, &off); err != nil {
-				return nil, formatErrf(path, "index: reading warp %d chunk %d offset: %v", wi, c, err)
-			}
-			sz, err := iu32(fmt.Sprintf("warp %d chunk %d size", wi, c))
-			if err != nil {
-				return nil, err
-			}
-			if sz == 0 || sz > maxChunkBytes || int64(off) < 0 ||
-				int64(off)+int64(sz) > indexOff {
-				return nil, formatErrf(path, "index: warp %d chunk %d spans [%d, %d) outside chunk data [0, %d)",
-					wi, c, off, off+uint64(sz), indexOff)
-			}
-			w.chunks[c] = chunkRef{off: int64(off), size: sz}
+		ents := ix[4:]
+		if len(ents) < 12*nChunks {
+			return nil, formatErrf(path, "index: warp %d chunk %d entry cut off", wi, len(ents)/12)
 		}
-		s.warps[wi] = w
+		first := len(refs)
+		for c := 0; c < nChunks; c++ {
+			off, sz := le.Uint64(ents[12*c:]), le.Uint32(ents[12*c+8:])
+			if sz == 0 || sz > maxChunkBytes || off < uint64(dataOff) || off > uint64(indexOff) ||
+				int64(off)+int64(sz) > indexOff {
+				return nil, formatErrf(path, "index: warp %d chunk %d spans [%d, %d) outside chunk data [%d, %d)",
+					wi, c, off, off+uint64(sz), dataOff, indexOff)
+			}
+			refs = append(refs, chunkRef{off: int64(off), size: sz})
+		}
+		s.warps[wi] = fileWarp{instrs: int(n), chunks: refs[first:len(refs):len(refs)]}
+		ix = ents[12*nChunks:]
 	}
 	return s, nil
+}
+
+// readRegion reads up to n bytes at off, stopping at end (the region
+// the bytes must come from), into a new slice.
+func readRegion(f *os.File, off, n, end int64) ([]byte, error) {
+	b := make([]byte, max(0, min(n, end-off)))
+	_, err := f.ReadAt(b, off)
+	return b, err
 }
 
 // Close releases the underlying file.
@@ -401,8 +393,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	}()
 
 	h := sha256.New()
-	bw := bufio.NewWriter(f)
-	cw := &countWriter{w: io.MultiWriter(bw, h)}
+	e := newEncoder(f, h, fileBufSize)
 
 	// Header.
 	name := src.Name()
@@ -413,12 +404,13 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	if nBlocks <= 0 || nBlocks > maxBlocks {
 		return formatErrf(path, "block count %d out of range", nBlocks)
 	}
-	hdr := append(cw.buf[:0], streamMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, streamVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunkInstrs))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(name)))
-	hdr = append(hdr, name...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nBlocks))
+	// The fixed header fits the empty buffer.
+	e.buf = append(e.buf, streamMagic[:]...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, streamVersion)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(chunkInstrs))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(name)))
+	e.buf = append(e.buf, name...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(nBlocks))
 	totalWarps := 0
 	for bi := 0; bi < nBlocks; bi++ {
 		nw := src.Warps(bi)
@@ -426,10 +418,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 			return formatErrf(path, "block %d warp count %d out of range", bi, nw)
 		}
 		totalWarps += nw
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nw))
-	}
-	if err := cw.flush(hdr); err != nil {
-		return err
+		e.uint32(uint32(nw))
 	}
 
 	// Chunk data. Source windows are rewindowed instruction by
@@ -443,7 +432,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	for bi := 0; bi < nBlocks; bi++ {
 		for wi := 0; wi < src.Warps(bi); wi++ {
 			fw := fileWarp{}
-			ref := chunkRef{off: cw.n}
+			ref := chunkRef{off: e.off()}
 			inChunk := 0
 			for start, eof := 0, false; !eof; {
 				chunk.Reset()
@@ -458,12 +447,12 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 				}
 				for i := range win {
 					if inChunk == chunkInstrs {
-						ref.size = uint32(cw.n - ref.off)
+						ref.size = uint32(e.off() - ref.off)
 						fw.chunks = append(fw.chunks, ref)
-						ref = chunkRef{off: cw.n}
+						ref = chunkRef{off: e.off()}
 						inChunk = 0
 					}
-					if err := cw.writeInstr(&win[i]); err != nil {
+					if err := e.instr(&win[i]); err != nil {
 						return err
 					}
 					inChunk++
@@ -474,23 +463,23 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 			if fw.instrs == 0 {
 				return formatErrf(path, "stream %q block %d warp %d is empty", name, bi, wi)
 			}
-			ref.size = uint32(cw.n - ref.off)
+			ref.size = uint32(e.off() - ref.off)
 			fw.chunks = append(fw.chunks, ref)
 			index = append(index, fw)
 		}
 	}
 
 	// Index.
-	indexOff := cw.n
+	indexOff := e.off()
 	for _, fw := range index {
-		ent := binary.LittleEndian.AppendUint32(cw.buf[:0], uint32(fw.instrs))
+		e.uint32(uint32(fw.instrs))
 		for _, ref := range fw.chunks {
-			ent = binary.LittleEndian.AppendUint64(ent, uint64(ref.off))
-			ent = binary.LittleEndian.AppendUint32(ent, ref.size)
+			e.reserve(12)
+			e.buf = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(e.buf, uint64(ref.off)), ref.size)
 		}
-		if err := cw.flush(ent); err != nil {
-			return err
-		}
+	}
+	if err := e.flush(); err != nil {
+		return err
 	}
 
 	// Footer: indexOff and the checksum bypass the hasher (the hash
@@ -499,8 +488,6 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	binary.LittleEndian.PutUint64(footer[:8], uint64(indexOff))
 	h.Sum(footer[8:8])
 	copy(footer[streamFooterLen-8:], streamMagic[:])
-	if _, err := bw.Write(footer[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err = f.Write(footer[:])
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +208,102 @@ func TestSerializeWorkloadScale(t *testing.T) {
 	a, b := k.Summarize(128), got.Summarize(128)
 	if *a != *b {
 		t.Errorf("summaries differ: %+v vs %+v", a, b)
+	}
+}
+
+// craftedIndexFile writes a one-block, two-warp file whose checksum is
+// right: warp 0 is one compute instruction in the chunk at [28, 38),
+// the index starts at 38, and index1 is warp 1's index entry, whatever
+// it holds.
+func craftedIndexFile(t *testing.T, path string, index1 []byte) {
+	t.Helper()
+	b := append([]byte(nil), streamMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, streamVersion)
+	b = binary.LittleEndian.AppendUint32(b, 8) // chunk size
+	b = binary.LittleEndian.AppendUint32(b, 0) // name length
+	b = binary.LittleEndian.AppendUint32(b, 1) // blocks
+	b = binary.LittleEndian.AppendUint32(b, 2) // warps of block 0
+	in := NewCompute(1, 4, 32)
+	chunkOff := len(b)
+	b, err := appendInstr(b, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexOff := len(b)
+	if chunkOff != 28 || indexOff != 38 {
+		t.Fatalf("crafted chunk at [%d, %d), want [28, 38)", chunkOff, indexOff)
+	}
+	b = binary.LittleEndian.AppendUint32(b, 1) // warp 0: one instruction
+	b = binary.LittleEndian.AppendUint64(b, uint64(chunkOff))
+	b = binary.LittleEndian.AppendUint32(b, uint32(indexOff-chunkOff))
+	writeCrafted(t, path, append(b, index1...), indexOff)
+}
+
+// TestOpenRejectsHostileIndex: an index the checksum vouches for but
+// whose entries are wrong is a *FormatError naming the warp or chunk,
+// never a panic or an accepted file.
+func TestOpenRejectsHostileIndex(t *testing.T) {
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	entry := func(instrs uint32, off uint64, size uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(u32(instrs), off), size)
+	}
+	cases := []struct {
+		name  string
+		index []byte
+		want  string
+	}{
+		{"no instructions", u32(0), "warp 1 instr count 0"},
+		{"span past chunk data", entry(1, 30, 10), "warp 1 chunk 0 spans [30, 40) outside chunk data [28, 38)"},
+		{"span into the header", entry(1, 20, 10), "warp 1 chunk 0 spans [20, 30)"},
+		{"offset past int64", entry(1, 1<<63-5, 10), "warp 1 chunk 0 spans [9223372036854775803, "},
+		{"empty chunk", entry(1, 28, 0), "warp 1 chunk 0 spans [28, 28)"},
+		{"more chunks than entries", entry(9, 28, 10), "warp 1 chunk 1"},
+		{"cut off in the count", u32(1)[:3], "warp 1 instr count"},
+		{"cut off in an offset", entry(1, 28, 10)[:9], "warp 1 chunk 0 entry cut off"},
+		{"cut off in a size", entry(1, 28, 10)[:14], "warp 1 chunk 0 entry cut off"},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "hostile.dlpstrm")
+		craftedIndexFile(t, path, c.index)
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		wantFormatError(t, c.name, path, err)
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+	}
+	// The good warp alone opens: the cases above fail on warp 1 only.
+	path := filepath.Join(t.TempDir(), "good.dlpstrm")
+	craftedIndexFile(t, path, entry(1, 28, 10))
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("well-formed crafted file: %v", err)
+	}
+	s.Close()
+}
+
+// TestOpenAllocatesPerWarp: parsing the index costs a bounded number of
+// allocations per warp, however many chunk entries the warps hold, and
+// builds no error text on the success path. The file has 32 warps of
+// one-instruction chunks, about 900 index entries.
+func TestOpenAllocatesPerWarp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k.dlpstrm")
+	if err := WriteFile(path, NewKernelStream(testKernel(4, 8)), 1); err != nil {
+		t.Fatal(err)
+	}
+	const warps = 32
+	allocs := testing.AllocsPerRun(10, func() {
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+	if bound := float64(warps + 32); allocs > bound {
+		t.Errorf("Open allocates %.0f times for %d warps, want at most %.0f", allocs, warps, bound)
 	}
 }
