@@ -62,10 +62,14 @@ var noGoDirs = map[string]string{
 	"internal/sm": "the SMs tick on the engine's goroutine",
 }
 
-// readAheadFile is the one file of internal/trace that starts a
-// goroutine, and it starts exactly one: the helper that fills a
-// streamed run's next windows.
-const readAheadFile = "internal/trace/readahead.go"
+// oneGoFiles are the packages with exactly one go statement, and the
+// file it must be in: internal/trace's read-ahead helper, which fills
+// a streamed run's next windows, and internal/workloads' fan-out, which
+// builds a large eager kernel's warps on every P.
+var oneGoFiles = map[string]string{
+	"internal/trace":     "internal/trace/readahead.go",
+	"internal/workloads": "internal/workloads/fanout.go",
+}
 
 // retiredFields are the settable values that had no caller: the retry
 // budget and its attempt counts, the per-job deadline, the engine's
@@ -165,14 +169,15 @@ func flagDecl(call *ast.CallExpr) string {
 // bench/ names a Cores field or a retired field, or names a retired
 // identifier; internal/sim and internal/rdd
 // start no goroutine and import no sync package, internal/sm starts
-// none, and internal/trace has exactly one go statement, the read-ahead
-// helper's; and no per-binary profiler type comes back.
+// none, internal/trace has exactly one go statement, the read-ahead
+// helper's, and internal/workloads exactly one, the eager fan-out's;
+// and no per-binary profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
 		owned[name] = true
 	}
-	var traceGos []string             // positions of internal/trace's go statements
+	gos := map[string][]string{}      // oneGoFiles package dir -> positions of its go statements
 	declared := map[string][]string{} // package dir -> harness-owned names it declares
 	groups := map[string][]string{}   // internal/cli group function -> names in order
 	fset := token.NewFileSet()
@@ -260,8 +265,8 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 				if why, ok := noGoDirs[dir]; ok {
 					t.Errorf("%s: %s starts a goroutine; %s", fset.Position(n.Pos()), dir, why)
 				}
-				if dir == "internal/trace" {
-					traceGos = append(traceGos, filepath.ToSlash(fset.Position(n.Pos()).String()))
+				if _, ok := oneGoFiles[dir]; ok {
+					gos[dir] = append(gos[dir], filepath.ToSlash(fset.Position(n.Pos()).String()))
 				}
 			case *ast.TypeSpec:
 				if n.Name.Name == "profiler" && strings.HasPrefix(dir, "cmd/") {
@@ -276,8 +281,10 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(traceGos) != 1 || !strings.HasPrefix(traceGos[0], readAheadFile+":") {
-		t.Errorf("internal/trace starts goroutines at %v, want exactly one, in %s", traceGos, readAheadFile)
+	for dir, file := range oneGoFiles {
+		if at := gos[dir]; len(at) != 1 || !strings.HasPrefix(at[0], file+":") {
+			t.Errorf("%s starts goroutines at %v, want exactly one, in %s", dir, at, file)
+		}
 	}
 	for fn, want := range map[string][]string{"ExecFlags": execFlags, "BatchFlags": batchFlags} {
 		if got := groups[fn]; strings.Join(got, " ") != strings.Join(want, " ") {

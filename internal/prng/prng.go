@@ -15,16 +15,26 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
+// gamma is SplitMix64's state increment: each draw adds it once.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next value in the sequence.
 func (s *Source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += gamma
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Intn returns a value in [0, n). It panics if n <= 0.
+// Skip advances the sequence past n values in O(1), exactly as n
+// calls of Uint64 (or Intn, which is one draw) would.
+func (s *Source) Skip(n int) {
+	s.state += uint64(n) * gamma
+}
+
+// Intn returns a value in [0, n), exactly one Uint64 draw. It panics
+// if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("prng: Intn with non-positive n")

@@ -92,3 +92,26 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSkipMatchesDraws: Skip(n) then one draw equals n+1 plain draws,
+// and skipping Intn draws leaves the same state as making them.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 31, 32, 1000, 1 << 20} {
+		skipped, drawn := New(uint64(n)*7+3), New(uint64(n)*7+3)
+		skipped.Skip(n)
+		for i := 0; i < n; i++ {
+			drawn.Uint64()
+		}
+		if a, b := skipped.Uint64(), drawn.Uint64(); a != b {
+			t.Errorf("Skip(%d) then Uint64 = %#x, %d+1 draws = %#x", n, a, n, b)
+		}
+	}
+	skipped, drawn := New(5), New(5)
+	skipped.Skip(32)
+	for i := 0; i < 32; i++ {
+		drawn.Intn(1000)
+	}
+	if a, b := skipped.Intn(1<<30), drawn.Intn(1<<30); a != b {
+		t.Errorf("Skip(32) then Intn = %d, 32 Intn draws then Intn = %d", a, b)
+	}
+}

@@ -44,11 +44,10 @@ const (
 // lines have upcoming reuse and last-touch/stream lines are dead (a
 // line's protected life comes from the PD of its *last* toucher).
 func slidingStream(name string, scale, touches, gap, streamLoads, computes, iters int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: name, blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: name, blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
-			fresh := mem.array(iters)
-			stream := mem.array(iters * streamLoads)
+			fresh := b.array(iters)
+			stream := b.array(iters * streamLoads)
 			for i := 0; i < iters && !b.full(); i++ {
 				b.loadVec(0, lineAt(fresh, i)) // birth
 				for t := 1; t < touches; t++ {
@@ -93,17 +92,17 @@ func gridSS(scale int) gridSpec {
 // the cost array once per iteration or slower (RD 9–64), and scattered
 // edge lists (>64).
 func gridBFS(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	edgeLines := 3072 * scale
 	edges := mem.array(edgeLines)
 	return gridSpec{name: "BFS", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			rng := seedFor(13, block, warp)
 			const nodes = 70
-			frontier := mem.array(nodes)
-			visited := mem.array(nodes)
-			offsets := mem.array(nodes)
-			cost := mem.array(nodes)
+			frontier := b.array(nodes)
+			visited := b.array(nodes)
+			offsets := b.array(nodes)
+			cost := b.array(nodes)
 			for n := 0; n < nodes && !b.full(); n++ {
 				f := lineAt(frontier, n)
 				b.loadVec(0, f)                  // insn0: pop frontier entry
@@ -133,14 +132,13 @@ func gridBFS(scale int) gridSpec {
 // the spread, and distinct PCs per structure let DLP protect selectively
 // — the workload shape that motivates per-instruction PDs (§3.3).
 func gridMM(scale int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: "MM", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: "MM", blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
 			const iters = 150
-			rowA := mem.array(2 * iters)
-			tileB := mem.array(iters)
-			panel := mem.array(2 * iters)
-			bigC := mem.array(32)
+			rowA := b.array(2 * iters)
+			tileB := b.array(iters)
+			panel := b.array(2 * iters)
+			bigC := b.array(32)
 			for i := 0; i < iters && !b.full(); i++ {
 				a := lineAt(rowA, 2*i)
 				b.loadSpan(0, a, 2)                  // insn0: A row fragment birth
@@ -160,11 +158,10 @@ func gridMM(scale int) gridSpec {
 // re-read at RD ~6 against streamed C tiles, with the highest
 // density of partially coalesced (span-2) accesses so far.
 func gridSRK(scale int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: "SRK", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: "SRK", blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
 			const iters = 150
-			panel := mem.array(2 * iters)
+			panel := b.array(2 * iters)
 			for i := 0; i < iters && !b.full(); i++ {
 				b.loadSpan(0, lineAt(panel, 2*i), 2) // panel birth
 				if i > 0 {
@@ -181,12 +178,11 @@ func gridSRK(scale int) gridSpec {
 // the 32KB cache but inside the protection window (§6.1.2) — with the
 // access ratio pushed toward 8% by span-3 streaming.
 func gridSR2K(scale int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: "SR2K", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: "SR2K", blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
 			const iters = 150
-			panel := mem.array(2 * iters)
-			stream := mem.array(3 * iters)
+			panel := b.array(2 * iters)
+			stream := b.array(3 * iters)
 			for i := 0; i < iters && !b.full(); i++ {
 				b.loadSpan(0, lineAt(panel, 2*i), 2)  // panel birth
 				b.loadSpan(1, lineAt(stream, 3*i), 3) // streamed second panel
@@ -205,12 +201,11 @@ func gridSR2K(scale int) gridSpec {
 // protection window (Fig. 3: mostly >64), while the small assignment
 // structure cycles at protectable distances.
 func gridKM(scale int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: "KM", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: "KM", blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
-			points := mem.array(60)
+			points := b.array(60)
 			const reps = 5
-			assign := mem.array(reps * 10)
+			assign := b.array(reps * 10)
 			g := 0
 			for r := 0; r < reps && !b.full(); r++ {
 				for p := 0; p*6 < 60 && !b.full(); p++ {
@@ -234,12 +229,11 @@ func gridKM(scale int) gridSpec {
 // distances that no scheme can protect; gains come from bypassing the
 // congested cache.
 func gridSTR(scale int) gridSpec {
-	mem := &layout{}
-	return gridSpec{name: "STR", blocks: ciBlocks * scale, warps: ciWarps, mem: mem,
+	return gridSpec{name: "STR", blocks: ciBlocks * scale, warps: ciWarps,
 		build: func(b *wb, block, warp int) {
-			text := mem.array(50)
+			text := b.array(50)
 			const keywords = 6
-			kw := mem.array(keywords * 5)
+			kw := b.array(keywords * 5)
 			j := 0
 			for k := 0; k < keywords && !b.full(); k++ {
 				for l := 0; l+10 <= 50 && !b.full(); l += 10 {

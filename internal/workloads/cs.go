@@ -40,14 +40,14 @@ func perBlockArrays(mem *layout, blocks, lines int) []addr.Addr {
 // region, giving the long reuse distances of Fig. 3 and the lowest
 // memory-access ratio of the suite (Fig. 6).
 func gridHG(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	binsLines := 512 * scale
 	bins := mem.array(binsLines)
 	return gridSpec{name: "HG", blocks: csBlocks * scale, warps: csWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			rng := seedFor(1, block, warp)
 			const inputPerWarp = 10
-			input := mem.array(inputPerWarp)
+			input := b.array(inputPerWarp)
 			for i := 0; i < inputPerWarp && !b.full(); i++ {
 				b.loadVec(0, lineAt(input, i)) // stream the input
 				// Per-element binning: a few diverged bin touches.
@@ -65,13 +65,12 @@ func gridHG(scale int) gridSpec {
 // reused by the three vertically adjacent outputs — short reuse
 // distances, modest memory intensity.
 func gridHS(scale int) gridSpec {
-	mem := &layout{}
 	const rows = 6
-	return gridSpec{name: "HS", blocks: csBlocks * scale, warps: csWarps, mem: mem,
+	return gridSpec{name: "HS", blocks: csBlocks * scale, warps: csWarps,
 		build: func(b *wb, block, warp int) {
-			temp := mem.array(rows + 2)
-			power := mem.array(rows)
-			out := mem.array(rows)
+			temp := b.array(rows + 2)
+			power := b.array(rows)
+			out := b.array(rows)
 			for y := 0; y < rows && !b.full(); y++ {
 				b.loadVec(0, lineAt(temp, y))   // north (reused: was center)
 				b.loadVec(1, lineAt(temp, y+1)) // center (reused: was south)
@@ -88,13 +87,12 @@ func gridHS(scale int) gridSpec {
 // almost every reuse distance exceeds 64 (Fig. 3) and larger caches
 // barely help (Fig. 4).
 func gridSTEN(scale int) gridSpec {
-	mem := &layout{}
 	const slabLines = 40 // y-lines of the plane owned by one warp
 	const planes = 2
-	return gridSpec{name: "STEN", blocks: csBlocks * scale, warps: csWarps, mem: mem,
+	return gridSpec{name: "STEN", blocks: csBlocks * scale, warps: csWarps,
 		build: func(b *wb, block, warp int) {
-			vol := mem.array(slabLines * (planes + 2))
-			out := mem.array(slabLines * planes)
+			vol := b.array(slabLines * (planes + 2))
+			out := b.array(slabLines * planes)
 			at := func(z, y int) addr.Addr { return lineAt(vol, z*slabLines+y) }
 			for z := 1; z <= planes && !b.full(); z++ {
 				for y := 0; y < slabLines && !b.full(); y++ {
@@ -112,12 +110,11 @@ func gridSTEN(scale int) gridSpec {
 // each input line is re-read by the immediately following outputs —
 // reuse distances of 1–4.
 func gridSC(scale int) gridSpec {
-	mem := &layout{}
 	const rows = 16
-	return gridSpec{name: "SC", blocks: csBlocks * scale, warps: csWarps, mem: mem,
+	return gridSpec{name: "SC", blocks: csBlocks * scale, warps: csWarps,
 		build: func(b *wb, block, warp int) {
-			img := mem.array(rows + 2)
-			out := mem.array(rows)
+			img := b.array(rows + 2)
+			out := b.array(rows)
 			for y := 0; y < rows && !b.full(); y++ {
 				b.loadVec(0, lineAt(img, y))
 				b.loadVec(1, lineAt(img, y+1))
@@ -132,14 +129,14 @@ func gridSC(scale int) gridSpec {
 // weight matrix shared by all warps and re-walked for every input
 // element — short reuse distances.
 func gridBP(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	const weightLines = 16
 	blocks := csBlocks * scale
-	weights := perBlockArrays(mem, blocks, weightLines)
+	weights := perBlockArrays(&mem, blocks, weightLines)
 	return gridSpec{name: "BP", blocks: blocks, warps: csWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			const inputs = 12
-			in := mem.array(inputs)
+			in := b.array(inputs)
 			for i := 0; i < inputs && !b.full(); i++ {
 				b.loadVec(0, lineAt(in, i)) // stream inputs
 				// Re-walk a slice of the shared weight matrix: tight reuse.
@@ -156,12 +153,12 @@ func gridBP(scale int) gridSpec {
 // between adjacent warps gives a high hit rate that over-bypassing
 // schemes destroy (§6.1.1).
 func gridSRAD(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	const warps = 48 // full occupancy: bursts of loads expose stalls
 	const rows = warps
 	blocks := csBlocks * scale
-	imgs := perBlockArrays(mem, blocks, rows+2)
-	coeffs := perBlockArrays(mem, blocks, rows+2)
+	imgs := perBlockArrays(&mem, blocks, rows+2)
+	coeffs := perBlockArrays(&mem, blocks, rows+2)
 	return gridSpec{name: "SRAD", blocks: blocks, warps: warps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			img, coeff := imgs[block], coeffs[block]
@@ -182,14 +179,14 @@ func gridSRAD(scale int) gridSpec {
 // the previous two diagonals quickly but the reference matrix at long
 // distances — a mixed RDD.
 func gridNW(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	const diag = 6
 	refLines := 512 * scale
 	ref := mem.array(refLines)
 	return gridSpec{name: "NW", blocks: csBlocks * scale, warps: csWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
 			rng := seedFor(7, block, warp)
-			score := mem.array(3 * diag)
+			score := b.array(3 * diag)
 			for step := 0; step < 40 && !b.full(); step++ {
 				cur := step % 3
 				prev := (step + 2) % 3
@@ -208,15 +205,15 @@ func gridNW(scale int) gridSpec {
 // block touch the same tile lines within a few cycles of each other —
 // short reuse distances.
 func gridGEMM(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	const tiles = 24
 	const tileLines = 8
 	blocks := csBlocks * scale
-	a := perBlockArrays(mem, blocks, tiles*tileLines)
-	bm := perBlockArrays(mem, blocks, tiles*tileLines)
+	a := perBlockArrays(&mem, blocks, tiles*tileLines)
+	bm := perBlockArrays(&mem, blocks, tiles*tileLines)
 	return gridSpec{name: "GEMM", blocks: blocks, warps: csWarps, mem: mem,
 		build: func(b *wb, block, warp int) {
-			c := mem.array(tileLines)
+			c := b.array(tileLines)
 			for t := 0; t < tiles && !b.full(); t++ {
 				for l := 0; l < tileLines && !b.full(); l++ {
 					// All warps of the block load the same tile lines: the
@@ -237,11 +234,11 @@ func gridGEMM(scale int) gridSpec {
 // every query (very short RD, high hit rate) while leaves scatter —
 // exactly the profile that Stall-Bypass damages by over-bypassing.
 func gridBT(scale int) gridSpec {
-	mem := &layout{}
+	var mem layout
 	const innerLines = 6
 	leafLines := 2048 * scale
 	blocks := csBlocks * scale
-	inner := perBlockArrays(mem, blocks, innerLines)
+	inner := perBlockArrays(&mem, blocks, innerLines)
 	leaves := mem.array(leafLines)
 	return gridSpec{name: "BT", blocks: blocks, warps: 48, mem: mem,
 		build: func(b *wb, block, warp int) {

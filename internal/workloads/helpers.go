@@ -51,9 +51,15 @@ func (l *layout) array(lines int) addr.Addr {
 //   - chunk (chunk != nil): only instructions whose index falls in
 //     [skip, limit) are materialized, into the chunk's backing arrays;
 //     everything else just advances n.
+//
+// A builder owns its layout cursor, mem: the closure allocates its
+// per-warp regions through array, starting from the cursor the shape
+// pass recorded before the warp. Nothing a build writes is shared, so
+// warps can be built in any order and on any goroutine.
 type wb struct {
 	instrs []trace.Instr
 	slab   []addr.Addr
+	mem    layout
 
 	chunk       *trace.Chunk
 	skip, limit int
@@ -62,27 +68,37 @@ type wb struct {
 	nlanes      int // lane addresses emitted so far (shape mode)
 }
 
+// array reserves a per-warp region of n cache lines from the builder's
+// layout cursor.
+func (b *wb) array(lines int) addr.Addr { return b.mem.array(lines) }
+
+// materializes reports, without advancing the stream, whether the next
+// instruction will be materialized. A closure asks it to skip drawing
+// the lanes of an instruction that will not be; the emit that follows
+// still advances the stream and, in shape mode, counts the lanes.
+func (b *wb) materializes() bool {
+	return !b.shape && (b.chunk == nil || (b.n >= b.skip && b.n < b.limit))
+}
+
 // emits reports whether the memory instruction being built, with k
 // lanes, must be materialized. When it must not, the instruction only
 // advances the stream — and in shape mode its lanes are counted.
 func (b *wb) emits(k int) bool {
+	if b.materializes() {
+		return true
+	}
+	b.n++
 	if b.shape {
-		b.n++
 		b.nlanes += k
-		return false
 	}
-	if b.chunk != nil && (b.n < b.skip || b.n >= b.limit) {
-		b.n++
-		return false
-	}
-	return true
+	return false
 }
 
 // full reports that a chunk-mode build has emitted its window's last
 // instruction: nothing the closure emits from here on is materialized,
-// so its loops stop early. Every Fill restores the layout cursor from
-// the warp's snapshot, and the shape pass runs closures in full, so
-// stopping changes no window.
+// so its loops stop early. Every Fill starts a builder of its own at
+// the warp's layout snapshot, and the shape pass runs closures in
+// full, so stopping changes no window.
 func (b *wb) full() bool { return b.chunk != nil && b.n >= b.limit }
 
 // lanes returns an n-address slice for the instruction being built,
@@ -203,76 +219,64 @@ func (b *wb) storeGather(pc uint32, lines []addr.Addr) {
 	b.push(trace.NewStore(pc, addrs))
 }
 
-// gridSpec is a generator's deferred grid: the launch shape plus the
-// per-warp build closure, with the layout allocator the closure draws
-// per-warp regions from. One gridSpec instance is consumed exactly once
-// — eagerly via Kernel or lazily via newGridStream — because builds
-// advance the layout cursor.
+// gridSpec is a generator's deferred grid: the launch shape, the
+// per-warp build closure, and mem, the layout cursor after the regions
+// the generator allocated while constructing the grid (shared bins,
+// edge lists, per-block arrays). Warp 0's builder starts there; each
+// later warp starts where the one before it left the cursor. Building
+// changes nothing in the gridSpec, so one instance can be materialized
+// (Kernel) or streamed (newGridStream) any number of times.
 type gridSpec struct {
 	name   string
 	blocks int
 	warps  int // warps per block
-	mem    *layout
+	mem    layout
 	build  func(b *wb, block, warp int)
 }
 
-// shape runs warp (block, warp)'s closure in shape mode from the layout
-// cursor's current position, leaving the cursor after the warp, and
-// returns the warp's instruction and lane-address counts. It is the one
-// shape pass: Kernel sizes each warp with it, and gridStream learns
-// each warp's layout snapshot and length from it.
-func (g gridSpec) shape(block, warp int) (n, lanes int) {
-	b := &wb{shape: true}
-	g.build(b, block, warp)
-	return b.n, b.nlanes
+// warpShape is what the shape pass learns of one warp: the layout
+// cursor before it, and its instruction and lane-address counts.
+type warpShape struct {
+	at       uint64
+	n, lanes int
 }
 
-// Kernel materializes the whole grid eagerly — byte-identical to what
-// the pre-streaming generators produced. Each warp is shaped first,
-// then the layout cursor is rewound to the warp's snapshot and the warp
-// is built at its final size: its instructions in one allocation, all
-// its lane addresses in another.
-func (g gridSpec) Kernel() *trace.Kernel {
-	k := &trace.Kernel{Name: g.name, Blocks: make([]*trace.Block, g.blocks)}
-	for bi := range k.Blocks {
-		blk := &trace.Block{Warps: make([]*trace.WarpTrace, g.warps)}
-		for wi := range blk.Warps {
-			snap := g.mem.next
-			n, lanes := g.shape(bi, wi)
-			g.mem.next = snap
-			b := &wb{instrs: make([]trace.Instr, 0, n), slab: make([]addr.Addr, lanes)}
-			g.build(b, bi, wi)
-			blk.Warps[wi] = &trace.WarpTrace{Instrs: b.instrs}
-		}
-		k.Blocks[bi] = blk
-	}
-	return k
+// shape runs the closure of global warp i in shape mode on b from
+// layout cursor at, and returns the warp's shape and the cursor after
+// the warp. It is the one shape pass: Kernel sizes every warp with it,
+// and gridStream learns each warp's snapshot and length from it.
+func (g gridSpec) shape(b *wb, i int, at uint64) (warpShape, uint64) {
+	*b = wb{shape: true, mem: layout{next: at}}
+	g.build(b, i/g.warps, i%g.warps)
+	return warpShape{at: at, n: b.n, lanes: b.nlanes}, b.mem.next
 }
 
 // gridStream serves a gridSpec lazily as a trace.Stream. Generators
 // allocate per-warp regions *inside* their build closures, so a warp's
 // addresses depend on every earlier warp's allocations; the stream
-// therefore keeps an incremental shape pass — one layout-cursor
-// snapshot per warp, extended on demand — and every refill restores
+// therefore keeps an incremental shape pass — one warpShape per warp,
+// extended on demand — and every refill starts a builder of its own at
 // the warp's snapshot and replays its closure in chunk mode, skipping
 // instructions before the requested window and stopping at its end
 // (wb.full). Replay work per refill is the closure run up to the
 // window's end (with O(1) skipped compute runs), traded for never
-// materializing the grid. Fill holds the stream's mutex throughout, so
-// concurrent fills of different windows take turns.
+// materializing the grid. The mutex guards only the shape pass's
+// state; the replays themselves share nothing, so concurrent fills of
+// different windows run at once.
 type gridStream struct {
 	g   gridSpec
 	key string
 
 	mu     sync.Mutex
-	snaps  []uint64 // snaps[i] = layout cursor before building warp i
-	counts []int    // counts[i] = instruction count of shaped warp i
+	shapes []warpShape // shapes[i] = warp i's snapshot and length
+	at     uint64      // layout cursor after the last shaped warp
+	sb     wb          // the shape pass's builder
 }
 
 // newGridStream wraps g; key is the stream's cache identity, its
 // SpecKey.
 func newGridStream(g gridSpec, key string) *gridStream {
-	return &gridStream{g: g, key: key, snaps: []uint64{g.mem.next}}
+	return &gridStream{g: g, key: key, at: g.mem.next}
 }
 
 func (s *gridStream) Name() string        { return s.g.name }
@@ -280,35 +284,29 @@ func (s *gridStream) Blocks() int         { return s.g.blocks }
 func (s *gridStream) Warps(block int) int { return s.g.warps }
 func (s *gridStream) SpecKey() string     { return s.key }
 
-// ensureShaped extends the shape pass through global warp index idx,
-// learning each warp's layout snapshot and instruction count.
-func (s *gridStream) ensureShaped(idx int) {
-	for len(s.counts) <= idx {
-		i := len(s.counts)
-		s.g.mem.next = s.snaps[i]
-		n, _ := s.g.shape(i/s.g.warps, i%s.g.warps)
-		s.counts = append(s.counts, n)
-		s.snaps = append(s.snaps, s.g.mem.next)
+// shaped extends the shape pass through global warp index idx and
+// returns that warp's shape.
+func (s *gridStream) shaped(idx int) warpShape {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.shapes) <= idx {
+		var sh warpShape
+		sh, s.at = s.g.shape(&s.sb, len(s.shapes), s.at)
+		s.shapes = append(s.shapes, sh)
 	}
+	return s.shapes[idx]
 }
 
 func (s *gridStream) Fill(block, warp, start int, c *trace.Chunk) ([]trace.Instr, bool, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := block*s.g.warps + warp
-	s.ensureShaped(idx)
+	sh := s.shaped(block*s.g.warps + warp)
 	window := cap(c.Instrs)
 	if window == 0 {
 		window = trace.DefaultChunkInstrs
 	}
-	limit := start + window
-	if n := s.counts[idx]; limit > n {
-		limit = n
-	}
-	s.g.mem.next = s.snaps[idx]
-	b := &wb{chunk: c, skip: start, limit: limit}
+	limit := min(start+window, sh.n)
+	b := &wb{chunk: c, skip: start, limit: limit, mem: layout{next: sh.at}}
 	s.g.build(b, block, warp)
-	return c.Instrs, limit == s.counts[idx], true
+	return c.Instrs, limit == sh.n, true
 }
 
 // seedFor derives a deterministic per-(benchmark, block, warp) PRNG.

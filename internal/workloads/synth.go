@@ -194,7 +194,7 @@ func (s SynthSpec) gridSpec() gridSpec {
 	if name == "" {
 		name = fmt.Sprintf("synth-%x", s.Seed)
 	}
-	mem := &layout{}
+	var mem layout
 	base := mem.array(s.FootprintLines)
 	weights := [numPatterns]int{s.StreamPct, s.StridePct, s.GatherPct, s.HotPct, s.ConflictPct}
 	totalWeight := 0
@@ -202,10 +202,10 @@ func (s SynthSpec) gridSpec() gridSpec {
 		totalWeight += w
 	}
 
-	gather := make([]addr.Addr, warpLanes)
 	return gridSpec{name: name, blocks: s.Blocks, warps: s.WarpsPerBlock, mem: mem,
 		build: func(b *wb, block, warp int) {
 			r := seedFor(s.Seed, block, warp)
+			var gather [warpLanes]addr.Addr    // one gather's lanes, built in place
 			cursor := r.Intn(s.FootprintLines) // per-warp streaming position
 			for i := 0; i < s.MemInsnsPerWarp && !b.full(); i++ {
 				if s.ComputeRun > 0 {
@@ -245,13 +245,19 @@ func (s SynthSpec) gridSpec() gridSpec {
 					}
 					continue
 				case patGather:
-					for l := range gather {
-						gather[l] = lineAt(base, r.Intn(s.FootprintLines))
+					// A gather that is not materialized skips its lanes'
+					// draws; the emit still advances (and counts) it.
+					if b.materializes() {
+						for l := range gather {
+							gather[l] = lineAt(base, r.Intn(s.FootprintLines))
+						}
+					} else {
+						r.Skip(len(gather))
 					}
 					if store {
-						b.storeGather(pc, gather)
+						b.storeGather(pc, gather[:])
 					} else {
-						b.loadGather(pc, gather)
+						b.loadGather(pc, gather[:])
 					}
 					continue
 				case patHot:

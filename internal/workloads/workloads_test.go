@@ -254,7 +254,7 @@ func TestSummariesReasonable(t *testing.T) {
 }
 
 func TestLoadSpanClamps(t *testing.T) {
-	k := gridSpec{name: "x", blocks: 1, warps: 1, mem: &layout{}, build: func(b *wb, _, _ int) {
+	k := gridSpec{name: "x", blocks: 1, warps: 1, build: func(b *wb, _, _ int) {
 		b.loadSpan(0, 0, 0)  // clamps to 1
 		b.loadSpan(1, 0, 64) // clamps to 32
 	}}.Kernel()
