@@ -80,7 +80,9 @@ type CacheView struct {
 //	                      header names the tenant; ?wait=1 blocks for
 //	                      the result — disconnecting cancels the job;
 //	                      a body that settled done before is answered
-//	                      at once, cached)
+//	                      at once, cached; a workload scale above
+//	                      maxScale is a 422 "cost" error, refused
+//	                      before its kernel is built)
 //	GET    /jobs/{id}         job status (+stats when done)
 //	GET    /jobs/{id}/stats   normalized stats, verbatim corpus bytes
 //	GET    /jobs/{id}/events  progress stream (JSON lines)

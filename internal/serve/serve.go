@@ -335,6 +335,10 @@ func (s *Server) submit(body []byte, tenant string, syncOwn bool) (*jobState, *s
 	if err != nil {
 		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
 	}
+	if scale := sp.Workload.Scale; scale > maxScale {
+		return nil, &submitError{status: 422, info: ErrorInfo{Type: "cost",
+			Message: fmt.Sprintf("workload scale %d is above the served ceiling of %d", scale, maxScale)}}
+	}
 	cfg, pol, kernel, err := buildSpec(sp)
 	if err != nil {
 		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
@@ -376,6 +380,13 @@ func (s *Server) submit(body []byte, tenant string, syncOwn bool) (*jobState, *s
 	js.appendEvent("queued", nil)
 	return js, nil
 }
+
+// maxScale is the largest workload scale a submission may ask for. A
+// job's kernel is built eagerly inside POST /jobs, and its size grows
+// with the scale: a packed MM kernel is already 273 MB at scale 1. 8 is
+// the largest scale the conformance fuzzer draws, so every reproducer
+// it writes stays servable.
+const maxScale = 8
 
 // buildSpec is conform.Spec.Build; a variable so a test can hold a submit
 // inside it, or count the builds.

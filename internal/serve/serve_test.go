@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,6 +249,40 @@ func TestBadSpecRejected(t *testing.T) {
 	s.mu.Lock()
 	if s.submitted != 0 {
 		t.Errorf("%d jobs admitted from invalid specs", s.submitted)
+	}
+	s.mu.Unlock()
+}
+
+// TestScaleAboveTheCeilingRefused: a workload scale above maxScale is a
+// 422 with the "cost" error type, refused before the spec is built, so
+// the server generates nothing for it; the ceiling itself is served.
+func TestScaleAboveTheCeilingRefused(t *testing.T) {
+	var builds atomic.Int64
+	buildSpec = func(*conform.Spec) (*config.Config, config.Policy, *trace.Kernel, error) {
+		builds.Add(1)
+		return nil, "", nil, errors.New("the test builds no kernel")
+	}
+	defer func() { buildSpec = (*conform.Spec).Build }()
+	s, ts := startServer(t, Config{Workers: 1})
+	for _, app := range []string{"MM", "BP"} {
+		body := fmt.Sprintf(`{"schema": 1, "policy": "DLP", "workload": {"app": %q, "scale": %d}}`, app, maxScale+1)
+		resp, b := postJob(t, ts, []byte(body), "", false)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("scale %d %s: status %d, want 422", maxScale+1, app, resp.StatusCode)
+		} else if info := decodeError(t, b); info.Type != "cost" {
+			t.Errorf("scale %d %s: error type %q, want cost", maxScale+1, app, info.Type)
+		}
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("%d specs built for over-ceiling scales, want none", n)
+	}
+	body := fmt.Sprintf(`{"schema": 1, "policy": "DLP", "workload": {"app": "BP", "scale": %d}}`, maxScale)
+	if resp, _ := postJob(t, ts, []byte(body), "", false); resp.StatusCode != http.StatusBadRequest || builds.Load() != 1 {
+		t.Errorf("scale %d: status %d after %d builds, want the seam's 400 after 1", maxScale, resp.StatusCode, builds.Load())
+	}
+	s.mu.Lock()
+	if s.submitted != 0 {
+		t.Errorf("%d jobs admitted", s.submitted)
 	}
 	s.mu.Unlock()
 }

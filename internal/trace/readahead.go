@@ -29,7 +29,7 @@ const (
 	aheadDone
 )
 
-// A ReadAhead fills and packs the next windows of packing cursors on
+// A ReadAhead fills and packs the next windows of stream cursors on
 // one helper goroutine, so the goroutine that ticks the SMs mostly
 // finds a refill ready and swaps chunks instead of filling. By the
 // Stream contract a window is a pure function of (stream, block, warp,

@@ -203,9 +203,11 @@ func TestReadAheadWalksTheSameWindows(t *testing.T) {
 }
 
 // TestFillIsSafeConcurrently: every backend's Fill may run at once for
-// different windows, each call with its own chunk (run it under -race).
-// Four goroutines walk every window of every warp, each from another
-// warp onwards, and must read what one serial walk read.
+// different windows, each call with its own chunk (run it under -race),
+// from the first Fill on: four goroutines walk every window of every
+// warp of a freshly opened instance, each from another warp onwards, so
+// they meet whatever lazy state a backend sets up on first use, and
+// must read what one serial walk of another instance read.
 func TestFillIsSafeConcurrently(t *testing.T) {
 	backends := map[string]func(t *testing.T) trace.Stream{
 		"generator": func(*testing.T) trace.Stream { return aheadSynth.Stream() },
@@ -217,15 +219,15 @@ func TestFillIsSafeConcurrently(t *testing.T) {
 	}
 	for name, open := range backends {
 		t.Run(name, func(t *testing.T) {
-			src := open(t)
+			src, fresh := open(t), open(t)
 			var warps [][2]int
 			for b := 0; b < src.Blocks(); b++ {
 				for w := 0; w < src.Warps(b); w++ {
 					warps = append(warps, [2]int{b, w})
 				}
 			}
-			// read walks one warp's windows into a fresh copy.
-			read := func(c *trace.Chunk, b, w int) (instrs []trace.Instr) {
+			// read walks one warp's windows of src into a fresh copy.
+			read := func(src trace.Stream, c *trace.Chunk, b, w int) (instrs []trace.Instr) {
 				for start, eof := 0, false; !eof; {
 					c.Reset()
 					var win []trace.Instr
@@ -245,7 +247,7 @@ func TestFillIsSafeConcurrently(t *testing.T) {
 			want := make([][]trace.Instr, len(warps))
 			c := trace.NewChunkPool(0).Get()
 			for i, bw := range warps {
-				want[i] = read(c, bw[0], bw[1])
+				want[i] = read(src, c, bw[0], bw[1])
 			}
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
@@ -255,7 +257,7 @@ func TestFillIsSafeConcurrently(t *testing.T) {
 					c := trace.NewChunkPool(0).Get()
 					for j := range warps {
 						i := (j + g*len(warps)/4) % len(warps)
-						if got := read(c, warps[i][0], warps[i][1]); !reflect.DeepEqual(got, want[i]) {
+						if got := read(fresh, c, warps[i][0], warps[i][1]); !reflect.DeepEqual(got, want[i]) {
 							t.Errorf("goroutine %d: block %d warp %d read %d instrs unlike the serial walk's %d",
 								g, warps[i][0], warps[i][1], len(got), len(want[i]))
 						}

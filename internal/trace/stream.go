@@ -24,9 +24,10 @@ import (
 // with its own Chunk: a streamed engine run fills windows ahead on a
 // helper goroutine (ReadAhead) while its own goroutine fills the ones
 // it takes back. The backends here meet that as follows: a generator
-// stream serializes its fills with a mutex, a FileStream reads with
-// ReadAt into the chunk's own Buf, a KernelStream only reads, and a
-// MultiStream delegates to its sub-streams.
+// stream shapes its grid once, on its first Fill, and only reads
+// afterwards, a FileStream reads with ReadAt into the chunk's own Buf,
+// a KernelStream only reads, and a MultiStream delegates to its
+// sub-streams.
 type Stream interface {
 	// Name is the kernel name (shown in tables and error messages).
 	Name() string
@@ -58,25 +59,25 @@ type Stream interface {
 }
 
 // DefaultChunkInstrs is the instruction-window size streaming cursors
-// request per refill. A cursor that packs its windows holds only their
-// ops: 1 KB at 64 instructions, plus the coalesced lines of its
-// multi-line memory ops (none when every op coalesces to one line, at
-// most 16 KB for a fully diverged window of 64 x 32 lines). Under a
-// ReadAhead it holds a second such chunk, its next window. Each SM's
-// pool adds one scratch chunk of ~19 KB (64 instrs, 64 x 32 lane
-// addresses) that every inline window is filled into, and the helper
-// one more. A fully resident machine — 16 SMs x 48 warps — so holds
-// ~2 MB of chunk storage on coalesced streams and at most ~27 MB on
-// fully diverged ones, regardless of trace footprint.
+// request per refill. A stream cursor holds only its windows' ops:
+// 1 KB at 64 instructions, plus the coalesced lines of its multi-line
+// memory ops (none when every op coalesces to one line, at most 16 KB
+// for a fully diverged window of 64 x 32 lines). Under a ReadAhead it
+// holds a second such chunk, its next window. Each SM's pool adds one
+// scratch chunk of ~19 KB (64 instrs, 64 x 32 lane addresses) that
+// every inline window is filled into, and the helper one more. A fully
+// resident machine — 16 SMs x 48 warps — so holds ~2 MB of chunk
+// storage on coalesced streams and at most ~27 MB on fully diverged
+// ones, regardless of trace footprint.
 const DefaultChunkInstrs = 64
 
 // A Chunk is a reusable refill buffer. Streams that own their windows
 // build instructions in Instrs with per-lane addresses in Addrs; Buf is
-// scratch for byte-level backends (trace files). A cursor that packs
-// its windows keeps only Ops and, for its multi-line memory ops, their
-// coalesced Lines. Err is a backend's report that it could not produce
-// the window asked for (a *FormatError from a damaged trace file); the
-// window it returns with it is empty and eof.
+// scratch for byte-level backends (trace files). A stream cursor keeps
+// only Ops and, for its multi-line memory ops, their coalesced Lines.
+// Err is a backend's report that it could not produce the window asked
+// for (a *FormatError from a damaged trace file); the window it returns
+// with it is empty and eof.
 type Chunk struct {
 	Instrs []Instr
 	Addrs  []addr.Addr
@@ -103,10 +104,10 @@ func (c *Chunk) Reset() {
 // single-threaded. The one exception is the hand-over of a window
 // filled ahead, which goes through the request's atomic state.
 //
-// Cursors that pack their windows fill every window into the pool's
-// one scratch chunk and keep only the packed form in a chunk of their
-// own, so the instruction, address and byte arenas exist once per pool
-// and stay hot, not once per resident warp.
+// Stream cursors fill every window into the pool's one scratch chunk
+// and keep only the packed form in a chunk of their own, so the
+// instruction, address and byte arenas exist once per pool and stay
+// hot, not once per resident warp.
 type ChunkPool struct {
 	// WarpSize is the machine's warp width: an instruction with more
 	// active lanes ends its cursor with an *InstrError. The SM sets it;
@@ -114,17 +115,17 @@ type ChunkPool struct {
 	// MaxOpLanes — the most an Op can hold.
 	WarpSize int
 
-	// Ahead, when set, has packing cursors post their next window to
+	// Ahead, when set, has stream cursors post their next window to
 	// its helper after every refill. Set it before the pool's first
 	// cursor; nil fills every window inline.
 	Ahead *ReadAhead
 
 	chunkInstrs int
 	free        []*Chunk // full chunks, for Get
-	packed      []*Chunk // ops-only chunks of packing cursors
-	aheads      []*ahead // idle read-ahead requests of packing cursors
+	packed      []*Chunk // ops-only chunks of stream cursors
+	aheads      []*ahead // idle read-ahead requests of stream cursors
 
-	scratch *Chunk  // where packing cursors' windows are filled
+	scratch *Chunk  // where stream cursors' windows are filled
 	held    window  // the window scratch holds; zero when none
 	heldWin []Instr // that window's instructions
 }
@@ -176,7 +177,7 @@ func (p *ChunkPool) Put(c *Chunk) {
 	}
 }
 
-// getPacked pops an ops-only chunk for a packing cursor. Its Lines grow
+// getPacked pops an ops-only chunk for a stream cursor. Its Lines grow
 // only when a window has multi-line memory ops.
 func (p *ChunkPool) getPacked() *Chunk {
 	if n := len(p.packed); n > 0 {
@@ -221,9 +222,9 @@ func (p *ChunkPool) fill(w window) (win []Instr, eof bool, err error) {
 // the Instr the op was packed from stays reachable through Cur for
 // trace-level consumers and self-checks.
 type Cursor struct {
-	ops   []Op        // packed window; nil when no line size was given
+	ops   []Op        // packed window; nil for InitPrecomputed
 	lines []addr.Addr // arena ops index into
-	win   []Instr     // instruction window; nil when the cursor packs a stream
+	win   []Instr     // the whole warp's instructions; nil for a stream
 	n     int         // window length
 	off   int
 	base  int // in-warp index of the window's first instruction
@@ -259,10 +260,10 @@ func (c *Cursor) InitPacked(wt *WarpTrace, lineSize int) {
 }
 
 // InitStream points the cursor at warp (block, warp) of src and loads
-// the first window. lineSize > 0 has every window packed for the issue
-// stage (Op, OpLines) and keeps only the packed form: the instructions
-// are filled into the pool's scratch chunk, where Cur finds them. 0
-// keeps the instruction window and serves Cur alone.
+// the first window. Every window is packed for the issue stage (Op,
+// OpLines) with the given line size, which must be positive, and only
+// the packed form is kept: the instructions are filled into the pool's
+// scratch chunk, where Cur finds them.
 func (c *Cursor) InitStream(src Stream, pool *ChunkPool, lineSize, block, warp int) {
 	*c = Cursor{src: src, pool: pool, lineSize: lineSize, block: block, warp: warp}
 	c.refill(0)
@@ -287,12 +288,12 @@ func (c *Cursor) Op() *Op { return &c.ops[c.off] }
 func (c *Cursor) OpLines() []addr.Addr { return c.ops[c.off].lines(c.lines) }
 
 // Cur returns the current instruction. Valid only when !Exhausted();
-// the pointer is invalidated by the next Advance. A cursor that packs a
-// stream reads it from its pool's scratch chunk, re-reading its window
-// there first if the pool has filled another since; the pointer then
-// also lasts only until the next fill of that pool, and is nil if the
-// re-read fails (CheckOp returns why). Cur is for trace-level consumers
-// and self-checks, never for the issue stage.
+// the pointer is invalidated by the next Advance. A stream cursor reads
+// it from its pool's scratch chunk, re-reading its window there first
+// if the pool has filled another since; the pointer then also lasts
+// only until the next fill of that pool, and is nil if the re-read
+// fails (CheckOp returns why). Cur is for trace-level consumers and
+// self-checks, never for the issue stage.
 func (c *Cursor) Cur() *Instr {
 	in, _ := c.instr()
 	return in
@@ -300,7 +301,7 @@ func (c *Cursor) Cur() *Instr {
 
 // instr is Cur with the error of a failed re-read.
 func (c *Cursor) instr() (*Instr, error) {
-	if c.src == nil || c.lineSize == 0 {
+	if c.src == nil {
 		return &c.win[c.off], nil
 	}
 	p := c.pool
@@ -339,66 +340,52 @@ func (c *Cursor) Release() {
 		a.fault = nil
 		c.pool.aheads = append(c.pool.aheads, a)
 	}
-	switch {
-	case c.chunk == nil:
-	case c.lineSize > 0:
+	if c.chunk != nil {
 		c.pool.packed = append(c.pool.packed, c.chunk)
-	default:
-		c.pool.Put(c.chunk)
 	}
 	*c = Cursor{}
 }
 
-// refill loads the window starting at start — into the pool's scratch
-// when the cursor packs, into its own chunk when it does not — and
-// packs it into the cursor's chunk: the per-window counterpart of
+// refill loads the window starting at start into the pool's scratch
+// and packs it into the cursor's chunk: the per-window counterpart of
 // Kernel.Pack, through the same packInstrs. Ops never go into the
 // window itself, so windows that alias shared storage are packed like
-// owned ones. A packing cursor whose next window the pool's ReadAhead
-// has filled swaps that chunk in instead, and posts the window after.
+// owned ones. A cursor whose next window the pool's ReadAhead has
+// filled swaps that chunk in instead, and posts the window after.
 func (c *Cursor) refill(start int) {
 	var (
 		n   int
 		eof bool
 		err error
 	)
-	if c.lineSize == 0 {
-		if c.chunk == nil {
-			c.chunk = c.pool.Get()
+	if c.chunk == nil {
+		c.chunk = c.pool.getPacked()
+	}
+	if a := c.next; a != nil && a.settle() {
+		if v := a.fault; v != nil {
+			a.fault = nil
+			panic(v)
 		}
-		c.chunk.Reset()
-		c.win, eof, _ = c.src.Fill(c.block, c.warp, start, c.chunk)
-		n, err = len(c.win), c.chunk.Err
+		c.chunk, a.chunk = a.chunk, c.chunk
+		n, eof, err = a.n, a.eof, a.err
 	} else {
-		if c.chunk == nil {
-			c.chunk = c.pool.getPacked()
+		var win []Instr
+		win, eof, err = c.pool.fill(window{c.src, c.block, c.warp, start})
+		n = len(win)
+		if err == nil {
+			ch := c.chunk
+			ch.Ops, ch.Lines, err = packInstrs(ch.Ops[:0], ch.Lines[:0], win, start, c.lineSize, c.pool.WarpSize)
 		}
-		if a := c.next; a != nil && a.settle() {
-			if v := a.fault; v != nil {
-				a.fault = nil
-				panic(v)
-			}
-			c.chunk, a.chunk = a.chunk, c.chunk
-			n, eof, err = a.n, a.eof, a.err
-		} else {
-			var win []Instr
-			win, eof, err = c.pool.fill(window{c.src, c.block, c.warp, start})
-			n = len(win)
-			if err == nil {
-				ch := c.chunk
-				ch.Ops, ch.Lines, err = packInstrs(ch.Ops[:0], ch.Lines[:0], win, start, c.lineSize, c.pool.WarpSize)
-			}
-		}
-		c.ops, c.lines = c.chunk.Ops, c.chunk.Lines
-		if err == nil && !eof && c.pool.Ahead != nil {
-			c.post(start + n)
-		}
+	}
+	c.ops, c.lines = c.chunk.Ops, c.chunk.Lines
+	if err == nil && !eof && c.pool.Ahead != nil {
+		c.post(start + n)
 	}
 	c.n, c.eof, c.base, c.off = n, eof, start, 0
 	if err != nil {
 		// End the warp here: the SM sees an exhausted cursor, reads Err.
 		c.err = fmt.Errorf("stream %q block %d warp %d: %w", c.src.Name(), c.block, c.warp, err)
-		c.win, c.ops, c.n, c.eof = nil, nil, 0, true
+		c.ops, c.n, c.eof = nil, 0, true
 	}
 }
 
@@ -506,29 +493,34 @@ func (m *MultiStream) SpecKey() string {
 
 // Materialize runs the whole stream eagerly into a Kernel — the
 // bridge for consumers that still need random access (trace-file
-// recording uses it warp by warp instead, via Fill directly). The error
-// is the first warp's Cursor.Err: a window the stream could not fill.
+// recording reads the stream warp by warp instead). Each warp is filled
+// window by window into one chunk and copied out of it, as WriteFile
+// does. The error is the first window the stream could not fill,
+// wrapped with the stream, block and warp.
 func Materialize(s Stream) (*Kernel, error) {
 	k := &Kernel{Name: s.Name(), Blocks: make([]*Block, s.Blocks())}
-	pool := NewChunkPool(DefaultChunkInstrs)
+	chunk := newChunk(DefaultChunkInstrs)
 	for bi := range k.Blocks {
 		blk := &Block{Warps: make([]*WarpTrace, s.Warps(bi))}
 		for wi := range blk.Warps {
-			var cur Cursor
-			cur.InitStream(s, pool, 0, bi, wi)
 			wt := &WarpTrace{}
-			for !cur.Exhausted() {
-				in := *cur.Cur()
-				if len(in.Addrs) > 0 {
-					in.Addrs = append([]addr.Addr(nil), in.Addrs...)
+			for start, eof := 0, false; !eof; {
+				chunk.Reset()
+				var win []Instr
+				win, eof, _ = s.Fill(bi, wi, start, chunk)
+				if chunk.Err != nil {
+					return nil, fmt.Errorf("stream %q block %d warp %d: %w", s.Name(), bi, wi, chunk.Err)
 				}
-				wt.Instrs = append(wt.Instrs, in)
-				cur.Advance()
-			}
-			err := cur.Err()
-			cur.Release()
-			if err != nil {
-				return nil, err
+				if len(win) == 0 && !eof {
+					return nil, fmt.Errorf("stream %q block %d warp %d: empty non-eof window at %d", s.Name(), bi, wi, start)
+				}
+				for _, in := range win {
+					if len(in.Addrs) > 0 {
+						in.Addrs = append([]addr.Addr(nil), in.Addrs...)
+					}
+					wt.Instrs = append(wt.Instrs, in)
+				}
+				start += len(win)
 			}
 			blk.Warps[wi] = wt
 		}

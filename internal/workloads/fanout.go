@@ -20,22 +20,17 @@ import (
 const fanOutInstrs = 1 << 14
 
 // Kernel materializes the whole grid eagerly — byte-identical to what
-// the pre-streaming generators produced. One serial shape pass walks
-// the layout cursor through every warp, recording each warp's snapshot
-// and its instruction and lane counts. Every warp is then built from
-// its own snapshot at its final size — its instructions in one
-// allocation, all its lane addresses in another — into its slot of the
-// kernel. A kernel of fanOutInstrs or more shaped instructions builds
-// its warps on min(GOMAXPROCS, warps) goroutines; a smaller one, or any
-// kernel under GOMAXPROCS=1, builds them on the caller.
+// the pre-streaming generators produced. The grid's shape pass gives
+// each warp's layout snapshot and its instruction and lane counts.
+// Every warp is then filled as the window [0, n) from its own snapshot
+// into a chunk of its final size — its instructions in one allocation,
+// all its lane addresses in another — and keeps the chunk's Instrs in
+// its slot of the kernel. A kernel of fanOutInstrs or more shaped
+// instructions builds its warps on min(GOMAXPROCS, warps) goroutines; a
+// smaller one, or any kernel under GOMAXPROCS=1, builds them on the
+// caller.
 func (g gridSpec) Kernel() *trace.Kernel {
-	shapes := make([]warpShape, g.blocks*g.warps)
-	at, total := g.mem.next, 0
-	var sb wb
-	for i := range shapes {
-		shapes[i], at = g.shape(&sb, i, at)
-		total += shapes[i].n
-	}
+	shapes, total := g.shapes()
 	k := &trace.Kernel{Name: g.name, Blocks: make([]*trace.Block, g.blocks)}
 	for bi := range k.Blocks {
 		k.Blocks[bi] = &trace.Block{Warps: make([]*trace.WarpTrace, g.warps)}
@@ -46,10 +41,9 @@ func (g gridSpec) Kernel() *trace.Kernel {
 	}
 	fanOut(workers, len(shapes), func(i int) {
 		sh := shapes[i]
-		b := &wb{instrs: make([]trace.Instr, 0, sh.n), slab: make([]addr.Addr, sh.lanes), mem: layout{next: sh.at}}
-		block, warp := i/g.warps, i%g.warps
-		g.build(b, block, warp)
-		k.Blocks[block].Warps[warp] = &trace.WarpTrace{Instrs: b.instrs}
+		c := &trace.Chunk{Instrs: make([]trace.Instr, 0, sh.n), Addrs: make([]addr.Addr, 0, sh.lanes)}
+		g.fill(i, sh.at, 0, sh.n, c)
+		k.Blocks[i/g.warps].Warps[i%g.warps] = &trace.WarpTrace{Instrs: c.Instrs}
 	})
 	return k
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -149,7 +150,7 @@ func TestFreshStreamFillsConcurrently(t *testing.T) {
 // on the shape pass).
 func countGrid(blocks, warps, n int, visit func(block, warp int)) gridSpec {
 	return gridSpec{name: "count", blocks: blocks, warps: warps, build: func(b *wb, block, warp int) {
-		if !b.shape {
+		if b.skip != math.MaxInt {
 			visit(block, warp)
 		}
 		b.compute(0, n)

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/addr"
@@ -35,37 +37,30 @@ func (l *layout) array(lines int) addr.Addr {
 	return addr.Addr(base)
 }
 
-// wb builds one warp's instruction stream. It runs a generator's build
-// closure in one of three modes, so the same closure serves eager
-// materialization, shape discovery, and lazy chunked streaming:
+// wb builds a window of one warp's instruction stream: it runs a
+// generator's build closure, materializes the instructions whose index
+// falls in [skip, limit) into chunk, and only counts the rest (n, and
+// their lane addresses in nlanes). That one mode serves every caller:
 //
-//   - shape (shape=true): nothing is materialized; only the running
-//     instruction count n, the lane-address count nlanes, and the
-//     closure's own layout/PRNG side effects advance (gridSpec.shape).
-//   - sized eager (chunk == nil, shape false): every instruction is
-//     appended to instrs, which Kernel allocates at the warp's shaped
-//     length, and every address slice is carved from slab, the warp's
-//     one lane arena sized to its shaped lane count — capped, so an
-//     append to one instruction's lanes can never write over the next
-//     one's. A warp is two allocations, whatever its length.
-//   - chunk (chunk != nil): only instructions whose index falls in
-//     [skip, limit) are materialized, into the chunk's backing arrays;
-//     everything else just advances n.
+//   - Kernel builds each warp as the window [0, n), into a chunk whose
+//     Instrs and Addrs the shape pass sized exactly, so a warp is two
+//     allocations whatever its length, and every lane slice is a capped
+//     sub-slice of one arena: an append to one instruction's lanes can
+//     never write over the next one's.
+//   - gridStream.Fill builds the window a cursor asks for.
+//   - The shape pass (gridSpec.shapes) is the empty window past the
+//     warp's end (skip = limit = math.MaxInt, no chunk): it only counts.
 //
 // A builder owns its layout cursor, mem: the closure allocates its
 // per-warp regions through array, starting from the cursor the shape
 // pass recorded before the warp. Nothing a build writes is shared, so
 // warps can be built in any order and on any goroutine.
 type wb struct {
-	instrs []trace.Instr
-	slab   []addr.Addr
-	mem    layout
-
+	mem         layout
 	chunk       *trace.Chunk
 	skip, limit int
-	shape       bool
-	n           int // instructions emitted so far (all modes)
-	nlanes      int // lane addresses emitted so far (shape mode)
+	n           int // instructions emitted so far
+	nlanes      int // lane addresses of the instructions not materialized
 }
 
 // array reserves a per-warp region of n cache lines from the builder's
@@ -73,80 +68,51 @@ type wb struct {
 func (b *wb) array(lines int) addr.Addr { return b.mem.array(lines) }
 
 // materializes reports, without advancing the stream, whether the next
-// instruction will be materialized. A closure asks it to skip drawing
-// the lanes of an instruction that will not be; the emit that follows
-// still advances the stream and, in shape mode, counts the lanes.
-func (b *wb) materializes() bool {
-	return !b.shape && (b.chunk == nil || (b.n >= b.skip && b.n < b.limit))
-}
+// instruction falls in the window. A closure asks it to skip drawing
+// the lanes of an instruction that does not; the emit that follows
+// still advances the stream and counts the lanes.
+func (b *wb) materializes() bool { return b.n >= b.skip && b.n < b.limit }
 
 // emits reports whether the memory instruction being built, with k
-// lanes, must be materialized. When it must not, the instruction only
-// advances the stream — and in shape mode its lanes are counted.
+// lanes, falls in the window. When it does not, the instruction only
+// advances the stream and counts its lanes.
 func (b *wb) emits(k int) bool {
 	if b.materializes() {
 		return true
 	}
 	b.n++
-	if b.shape {
-		b.nlanes += k
-	}
+	b.nlanes += k
 	return false
 }
 
-// full reports that a chunk-mode build has emitted its window's last
-// instruction: nothing the closure emits from here on is materialized,
-// so its loops stop early. Every Fill starts a builder of its own at
-// the warp's layout snapshot, and the shape pass runs closures in
-// full, so stopping changes no window.
-func (b *wb) full() bool { return b.chunk != nil && b.n >= b.limit }
+// full reports that the window's last instruction has been emitted:
+// nothing the closure emits from here on is materialized, so its loops
+// stop early. Every window starts a builder of its own at the warp's
+// layout snapshot, and the shape pass's window never fills, so
+// stopping changes no window.
+func (b *wb) full() bool { return b.n >= b.limit }
 
-// lanes returns an n-address slice for the instruction being built,
-// capped so later appends can never scribble over a neighbor: carved
-// from the chunk arena in chunk mode, from the warp's slab in eager
-// mode.
+// lanes carves an n-address slice for the instruction being built from
+// the chunk's address arena, capped so later appends can never scribble
+// over a neighbor. It is not cleared: every caller writes every lane.
 func (b *wb) lanes(n int) []addr.Addr {
-	if b.chunk != nil {
-		start := len(b.chunk.Addrs)
-		b.chunk.Addrs = append(b.chunk.Addrs, make([]addr.Addr, n)...)
-		return b.chunk.Addrs[start:len(b.chunk.Addrs):len(b.chunk.Addrs)]
-	}
-	a := b.slab[:n:n]
-	b.slab = b.slab[n:]
-	return a
+	start := len(b.chunk.Addrs)
+	b.chunk.Addrs = slices.Grow(b.chunk.Addrs, n)[:start+n]
+	return b.chunk.Addrs[start : start+n : start+n]
 }
 
 // push emits a materialized instruction and advances the stream.
 func (b *wb) push(in trace.Instr) {
-	if b.chunk != nil {
-		b.chunk.Instrs = append(b.chunk.Instrs, in)
-	} else {
-		b.instrs = append(b.instrs, in)
-	}
+	b.chunk.Instrs = append(b.chunk.Instrs, in)
 	b.n++
 }
 
-// compute appends n full-warp ALU instructions. Runs that fall outside
-// the materialization window cost O(1), which makes chunked replay of
+// compute appends n full-warp ALU instructions. The part of the run
+// outside the window costs O(1), which makes chunked replay of
 // compute-heavy kernels cheap.
 func (b *wb) compute(pc uint32, n int) {
-	if !b.shape && (b.chunk == nil || (b.n < b.limit && b.n+n > b.skip)) {
-		lo, hi := b.n, b.n+n
-		if b.chunk != nil {
-			if lo < b.skip {
-				lo = b.skip
-			}
-			if hi > b.limit {
-				hi = b.limit
-			}
-		}
-		for i := lo; i < hi; i++ {
-			if b.chunk != nil {
-				b.chunk.Instrs = append(b.chunk.Instrs, trace.NewCompute(pc, computeLatency, warpLanes))
-			} else {
-				b.instrs = append(b.instrs, trace.NewCompute(pc, computeLatency, warpLanes))
-			}
-		}
+	for range min(b.n+n, b.limit) - max(b.n, b.skip) {
+		b.chunk.Instrs = append(b.chunk.Instrs, trace.NewCompute(pc, computeLatency, warpLanes))
 	}
 	b.n += n
 }
@@ -241,42 +207,55 @@ type warpShape struct {
 	n, lanes int
 }
 
-// shape runs the closure of global warp i in shape mode on b from
-// layout cursor at, and returns the warp's shape and the cursor after
-// the warp. It is the one shape pass: Kernel sizes every warp with it,
-// and gridStream learns each warp's snapshot and length from it.
-func (g gridSpec) shape(b *wb, i int, at uint64) (warpShape, uint64) {
-	*b = wb{shape: true, mem: layout{next: at}}
+// shapes is the one shape pass: it walks the layout cursor through
+// every warp of the grid once, in order, as the empty window past each
+// warp's end, and returns every warp's shape and the grid's instruction
+// total. Kernel sizes its warps and picks its fan-out from it, and a
+// gridStream runs it on its first Fill.
+func (g gridSpec) shapes() ([]warpShape, int) {
+	shapes := make([]warpShape, g.blocks*g.warps)
+	at, total := g.mem.next, 0
+	var b wb
+	for i := range shapes {
+		b = wb{mem: layout{next: at}, skip: math.MaxInt, limit: math.MaxInt}
+		g.build(&b, i/g.warps, i%g.warps)
+		shapes[i] = warpShape{at: at, n: b.n, lanes: b.nlanes}
+		at, total = b.mem.next, total+b.n
+	}
+	return shapes, total
+}
+
+// fill builds instructions [skip, limit) of global warp i, whose layout
+// snapshot is at, into c: the one build that Kernel and gridStream.Fill
+// share.
+func (g gridSpec) fill(i int, at uint64, skip, limit int, c *trace.Chunk) {
+	b := &wb{mem: layout{next: at}, chunk: c, skip: skip, limit: limit}
 	g.build(b, i/g.warps, i%g.warps)
-	return warpShape{at: at, n: b.n, lanes: b.nlanes}, b.mem.next
 }
 
 // gridStream serves a gridSpec lazily as a trace.Stream. Generators
 // allocate per-warp regions *inside* their build closures, so a warp's
 // addresses depend on every earlier warp's allocations; the stream
-// therefore keeps an incremental shape pass — one warpShape per warp,
-// extended on demand — and every refill starts a builder of its own at
-// the warp's snapshot and replays its closure in chunk mode, skipping
-// instructions before the requested window and stopping at its end
-// (wb.full). Replay work per refill is the closure run up to the
-// window's end (with O(1) skipped compute runs), traded for never
-// materializing the grid. The mutex guards only the shape pass's
-// state; the replays themselves share nothing, so concurrent fills of
-// different windows run at once.
+// therefore runs the grid's shape pass once, on its first Fill, and
+// every refill starts a builder of its own at the warp's snapshot and
+// replays its closure, skipping instructions before the requested
+// window and stopping at its end (wb.full). Replay work per refill is
+// the closure run up to the window's end (with O(1) skipped compute
+// runs), traded for never materializing the grid. After the shape pass
+// the stream is read-only, so concurrent fills of different windows
+// run at once.
 type gridStream struct {
 	g   gridSpec
 	key string
 
-	mu     sync.Mutex
+	once   sync.Once
 	shapes []warpShape // shapes[i] = warp i's snapshot and length
-	at     uint64      // layout cursor after the last shaped warp
-	sb     wb          // the shape pass's builder
 }
 
 // newGridStream wraps g; key is the stream's cache identity, its
 // SpecKey.
 func newGridStream(g gridSpec, key string) *gridStream {
-	return &gridStream{g: g, key: key, at: g.mem.next}
+	return &gridStream{g: g, key: key}
 }
 
 func (s *gridStream) Name() string        { return s.g.name }
@@ -284,28 +263,16 @@ func (s *gridStream) Blocks() int         { return s.g.blocks }
 func (s *gridStream) Warps(block int) int { return s.g.warps }
 func (s *gridStream) SpecKey() string     { return s.key }
 
-// shaped extends the shape pass through global warp index idx and
-// returns that warp's shape.
-func (s *gridStream) shaped(idx int) warpShape {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.shapes) <= idx {
-		var sh warpShape
-		sh, s.at = s.g.shape(&s.sb, len(s.shapes), s.at)
-		s.shapes = append(s.shapes, sh)
-	}
-	return s.shapes[idx]
-}
-
 func (s *gridStream) Fill(block, warp, start int, c *trace.Chunk) ([]trace.Instr, bool, bool) {
-	sh := s.shaped(block*s.g.warps + warp)
+	s.once.Do(func() { s.shapes, _ = s.g.shapes() })
+	i := block*s.g.warps + warp
+	sh := s.shapes[i]
 	window := cap(c.Instrs)
 	if window == 0 {
 		window = trace.DefaultChunkInstrs
 	}
 	limit := min(start+window, sh.n)
-	b := &wb{chunk: c, skip: start, limit: limit, mem: layout{next: sh.at}}
-	s.g.build(b, block, warp)
+	s.g.fill(i, sh.at, start, limit, c)
 	return c.Instrs, limit == sh.n, true
 }
 

@@ -137,6 +137,12 @@ func Abbrs() []string {
 // memo is never emptied, so it only pays for callers that run many jobs
 // over one kernel; a single pass over a trace (the workload analysis of
 // Figs. 3, 4, 6 and 7) calls Generate and drops the kernel instead.
+//
+// The memo stays until a suite can release each app's kernel after that
+// app's last job. Deleting it alone, with RunSuite generating its own
+// kernels, raised the peak RSS of two suites in one process (paperfigs
+// -exp fig5,fig10) by half or more: the second suite built its kernels
+// before the first suite's were collected (EXPERIMENTS.md, PR 44).
 var (
 	sharedMu      sync.Mutex
 	sharedKernels = map[sharedKey]*trace.Kernel{}
