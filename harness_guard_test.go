@@ -57,18 +57,20 @@ var serialDirs = map[string]string{
 }
 
 // noGoDirs are the packages that start no goroutine (they may
-// synchronize): the SMs tick on the engine's goroutine.
+// synchronize): the SMs tick on the engine's goroutine, and eager
+// generation fans out through internal/trace's helper.
 var noGoDirs = map[string]string{
-	"internal/sm": "the SMs tick on the engine's goroutine",
+	"internal/sm":        "the SMs tick on the engine's goroutine",
+	"internal/workloads": "eager generation fans out through trace.FanOut",
 }
 
-// oneGoFiles are the packages with exactly one go statement, and the
-// file it must be in: internal/trace's read-ahead helper, which fills
-// a streamed run's next windows, and internal/workloads' fan-out, which
-// builds a large eager kernel's warps on every P.
-var oneGoFiles = map[string]string{
-	"internal/trace":     "internal/trace/readahead.go",
-	"internal/workloads": "internal/workloads/fanout.go",
+// goFiles are the packages with sanctioned go statements, one in each
+// file named: internal/trace's read-ahead helper, which fills a
+// streamed run's next windows, and its fan-out, which builds a large
+// eager kernel's warps, packs a large kernel, and runs WriteFile's and
+// Open's two tasks beside each other.
+var goFiles = map[string][]string{
+	"internal/trace": {"internal/trace/fanout.go", "internal/trace/readahead.go"},
 }
 
 // retiredFields are the settable values that had no caller: the retry
@@ -168,16 +170,16 @@ func flagDecl(call *ast.CallExpr) string {
 // back, and no retired command directory; no non-test file outside
 // bench/ names a Cores field or a retired field, or names a retired
 // identifier; internal/sim and internal/rdd
-// start no goroutine and import no sync package, internal/sm starts
-// none, internal/trace has exactly one go statement, the read-ahead
-// helper's, and internal/workloads exactly one, the eager fan-out's;
+// start no goroutine and import no sync package, internal/sm and
+// internal/workloads start none, internal/trace has exactly two go
+// statements, the read-ahead helper's and the fan-out's;
 // and no per-binary profiler type comes back.
 func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 	owned := map[string]bool{}
 	for _, name := range append(append([]string(nil), execFlags...), batchFlags...) {
 		owned[name] = true
 	}
-	gos := map[string][]string{}      // oneGoFiles package dir -> positions of its go statements
+	gos := map[string][]string{}      // goFiles package dir -> positions of its go statements
 	declared := map[string][]string{} // package dir -> harness-owned names it declares
 	groups := map[string][]string{}   // internal/cli group function -> names in order
 	fset := token.NewFileSet()
@@ -265,7 +267,7 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 				if why, ok := noGoDirs[dir]; ok {
 					t.Errorf("%s: %s starts a goroutine; %s", fset.Position(n.Pos()), dir, why)
 				}
-				if _, ok := oneGoFiles[dir]; ok {
+				if _, ok := goFiles[dir]; ok {
 					gos[dir] = append(gos[dir], filepath.ToSlash(fset.Position(n.Pos()).String()))
 				}
 			case *ast.TypeSpec:
@@ -281,9 +283,15 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for dir, file := range oneGoFiles {
-		if at := gos[dir]; len(at) != 1 || !strings.HasPrefix(at[0], file+":") {
-			t.Errorf("%s starts goroutines at %v, want exactly one, in %s", dir, at, file)
+	for dir, files := range goFiles {
+		at := gos[dir]
+		sort.Strings(at)
+		ok := len(at) == len(files)
+		for i := 0; ok && i < len(at); i++ {
+			ok = strings.HasPrefix(at[i], files[i]+":")
+		}
+		if !ok {
+			t.Errorf("%s starts goroutines at %v, want exactly one in each of %v", dir, at, files)
 		}
 	}
 	for fn, want := range map[string][]string{"ExecFlags": execFlags, "BatchFlags": batchFlags} {

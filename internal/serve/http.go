@@ -81,8 +81,9 @@ type CacheView struct {
 //	                      the result — disconnecting cancels the job;
 //	                      a body that settled done before is answered
 //	                      at once, cached; a workload scale above
-//	                      maxScale is a 422 "cost" error, refused
-//	                      before its kernel is built)
+//	                      maxScale or a max_cycles above
+//	                      maxServedCycles is a 422 "cost" error,
+//	                      refused before its kernel is built)
 //	GET    /jobs/{id}         job status (+stats when done)
 //	GET    /jobs/{id}/stats   normalized stats, verbatim corpus bytes
 //	GET    /jobs/{id}/events  progress stream (JSON lines)

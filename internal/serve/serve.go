@@ -174,6 +174,11 @@ type jobState struct {
 	waiters int  // attached synchronous submitters
 	syncOwn bool // cancel when the last waiter detaches pre-completion
 	done    chan struct{}
+
+	// claimed is set (under the server lock) while a worker holds the
+	// job: from next() until the job settles, or until its worker is
+	// done with it. Each claim counts once in Server.running.
+	claimed bool
 }
 
 func (j *jobState) appendEvent(kind string, mut func(*JobEvent)) {
@@ -339,6 +344,10 @@ func (s *Server) submit(body []byte, tenant string, syncOwn bool) (*jobState, *s
 		return nil, &submitError{status: 422, info: ErrorInfo{Type: "cost",
 			Message: fmt.Sprintf("workload scale %d is above the served ceiling of %d", scale, maxScale)}}
 	}
+	if sp.MaxCycles > maxServedCycles {
+		return nil, &submitError{status: 422, info: ErrorInfo{Type: "cost",
+			Message: fmt.Sprintf("max_cycles %d is above the served ceiling of %d", sp.MaxCycles, maxServedCycles)}}
+	}
 	cfg, pol, kernel, err := buildSpec(sp)
 	if err != nil {
 		return nil, &submitError{status: 400, info: ErrorInfo{Type: "spec", Message: err.Error()}}
@@ -388,9 +397,21 @@ func (s *Server) submit(body []byte, tenant string, syncOwn bool) (*jobState, *s
 // it writes stays servable.
 const maxScale = 8
 
+// maxServedCycles is the largest cycle budget a submission may ask for
+// (max_cycles; 0 takes the engine's default of 50 M). A job holds a
+// slot until it finishes or runs out of cycles, so the budget bounds
+// what one body can cost. The conformance corpus and the fuzzer ask for
+// 20 M at most; the benchmark's doomed serve job asks for exactly this
+// ceiling, so it stays servable.
+const maxServedCycles = 1_000_000_000
+
 // buildSpec is conform.Spec.Build; a variable so a test can hold a submit
 // inside it, or count the builds.
 var buildSpec = (*conform.Spec).Build
+
+// claimed runs on a worker between claiming a job and executing it;
+// a variable so a test can hold a claimed job there.
+var claimed = func(*jobState) {}
 
 // refuseLocked is the 503 every submission gets while the server drains.
 func (s *Server) refuseLocked() *submitError {
@@ -501,6 +522,7 @@ func (s *Server) worker() {
 		if js == nil {
 			return
 		}
+		claimed(js)
 		s.execute(js)
 	}
 }
@@ -541,6 +563,7 @@ func (s *Server) next() *jobState {
 			if more {
 				s.rr++
 			}
+			js.claimed = true
 			s.running++
 			return js
 		}
@@ -553,12 +576,12 @@ func (s *Server) next() *jobState {
 
 // execute runs one claimed job through the shared runner and records
 // its outcome. A job cancelled between its claim and here is already
-// settled, counted and without its kernel: there is nothing to run.
+// settled, counted, released and without its kernel: there is nothing
+// to run. Whatever else happens, the claim is released on the way out.
 func (s *Server) execute(js *jobState) {
 	defer func() {
 		s.mu.Lock()
-		s.running--
-		s.cond.Broadcast() // wakes the drain waiter
+		s.releaseLocked(js)
 		s.mu.Unlock()
 	}()
 	js.mu.Lock()
@@ -631,8 +654,9 @@ func (s *Server) finalize(js *jobState, results []runner.Result, err error) {
 	}
 	js.mu.Unlock()
 	if !transitioned {
-		return // cancelled while queued: already counted and retired
+		return // cancelled while queued: already counted, released and retired
 	}
+	s.releaseLocked(js)
 
 	switch outcome {
 	case StatusDone:
@@ -660,11 +684,25 @@ func (s *Server) retireLocked(id string) {
 	}
 }
 
+// releaseLocked ends js's claim, once: from here it does not count as
+// running. The caller holds s.mu.
+func (s *Server) releaseLocked(js *jobState) {
+	if js.claimed {
+		js.claimed = false
+		s.running--
+		s.cond.Broadcast() // wakes the drain waiter
+	}
+}
+
 // cancelJob cancels a job by id: a queued job is finalized immediately,
 // a running one is interrupted through its context and finalized by its
-// worker.
+// worker. A job a worker has claimed but not yet started is still
+// queued: it settles here, and its claim ends in the same critical
+// section, so /stats never counts a settled job as running.
 func (s *Server) cancelJob(js *jobState) {
 	js.cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	js.mu.Lock()
 	wasQueued := js.status == StatusQueued
 	if wasQueued {
@@ -672,10 +710,9 @@ func (s *Server) cancelJob(js *jobState) {
 	}
 	js.mu.Unlock()
 	if wasQueued {
-		s.mu.Lock()
 		s.cancelled++
+		s.releaseLocked(js)
 		s.retireLocked(js.id)
-		s.mu.Unlock()
 	}
 }
 

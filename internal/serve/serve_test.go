@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,6 +288,41 @@ func TestScaleAboveTheCeilingRefused(t *testing.T) {
 	s.mu.Unlock()
 }
 
+// TestCyclesAboveTheCeilingRefused: a max_cycles above maxServedCycles
+// is a 422 with the "cost" error type, refused before the spec is
+// built; the ceiling itself is served.
+func TestCyclesAboveTheCeilingRefused(t *testing.T) {
+	var builds atomic.Int64
+	buildSpec = func(*conform.Spec) (*config.Config, config.Policy, *trace.Kernel, error) {
+		builds.Add(1)
+		return nil, "", nil, errors.New("the test builds no kernel")
+	}
+	defer func() { buildSpec = (*conform.Spec).Build }()
+	s, ts := startServer(t, Config{Workers: 1})
+	body := func(cycles uint64) []byte {
+		return []byte(fmt.Sprintf(`{"schema": 1, "policy": "DLP", "workload": {"app": "BP"}, "max_cycles": %d}`, cycles))
+	}
+	for _, cycles := range []uint64{maxServedCycles + 1, math.MaxUint64} {
+		resp, b := postJob(t, ts, body(cycles), "", false)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("max_cycles %d: status %d, want 422", cycles, resp.StatusCode)
+		} else if info := decodeError(t, b); info.Type != "cost" {
+			t.Errorf("max_cycles %d: error type %q, want cost", cycles, info.Type)
+		}
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("%d specs built for over-ceiling budgets, want none", n)
+	}
+	if resp, _ := postJob(t, ts, body(maxServedCycles), "", false); resp.StatusCode != http.StatusBadRequest || builds.Load() != 1 {
+		t.Errorf("max_cycles %d: status %d after %d builds, want the seam's 400 after 1", uint64(maxServedCycles), resp.StatusCode, builds.Load())
+	}
+	s.mu.Lock()
+	if s.submitted != 0 {
+		t.Errorf("%d jobs admitted", s.submitted)
+	}
+	s.mu.Unlock()
+}
+
 // TestPanicBecomesTypedError: a simulation panic (injected through the
 // faultinject seam) surfaces as a 500 whose error type is "panic" —
 // not a dropped connection, not a generic message.
@@ -378,6 +414,62 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	s.mu.Unlock()
 	if cancelled != 1 {
 		t.Errorf("server counted %d cancellations, want 1", cancelled)
+	}
+}
+
+// getStats reads GET /stats.
+func getStats(t *testing.T, ts *httptest.Server) StatsView {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sv StatsView
+	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
+// TestDeleteOfAClaimedJobLeavesNothingRunning holds a job a worker has
+// claimed but not yet executed, so it is still queued, and DELETEs it:
+// the DELETE settles it, and /stats read right after must count it as
+// cancelled, not as running. Once the worker lets go, nothing is
+// counted twice.
+func TestDeleteOfAClaimedJobLeavesNothingRunning(t *testing.T) {
+	held := make(chan string, 1)
+	release := make(chan struct{})
+	claimed = func(js *jobState) {
+		held <- js.id
+		<-release
+	}
+	defer func() { claimed = func(*jobState) {} }()
+	s, ts := startServer(t, Config{Workers: 1})
+
+	_, body := postJob(t, ts, testSpec(t, 7), "", false)
+	id := decodeView(t, body).ID
+	if got := <-held; got != id {
+		t.Fatalf("worker holds %s, want %s", got, id)
+	}
+	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+id, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if v := decodeView(t, b); v.Status != StatusCancelled {
+		t.Fatalf("status after DELETE = %q, want cancelled: %s", v.Status, b)
+	}
+	if sv := getStats(t, ts); sv.Running != 0 || sv.Queued != 0 || sv.Cancelled != 1 {
+		t.Errorf("after the DELETE returned: running=%d queued=%d cancelled=%d, want 0/0/1", sv.Running, sv.Queued, sv.Cancelled)
+	}
+
+	close(release)
+	s.Shutdown(context.Background())
+	if sv := getStats(t, ts); sv.Running != 0 || sv.Cancelled != 1 || sv.Completed != 0 {
+		t.Errorf("after the worker let go: running=%d cancelled=%d completed=%d, want 0/1/0", sv.Running, sv.Cancelled, sv.Completed)
 	}
 }
 
@@ -752,15 +844,7 @@ func TestStatsEndpoint(t *testing.T) {
 	postJob(t, ts, testSpec(t, 70), "", true)
 	postJob(t, ts, testSpec(t, 70), "", true) // cache hit
 
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sv StatsView
-	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
-		t.Fatal(err)
-	}
+	sv := getStats(t, ts)
 	if sv.Submitted != 2 || sv.Completed != 2 {
 		t.Errorf("submitted=%d completed=%d, want 2/2", sv.Submitted, sv.Completed)
 	}

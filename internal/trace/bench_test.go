@@ -21,7 +21,7 @@ import (
 // BenchmarkWriteFile records SC from its generator, as dlptrace record
 // and big_stream's set-up do.
 func BenchmarkWriteFile(b *testing.B) {
-	sc := scSpec(b)
+	sc := appSpec(b, "SC")
 	path := filepath.Join(b.TempDir(), "sc.dlpstrm")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkWriteFile(b *testing.B) {
 // checksum pass plus the header and index parse.
 func BenchmarkOpen(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "sc.dlpstrm")
-	if err := trace.WriteFile(path, scSpec(b).Stream(1), 0); err != nil {
+	if err := trace.WriteFile(path, appSpec(b, "SC").Stream(1), 0); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(fileSize(b, path))
@@ -57,7 +57,7 @@ func BenchmarkOpen(b *testing.B) {
 // content key of every eager runner job. Digest keeps its result on the
 // kernel, so each iteration digests a fresh Kernel sharing the blocks.
 func BenchmarkKernelDigest(b *testing.B) {
-	k, err := trace.Materialize(scSpec(b).Stream(1))
+	k, err := trace.Materialize(appSpec(b, "SC").Stream(1))
 	if err != nil {
 		b.Fatal(err)
 	}

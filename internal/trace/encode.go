@@ -40,7 +40,7 @@ func (k *Kernel) encode(w io.Writer) error {
 	if len(k.Name) > maxNameLen {
 		return fmt.Errorf("trace: kernel name longer than %d bytes", maxNameLen)
 	}
-	e := newEncoder(w, nil, digestBufSize)
+	e := newEncoder(w, digestBufSize)
 	// The fixed header fits the empty buffer.
 	e.buf = append(e.buf, digestMagic[:]...)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, digestVersion)
@@ -105,12 +105,13 @@ const (
 const maxInstrLen = 1 + 4 + 1 + 8*maxLanes
 
 // encoder appends an encoding into a fixed-size buffer and hands each
-// full buffer to sum (when set) and to w, one Write each. off counts the
+// full buffer to w, one Write each: a hash for Kernel.Digest, and for
+// WriteFile a blockWriter, which hashes and writes it on a helper. off counts the
 // bytes encoded, flushed or not, so an offset taken from it is right
 // wherever a flush falls. The first write error sticks: later flushes
 // write nothing, and instr and flush return it.
 type encoder struct {
-	w, sum  io.Writer
+	w       io.Writer
 	buf     []byte
 	flushed int64
 	err     error
@@ -118,8 +119,8 @@ type encoder struct {
 
 // newEncoder returns an encoder with a size-byte buffer; size must hold
 // the longest instruction and the fixed header.
-func newEncoder(w, sum io.Writer, size int) *encoder {
-	return &encoder{w: w, sum: sum, buf: make([]byte, 0, size)}
+func newEncoder(w io.Writer, size int) *encoder {
+	return &encoder{w: w, buf: make([]byte, 0, size)}
 }
 
 func (e *encoder) off() int64 { return e.flushed + int64(len(e.buf)) }
@@ -127,9 +128,6 @@ func (e *encoder) off() int64 { return e.flushed + int64(len(e.buf)) }
 // flush writes the buffered bytes out and empties the buffer.
 func (e *encoder) flush() error {
 	if e.err == nil && len(e.buf) > 0 {
-		if e.sum != nil {
-			e.sum.Write(e.buf)
-		}
 		_, e.err = e.w.Write(e.buf)
 	}
 	e.flushed += int64(len(e.buf))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/addr"
 )
@@ -104,7 +105,11 @@ type FileStream struct {
 
 // Open opens and fully validates a trace-stream file. Any structural
 // problem — bad magic, truncation, out-of-bounds index entries, or a
-// checksum mismatch — comes back as a *FormatError.
+// checksum mismatch — comes back as a *FormatError. The header and
+// index are parsed on one task while the file is hashed on another
+// (FanOut), and the checksum is checked first: a file that is both
+// corrupt and badly indexed reports the mismatch, and no stream is
+// returned from bytes the checksum has not vouched for.
 func Open(path string) (*FileStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -154,18 +159,42 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 	if indexOff < 0 || indexOff > hashedLen {
 		return nil, formatErrf(path, "index offset %d out of range (file %d bytes)", indexOff, size)
 	}
-	h := sha256.New()
-	_, err = io.CopyBuffer(h, io.NewSectionReader(f, 0, hashedLen), make([]byte, fileBufSize))
-	if err != nil {
-		return nil, formatErrf(path, "hashing: %v", err)
+
+	// The header and index are parsed while a helper hashes the file,
+	// and nothing parsed is returned unless the checksum holds: a file
+	// that fails both reports the mismatch.
+	var (
+		sum              [sha256.Size]byte
+		s                *FileStream
+		hashErr, formErr error
+	)
+	FanOut(2, 2, func(_, task int) {
+		if task == 0 {
+			h := sha256.New()
+			_, hashErr = io.CopyBuffer(h, io.NewSectionReader(f, 0, hashedLen), make([]byte, fileBufSize))
+			h.Sum(sum[:0])
+			return
+		}
+		s, formErr = parseFile(f, path, indexOff, hashedLen)
+	})
+	if hashErr != nil {
+		return nil, formatErrf(path, "hashing: %v", hashErr)
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
 	if [sha256.Size]byte(footer[8:8+sha256.Size]) != sum {
 		return nil, formatErrf(path, "checksum mismatch: file is corrupt or truncated")
 	}
+	if formErr != nil {
+		return nil, formErr
+	}
+	s.digest = hex.EncodeToString(sum[:])
+	return s, nil
+}
 
-	s := &FileStream{f: f, path: path, digest: hex.EncodeToString(sum[:])}
+// parseFile reads the header and the index of the file, whose index
+// starts at indexOff and whose hashed region ends at hashedLen. It
+// trusts nothing it reads: Open runs it before the checksum is known.
+func parseFile(f *os.File, path string, indexOff, hashedLen int64) (*FileStream, error) {
+	s := &FileStream{f: f, path: path}
 
 	// Header: its 20 fixed bytes (magic, version, chunk size, name
 	// length), the name and the block count, then the per-block warp
@@ -219,6 +248,12 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 		s.warpStart[bi] = totalWarps
 		s.warpsPer[bi] = int(nw)
 		totalWarps += int(nw)
+	}
+	// Every warp's entry takes at least its 4-byte count, so the warp
+	// table is never larger than the index can describe, even for a
+	// header the checksum is about to refuse.
+	if ixLen := hashedLen - indexOff; 4*int64(totalWarps) > ixLen {
+		return nil, formatErrf(path, "index of %d bytes cannot hold %d warps", ixLen, totalWarps)
 	}
 
 	// Index: one ReadAt, then every warp's chunk list carved out of one
@@ -374,7 +409,9 @@ func decodeChunk(c *Chunk, count int) error {
 // WriteFile records src as a trace-stream file at path, windowed into
 // chunkInstrs-instruction chunks (DefaultChunkInstrs if <= 0). It
 // streams one warp window at a time, so recording never materializes
-// the kernel.
+// the kernel. The caller fills and encodes the file a block of
+// fileBufSize bytes at a time, and a helper hashes and writes each full
+// block while the next one is encoded (writeStream).
 func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	if chunkInstrs <= 0 {
 		chunkInstrs = DefaultChunkInstrs
@@ -391,18 +428,62 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 			err = cerr
 		}
 	}()
+	return writeStream(f, path, src, chunkInstrs)
+}
 
+// writeStream records src into w, naming path in its errors. Its two
+// tasks run beside each other on FanOut's two workers: the encoding
+// task (encodeStream) flushes each full block into a blockWriter, and
+// the writing task (blockWriter.drain) hashes every block and writes it
+// to w. The footer follows once both are done. The encoding task
+// closes the hand-off however it ends, so a panic of src's Fill reaches
+// the caller, and an error of w stops it at its next block and is
+// returned.
+func writeStream(w io.Writer, path string, src Stream, chunkInstrs int) error {
 	h := sha256.New()
-	e := newEncoder(f, h, fileBufSize)
+	out := newBlockWriter(w, h)
+	var (
+		indexOff int64
+		err      error
+	)
+	FanOut(2, 2, func(_, task int) {
+		if task == 0 {
+			defer out.close()
+			indexOff, err = encodeStream(out, path, src, chunkInstrs)
+			return
+		}
+		out.drain()
+	})
+	if err == nil {
+		err = out.failed()
+	}
+	if err != nil {
+		return err
+	}
+
+	// Footer: indexOff and the checksum bypass the hasher (the hash
+	// covers exactly the bytes before the footer).
+	var footer [streamFooterLen]byte
+	binary.LittleEndian.PutUint64(footer[:8], uint64(indexOff))
+	h.Sum(footer[8:8])
+	copy(footer[streamFooterLen-8:], streamMagic[:])
+	_, err = w.Write(footer[:])
+	return err
+}
+
+// encodeStream encodes src's header, chunk data and index into w and
+// returns the index's offset.
+func encodeStream(w io.Writer, path string, src Stream, chunkInstrs int) (int64, error) {
+	e := newEncoder(w, fileBufSize)
 
 	// Header.
 	name := src.Name()
 	if len(name) > maxNameLen {
-		return formatErrf(path, "kernel name longer than %d bytes", maxNameLen)
+		return 0, formatErrf(path, "kernel name longer than %d bytes", maxNameLen)
 	}
 	nBlocks := src.Blocks()
 	if nBlocks <= 0 || nBlocks > maxBlocks {
-		return formatErrf(path, "block count %d out of range", nBlocks)
+		return 0, formatErrf(path, "block count %d out of range", nBlocks)
 	}
 	// The fixed header fits the empty buffer.
 	e.buf = append(e.buf, streamMagic[:]...)
@@ -415,7 +496,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	for bi := 0; bi < nBlocks; bi++ {
 		nw := src.Warps(bi)
 		if nw <= 0 || nw > maxWarps {
-			return formatErrf(path, "block %d warp count %d out of range", bi, nw)
+			return 0, formatErrf(path, "block %d warp count %d out of range", bi, nw)
 		}
 		totalWarps += nw
 		e.uint32(uint32(nw))
@@ -439,10 +520,10 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 				var win []Instr
 				win, eof, _ = src.Fill(bi, wi, start, chunk)
 				if chunk.Err != nil {
-					return chunk.Err
+					return 0, chunk.Err
 				}
 				if len(win) == 0 && !eof {
-					return formatErrf(path, "stream %q block %d warp %d: empty non-eof window at %d",
+					return 0, formatErrf(path, "stream %q block %d warp %d: empty non-eof window at %d",
 						name, bi, wi, start)
 				}
 				for i := range win {
@@ -453,7 +534,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 						inChunk = 0
 					}
 					if err := e.instr(&win[i]); err != nil {
-						return err
+						return 0, err
 					}
 					inChunk++
 				}
@@ -461,7 +542,7 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 				start += len(win)
 			}
 			if fw.instrs == 0 {
-				return formatErrf(path, "stream %q block %d warp %d is empty", name, bi, wi)
+				return 0, formatErrf(path, "stream %q block %d warp %d is empty", name, bi, wi)
 			}
 			ref.size = uint32(e.off() - ref.off)
 			fw.chunks = append(fw.chunks, ref)
@@ -478,16 +559,69 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 			e.buf = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(e.buf, uint64(ref.off)), ref.size)
 		}
 	}
-	if err := e.flush(); err != nil {
-		return err
-	}
+	return indexOff, e.flush()
+}
 
-	// Footer: indexOff and the checksum bypass the hasher (the hash
-	// covers exactly the bytes before the footer).
-	var footer [streamFooterLen]byte
-	binary.LittleEndian.PutUint64(footer[:8], uint64(indexOff))
-	h.Sum(footer[8:8])
-	copy(footer[streamFooterLen-8:], streamMagic[:])
-	_, err = f.Write(footer[:])
-	return err
+// spareBlocks is how many block buffers go round between WriteFile's
+// encoder and its writing task: the encoder runs at most this many
+// blocks ahead of the file. Each is fileBufSize bytes, on top of the
+// encoder's own buffer.
+const spareBlocks = 2
+
+// A blockWriter is the io.Writer WriteFile's encoder flushes into. Write
+// copies each block into a spare buffer and hands it to drain, which
+// hashes it into sum and writes it to w while the encoder fills its
+// next block; the buffer then goes back to Write. The first error of w
+// sticks: Write returns it from then on, so the encoder stops at its
+// next block, and drain drops every block handed to it after that.
+type blockWriter struct {
+	w, sum     io.Writer
+	full, free chan []byte
+
+	mu  sync.Mutex
+	err error
+}
+
+func newBlockWriter(w, sum io.Writer) *blockWriter {
+	b := &blockWriter{w: w, sum: sum, full: make(chan []byte, spareBlocks), free: make(chan []byte, spareBlocks)}
+	for i := 0; i < spareBlocks; i++ {
+		b.free <- nil
+	}
+	return b
+}
+
+func (b *blockWriter) Write(p []byte) (int, error) {
+	buf := <-b.free
+	if err := b.failed(); err != nil {
+		b.free <- buf
+		return 0, err
+	}
+	b.full <- append(buf[:0], p...)
+	return len(p), nil
+}
+
+// close tells drain that no block follows.
+func (b *blockWriter) close() { close(b.full) }
+
+// drain hashes and writes every block handed to it until close.
+func (b *blockWriter) drain() {
+	var err error
+	for buf := range b.full {
+		if err == nil {
+			b.sum.Write(buf)
+			if _, err = b.w.Write(buf); err != nil {
+				b.mu.Lock()
+				b.err = err
+				b.mu.Unlock()
+			}
+		}
+		b.free <- buf
+	}
+}
+
+// failed returns the first error of w, if any.
+func (b *blockWriter) failed() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
 }

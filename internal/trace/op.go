@@ -154,25 +154,67 @@ func (w *WarpTrace) packed(lineSize int, scratch []addr.Addr) (*program, []addr.
 // Validate's rules for warpSize-wide warps. Warps already packed for
 // lineSize are left alone but for the width of their widest op, so
 // launching a precomputed kernel costs one comparison per warp, not a
-// walk over its instructions. The error, if any, is a *PackError or
-// *InstrError wrapped with the warp's position; warps before it stay
-// packed.
+// walk over its instructions, and starts no goroutine. The warps left
+// to pack are packed on FanOutWorkers(their instructions, their count)
+// workers, each coalescing into an arena of its own: a kernel of
+// FanOutInstrs or more unpacked instructions packs on every P. The
+// error, if any, is the first bad warp's in grid order, a *PackError or
+// *InstrError wrapped with the warp's position; the other warps may be
+// packed or not.
 func (k *Kernel) Pack(lineSize, warpSize int) error {
-	var scratch []addr.Addr
-	return k.eachWarp(func(w *WarpTrace) error {
-		p, s, err := w.packed(lineSize, scratch)
-		scratch = s
-		if err == nil && p.maxLanes > warpSize {
-			err = w.check(warpSize)
+	type unpacked struct {
+		w      *WarpTrace
+		bi, wi int
+	}
+	var todo []unpacked
+	instrs := 0
+	err := k.eachWarp(func(bi, wi int, w *WarpTrace) error {
+		if p := w.prog.Load(); p != nil && p.lineSize == lineSize {
+			_, err := w.pack(lineSize, warpSize, nil)
+			return err
 		}
-		return err
+		todo = append(todo, unpacked{w, bi, wi})
+		instrs += len(w.Instrs)
+		return nil
 	})
+	if len(todo) == 0 {
+		return err
+	}
+	// The unpacked warps all come before the first bad packed warp or
+	// bad shape, so their first failure comes before err in grid order.
+	// The closure captures warps, not todo: todo is appended to above,
+	// so capturing it would move it to the heap on every call, a packed
+	// kernel's included.
+	warps := todo
+	errs := make([]error, len(warps))
+	workers := FanOutWorkers(instrs, len(warps))
+	scratch := make([][]addr.Addr, workers)
+	FanOut(workers, len(warps), func(w, i int) {
+		scratch[w], errs[i] = warps[i].w.pack(lineSize, warpSize, scratch[w])
+	})
+	for i, e := range errs {
+		if e != nil {
+			return k.warpError(warps[i].bi, warps[i].wi, e)
+		}
+	}
+	return err
 }
 
-// PrecomputeCoalesced packs the kernel for lineSize (see Pack). Call it
-// once after generation, before the kernel is shared. A kernel that
-// cannot be packed is left as it is: Engine.Run packs again and returns
-// the error.
+// pack packs w for lineSize and checks its widest op against warpSize,
+// coalescing into scratch, which it returns for the next warp.
+func (w *WarpTrace) pack(lineSize, warpSize int, scratch []addr.Addr) ([]addr.Addr, error) {
+	p, scratch, err := w.packed(lineSize, scratch)
+	if err == nil && p.maxLanes > warpSize {
+		err = w.check(warpSize)
+	}
+	return scratch, err
+}
+
+// PrecomputeCoalesced packs the kernel for lineSize (see Pack; a kernel
+// of FanOutInstrs or more instructions packs on every P). Call it once
+// after generation, before the kernel is shared. A kernel that cannot
+// be packed is left as it is: Engine.Run packs again and returns the
+// error.
 func (k *Kernel) PrecomputeCoalesced(lineSize int) {
 	_ = k.Pack(lineSize, MaxOpLanes)
 }

@@ -162,6 +162,29 @@ func TestReadKernelRejectsOversizedCounts(t *testing.T) {
 		t.Fatalf("oversized block count accepted as %q", k.Name)
 	}
 	wantFormatError(t, "2^31 blocks", path, err)
+
+	// A checksummed header claiming 16 blocks of 65 535 warps, about a
+	// million, over an index of 16 bytes: refused before a warp table
+	// is allocated for them (Open parses the header beside the hash, so
+	// a corrupt header reaches this check too).
+	hdr = append([]byte(nil), streamMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, streamVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 8)  // chunk size
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)  // name length
+	hdr = binary.LittleEndian.AppendUint32(hdr, 16) // blocks
+	for range 16 {
+		hdr = binary.LittleEndian.AppendUint32(hdr, maxWarps-1)
+	}
+	indexOff := len(hdr)
+	hdr = append(hdr, make([]byte, 16)...)
+	writeCrafted(t, path, hdr, indexOff)
+	if k, err = ReadKernel(path); err == nil {
+		t.Fatalf("a million warps over a 16-byte index accepted as %q", k.Name)
+	}
+	wantFormatError(t, "a million warps", path, err)
+	if want := "index of 16 bytes cannot hold 1048560 warps"; !strings.Contains(err.Error(), want) {
+		t.Errorf("a million warps: error %q does not say %q", err, want)
+	}
 }
 
 // TestReadKernelRejectsUnknownInstrKind: an instruction of a kind the

@@ -185,7 +185,7 @@ func (in *Instr) check(maxLanes int) string {
 // eachWarp calls fn on every warp in launch order and returns its first
 // error wrapped with the warp's position. It refuses an empty grid, block
 // or warp itself: the shape rules Validate and Pack share.
-func (k *Kernel) eachWarp(fn func(w *WarpTrace) error) error {
+func (k *Kernel) eachWarp(fn func(bi, wi int, w *WarpTrace) error) error {
 	if len(k.Blocks) == 0 {
 		return fmt.Errorf("kernel %q has no blocks", k.Name)
 	}
@@ -197,12 +197,17 @@ func (k *Kernel) eachWarp(fn func(w *WarpTrace) error) error {
 			if len(w.Instrs) == 0 {
 				return fmt.Errorf("kernel %q block %d warp %d is empty", k.Name, bi, wi)
 			}
-			if err := fn(w); err != nil {
-				return fmt.Errorf("kernel %q block %d warp %d: %w", k.Name, bi, wi, err)
+			if err := fn(bi, wi, w); err != nil {
+				return k.warpError(bi, wi, err)
 			}
 		}
 	}
 	return nil
+}
+
+// warpError wraps err with the position of the warp it is about.
+func (k *Kernel) warpError(bi, wi int, err error) error {
+	return fmt.Errorf("kernel %q block %d warp %d: %w", k.Name, bi, wi, err)
 }
 
 // Validate checks structural sanity: non-empty grid, every memory
@@ -210,7 +215,7 @@ func (k *Kernel) eachWarp(fn func(w *WarpTrace) error) error {
 // instruction-level failure is a wrapped *InstrError. Engine.Run does
 // not need it called first — packing enforces the same rules.
 func (k *Kernel) Validate(warpSize int) error {
-	return k.eachWarp(func(w *WarpTrace) error { return w.check(warpSize) })
+	return k.eachWarp(func(_, _ int, w *WarpTrace) error { return w.check(warpSize) })
 }
 
 // check finds the warp's first instruction that breaks a rule.

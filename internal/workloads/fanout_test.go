@@ -16,7 +16,7 @@ import (
 )
 
 // atLeastTwoPs raises GOMAXPROCS to 2 for the test, so a kernel over
-// fanOutInstrs fans out on any host, and restores it afterwards.
+// trace.FanOutInstrs fans out on any host, and restores it afterwards.
 func atLeastTwoPs(t *testing.T) {
 	t.Helper()
 	if prev := runtime.GOMAXPROCS(0); prev < 2 {
@@ -82,7 +82,7 @@ func kernelFromStream(src trace.Stream, first int) (*trace.Kernel, error) {
 }
 
 // overThreshold is a gather-heavy synth spec sized just over
-// fanOutInstrs: 32 warps of 520 instructions.
+// trace.FanOutInstrs: 32 warps of 520 instructions.
 var overThreshold = SynthSpec{
 	Name: "fan", Seed: 11, Blocks: 4, WarpsPerBlock: 8, MemInsnsPerWarp: 260, ComputeRun: 1,
 	FootprintLines: 2048, StorePct: 20, GatherPct: 40, StreamPct: 20, StridePct: 10, HotPct: 20, ConflictPct: 10,
@@ -95,8 +95,8 @@ var overThreshold = SynthSpec{
 // regions through its builder's layout cursor.
 func TestFannedOutKernelMatchesItsStream(t *testing.T) {
 	atLeastTwoPs(t)
-	if n := overThreshold.Kernel().Summarize(lineBytes).WarpInsns; n < fanOutInstrs || n > 2*fanOutInstrs {
-		t.Fatalf("synth kernel has %d instructions, want just over the %d threshold", n, fanOutInstrs)
+	if n := overThreshold.Kernel().Summarize(lineBytes).WarpInsns; n < trace.FanOutInstrs || n > 2*trace.FanOutInstrs {
+		t.Fatalf("synth kernel has %d instructions, want just over the %d threshold", n, trace.FanOutInstrs)
 	}
 	str, _ := ByAbbr("STR")
 	for _, c := range []struct {
@@ -172,7 +172,7 @@ func TestSmallKernelsStartNoGoroutine(t *testing.T) {
 	}
 	// Each warp sleeps, so a worker, had one been started, would take
 	// some of them.
-	countGrid(4, 16, (fanOutInstrs-1)/64, func(block, warp int) {
+	countGrid(4, 16, (trace.FanOutInstrs-1)/64, func(block, warp int) {
 		record(block, warp)
 		time.Sleep(50 * time.Microsecond)
 	}).Kernel()
@@ -183,7 +183,7 @@ func TestSmallKernelsStartNoGoroutine(t *testing.T) {
 	clear(builders)
 	workers := min(runtime.GOMAXPROCS(0), 64)
 	arrived := make(chan struct{}, workers)
-	countGrid(4, 16, fanOutInstrs/64, func(block, warp int) {
+	countGrid(4, 16, trace.FanOutInstrs/64, func(block, warp int) {
 		record(block, warp)
 		if block*16+warp < workers {
 			arrived <- struct{}{}
@@ -206,7 +206,7 @@ func TestSmallKernelsStartNoGoroutine(t *testing.T) {
 // goroutine behind.
 func TestWorkerPanicReachesTheCaller(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, n := range []int{8, fanOutInstrs / 64} {
+	for _, n := range []int{8, trace.FanOutInstrs / 64} {
 		for _, bad := range []int{0, 37} {
 			before := runtime.NumGoroutine()
 			var inflight atomic.Int32

@@ -271,8 +271,8 @@ func TestLoadSpanClamps(t *testing.T) {
 }
 
 // maxAllocsPerWarp bounds eager generation's heap allocations per warp.
-// A sized build costs a handful (the warp's instructions, its lane
-// slab, its WarpTrace, the closures' own per-warp state); growing the
+// A sized build costs two (the warp's instructions and its lane slab;
+// TestEagerWarpCostsTwoAllocations pins that on one P); growing the
 // instruction slice or allocating lanes per instruction costs hundreds.
 const maxAllocsPerWarp = 8
 
@@ -381,5 +381,25 @@ func TestFractionsHelperNaNFree(t *testing.T) {
 				t.Errorf("%s: NaN fraction in bucket %d", s.Abbr, i)
 			}
 		}
+	}
+}
+
+// TestEagerWarpCostsTwoAllocations pins what one warp of eager
+// generation costs the heap: its instructions and its lane addresses.
+// The blocks, the warp pointers and the warps are one slab each, and a
+// worker's builder and chunk header serve every warp it builds, so
+// what is left is a constant per kernel (the shape table, the grid's
+// closures, the fan-out's workers).
+func TestEagerWarpCostsTwoAllocations(t *testing.T) {
+	const perKernel = 64
+	s, _ := ByAbbr("HG")
+	warps := 0
+	for _, b := range s.Generate().Blocks {
+		warps += len(b.Warps)
+	}
+	allocs := testing.AllocsPerRun(2, func() { s.Generate() })
+	t.Logf("HG: %d warps, %.0f allocations", warps, allocs)
+	if allocs > float64(2*warps+perKernel) {
+		t.Errorf("HG: generating %d warps made %.0f allocations, want at most 2 per warp + %d", warps, allocs, perKernel)
 	}
 }
