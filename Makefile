@@ -56,10 +56,12 @@ test: build vet
 # Benchmark-module smoke: bench/ is a module of its own that the root
 # `go build ./...` cannot see, so an engine change can break its imports
 # without any other target noticing. Run the harness unit tests, then
-# three short real runs — a single round of suite_batch (the eager
-# frontend), of big_stream (generator- and file-backed refills) and of
-# serve_cold (the server's eager synth builds) — whose result lines
-# must report every result digest correct. The vet
+# four short real runs — a single round of suite_batch (the eager
+# frontend), of big_stream (generator- and file-backed refills), of
+# serve_cold (the server's eager synth builds) and of serve_hot (warm
+# hits, coalesced pairs and DELETEs, whose client parses every response
+# shape the server sends) — whose result lines must report every result
+# digest correct. The vet
 # comes first, so an engine change that breaks the API the benchmark
 # compiles against fails with a vet message, not a build log.
 benchsmoke:
@@ -68,6 +70,7 @@ benchsmoke:
 	bash bench/run.sh --workload suite_batch --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 	bash bench/run.sh --workload big_stream --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 	bash bench/run.sh --workload serve_cold --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
+	bash bench/run.sh --workload serve_hot --seed 1 --seconds 5 --trace 0 | tail -1 | grep '"correct":true'
 
 # A/B pairs against a parent revision, the protocol every performance PR
 # follows: `make abpairs PARENT=<rev> WORKLOAD=serve_hot SEED=2 N=10`

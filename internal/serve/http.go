@@ -14,8 +14,9 @@ import (
 const maxBodyBytes = 1 << 20
 
 // JobView is the job resource rendered by the HTTP API. Stats carries
-// the canonically normalized counters (the same bytes as a conformance
-// case's expected_stats.json) once the job is done.
+// the canonically normalized counters (the values of a conformance
+// case's expected_stats.json, compacted like the rest of the body) once
+// the job is done.
 type JobView struct {
 	ID     string          `json:"id"`
 	Tenant string          `json:"tenant"`
@@ -90,6 +91,9 @@ type CacheView struct {
 //	DELETE /jobs/{id}         cancel
 //	GET    /stats             server + cache counters
 //	GET    /healthz           liveness (503 while draining)
+//
+// Every JSON body, errors included, is one line of compact JSON; only
+// GET /jobs/{id}/stats answers with the indented canonical bytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -102,12 +106,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers with v as one line of compact JSON. A job's stats
+// ride in it compacted, in one encoding pass; GET /jobs/{id}/stats is
+// the route that serves their canonical, indented bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, info ErrorInfo) {

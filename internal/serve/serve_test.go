@@ -27,7 +27,7 @@ import (
 
 // testSpec builds a small synth-workload spec; specs sharing a seed
 // share a content address.
-func testSpec(t *testing.T, seed uint64) []byte {
+func testSpec(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	sp := conform.Spec{
 		Schema: conform.SpecSchema,
@@ -157,8 +157,8 @@ func TestSubmitWaitMatchesDirectRun(t *testing.T) {
 	if v.Status != StatusDone {
 		t.Fatalf("status %q, want done", v.Status)
 	}
-	// The JSON encoder re-indents the embedded stats; compare them
-	// compacted. The /stats endpoint below is the byte-exact surface.
+	// The JSON body carries the stats compacted; compare them so. The
+	// /stats endpoint below is the byte-exact surface.
 	if !bytes.Equal(compact(t, v.Stats), compact(t, want)) {
 		t.Error("inline stats differ from direct run")
 	}

@@ -8,8 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// The benchmarks below time the record/replay file layer on SC at
-// scale 1 (a 5.9 MB DLPSTRM1 file) and report it per encoded byte:
+// The benchmarks below time the record/replay file layer and report it
+// per encoded byte, on two files: SC at scale 1 (5.9 MB, 672-instruction
+// warps) and HG at scale 3, the 29.9 MB file big_stream's set-up
+// records and opens, whose long warps show what a source window costs:
 //
 //	go test -run '^$' -bench 'WriteFile|Open|KernelDigest' -benchmem ./internal/trace/
 //
@@ -18,38 +20,53 @@ import (
 // (sha256) and write(2); one of BenchmarkOpen splits Open into the
 // checksum pass and the header and index parse.
 
-// BenchmarkWriteFile records SC from its generator, as dlptrace record
-// and big_stream's set-up do.
+// fileCases are the recorded files the file benchmarks time.
+var fileCases = []struct {
+	name  string
+	app   string
+	scale int
+}{{"SC", "SC", 1}, {"HGx3", "HG", 3}}
+
+// BenchmarkWriteFile records each file from its generator, as dlptrace
+// record and big_stream's set-up do.
 func BenchmarkWriteFile(b *testing.B) {
-	sc := appSpec(b, "SC")
-	path := filepath.Join(b.TempDir(), "sc.dlpstrm")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := trace.WriteFile(path, sc.Stream(1), 0); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.SetBytes(fileSize(b, path))
-		}
+	for _, fc := range fileCases {
+		b.Run(fc.name, func(b *testing.B) {
+			spec := appSpec(b, fc.app)
+			path := filepath.Join(b.TempDir(), "k.dlpstrm")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := trace.WriteFile(path, spec.Stream(fc.scale), 0); err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.SetBytes(fileSize(b, path))
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkOpen opens and closes the recorded file: the full-file
+// BenchmarkOpen opens and closes each recorded file: the full-file
 // checksum pass plus the header and index parse.
 func BenchmarkOpen(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "sc.dlpstrm")
-	if err := trace.WriteFile(path, appSpec(b, "SC").Stream(1), 0); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fileSize(b, path))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := trace.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
+	for _, fc := range fileCases {
+		b.Run(fc.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "k.dlpstrm")
+			if err := trace.WriteFile(path, appSpec(b, fc.app).Stream(fc.scale), 0); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(fileSize(b, path))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := trace.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

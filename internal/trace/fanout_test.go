@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -22,6 +24,23 @@ func atLeastTwoPs(t *testing.T) {
 		runtime.GOMAXPROCS(2)
 		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
+}
+
+// startingGoroutines is the goroutine count a leak check starts from.
+// The goroutine of the test before may still be on its way out when
+// this test starts, so it waits, up to a second, for the count to stop
+// falling.
+func startingGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
 }
 
 // settledGoroutines waits up to a second for the goroutine count to
@@ -57,11 +76,13 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// countingStream counts the windows its source fills, and panics on
-// the fill of warp 0 of block panicAt (never when negative).
+// countingStream counts the windows its source fills, cuts each to
+// max instructions (when positive), and panics on the fill of warp 0
+// of block panicAt (never when negative).
 type countingStream struct {
 	Stream
 	fills   atomic.Int64
+	max     int
 	panicAt int
 }
 
@@ -70,7 +91,11 @@ func (s *countingStream) Fill(block, warp, start int, c *Chunk) ([]Instr, bool, 
 	if block == s.panicAt && warp == 0 {
 		panic("fill failed")
 	}
-	return s.Stream.Fill(block, warp, start, c)
+	win, eof, owned := s.Stream.Fill(block, warp, start, c)
+	if s.max > 0 && len(win) > s.max {
+		win, eof = win[:s.max], false
+	}
+	return win, eof, owned
 }
 
 // TestWriteFileStopsAtAFailedWrite: the writing task's first error is
@@ -88,7 +113,7 @@ func TestWriteFileStopsAtAFailedWrite(t *testing.T) {
 		t.Fatalf("the stream encodes to %d blocks, fewer than 8", blocks)
 	}
 	for _, k := range []int{0, 2, blocks - 1, blocks} { // the first block, one inside, the last, the footer
-		before := runtime.NumGoroutine()
+		before := startingGoroutines()
 		src := &countingStream{Stream: bigStream(), panicAt: -1}
 		w := &failingWriter{failAt: k}
 		err := writeStream(w, "failing", src, 8)
@@ -111,7 +136,7 @@ func TestWriteFileStopsAtAFailedWrite(t *testing.T) {
 // middle of the file reaches WriteFile's caller with its value, after
 // the writing task has stopped, and leaves no goroutine behind.
 func TestWriteFileRaisesAFillPanic(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := startingGoroutines()
 	var got any
 	path := filepath.Join(t.TempDir(), "panic.dlpstrm")
 	func() {
@@ -127,9 +152,11 @@ func TestWriteFileRaisesAFillPanic(t *testing.T) {
 }
 
 // TestOpenChecksTheSumBeforeTheIndex: Open parses the index while the
-// file is hashed, but a file whose body and index are both damaged
-// reports the checksum mismatch, and only a file the checksum vouches
-// for reports what is wrong with its index.
+// file is hashed, and then reads the blocks ahead of the hash, but a
+// file whose body and index are both damaged reports the checksum
+// mismatch, wherever the body's damage lies and however many blocks
+// the file has, and only a file the checksum vouches for reports what
+// is wrong with its index.
 func TestOpenChecksTheSumBeforeTheIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "k.dlpstrm")
 	if err := WriteFile(path, NewKernelStream(testKernel(4, 8)), 8); err != nil {
@@ -170,6 +197,129 @@ func TestOpenChecksTheSumBeforeTheIndex(t *testing.T) {
 	wantFormatError(t, "broken index", path, err)
 	if !strings.Contains(err.Error(), "warp 0 instr count 0 out of range") {
 		t.Errorf("broken index: error %q, want the index's own error", err)
+	}
+
+	// A file of several blocks, read ahead of the hash: intact, it opens
+	// under the digest of its bytes in order. With the index broken,
+	// a byte flipped past the first block or a kilobyte cut out of the
+	// third (the last block then ends mid-block) is the mismatch.
+	if err := WriteFile(path, NewKernelStream(gridKernel(8, 16, 400)), 8); err != nil {
+		t.Fatal(err)
+	}
+	if good, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	hashedLen = len(good) - streamFooterLen
+	if hashedLen < 4*fileBufSize {
+		t.Fatalf("the file is %d bytes, want at least four blocks", len(good))
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(good[:hashedLen])
+	if s.Close(); s.Digest() != hex.EncodeToString(sum[:]) {
+		t.Errorf("digest %s, want the sha256 of the file's hashed bytes", s.Digest())
+	}
+	indexOff = int(binary.LittleEndian.Uint64(good[hashedLen:]))
+	for _, damage := range []struct {
+		what string
+		body func(b []byte) []byte
+	}{
+		{"a byte past the first block", func(b []byte) []byte { b[3*fileBufSize+100] ^= 0xff; return b }},
+		{"a cut mid-block", func(b []byte) []byte { return append(b[:2*fileBufSize+500], b[2*fileBufSize+1500:]...) }},
+	} {
+		broken := append([]byte(nil), good[:hashedLen]...)
+		binary.LittleEndian.PutUint32(broken[indexOff:], 0)
+		if err := os.WriteFile(path, append(damage.body(broken), good[hashedLen:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(path); err == nil {
+			s.Close()
+			t.Fatalf("Open accepted %s and a broken index", damage.what)
+		}
+		wantFormatError(t, damage.what, path, err)
+		if !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("%s and a broken index: error %q, want the checksum mismatch", damage.what, err)
+		}
+	}
+}
+
+// countingReaderAt counts its reads and fails every read that reaches
+// past failAt.
+type countingReaderAt struct {
+	*bytes.Reader
+	failAt int64
+	reads  atomic.Int64
+}
+
+var errBadRead = errors.New("bad read")
+
+func (r *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.reads.Add(1)
+	if off+int64(len(p)) > r.failAt {
+		return 0, errBadRead
+	}
+	return r.Reader.ReadAt(p, off)
+}
+
+// TestHashWhileStopsAtTheFailedRead: the parsing task reads every block
+// Open hashes, one read a block, so a read that fails past the first
+// block is the error hashWhile returns (newFileStream reports it before
+// comparing the sum), and the reads stop at it. A panic in the parse
+// still lets the hash finish and reaches the caller. None of it leaves
+// a goroutine behind.
+func TestHashWhileStopsAtTheFailedRead(t *testing.T) {
+	data := make([]byte, 4*fileBufSize+500)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	end := int64(len(data))
+	for _, leg := range []struct {
+		what      string
+		failAt    int64
+		wantReads int64
+	}{
+		{"intact", end, 5},
+		{"the third block failing", 2*fileBufSize + 1, 3},
+		{"the cut last block failing", end - 1, 5},
+	} {
+		before := startingGoroutines()
+		src := &countingReaderAt{Reader: bytes.NewReader(data), failAt: leg.failAt}
+		parsed := false
+		sum, err := hashWhile(src, end, func() { parsed = true })
+		if leg.failAt == end {
+			if err != nil || sum != sha256.Sum256(data) {
+				t.Errorf("%s: sum %x, error %v; want the sha256 of the bytes", leg.what, sum, err)
+			}
+		} else if !errors.Is(err, errBadRead) {
+			t.Errorf("%s: error %v, want the read's", leg.what, err)
+		}
+		if !parsed {
+			t.Errorf("%s: the parse did not run", leg.what)
+		}
+		if n := src.reads.Load(); n != leg.wantReads {
+			t.Errorf("%s: %d reads, want %d", leg.what, n, leg.wantReads)
+		}
+		if after := settledGoroutines(before); after != before {
+			t.Errorf("%s: %d goroutines after, %d before", leg.what, after, before)
+		}
+	}
+
+	before := startingGoroutines()
+	src := &countingReaderAt{Reader: bytes.NewReader(data), failAt: end}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		hashWhile(src, end, func() { panic("parse failed") })
+	}()
+	if got != "parse failed" {
+		t.Errorf("a panicking parse: recovered %v, want its value", got)
+	}
+	if n := src.reads.Load(); n != 5 {
+		t.Errorf("a panicking parse: %d reads, want all 5 blocks", n)
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Errorf("a panicking parse: %d goroutines after, %d before", after, before)
 	}
 }
 

@@ -107,7 +107,8 @@ type FileStream struct {
 // problem — bad magic, truncation, out-of-bounds index entries, or a
 // checksum mismatch — comes back as a *FormatError. The header and
 // index are parsed on one task while the file is hashed on another
-// (FanOut), and the checksum is checked first: a file that is both
+// (FanOut), and the parsing task then reads the blocks for the hasher
+// (hashWhile). The checksum is checked first: a file that is both
 // corrupt and badly indexed reports the mismatch, and no stream is
 // returned from bytes the checksum has not vouched for.
 func Open(path string) (*FileStream, error) {
@@ -160,25 +161,16 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 		return nil, formatErrf(path, "index offset %d out of range (file %d bytes)", indexOff, size)
 	}
 
-	// The header and index are parsed while a helper hashes the file,
-	// and nothing parsed is returned unless the checksum holds: a file
-	// that fails both reports the mismatch.
+	// The header and index are parsed while the file is hashed. Nothing
+	// parsed is returned unless the checksum holds: a read error comes
+	// first, then a mismatch, then what was wrong with the index.
 	var (
-		sum              [sha256.Size]byte
-		s                *FileStream
-		hashErr, formErr error
+		s       *FileStream
+		formErr error
 	)
-	FanOut(2, 2, func(_, task int) {
-		if task == 0 {
-			h := sha256.New()
-			_, hashErr = io.CopyBuffer(h, io.NewSectionReader(f, 0, hashedLen), make([]byte, fileBufSize))
-			h.Sum(sum[:0])
-			return
-		}
-		s, formErr = parseFile(f, path, indexOff, hashedLen)
-	})
-	if hashErr != nil {
-		return nil, formatErrf(path, "hashing: %v", hashErr)
+	sum, err := hashWhile(f, hashedLen, func() { s, formErr = parseFile(f, path, indexOff, hashedLen) })
+	if err != nil {
+		return nil, formatErrf(path, "hashing: %v", err)
 	}
 	if [sha256.Size]byte(footer[8:8+sha256.Size]) != sum {
 		return nil, formatErrf(path, "checksum mismatch: file is corrupt or truncated")
@@ -188,6 +180,85 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 	}
 	s.digest = hex.EncodeToString(sum[:])
 	return s, nil
+}
+
+// hashWhile returns the sha256 of src's first end bytes and the first
+// error reading them. It runs two FanOut tasks: one hashes, the other
+// calls parse and then reads the blocks for the hasher (readAhead), so
+// the hasher hashes one block while the next is read. readAhead is
+// deferred, so a panic in parse still lets the hasher finish and
+// reaches the caller.
+func hashWhile(src io.ReaderAt, end int64, parse func()) (sum [sha256.Size]byte, err error) {
+	r := newBlockReader(src, end)
+	FanOut(2, 2, func(_, task int) {
+		if task == 0 {
+			h := sha256.New()
+			err = r.hash(h)
+			h.Sum(sum[:0])
+			return
+		}
+		defer r.readAhead()
+		parse()
+	})
+	return sum, err
+}
+
+// A blockReader hands the blocks of src's first end bytes, in order and
+// fileBufSize bytes at a time, from readAhead to hash through
+// spareBlocks buffers that go round between them.
+type blockReader struct {
+	src io.ReaderAt
+	end int64
+
+	full chan readBlock // blocks readAhead has read, in order
+	free chan []byte    // buffers back from the hasher
+}
+
+// readBlock is one block readAhead read, or the error reading it.
+type readBlock struct {
+	buf []byte
+	err error
+}
+
+func newBlockReader(src io.ReaderAt, end int64) *blockReader {
+	r := &blockReader{src: src, end: end, full: make(chan readBlock, spareBlocks), free: make(chan []byte, spareBlocks)}
+	for i := 0; i < spareBlocks; i++ {
+		r.free <- nil
+	}
+	return r
+}
+
+// hash writes every block to h in order and returns the first read
+// error. It gives every buffer back until then, and readAhead stops at
+// the block whose read failed, so neither waits on the other for good.
+func (r *blockReader) hash(h io.Writer) error {
+	for b := range r.full {
+		if b.err != nil {
+			return b.err
+		}
+		h.Write(b.buf)
+		r.free <- b.buf
+	}
+	return nil
+}
+
+// readAhead reads every block into a free buffer and hands it to hash,
+// until the end or a read error.
+func (r *blockReader) readAhead() {
+	defer close(r.full)
+	for off := int64(0); off < r.end; {
+		buf := <-r.free
+		if buf == nil {
+			buf = make([]byte, fileBufSize)
+		}
+		n := min(fileBufSize, r.end-off)
+		_, err := r.src.ReadAt(buf[:n], off)
+		r.full <- readBlock{buf[:n], err}
+		if err != nil {
+			return
+		}
+		off += n
+	}
 }
 
 // parseFile reads the header and the index of the file, whose index
@@ -408,10 +479,12 @@ func decodeChunk(c *Chunk, count int) error {
 
 // WriteFile records src as a trace-stream file at path, windowed into
 // chunkInstrs-instruction chunks (DefaultChunkInstrs if <= 0). It
-// streams one warp window at a time, so recording never materializes
-// the kernel. The caller fills and encodes the file a block of
-// fileBufSize bytes at a time, and a helper hashes and writes each full
-// block while the next one is encoded (writeStream).
+// reads src one window of fillInstrs instructions at a time, whatever
+// the chunk size, so recording never materializes the kernel and a
+// generator replays a long warp once per window, not once per chunk.
+// The caller encodes the file a block of fileBufSize bytes at a time,
+// and a helper hashes and writes each full block while the next one is
+// encoded (writeStream).
 func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 	if chunkInstrs <= 0 {
 		chunkInstrs = DefaultChunkInstrs
@@ -502,34 +575,37 @@ func encodeStream(w io.Writer, path string, src Stream, chunkInstrs int) (int64,
 		e.uint32(uint32(nw))
 	}
 
-	// Chunk data. Source windows are rewindowed instruction by
-	// instruction into exact chunkInstrs-sized chunks (the reader
-	// derives each chunk's instruction count from the declared size),
-	// so any backend window size — a compat backend's whole-warp tail,
-	// another file's different chunking — records correctly.
-	index := make([]fileWarp, 0, totalWarps)
-	pool := NewChunkPool(chunkInstrs)
-	chunk := pool.Get()
+	// Chunk data. Source windows of fillInstrs instructions are
+	// rewindowed instruction by instruction into exact
+	// chunkInstrs-sized chunks (the reader derives each chunk's
+	// instruction count from the declared size), so any backend window
+	// size — a compat backend's whole-warp tail, another file's
+	// different chunking — records correctly. Every warp's chunks are
+	// ceil(instrs/chunkInstrs) consecutive entries of one list for the
+	// whole file, as parseFile reads them back.
+	instrs := make([]uint32, 0, totalWarps)
+	var refs []chunkRef
+	chunk := &Chunk{Instrs: make([]Instr, 0, fillInstrs)}
 	for bi := 0; bi < nBlocks; bi++ {
 		for wi := 0; wi < src.Warps(bi); wi++ {
-			fw := fileWarp{}
+			n := 0
 			ref := chunkRef{off: e.off()}
 			inChunk := 0
-			for start, eof := 0, false; !eof; {
+			for eof := false; !eof; {
 				chunk.Reset()
 				var win []Instr
-				win, eof, _ = src.Fill(bi, wi, start, chunk)
+				win, eof, _ = src.Fill(bi, wi, n, chunk)
 				if chunk.Err != nil {
 					return 0, chunk.Err
 				}
 				if len(win) == 0 && !eof {
 					return 0, formatErrf(path, "stream %q block %d warp %d: empty non-eof window at %d",
-						name, bi, wi, start)
+						name, bi, wi, n)
 				}
 				for i := range win {
 					if inChunk == chunkInstrs {
 						ref.size = uint32(e.off() - ref.off)
-						fw.chunks = append(fw.chunks, ref)
+						refs = append(refs, ref)
 						ref = chunkRef{off: e.off()}
 						inChunk = 0
 					}
@@ -538,34 +614,36 @@ func encodeStream(w io.Writer, path string, src Stream, chunkInstrs int) (int64,
 					}
 					inChunk++
 				}
-				fw.instrs += len(win)
-				start += len(win)
+				n += len(win)
 			}
-			if fw.instrs == 0 {
+			if n == 0 {
 				return 0, formatErrf(path, "stream %q block %d warp %d is empty", name, bi, wi)
 			}
 			ref.size = uint32(e.off() - ref.off)
-			fw.chunks = append(fw.chunks, ref)
-			index = append(index, fw)
+			refs = append(refs, ref)
+			instrs = append(instrs, uint32(n))
 		}
 	}
 
 	// Index.
 	indexOff := e.off()
-	for _, fw := range index {
-		e.uint32(uint32(fw.instrs))
-		for _, ref := range fw.chunks {
+	for _, n := range instrs {
+		e.uint32(n)
+		nChunks := (int(n) + chunkInstrs - 1) / chunkInstrs
+		for _, ref := range refs[:nChunks] {
 			e.reserve(12)
 			e.buf = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(e.buf, uint64(ref.off)), ref.size)
 		}
+		refs = refs[nChunks:]
 	}
 	return indexOff, e.flush()
 }
 
 // spareBlocks is how many block buffers go round between WriteFile's
-// encoder and its writing task: the encoder runs at most this many
-// blocks ahead of the file. Each is fileBufSize bytes, on top of the
-// encoder's own buffer.
+// encoder and its writing task, and between Open's reading task and
+// its hasher: the side that fills them runs at most this many blocks
+// ahead of the other. Each is fileBufSize bytes (WriteFile's encoder
+// keeps a buffer of its own besides).
 const spareBlocks = 2
 
 // A blockWriter is the io.Writer WriteFile's encoder flushes into. Write

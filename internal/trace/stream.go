@@ -494,12 +494,13 @@ func (m *MultiStream) SpecKey() string {
 // Materialize runs the whole stream eagerly into a Kernel — the
 // bridge for consumers that still need random access (trace-file
 // recording reads the stream warp by warp instead). Each warp is filled
-// window by window into one chunk and copied out of it, as WriteFile
-// does. The error is the first window the stream could not fill,
-// wrapped with the stream, block and warp.
+// into one chunk and copied out of it a window of fillInstrs
+// instructions at a time, as WriteFile reads it. The error is the first
+// window the stream could not fill, wrapped with the stream, block and
+// warp.
 func Materialize(s Stream) (*Kernel, error) {
 	k := &Kernel{Name: s.Name(), Blocks: make([]*Block, s.Blocks())}
-	chunk := newChunk(DefaultChunkInstrs)
+	chunk := &Chunk{Instrs: make([]Instr, 0, fillInstrs)}
 	for bi := range k.Blocks {
 		blk := &Block{Warps: make([]*WarpTrace, s.Warps(bi))}
 		for wi := range blk.Warps {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -113,6 +114,64 @@ func TestFileStreamRoundTrip(t *testing.T) {
 	}
 	if err := kernelsEqual(k, got); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordingWindowIsItsOwn records and materializes a kernel with a
+// warp several fill windows long through sources that cut every window
+// to 1, 7 and 64 instructions: each file is byte-identical to the one
+// recorded from the uncut source. Uncut, each warp takes one Fill per
+// fillInstrs instructions, in WriteFile and in Materialize: a generator
+// replays its warp from the start on every window, so a window no
+// larger than the file's chunks would replay a long warp over and over.
+func TestRecordingWindowIsItsOwn(t *testing.T) {
+	k := testKernel(2, 3)
+	long := &WarpTrace{}
+	for i := 0; i < 2*fillInstrs+100; i++ {
+		long.Instrs = append(long.Instrs, NewLoad(uint32(i%5), []addr.Addr{addr.Addr(i * 128)}))
+	}
+	k.Blocks[1].Warps = append(k.Blocks[1].Warps, long)
+	wantFills := int64(0)
+	for _, blk := range k.Blocks {
+		for _, wt := range blk.Warps {
+			wantFills += int64((len(wt.Instrs) + fillInstrs - 1) / fillInstrs)
+		}
+	}
+
+	dir := t.TempDir()
+	record := func(max int) ([]byte, int64) {
+		t.Helper()
+		src := &countingStream{Stream: NewKernelStream(k), max: max, panicAt: -1}
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.dlpstrm", max))
+		if err := WriteFile(path, src, 0); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, src.fills.Load()
+	}
+	want, fills := record(0)
+	if fills != wantFills {
+		t.Errorf("recording took %d fills, want %d", fills, wantFills)
+	}
+	for _, max := range []int{1, 7, 64} {
+		if got, _ := record(max); !bytes.Equal(got, want) {
+			t.Errorf("windows cut to %d instructions record different bytes", max)
+		}
+	}
+
+	src := &countingStream{Stream: NewKernelStream(k), panicAt: -1}
+	got, err := Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kernelsEqual(k, got); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.fills.Load(); n != wantFills {
+		t.Errorf("materializing took %d fills, want %d", n, wantFills)
 	}
 }
 

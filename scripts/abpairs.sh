@@ -11,7 +11,9 @@
 # (ignored by git; nothing is registered in .git) and builds its own
 # benchmark there, exactly as the driver does. Every run's result line is
 # kept in .bench_build/ab/<sha>/runs-<workload>-seed<seed>.jsonl, parent
-# and change alternating, so a report can quote them all.
+# and change alternating, so a report can quote them all, and every run's
+# per-round log beside it in runs-<workload>-seed<seed>.stderr; a run's
+# FAILED lines (why an operation failed) are also printed as it ends.
 set -euo pipefail
 
 rev="${1:?usage: abpairs.sh <parent-rev> <workload> [seed] [pairs]}"
@@ -29,11 +31,15 @@ if [ ! -f "$parent/bench/run.sh" ]; then
 fi
 seconds="$(jq -r .run_seconds "$root/BENCHMARK.json")"
 log="$parent/runs-$workload-seed$seed.jsonl"
+errlog="$parent/runs-$workload-seed$seed.stderr"
 : >"$log"
+: >"$errlog"
 
 run() { # <side> <checkout>
-	local line
-	line="$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -1)"
+	local line err="$parent/last-run.stderr"
+	line="$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>"$err" | tail -1)"
+	{ echo "== $1"; cat "$err"; } >>"$errlog"
+	grep 'FAILED:' "$err" >&2 || true
 	jq -c --arg side "$1" '{side: $side} + .' <<<"$line" >>"$log"
 	echo "  $1: $(jq -r '[.metrics | to_entries[] | "\(.key)=\(.value.value)"] | join(" ")' <<<"$line") failed=$(jq -r .failed <<<"$line")" >&2
 }
@@ -64,4 +70,4 @@ jq -r -s --slurpfile bench "$root/BENCHMARK.json" '
 	| "\($m): parent \($p | spread)  change \($c | spread)  \(if $pm == 0 then 0 else ($cm - $pm) / $pm * 100 | sig end)%  wins \($wins)/\($p | length)  (\($better) is better)"
 ' "$log"
 echo "failed operations: parent $(jq -s '[.[] | select(.side == "parent") | .failed] | add' "$log"), change $(jq -s '[.[] | select(.side == "change") | .failed] | add' "$log")"
-echo "every run: $log"
+echo "every run: $log (logs: $errlog)"

@@ -2,6 +2,7 @@ package dlpsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // TestServedInterruptDrainsAndExits130 pins the server's interrupt
@@ -79,9 +82,13 @@ func drainOnSignal(t *testing.T, bin string, sig os.Signal) {
 		if err != nil {
 			t.Fatalf("stats poll: %v", err)
 		}
-		b, _ := io.ReadAll(resp.Body)
+		var sv serve.StatsView
+		err = json.NewDecoder(resp.Body).Decode(&sv)
 		resp.Body.Close()
-		if bytes.Contains(b, []byte(`"running": 1`)) {
+		if err != nil {
+			t.Fatalf("stats poll: %v", err)
+		}
+		if sv.Running == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
