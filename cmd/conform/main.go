@@ -35,11 +35,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/conform"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -82,21 +82,12 @@ func main() {
 	// machine equals a new one. -j 1 replays every case on one machine.
 	rc := conform.RunConfig{Runner: conform.NewRunner(*jobs, *timeout), Update: *update}
 
-	// Run cases in parallel, but print results in corpus order so the
+	// Run cases on -j workers, but print results in corpus order so the
 	// report is stable at any -j.
 	results := make([]*conform.Result, len(cases))
-	sem := make(chan struct{}, *jobs)
-	var wg sync.WaitGroup
-	for i, c := range cases {
-		wg.Add(1)
-		go func(i int, c *conform.Case) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = c.Run(ctx, rc)
-		}(i, c)
-	}
-	wg.Wait()
+	trace.FanOut(min(*jobs, len(cases)), len(cases), func(_, i int) {
+		results[i] = cases[i].Run(ctx, rc)
+	})
 
 	failed := 0
 	for _, res := range results {

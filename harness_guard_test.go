@@ -58,19 +58,26 @@ var serialDirs = map[string]string{
 
 // noGoDirs are the packages that start no goroutine (they may
 // synchronize): the SMs tick on the engine's goroutine, and eager
-// generation fans out through internal/trace's helper.
+// generation, a runner batch and the corpus replay fan out through
+// internal/trace's helper.
 var noGoDirs = map[string]string{
 	"internal/sm":        "the SMs tick on the engine's goroutine",
 	"internal/workloads": "eager generation fans out through trace.FanOut",
+	"internal/runner":    "a batch fans out through trace.FanOut",
+	"cmd/conform":        "the corpus replay fans out through trace.FanOut",
 }
 
 // goFiles are the packages with sanctioned go statements, one in each
 // file named: internal/trace's read-ahead helper, which fills a
 // streamed run's next windows, and its fan-out, which builds a large
-// eager kernel's warps, packs a large kernel, and runs WriteFile's and
-// Open's two tasks beside each other.
+// eager kernel's warps, packs a large kernel, runs a runner batch and
+// the corpus replay, and runs WriteFile's and Open's two tasks beside
+// each other; the job server's worker loop; and dlpserved's HTTP
+// server.
 var goFiles = map[string][]string{
 	"internal/trace": {"internal/trace/fanout.go", "internal/trace/readahead.go"},
+	"internal/serve": {"internal/serve/serve.go"},
+	"cmd/dlpserved":  {"cmd/dlpserved/main.go"},
 }
 
 // retiredFields are the settable values that had no caller: the retry

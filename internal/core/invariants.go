@@ -5,12 +5,6 @@ import (
 	"repro/internal/policy"
 )
 
-// InvariantError reports a violated engine invariant found by a
-// self-check (sim.Options.SelfCheck) or an explicit CheckInvariants
-// call. The type itself lives in internal/policy, next to the checks;
-// this alias preserves core's public surface.
-type InvariantError = policy.InvariantError
-
 // CheckInvariants verifies the cache's invariants at the current cycle:
 // the policy's structural properties (PL counters within their field
 // width, protection bounded by associativity, PDPT predictions within
@@ -19,6 +13,7 @@ type InvariantError = policy.InvariantError
 // simulated cycle but not free — the engine samples it
 // (sim.Options.SelfCheck) rather than calling it every cycle. The check
 // never mutates state, so enabling it cannot change simulation results.
+// A violation is a *policy.InvariantError.
 func (c *L1D) CheckInvariants() error {
 	if err := c.pol.CheckInvariants(); err != nil {
 		return err
@@ -28,7 +23,7 @@ func (c *L1D) CheckInvariants() error {
 	// updates both counters before returning, so the identity holds at
 	// every cycle boundary, not just at collection time.
 	if err := c.st.CheckConservation(); err != nil {
-		return &InvariantError{Component: "stats", Check: "conservation", Detail: err.Error()}
+		return &policy.InvariantError{Component: "stats", Check: "conservation", Detail: err.Error()}
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 // Package runner is the shared execution layer for cycle-level
 // simulation experiments: it runs batches of independent simulation
-// jobs on a bounded worker pool, deduplicates repeated points through a
-// content-addressed result cache, threads context cancellation into the
-// engine's cycle loop, and reports structured progress events.
+// jobs on a bounded worker pool (trace.FanOut: the calling goroutine and
+// up to Workers-1 more, so a one-job batch runs wholly on its caller),
+// deduplicates repeated points through a content-addressed result
+// cache, threads context cancellation into the engine's cycle loop, and
+// reports structured progress events.
 //
 // Every experiment driver in the repository — the figure suite
 // (RunSuite), the ablation sweeps, and the CLIs — builds a []Job and
@@ -18,7 +20,10 @@
 // KeepGoing mode the batch always runs to completion, aggregating
 // failures into one *BatchError so suites can render partial tables
 // with explicit FAILED cells. A failed job is never retried: the engine
-// is deterministic, so a second attempt would fail the same way.
+// is deterministic, so a second attempt would fail the same way. A
+// panic outside the simulation (in an Events callback, say) is not a
+// job's failure: it stops the batch's other workers at their next job
+// and reaches the caller.
 //
 // Jobs may share *config.Config and *trace.Kernel values freely: both
 // are read-only during simulation (each engine keeps its own mutable
@@ -99,8 +104,11 @@ type Event struct {
 
 // Events receives progress notifications. Callbacks are serialized per
 // Runner (the runner never calls an Events callback concurrently with
-// any other, even across overlapping Run calls) but arrive from worker
-// goroutines, not the submitting one.
+// any other, even across overlapping Run calls) and arrive on whichever
+// of the batch's workers ran the job: the submitting goroutine (always
+// for JobQueued, and for every event of a one-job batch) or a goroutine
+// the batch started. A callback that panics stops the batch, and the
+// panic reaches the submitting goroutine.
 type Events func(Event)
 
 // SimFunc runs one job's simulation under the given context.
@@ -121,6 +129,7 @@ type Intercept func(ctx context.Context, index, attempt int, job Job, run SimFun
 // callbacks.
 type Runner struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
+	// A batch runs on min(Workers, jobs) workers, its caller the first.
 	Workers int
 	// Cache, when non-nil, is consulted before simulating and updated
 	// after. Share one Cache across batches (or processes, via
@@ -254,13 +263,7 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 	if len(jobs) == 0 {
 		return results, nil
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(r.slotCap(), len(jobs))
 
 	callerCtx := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -291,60 +294,28 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 		if events != nil {
 			ev.Queued, ev.Running, ev.Done = queued, running, done
 			r.emitMu.Lock()
+			defer r.emitMu.Unlock()
 			events(ev)
-			r.emitMu.Unlock()
 		}
 	}
-	if events != nil {
-		mu.Lock()
-		r.emitMu.Lock()
-		for i := range jobs {
-			events(Event{Kind: JobQueued, Index: i, Label: jobs[i].Label,
-				Queued: queued, Running: running, Done: done})
-		}
-		r.emitMu.Unlock()
-		mu.Unlock()
+	for i := range jobs {
+		emit(Event{Kind: JobQueued, Index: i, Label: jobs[i].Label})
 	}
 
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range jobs {
-			// Re-check before every dispatch: a select parked on both
-			// cases picks randomly once both are ready, so without this a
-			// cancelled batch could keep feeding workers that happen to be
-			// waiting.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
+	// A job starts only while ctx lives: after a fail-fast failure or a
+	// caller cancel the remaining jobs stay queued.
+	trace.FanOut(workers, len(jobs), func(_, i int) {
+		if ctx.Err() == nil {
+			results[i] = r.runOne(ctx, i, jobs[i], emit)
 		}
-	}()
+	})
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = r.runOne(ctx, i, jobs[i], emit)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Caller cancellation trumps everything: summarize how far we got.
+	// Every worker has stopped, so the counters are final. Caller
+	// cancellation trumps everything: summarize how far we got.
 	if callerCtx.Err() != nil {
-		mu.Lock()
-		completed, notStarted := done, queued
-		mu.Unlock()
 		return results, &CancelError{
-			Done:   completed,
-			Queued: notStarted,
+			Done:   done,
+			Queued: queued,
 			Total:  len(jobs),
 			Err:    callerCtx.Err(),
 		}
@@ -365,11 +336,8 @@ func (r *Runner) RunEvents(ctx context.Context, jobs []Job, events Events) ([]Re
 		return results, nil
 	}
 
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return results, err
+	if firstErr != nil {
+		return results, firstErr
 	}
 	for i := range results {
 		if results[i].Err != nil {

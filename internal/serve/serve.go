@@ -729,16 +729,8 @@ func (s *Server) Shutdown(ctx context.Context) {
 
 		deadline := time.AfterFunc(s.cfg.drainTimeout(), s.abort)
 		defer deadline.Stop()
-		var stopOnCtx func() // cancels the ctx watcher
 		if ctx != nil {
-			watch, cancel := context.WithCancel(ctx)
-			stopOnCtx = cancel
-			go func() {
-				<-watch.Done()
-				if ctx.Err() != nil {
-					s.abort()
-				}
-			}()
+			defer context.AfterFunc(ctx, s.abort)()
 		}
 
 		// Drain: still-queued jobs keep being claimed by the workers
@@ -755,9 +747,6 @@ func (s *Server) Shutdown(ctx context.Context) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		s.wg.Wait()
-		if stopOnCtx != nil {
-			stopOnCtx()
-		}
 	})
 }
 

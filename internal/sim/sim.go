@@ -38,7 +38,7 @@ type Options struct {
 	// the PDBits field, protected lines never exceeding a set's
 	// associativity, PDPT protection distances within bounds, VTA
 	// geometry matching the TDA, and mid-run stats conservation.
-	// Violations surface as typed *core.InvariantError values wrapped
+	// Violations surface as typed *policy.InvariantError values wrapped
 	// with the cycle they were caught at. The checks never mutate
 	// state, so an enabled run produces byte-identical results to a
 	// disabled one — which is also why SelfCheck is excluded from the
@@ -424,7 +424,7 @@ const selfCheckPeriod = 2048
 
 // selfCheck sweeps every SM's L1D for violated DLP invariants and wraps
 // the first finding with the cycle it was caught at. The typed
-// *core.InvariantError stays reachable through errors.As. It also
+// *policy.InvariantError stays reachable through errors.As. It also
 // validates the engine's O(1) activity accounting (liveWarps counters,
 // counter-form quiescence) against full sweeps, so the fast-path
 // bookkeeping cannot silently drift from the state it summarizes.

@@ -115,7 +115,7 @@ const maxInstrLen = 1 + 4 + 1 + 8*maxLanes
 
 // encoder appends an encoding into a fixed-size buffer and hands each
 // full buffer to w, one Write each: a hash for Kernel.Digest, and for
-// WriteFile a blockWriter, which hashes and writes it on a helper. off counts the
+// WriteFile a handoff, whose other task hashes and writes it. off counts the
 // bytes encoded, flushed or not, so an offset taken from it is right
 // wherever a flush falls. The first write error sticks: later flushes
 // write nothing, and instr and flush return it.

@@ -34,17 +34,23 @@ func FanOutWorkers(instrs, n int) int {
 // worker's own. One worker runs on the caller alone and starts no
 // goroutine. It returns when every worker has stopped.
 //
+// It is the repository's one pool. Its callers: eager generation and
+// Kernel.Pack (FanOutWorkers workers), a runner batch (runner.RunEvents,
+// min(Workers, jobs) workers, so a one-job batch runs on its caller),
+// the conformance replay (cmd/conform, min(-j, cases) workers), and
+// WriteFile and Open below.
+//
 // Two tasks that run beside each other (WriteFile's encoder and its
 // hashing writer, Open's hasher and its parser) run as FanOut(2, 2,
-// ...), two workers whatever GOMAXPROCS is. That matters where the
-// tasks talk through a channel, as WriteFile's do: each worker takes
-// one task, so the one that waits for the other never holds the
-// worker the other needs.
+// ...), two workers whatever GOMAXPROCS is. That matters because the
+// tasks talk through a channel (a handoff): each worker takes one
+// task, so the one that waits for the other never holds the worker the
+// other needs.
 //
 // A panic in build is recovered on its worker, stops the others at
 // their next index, and is raised again on the caller once all have
-// stopped, so whoever recovers a build's panics today (a runner, a
-// server) still does.
+// stopped, so a caller that recovers panics (a runner, a server)
+// still sees them.
 func FanOut(workers, n int, build func(w, i int)) {
 	var (
 		next    atomic.Int64

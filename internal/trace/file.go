@@ -184,81 +184,23 @@ func newFileStream(f *os.File, path string) (*FileStream, error) {
 
 // hashWhile returns the sha256 of src's first end bytes and the first
 // error reading them. It runs two FanOut tasks: one hashes, the other
-// calls parse and then reads the blocks for the hasher (readAhead), so
-// the hasher hashes one block while the next is read. readAhead is
-// deferred, so a panic in parse still lets the hasher finish and
-// reaches the caller.
+// calls parse and then reads the blocks for the hasher through a
+// handoff (readAt), so the hasher hashes one block while the next is
+// read. readAt is deferred, so a panic in parse still lets the hasher
+// finish and reaches the caller.
 func hashWhile(src io.ReaderAt, end int64, parse func()) (sum [sha256.Size]byte, err error) {
-	r := newBlockReader(src, end)
+	blocks := newHandoff()
 	FanOut(2, 2, func(_, task int) {
 		if task == 0 {
 			h := sha256.New()
-			err = r.hash(h)
+			err = blocks.drain(h)
 			h.Sum(sum[:0])
 			return
 		}
-		defer r.readAhead()
+		defer blocks.readAt(src, end)
 		parse()
 	})
 	return sum, err
-}
-
-// A blockReader hands the blocks of src's first end bytes, in order and
-// fileBufSize bytes at a time, from readAhead to hash through
-// spareBlocks buffers that go round between them.
-type blockReader struct {
-	src io.ReaderAt
-	end int64
-
-	full chan readBlock // blocks readAhead has read, in order
-	free chan []byte    // buffers back from the hasher
-}
-
-// readBlock is one block readAhead read, or the error reading it.
-type readBlock struct {
-	buf []byte
-	err error
-}
-
-func newBlockReader(src io.ReaderAt, end int64) *blockReader {
-	r := &blockReader{src: src, end: end, full: make(chan readBlock, spareBlocks), free: make(chan []byte, spareBlocks)}
-	for i := 0; i < spareBlocks; i++ {
-		r.free <- nil
-	}
-	return r
-}
-
-// hash writes every block to h in order and returns the first read
-// error. It gives every buffer back until then, and readAhead stops at
-// the block whose read failed, so neither waits on the other for good.
-func (r *blockReader) hash(h io.Writer) error {
-	for b := range r.full {
-		if b.err != nil {
-			return b.err
-		}
-		h.Write(b.buf)
-		r.free <- b.buf
-	}
-	return nil
-}
-
-// readAhead reads every block into a free buffer and hands it to hash,
-// until the end or a read error.
-func (r *blockReader) readAhead() {
-	defer close(r.full)
-	for off := int64(0); off < r.end; {
-		buf := <-r.free
-		if buf == nil {
-			buf = make([]byte, fileBufSize)
-		}
-		n := min(fileBufSize, r.end-off)
-		_, err := r.src.ReadAt(buf[:n], off)
-		r.full <- readBlock{buf[:n], err}
-		if err != nil {
-			return
-		}
-		off += n
-	}
 }
 
 // parseFile reads the header and the index of the file, whose index
@@ -506,29 +448,29 @@ func WriteFile(path string, src Stream, chunkInstrs int) (err error) {
 
 // writeStream records src into w, naming path in its errors. Its two
 // tasks run beside each other on FanOut's two workers: the encoding
-// task (encodeStream) flushes each full block into a blockWriter, and
-// the writing task (blockWriter.drain) hashes every block and writes it
-// to w. The footer follows once both are done. The encoding task
-// closes the hand-off however it ends, so a panic of src's Fill reaches
-// the caller, and an error of w stops it at its next block and is
-// returned.
+// task (encodeStream) flushes each full block into a handoff, and the
+// writing task drains it, hashing every block and writing it to w. The
+// footer follows once both are done. The encoding task closes the
+// hand-off however it ends, so a panic of src's Fill reaches the
+// caller, and an error of w stops it at its next block and is returned.
 func writeStream(w io.Writer, path string, src Stream, chunkInstrs int) error {
 	h := sha256.New()
-	out := newBlockWriter(w, h)
+	blocks := newHandoff()
 	var (
 		indexOff int64
 		err      error
+		wErr     error
 	)
 	FanOut(2, 2, func(_, task int) {
 		if task == 0 {
-			defer out.close()
-			indexOff, err = encodeStream(out, path, src, chunkInstrs)
+			defer blocks.close()
+			indexOff, err = encodeStream(blocks, path, src, chunkInstrs)
 			return
 		}
-		out.drain()
+		wErr = blocks.drain(io.MultiWriter(h, w))
 	})
 	if err == nil {
-		err = out.failed()
+		err = wErr
 	}
 	if err != nil {
 		return err
@@ -646,59 +588,104 @@ func encodeStream(w io.Writer, path string, src Stream, chunkInstrs int) (int64,
 // keeps a buffer of its own besides).
 const spareBlocks = 2
 
-// A blockWriter is the io.Writer WriteFile's encoder flushes into. Write
-// copies each block into a spare buffer and hands it to drain, which
-// hashes it into sum and writes it to w while the encoder fills its
-// next block; the buffer then goes back to Write. The first error of w
-// sticks: Write returns it from then on, so the encoder stops at its
-// next block, and drain drops every block handed to it after that.
-type blockWriter struct {
-	w, sum     io.Writer
-	full, free chan []byte
+// A handoff passes blocks, in order, from a filling task to a using
+// task through spareBlocks buffers that go round between them: Open's
+// reading task fills them from the file for its hasher (readAt), and
+// WriteFile's encoder flushes into one as an io.Writer for its writing
+// task. A filler's error travels with its block, and the first error on
+// the using side (the filler's, or drain's writer's) sticks: the filler
+// gets it at its next block and stops, and drain drops every block
+// handed to it after that.
+type handoff struct {
+	full chan filled // blocks filled, in order
+	free chan []byte // buffers back from drain
 
 	mu  sync.Mutex
 	err error
 }
 
-func newBlockWriter(w, sum io.Writer) *blockWriter {
-	b := &blockWriter{w: w, sum: sum, full: make(chan []byte, spareBlocks), free: make(chan []byte, spareBlocks)}
+// filled is one block, or the error filling it.
+type filled struct {
+	buf []byte
+	err error
+}
+
+func newHandoff() *handoff {
+	b := &handoff{full: make(chan filled, spareBlocks), free: make(chan []byte, spareBlocks)}
 	for i := 0; i < spareBlocks; i++ {
 		b.free <- nil
 	}
 	return b
 }
 
-func (b *blockWriter) Write(p []byte) (int, error) {
+// next returns a buffer of n bytes to fill, or the using side's error.
+func (b *handoff) next(n int) ([]byte, error) {
 	buf := <-b.free
 	if err := b.failed(); err != nil {
 		b.free <- buf
+		return nil, err
+	}
+	if cap(buf) < n {
+		buf = make([]byte, max(n, fileBufSize))
+	}
+	return buf[:n], nil
+}
+
+// Write copies p into a spare buffer and hands it over.
+func (b *handoff) Write(p []byte) (int, error) {
+	buf, err := b.next(len(p))
+	if err != nil {
 		return 0, err
 	}
-	b.full <- append(buf[:0], p...)
+	copy(buf, p)
+	b.full <- filled{buf: buf}
 	return len(p), nil
 }
 
-// close tells drain that no block follows.
-func (b *blockWriter) close() { close(b.full) }
+// readAt reads src's first end bytes into the spare buffers, a block at
+// a time, and hands each over, until the end or an error; it then
+// closes the hand-off.
+func (b *handoff) readAt(src io.ReaderAt, end int64) {
+	defer b.close()
+	for off := int64(0); off < end; {
+		buf, err := b.next(int(min(fileBufSize, end-off)))
+		if err != nil {
+			return
+		}
+		_, err = src.ReadAt(buf, off)
+		b.full <- filled{buf, err}
+		if err != nil {
+			return
+		}
+		off += int64(len(buf))
+	}
+}
 
-// drain hashes and writes every block handed to it until close.
-func (b *blockWriter) drain() {
+// close tells drain that no block follows.
+func (b *handoff) close() { close(b.full) }
+
+// drain writes every block handed to it to w, in order, until close,
+// and returns the first error, the filler's or w's.
+func (b *handoff) drain(w io.Writer) error {
 	var err error
-	for buf := range b.full {
+	for f := range b.full {
 		if err == nil {
-			b.sum.Write(buf)
-			if _, err = b.w.Write(buf); err != nil {
+			if err = f.err; err == nil {
+				_, err = w.Write(f.buf)
+			}
+			if err != nil {
 				b.mu.Lock()
 				b.err = err
 				b.mu.Unlock()
 			}
 		}
-		b.free <- buf
+		b.free <- f.buf
 	}
+	return err
 }
 
-// failed returns the first error of w, if any.
-func (b *blockWriter) failed() error {
+// failed returns the hand-off's first error, if any.
+func (b *handoff) failed() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.err

@@ -25,6 +25,23 @@ func atLeastTwoPs(t *testing.T) {
 	}
 }
 
+// startingGoroutines is the goroutine count a leak check starts from.
+// The goroutine of the test before may still be on its way out when
+// this test starts, so it waits, up to a second, for the count to stop
+// falling.
+func startingGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
 // goid returns the calling goroutine's id, read off its stack header
 // ("goroutine 7 [running]:").
 func goid() uint64 {
@@ -208,7 +225,7 @@ func TestWorkerPanicReachesTheCaller(t *testing.T) {
 	atLeastTwoPs(t)
 	for _, n := range []int{8, trace.FanOutInstrs / 64} {
 		for _, bad := range []int{0, 37} {
-			before := runtime.NumGoroutine()
+			before := startingGoroutines()
 			var inflight atomic.Int32
 			var got any
 			busy := int32(-1)
