@@ -89,10 +89,12 @@ benchsmoke:
 
 # A/B pairs against a parent revision, the protocol every performance PR
 # follows: `make abpairs PARENT=<rev> WORKLOAD=serve_hot SEED=2 N=10`
-# exports PARENT into .bench_build/ab/, alternates `bench/run.sh` between
-# it and the working tree (the side that goes first flips every pair) and
-# prints, per end-to-end metric, both medians with quartiles, the change
-# and the pairs won. Run nothing else meanwhile: both cores get used.
+# exports PARENT and copies the working tree's files side by side under
+# .bench_build/ab/, alternates each side's own `bench/run.sh` (the side
+# that goes first flips every pair) and prints, per end-to-end metric,
+# both medians with quartiles, the change and the pairs won; with a clean
+# tree, PARENT=HEAD is an A/A run. Run nothing else meanwhile: both cores
+# get used.
 WORKLOAD ?= suite_batch
 SEED ?= 2
 N ?= 10

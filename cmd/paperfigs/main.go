@@ -5,8 +5,12 @@
 // protection-distance dynamics (one application's stream replayed
 // through a single DLP L1D: per sampling period, the global TDA/VTA
 // hits, the branch taken and each instruction's PD), the Fig. 5
-// associativity study, the §4.3 overhead model, and Figs. 10–13 (the
-// policy evaluation). It also prints the ablation sweeps over the
+// associativity study, the §4.3 overhead model, Figs. 10–13 (the
+// policy evaluation) and, last, the paper scorecard: every claim of the
+// paper's evaluation the reproduction checks, with the paper's value,
+// the measured cell, their ratio and a verdict (holds or diverges),
+// read from the Fig. 5 and Fig. 10–13 suites without simulating more.
+// It also prints the ablation sweeps over the
 // design constants the paper fixes by fiat: the sampling period (200
 // accesses, §4.1.4), the PD field width (4 bits, §4.3), the VTA
 // associativity (= cache ways, footnote 2) and a warp throttle on top of
@@ -23,6 +27,7 @@
 //
 //	paperfigs                 # everything
 //	paperfigs -exp fig10      # one experiment
+//	paperfigs -exp scorecard  # the paper's claims, paper vs measured
 //	paperfigs -exp fig3,fig4,fig6,fig7  # the workload analysis
 //	paperfigs -exp fig7 -apps CFD,KM    # per-instruction RDD of CFD and KM
 //	paperfigs -exp fig9 -apps BFS       # BFS's PD dynamics
@@ -34,7 +39,7 @@
 // -timeout -selfcheck -metrics -metrics-every -trace),
 // the progress lines and the exit codes are the shared run harness's;
 // see internal/cli. With -keep-going failed points render as FAILED
-// cells and the speedup summaries are left out.
+// cells and the speedup summaries and the scorecard are left out.
 //
 // -apps BP,HS names the applications of the simulation suites, of
 // Figs. 7 and 9 and of the sweeps (labels as in Table 2): the suites run
@@ -46,9 +51,11 @@
 // registry; the committed reference outputs use the defaults.
 //
 // Experiment ids: table2, overhead, fig3, fig4, fig5, fig6, fig7, fig9,
-// fig10, fig11a, fig11b, fig12a, fig12b, fig13 (together "all"); an
-// unknown id or application, or a -format other than text or csv, exits
-// 1 before anything is printed. The other ids are opt-in only, never
+// fig10, fig11a, fig11b, fig12a, fig12b, fig13, scorecard (together
+// "all"; the scorecard is printed only when its suites completed over
+// the whole registry, and never under -apps); an unknown id or
+// application, or a -format other than text or csv, exits 1 before
+// anything is printed. The other ids are opt-in only, never
 // part of "all", so the committed paperfigs_output.txt is unchanged by
 // the registry growing:
 //

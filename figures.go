@@ -481,30 +481,19 @@ overhead:                  %.2f%%
 }
 
 // Speedups summarizes a suite's headline numbers: the CS and CI
-// geometric-mean IPC of every scheme relative to the first. NaN cells
-// (failed points in a partial, KeepGoing suite) are excluded from the
-// means; if every point of a class failed, the resulting NaN geomean is
-// reported as an error rather than a fabricated number.
+// geometric-mean IPC of every scheme relative to the first, the
+// G.MEANS cells of Fig10IPC. NaN cells (failed points in a partial,
+// KeepGoing suite) are excluded from the means; if every point of a
+// class failed, the resulting NaN geomean is reported as an error rather
+// than a fabricated number.
 func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 	t, err := r.Fig10IPC()
 	if err != nil {
 		return nil, err
 	}
-	_, classes := r.appLabels()
 	out := make(map[string]map[string]float64)
 	for _, s := range t.Series {
-		var cs, ci []float64
-		for i, v := range s.Values {
-			if math.IsNaN(v) {
-				continue
-			}
-			if classes[i] == "CS" {
-				cs = append(cs, v)
-			} else {
-				ci = append(ci, v)
-			}
-		}
-		m := map[string]float64{"CS": stats.GeoMean(cs), "CI": stats.GeoMean(ci)}
+		m := map[string]float64{"CS": t.GroupMean(s, "CS"), "CI": t.GroupMean(s, "CI")}
 		for k, v := range m {
 			if math.IsNaN(v) {
 				return nil, fmt.Errorf("dlpsim: NaN %s geomean for scheme %s", k, s.Name)
@@ -515,11 +504,12 @@ func (r *SuiteResult) Speedups() (map[string]map[string]float64, error) {
 	return out, nil
 }
 
-// paperFigIDs are the experiments of "all". The cross-policy table ("policies") and the ablation
-// sweeps are opt-in only, so the committed reference outputs do not
-// drift as policies and sweeps are added.
+// paperFigIDs are the experiments of "all", the paper scorecard last.
+// The cross-policy table ("policies") and the ablation sweeps are opt-in
+// only, so the committed reference outputs do not drift as policies and
+// sweeps are added.
 var paperFigIDs = []string{"table2", "overhead", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9",
-	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13"}
+	"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13", "scorecard"}
 
 // experimentIDs expands exps, a comma-separated list of experiment ids,
 // into the set of experiments WritePaperFigs prints: "all" is every
@@ -571,6 +561,9 @@ func experimentIDs(exps string, csv bool) (map[string]bool, error) {
 // FAILED cells, the speedup summaries — means over an incomplete suite
 // would compare schemes on different application subsets — are left
 // out, and the error is returned once everything else has been written.
+// The scorecard reads the Fig. 5 and Fig. 10–13 suites and simulates
+// nothing of its own; it is left out under -apps and unless both suites
+// completed on the full registry.
 func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func([]Workload, []Scheme) (*SuiteResult, error)) error {
 	want, err := experimentIDs(exps, csv)
 	if err != nil {
@@ -591,6 +584,9 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func(
 	}
 	if _, err := appsOr(nil); err != nil {
 		return err
+	}
+	if len(apps) > 0 {
+		delete(want, "scorecard") // a subset's means are not the paper's: run nothing for it
 	}
 
 	var partial error
@@ -682,17 +678,19 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func(
 			}
 		}
 	}
-	if want["fig5"] {
-		res, err := suite(workloads.Abbrs(), AssocSchemes())
-		if err != nil {
+	var assoc, eval *SuiteResult
+	if want["fig5"] || want["scorecard"] {
+		if assoc, err = suite(workloads.Abbrs(), AssocSchemes()); err != nil {
 			return err
 		}
-		if err := emit(res.Fig5IPC()); err != nil {
-			return err
+		if want["fig5"] {
+			if err := emit(assoc.Fig5IPC()); err != nil {
+				return err
+			}
 		}
 	}
 
-	eval := []struct {
+	evalFigs := []struct {
 		id    string
 		build func(*SuiteResult) (*Table, error)
 	}{
@@ -704,23 +702,36 @@ func WritePaperFigs(w io.Writer, exps string, csv bool, apps []string, run func(
 		{"fig13", (*SuiteResult).Fig13ICNT},
 	}
 	needEval := false
-	for _, e := range eval {
+	for _, e := range evalFigs {
 		needEval = needEval || want[e.id]
 	}
-	if needEval {
-		res, err := suite(workloads.Abbrs(), PaperSchemes())
-		if err != nil {
+	if needEval || want["scorecard"] {
+		if eval, err = suite(workloads.Abbrs(), PaperSchemes()); err != nil {
 			return err
 		}
-		for _, e := range eval {
+		for _, e := range evalFigs {
 			if want[e.id] {
-				if err := emit(e.build(res)); err != nil {
+				if err := emit(e.build(eval)); err != nil {
 					return err
 				}
 			}
 		}
 		if want["fig10"] {
-			if err := speedups(res, "== headline speedups (CI geometric mean vs baseline) =="); err != nil {
+			if err := speedups(eval, "== headline speedups (CI geometric mean vs baseline) =="); err != nil {
+				return err
+			}
+		}
+	}
+	if want["scorecard"] {
+		sc, err := newScorecard(eval, assoc)
+		if err != nil {
+			return err
+		}
+		if sc != nil {
+			if want["fig10"] {
+				fmt.Fprintln(w)
+			}
+			if err := emit(sc, nil); err != nil {
 				return err
 			}
 		}

@@ -2,15 +2,15 @@ package dlpsim
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 )
 
 // The headline reproduction tests run the full Figure 10 suite (18
-// applications x 5 schemes, ~2 minutes) once and check every claim the
-// paper's evaluation section makes about ordering and safety. Skipped
-// under -short.
+// applications x 5 schemes) and the Fig. 5 suite once and check every
+// scorecard row marked asserted: the paper's claims about ordering and
+// safety, with the thresholds the scorecard's table holds. Each test
+// walks the rows of one claim (claim.headline). Skipped under -short.
 
 var (
 	suiteOnce sync.Once
@@ -33,211 +33,69 @@ func paperSuite(t testing.TB) *SuiteResult {
 	return suiteRes
 }
 
-// TestHeadlineIPCOrdering reproduces the paper's central result (§6.1):
-// on cache-insufficient applications DLP outperforms Global-Protection,
-// which outperforms Stall-Bypass; every protection scheme beats the
-// baseline on average.
-func TestHeadlineIPCOrdering(t *testing.T) {
-	sp, err := paperSuite(t).Speedups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dlp := sp["DLP"]["CI"]
-	gp := sp["Global-Protection"]["CI"]
-	sb := sp["Stall-Bypass"]["CI"]
-	k32 := sp["32KB"]["CI"]
-	t.Logf("CI geomeans: SB=%.3f GP=%.3f DLP=%.3f 32KB=%.3f (paper: 1.14/1.35/1.44/1.50)",
-		sb, gp, dlp, k32)
-	if !(dlp > gp && gp > sb) {
-		t.Errorf("CI ordering violated: DLP=%.3f GP=%.3f SB=%.3f (paper: DLP > GP > SB)", dlp, gp, sb)
-	}
-	if dlp < 1.10 {
-		t.Errorf("DLP CI speedup %.3f, want a substantial gain (paper: 1.438)", dlp)
-	}
-	if sb < 1.0 {
-		t.Errorf("Stall-Bypass CI speedup %.3f fell below baseline", sb)
-	}
-	if k32 < 1.05 {
-		t.Errorf("32KB CI speedup %.3f, want a clear gain (paper: ~1.50)", k32)
-	}
+// headlineRows is how many scorecard rows each headline test asserts at
+// least: a row may join a claim, none may leave it.
+var headlineRows = map[string]int{
+	"IPCOrdering":      4, // DLP > GP > SB; DLP, SB and 32KB CI floors
+	"CSSafety":         2, // DLP CS mean and worst CS app
+	"TrafficReduction": 2, // DLP CI L1D traffic and evictions cut
+	"HitRate":          1, // DLP > GP > baseline CI hit rate
+	"ICNT":             2, // DLP CI ICNT cut, by less than L1D traffic
+	"CFDBeatsBigCache": 2, // DLP > 32KB on CFD and SR2K
 }
 
-// TestHeadlineCSSafety reproduces §6.1.1: DLP retains at least 99% of
-// baseline performance on cache-sufficient applications (paper: 99.8%),
-// and no single CS application loses more than ~3%.
-func TestHeadlineCSSafety(t *testing.T) {
-	res := paperSuite(t)
-	sp, err := res.Speedups()
-	if err != nil {
-		t.Fatal(err)
+// checkHeadline asserts that every scorecard row of claim holds.
+func checkHeadline(t *testing.T, claim string) {
+	t.Helper()
+	sc, err := newScorecard(paperSuite(t), assocSuite(t))
+	if err != nil || sc == nil {
+		t.Fatalf("scorecard of complete suites: %v, err=%v", sc, err)
 	}
-	if cs := sp["DLP"]["CS"]; cs < 0.99 {
-		t.Errorf("DLP CS geomean %.4f, paper retains 99.8%%", cs)
-	}
-	tab, err := res.Fig10IPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, app := range tab.Apps {
-		if res.Apps[i].Class.String() != "CS" {
+	n := 0
+	for i := range sc.rows {
+		r := &sc.rows[i]
+		if r.headline != claim {
 			continue
 		}
-		for _, s := range tab.Series {
-			if s.Name != "DLP" {
-				continue
-			}
-			if s.Values[i] < 0.96 {
-				t.Errorf("DLP loses %.1f%% on CS app %s (paper: no CS app loses more than 3%%)",
-					(1-s.Values[i])*100, app)
-			}
+		n++
+		f := r.fields()
+		t.Logf("%s %s %s: measured %s, %s", f[0], f[1], f[2], f[4], f[9])
+		if !r.holds {
+			t.Errorf("%s %s %s: measured %s, check %s (%s): %s", f[0], f[1], f[2], f[4], f[6], f[7], f[9])
 		}
 	}
+	if n < headlineRows[claim] {
+		t.Errorf("%d scorecard rows asserted under %s, want at least %d", n, claim, headlineRows[claim])
+	}
 }
+
+// TestHeadlineIPCOrdering reproduces the paper's central result (§6.1):
+// on cache-insufficient applications DLP outperforms Global-Protection,
+// which outperforms Stall-Bypass, with substantial gains, and the doubled
+// cache gains clearly.
+func TestHeadlineIPCOrdering(t *testing.T) { checkHeadline(t, "IPCOrdering") }
+
+// TestHeadlineCSSafety reproduces §6.1.1 against our own floors: DLP
+// keeps cache-sufficient applications whole on average, and no single CS
+// application loses more than our bound (the paper's tighter one is a
+// reported row).
+func TestHeadlineCSSafety(t *testing.T) { checkHeadline(t, "CSSafety") }
 
 // TestHeadlineTrafficReduction reproduces §6.2: on CI applications DLP
-// serves the least traffic through the L1D (most aggressive bypassing)
-// and produces fewer evictions than the baseline and Stall-Bypass.
-func TestHeadlineTrafficReduction(t *testing.T) {
-	res := paperSuite(t)
-	traffic, err := res.Fig11aTraffic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := res.Fig11bEvictions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tMeans := map[string]float64{}
-	eMeans := map[string]float64{}
-	for _, s := range traffic.Series {
-		tMeans[s.Name] = ciMean(res, s)
-	}
-	for _, s := range ev.Series {
-		eMeans[s.Name] = ciMean(res, s)
-	}
-	t.Logf("CI traffic: SB=%.3f GP=%.3f DLP=%.3f (paper: 0.716/0.598/0.475)",
-		tMeans["Stall-Bypass"], tMeans["Global-Protection"], tMeans["DLP"])
-	t.Logf("CI evictions: SB=%.3f GP=%.3f DLP=%.3f (paper: 0.565/0.357/0.207)",
-		eMeans["Stall-Bypass"], eMeans["Global-Protection"], eMeans["DLP"])
-	if tMeans["DLP"] >= 1.0 {
-		t.Errorf("DLP CI traffic %.3f did not drop below baseline", tMeans["DLP"])
-	}
-	if eMeans["DLP"] >= 1.0 {
-		t.Errorf("DLP CI evictions %.3f did not drop below baseline", eMeans["DLP"])
-	}
-	// Known divergence from the paper, recorded in EXPERIMENTS.md: the
-	// paper's DLP bypasses the most of the three schemes (traffic 0.475);
-	// ours bypasses only misses to fully protected sets and so keeps more
-	// traffic in-cache than GP/SB while still winning on hits and IPC.
-	// We therefore assert only the reduction vs baseline, not DLP < SB.
-}
+// cuts L1D traffic and evictions below the baseline's. The paper's
+// ordering of the three schemes is a reported row that diverges.
+func TestHeadlineTrafficReduction(t *testing.T) { checkHeadline(t, "TrafficReduction") }
 
-// TestHeadlineHitRate reproduces §6.3: DLP's CI hit rate exceeds the
-// baseline's and Global-Protection's on average.
-func TestHeadlineHitRate(t *testing.T) {
-	res := paperSuite(t)
-	hr, err := res.Fig12aHitRate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	means := map[string]float64{}
-	for _, s := range hr.Series {
-		sum, n := 0.0, 0
-		for i, v := range s.Values {
-			if res.Apps[i].Class.String() == "CI" {
-				sum += v
-				n++
-			}
-		}
-		means[s.Name] = sum / float64(n)
-	}
-	t.Logf("CI mean hit rates: base=%.3f SB=%.3f GP=%.3f DLP=%.3f",
-		means["16KB(Baseline)"], means["Stall-Bypass"], means["Global-Protection"], means["DLP"])
-	if means["DLP"] <= means["16KB(Baseline)"] {
-		t.Error("DLP hit rate not above baseline on CI apps")
-	}
-	if means["DLP"] <= means["Global-Protection"] {
-		t.Error("DLP hit rate not above Global-Protection on CI apps")
-	}
-}
+// TestHeadlineHitRate reproduces §6.3: DLP's CI hit rate exceeds
+// Global-Protection's and the baseline's.
+func TestHeadlineHitRate(t *testing.T) { checkHeadline(t, "HitRate") }
 
-// TestHeadlineICNT reproduces §6.4: DLP reduces interconnect traffic on
-// CI applications, and by more than Stall-Bypass; the reduction is
-// smaller than the L1D-traffic reduction because the network also
-// carries the other L1 caches' traffic.
-func TestHeadlineICNT(t *testing.T) {
-	res := paperSuite(t)
-	icnt, err := res.Fig13ICNT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1d, err := res.Fig11aTraffic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var icntDLP, l1dDLP float64
-	for _, s := range icnt.Series {
-		if s.Name == "DLP" {
-			icntDLP = ciMean(res, s)
-		}
-	}
-	for _, s := range l1d.Series {
-		if s.Name == "DLP" {
-			l1dDLP = ciMean(res, s)
-		}
-	}
-	t.Logf("DLP CI: ICNT %.3f vs L1D traffic %.3f (paper: 0.885 vs 0.475)", icntDLP, l1dDLP)
-	if icntDLP >= 1.0 {
-		t.Errorf("DLP CI interconnect traffic %.3f did not drop", icntDLP)
-	}
-	if icntDLP <= l1dDLP {
-		t.Errorf("ICNT reduction (to %.3f) should be damped relative to L1D traffic (to %.3f)",
-			icntDLP, l1dDLP)
-	}
-}
+// TestHeadlineICNT reproduces §6.4: DLP cuts interconnect traffic on CI
+// applications, by less than it cuts L1D traffic, because the network
+// also carries the other L1 caches' traffic.
+func TestHeadlineICNT(t *testing.T) { checkHeadline(t, "ICNT") }
 
-// TestHeadlineCFDBeatsBigCache reproduces the §6.1.2 observation that
-// protection outperforms doubling the cache on CFD and SR2K: their reuse
-// distances exceed 8 but fit inside the protection window.
-func TestHeadlineCFDBeatsBigCache(t *testing.T) {
-	res := paperSuite(t)
-	tab, err := res.Fig10IPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := map[string]int{}
-	for i, a := range tab.Apps {
-		idx[a] = i
-	}
-	get := func(scheme, app string) float64 {
-		for _, s := range tab.Series {
-			if s.Name == scheme {
-				return s.Values[idx[app]]
-			}
-		}
-		return 0
-	}
-	for _, app := range []string{"CFD", "SR2K"} {
-		dlp := get("DLP", app)
-		big := get("32KB", app)
-		if dlp <= big {
-			t.Errorf("%s: DLP %.3f not above 32KB %.3f (paper: protection beats doubling here)",
-				app, dlp, big)
-		}
-	}
-}
-
-// ciMean computes the geometric mean of a series over CI applications.
-func ciMean(res *SuiteResult, s Series) float64 {
-	sum, n := 0.0, 0
-	for i, v := range s.Values {
-		if res.Apps[i].Class.String() == "CI" && v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
+// TestHeadlineCFDBeatsBigCache reproduces §6.1.2: protection outperforms
+// doubling the cache on CFD and SR2K, whose reuse distances exceed 8 but
+// fit inside the protection window.
+func TestHeadlineCFDBeatsBigCache(t *testing.T) { checkHeadline(t, "CFDBeatsBigCache") }

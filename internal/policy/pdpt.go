@@ -9,8 +9,11 @@ import "slices"
 //
 // The same structure, restricted to a single shared entry, implements the
 // Global-Protection comparator (§5.3): construct it with NewGlobalPDT.
+// With one entry every instruction maps to it, so its hit counters are
+// the global ones and its PD follows the global VTA/TDA ratio: the
+// Global-Protection mode needs no rule of its own.
 type PDPT struct {
-	global  bool // Global-Protection mode: one PD for all instructions
+	global  bool // Global-Protection mode: Reset keeps one entry
 	nasc    int  // VTA associativity, the paper's Nasc
 	maxPD   int  // saturation value of the PD field (2^PDBits - 1)
 	tdaHits []uint64
@@ -32,8 +35,8 @@ func NewPDPT(entries, nasc, maxPD int) *PDPT {
 	return p
 }
 
-// NewGlobalPDT builds the Global-Protection variant: a single PD driven
-// only by the global hit counters.
+// NewGlobalPDT builds the Global-Protection variant: a one-entry table,
+// whose single PD is driven by the global hit counters.
 func NewGlobalPDT(nasc, maxPD int) *PDPT {
 	p := &PDPT{global: true}
 	p.Reset(1, nasc, maxPD)
@@ -69,12 +72,7 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-func (p *PDPT) idx(insnID uint8) int {
-	if p.global {
-		return 0
-	}
-	return int(insnID) % len(p.pd)
-}
+func (p *PDPT) idx(insnID uint8) int { return int(insnID) % len(p.pd) }
 
 // CreditTDA records a tag-and-data-array hit attributed to insnID.
 func (p *PDPT) CreditTDA(insnID uint8) {
@@ -147,11 +145,6 @@ func (p *PDPT) EndSample() {
 	case p.globalVTA > p.globalTDA:
 		for i := range p.pd {
 			adj := stepAdj(p.vtaHits[i], p.tdaHits[i], p.nasc)
-			if p.global {
-				// Global-Protection: the single PD follows the global
-				// ratio, not a per-instruction one.
-				adj = stepAdj(p.globalVTA, p.globalTDA, p.nasc)
-			}
 			p.pd[i] = min(p.pd[i]+adj, p.maxPD)
 		}
 		p.grows++

@@ -53,7 +53,7 @@ func cell(format string, v float64) string {
 	return fmt.Sprintf(format, v)
 }
 
-// groupMean returns the geometric mean of one series restricted to apps
+// GroupMean returns the geometric mean of one series restricted to apps
 // of one class. Non-positive entries (e.g. an application whose baseline
 // counter is zero, making normalization meaningless) and NaN entries
 // (failed jobs in a keep-going run) are skipped rather than poisoning
@@ -61,8 +61,10 @@ func cell(format string, v float64) string {
 // When no entry survives — every point of the class failed, or the
 // class is absent from an -apps subset — there is no mean to report,
 // and the cell must say so: NaN renders as FAILED, where a silent 0
-// would read as a measured (and alarming) result.
-func (t *Table) groupMean(s Series, class string) float64 {
+// would read as a measured (and alarming) result. It is the one class
+// mean of the harness: the G.MEANS cells, the speedup summaries and the
+// paper scorecard all read it.
+func (t *Table) GroupMean(s Series, class string) float64 {
 	var vals []float64
 	for i, c := range t.Classes {
 		if c == class && s.Values[i] > 0 {
@@ -100,8 +102,8 @@ func (t *Table) Render(w io.Writer) error {
 		}
 		if len(t.Classes) == len(t.Apps) {
 			cells = append(cells,
-				cell(format, t.groupMean(s, "CS")),
-				cell(format, t.groupMean(s, "CI")))
+				cell(format, t.GroupMean(s, "CS")),
+				cell(format, t.GroupMean(s, "CI")))
 		}
 		fmt.Fprintln(tw, strings.Join(cells, "\t"))
 	}
@@ -163,8 +165,8 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		}
 		if withMeans {
 			row = append(row,
-				cell(format, t.groupMean(s, "CS")),
-				cell(format, t.groupMean(s, "CI")))
+				cell(format, t.GroupMean(s, "CS")),
+				cell(format, t.GroupMean(s, "CI")))
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -57,10 +57,10 @@ func TestGroupMean(t *testing.T) {
 		Classes: []string{"CS", "CI", "CI"},
 	}
 	s := Series{Values: []float64{7, 2, 8}}
-	if got := tbl.groupMean(s, "CI"); math.Abs(got-4) > 1e-12 {
+	if got := tbl.GroupMean(s, "CI"); math.Abs(got-4) > 1e-12 {
 		t.Errorf("CI mean = %v, want 4", got)
 	}
-	if got := tbl.groupMean(s, "CS"); got != 7 {
+	if got := tbl.GroupMean(s, "CS"); got != 7 {
 		t.Errorf("CS mean = %v, want 7", got)
 	}
 }
@@ -101,17 +101,17 @@ func TestGroupMeanSkipsNonPositive(t *testing.T) {
 		Classes: []string{"CS", "CS", "CS"},
 	}
 	s := Series{Values: []float64{0, 2, 8}}
-	if got := tbl.groupMean(s, "CS"); got != 4 {
-		t.Errorf("groupMean with a zero entry = %v, want 4 (zero skipped)", got)
+	if got := tbl.GroupMean(s, "CS"); got != 4 {
+		t.Errorf("GroupMean with a zero entry = %v, want 4 (zero skipped)", got)
 	}
 	empty := Series{Values: []float64{0, 0, 0}}
-	if got := tbl.groupMean(empty, "CS"); !math.IsNaN(got) {
-		t.Errorf("groupMean of all-zero series = %v, want NaN (renders FAILED)", got)
+	if got := tbl.GroupMean(empty, "CS"); !math.IsNaN(got) {
+		t.Errorf("GroupMean of all-zero series = %v, want NaN (renders FAILED)", got)
 	}
 	// A class with no apps at all (e.g. an -apps subset) likewise has no
 	// mean — 0 here would render as a measured result.
-	if got := tbl.groupMean(s, "CI"); !math.IsNaN(got) {
-		t.Errorf("groupMean of absent class = %v, want NaN", got)
+	if got := tbl.GroupMean(s, "CI"); !math.IsNaN(got) {
+		t.Errorf("GroupMean of absent class = %v, want NaN", got)
 	}
 }
 

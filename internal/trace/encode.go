@@ -94,7 +94,7 @@ func appendInstr(dst []byte, in *Instr) ([]byte, error) {
 // in reads of that size: fewer, larger system calls. A digest is done
 // once per job key, often of a small kernel, so it takes a small buffer
 // per call; a pooled large one would stay live and raise a job server's
-// peak RSS (EXPERIMENTS.md).
+// peak RSS (PERF_LOG.md).
 const (
 	fileBufSize   = 128 << 10
 	digestBufSize = 4 << 10

@@ -142,7 +142,7 @@ func Abbrs() []string {
 // app's last job. Deleting it alone, with RunSuite generating its own
 // kernels, raised the peak RSS of two suites in one process (paperfigs
 // -exp fig5,fig10) by half or more: the second suite built its kernels
-// before the first suite's were collected (EXPERIMENTS.md, PR 44).
+// before the first suite's were collected (PERF_LOG.md, PR 44).
 var (
 	sharedMu      sync.Mutex
 	sharedKernels = map[sharedKey]*trace.Kernel{}

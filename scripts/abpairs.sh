@@ -7,11 +7,16 @@
 #
 #   scripts/abpairs.sh <parent-rev> <workload> [seed] [pairs]
 #
-# The parent is exported with `git archive` into .bench_build/ab/<sha>
-# (ignored by git; nothing is registered in .git) and builds its own
-# benchmark there, exactly as the driver does. Every run's result line is
-# kept in .bench_build/ab/<sha>/runs-<workload>-seed<seed>.jsonl, parent
-# and change alternating, so a report can quote them all, and every run's
+# Both sides are built the same way, each by its own bench/run.sh in a
+# directory of its own, as the driver builds a checkout: the parent is
+# exported with `git archive` into .bench_build/ab/<sha>/parent, and the
+# change is a fresh copy of the working tree's files (tracked and
+# untracked, not ignored) in .bench_build/ab/<sha>/change. Both paths
+# have the same length, neither holds a .git, and nothing is written to
+# the repository's .git. With a clean tree, `abpairs.sh HEAD` is an A/A
+# run. Every run's result line is kept in
+# .bench_build/ab/<sha>/runs-<workload>-seed<seed>.jsonl, parent and
+# change alternating, so a report can quote them all, and every run's
 # per-round log beside it in runs-<workload>-seed<seed>.stderr; a run's
 # FAILED lines (why an operation failed) are also printed as it ends.
 set -euo pipefail
@@ -24,19 +29,25 @@ command -v jq >/dev/null || { echo "abpairs: jq is required" >&2; exit 2; }
 
 root="$(git rev-parse --show-toplevel)"
 sha="$(git -C "$root" rev-parse --verify "$rev^{commit}")"
-parent="$root/.bench_build/ab/$sha"
+ab="$root/.bench_build/ab/$sha"
+parent="$ab/parent"
+change="$ab/change"
 if [ ! -f "$parent/bench/run.sh" ]; then
 	mkdir -p "$parent"
 	git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
+rm -rf "$change"
+mkdir -p "$change"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+	tar -C "$root" --null --ignore-failed-read --warning=no-failed-read -T - -cf - | tar -x -C "$change"
 seconds="$(jq -r .run_seconds "$root/BENCHMARK.json")"
-log="$parent/runs-$workload-seed$seed.jsonl"
-errlog="$parent/runs-$workload-seed$seed.stderr"
+log="$ab/runs-$workload-seed$seed.jsonl"
+errlog="$ab/runs-$workload-seed$seed.stderr"
 : >"$log"
 : >"$errlog"
 
 run() { # <side> <checkout>
-	local line err="$parent/last-run.stderr"
+	local line err="$ab/last-run.stderr"
 	line="$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>"$err" | tail -1)"
 	{ echo "== $1"; cat "$err"; } >>"$errlog"
 	grep 'FAILED:' "$err" >&2 || true
@@ -48,9 +59,9 @@ for i in $(seq 1 "$pairs"); do
 	echo "pair $i/$pairs" >&2
 	if [ $((i % 2)) -eq 1 ]; then
 		run parent "$parent"
-		run change "$root"
+		run change "$change"
 	else
-		run change "$root"
+		run change "$change"
 		run parent "$parent"
 	fi
 done
