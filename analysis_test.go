@@ -63,8 +63,10 @@ func TestFig7IsTheProfileOfEachApp(t *testing.T) {
 // first 20 sampling periods closed on, the branch taken, and the
 // protection distance of each of CFD's three memory instructions. It
 // also checks that WritePaperFigs prints one table per -apps entry, in
-// text and in CSV, and pins the one sample of HS, whose stores must
-// reach the cache as stores, by its closing counters.
+// text and in CSV, and pins HS, whose stores must reach the cache as
+// stores, by its closing counters and its TDA hits. HS is compute
+// sensitive: its few loads close no period at the access count, and
+// every one of its 15 periods closes at the instruction cap.
 func TestFig9PinsCFDsProtectionDynamics(t *testing.T) {
 	cfd, err := WorkloadByAbbr("CFD")
 	if err != nil {
@@ -97,12 +99,21 @@ func TestFig9PinsCFDsProtectionDynamics(t *testing.T) {
 		t.Errorf("title %q does not carry the closing counters", tab.Title)
 	}
 
+	hs, err := WorkloadByAbbr("HS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab, err := Fig9PD(hs); err != nil || len(tab.Apps) != 15 {
+		t.Errorf("HS's Fig. 9 (err %v) does not span the 15 sampling periods the instruction cap closes", err)
+	}
+
 	for _, c := range []struct {
 		csv  bool
 		want []string
 	}{
-		{false, []string{"branch     1   1   1   1   -1", "of HS (accesses=384 hits=102 bypasses=0 vta_hits=58 hit_rate=0.266)", "TDA hits   44\n"}},
-		{true, []string{"branch,1,1,1,1,-1", "TDA hits,44\n"}},
+		{false, []string{"branch     1   1   1   1   -1", "of HS (accesses=384 hits=102 bypasses=0 vta_hits=58 hit_rate=0.266)",
+			"TDA hits   0  0  20  0  0  20  0  4  18  0   28  0   0   12  0\n"}},
+		{true, []string{"branch,1,1,1,1,-1", "TDA hits,0,0,20,0,0,20,0,4,18,0,28,0,0,12,0\n"}},
 	} {
 		var b strings.Builder
 		if err := WritePaperFigs(&b, "fig9", c.csv, []string{"CFD", "hs"}, noSuite(t)); err != nil {

@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/rdd"
 	"repro/internal/report"
@@ -360,12 +358,14 @@ func Fig7RDD(spec Workload) *Distribution {
 const fig9Samples = 20
 
 // Fig9PD traces the Fig. 9 dynamics of one application: SM 0's share of
-// its memory stream is replayed through one DLP-managed L1D with ideal
-// memory behind it, and each of the first fig9Samples sampling periods
-// is a column holding the global TDA and VTA hits the closing decision
-// was made from, the branch taken (+1 increase, -1 decrease, 0 hold) and
-// the protection distance it left each memory instruction with. The
-// cache's DLP invariants are checked after every sample and at the end.
+// its kernel is replayed through one DLP-managed L1D with ideal memory
+// behind it (rdd.L1DReplay), and each of the first fig9Samples sampling
+// periods is a column holding the global TDA and VTA hits the closing
+// decision was made from — read before the access or instruction note
+// that closed the period — the branch taken (+1 increase, -1 decrease, 0
+// hold) and the protection distance it left each memory instruction
+// with. The cache's DLP invariants are checked after every sample and at
+// the end.
 func Fig9PD(spec Workload) (*Table, error) {
 	cfg := config.Baseline()
 	k := spec.Generate()
@@ -385,65 +385,37 @@ func Fig9PD(spec Workload) (*Table, error) {
 	}
 	slices.Sort(pcs)
 
-	l1d := core.NewL1D(cfg, config.PolicyDLP, func(*mem.Request) {})
-	pdpt := l1d.PDPT()
-	var now, id uint64
-	// send offers one line access, retrying a stalled one a cycle later;
-	// every fetch is answered at once.
-	send := func(line addr.Addr, in *trace.Instr) {
-		id++
-		req := &mem.Request{ID: id, Addr: line, PC: in.PC, InsnID: addr.HashPC(in.PC), Store: in.Kind == trace.Store}
-		for {
-			now++
-			l1d.Tick(now)
-			out := l1d.Access(req)
-			for o := l1d.PopOutgoing(); o != nil; o = l1d.PopOutgoing() {
-				if !o.Store {
-					l1d.OnResponse(o)
-				}
-			}
-			if out != mem.OutcomeStall {
-				return
-			}
-		}
-	}
-
 	t := &Table{Format: "%.0f", Series: []Series{{Name: "TDA hits"}, {Name: "VTA hits"}, {Name: "branch"}}}
 	for _, pc := range pcs {
 		t.Series = append(t.Series, Series{Name: fmt.Sprintf("PD(insn%d)", pc)})
 	}
-	var grows, shrinks uint64
+	l1d := rdd.NewL1DReplay(cfg, config.PolicyDLP)
+	pdpt := l1d.PDPT()
+	var tda, vta, grows, shrinks uint64 // a fresh cache has none of them yet
 	var err error
-	rdd.ReplaySM(rdd.PerSM(k, cfg.NumSMs)[0], cfg.L1D.LineSize, func(line addr.Addr, in *trace.Instr) bool {
-		tda, vta := pdpt.GlobalHits()
-		send(line, in)
+	if rerr := l1d.Replay(rdd.PerSM(k, cfg.NumSMs)[0], func() bool {
 		s := pdpt.Samples()
-		if int(s) == len(t.Apps) {
-			return true
+		if int(s) > len(t.Apps) {
+			g, sh := pdpt.Branches() // one period closed: at most one of them moved
+			col := []float64{float64(tda), float64(vta), float64(g-grows) - float64(sh-shrinks)}
+			grows, shrinks = g, sh
+			for _, pc := range pcs {
+				col = append(col, float64(pdpt.PD(addr.HashPC(pc))))
+			}
+			for i, v := range col {
+				t.Series[i].Values = append(t.Series[i].Values, v)
+			}
+			t.Apps = append(t.Apps, strconv.Itoa(int(s)))
+			if err = l1d.CheckInvariants(); err != nil {
+				err = fmt.Errorf("fig9 %s: after sample %d: %w", spec.Abbr, s, err)
+				return false
+			}
 		}
-		g, sh := pdpt.Branches()
-		branch := 0.0
-		switch {
-		case g != grows:
-			branch = 1
-		case sh != shrinks:
-			branch = -1
-		}
-		grows, shrinks = g, sh
-		col := []float64{float64(tda), float64(vta), branch}
-		for _, pc := range pcs {
-			col = append(col, float64(pdpt.PD(addr.HashPC(pc))))
-		}
-		for i, v := range col {
-			t.Series[i].Values = append(t.Series[i].Values, v)
-		}
-		t.Apps = append(t.Apps, strconv.Itoa(int(s)))
-		if err = l1d.CheckInvariants(); err != nil {
-			err = fmt.Errorf("fig9 %s: after sample %d: %w", spec.Abbr, s, err)
-			return false
-		}
+		tda, vta = pdpt.GlobalHits()
 		return s < fig9Samples
-	})
+	}); rerr != nil {
+		err = fmt.Errorf("fig9 %s: %w", spec.Abbr, rerr)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -322,6 +323,56 @@ func TestHarnessOwnsTheExecutionFlags(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(names, " ") {
 			t.Errorf("%s declares harness-owned flags [%s], want [%s]",
 				dir, strings.Join(got, " "), strings.Join(names, " "))
+		}
+	}
+}
+
+// TestDesignInventoryNamesEveryPackage keeps DESIGN.md §3, the system
+// inventory, in step with the tree: every directory under internal/,
+// cmd/ and examples/ that holds non-test Go has exactly one row, and
+// every row names such a directory (or the root package).
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## 3. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]int{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "| ") || len(cells) < 3 || strings.TrimSpace(cells[1]) == "Package" {
+			continue
+		}
+		name := strings.TrimSpace(cells[1])
+		if name == "root package `dlpsim`" {
+			name = "."
+		}
+		rows[strings.Trim(name, "`")]++
+	}
+	pkgs := map[string]bool{".": true}
+	for _, top := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pkg := range pkgs {
+		if rows[pkg] != 1 {
+			t.Errorf("%s has %d rows in DESIGN.md §3, want 1", pkg, rows[pkg])
+		}
+	}
+	for name := range rows {
+		if !pkgs[name] {
+			t.Errorf("DESIGN.md §3 has a row for %s, which is no package of the tree", name)
 		}
 	}
 }

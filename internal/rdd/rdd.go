@@ -1,20 +1,24 @@
 // Package rdd implements the paper's reuse-distance analysis (§3): a RD
 // is the number of accesses to a cache set between two accesses to the
 // same cache line within that set, counting the re-reference itself
-// (Figure 2: the sequence A0, A1, A2, A0 gives A0 a RD of 3). The
-// profiler replays a kernel's memory stream in the same block/warp
-// interleaving the simulator uses and produces program-level (Fig. 3) and
-// per-instruction (Fig. 7) RD distributions, plus the associativity
-// sensitivity study of Fig. 4 via an LRU cache replay. The per-SM walk
-// itself (PerSM, ReplaySM) is exported for other single-cache replays,
-// such as the Fig. 9 trace of the DLP prediction table.
+// (Figure 2: the sequence A0, A1, A2, A0 gives A0 a RD of 3). It holds
+// one walk of a kernel's instruction stream, in the block/warp
+// interleaving the simulator dispatches (PerSM, ReplaySM), and its three
+// consumers: the RD tracker behind the program-level (Fig. 3) and
+// per-instruction (Fig. 7) distributions, the LRU replay of the Fig. 4
+// associativity study, and a registered L1D scheme with ideal memory
+// behind it (L1DReplay, the Fig. 9 trace of the DLP prediction table).
 package rdd
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -51,20 +55,8 @@ func (p *Profile) PCs() []uint32 {
 	for pc := range p.PerPC {
 		out = append(out, pc)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
-}
-
-// tracker measures RDs for one cache (one SM's L1D view).
-type tracker struct {
-	mapper     *addr.Mapper
-	setCounter []uint64
-	lastTouch  []map[uint64]uint64 // per set: tag -> counter at last access
-	prof       *Profile
 }
 
 // mapperFor returns the set/tag mapper of a cache geometry.
@@ -76,53 +68,39 @@ func mapperFor(geom config.CacheGeom) *addr.Mapper {
 	return addr.MustMapper(geom.LineSize, geom.Sets, kind)
 }
 
-func newTracker(geom config.CacheGeom, prof *Profile) *tracker {
-	t := &tracker{
-		mapper:     mapperFor(geom),
-		setCounter: make([]uint64, geom.Sets),
-		lastTouch:  make([]map[uint64]uint64, geom.Sets),
-		prof:       prof,
-	}
-	for i := range t.lastTouch {
-		t.lastTouch[i] = make(map[uint64]uint64)
-	}
-	return t
-}
-
-// access replays one line access issued by instruction in; it always
-// asks for the next.
-func (t *tracker) access(a addr.Addr, in *trace.Instr) bool {
-	set := t.mapper.Set(a)
-	tag := t.mapper.Tag(a)
-	t.setCounter[set]++
-	now := t.setCounter[set]
-	t.prof.Accesses++
-	if last, seen := t.lastTouch[set][tag]; seen {
-		rd := int(now - last)
-		t.prof.Reuses++
-		t.prof.Global.Observe(rd)
-		h, ok := t.prof.PerPC[in.PC]
-		if !ok {
-			h = stats.NewHistogram()
-			t.prof.PerPC[in.PC] = h
-		}
-		h.Observe(rd)
-	}
-	t.lastTouch[set][tag] = now
-	return true
-}
-
-// ProfileKernel replays the kernel's memory stream against numSMs
-// independent caches of the given geometry, distributing blocks
-// round-robin and interleaving warp memory instructions round-robin
-// within each SM, mirroring the simulator's dispatch.
+// ProfileKernel walks the kernel (ReplaySM, each SM's share of the
+// blocks as PerSM deals them) against numSMs independent caches of the
+// given geometry and measures the reuse distance of every line access.
 func ProfileKernel(k *trace.Kernel, numSMs int, geom config.CacheGeom) *Profile {
 	prof := &Profile{
 		Global: stats.NewHistogram(),
 		PerPC:  make(map[uint32]*stats.Histogram),
 	}
-	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, *trace.Instr) bool {
-		return newTracker(geom, prof).access
+	eachSM(k, numSMs, geom.LineSize, func() Visit {
+		m := mapperFor(geom)
+		setCounter := make([]uint64, geom.Sets)
+		lastTouch := make(map[uint64]uint64) // tag -> its set's counter at its last access
+		return func(in *trace.Instr, lines []addr.Addr) bool {
+			for _, a := range lines {
+				set, tag := m.Set(a), m.Tag(a)
+				setCounter[set]++
+				now := setCounter[set]
+				prof.Accesses++
+				if last, seen := lastTouch[tag]; seen {
+					rd := int(now - last)
+					prof.Reuses++
+					prof.Global.Observe(rd)
+					h, ok := prof.PerPC[in.PC]
+					if !ok {
+						h = stats.NewHistogram()
+						prof.PerPC[in.PC] = h
+					}
+					h.Observe(rd)
+				}
+				lastTouch[tag] = now
+			}
+			return true
+		}
 	})
 	return prof
 }
@@ -133,20 +111,16 @@ type lruSet struct {
 }
 
 func (s *lruSet) touch(tag uint64, ways int) (hit bool) {
-	for i, t := range s.tags {
-		if t == tag {
-			copy(s.tags[1:i+1], s.tags[:i])
-			s.tags[0] = tag
-			return true
+	i := slices.Index(s.tags, tag)
+	if hit = i >= 0; !hit { // the new tag takes a fresh way, or the LRU one
+		if len(s.tags) < ways {
+			s.tags = append(s.tags, 0)
 		}
+		i = len(s.tags) - 1
 	}
-	s.tags = append(s.tags, 0)
-	copy(s.tags[1:], s.tags)
+	copy(s.tags[1:i+1], s.tags[:i])
 	s.tags[0] = tag
-	if len(s.tags) > ways {
-		s.tags = s.tags[:ways]
-	}
-	return false
+	return hit
 }
 
 // ReuseMissRate replays the stream through LRU caches of the given
@@ -154,20 +128,21 @@ func (s *lruSet) touch(tag uint64, ways int) (hit bool) {
 // (Fig. 4 excludes compulsory misses).
 func ReuseMissRate(k *trace.Kernel, numSMs int, geom config.CacheGeom) float64 {
 	var reuses, reuseMisses uint64
-	eachSM(k, numSMs, geom.LineSize, func() func(addr.Addr, *trace.Instr) bool {
+	eachSM(k, numSMs, geom.LineSize, func() Visit {
 		m := mapperFor(geom)
 		sets := make([]lruSet, geom.Sets)
 		seen := make(map[uint64]bool)
-		return func(a addr.Addr, _ *trace.Instr) bool {
-			tag := m.Tag(a)
-			first := !seen[tag]
-			seen[tag] = true
-			hit := sets[m.Set(a)].touch(tag, geom.Ways)
-			if !first {
-				reuses++
-				if !hit {
-					reuseMisses++
+		return func(_ *trace.Instr, lines []addr.Addr) bool {
+			for _, a := range lines {
+				tag := m.Tag(a)
+				hit := sets[m.Set(a)].touch(tag, geom.Ways)
+				if seen[tag] {
+					reuses++
+					if !hit {
+						reuseMisses++
+					}
 				}
+				seen[tag] = true
 			}
 			return true
 		}
@@ -186,10 +161,10 @@ func PerSM(k *trace.Kernel, numSMs int) [][]*trace.Block {
 	return perSM
 }
 
-// eachSM replays each SM that got a block (PerSM), coalesced at
-// lineSize, through a fresh access function from newSM — one cache view
+// eachSM walks each SM that got a block (PerSM), coalesced at
+// lineSize, through a fresh visit function from newSM — one cache view
 // per SM.
-func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() func(addr.Addr, *trace.Instr) bool) {
+func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() Visit) {
 	for _, blocks := range PerSM(k, numSMs) {
 		if len(blocks) > 0 {
 			ReplaySM(blocks, lineSize, newSM())
@@ -197,59 +172,111 @@ func eachSM(k *trace.Kernel, numSMs, lineSize int, newSM func() func(addr.Addr, 
 	}
 }
 
-// ReplaySM walks one SM's blocks in dispatch order, invoking access for
-// every line of lineSize bytes a memory instruction touches, until the
-// blocks are exhausted or access returns false. Within a block the
-// warps take turns, one memory instruction each, approximating
-// fine-grained multithreaded issue. The warp cursors and the coalescing
-// output are reused across blocks and instructions, so the walk's
-// allocations do not grow with the stream's length.
-func ReplaySM(blocks []*trace.Block, lineSize int, access func(line addr.Addr, in *trace.Instr) bool) {
+// Visit is handed one instruction of a walk and the distinct lines it
+// touches (none for a compute instruction); false stops the walk. The
+// lines are the walk's scratch, valid only during the call.
+type Visit func(in *trace.Instr, lines []addr.Addr) bool
+
+// ReplaySM walks one SM's blocks in dispatch order and hands visit every
+// instruction of every warp exactly once, each warp's in program order,
+// with a memory instruction's lines of lineSize bytes, until the blocks
+// are exhausted or visit returns false. Within a block the warps take
+// turns, approximating fine-grained multithreaded issue: a turn runs
+// through the warp's next memory instruction, and after its last one to
+// the warp's end. The cursors and the coalescing output are reused, so
+// the walk's allocations do not grow with the stream's length.
+func ReplaySM(blocks []*trace.Block, lineSize int, visit Visit) {
 	var (
-		ptrs  []int
+		next  []int // per warp: the next instruction to visit
 		lines []addr.Addr
 	)
 	for _, b := range blocks {
-		if cap(ptrs) < len(b.Warps) {
-			ptrs = make([]int, len(b.Warps))
-		}
-		ptrs = ptrs[:len(b.Warps)]
-		remaining := 0
-		for wi, w := range b.Warps {
-			ptrs[wi] = nextMem(w, 0)
-			if ptrs[wi] < len(w.Instrs) {
-				remaining++
-			}
-		}
-		for remaining > 0 {
+		next = slices.Grow(next[:0], len(b.Warps))[:len(b.Warps)]
+		clear(next)
+		for left := len(b.Warps); left > 0; {
+			left = 0
 			for wi, w := range b.Warps {
-				p := ptrs[wi]
-				if p >= len(w.Instrs) {
-					continue
+				n, end := len(w.Instrs), nextMem(w, next[wi])+1
+				if nextMem(w, end) >= n {
+					end = n
 				}
-				in := &w.Instrs[p]
-				lines = in.AppendCoalescedLines(lines[:0], lineSize)
-				for _, line := range lines {
-					if !access(line, in) {
+				for ; next[wi] < end; next[wi]++ {
+					in := &w.Instrs[next[wi]]
+					if lines = in.AppendCoalescedLines(lines[:0], lineSize); !visit(in, lines) {
 						return
 					}
 				}
-				ptrs[wi] = nextMem(w, p+1)
-				if ptrs[wi] >= len(w.Instrs) {
-					remaining--
+				if end < n {
+					left++
 				}
 			}
 		}
 	}
 }
 
-// nextMem returns the index of the next memory instruction at or after i.
+// nextMem returns the index of the next memory instruction at or after
+// i, or i itself once past the warp's end.
 func nextMem(w *trace.WarpTrace, i int) int {
-	for ; i < len(w.Instrs); i++ {
-		k := w.Instrs[i].Kind
-		if k == trace.Load || k == trace.Store {
-			return i
-		}
+	for i < len(w.Instrs) && w.Instrs[i].Kind == trace.Compute {
+		i++
 	}
 	return i
+}
+
+// L1DReplay drives one SM's L1D, under any registered scheme, through
+// the walk with every fetch answered the moment it is sent. Each
+// instruction's lanes are noted before its accesses, as the SM notes
+// them at issue, so a scheme's samples close at the instruction cap
+// (config.SampleInsnCap) as well as at the access count.
+//
+// The replay equals the timed L1D whenever that cache has at most one
+// access in flight: one warp per SM and one line per memory
+// instruction. In any other case it is a zero-latency approximation of
+// the timed run, which interleaves warps by readiness and overlaps
+// their misses.
+type L1DReplay struct {
+	*core.L1D
+	lineSize int
+	now      uint64 // one cycle, and one request ID, per access
+}
+
+// NewL1DReplay builds a fresh L1D of cfg under pol for one replay.
+func NewL1DReplay(cfg *config.Config, pol config.Policy) *L1DReplay {
+	return &L1DReplay{L1D: core.NewL1D(cfg, pol, func(*mem.Request) {}), lineSize: cfg.L1D.LineSize}
+}
+
+// Replay walks one SM's blocks (PerSM) through the cache and calls after
+// once after every event — an instruction's note, or one line's access
+// with the answer to its fetch — until the blocks are exhausted or after
+// returns false. A stalled access is an error, not a retry: with every
+// fetch answered at once nothing is reserved or queued when the next
+// access arrives, and no registered scheme stalls for a victim its
+// filter refused (policy.Spec.check).
+func (r *L1DReplay) Replay(blocks []*trace.Block, after func() bool) error {
+	var err error
+	ReplaySM(blocks, r.lineSize, func(in *trace.Instr, lines []addr.Addr) bool {
+		r.NoteInstructions(uint64(in.ActiveLanes))
+		if !after() {
+			return false
+		}
+		for _, line := range lines {
+			r.now++
+			r.Tick(r.now)
+			req := &mem.Request{ID: r.now, Addr: line, PC: in.PC, InsnID: addr.HashPC(in.PC), Store: in.Kind == trace.Store}
+			if r.Access(req) == mem.OutcomeStall {
+				err = fmt.Errorf("rdd: L1D replay: access %d (pc %d, line %#x) stalled with every fetch answered", r.now, in.PC, uint64(line))
+				return false
+			}
+			for o := r.PopOutgoing(); o != nil; o = r.PopOutgoing() {
+				if !o.Store {
+					r.OnResponse(o)
+				}
+			}
+			if !after() {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }

@@ -1,7 +1,9 @@
 package rdd
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,7 +229,7 @@ func TestComputeInstructionsSkipped(t *testing.T) {
 	}
 }
 
-// TestReplaySMStopsWhenAccessDeclines: ReplaySM hands access the
+// TestReplaySMStopsWhenAccessDeclines: ReplaySM hands visit the
 // instruction behind each line (so a store reaches the callback as a
 // store) and stops at the first false, mid-instruction included.
 func TestReplaySMStopsWhenAccessDeclines(t *testing.T) {
@@ -236,12 +238,85 @@ func TestReplaySMStopsWhenAccessDeclines(t *testing.T) {
 		trace.NewLoad(8, []addr.Addr{0}),
 	}}
 	var seen []trace.Kind
-	ReplaySM([]*trace.Block{{Warps: []*trace.WarpTrace{w}}}, 128, func(_ addr.Addr, in *trace.Instr) bool {
-		seen = append(seen, in.Kind)
-		return len(seen) < 2
+	ReplaySM([]*trace.Block{{Warps: []*trace.WarpTrace{w}}}, 128, func(in *trace.Instr, lines []addr.Addr) bool {
+		for range lines {
+			seen = append(seen, in.Kind)
+			if len(seen) == 2 {
+				return false
+			}
+		}
+		return true
 	})
 	if len(seen) != 2 || seen[0] != trace.Store || seen[1] != trace.Store {
 		t.Errorf("walk saw %v, want two store lines and then a stop", seen)
+	}
+}
+
+// TestReplaySMVisitsEveryInstructionOnce walks a mixed kernel — compute
+// before, between and after memory instructions, a compute-only warp,
+// stores and multi-line loads, over two blocks — and checks the walk's
+// contract: every instruction of every warp is visited exactly once,
+// each warp's in program order, a turn runs through the warp's next
+// memory instruction (through its end after the last one), and the
+// memory lines come in the order of the memory-only walk this one
+// replaced, which gave each warp one memory instruction per turn.
+func TestReplaySMVisitsEveryInstructionOnce(t *testing.T) {
+	c := func() trace.Instr { return trace.NewCompute(1, 4, 32) }
+	ld := func(lines ...int) trace.Instr {
+		a := make([]addr.Addr, 0, 2*len(lines))
+		for _, l := range lines {
+			a = append(a, addr.Addr(l*128), addr.Addr(l*128+4))
+		}
+		return trace.NewLoad(2, a)
+	}
+	st := func(line int) trace.Instr { return trace.NewStore(3, []addr.Addr{addr.Addr(line * 128)}) }
+	warp := func(in ...trace.Instr) *trace.WarpTrace { return &trace.WarpTrace{Instrs: in} }
+	blocks := []*trace.Block{
+		{Warps: []*trace.WarpTrace{
+			warp(c(), c(), ld(1, 2), c(), st(3), c(), c()),
+			warp(ld(4), ld(5, 6, 7), c()),
+			warp(c(), c()),
+			warp(st(8), c(), ld(9)),
+		}},
+		{Warps: []*trace.WarpTrace{warp(c(), ld(10), c()), warp(ld(11))}},
+	}
+	pos := map[*trace.Instr]string{}
+	for bi, b := range blocks {
+		for wi, w := range b.Warps {
+			for i := range w.Instrs {
+				pos[&w.Instrs[i]] = fmt.Sprintf("b%dw%d.%d", bi, wi, i)
+			}
+		}
+	}
+	var order []string
+	var lines []int
+	ReplaySM(blocks, 128, func(in *trace.Instr, ls []addr.Addr) bool {
+		order = append(order, pos[in])
+		if (in.Kind == trace.Compute) != (len(ls) == 0) {
+			t.Errorf("%s (kind %v) came with %d lines", pos[in], in.Kind, len(ls))
+		}
+		for _, l := range ls {
+			lines = append(lines, int(l/128))
+		}
+		return true
+	})
+	want := []string{
+		// Block 0, first round: each warp through its first memory
+		// instruction; warp 2 has none and finishes.
+		"b0w0.0", "b0w0.1", "b0w0.2", "b0w1.0", "b0w2.0", "b0w2.1", "b0w3.0",
+		// Second round: every warp is on its last memory instruction and
+		// also takes the compute instructions after it.
+		"b0w0.3", "b0w0.4", "b0w0.5", "b0w0.6", "b0w1.1", "b0w1.2", "b0w3.1", "b0w3.2",
+		"b1w0.0", "b1w0.1", "b1w0.2", "b1w1.0",
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("visit order\n got %v\nwant %v", order, want)
+	}
+	if len(order) != len(pos) {
+		t.Errorf("%d visits of %d instructions", len(order), len(pos))
+	}
+	if wantLines := []int{1, 2, 4, 8, 3, 5, 6, 7, 9, 10, 11}; !slices.Equal(lines, wantLines) {
+		t.Errorf("memory lines %v, want %v", lines, wantLines)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/rdd"
+	"repro/internal/trace"
 )
 
 // The timed machine, probed from outside: kernels small enough that
@@ -133,5 +135,99 @@ func TestL1DGeometryProbe(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// oneWarpPerSM cuts app down to a kernel whose L1Ds have at most one
+// access in flight: its first blocks blocks (no more than the SMs, so
+// one per SM), each with its first eight warps joined into one warp, and
+// every memory instruction narrowed to its first lane's line (every lane
+// keeps its slot, so the instruction counts its lanes as before).
+func oneWarpPerSM(t *testing.T, app string, blocks int) *Kernel {
+	t.Helper()
+	spec, err := WorkloadByAbbr(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := spec.Generate()
+	k := &Kernel{Name: app + "-one-warp"}
+	for _, b := range src.Blocks[:min(blocks, len(src.Blocks))] {
+		w := &WarpTrace{}
+		for _, sw := range b.Warps[:min(8, len(b.Warps))] {
+			for _, in := range sw.Instrs {
+				if in.Kind != trace.Compute {
+					lanes := make([]Addr, len(in.Addrs))
+					for i := range lanes {
+						lanes[i] = in.Addrs[0]
+					}
+					in.Addrs = lanes
+				}
+				w.Instrs = append(w.Instrs, in)
+			}
+		}
+		k.Blocks = append(k.Blocks, &Block{Warps: []*WarpTrace{w}})
+	}
+	return k
+}
+
+// l1dCounters are the ten L1D counters of a run, named by l1dCounterNames.
+func l1dCounters(s *Stats) [10]uint64 {
+	return [10]uint64{s.L1DAccesses, s.L1DHits, s.L1DMisses, s.L1DBypasses, s.L1DEvictions,
+		s.L1DStalls, s.L1DTraffic, s.VTAHits, s.StoreAccesses, s.L1DCompulsory}
+}
+
+var l1dCounterNames = [10]string{"L1DAccesses", "L1DHits", "L1DMisses", "L1DBypasses", "L1DEvictions",
+	"L1DStalls", "L1DTraffic", "VTAHits", "StoreAccesses", "L1DCompulsory"}
+
+// TestReplayMatchesTheTimedL1D ties the timed L1D path to internal/rdd's
+// L1D replay, which has no timing in it. With one warp per SM and one
+// line per memory instruction every access waits for the one before it,
+// so each timed L1D sees exactly the replay's stream — an instruction's
+// lanes noted at issue, then its one access — and all ten L1D counters,
+// summed over the SMs, must be equal under every registered scheme, with
+// no stall. Twelve applications on all 16 SMs; -short keeps four SMs of
+// SC and SRAD, CS apps whose sampling periods close at the instruction
+// cap (ReusePredictor tells a replay that stops noting instructions
+// apart on both), and of MM, whose DLP and Global-Protection runs hit in
+// the victim tag array.
+func TestReplayMatchesTheTimedL1D(t *testing.T) {
+	cfg := BaselineConfig()
+	apps, blocks := []string{"CFD", "KM", "BFS", "MM", "SC", "BT", "HG", "STEN", "GEMM", "SRAD", "NW", "PVR"}, cfg.NumSMs
+	if testing.Short() {
+		apps, blocks = []string{"SC", "SRAD", "MM"}, 4
+	}
+	for _, app := range apps {
+		t.Run(app, func(t *testing.T) {
+			k := oneWarpPerSM(t, app, blocks)
+			for _, pol := range Policies() {
+				timed, err := Run(cfg, pol, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var replayed [10]uint64
+				for _, blocks := range rdd.PerSM(k, cfg.NumSMs) {
+					r := rdd.NewL1DReplay(cfg, pol)
+					if err := r.Replay(blocks, func() bool { return true }); err != nil {
+						t.Fatalf("%s: %v", pol, err)
+					}
+					for i, v := range l1dCounters(r.Stats()) {
+						replayed[i] += v
+					}
+				}
+				got := l1dCounters(timed)
+				for i, name := range l1dCounterNames {
+					if got[i] != replayed[i] {
+						t.Errorf("%s: %s timed %d, replayed %d", pol, name, got[i], replayed[i])
+					}
+				}
+				if timed.L1DStalls != 0 || timed.L1DAccesses == 0 {
+					t.Errorf("%s: %d stalls over %d accesses; the kernel has more than one access in flight, or none",
+						pol, timed.L1DStalls, timed.L1DAccesses)
+				}
+				if app == "MM" && (pol == DLP || pol == GlobalProtection) && timed.VTAHits == 0 {
+					t.Errorf("%s: no VTA hits on MM", pol)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,11 @@
 # parent revision, N pairs of `bench/run.sh` with the side that runs
 # first flipped every pair, then for each end-to-end metric both sides'
 # medians and quartiles, the change in the median, and how many pairs the
-# working tree won (ties count for neither side).
+# working tree won (ties count for neither side). A second line per
+# metric shows run-order drift: each side's median over the first and
+# over the second half of the pairs, and in how many pairs the side that
+# ran second read better (parent runs first in odd pairs, change in even
+# ones; ties count for neither).
 #
 #   scripts/abpairs.sh <parent-rev> <workload> [seed] [pairs]
 #
@@ -72,13 +76,18 @@ jq -r -s --slurpfile bench "$root/BENCHMARK.json" '
 	def quantile(f): sort as $s | length as $n | (($n - 1) * f) as $pos | ($pos | floor) as $lo
 		| if $lo + 1 >= $n then $s[$n - 1] else $s[$lo] + ($pos - $lo) * ($s[$lo + 1] - $s[$lo]) end;
 	def spread: "\(quantile(0.5) | sig) [\(quantile(0.25) | sig), \(quantile(0.75) | sig)]";
+	def med: if length == 0 then "-" else quantile(0.5) | sig end;
+	def better($better): .[0] != .[1] and (($better == "higher") == (.[0] > .[1]));
 	. as $runs | $bench[0].end_to_end[] | .name as $m | .better as $better
 	| [$runs[] | select(.side == "parent") | .metrics[$m].value] as $p
 	| [$runs[] | select(.side == "change") | .metrics[$m].value] as $c
-	| ([range(0; [($p | length), ($c | length)] | min) | select($c[.] != $p[.])
-		| select(($better == "higher") == ($c[.] > $p[.]))] | length) as $wins
+	| ([($p | length), ($c | length)] | min) as $n | ($n / 2 | floor) as $h
+	| ([range(0; $n) | [$c[.], $p[.]] | select(better($better))] | length) as $wins
+	| ([range(0; $n) | if . % 2 == 0 then [$c[.], $p[.]] else [$p[.], $c[.]] end
+		| select(better($better))] | length) as $later
 	| ($p | quantile(0.5)) as $pm | ($c | quantile(0.5)) as $cm
-	| "\($m): parent \($p | spread)  change \($c | spread)  \(if $pm == 0 then 0 else ($cm - $pm) / $pm * 100 | sig end)%  wins \($wins)/\($p | length)  (\($better) is better)"
+	| "\($m): parent \($p | spread)  change \($c | spread)  \(if $pm == 0 then 0 else ($cm - $pm) / $pm * 100 | sig end)%  wins \($wins)/\($p | length)  (\($better) is better)\n"
+		+ "  run order: medians over the first and second half of the pairs: parent \($p[:$h] | med) then \($p[$h:$n] | med), change \($c[:$h] | med) then \($c[$h:$n] | med); the side that ran second read better in \($later)/\($n) pairs"
 ' "$log"
 echo "failed operations: parent $(jq -s '[.[] | select(.side == "parent") | .failed] | add' "$log"), change $(jq -s '[.[] | select(.side == "change") | .failed] | add' "$log")"
 echo "every run: $log (logs: $errlog)"
